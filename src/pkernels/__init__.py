@@ -1,8 +1,9 @@
 """Incidence between residue-module classes and Newton strata for
-minuscule matrix data over k[[t]], decided by double-coset combinatorics
-in the extended affine Weyl group and calibrated against exact matrix
-oracles."""
+minuscule matrix data over k[[t]], decided by the Deligne-Lusztig
+reduction in the extended affine Weyl group and checked against exact
+matrix oracles."""
 
+from . import cosets  # noqa: F401  (every layer loads with the package; perfbench traces them all)
 from .affine import Element
 from .criterion import (Bounds, ConventionManifest, IncidenceTable, __version__,
                         adlv_nonempty, calibrate, default_manifest,

@@ -14,18 +14,22 @@ triangular matrices under reduction mod ε.  The closed formula below is a
 convention-sensitive implementation detail; the binding contract is that
 it agrees with BFS word length over the affine generators and with the
 coset-index [I : I ∩ xIx^{-1}] oracle, both exercised in the tests.
+
+The reduction at the bottom decides, by length arithmetic alone, which
+Newton strata meet a double coset I·x·I.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import weyl
-from .errors import ConventionError
+from .errors import ConventionError, ResourceLimitError
 
 __all__ = [
     'Element', 'identity', 'from_perm', 'translation', 'simple_reflection',
-    'omega', 'group_law', 'length', 'reduced_decomposition',
-    'in_minuscule_double_coset', 'translation_conjugate',
+    'omega', 'length', 'reduced_decomposition', 'in_minuscule_double_coset',
+    'translation_conjugate', 'newton_point', 'newton_strata',
 ]
 
 
@@ -147,21 +151,6 @@ def omega(h: int) -> Element:
     return Element(lam, perm)
 
 
-def group_law(x: Element, y: Element = None, mode: str = 'multiply') -> Element:
-    """Functional form of the group operations.
-
-    >>> group_law(translation((1, 0)), mode='invert')
-    Element(lam=(-1, 0), perm=(1, 2))
-    """
-    if mode == 'multiply':
-        return x * y
-    if mode == 'invert':
-        if y is not None:
-            raise ValueError('invert takes a single element')
-        return x.inverse()
-    raise ValueError('unknown mode %r' % (mode,))
-
-
 _length_cache = {}
 
 
@@ -238,6 +227,91 @@ def translation_conjugate(x: Element, lam) -> Element:
     """ε^{-lam} · x · ε^{lam}, computed directly on the exponents."""
     t = translation(lam)
     return t.inverse() * x * t
+
+
+# ------------------------------------------------------------- reduction
+
+def newton_point(x: Element) -> tuple:
+    """ν(x), the Newton point of x as ascending slopes.
+
+    x^n is a translation for n the order of the permutation, so each
+    cycle contributes the average of lam over it, once per member.
+
+    >>> newton_point(Element((0, 1), (2, 1)))
+    (Fraction(1, 2), Fraction(1, 2))
+    """
+    seen = set()
+    slopes = []
+    for j in range(1, x.h + 1):
+        cycle = []
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = x.perm[j - 1]
+        if cycle:
+            slopes += [Fraction(sum(x.lam[i - 1] for i in cycle), len(cycle))] * len(cycle)
+    return tuple(sorted(slopes))
+
+
+def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
+    """B(x), the Newton points whose stratum meets I·x·I, by the
+    Deligne–Lusztig reduction (He, Ann. Math. 2014; He–Nie, Compositio
+    2014).
+
+    The class of x under length-preserving conjugation by s_0, ..., s_{h-1}
+    and omega is walked.  If some y in it has length(s·y·s) =
+    length(y) - 2, then B(x) = B(s·y·s) ∪ B(s·y).  Otherwise x has minimal
+    length in its conjugacy class and B(x) = {ν(x)}.
+
+    Returns (points, explored): points maps each Newton point to the
+    minimal-length element at which the reduction reached it, and explored
+    counts the elements of the reduction tree.  Calls that share a memo
+    dict share their subtrees; the answers do not depend on it.  Raises
+    ResourceLimitError when a tree exceeds ``limit`` elements.
+
+    >>> sorted(newton_strata(Element((1, 0), (2, 1)))[0])
+    [(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 2))]
+    """
+    h = x.h
+    refs = [simple_reflection(h, i) for i in range(h)] if h > 1 else []
+    tau = omega(h)
+    return _reduce(x, {} if memo is None else memo, limit, refs, tau, tau.inverse())
+
+
+def _reduce(x, memo, limit, refs, tau, tau_inv):
+    done = memo.get(x)
+    if done is not None:
+        return done
+    ell = length(x)
+    walked = [x]
+    seen = {x}
+    for y in walked:
+        for s in refs:
+            z = s * y * s
+            ell_z = length(z)
+            if ell_z < ell:
+                points, n_sys = _reduce(z, memo, limit, refs, tau, tau_inv)
+                more, n_sy = _reduce(s * y, memo, limit, refs, tau, tau_inv)
+                points = {**more, **points}
+                done = (points, len(walked) + n_sys + n_sy)
+                break
+            if ell_z == ell and z not in seen:
+                seen.add(z)
+                walked.append(z)
+        if done is not None:
+            break
+        z = tau * y * tau_inv
+        if z not in seen:
+            seen.add(z)
+            walked.append(z)
+        if limit is not None and len(walked) > limit:
+            raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
+    else:
+        done = ({newton_point(x): x}, len(walked))
+    if limit is not None and done[1] > limit:
+        raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
+    memo[x] = done
+    return done
 
 
 if __name__ == '__main__':

@@ -9,7 +9,7 @@ import ast
 import json
 import sys
 
-from . import affine, criterion, weyl
+from . import affine, criterion
 from .affine import Element
 from .criterion import Bounds, ConventionManifest, __version__
 from .errors import ConventionError, ResourceLimitError
@@ -93,7 +93,7 @@ def _build_parser():
     p.add_argument('--manifest')
     p.add_argument('--out')
 
-    p = sub.add_parser('adlv', help='sandwich condition for an explicit monomial')
+    p = sub.add_parser('adlv', help='whether I·x·I meets the stratum of a polygon')
     p.add_argument('--x', required=True, help='element, e.g. "perm=[2,1];lam=(0,1)"')
     p.add_argument('--np', required=True)
     p.add_argument('--manifest')
@@ -112,8 +112,6 @@ def _build_parser():
     p = sub.add_parser('coset-product', help='support of a double coset product')
     p.add_argument('--x', required=True)
     p.add_argument('--y', required=True)
-    p.add_argument('--rule', choices=('full_support', 'demazure_max'),
-                   default='full_support')
     p.add_argument('--out')
 
     p = sub.add_parser('oracle', help='matrix-level sampling and verification')
@@ -137,7 +135,7 @@ def _build_parser():
     _add_field_args(q)
     q.add_argument('--out')
 
-    p = sub.add_parser('calibrate', help='resolve the open conventions against the oracle')
+    p = sub.add_parser('calibrate', help='check the incidence engine against the oracle')
     p.add_argument('--probe', action='append', default=None,
                    help='stratum "h,d" (repeatable; default 2,1 3,1 3,2)')
     p.add_argument('--count', type=int, default=None,
@@ -226,10 +224,10 @@ def _cmd_coset_product(args):
     from . import cosets
     x = parse_element(args.x)
     y = parse_element(args.y)
-    supp = cosets.coset_product_support(x, y, args.rule)
+    supp = cosets.coset_product_support(x, y)
     elems = sorted(supp, key=lambda e: (affine.length(e), e.lam, e.perm))
     out = {
-        'x': x.to_dict(), 'y': y.to_dict(), 'rule': args.rule,
+        'x': x.to_dict(), 'y': y.to_dict(),
         'support': [e.to_dict() for e in elems],
         'lengths': [affine.length(e) for e in elems],
     }
@@ -274,13 +272,9 @@ def _cmd_calibrate(args):
     mani.save(args.out)
     summary = {
         'written': args.out,
-        'selected': mani.to_dict(with_report=False),
-        'survivors': len(mani.report['survivors']),
-        'fourth_cell': {
-            'criterion_value': mani.report['fourth_cell']['criterion_value'],
-            'oracle_observations': mani.report['fourth_cell']['oracle_observations'],
-            'oracle_samples': mani.report['fourth_cell']['oracle_samples'],
-        },
+        'manifest': mani.to_dict(with_report=False),
+        'observed_cells': sum(map(len, mani.report['observed'].values())),
+        'sigma_classes': len(mani.report['sigma']['classes']),
     }
     sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + '\n')
     return 0

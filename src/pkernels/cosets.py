@@ -2,17 +2,17 @@ r"""Iwahori double-coset product supports.
 
 For x, y in the extended affine Weyl group, the product of the double
 cosets IxI·IyI is a finite union of double cosets IwI; this module
-computes the set of such w by BN-pair folding along a reduced word.
-Two folding rules are exposed:
+computes the set of such w by BN-pair folding along a reduced word,
+keeping both branches {x·s_i, x} on a length-decreasing step.
 
-* ``full_support``: the exact support, keeping both branches
-  {x·s_i, x} on a length-decreasing step;
-* ``demazure_max``: the monoid (Demazure) product, keeping only the
-  longer element, so results are singletons.
+The incidence engine does not use this module.  It serves the
+``coset-product`` command, the matrix-sampling checks of the length
+function, and the sandwich condition
 
-Both are first-class because the sandwich condition consumed by the
-criterion module is calibrated against an exact matrix oracle rather
-than fixed a priori.
+    x_w  in  IyI · Iz_lambda I · Iy^{-1}I,
+
+a necessary condition for a nonempty cell that the tests hold every
+table to.
 
 The support-table functions at the bottom tabulate supp(IyI·IcI) and
 supp(IcI·IyI) for *every* finite permutation y at once by BFS over the
@@ -20,88 +20,73 @@ weak order; together with the duality
 
     w in supp(IuI·IvI)  <=>  u in supp(IwI·Iv^{-1}I)
 
-(valid for the exact set product) they let the criterion module test
-"target in IyI·IzI·Iy^{-1}I" as a table intersection instead of folding
-per query.  Tests pin the equivalence with the direct computation.
+they test "target in IyI·IzI·Iy^{-1}I" as a table intersection instead
+of folding per query.  Tests pin the equivalence with the direct
+computation.
 """
 
 from . import affine, weyl
 from .affine import Element, length
 from .errors import ResourceLimitError
 
-RULES = ('full_support', 'demazure_max')
-
 __all__ = [
-    'RULES', 'fold_simple', 'fold_simple_left', 'coset_product_support',
+    'fold_simple', 'fold_simple_left', 'coset_product_support',
     'coset_product', 'sandwich_contains', 'left_support_table',
     'right_support_table', 'clear_caches',
 ]
 
 
-def _check_rule(rule):
-    if rule not in RULES:
-        raise ValueError('unknown folding rule %r' % (rule,))
-
-
-def fold_simple(S, i: int, rule: str = 'full_support') -> frozenset:
+def fold_simple(S, i: int) -> frozenset:
     """Support of right convolution of the cosets in S by Is_iI."""
-    _check_rule(rule)
     out = set()
     for x in S:
         s = affine.simple_reflection(x.h, i)
         xs = x * s
         if length(xs) > length(x):
             out.add(xs)
-        elif rule == 'full_support':
-            out.update((xs, x))
         else:
-            out.add(x)
+            out.update((xs, x))
     return frozenset(out)
 
 
-def fold_simple_left(S, i: int, rule: str = 'full_support') -> frozenset:
+def fold_simple_left(S, i: int) -> frozenset:
     """Support of left convolution by Is_iI (mirror of fold_simple)."""
-    _check_rule(rule)
     out = set()
     for x in S:
         s = affine.simple_reflection(x.h, i)
         sx = s * x
         if length(sx) > length(x):
             out.add(sx)
-        elif rule == 'full_support':
-            out.update((sx, x))
         else:
-            out.add(x)
+            out.update((sx, x))
     return frozenset(out)
 
 
-def coset_product(S, y: Element, rule: str = 'full_support') -> frozenset:
+def coset_product(S, y: Element) -> frozenset:
     """Support of (∪_{x∈S} IxI) · IyI."""
-    _check_rule(rule)
     k, word = affine.reduced_decomposition(y)
     om = affine.omega(y.h) ** k
     S = frozenset(x * om for x in S)
     for i in word:
-        S = fold_simple(S, i, rule)
+        S = fold_simple(S, i)
     return S
 
 
-def coset_product_support(x: Element, y: Element, rule: str = 'full_support') -> frozenset:
-    """The set of w with IwI ⊆ IxI·IyI (under the chosen rule).
+def coset_product_support(x: Element, y: Element) -> frozenset:
+    """The set of w with IwI ⊆ IxI·IyI.
 
     Folds y's reduced word onto {x·omega^k}; the omega-power factor is a
     single coset move since length-zero elements normalize I.
     """
     if x.h != y.h:
         raise ValueError('size mismatch')
-    return coset_product({x}, y, rule)
+    return coset_product({x}, y)
 
 
-def sandwich_contains(target: Element, y, z: Element, rule: str = 'full_support') -> bool:
+def sandwich_contains(target: Element, y, z: Element) -> bool:
     """Whether I·target·I ⊆ IyI · IzI · Iy^{-1}I, for a finite permutation y."""
-    h = z.h
-    S = coset_product_support(affine.from_perm(y), z, rule)
-    S = coset_product(S, affine.from_perm(weyl.inverse(tuple(y))), rule)
+    S = coset_product_support(affine.from_perm(y), z)
+    S = coset_product(S, affine.from_perm(weyl.inverse(tuple(y))))
     return target in S
 
 
@@ -122,18 +107,15 @@ def _weak_order(h):
     return ys
 
 
-def left_support_table(c: Element, rule: str = 'full_support', max_support: int = None,
+def left_support_table(c: Element, max_support: int = None,
                        cache: bool = True) -> dict:
     """supp(IyI·IcI) for every finite permutation y, as {y: frozenset}.
 
     Built by BFS over the left weak order: if length(s_i·y) = length(y)+1
     then I(s_i y)I·IcI = Is_iI·IyI·IcI, so the table entry is a left fold
-    of the parent's.  Valid for the exact set product (full_support).
-    Pass cache=False for throwaway tables to keep memory flat.
+    of the parent's.  Pass cache=False for throwaway tables to keep memory flat.
     """
-    _check_rule(rule)
-    key = (c, rule)
-    cached = _left_tables.get(key)
+    cached = _left_tables.get(c)
     if cached is not None:
         return cached
     h = c.h
@@ -145,21 +127,19 @@ def left_support_table(c: Element, rule: str = 'full_support', max_support: int 
         yi = weyl.inverse(y)
         i = next(i for i in range(1, h) if yi[i - 1] > yi[i])  # left descent
         parent = weyl.compose(weyl.transposition(h, i, i + 1), y)
-        table[y] = fold_simple_left(table[parent], i, rule)
+        table[y] = fold_simple_left(table[parent], i)
         total += len(table[y])
         if max_support is not None and total > max_support:
             raise ResourceLimitError('support table for %r exceeds %d elements' % (c, max_support))
     if cache:
-        _left_tables[key] = table
+        _left_tables[c] = table
     return table
 
 
-def right_support_table(c: Element, rule: str = 'full_support', max_support: int = None,
+def right_support_table(c: Element, max_support: int = None,
                         cache: bool = True) -> dict:
     """supp(IcI·IyI) for every finite permutation y, as {y: frozenset}."""
-    _check_rule(rule)
-    key = (c, rule)
-    cached = _right_tables.get(key)
+    cached = _right_tables.get(c)
     if cached is not None:
         return cached
     h = c.h
@@ -170,10 +150,10 @@ def right_support_table(c: Element, rule: str = 'full_support', max_support: int
             continue
         i = next(i for i in range(1, h) if y[i - 1] > y[i])  # right descent
         parent = weyl.compose(y, weyl.transposition(h, i, i + 1))
-        table[y] = fold_simple(table[parent], i, rule)
+        table[y] = fold_simple(table[parent], i)
         total += len(table[y])
         if max_support is not None and total > max_support:
             raise ResourceLimitError('support table for %r exceeds %d elements' % (c, max_support))
     if cache:
-        _right_tables[key] = table
+        _right_tables[c] = table
     return table

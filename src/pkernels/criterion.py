@@ -1,32 +1,30 @@
-r"""The incidence criterion: which residue-module classes meet which
-Newton strata, decided inside the extended affine Weyl group.
+r"""The incidence table: which residue-module classes meet which Newton
+strata, decided inside the extended affine Weyl group.
 
-A cell (w, P) is declared nonempty when some cocharacter profile of P
-and some finite permutation y witness the sandwich condition
+A cell (w, P) is nonempty exactly when the Iwahori double coset I·x_w·I
+of the row's representative x_w = eo_representative(hd, w) meets the
+Newton stratum of P (Viehmann, *Truncations of level 1 of elements in the
+loop group of a reductive group*, Ann. Math. 2014).  The reduction
+affine.newton_strata lists every stratum I·x·I meets, so one reduction
+decides a whole row.
 
-    x_w  in  IyI · Iz_lambda I · Iy^{-1}I
-
-with z_lambda the monomial middle of the profile.  Four low-level
-conventions are deliberately kept open (folding rule, which side is the
-middle, the direction of the sorting permutation, a global mirror) and
-resolved by calibrating against the matrix oracle; the chosen values
-travel with every result as a ConventionManifest.
+calibrate checks these answers against the matrix oracle and raises on
+any disagreement; the manifest it returns records the evidence and
+travels with every table.
 """
 
-import itertools
 import json
 import sys
-import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
-from . import affine, cosets, weyl
+from . import affine, weyl
 from .affine import Element
 from .errors import ConventionError, ResourceLimitError
 from .polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
                        eo_representative, hodge_of, mu_and_type, parse_polygon)
 from .semimodules import enumerate_profiles, middle_element
 
-__version__ = '0.1.0'
+__version__ = '0.2.0'
 
 __all__ = [
     'ConventionManifest', 'Bounds', 'IncidenceTable', 'default_manifest',
@@ -34,38 +32,26 @@ __all__ = [
     'calibrate',
 ]
 
-_ORIENTATIONS = ('z_middle', 'target_middle')
-_ETAS = ('literal', 'flipped')
-
 
 @dataclass(frozen=True)
 class ConventionManifest:
-    """The resolved convention choices, embedded in every output."""
+    """The record of the oracle check, embedded in every output.
 
-    fold_rule: str = 'full_support'
-    orientation: str = 'z_middle'
-    eta: str = 'literal'
-    mirror: bool = False
+    ``calibrated`` is True once calibrate has checked the engine against
+    the matrix oracle on ``probes``; ``report`` holds the evidence.  The
+    answers themselves never depend on the manifest.
+    """
+
     calibrated: bool = False
     library_version: str = __version__
     probes: tuple = ()
     report: dict = None
 
     def __post_init__(self):
-        if self.fold_rule not in cosets.RULES:
-            raise ValueError('unknown fold rule %r' % (self.fold_rule,))
-        if self.orientation not in _ORIENTATIONS:
-            raise ValueError('unknown orientation %r' % (self.orientation,))
-        if self.eta not in _ETAS:
-            raise ValueError('unknown eta convention %r' % (self.eta,))
         object.__setattr__(self, 'probes', tuple(tuple(p) for p in self.probes))
 
     def to_dict(self, with_report: bool = True) -> dict:
         out = {
-            'fold_rule': self.fold_rule,
-            'orientation': self.orientation,
-            'eta': self.eta,
-            'mirror': self.mirror,
             'calibrated': self.calibrated,
             'library_version': self.library_version,
             'probes': [list(p) for p in self.probes],
@@ -77,10 +63,6 @@ class ConventionManifest:
     @classmethod
     def from_dict(cls, data: dict) -> 'ConventionManifest':
         return cls(
-            fold_rule=data.get('fold_rule', 'full_support'),
-            orientation=data.get('orientation', 'z_middle'),
-            eta=data.get('eta', 'literal'),
-            mirror=bool(data.get('mirror', False)),
             calibrated=bool(data.get('calibrated', False)),
             library_version=data.get('library_version', __version__),
             probes=tuple(tuple(p) for p in data.get('probes', ())),
@@ -99,27 +81,29 @@ class ConventionManifest:
 
 
 def default_manifest() -> ConventionManifest:
-    """The conventions the construction definitions read most directly,
-    uncalibrated."""
+    """The manifest of answers not yet checked against the oracle."""
     return ConventionManifest()
 
 
 def load_manifest(path=None) -> ConventionManifest:
-    """Manifest from a file, or the uncalibrated default with a warning."""
+    """Manifest from a file, or the unchecked default with a warning."""
     if path is not None:
         return ConventionManifest.load(path)
-    print('warning: no calibration manifest given; using uncalibrated defaults '
-          '(run `pkernels calibrate`)', file=sys.stderr)
+    print('warning: no calibration manifest given; results are uncalibrated, not '
+          'checked against the matrix oracle (run `pkernels calibrate`)', file=sys.stderr)
     return default_manifest()
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """Resource limits for the search; exceeding any raises ResourceLimitError."""
+    """Resource limits; exceeding either raises ResourceLimitError.
+
+    max_height caps the height of a query, max_support the number of
+    elements one reduction explores.
+    """
 
     max_height: int = 6
     max_support: int = 500_000
-    cell_seconds: float = None
 
     def check_height(self, h):
         if h > self.max_height:
@@ -128,87 +112,16 @@ class Bounds:
 
 # ------------------------------------------------------------- engine
 
-def _mirrored(P: NewtonPolygon) -> NewtonPolygon:
-    return NewtonPolygon(tuple((m, n) for n, m in P.blocks))
+def _strata(x: Element, bounds: Bounds, memo: dict) -> tuple:
+    """(points, explored) of affine.newton_strata for x, within bounds."""
+    bounds.check_height(x.h)
+    return affine.newton_strata(x, memo, bounds.max_support)
 
 
-def _middles(P: NewtonPolygon, manifest: ConventionManifest):
-    """(profile, middle) pairs in lexicographic profile order."""
-    out = []
-    for prof in enumerate_profiles(P):
-        z = middle_element(prof, P, flip_eta=(manifest.eta == 'flipped'))
-        out.append((prof, z))
-    return out
-
-
-def _perm_order(h):
-    return sorted(weyl.all_permutations(h), key=lambda w: (weyl.finite_length(w), w))
-
-
-def _pick_via(common):
-    return min(common, key=lambda e: (affine.length(e), e.lam, e.perm))
-
-
-def _scan_column(targets, P, manifest, bounds):
-    """Evaluate all cells (target, P) at once; returns
-    {key: (value, witness, searched)} keyed like the input dict.
-
-    The witness is the first hit in (profile-lex, y-length-lex) order,
-    matching a per-cell search.
-    """
-    bounds.check_height(P.height)
-    h = P.height
-    rule = manifest.fold_rule
-    ys = _perm_order(h)
-    middles = _middles(P, manifest)
-    undecided = dict(targets)
-    results = {}
-    t0 = time.monotonic()
-    searched = 0
-    for prof, z in middles:
-        if not undecided:
-            break
-        if rule == 'full_support':
-            # per-middle table: throwaway, so a long scan stays memory-flat
-            ltab = (cosets.left_support_table(z, rule, bounds.max_support, cache=False)
-                    if manifest.orientation == 'z_middle' else
-                    cosets.right_support_table(z, rule, bounds.max_support, cache=False))
-        searched += len(ys)
-        for key, target in list(undecided.items()):
-            if rule == 'full_support':
-                rtab = (cosets.right_support_table(target, rule, bounds.max_support)
-                        if manifest.orientation == 'z_middle' else
-                        cosets.left_support_table(target, rule, bounds.max_support))
-            for y in ys:
-                if rule == 'full_support':
-                    if manifest.orientation == 'z_middle':
-                        common = ltab[y] & rtab[y]
-                    else:
-                        common = rtab[y] & ltab[y]
-                    hit = bool(common)
-                else:
-                    if manifest.orientation == 'z_middle':
-                        hit = cosets.sandwich_contains(target, y, z, rule)
-                    else:
-                        hit = cosets.sandwich_contains(z, y, target, rule)
-                    common = None
-                if hit:
-                    wit = {
-                        'lam': list(prof.lam),
-                        'y': list(y),
-                    }
-                    if common:
-                        via = _pick_via(common)
-                        wit['via'] = via.to_dict()
-                    results[key] = (True, wit, searched)
-                    del undecided[key]
-                    break
-            if bounds.cell_seconds is not None and time.monotonic() - t0 > bounds.cell_seconds:
-                raise ResourceLimitError('cell scan exceeded %.1fs' % bounds.cell_seconds)
-    total = len(middles) * len(ys)
-    for key in undecided:
-        results[key] = (False, None, total)
-    return results
+def _witness(points: dict, P: NewtonPolygon):
+    """The minimal-length element the reduction reached P at, or None."""
+    y = points.get(P.slopes())
+    return None if y is None else {'y': y.to_dict()}
 
 
 def _require_stratum(hd: HodgeDatum, P: NewtonPolygon):
@@ -217,41 +130,32 @@ def _require_stratum(hd: HodgeDatum, P: NewtonPolygon):
                          % (P, hd.height, hd.dimension))
 
 
+def _answer(x: Element, P: NewtonPolygon, bounds: Bounds, return_info: bool):
+    points, explored = _strata(x, bounds or Bounds(), {})
+    wit = _witness(points, P)
+    if return_info:
+        return wit is not None, {'witness': wit, 'searched': explored}
+    return wit is not None
+
+
 def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, manifest: ConventionManifest = None,
              bounds: Bounds = None, return_info: bool = False):
-    """Whether the class of w meets the stratum of P, per the calibrated
-    sandwich criterion."""
-    manifest = manifest or default_manifest()
-    bounds = bounds or Bounds()
+    """Whether the class of w meets the stratum of P, i.e. whether P is in
+    B(x_w).  With return_info, also the witness (None for an empty cell)
+    and the number of elements the reduction explored."""
     _require_stratum(hd, P)
-    if manifest.mirror:
-        hd = HodgeDatum(hd.height, hd.height - hd.dimension)
-        P = _mirrored(P)
-    target = eo_representative(hd, w)
-    res = _scan_column({0: target}, P, manifest, bounds)[0]
-    value, wit, searched = res
-    if return_info:
-        return value, {'witness': wit, 'searched': searched}
-    return value
+    return _answer(eo_representative(hd, w), P, bounds, return_info)
 
 
 def adlv_nonempty(x: Element, P: NewtonPolygon, manifest: ConventionManifest = None,
                   bounds: Bounds = None, return_info: bool = False):
-    """Whether the affine Deligne-Lusztig condition holds for the
-    monomial x against the stratum of P (x must be minuscule of the
-    polygon's height and dimension)."""
-    manifest = manifest or default_manifest()
-    bounds = bounds or Bounds()
+    """Whether I·x·I meets the Newton stratum of P, i.e. whether the affine
+    Deligne-Lusztig variety X_x(b_P) is nonempty (x must be minuscule of
+    the polygon's height and dimension)."""
     h, d = P.height, P.dimension
     if x.h != h or not affine.in_minuscule_double_coset(x, h, d):
         raise ValueError('x is not in the minuscule stratum of (%d, %d)' % (h, d))
-    if manifest.mirror:
-        P = _mirrored(P)
-    res = _scan_column({0: x}, P, manifest, bounds)[0]
-    value, wit, searched = res
-    if return_info:
-        return value, {'witness': wit, 'searched': searched}
-    return value
+    return _answer(x, P, bounds, return_info)
 
 
 @dataclass(frozen=True)
@@ -305,35 +209,34 @@ def _cell_key(w, P) -> str:
 
 def incidence_table(hd: HodgeDatum, manifest: ConventionManifest = None,
                     bounds: Bounds = None) -> IncidenceTable:
+    """The full table of a stratum, one reduction per row.  Nonempty cells
+    carry their witness, empty ones the size of the exhausted reduction."""
     manifest = manifest or default_manifest()
     bounds = bounds or Bounds()
     bounds.check_height(hd.height)
     _, pairs = mu_and_type(hd)
     rows = tuple(weyl.min_coset_reps(hd.height, pairs))
     cols = enumerate_polygons(hd)
-    eff_hd, eff_cols = hd, cols
-    if manifest.mirror:
-        eff_hd = HodgeDatum(hd.height, hd.height - hd.dimension)
-        eff_cols = [_mirrored(P) for P in cols]
-    targets = {w: eo_representative(eff_hd, w) for w in rows}
-    values = [[None] * len(cols) for _ in rows]
+    memo = {}
+    values = []
     witnesses = {}
     searched = {}
-    for j, P in enumerate(eff_cols):
-        res = _scan_column(targets, P, manifest, bounds)
-        for i, w in enumerate(rows):
-            value, wit, n = res[w]
-            values[i][j] = value
-            key = _cell_key(w, cols[j])
-            if value:
-                witnesses[key] = wit
+    for w in rows:
+        points, explored = _strata(eo_representative(hd, w), bounds, memo)
+        row = []
+        for P in cols:
+            wit = _witness(points, P)
+            row.append(wit is not None)
+            if wit is None:
+                searched[_cell_key(w, P)] = explored
             else:
-                searched[key] = n
+                witnesses[_cell_key(w, P)] = wit
+        values.append(tuple(row))
     return IncidenceTable(
         hodge=(hd.height, hd.dimension),
         rows=rows,
         cols=tuple(str(P) for P in cols),
-        values=tuple(tuple(row) for row in values),
+        values=tuple(values),
         witnesses=witnesses,
         searched=searched,
         manifest=manifest.to_dict(with_report=False),
@@ -343,20 +246,14 @@ def incidence_table(hd: HodgeDatum, manifest: ConventionManifest = None,
 # -------------------------------------------------------- calibration
 
 KNOWN_CELLS = (
-    # (height, dim), row w, polygon string, expected value
+    # elliptic curves: (height, dim), row w, polygon string, expected value
     ((2, 1), (1, 2), '1/2x2', True),
     ((2, 1), (2, 1), '0,1', True),
     ((2, 1), (1, 2), '0,1', False),
+    ((2, 1), (2, 1), '1/2x2', False),
 )
 
-FOURTH_CELL = ((2, 1), (2, 1), '1/2x2')
-
-
-def _variant_manifests():
-    for rule, orient, eta, mirror in itertools.product(
-            ('full_support', 'demazure_max'), _ORIENTATIONS, _ETAS, (False, True)):
-        yield ConventionManifest(fold_rule=rule, orientation=orient, eta=eta,
-                                 mirror=mirror)
+SIGMA_POLYGON = '1/2x2'
 
 
 def _observe(hd, cfg, n_samples, seed, deg):
@@ -374,39 +271,30 @@ def _observe(hd, cfg, n_samples, seed, deg):
     return seen
 
 
-def _sigma_fourth_cell_evidence(cfg, seed, trials):
-    """sigma-conjugation evidence for the one undetermined (2, 1) cell:
-    how often conjugates of the half-slope middles reduce to the class
-    of the supersingular row's representative."""
+def _sigma_classes(P, cfg, seed, trials):
+    """Iwahori classes of sigma-conjugates of the middle elements of P,
+    with counts; each lies in the stratum of P."""
     from .shtuka import sigma_conjugate_sample
-    hd = HodgeDatum(2, 1)
-    P = parse_polygon('1/2x2')
-    target = eo_representative(hd, (2, 1))
     counts = {}
-    hits = 0
-    total = 0
-    for prof, z in _middles(P, default_manifest()):
-        cnt = sigma_conjugate_sample(z, cfg, trials, seed=seed)
-        for cls, c in cnt.items():
-            counts[str(cls.to_dict())] = counts.get(str(cls.to_dict()), 0) + c
-            total += c
-            if cls == target:
-                hits += c
-    return {'trials': total, 'hits_at_target': hits, 'class_counts': counts,
-            'target': target.to_dict()}
+    for prof in enumerate_profiles(P):
+        for x, c in sigma_conjugate_sample(middle_element(prof, P), cfg, trials,
+                                           seed=seed).items():
+            counts[x] = counts.get(x, 0) + c
+    return counts
 
 
 def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
               deg: int = 2, sigma_trials: int = 200,
               bounds: Bounds = None) -> ConventionManifest:
-    """Select the convention variant consistent with hard ground truth
-    and with everything the matrix oracle observes on the probe strata.
+    """Check the engine against ground truth and the matrix oracle.
 
-    Hard constraints: the three determined (2,1) cells, and every
-    sampled (class, polygon) incidence must be declared nonempty.  The
-    surviving variant (preferring the literal reading) is returned as a
-    calibrated manifest whose report carries the evidence, including
-    both sides of the one cell the ground truth leaves open.
+    The four height-2 cells must match elliptic curves, every (class,
+    polygon) pair the oracle samples on the probe strata must be a
+    nonempty cell, and every Iwahori class reached by sigma-conjugating
+    the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
+    must meet that polygon's stratum.  Raises ConventionError on any
+    disagreement; otherwise returns a calibrated manifest whose report
+    carries the evidence.
     """
     from .shtuka import field
     cfg = cfg or field(2, 2)
@@ -419,81 +307,43 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     elif isinstance(samples, int):
         samples = {p: samples for p in probes}
 
+    violations = []
+    for hdt, w, ps, expect in KNOWN_CELLS:
+        if lifts_to(HodgeDatum(*hdt), w, parse_polygon(ps), bounds=bounds) != expect:
+            violations.append({'cell': [list(hdt), list(w), ps], 'expected': expect,
+                               'why': 'ground truth'})
     observed = {}
     for p in probes:
         hd = HodgeDatum(*p)
-        obs = _observe(hd, cfg, samples[p], seed, deg)
-        observed[p] = obs
-
-    constraint_cells = []
-    for (hdt, w, ps, expect) in KNOWN_CELLS:
-        constraint_cells.append((hdt, w, ps, expect, 'ground truth'))
-    for p, obs in observed.items():
-        for (w, ps), cnt in sorted(obs.items()):
-            constraint_cells.append((p, w, ps, True, 'observed x%d' % cnt))
-
-    evaluations = []
-    survivors = []
-    for mani in _variant_manifests():
-        violations = []
-        for (hdt, w, ps, expect, why) in constraint_cells:
-            hd = HodgeDatum(*hdt)
-            P = parse_polygon(ps)
-            try:
-                got = lifts_to(hd, w, P, mani, bounds)
-            except (ValueError, ConventionError, ResourceLimitError) as exc:
-                violations.append({'cell': [list(hdt), list(w), ps], 'why': why,
-                                   'error': '%s: %s' % (type(exc).__name__, exc)})
-                continue
-            if got != expect:
-                violations.append({'cell': [list(hdt), list(w), ps], 'why': why,
-                                   'expected': expect, 'got': got})
-        evaluations.append((mani, violations))
-        if not violations:
-            survivors.append(mani)
-
-    chosen = survivors[0] if survivors else min(evaluations, key=lambda t: len(t[1]))[0]
-    chosen_violations = next(v for m, v in evaluations if m is chosen)
-
-    hd4 = HodgeDatum(*FOURTH_CELL[0])
-    P4 = parse_polygon(FOURTH_CELL[2])
-    val4, info4 = lifts_to(hd4, FOURTH_CELL[1], P4,
-                           ConventionManifest(fold_rule=chosen.fold_rule,
-                                              orientation=chosen.orientation,
-                                              eta=chosen.eta, mirror=chosen.mirror),
-                           bounds, return_info=True)
-    n21 = samples.get((2, 1), 0)
-    obs21 = observed.get((2, 1), {})
-    seen4 = sum(c for (w, ps), c in obs21.items()
-                if w == FOURTH_CELL[1] and ps == FOURTH_CELL[2])
+        observed[p] = _observe(hd, cfg, samples[p], seed, deg)
+        table = incidence_table(hd, bounds=bounds)
+        for (w, ps), cnt in sorted(observed[p].items()):
+            if not table.cell(w, ps):
+                violations.append({'cell': [list(p), list(w), ps], 'expected': True,
+                                   'why': 'observed x%d' % cnt})
+    P = parse_polygon(SIGMA_POLYGON)
+    classes = _sigma_classes(P, cfg, seed, sigma_trials)
+    for x, cnt in classes.items():
+        if not adlv_nonempty(x, P, bounds=bounds):
+            violations.append({'class': x.to_dict(), 'np': SIGMA_POLYGON, 'expected': True,
+                               'why': 'sigma-conjugate x%d' % cnt})
+    if violations:
+        raise ConventionError('the reduction disagrees with the oracle: %s'
+                              % json.dumps(violations, sort_keys=True))
     report = {
         'probes': [list(p) for p in probes],
         'samples': {str(list(p)): samples[p] for p in probes},
         'seed': seed,
         'field': [cfg.p, cfg.r],
-        'observed': {str(list(p)): {('%s|%s' % (json.dumps(list(w)), ps)): c
-                                    for (w, ps), c in sorted(obs.items())}
+        'ground_truth': [[list(hdt), list(w), ps, expect]
+                         for hdt, w, ps, expect in KNOWN_CELLS],
+        'observed': {str(list(p)): {_cell_key(w, ps): c for (w, ps), c in sorted(obs.items())}
                      for p, obs in observed.items()},
-        'survivors': [m.to_dict(with_report=False) for m in survivors],
-        'violation_counts': {json.dumps(m.to_dict(with_report=False), sort_keys=True):
-                             len(v) for m, v in evaluations},
-        'chosen_violations': chosen_violations,
-        'fourth_cell': {
-            'cell': [list(FOURTH_CELL[0]), list(FOURTH_CELL[1]), FOURTH_CELL[2]],
-            'criterion_value': bool(val4),
-            'criterion_witness': info4['witness'],
-            'oracle_samples': n21,
-            'oracle_observations': seen4,
-            'sigma_evidence': _sigma_fourth_cell_evidence(cfg, seed, sigma_trials),
-            'note': ('the sandwich criterion declares this cell nonempty, but the '
-                     'matrix oracle has never produced it; both sides are recorded '
-                     'here so downstream users can see the discrepancy rather than '
-                     'a silent choice'),
+        'sigma': {
+            'np': SIGMA_POLYGON,
+            'trials': sum(classes.values()),
+            'classes': {json.dumps(x.to_dict(), sort_keys=True): c
+                        for x, c in classes.items()},
         },
     }
-    if not survivors:
-        report['warning'] = 'no variant satisfied every constraint; picked the minimum-violation one'
-    return ConventionManifest(
-        fold_rule=chosen.fold_rule, orientation=chosen.orientation,
-        eta=chosen.eta, mirror=chosen.mirror, calibrated=True,
-        probes=probes, report=report)
+    return ConventionManifest(calibrated=True, probes=probes, report=report)

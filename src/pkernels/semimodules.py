@@ -12,7 +12,7 @@ monomial "middle" element of the affine group.
 import itertools
 from dataclasses import dataclass
 
-from . import affine, weyl
+from . import affine
 from .affine import Element
 from .polygons import NewtonPolygon, x_of_polygon
 
@@ -143,13 +143,12 @@ def eta_of(profile: CocharacterProfile) -> tuple:
     return tuple(eta)
 
 
-def middle_element(profile: CocharacterProfile, P: NewtonPolygon, flip_eta: bool = False) -> Element:
+def middle_element(profile: CocharacterProfile, P: NewtonPolygon) -> Element:
     """The monomial eta^{-1} · eps^{-lam} x_P eps^{lam} · eta.
 
     The inner conjugate must land in the minuscule stratum (exponents in
     {0,1}); otherwise the profile is invalid for P and a ValueError is
-    raised.  flip_eta conjugates by eta^{-1} instead (a convention knob
-    resolved by calibration).
+    raised.
     """
     if tuple(n + m for n, m in P.blocks) != profile.block_sizes:
         raise ValueError('profile does not match polygon blocks')
@@ -158,8 +157,5 @@ def middle_element(profile: CocharacterProfile, P: NewtonPolygon, flip_eta: bool
     h, d = P.height, P.dimension
     if not affine.in_minuscule_double_coset(inner, h, d):
         raise ValueError('conjugated exponents leave {0,1}: profile invalid for polygon')
-    eta = eta_of(profile)
-    if flip_eta:
-        eta = weyl.inverse(eta)
-    e = affine.from_perm(eta)
+    e = affine.from_perm(eta_of(profile))
     return e.inverse() * inner * e

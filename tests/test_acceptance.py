@@ -60,25 +60,21 @@ def _report(capsys, num, desc, budget=None):
 
 
 def test_acceptance_1_height_two_ground_truth(capsys):
-    with _report(capsys, 1, 'height-2 cells match ground truth and the open '
-                 'cell ships with evidence from both sides', budget=10):
+    with _report(capsys, 1, 'the four height-2 cells match elliptic curves '
+                 'and the oracle check passes', budget=10):
         m = _calibrated()
         hd = HodgeDatum(2, 1)
         ss, ordi = parse_polygon('1/2x2'), parse_polygon('0,1')
         assert lifts_to(hd, (1, 2), ss, m) is True
         assert lifts_to(hd, (2, 1), ordi, m) is True
         assert lifts_to(hd, (1, 2), ordi, m) is False
-        assert lifts_to(hd, (2, 1), ss, m) is True
-        assert m.report['chosen_violations'] == []
-        fc = m.report['fourth_cell']
-        assert fc['cell'] == [[2, 1], [2, 1], '1/2x2']
-        assert fc['criterion_value'] is True
-        assert fc['criterion_witness'] is not None
-        assert fc['oracle_samples'] >= 1000
-        assert fc['oracle_observations'] == 0
-        assert fc['sigma_evidence']['trials'] > 0
-        assert fc['sigma_evidence']['hits_at_target'] == 0
-        assert fc['note']
+        assert lifts_to(hd, (2, 1), ss, m) is False
+        assert m.calibrated is True
+        # 1000 oracle samples hit both nonempty cells and nothing else
+        obs = m.report['observed']['[2, 1]']
+        assert sum(obs.values()) == 1000
+        assert set(obs) == {'[1, 2]|1/2x2', '[2, 1]|0,1'}
+        assert m.report['sigma']['trials'] == 400
 
 
 def test_acceptance_2_oracle_soundness_sweep(capsys):

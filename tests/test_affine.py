@@ -8,13 +8,14 @@ length-zero elements.
 """
 
 import doctest
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pkernels import affine, weyl
 from pkernels.affine import Element
-from pkernels.errors import ConventionError
+from pkernels.errors import ResourceLimitError
 
 
 def test_doctests():
@@ -221,3 +222,75 @@ def test_from_perm_and_translation():
     assert affine.translation((1, -1)) == Element((1, -1), (1, 2))
     with pytest.raises(ValueError):
         Element((0,), (2, 1))
+
+
+# -------------------------------------------------------------- reduction
+
+def _cyclic_shifts(y):
+    return [affine.simple_reflection(y.h, i) for i in range(y.h)] if y.h > 1 else []
+
+
+@pytest.mark.parametrize('h', [1, 2, 3, 4])
+def test_newton_point_is_the_translation_part_of_a_power(h):
+    # x^n is the translation by n·ν(x), permuted, for n = h!
+    n = 1
+    for k in range(2, h + 1):
+        n *= k
+    for trial in range(20):
+        x = _random_element(np.random.default_rng([24, h, trial]), h)
+        p = x ** n
+        assert p.perm == weyl.identity(h)
+        assert tuple(sorted(Fraction(v, n) for v in p.lam)) == affine.newton_point(x)
+
+
+def test_newton_point_pinned():
+    assert affine.newton_point(affine.omega(3)) == (Fraction(1, 3),) * 3
+    assert affine.newton_point(Element((1, 0, 0), (1, 3, 2))) == (0, 0, 1)
+    assert affine.newton_point(Element((2, 0, 1), (2, 1, 3))) == (1, 1, 1)
+
+
+@pytest.mark.parametrize('h', [1, 2, 3, 4])
+def test_newton_strata_contain_own_point_with_minimal_witnesses(h):
+    # x lies in I·x·I, so ν(x) is always reached; every witness y is
+    # minimal under cyclic shifts and carries its own Newton point
+    for trial in range(25):
+        x = _random_element(np.random.default_rng([25, h, trial]), h, spread=1)
+        points, explored = affine.newton_strata(x)
+        assert affine.newton_point(x) in points
+        assert explored >= 1
+        for nu, y in points.items():
+            assert affine.newton_point(y) == nu
+            assert y.v_det() == x.v_det()
+            assert all(affine.length(s * y * s) >= affine.length(y) for s in _cyclic_shifts(y))
+
+
+def test_newton_strata_conjugation_invariant():
+    om = affine.omega(3)
+    for trial in range(20):
+        x = _random_element(np.random.default_rng([26, trial]), 3, spread=1)
+        keys = set(affine.newton_strata(x)[0])
+        assert set(affine.newton_strata(om * x * om.inverse())[0]) == keys
+        for s in _cyclic_shifts(x):
+            if affine.length(s * x * s) == affine.length(x):
+                assert set(affine.newton_strata(s * x * s)[0]) == keys
+
+
+def test_newton_strata_pinned():
+    half, ordinary = (Fraction(1, 2),) * 2, (0, 1)
+    # omega has length zero: minimal, one point
+    assert affine.newton_strata(affine.omega(2)) == ({half: affine.omega(2)}, 1)
+    # s_1·diag(t, 1) has length 2 and drops to the two length-0 and 1 cases
+    points, explored = affine.newton_strata(Element((1, 0), (2, 1)))
+    assert set(points) == {half, ordinary}
+
+
+def test_newton_strata_memo_and_limit():
+    xs = [_random_element(np.random.default_rng([27, k]), 4, spread=1) for k in range(10)]
+    memo = {}
+    for x in xs:
+        assert affine.newton_strata(x, memo) == affine.newton_strata(x)
+    big = max(xs, key=lambda x: affine.newton_strata(x)[1])
+    n = affine.newton_strata(big)[1]
+    assert affine.newton_strata(big, limit=n)[1] == n
+    with pytest.raises(ResourceLimitError):
+        affine.newton_strata(big, limit=n - 1)
