@@ -151,6 +151,8 @@ def omega(h: int) -> Element:
     return Element(lam, perm)
 
 
+# memo for length(); cleared when full (a full h = 6 sweep stores 3191)
+_LENGTH_CACHE_MAX = 1 << 15
 _length_cache = {}
 
 
@@ -174,6 +176,8 @@ def length(x: Element) -> int:
             c -= 1
         if c > 0:
             total += c
+    if len(_length_cache) >= _LENGTH_CACHE_MAX:
+        _length_cache.clear()
     _length_cache[x] = total
     return total
 

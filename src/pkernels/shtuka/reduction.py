@@ -1,4 +1,5 @@
-r"""Iwahori reduction of nonsingular matrices over k[[t]].
+r"""Iwahori reduction of nonsingular matrices over k[[t]], and Iwahori
+orbit counting.
 
 The Iwahori subgroup here is upper triangular mod t.  Every nonsingular
 A factors as A = i1 · t^lam P_u · i2 with i1, i2 Iwahori; the monomial
@@ -14,12 +15,20 @@ within it the LEFTMOST such column makes every clearing step legal.
 Working mod t^N with N = v(det) + 2 is exact: changing A by E with
 v(E) >= N multiplies it by 1 + A^{-1}E whose correction is in t·M_h(O),
 hence Iwahori on both sides.
-"""
 
-import itertools
+Orbit counting identifies the coset gI with its lattice chain g·Lambda_j,
+Lambda_j = span(e_1, ..., e_{h-j}, t·e_{h-j+1}, ..., t·e_h).  For
+m = t^s·x (pm_from_element) every entry is a power t^(lam_i+s), so
+m·Lambda_j contains t^N O^h with N = max(lam)+s+1.  Every g in
+I ⊂ GL_h(O) preserves t^N O^h, so each lattice of the orbit contains it
+as well and is determined by its image in (O/t^N)^h: working mod t^N is
+exact.  A generator 1 + c·t^a·E_ij with a >= N fixes every such lattice,
+so generators of depth <= N-1 give the whole action of I.
+"""
 
 import numpy as np
 
+from .. import _kernels as K
 from ..affine import Element
 from ..errors import ResourceLimitError
 from .gf import FieldConfig
@@ -114,7 +123,8 @@ def _poly_div_t(c, k, n):
     nz = np.nonzero(c)[0]
     if not nz.size:
         return None
-    assert nz[0] >= k
+    if nz[0] < k:
+        raise ValueError('valuation %d below %d: illegal Iwahori operation' % (nz[0], k))
     out = np.zeros(n, dtype=np.int64)
     tail = c[k:]
     out[:len(tail)] = tail
@@ -135,74 +145,38 @@ def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
 
 # ------------------------------------------------------ orbit counting
 
-def _hnf_key(cols, n, cfg: FieldConfig):
-    """Canonical form of the O-lattice spanned by the given polynomial
-    columns, elimination row by row; returns bytes."""
-    h = len(cols)
-    cols = [np.asarray(c, dtype=np.int64) for c in cols]
-    cols = [np.pad(c, ((0, 0), (0, max(0, n - c.shape[1]))))[:, :n] for c in cols]
-    fixed = []
-    remaining = list(cols)
-    for r in range(h):
-        vals = []
-        for k, c in enumerate(remaining):
-            nz = np.nonzero(c[r])[0]
-            vals.append(int(nz[0]) if nz.size else None)
-        live = [k for k, v in enumerate(vals) if v is not None]
-        if not live:
-            raise ValueError('rank deficiency at precision %d' % n)
-        a = min(vals[k] for k in live)
-        kstar = min(k for k in live if vals[k] == a)
-        piv = remaining.pop(kstar)
-        unit = piv[r, a:]
-        uinv = PM.poly_series_inv(unit, n, cfg)
-        piv = np.stack([_poly_mul_mod(piv[i], uinv, n, cfg) for i in range(h)])
-        for k, c in enumerate(remaining):
-            nz = np.nonzero(c[r])[0]
-            if not nz.size:
-                continue
-            q = _poly_div_t(c[r], a, n)
-            q = cfg.neg[q]
-            remaining[k] = np.stack(
-                [cfg.add[c[i], _poly_mul_mod(piv[i], q, n, cfg)] for i in range(h)])
-        fixed.append((r, a, piv))
-    # reduce each fixed column's lower entries modulo later pivots
-    for idx in range(len(fixed)):
-        r0, a0, col = fixed[idx]
-        for idx2 in range(idx + 1, len(fixed)):
-            r2, a2, piv2 = fixed[idx2]
-            entry = col[r2]
-            keep = entry.copy()
-            keep[a2:] = 0
-            excess = np.zeros(n, dtype=np.int64)
-            excess[:n - a2] = entry[a2:]
-            if excess.any():
-                q = cfg.neg[excess]
-                col = np.stack([cfg.add[col[i], _poly_mul_mod(piv2[i], q, n, cfg)]
-                                for i in range(h)])
-        fixed[idx] = (r0, a0, col)
-    return b''.join(f[2].tobytes() for f in fixed)
-
-
 def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
-    """Key of the coset m·I: canonical forms of the lattices m·Lambda_j,
-    Lambda_j = span(e_1, ..., e_{h-j}, t·e_{h-j+1}, ..., t·e_h)."""
+    """Key of the coset m·I: one canonical form per lattice m·Lambda_j,
+    Lambda_j = span(e_1, ..., e_{h-j}, t·e_{h-j+1}, ..., t·e_h).
+
+    Key j is the reduced row echelon form (rows of rank, as bytes) of the
+    F_q-span of t^k·c mod t^n, k < n, over the columns c of m·Lambda_j,
+    each flattened to F_q^(h·n).  That span is the t-stable subspace
+    (m·Lambda_j + t^n O^h) / t^n O^h, so the key determines the lattice
+    exactly when t^n O^h ⊂ m·Lambda_j; its rank is then
+    h·n - v(det m) - j.
+    """
     h = m.shape[0]
+    cols = PM.pm_pad(PM.pm_truncate(m, n), n).transpose(1, 0, 2)
+    # shifted[c, k] = t^k · column c, flattened row-major over (row, coeff)
+    shifted = np.zeros((h, n, h, n), dtype=np.int64)
+    for k in range(n):
+        shifted[:, k, :, k:] = cols[:, :, :n - k]
+    shifted = shifted.reshape(h, n, h * n)
     keys = []
     for j in range(h):
-        cols = []
-        for c in range(h):
-            col = m[:, c].copy()
-            if c >= h - j:
-                col = np.pad(col, ((0, 0), (1, 0)))[:, :col.shape[1] + 1]
-            cols.append(col)
-        keys.append(_hnf_key(cols, n, cfg))
+        # Lambda_j takes t·c for the last j columns: drop their k = 0 rows
+        span = np.concatenate([shifted[:h - j].reshape(-1, h * n),
+                               shifted[h - j:, 1:].reshape(-1, h * n)])
+        red, rank = K.gf_rref(span, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+        keys.append(red[:rank].tobytes())
     return tuple(keys)
 
 
-def _iwahori_generators(h: int, cfg: FieldConfig, a_max: int):
-    """Topological generators of I to depth a_max: elementary matrices
-    1 + c·t^a·E_ij over an additive basis c, plus diagonal units."""
+def _iwahori_generators(h: int, cfg: FieldConfig, depth: int):
+    """Generators of I mod t^(depth+1): elementary matrices
+    1 + c·t^a·E_ij, a <= depth, over an additive basis c, plus diagonal
+    units."""
     gens = []
     basis = cfg.basis()
     for i in range(h):
@@ -210,7 +184,7 @@ def _iwahori_generators(h: int, cfg: FieldConfig, a_max: int):
             lo = 0 if i < j else 1
             if i == j:
                 continue
-            for a in range(lo, a_max + 1):
+            for a in range(lo, depth + 1):
                 for c in basis:
                     g = PM.pm_eye(h, a + 1)
                     g[i, j, a] = c
@@ -221,7 +195,7 @@ def _iwahori_generators(h: int, cfg: FieldConfig, a_max: int):
             g = PM.pm_eye(h, 1)
             g[i, i, 0] = prim
             gens.append(g)
-        for a in range(1, a_max + 1):
+        for a in range(1, depth + 1):
             for c in basis:
                 g = PM.pm_eye(h, a + 1)
                 g[i, i, a] = cfg.add[g[i, i, a], c]
@@ -229,27 +203,37 @@ def _iwahori_generators(h: int, cfg: FieldConfig, a_max: int):
     return gens
 
 
-def iwahori_orbit_size(x: Element, cfg: FieldConfig, a_max: int = None,
-                       limit: int = 1 << 22) -> int:
+def iwahori_orbit_size(x: Element, cfg: FieldConfig, limit: int = 1 << 22) -> int:
     """[I : I ∩ x I x^{-1}], counted as the orbit of xI in G/I under
-    left multiplication by I."""
+    left multiplication by I, at precision N = max(lam) + s + 1.
+
+    The start m = t^s·x contains t^N O^h in each m·Lambda_j (module
+    docstring), so the generators of depth <= N-1 and lattice keys mod
+    t^N are exact.  Raises ValueError if a key's rank shows a lattice
+    that does not contain t^N O^h.
+    """
     h = x.h
-    xm, s = PM.pm_from_element(x)
-    mx = max(max(x.lam), -min(x.lam), 1)
-    if a_max is None:
-        a_max = 2 * mx + 3
-    n = h * (s + mx + 1) + a_max + 3
-    gens = _iwahori_generators(h, cfg, a_max)
-    start = PM.pm_pad(xm, n)
-    key0 = lattice_key(start, cfg, n)
-    seen = {key0}
+    start, s = PM.pm_from_element(x)
+    n = start.shape[2]
+    vdet = x.v_det() + h * s
+    row_bytes = h * n * np.dtype(np.int64).itemsize
+    want = tuple(row_bytes * (h * n - vdet - j) for j in range(h))
+
+    def key(m):
+        k = lattice_key(m, cfg, n)
+        if tuple(map(len, k)) != want:
+            raise ValueError('lattice does not contain t^%d O^%d' % (n, h))
+        return k
+
+    gens = _iwahori_generators(h, cfg, n - 1)
+    seen = {key(start)}
     frontier = [start]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
                 m2 = PM.pm_truncate(PM.pm_mul(g, m, cfg), n)
-                k = lattice_key(m2, cfg, n)
+                k = key(m2)
                 if k not in seen:
                     seen.add(k)
                     if len(seen) > limit:

@@ -169,6 +169,21 @@ def test_length_invariances():
                 assert abs(ls - l) == 1
 
 
+def test_length_cache_is_bounded():
+    # filling the memo past its cap clears it; answers do not change
+    cap = affine._LENGTH_CACHE_MAX
+    xs = [Element((a, b), u) for a in range(-70, 70) for b in range(-70, 70)
+          for u in ((1, 2), (2, 1))]
+    assert len(xs) > cap
+    affine._length_cache.clear()
+    probe = xs[::997]
+    before = [affine.length(x) for x in probe]
+    for x in xs:
+        affine.length(x)
+        assert len(affine._length_cache) <= cap
+    assert [affine.length(x) for x in probe] == before
+
+
 # ----------------------------------------------------- reduced decomposition
 
 def test_reduced_decomposition_pinned():

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pkernels.affine import Element
 from pkernels.shtuka import field
 from pkernels.shtuka import polymat as PM
 from pkernels.shtuka.reduction import lattice_key, random_iwahori
@@ -235,3 +236,43 @@ def test_lattice_key_separates_and_normalizes():
         u = random_iwahori(h, cfg, 3, rng)
         prod = PM.pm_truncate(PM.pm_mul(m, u, cfg), n)
         assert lattice_key(PM.pm_truncate(m, n), cfg, n) == lattice_key(prod, cfg, n)
+
+
+@pytest.mark.parametrize('pr', [(2, 1), (2, 2)])
+def test_lattice_key_precision_n_is_exact(pr):
+    # m = t^s·x has m·Lambda_j ⊇ t^N O^h, N = max(lam)+s+1: keys of g·m and
+    # g'·m agree mod t^N exactly when they agree mod t^(N+3)
+    cfg = field(*pr)
+    rng = np.random.default_rng([83, cfg.q])
+    outcomes = set()
+    for trial in range(60):
+        h = int(rng.integers(2, 4))
+        lam = tuple(int(v) for v in rng.integers(-1, 2, size=h))
+        x = Element(lam, tuple(int(v) for v in rng.permutation(h) + 1))
+        m, _ = PM.pm_from_element(x)
+        n = m.shape[2]
+        g1 = random_iwahori(h, cfg, n + 3, rng)
+        g2 = random_iwahori(h, cfg, n + 3, rng)
+        if trial % 3:
+            # g2 ≡ g1 mod t^(N-2+trial%3): agreement mod t^N fixes the coset,
+            # agreement mod t^(N-1) may not
+            depth = n - 2 + trial % 3
+            g2[:, :, :depth] = g1[:, :, :depth]
+        a, b = PM.pm_mul(g1, m, cfg), PM.pm_mul(g2, m, cfg)
+        same = [lattice_key(PM.pm_truncate(a, p), cfg, p)
+                == lattice_key(PM.pm_truncate(b, p), cfg, p) for p in (n, n + 3)]
+        assert same[0] == same[1], (x, trial)
+        outcomes.add(same[0])
+    assert outcomes == {True, False}
+
+
+def test_lattice_key_rank():
+    # rank of key j is h·n - v(det m) - j when t^n O^h ⊂ m·Lambda_j
+    cfg = field(2, 2)
+    x = Element((2, 0, -1), (2, 3, 1))
+    m, s = PM.pm_from_element(x)
+    h, n = 3, m.shape[2]
+    for p in (n, n + 2):
+        keys = lattice_key(m, cfg, p)
+        ranks = [len(k) // (8 * h * p) for k in keys]
+        assert ranks == [h * p - (x.v_det() + h * s) - j for j in range(h)]

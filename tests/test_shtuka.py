@@ -17,7 +17,7 @@ from pkernels.shtuka import (Bt1Module, bt1_of, canonical_filtration, eo_classif
                              run_consistency_suite, sample_shtuka,
                              shtuka_from_element, sigma_conjugate_sample)
 from pkernels.shtuka import polymat as PM
-from pkernels.shtuka.reduction import random_iwahori
+from pkernels.shtuka.reduction import _poly_div_t, random_iwahori
 from pkernels import weyl
 
 
@@ -224,6 +224,7 @@ def test_orbit_size_is_q_to_length(cfg1):
         (Element((1, -1), (1, 2)), 4),
         (affine.omega(3), 1),
         (Element((1, 0, 0), (1, 2, 3)), 4),
+        (Element((1, 0, 0, 0), (2, 1, 3, 4)), 16),
     ]
     for x, want in cases:
         assert iwahori_orbit_size(x, cfg1) == want
@@ -233,8 +234,28 @@ def test_orbit_size_is_q_to_length(cfg1):
 def test_orbit_size_q4():
     # same law over F_4
     cfg = field(2, 2)
-    x = Element((1, 0), (1, 2))
-    assert iwahori_orbit_size(x, cfg) == 4 ** affine.length(x)
+    for lam, perm in [((1, 0), (1, 2)), ((0, 0, 1), (3, 1, 2)), ((1, 0, 0), (1, 2, 3)),
+                      ((0, 1, -1), (2, 1, 3)), ((1, -1, 0), (1, 3, 2)),
+                      ((1, 1, 0), (1, 3, 2))]:
+        x = Element(lam, perm)
+        assert iwahori_orbit_size(x, cfg) == 4 ** affine.length(x), x
+
+
+def test_orbit_size_rejects_start_without_t_n(cfg1, monkeypatch):
+    # diag(t^2, 1) mod t does not contain t·O^2: keys mod t are not exact
+    x = Element((2, 0), (1, 2))
+    m, s = PM.pm_from_element(x)
+    monkeypatch.setattr(PM, 'pm_from_element', lambda _: (m[:, :, :1], s))
+    with pytest.raises(ValueError, match='does not contain'):
+        iwahori_orbit_size(x, cfg1)
+
+
+def test_poly_div_t_rejects_low_valuation():
+    c = np.array([0, 1, 1], dtype=np.int64)
+    assert _poly_div_t(c, 1, 3).tolist() == [1, 1, 0]
+    assert _poly_div_t(np.zeros(3, dtype=np.int64), 2, 3) is None
+    with pytest.raises(ValueError, match='illegal'):
+        _poly_div_t(c, 2, 3)
 
 
 # --------------------------------------------------------- sampling
