@@ -7,7 +7,9 @@ row-basis matrices (rref), so equality of subspaces is array equality.
 The canonical filtration is the closure of {0, whole space} under
 U -> F(U) and U -> V^{-1}(U); its dimension signature classifies the
 module up to isomorphism within a minuscule stratum, with deeper
-operator words as a tiebreak.
+operator words as a tiebreak.  One call memoizes the operator images
+of the subspaces it meets, so the filtration, its signature and the
+operator words compute each F(U), V^{-1}(U), V(U), F^{-1}(U) once.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from .gf import FieldConfig
 from .polymat import gf_mat_mul
 
 __all__ = [
-    'Bt1Module', 'space_rows', 'space_dim', 'nullspace_rows', 'image_rows',
+    'Bt1Module', 'space_rows', 'space_dim', 'nullspace_rows',
     'sum_rows', 'intersect_dim', 'f_image', 'v_image', 'f_preimage',
     'v_preimage', 'canonical_filtration', 'eo_signature', 'eo_classify',
     'graded_bt1_from_beginning',
@@ -55,8 +57,7 @@ class Bt1Module:
     @property
     def dimension(self) -> int:
         """Codimension of im F, i.e. the d of the stratum."""
-        full = space_rows(image_rows(self.fmat, self.cfg), self.cfg)
-        return self.h - space_dim(full)
+        return self.h - space_dim(f_image(self, full_rows(self.h)))
 
     def check(self):
         """Assert im F = ker V and im V = ker F; returns self."""
@@ -65,9 +66,9 @@ class Bt1Module:
         kerv = _rows_apply(cfg.frb, nullspace_rows(self.vmat, cfg), cfg)
         imv = v_image(self, full_rows(self.h))
         kerf = _rows_apply(cfg.frbi, nullspace_rows(self.fmat, cfg), cfg)
-        if not np.array_equal(imf, space_rows(kerv, cfg)):
+        if not np.array_equal(imf, kerv):
             raise ValueError('im F != ker V')
-        if not np.array_equal(imv, space_rows(kerf, cfg)):
+        if not np.array_equal(imv, kerf):
             raise ValueError('im V != ker F')
         return self
 
@@ -126,11 +127,6 @@ def nullspace_rows(mat, cfg: FieldConfig):
     return space_rows(out, cfg)
 
 
-def image_rows(mat, cfg: FieldConfig):
-    """Column space of mat, as rows."""
-    return space_rows(np.asarray(mat, dtype=np.int64).T, cfg)
-
-
 def sum_rows(a, b, cfg: FieldConfig):
     return space_rows(np.vstack([a, b]), cfg)
 
@@ -140,6 +136,8 @@ def intersect_dim(a, b, cfg: FieldConfig) -> int:
 
 
 def _rows_apply(table, rows, cfg):
+    # sigma fixes 0 and 1, so it maps a canonical (rref) basis to the
+    # canonical basis of the image subspace
     return table[rows] if rows.size else rows
 
 
@@ -171,15 +169,30 @@ def v_image(Z: Bt1Module, u_rows):
 def f_preimage(Z: Bt1Module, u_rows):
     """F^{-1}(U) = sigma^{-1} of the linear preimage under fmat."""
     cfg = Z.cfg
-    pre = _preimage_linear(Z.fmat, u_rows, cfg)
-    return space_rows(_rows_apply(cfg.frbi, pre, cfg), cfg)
+    return _rows_apply(cfg.frbi, _preimage_linear(Z.fmat, u_rows, cfg), cfg)
 
 
 def v_preimage(Z: Bt1Module, u_rows):
     """V^{-1}(U) = sigma of the linear preimage under vmat."""
     cfg = Z.cfg
-    pre = _preimage_linear(Z.vmat, u_rows, cfg)
-    return space_rows(_rows_apply(cfg.frb, pre, cfg), cfg)
+    return _rows_apply(cfg.frb, _preimage_linear(Z.vmat, u_rows, cfg), cfg)
+
+
+_OPS = ('F', 'Vi', 'V', 'Fi')
+_OP_FUN = {'F': f_image, 'Vi': v_preimage, 'V': v_image, 'Fi': f_preimage}
+
+
+def _memoized_ops(Z: Bt1Module):
+    """ops(op, U) = op(U) for op in _OP_FUN and U given by canonical rows,
+    computed once per (op, U) while ops lives."""
+    memo = {}
+
+    def ops(op, u_rows):
+        key = (op, u_rows.shape[0], u_rows.tobytes())
+        if key not in memo:
+            memo[key] = _OP_FUN[op](Z, u_rows)
+        return memo[key]
+    return ops
 
 
 # ------------------------------------------------- canonical filtration
@@ -189,48 +202,40 @@ def canonical_filtration(Z: Bt1Module):
 
     flag: tuple of canonical row bases sorted by dimension (totally
     ordered by inclusion for valid modules); signature: tuple of triples
-    (dim U, dim F(U), dim V^{-1}(U)).
+    (dim U, dim F(U), dim V^{-1}(U)).  A chain in an h-dimensional space
+    has at most h+1 members, so the closure stops with ConventionError
+    once it grows past that.
     """
-    cfg = Z.cfg
+    return _filtration(Z, _memoized_ops(Z))
+
+
+def _filtration(Z: Bt1Module, ops):
     h = Z.h
     members = {}
-
-    def add(rows):
+    work = [zero_rows(h), full_rows(h)]
+    while work:
+        rows = work.pop()
         key = (rows.shape[0], rows.tobytes())
-        if key not in members:
-            members[key] = rows
-            return True
-        return False
-
-    add(zero_rows(h))
-    add(full_rows(h))
-    for sweep in range(4 * h + 1):
-        changed = False
-        for rows in list(members.values()):
-            changed |= add(f_image(Z, rows))
-            changed |= add(v_preimage(Z, rows))
-        if not changed:
-            break
-    else:
-        raise ConventionError('canonical filtration did not close after %d sweeps' % (4 * h))
+        if key in members:
+            continue
+        members[key] = rows
+        if len(members) > h + 1:
+            raise ConventionError('canonical filtration has more than %d members, '
+                                  'so it is not totally ordered' % (h + 1))
+        work += [ops('F', rows), ops('Vi', rows)]
     flag = tuple(sorted(members.values(), key=lambda r: (r.shape[0], r.tobytes())))
     for a, b in zip(flag, flag[1:]):
-        if intersect_dim(a, b, cfg) != space_dim(a):
+        if intersect_dim(a, b, Z.cfg) != space_dim(a):
             raise ConventionError('canonical filtration is not totally ordered')
-    sig = tuple(
-        (space_dim(u), space_dim(f_image(Z, u)), space_dim(v_preimage(Z, u)))
-        for u in flag)
+    sig = tuple((space_dim(u), space_dim(ops('F', u)), space_dim(ops('Vi', u))) for u in flag)
     return flag, sig
-
-
-_OPS = ('F', 'Vi', 'V', 'Fi')
-_OP_FUN = {'F': f_image, 'Vi': v_preimage, 'V': v_image, 'Fi': f_preimage}
 
 
 def eo_signature(Z: Bt1Module, depth: int = 1) -> tuple:
     """Isomorphism signature: for each flag member, dimensions of all
     operator words up to the given length applied to it."""
-    flag, _ = canonical_filtration(Z)
+    ops = _memoized_ops(Z)
+    flag, _ = _filtration(Z, ops)
     out = []
     for u in flag:
         dims = [space_dim(u)]
@@ -238,7 +243,7 @@ def eo_signature(Z: Bt1Module, depth: int = 1) -> tuple:
             for word in itertools.product(_OPS, repeat=wlen):
                 w = u
                 for op in word:
-                    w = _OP_FUN[op](Z, w)
+                    w = ops(op, w)
                 dims.append(space_dim(w))
         out.append(tuple(dims))
     return tuple(out)

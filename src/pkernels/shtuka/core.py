@@ -3,12 +3,22 @@ matrix A acting sigma-semilinearly; its residue mod t carries the F of a
 residue module, with V recovered from t·A^{-1}.
 
 The Newton polygon is computed exactly from the characteristic
-polynomial of the r-fold twisted product A·sigma(A)···sigma^{r-1}(A)
-(lower convex hull of coefficient valuations, slopes divided by r).
+polynomial cp(X) = det(X - B) of the r-fold twisted product
+B = A·sigma(A)···sigma^{r-1}(A) (lower convex hull of coefficient
+valuations, slopes divided by r).
+
+Working mod t^(r·d+1), d = v(det A), is exact.  cp is monic, so its
+point at X^h is (h, 0), and v(cp_0) = v(det B) = r·d, so its point at
+X^0 is (0, r·d).  The lower hull lies on or below the chord between
+them, whose height never exceeds r·d; a coefficient of valuation above
+r·d lies above that chord and is no vertex of the hull.  Reducing mod
+t^(r·d+1) drops exactly those coefficients and leaves every other
+valuation as it was, so the hull, and the polygon, do not change.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -46,9 +56,17 @@ class LocalShtuka:
     def h(self) -> int:
         return self.amat.shape[0]
 
-    @property
+    @cached_property
+    def det(self) -> np.ndarray:
+        """det(amat) as a 1D coefficient vector; computed once, since
+        amat is read-only."""
+        det = PM.pm_det(self.amat, self.cfg)
+        det.setflags(write=False)
+        return det
+
+    @cached_property
     def dimension(self) -> int:
-        v = PM.poly_valuation(PM.pm_det(self.amat, self.cfg))
+        v = PM.poly_valuation(self.det)
         if v is None:
             raise ValueError('singular matrix')
         return v
@@ -73,7 +91,8 @@ def shtuka_from_element(x: Element, cfg: FieldConfig) -> LocalShtuka:
     for j in range(1, h + 1):
         u2[w[j - 1] - 1, j - 1] = 1
     amat, s = PM.pm_from_element(x)
-    assert s == 0
+    if s != 0:
+        raise ConventionError('minuscule element %r has a negative exponent' % (x,))
     return LocalShtuka(cfg, amat, witness=(PM.pm_from_const(u1), PM.pm_from_const(u2)))
 
 
@@ -125,10 +144,7 @@ def bt1_of(sh: LocalShtuka) -> Bt1Module:
     cfg = sh.cfg
     h = sh.h
     fbar = PM.pm_coeff(sh.amat, 0)
-    det = PM.pm_det(sh.amat, cfg)
-    d = PM.poly_valuation(det)
-    if d is None:
-        raise ValueError('singular matrix')
+    d = sh.dimension
     if sh.witness is not None:
         u1, u2 = sh.witness
         u1i0 = PM.gf_mat_inv(PM.pm_coeff(u1, 0), cfg)
@@ -142,7 +158,7 @@ def bt1_of(sh: LocalShtuka) -> Bt1Module:
         vbar = np.zeros((h, h), dtype=np.int64)
     else:
         adj = PM.pm_adjugate(sh.amat, cfg)
-        unit = det[d:]
+        unit = sh.det[d:]
         uinv = PM.poly_series_inv(unit, d, cfg)
         w = PM.pm_truncate(PM.pm_poly_scale(adj, uinv, cfg), d)
         for k in range(d - 1):
@@ -154,7 +170,9 @@ def bt1_of(sh: LocalShtuka) -> Bt1Module:
     # sigma^{-1}-semilinear operator, so A*frb(vmat) = tI forces one twist
     vbar = cfg.frbi[vbar]
     Z = Bt1Module(cfg, fbar, vbar).check()
-    assert Z.dimension == d
+    if Z.dimension != d:
+        raise ConventionError('residue module has dimension %d, datum has %d'
+                              % (Z.dimension, d))
     return Z
 
 
@@ -178,13 +196,16 @@ def _lower_hull_slopes(points):
 
 
 def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
-    """Exact Newton polygon of the sigma-semilinear action of amat."""
+    """Exact Newton polygon of the sigma-semilinear action of amat,
+    computed mod t^(r·d+1) (see the module docstring)."""
     cfg = sh.cfg
-    b = sh.amat
-    for k in range(1, cfg.r):
-        b = PM.pm_mul(b, PM.pm_frob(sh.amat, cfg, k), cfg)
-    cp = PM.pm_char_poly(b, cfg)
     h = sh.h
+    n = cfg.r * sh.dimension + 1
+    a = PM.pm_truncate(sh.amat, n)
+    b = a
+    for k in range(1, cfg.r):
+        b = PM.pm_truncate(PM.pm_mul(b, PM.pm_frob(a, cfg, k), cfg), n)
+    cp = PM.pm_char_poly(b, cfg, n)
     pts = []
     for i in range(h + 1):
         v = PM.poly_valuation(cp[i])
@@ -195,7 +216,9 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     slopes = [s / cfg.r for s in _lower_hull_slopes(pts)]
     slopes.reverse()
     P = polygon_from_slopes(slopes)
-    assert P.height == h and P.dimension == sh.dimension
+    if P.height != h or P.dimension != sh.dimension:
+        raise ConventionError('Newton polygon %s does not have height %d and dimension %d'
+                              % (P, h, sh.dimension))
     return P
 
 

@@ -4,7 +4,21 @@ All entries are polynomials in t with coefficients in a FieldConfig
 field; Laurent matrices are handled by callers via an explicit power of
 t shift.  Exact arithmetic throughout: products grow degree, truncation
 is explicit.
+
+Determinants, characteristic polynomials and adjugates share one
+kernel, a division-free Laplace DP over row subsets: after column c,
+dp[S] holds the signed sum, over the ways to place columns 0..c in the
+rows S, of the product of the chosen entries.  dp is one dense
+(2^h, x_len, n) array of bivariate coefficients (x for the char poly,
+x_len = 1 for det), mod t^n.  A per-h index plan lists, for each column
+c, every target T with c+1 rows and, for each row i of T, the source
+T without i and the sign (-1)^#{i' in T : i' > i}.  Each column is then
+a few whole-array steps: gather the sources, multiply by the entries'
+t- and x-coefficients with shifted table lookups, negate the odd pairs,
+and add up the c+1 contributions of each target with the add table.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -207,34 +221,55 @@ def pm_from_element(x):
 
 # ---------------------------------------------------------------- dets
 
-def _subset_dp(entries, h, combine, zero, one):
-    """det via column-by-column Laplace DP over row subsets.
+@lru_cache(maxsize=16)
+def _subset_plan(h):
+    """Index plan of the Laplace DP over row subsets of an h x h matrix.
 
-    entries(i, c) returns the (i, c) entry in the value algebra; combine
-    handles (add, mul, neg) through closures.  Sign of inserting row i
-    into chosen set S is (-1)^{#{i' in S: i' > i}}.
+    Per column c: targets (masks with c+1 bits), and for each target T
+    and each row i in T, the source mask T without i, the row i, and the
+    parity of #{i' in T: i' > i}, the sign of inserting row i into the
+    source set.  Shapes (m,) and (m, c+1).
     """
-    add, mul, neg = combine
-    dp = {0: one}
+    plan = []
     for c in range(h):
-        ndp = {}
-        for S, val in dp.items():
-            for i in range(h):
-                bit = 1 << i
-                if S & bit:
-                    continue
-                e = entries(i, c)
-                if e is None:
-                    continue
-                term = mul(val, e)
-                if bin(S >> (i + 1)).count('1') % 2:
-                    term = neg(term)
-                key = S | bit
-                ndp[key] = add(ndp[key], term) if key in ndp else term
-        dp = ndp
-        if not dp:
-            return zero
-    return dp.get((1 << h) - 1, zero)
+        targets = [T for T in range(1 << h) if bin(T).count('1') == c + 1]
+        rows = [[i for i in range(h) if T >> i & 1] for T in targets]
+        srcs = [[T ^ (1 << i) for i in r] for T, r in zip(targets, rows)]
+        odd = [[bin(T >> (i + 1)).count('1') % 2 == 1 for i in r]
+               for T, r in zip(targets, rows)]
+        plan.append((np.array(targets), np.array(srcs), np.array(rows),
+                     np.array(odd, dtype=bool)))
+    return tuple(plan)
+
+
+def _laplace_det(ent, xlen, n, cfg: FieldConfig):
+    """det of the h x h matrix whose (i, c) entry is the bivariate
+    polynomial ent[i, c] (shape (h, h, ex, et), index [x_deg, t_deg]),
+    as an (xlen, n) coefficient array mod (x^xlen, t^n).
+
+    dp[S] is the signed sum over injections of columns 0..c-1 into the
+    rows S; column c extends every S by every row i outside it.
+    """
+    h = ent.shape[0]
+    dp = np.zeros((1 << h, xlen, n), dtype=np.int64)
+    dp[0, 0, 0] = 1
+    ex, et = ent.shape[2], min(ent.shape[3], n)
+    for c, (targets, srcs, rows, odd) in enumerate(_subset_plan(h)):
+        src = dp[srcs]
+        coef = ent[rows, c, :, :et]
+        coef[odd] = cfg.neg[coef[odd]]
+        acc = np.zeros_like(src)
+        for x in range(min(ex, xlen)):
+            for s in range(et):
+                k = coef[:, :, x, s]
+                if k.any():
+                    acc[:, :, x:, s:] = cfg.add[acc[:, :, x:, s:], cfg.mul[
+                        k[:, :, None, None], src[:, :, :xlen - x, :n - s]]]
+        out = acc[:, 0]
+        for j in range(1, c + 1):
+            out = cfg.add[out, acc[:, j]]
+        dp[targets] = out
+    return dp[-1]
 
 
 def pm_det(a, cfg: FieldConfig):
@@ -242,28 +277,7 @@ def pm_det(a, cfg: FieldConfig):
     h = a.shape[0]
     if h == 0:
         return np.array([1], dtype=np.int64)
-
-    def entries(i, c):
-        e = a[i, c]
-        return e if e.any() else None
-
-    def add(x, y):
-        d = max(len(x), len(y))
-        xp = np.zeros(d, dtype=np.int64)
-        xp[:len(x)] = x
-        yp = np.zeros(d, dtype=np.int64)
-        yp[:len(y)] = y
-        return cfg.add[xp, yp]
-
-    def mul(x, y):
-        return poly_mul(x, y, cfg)
-
-    def neg(x):
-        return cfg.neg[np.asarray(x)]
-
-    one = np.array([1], dtype=np.int64)
-    zero = np.array([0], dtype=np.int64)
-    out = _subset_dp(entries, h, (add, mul, neg), zero, one)
+    out = _laplace_det(a[:, :, None, :], 1, h * (a.shape[2] - 1) + 1, cfg)[0]
     nz = np.nonzero(out)[0]
     return out[:nz[-1] + 1] if nz.size else np.array([0], dtype=np.int64)
 
@@ -285,38 +299,13 @@ def pm_adjugate(a, cfg: FieldConfig):
     return pm_trim(out)
 
 
-def pm_char_poly(a, cfg: FieldConfig):
-    """Coefficients of det(X*I - a) as a 2D array cp[x_deg, t_deg]."""
+def pm_char_poly(a, cfg: FieldConfig, n=None):
+    """Coefficients of det(X*I - a) as a 2D array cp[x_deg, t_deg];
+    mod t^n when n is given, else exact."""
     h = a.shape[0]
-    dt = a.shape[2]
-
-    def entries(i, c):
-        e = np.zeros((2, dt), dtype=np.int64)
-        e[0, :] = cfg.neg[a[i, c]]
-        if i == c:
-            e[1, 0] = cfg.add[e[1, 0], 1]
-        if not e.any():
-            return None
-        return e
-
-    def add(x, y):
-        s0 = max(x.shape[0], y.shape[0])
-        s1 = max(x.shape[1], y.shape[1])
-        xp = np.zeros((s0, s1), dtype=np.int64)
-        xp[:x.shape[0], :x.shape[1]] = x
-        yp = np.zeros((s0, s1), dtype=np.int64)
-        yp[:y.shape[0], :y.shape[1]] = y
-        return cfg.add[xp, yp]
-
-    def mul(x, y):
-        return K.gf_conv2(x, y, cfg.add, cfg.mul)
-
-    def neg(x):
-        return cfg.neg[x]
-
-    one = np.array([[1]], dtype=np.int64)
-    zero = np.array([[0]], dtype=np.int64)
-    out = _subset_dp(entries, h, (add, mul, neg), zero, one)
-    full = np.zeros((h + 1, max(out.shape[1], 1)), dtype=np.int64)
-    full[:out.shape[0], :out.shape[1]] = out
-    return full
+    if n is None:
+        n = h * (a.shape[2] - 1) + 1
+    ent = np.zeros((h, h, 2, a.shape[2]), dtype=np.int64)
+    ent[:, :, 0] = cfg.neg[a]
+    ent[np.arange(h), np.arange(h), 1, 0] = 1
+    return _laplace_det(ent, h + 1, n, cfg)

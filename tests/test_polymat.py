@@ -60,8 +60,8 @@ def _trim(v):
     return v[:nz[-1] + 1] if nz.size else v[:1] * 0
 
 
-@pytest.mark.parametrize('p,r', [(2, 2), (3, 1)])
-@pytest.mark.parametrize('h', [1, 2, 3, 4])
+@pytest.mark.parametrize('p,r', [(2, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize('h', [1, 2, 3, 4, 5])
 def test_det_matches_brute(p, r, h):
     cfg = field(p, r)
     for trial in range(6):
@@ -73,7 +73,7 @@ def test_det_matches_brute(p, r, h):
 
 
 @pytest.mark.parametrize('p,r', [(2, 2), (3, 1)])
-@pytest.mark.parametrize('h', [2, 3, 4])
+@pytest.mark.parametrize('h', [2, 3, 4, 5])
 def test_adjugate_matches_brute(p, r, h):
     cfg = field(p, r)
     for trial in range(4):
@@ -93,8 +93,8 @@ def test_adjugate_matches_brute(p, r, h):
         assert PM.pm_equal(prod, want)
 
 
-@pytest.mark.parametrize('p,r', [(2, 2), (3, 1)])
-@pytest.mark.parametrize('h', [1, 2, 3])
+@pytest.mark.parametrize('p,r', [(2, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize('h', [1, 2, 3, 4, 5])
 def test_char_poly_matches_brute(p, r, h):
     # det(x I - A) expanded over the bivariate ring by brute force;
     # rows of the result are coefficients of x^0..x^h
@@ -137,6 +137,9 @@ def test_char_poly_matches_brute(p, r, h):
         k = min(got.shape[1], acc.shape[1])
         assert (got[:, :k] == acc[:, :k]).all()
         assert not got[:, k:].any() and not acc[:, k:].any()
+        # mod t^n it is the exact result truncated
+        for n in (1, 3):
+            assert (PM.pm_char_poly(a, cfg, n) == got[:, :n]).all()
 
 
 @pytest.mark.parametrize('p,r', [(2, 1), (2, 2), (3, 2)])

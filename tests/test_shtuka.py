@@ -56,6 +56,22 @@ def test_bt1_routes_agree(cfg):
         assert (Z1.vmat == Z2.vmat).all()
 
 
+def test_bt1_of_rejects_dimension_mismatch(cfg, monkeypatch):
+    sh = sample_shtuka(HodgeDatum(3, 1), cfg, seed=1)
+    monkeypatch.setattr(Bt1Module, 'dimension', property(lambda self: 2))
+    with pytest.raises(ConventionError, match='residue module has dimension 2'):
+        bt1_of(sh)
+
+
+def test_shtuka_from_element_rejects_shift(cfg, monkeypatch):
+    # a minuscule element has no negative exponent, so pm_from_element
+    # must return shift 0
+    m, _ = PM.pm_from_element(Element((1, 0), (1, 2)))
+    monkeypatch.setattr(PM, 'pm_from_element', lambda x: (m, 1))
+    with pytest.raises(ConventionError, match='negative exponent'):
+        shtuka_from_element(Element((1, 0), (1, 2)), cfg)
+
+
 def test_bt1_dimension_zero(cfg):
     Z = bt1_of(shtuka_from_element(affine.identity(3), cfg))
     assert Z.dimension == 0
@@ -103,6 +119,13 @@ def test_canonical_filtration_is_flag(cfg):
         assert dims == sorted(dims)
         assert len(sig) == len(flag)
         assert all(s[0] == d for s, d in zip(sig, dims))
+
+
+def test_canonical_filtration_rejects_non_chain(cfg):
+    # F(whole) = <e1> and V^{-1}(0) = <e2>: four members in dimension 2
+    e1 = [[1, 0], [0, 0]]
+    with pytest.raises(ConventionError):
+        canonical_filtration(Bt1Module(cfg, e1, e1))
 
 
 @pytest.mark.parametrize('h,d', [(2, 1), (3, 1), (3, 2), (4, 2)])
@@ -172,6 +195,68 @@ def test_newton_polygon_sigma_conjugation_invariant(cfg):
         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), 8, cfg)
         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, sh.amat, cfg), gsi, cfg), 8)
         assert newton_polygon_of(LocalShtuka(cfg, m)) == newton_polygon_of(sh)
+
+
+def _full_precision_polygon(sh):
+    # Newton polygon from the exact char poly of the r-fold norm
+    from pkernels.polygons import polygon_from_slopes
+    from pkernels.shtuka.core import _lower_hull_slopes
+    cfg = sh.cfg
+    b = sh.amat
+    for k in range(1, cfg.r):
+        b = PM.pm_mul(b, PM.pm_frob(sh.amat, cfg, k), cfg)
+    cp = PM.pm_char_poly(b, cfg)
+    pts = [(i, PM.poly_valuation(c)) for i, c in enumerate(cp)]
+    slopes = _lower_hull_slopes([pt for pt in pts if pt[1] is not None])
+    return polygon_from_slopes([s / cfg.r for s in reversed(slopes)])
+
+
+@pytest.mark.parametrize('r', [2, 3])
+def test_newton_polygon_precision(r):
+    # mod t^(r·d+1) gives the hull of the full-precision char poly, for
+    # witnessed samples and for sigma-conjugates that carry no witness
+    from pkernels.shtuka.core import LocalShtuka, random_unimodular
+    cfg = field(2, r)
+    seen = set()
+    for h, d in ((3, 1), (3, 2), (4, 2), (5, 2)):
+        for seed in range(4):
+            rng = np.random.default_rng([84, r, h, d, seed])
+            sh = sample_shtuka(HodgeDatum(h, d), cfg, rng=rng)
+            g = random_unimodular(h, cfg, 2, rng)
+            gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), 8, cfg)
+            m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, sh.amat, cfg), gsi, cfg), 8)
+            for datum in (sh, LocalShtuka(cfg, m)):
+                P = newton_polygon_of(datum)
+                assert P == _full_precision_polygon(datum), (r, h, d, seed)
+                seen.add(str(P))
+    assert len(seen) > 4
+
+
+def test_newton_polygon_rejects_wrong_dimension(cfg):
+    # a datum whose cached dimension is corrupted from 1 to 2
+    sh = sample_shtuka(HodgeDatum(3, 1), cfg, seed=3)
+    sh.__dict__['dimension'] = 2
+    with pytest.raises(ConventionError, match='does not have height 3 and dimension 2'):
+        newton_polygon_of(sh)
+
+
+def test_oracle_computes_det_once(cfg, monkeypatch):
+    calls = []
+    det = PM.pm_det
+    monkeypatch.setattr(PM, 'pm_det', lambda a, c: calls.append(a.shape) or det(a, c))
+    for seed in range(3):
+        sh = sample_shtuka(HodgeDatum(4, 2), cfg, seed=seed)
+        bt1_of(sh)
+        newton_polygon_of(sh)
+        assert calls == [sh.amat.shape]
+        # without a witness bt1_of adds the 16 minors of the adjugate
+        del calls[:]
+        bare = dataclasses.replace(sh, witness=None)
+        bt1_of(bare)
+        newton_polygon_of(bare)
+        assert calls[0] == sh.amat.shape
+        assert sorted(calls[1:]) == [(3, 3, sh.amat.shape[2])] * 16
+        del calls[:]
 
 
 # --------------------------------------------------------- reduction
