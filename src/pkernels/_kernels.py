@@ -1,116 +1,21 @@
 """Hot numerical kernels: table-driven finite-field linear algebra.
 
-Every kernel exists twice: a loop version compiled with numba.njit and a
-vectorized numpy fallback.  The active implementation is chosen at import
-time; set PKERNELS_NO_NUMBA=1 (or uninstall numba) to force the fallback.
+Each kernel is one vectorized numpy routine; tests/test_kernels.py checks
+them against plain loop forms.
 
 Field elements are int64 indices into precomputed tables (see shtuka.gf):
 ADD and MUL are (q, q) tables, NEG and INV are (q,) tables.  Matrices and
 coefficient tensors are int64 arrays of indices.
 """
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not os.environ.get("PKERNELS_NO_NUMBA")
+# Recorded in the environment line of perfbench/run.py; always False now
+# that the kernels have one form.
+USE_NUMBA = HAVE_NUMBA = False
 
 
-# ---------------------------------------------------------------- loop forms
-
-
-def _gf_matmul_loops(a, b, add, mul):
-    n, k = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            acc = 0
-            for l in range(k):
-                acc = add[acc, mul[a[i, l], b[l, j]]]
-            out[i, j] = acc
-    return out
-
-
-def _gf_rref_loops(mat, add, mul, neg, inv):
-    # full reduced row echelon form; returns (reduced copy, rank)
-    m = mat.copy()
-    nrows, ncols = m.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = -1
-        for i in range(r, nrows):
-            if m[i, c] != 0:
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            for j in range(ncols):
-                tmp = m[r, j]
-                m[r, j] = m[p, j]
-                m[p, j] = tmp
-        s = inv[m[r, c]]
-        for j in range(ncols):
-            m[r, j] = mul[s, m[r, j]]
-        for i in range(nrows):
-            if i != r and m[i, c] != 0:
-                f = neg[m[i, c]]
-                for j in range(ncols):
-                    m[i, j] = add[m[i, j], mul[f, m[r, j]]]
-        r += 1
-    return m, r
-
-
-def _gf_conv2_loops(a, b, add, mul):
-    # 2D polynomial product; 1D is the (1, n) special case
-    ax, ay = a.shape
-    bx, by = b.shape
-    out = np.zeros((ax + bx - 1, ay + by - 1), dtype=np.int64)
-    for i in range(ax):
-        for j in range(ay):
-            c = a[i, j]
-            if c == 0:
-                continue
-            for k in range(bx):
-                for l in range(by):
-                    if b[k, l] != 0:
-                        out[i + k, j + l] = add[out[i + k, j + l], mul[c, b[k, l]]]
-    return out
-
-
-def _polymat_mul_loops(a, b, add, mul):
-    # (n, k, da) x (k, m, db) -> (n, m, da+db-1) coefficient tensors
-    n, kk, da = a.shape
-    m = b.shape[1]
-    db = b.shape[2]
-    out = np.zeros((n, m, da + db - 1), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            for l in range(kk):
-                for s in range(da):
-                    c = a[i, l, s]
-                    if c == 0:
-                        continue
-                    for t in range(db):
-                        if b[l, j, t] != 0:
-                            out[i, j, s + t] = add[out[i, j, s + t], mul[c, b[l, j, t]]]
-    return out
-
-
-# --------------------------------------------------------------- numpy forms
-
-
-def _gf_matmul_numpy(a, b, add, mul):
+def gf_matmul(a, b, add, mul):
     n, k = a.shape
     m = b.shape[1]
     out = np.zeros((n, m), dtype=np.int64)
@@ -119,7 +24,8 @@ def _gf_matmul_numpy(a, b, add, mul):
     return out
 
 
-def _gf_rref_numpy(mat, add, mul, neg, inv):
+def gf_rref(mat, add, mul, neg, inv):
+    """Full reduced row echelon form; returns (reduced copy, rank)."""
     m = mat.copy()
     nrows, ncols = m.shape
     r = 0
@@ -142,7 +48,8 @@ def _gf_rref_numpy(mat, add, mul, neg, inv):
     return m, r
 
 
-def _gf_conv2_numpy(a, b, add, mul):
+def gf_conv2(a, b, add, mul):
+    """2D polynomial product; 1D is the (1, n) special case."""
     ax, ay = a.shape
     bx, by = b.shape
     out = np.zeros((ax + bx - 1, ay + by - 1), dtype=np.int64)
@@ -154,7 +61,8 @@ def _gf_conv2_numpy(a, b, add, mul):
     return out
 
 
-def _polymat_mul_numpy(a, b, add, mul):
+def polymat_mul(a, b, add, mul):
+    """(n, k, da) x (k, m, db) -> (n, m, da+db-1) coefficient tensors."""
     n, kk, da = a.shape
     m = b.shape[1]
     db = b.shape[2]
@@ -167,16 +75,3 @@ def _polymat_mul_numpy(a, b, add, mul):
             term = mul[col[:, None, None], b[l][None, :, :]]
             out[:, :, s:s + db] = add[out[:, :, s:s + db], term]
     return out
-
-
-if USE_NUMBA:
-    _jit = numba.njit(cache=True)
-    gf_matmul = _jit(_gf_matmul_loops)
-    gf_rref = _jit(_gf_rref_loops)
-    gf_conv2 = _jit(_gf_conv2_loops)
-    polymat_mul = _jit(_polymat_mul_loops)
-else:
-    gf_matmul = _gf_matmul_numpy
-    gf_rref = _gf_rref_numpy
-    gf_conv2 = _gf_conv2_numpy
-    polymat_mul = _polymat_mul_numpy

@@ -4,6 +4,14 @@ satisfying im F = ker V and im V = ker F.
 
 Vectors are columns; subspaces are stored as canonical reduced
 row-basis matrices (rref), so equality of subspaces is array equality.
+
+A linear preimage {x : M·x in U} is one rref.  The rows of
+[[M^T | I], [U | 0]] span the pairs (M·x + u, x).  In their rref the rows
+whose left block vanishes span exactly the pairs (0, x) with M·x in U,
+and since the rref clears every pivot column, their right blocks are
+already the canonical rref basis of the preimage.  The kernel of M is
+the preimage of 0.
+
 The canonical filtration is the closure of {0, whole space} under
 U -> F(U) and U -> V^{-1}(U); its dimension signature classifies the
 module up to isomorphism within a minuscule stratum, with deeper
@@ -105,26 +113,9 @@ def zero_rows(h):
 
 
 def nullspace_rows(mat, cfg: FieldConfig):
-    """Row basis of {x : mat @ x = 0}."""
+    """Row basis of {x : mat @ x = 0}: the preimage of the zero subspace."""
     mat = np.asarray(mat, dtype=np.int64)
-    m, n = mat.shape
-    if m == 0:
-        return full_rows(n)
-    red, rank = K.gf_rref(np.ascontiguousarray(mat), cfg.add, cfg.mul, cfg.neg, cfg.inv)
-    red = red[:rank]
-    pivots = []
-    col = 0
-    for r in range(rank):
-        while red[r, col] == 0:
-            col += 1
-        pivots.append(col)
-    free = [c for c in range(n) if c not in pivots]
-    out = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        out[k, c] = 1
-        for r, pc in enumerate(pivots):
-            out[k, pc] = cfg.neg[red[r, c]]
-    return space_rows(out, cfg)
+    return _preimage_linear(mat, zero_rows(mat.shape[0]), cfg)
 
 
 def sum_rows(a, b, cfg: FieldConfig):
@@ -142,11 +133,19 @@ def _rows_apply(table, rows, cfg):
 
 
 def _preimage_linear(mat, u_rows, cfg: FieldConfig):
-    """{x : mat @ x in span(u_rows)} as canonical rows."""
-    ann = nullspace_rows(u_rows, cfg) if u_rows.shape[0] else full_rows(mat.shape[0])
-    if ann.shape[0] == 0:
-        return full_rows(mat.shape[1])
-    return nullspace_rows(gf_mat_mul(ann, mat, cfg), cfg)
+    """{x : mat @ x in span(u_rows)} as canonical rows, from one rref of
+    [[mat^T | I], [U | 0]] (module docstring)."""
+    m, n = mat.shape
+    k = u_rows.shape[0]
+    if k == m:
+        return full_rows(n)
+    stack = np.zeros((n + k, m + n), dtype=np.int64)
+    stack[:n, :m] = mat.T
+    stack[np.arange(n), m + np.arange(n)] = 1
+    stack[n:, :m] = u_rows
+    red, rank = K.gf_rref(stack, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+    red = red[:rank]
+    return np.ascontiguousarray(red[~red[:, :m].any(axis=1), m:])
 
 
 # ------------------------------------------------- semilinear operators

@@ -225,26 +225,23 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
 def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0,
                            deg: int = 2) -> Counter:
     """Multiset of Iwahori classes of g·X·sigma(g)^{-1} over random
-    g in GL_h(O), X the monomial matrix of x."""
+    g in GL_h(O), X the monomial matrix of x.
+
+    One precision is exact: n = v(det) + 2 for the shifted matrix t^s·X.
+    The reduction reads its input only mod t^n (reduction docstring), and
+    g·t^s·X is polynomial, so an error in sigma(g)^{-1} mod t^n stays
+    divisible by t^n after multiplying by it.
+    """
     from .reduction import iwahori_class_of
     h = x.h
     xm, s = PM.pm_from_element(x)
     vdet = x.v_det() + h * s
+    n = vdet + 2
     out = Counter()
     for tr in range(trials):
         rng = np.random.default_rng([seed, tr])
-        for attempt in range(3):
-            n = vdet + 2 + deg + 2 * attempt
-            g = random_unimodular(h, cfg, deg, rng)
-            gs = PM.pm_frob(g, cfg, 1)
-            gsi = PM.pm_inv_mod(gs, n, cfg)
-            m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n + s)
-            try:
-                cls = iwahori_class_of(m, cfg, shift=s, expected_vdet=vdet)
-                out[cls] += 1
-                break
-            except ValueError:
-                continue
-        else:
-            raise ConventionError('reduction failed at all precisions for %r' % (x,))
+        g = random_unimodular(h, cfg, deg, rng)
+        gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
+        m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
+        out[iwahori_class_of(m, cfg, shift=s, expected_vdet=vdet)] += 1
     return out

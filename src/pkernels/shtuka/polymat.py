@@ -27,11 +27,10 @@ from .gf import FieldConfig
 
 __all__ = [
     'pm_zeros', 'pm_eye', 'pm_from_const', 'pm_trim', 'pm_truncate',
-    'pm_pad', 'pm_shift', 'pm_add', 'pm_neg', 'pm_scale', 'pm_mul',
-    'pm_frob', 'pm_coeff', 'pm_equal', 'pm_is_zero', 'poly_valuation',
-    'poly_mul', 'poly_series_inv', 'pm_det', 'pm_adjugate',
-    'pm_char_poly', 'gf_mat_mul', 'gf_mat_inv', 'pm_inv_mod',
-    'pm_from_element', 'pm_val_min',
+    'pm_pad', 'pm_shift', 'pm_add', 'pm_neg', 'pm_mul', 'pm_frob',
+    'pm_coeff', 'pm_equal', 'poly_valuation', 'poly_series_inv', 'pm_det',
+    'pm_adjugate', 'pm_char_poly', 'gf_mat_mul', 'gf_mat_inv',
+    'pm_inv_mod', 'pm_from_element',
 ]
 
 
@@ -93,10 +92,6 @@ def pm_neg(a, cfg: FieldConfig):
     return cfg.neg[a]
 
 
-def pm_scale(c, a, cfg: FieldConfig):
-    return cfg.mul[c, a]
-
-
 def pm_mul(a, b, cfg: FieldConfig):
     """Exact polynomial matrix product."""
     return K.polymat_mul(a, b, cfg.add, cfg.mul)
@@ -105,13 +100,9 @@ def pm_mul(a, b, cfg: FieldConfig):
 def pm_poly_scale(a, poly, cfg: FieldConfig):
     """Multiply every entry of a by the scalar polynomial poly (1D coeffs)."""
     n, m, da = a.shape
-    db = len(poly)
-    out = np.zeros((n, m, da + db - 1), dtype=np.int64)
-    for s in range(db):
-        c = int(poly[s])
-        if c:
-            out[:, :, s:s + da] = cfg.add[out[:, :, s:s + da], cfg.mul[c, a]]
-    return out
+    poly = np.asarray(poly, dtype=np.int64)
+    out = K.gf_conv2(poly[None, :], a.reshape(-1, da), cfg.add, cfg.mul)
+    return out.reshape(n, m, -1)
 
 
 def pm_frob(a, cfg: FieldConfig, k: int = 1):
@@ -137,26 +128,10 @@ def pm_equal(a, b):
     return np.array_equal(pm_pad(a, d), pm_pad(b, d))
 
 
-def pm_is_zero(a):
-    return not a.any()
-
-
-def pm_val_min(a):
-    """Minimum t-adic valuation over all entries (None if zero matrix)."""
-    nz = np.nonzero(a.any(axis=(0, 1)))[0]
-    return int(nz[0]) if nz.size else None
-
-
 def poly_valuation(c):
     """Valuation of a 1D coefficient vector (None for zero)."""
     nz = np.nonzero(np.asarray(c))[0]
     return int(nz[0]) if nz.size else None
-
-
-def poly_mul(a, b, cfg: FieldConfig):
-    a = np.asarray(a, dtype=np.int64).reshape(1, -1)
-    b = np.asarray(b, dtype=np.int64).reshape(1, -1)
-    return K.gf_conv2(a, b, cfg.add, cfg.mul)[0]
 
 
 def poly_series_inv(u, n, cfg: FieldConfig):

@@ -7,10 +7,21 @@ middle is computed by valuation-pivot Gaussian elimination using only
 I-legal row and column operations:
 
 * row_i += c * row_j is legal iff (i < j and c integral) or (i > j and
-  c in tO); columns mirrored.
+  c in tO); col_j += c * col_i likewise iff (i < j and c integral) or
+  (i > j and c in tO).
 
-Picking, among minimal-valuation active entries, the LAST such row and
-within it the LEFTMOST such column makes every clearing step legal.
+Each pivot is one rank-1 update.  The pivot (i0, j0) has the least
+valuation v in the matrix, lies in the LAST row that holds it, and is
+the LEFTMOST entry of valuation v in that row.  With c = a[:, j0] /
+a[i0, j0], the update a <- a - c ⊗ a[i0] is the row operations
+row_i -= c_i·row_i0 (i != i0) that clear column j0, then the column
+operations that clear row i0 (they touch only row i0 once column j0 is
+clear), then the removal of the pivot itself, so row i0 and column j0
+end at zero and never hold a later pivot.  Every step is I-legal: rows
+below i0 have no entry of valuation v, so c_i is in tO there and
+integral above; in row i0 the entries left of j0 have valuation above
+v, so those column multipliers are in tO and the ones to the right are
+integral.  Each pivot records lam[i0] = v and perm[j0] = i0 + 1.
 
 Working mod t^N with N = v(det) + 2 is exact: changing A by E with
 v(E) >= N multiplies it by 1 + A^{-1}E whose correction is in t·M_h(O),
@@ -39,17 +50,13 @@ __all__ = [
 ]
 
 
-def _entry_val(a, i, j, n):
-    nz = np.nonzero(a[i, j, :n])[0]
-    return int(nz[0]) if nz.size else None
-
-
 def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
                      expected_vdet: int = None) -> Element:
     """Monomial representative of I·A·I as an affine element.
 
     amat is a polynomial coefficient tensor; shift=s means the actual
     matrix is t^{-s}·amat (so Laurent inputs are supported by premultiplying).
+    Each of the h pivots is one rank-1 update mod t^n (module docstring).
     """
     a = np.asarray(amat, dtype=np.int64)
     h = a.shape[0]
@@ -61,74 +68,27 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
             raise ValueError('singular matrix')
     n = vdet + 2
     a = PM.pm_pad(PM.pm_truncate(a, n), n)
-    act_rows = list(range(h))
-    act_cols = list(range(h))
     perm = [None] * h
     lam = [None] * h
     for _ in range(h):
-        best = None
-        for i in act_rows:
-            for j in act_cols:
-                v = _entry_val(a, i, j, n)
-                if v is not None and (best is None or v < best):
-                    best = v
-        if best is None:
+        nz = a != 0
+        val = np.where(nz.any(axis=2), nz.argmax(axis=2), n)
+        best = int(val.min())
+        if best == n:
             raise ValueError('insufficient precision: active block vanishes mod t^%d' % n)
-        i0 = max(i for i in act_rows
-                 if any(_entry_val(a, i, j, n) == best for j in act_cols))
-        j0 = min(j for j in act_cols if _entry_val(a, i0, j, n) == best)
-        # normalize the pivot to exactly t^best by a unit row scaling
-        unit = a[i0, j0, best:n].copy()
-        uinv = PM.poly_series_inv(unit, n, cfg)
-        for j in act_cols:
-            a[i0, j] = _poly_mul_mod(a[i0, j], uinv, n, cfg)
-        # clear the pivot column with row operations (legal by pivot choice)
-        for i in act_rows:
-            if i == i0:
-                continue
-            c = _poly_div_t(a[i, j0], best, n)
-            if c is None:
-                continue
-            c = cfg.neg[c]
-            for j in act_cols:
-                a[i, j] = cfg.add[a[i, j], _poly_mul_mod(a[i0, j], c, n, cfg)]
-        # clear the pivot row with column operations
-        for j in act_cols:
-            if j == j0:
-                continue
-            c = _poly_div_t(a[i0, j], best, n)
-            if c is None:
-                continue
-            c = cfg.neg[c]
-            for i in act_rows:
-                a[i, j] = cfg.add[a[i, j], _poly_mul_mod(a[i, j0], c, n, cfg)]
+        i0 = int(np.nonzero((val == best).any(axis=1))[0][-1])
+        j0 = int(np.nonzero(val[i0] == best)[0][0])
+        # c = a[:, j0] / a[i0, j0]: the column shifted down by t^best, times
+        # the inverse of the pivot's unit; c is known mod t^(n-best) and
+        # row i0 is divisible by t^best, so c ⊗ a[i0] is exact mod t^n
+        uinv = PM.poly_series_inv(a[i0, j0, best:], n, cfg)
+        c = PM.pm_poly_scale(a[:, j0:j0 + 1, best:], uinv, cfg)[:, :, :n]
+        a = cfg.add[a, cfg.neg[PM.pm_mul(c, a[i0:i0 + 1], cfg)[:, :, :n]]]
         perm[j0] = i0 + 1
         lam[i0] = best
-        act_rows.remove(i0)
-        act_cols.remove(j0)
     if sum(lam) != vdet:
         raise ValueError('pivot valuations sum to %d, determinant has %d' % (sum(lam), vdet))
     return Element(tuple(v - shift for v in lam), tuple(perm))
-
-
-def _poly_mul_mod(a, b, n, cfg):
-    out = PM.poly_mul(a, b, cfg)[:n]
-    if len(out) < n:
-        out = np.concatenate([out, np.zeros(n - len(out), dtype=np.int64)])
-    return out
-
-
-def _poly_div_t(c, k, n):
-    """c / t^k as a length-n vector, or None if c = 0; requires val >= k."""
-    nz = np.nonzero(c)[0]
-    if not nz.size:
-        return None
-    if nz[0] < k:
-        raise ValueError('valuation %d below %d: illegal Iwahori operation' % (nz[0], k))
-    out = np.zeros(n, dtype=np.int64)
-    tail = c[k:]
-    out[:len(tail)] = tail
-    return out
 
 
 def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from pkernels import calibrate
@@ -22,16 +21,3 @@ def manifest():
     # runs its own timed calibration with the full sample budget
     return calibrate(probes=((2, 1),), samples={(2, 1): 60}, sigma_trials=20)
 
-
-@pytest.fixture(scope='session', autouse=True)
-def _warm_kernels():
-    # force jit compilation before any timed test
-    from pkernels import _kernels as K
-    from pkernels.shtuka import field as _field
-    c = _field(2, 2)
-    a = np.zeros((2, 2), dtype=np.int64)
-    p = np.zeros((2, 2, 2), dtype=np.int64)
-    K.gf_matmul(a, a, c.add, c.mul)
-    K.gf_rref(a.copy(), c.add, c.mul, c.neg, c.inv)
-    K.gf_conv2(a, a, c.add, c.mul)
-    K.polymat_mul(p, p, c.add, c.mul)

@@ -1,8 +1,8 @@
-"""Cross-checks between the jit kernels and the pure-numpy fallbacks.
+"""The kernels of ``pkernels._kernels`` against plain loop forms.
 
-Both code paths must agree exactly; which one `pkernels` uses at import
-time is decided by PKERNELS_NO_NUMBA, so we compare the raw loop and
-numpy implementations directly regardless of the flag.
+The loop forms below are the reference implementation: one scalar table
+lookup per operation, in the order the definitions read.  Every kernel
+must agree with its loop form exactly.
 """
 
 import numpy as np
@@ -18,6 +18,89 @@ def _rand(rng, q, shape):
     return rng.integers(0, q, size=shape, dtype=np.int64)
 
 
+# ------------------------------------------------ reference loop forms
+
+def _gf_matmul_loops(a, b, add, mul):
+    n, k = a.shape
+    m = b.shape[1]
+    out = np.zeros((n, m), dtype=np.int64)
+    for i in range(n):
+        for j in range(m):
+            acc = 0
+            for l in range(k):
+                acc = add[acc, mul[a[i, l], b[l, j]]]
+            out[i, j] = acc
+    return out
+
+
+def _gf_rref_loops(mat, add, mul, neg, inv):
+    # full reduced row echelon form; returns (reduced copy, rank)
+    m = mat.copy()
+    nrows, ncols = m.shape
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = -1
+        for i in range(r, nrows):
+            if m[i, c] != 0:
+                p = i
+                break
+        if p < 0:
+            continue
+        if p != r:
+            for j in range(ncols):
+                tmp = m[r, j]
+                m[r, j] = m[p, j]
+                m[p, j] = tmp
+        s = inv[m[r, c]]
+        for j in range(ncols):
+            m[r, j] = mul[s, m[r, j]]
+        for i in range(nrows):
+            if i != r and m[i, c] != 0:
+                f = neg[m[i, c]]
+                for j in range(ncols):
+                    m[i, j] = add[m[i, j], mul[f, m[r, j]]]
+        r += 1
+    return m, r
+
+
+def _gf_conv2_loops(a, b, add, mul):
+    # 2D polynomial product; 1D is the (1, n) special case
+    ax, ay = a.shape
+    bx, by = b.shape
+    out = np.zeros((ax + bx - 1, ay + by - 1), dtype=np.int64)
+    for i in range(ax):
+        for j in range(ay):
+            c = a[i, j]
+            if c == 0:
+                continue
+            for k in range(bx):
+                for l in range(by):
+                    if b[k, l] != 0:
+                        out[i + k, j + l] = add[out[i + k, j + l], mul[c, b[k, l]]]
+    return out
+
+
+def _polymat_mul_loops(a, b, add, mul):
+    # (n, k, da) x (k, m, db) -> (n, m, da+db-1) coefficient tensors
+    n, kk, da = a.shape
+    m = b.shape[1]
+    db = b.shape[2]
+    out = np.zeros((n, m, da + db - 1), dtype=np.int64)
+    for i in range(n):
+        for j in range(m):
+            for l in range(kk):
+                for s in range(da):
+                    c = a[i, l, s]
+                    if c == 0:
+                        continue
+                    for t in range(db):
+                        if b[l, j, t] != 0:
+                            out[i, j, s + t] = add[out[i, j, s + t], mul[c, b[l, j, t]]]
+    return out
+
+
 @pytest.mark.parametrize('p,r', FIELDS)
 def test_matmul_paths_agree(p, r):
     c = field(p, r)
@@ -26,8 +109,8 @@ def test_matmul_paths_agree(p, r):
         n, k, m = rng.integers(1, 7, size=3)
         a = _rand(rng, c.q, (n, k))
         b = _rand(rng, c.q, (k, m))
-        got = K._gf_matmul_numpy(a, b, c.add, c.mul)
-        want = K._gf_matmul_loops(a, b, c.add, c.mul)
+        got = K.gf_matmul(a, b, c.add, c.mul)
+        want = _gf_matmul_loops(a, b, c.add, c.mul)
         assert (got == want).all()
 
 
@@ -38,8 +121,8 @@ def test_rref_paths_agree(p, r):
         rng = np.random.default_rng([12, p, r, trial])
         n, m = rng.integers(1, 7, size=2)
         a = _rand(rng, c.q, (n, m))
-        m1, r1 = K._gf_rref_numpy(a.copy(), c.add, c.mul, c.neg, c.inv)
-        m2, r2 = K._gf_rref_loops(a.copy(), c.add, c.mul, c.neg, c.inv)
+        m1, r1 = K.gf_rref(a.copy(), c.add, c.mul, c.neg, c.inv)
+        m2, r2 = _gf_rref_loops(a.copy(), c.add, c.mul, c.neg, c.inv)
         assert r1 == r2
         assert (m1 == m2).all()
 
@@ -79,7 +162,7 @@ def test_conv2_matches_brute(p, r):
         ax, ay, bx, by = rng.integers(1, 5, size=4)
         a = _rand(rng, c.q, (ax, ay))
         b = _rand(rng, c.q, (bx, by))
-        got = K._gf_conv2_numpy(a, b, c.add, c.mul)
+        got = K.gf_conv2(a, b, c.add, c.mul)
         want = np.zeros((ax + bx - 1, ay + by - 1), dtype=np.int64)
         for i in range(ax):
             for j in range(ay):
@@ -87,7 +170,7 @@ def test_conv2_matches_brute(p, r):
                     for l in range(by):
                         want[i + k, j + l] = c.add[want[i + k, j + l], c.mul[a[i, j], b[k, l]]]
         assert (got == want).all()
-        assert (K._gf_conv2_loops(a, b, c.add, c.mul) == want).all()
+        assert (_gf_conv2_loops(a, b, c.add, c.mul) == want).all()
 
 
 @pytest.mark.parametrize('p,r', FIELDS)
@@ -99,8 +182,8 @@ def test_polymat_mul_paths_agree(p, r):
         da, db = rng.integers(1, 6, size=2)
         a = _rand(rng, c.q, (n, k, da))
         b = _rand(rng, c.q, (k, m, db))
-        got = K._polymat_mul_numpy(a, b, c.add, c.mul)
-        want = K._polymat_mul_loops(a, b, c.add, c.mul)
+        got = K.polymat_mul(a, b, c.add, c.mul)
+        want = _polymat_mul_loops(a, b, c.add, c.mul)
         assert (got == want).all()
         assert got.shape == (n, m, da + db - 1)
 

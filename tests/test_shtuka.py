@@ -1,6 +1,8 @@
 """Local shtukas: residues, classification, Newton polygons, reduction."""
 
+from collections import Counter
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -10,14 +12,17 @@ from pkernels.affine import Element
 from pkernels.errors import ConventionError
 from pkernels.polygons import (HodgeDatum, enumerate_polygons, eo_representative,
                                mu_and_type, parse_polygon, x_of_polygon)
-from pkernels.semimodules import cochar_to_beginning, enumerate_cochar_block
+from pkernels.semimodules import (cochar_to_beginning, enumerate_cochar_block,
+                                  enumerate_profiles, middle_element)
 from pkernels.shtuka import (Bt1Module, bt1_of, canonical_filtration, eo_classify,
                              field, graded_bt1_from_beginning, iwahori_class_of,
                              iwahori_orbit_size, minimal_shtuka, newton_polygon_of,
                              run_consistency_suite, sample_shtuka,
                              shtuka_from_element, sigma_conjugate_sample)
 from pkernels.shtuka import polymat as PM
-from pkernels.shtuka.reduction import _poly_div_t, random_iwahori
+from pkernels.shtuka.bt1 import f_preimage, nullspace_rows, space_rows, v_preimage
+from pkernels.shtuka.core import random_unimodular
+from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
 
 
@@ -30,6 +35,57 @@ def test_bt1_check_rejects_bad_pair(cfg):
     v[0, 0] = 1   # im V = ker F fails: im F = im V = e1
     with pytest.raises(ValueError):
         Bt1Module(cfg, f, v).check()
+
+
+def _span(rows, cfg):
+    """Every vector of the span of rows, as tuples."""
+    out = set()
+    for coeffs in itertools.product(range(cfg.q), repeat=rows.shape[0]):
+        v = np.zeros(rows.shape[1], dtype=np.int64)
+        for c, r in zip(coeffs, rows):
+            v = cfg.add[v, cfg.mul[c, r]]
+        out.add(tuple(int(e) for e in v))
+    return out
+
+
+def _matvec(mat, x, cfg):
+    out = []
+    for row in mat:
+        acc = 0
+        for a, b in zip(row, x):
+            acc = cfg.add[acc, cfg.mul[a, b]]
+        out.append(int(acc))
+    return tuple(out)
+
+
+@pytest.mark.parametrize('p,r', [(2, 1), (3, 1), (2, 2)])
+def test_preimages_match_brute_force(p, r):
+    # F^{-1}(U), V^{-1}(U) and ker against every vector of F_q^h
+    cfg = field(p, r)
+    for h in range(1, 5):
+        vectors = [np.array(v, dtype=np.int64)
+                   for v in itertools.product(range(cfg.q), repeat=h)]
+        for k in range(h + 1):
+            for trial in range(2):
+                rng = np.random.default_rng([71, p, r, h, k, trial])
+                f, v = (rng.integers(0, cfg.q, size=(h, h), dtype=np.int64) for _ in range(2))
+                f[rng.random(h) < 0.3] = 0      # some rank drops
+                v[rng.random(h) < 0.3] = 0
+                if k == h:
+                    u = np.eye(h, dtype=np.int64)
+                else:
+                    u = space_rows(rng.integers(0, cfg.q, size=(k, h), dtype=np.int64), cfg)
+                span_u = _span(u, cfg)
+                Z = Bt1Module(cfg, f, v)
+                cases = [
+                    (f_preimage(Z, u), lambda x: _matvec(f, cfg.frb[x], cfg) in span_u),
+                    (v_preimage(Z, u), lambda x: _matvec(v, cfg.frbi[x], cfg) in span_u),
+                    (nullspace_rows(f, cfg), lambda x: not any(_matvec(f, x, cfg))),
+                ]
+                for got, member in cases:
+                    assert np.array_equal(got, space_rows(got, cfg))
+                    want = {tuple(int(e) for e in x) for x in vectors if member(x)}
+                    assert _span(got, cfg) == want, (h, k, trial)
 
 
 def test_bt1_of_diag_t_1(cfg):
@@ -278,17 +334,18 @@ def test_iwahori_class_roundtrip(cfg, h):
         assert got == x
 
 
-@pytest.mark.parametrize('h', [2, 3])
-def test_iwahori_class_invariance(cfg, h):
-    for trial in range(20):
-        rng = np.random.default_rng([64, h, trial])
-        x = _random_element(rng, h)
-        a, s = PM.pm_from_element(x)
-        i1 = random_iwahori(h, cfg, 3, rng)
-        i2 = random_iwahori(h, cfg, 3, rng)
-        m = PM.pm_mul(PM.pm_mul(i1, a, cfg), i2, cfg)
-        got = iwahori_class_of(m, cfg, shift=s, expected_vdet=x.v_det() + h * s)
-        assert got == x
+@pytest.mark.parametrize('h', [2, 3, 4, 5])
+def test_iwahori_class_invariance(cfg, cfg1, h):
+    for c, tag in ((cfg, ()), (cfg1, (1,))):
+        for trial in range(20):
+            rng = np.random.default_rng([64, h, trial, *tag])
+            x = _random_element(rng, h)
+            a, s = PM.pm_from_element(x)
+            i1 = random_iwahori(h, c, 3, rng)
+            i2 = random_iwahori(h, c, 3, rng)
+            m = PM.pm_mul(PM.pm_mul(i1, a, c), i2, c)
+            assert iwahori_class_of(m, c, shift=s, expected_vdet=x.v_det() + h * s) == x
+            assert iwahori_class_of(m, c, shift=s) == x
 
 
 def test_iwahori_class_singular(cfg):
@@ -335,14 +392,6 @@ def test_orbit_size_rejects_start_without_t_n(cfg1, monkeypatch):
         iwahori_orbit_size(x, cfg1)
 
 
-def test_poly_div_t_rejects_low_valuation():
-    c = np.array([0, 1, 1], dtype=np.int64)
-    assert _poly_div_t(c, 1, 3).tolist() == [1, 1, 0]
-    assert _poly_div_t(np.zeros(3, dtype=np.int64), 2, 3) is None
-    with pytest.raises(ValueError, match='illegal'):
-        _poly_div_t(c, 2, 3)
-
-
 # --------------------------------------------------------- sampling
 
 def test_sample_shtuka_deterministic(cfg):
@@ -370,6 +419,31 @@ def test_sigma_conjugate_sample_deterministic(cfg):
     assert sum(c1.values()) == 8
     for cls in c1:
         assert cls.v_det() == x.v_det()
+
+
+def test_sigma_conjugate_precision_is_exact(cfg):
+    # the same trials at precision v(det) + 8, reduced as t^2·m: the
+    # central t^2 raises the reduction's own precision from v(det) + 2 to
+    # v(det) + 2h + 2, so it reads m mod t^(v(det) + 2h), within the 8
+    # digits for h <= 4
+    trials, seed = 6, 17
+    for h in range(1, 5):
+        for d in range(h + 1):
+            for P in enumerate_polygons(HodgeDatum(h, d)):
+                for prof in enumerate_profiles(P):
+                    x = middle_element(prof, P)
+                    xm, s = PM.pm_from_element(x)
+                    vdet = x.v_det() + h * s
+                    n = vdet + 8
+                    want = Counter()
+                    for tr in range(trials):
+                        rng = np.random.default_rng([seed, tr])
+                        g = random_unimodular(h, cfg, 2, rng)
+                        gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
+                        m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
+                        want[iwahori_class_of(PM.pm_shift(m, 2), cfg, shift=s + 2,
+                                              expected_vdet=vdet + 2 * h)] += 1
+                    assert sigma_conjugate_sample(x, cfg, trials, seed=seed) == want, x
 
 
 def test_consistency_suite(cfg):
