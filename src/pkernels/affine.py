@@ -316,8 +316,3 @@ def _reduce(x, memo, limit, refs, tau, tau_inv):
         raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
     memo[x] = done
     return done
-
-
-if __name__ == '__main__':
-    import doctest
-    doctest.testmod()

@@ -13,16 +13,22 @@ already the canonical rref basis of the preimage.  The kernel of M is
 the preimage of 0.
 
 The canonical filtration is the closure of {0, whole space} under
-U -> F(U) and U -> V^{-1}(U); its dimension signature classifies the
-module up to isomorphism within a minuscule stratum, with deeper
-operator words as a tiebreak.  One call memoizes the operator images
-of the subspaces it meets, so the filtration, its signature and the
-operator words compute each F(U), V^{-1}(U), V(U), F^{-1}(U) once.
+U -> F(U) and U -> V^{-1}(U); for a valid module it is a chain.  Its
+canonical type, the triples (dim U, dim F(U), dim V^{-1}(U)) over its
+members, determines the module up to isomorphism, as it does a
+truncated Barsotti-Tate group of level 1 (Oort, "A stratification of a
+moduli space of abelian varieties", 2001).  The isomorphism classes of
+height h and dimension d match the minimal coset representatives w of
+the stratum (h, d) one to one (Moonen, "Group schemes with additional
+structures and Weyl group cosets", 2001).  So a module is classified by
+looking its type up in a table of the reference modules of (h, d), one
+per w.  Those are 0/1 monomial, so every member of their filtration is
+a coordinate subspace and their types do not depend on the field: one
+table per (h, d) serves every field.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-import itertools
 
 import numpy as np
 
@@ -33,9 +39,8 @@ from .polymat import gf_mat_mul
 
 __all__ = [
     'Bt1Module', 'space_rows', 'space_dim', 'nullspace_rows',
-    'sum_rows', 'intersect_dim', 'f_image', 'v_image', 'f_preimage',
-    'v_preimage', 'canonical_filtration', 'eo_signature', 'eo_classify',
-    'graded_bt1_from_beginning',
+    'sum_rows', 'intersect_dim', 'f_image', 'v_image', 'v_preimage',
+    'canonical_filtration', 'eo_classify', 'graded_bt1_from_beginning',
 ]
 
 
@@ -46,7 +51,6 @@ class Bt1Module:
     cfg: FieldConfig
     fmat: np.ndarray
     vmat: np.ndarray
-    degrees: tuple = None
 
     def __post_init__(self):
         f = np.ascontiguousarray(np.asarray(self.fmat, dtype=np.int64))
@@ -165,33 +169,10 @@ def v_image(Z: Bt1Module, u_rows):
     return space_rows(gf_mat_mul(_rows_apply(cfg.frbi, u_rows, cfg), Z.vmat.T, cfg), cfg)
 
 
-def f_preimage(Z: Bt1Module, u_rows):
-    """F^{-1}(U) = sigma^{-1} of the linear preimage under fmat."""
-    cfg = Z.cfg
-    return _rows_apply(cfg.frbi, _preimage_linear(Z.fmat, u_rows, cfg), cfg)
-
-
 def v_preimage(Z: Bt1Module, u_rows):
     """V^{-1}(U) = sigma of the linear preimage under vmat."""
     cfg = Z.cfg
     return _rows_apply(cfg.frb, _preimage_linear(Z.vmat, u_rows, cfg), cfg)
-
-
-_OPS = ('F', 'Vi', 'V', 'Fi')
-_OP_FUN = {'F': f_image, 'Vi': v_preimage, 'V': v_image, 'Fi': f_preimage}
-
-
-def _memoized_ops(Z: Bt1Module):
-    """ops(op, U) = op(U) for op in _OP_FUN and U given by canonical rows,
-    computed once per (op, U) while ops lives."""
-    memo = {}
-
-    def ops(op, u_rows):
-        key = (op, u_rows.shape[0], u_rows.tobytes())
-        if key not in memo:
-            memo[key] = _OP_FUN[op](Z, u_rows)
-        return memo[key]
-    return ops
 
 
 # ------------------------------------------------- canonical filtration
@@ -200,98 +181,68 @@ def canonical_filtration(Z: Bt1Module):
     """Closure of {0, whole} under F and V^{-1}; returns (flag, signature).
 
     flag: tuple of canonical row bases sorted by dimension (totally
-    ordered by inclusion for valid modules); signature: tuple of triples
-    (dim U, dim F(U), dim V^{-1}(U)).  A chain in an h-dimensional space
-    has at most h+1 members, so the closure stops with ConventionError
-    once it grows past that.
+    ordered by inclusion for valid modules); signature: the canonical
+    type, a tuple of triples (dim U, dim F(U), dim V^{-1}(U)).  One
+    worklist pass computes F(U) and V^{-1}(U) once per member.  A chain
+    in an h-dimensional space has at most h+1 members, so the closure
+    stops with ConventionError once it grows past that.
     """
-    return _filtration(Z, _memoized_ops(Z))
-
-
-def _filtration(Z: Bt1Module, ops):
     h = Z.h
-    members = {}
+    members = {}        # rows bytes -> (rows, dim F(U), dim V^{-1}(U))
     work = [zero_rows(h), full_rows(h)]
     while work:
         rows = work.pop()
-        key = (rows.shape[0], rows.tobytes())
+        key = rows.tobytes()       # every row has h entries: the length fixes dim U
         if key in members:
             continue
-        members[key] = rows
-        if len(members) > h + 1:
+        if len(members) > h:
             raise ConventionError('canonical filtration has more than %d members, '
                                   'so it is not totally ordered' % (h + 1))
-        work += [ops('F', rows), ops('Vi', rows)]
-    flag = tuple(sorted(members.values(), key=lambda r: (r.shape[0], r.tobytes())))
+        fu, vu = f_image(Z, rows), v_preimage(Z, rows)
+        members[key] = (rows, space_dim(fu), space_dim(vu))
+        work += [fu, vu]
+    found = sorted(members.values(), key=lambda m: (space_dim(m[0]), m[0].tobytes()))
+    flag = tuple(m[0] for m in found)
     for a, b in zip(flag, flag[1:]):
         if intersect_dim(a, b, Z.cfg) != space_dim(a):
             raise ConventionError('canonical filtration is not totally ordered')
-    sig = tuple((space_dim(u), space_dim(ops('F', u)), space_dim(ops('Vi', u))) for u in flag)
-    return flag, sig
-
-
-def eo_signature(Z: Bt1Module, depth: int = 1) -> tuple:
-    """Isomorphism signature: for each flag member, dimensions of all
-    operator words up to the given length applied to it."""
-    ops = _memoized_ops(Z)
-    flag, _ = _filtration(Z, ops)
-    out = []
-    for u in flag:
-        dims = [space_dim(u)]
-        for wlen in range(1, depth + 1):
-            for word in itertools.product(_OPS, repeat=wlen):
-                w = u
-                for op in word:
-                    w = ops(op, w)
-                dims.append(space_dim(w))
-        out.append(tuple(dims))
-    return tuple(out)
+    return flag, tuple((space_dim(u), df, dv) for u, df, dv in found)
 
 
 @lru_cache(maxsize=None)
-def _reference_signatures(h: int, d: int, p: int, r: int):
-    """Map signature -> minimal coset rep w, at the shallowest depth
-    separating all reference modules of the stratum."""
+def _reference_signatures(h: int, d: int):
+    """Map canonical type -> minimal coset rep w, over the reference
+    modules of the stratum (h, d), built over F_2 (module docstring).
+    Raises ConventionError if two references share a type."""
     from .. import weyl
     from ..polygons import HodgeDatum, mu_and_type, eo_representative
     from .core import shtuka_from_element, bt1_of
     from .gf import field
 
-    cfg = field(p, r)
+    cfg = field(2, 1)
     hd = HodgeDatum(h, d)
     _, pairs = mu_and_type(hd)
-    reps = weyl.min_coset_reps(h, pairs)
-    mods = {}
-    for w in reps:
-        x = eo_representative(hd, w)
-        mods[w] = bt1_of(shtuka_from_element(x, cfg))
-    depth = 1
-    while depth <= h * h:
-        sigs = {}
-        clash = False
-        for w, Z in mods.items():
-            s = eo_signature(Z, depth)
-            if s in sigs:
-                clash = True
-                break
-            sigs[s] = w
-        if not clash:
-            return depth, sigs
-        depth += 1
-    raise ConventionError('reference modules not separated by signatures up to depth %d' % (h * h))
+    sigs = {}
+    for w in weyl.min_coset_reps(h, pairs):
+        Z = bt1_of(shtuka_from_element(eo_representative(hd, w), cfg))
+        s = canonical_filtration(Z)[1]
+        if s in sigs:
+            raise ConventionError('reference modules %s and %s of stratum (%d, %d) share '
+                                  'the canonical type %s' % (sigs[s], w, h, d, s))
+        sigs[s] = w
+    return sigs
 
 
 def eo_classify(Z: Bt1Module, d: int = None):
-    """The minimal coset representative w whose reference module matches
-    Z's signature.  Raises ConventionError when nothing matches."""
+    """The minimal coset representative w whose reference module has
+    Z's canonical type.  Raises ConventionError when nothing matches."""
     h = Z.h
     if d is None:
         d = Z.dimension
-    depth, sigs = _reference_signatures(h, d, Z.cfg.p, Z.cfg.r)
-    s = eo_signature(Z, depth)
-    w = sigs.get(s)
+    w = _reference_signatures(h, d).get(canonical_filtration(Z)[1])
     if w is None:
-        raise ConventionError('signature matches no reference module of stratum (%d, %d)' % (h, d))
+        raise ConventionError('canonical type matches no reference module of stratum (%d, %d)'
+                              % (h, d))
     return w
 
 
@@ -308,4 +259,4 @@ def graded_bt1_from_beginning(B, cfg: FieldConfig) -> Bt1Module:
             f[pos[j + B.n], pos[j]] = 1
         if j + B.m in pos:
             v[pos[j + B.m], pos[j]] = 1
-    return Bt1Module(cfg, f, v, degrees=elems).check()
+    return Bt1Module(cfg, f, v).check()

@@ -227,7 +227,7 @@ def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0,
     """Multiset of Iwahori classes of g·X·sigma(g)^{-1} over random
     g in GL_h(O), X the monomial matrix of x.
 
-    One precision is exact: n = v(det) + 2 for the shifted matrix t^s·X.
+    One precision is exact: n = v(det) + 1 for the shifted matrix t^s·X.
     The reduction reads its input only mod t^n (reduction docstring), and
     g·t^s·X is polynomial, so an error in sigma(g)^{-1} mod t^n stays
     divisible by t^n after multiplying by it.
@@ -236,7 +236,7 @@ def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0,
     h = x.h
     xm, s = PM.pm_from_element(x)
     vdet = x.v_det() + h * s
-    n = vdet + 2
+    n = vdet + 1
     out = Counter()
     for tr in range(trials):
         rng = np.random.default_rng([seed, tr])

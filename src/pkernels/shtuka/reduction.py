@@ -23,9 +23,11 @@ integral above; in row i0 the entries left of j0 have valuation above
 v, so those column multipliers are in tO and the ones to the right are
 integral.  Each pivot records lam[i0] = v and perm[j0] = i0 + 1.
 
-Working mod t^N with N = v(det) + 2 is exact: changing A by E with
-v(E) >= N multiplies it by 1 + A^{-1}E whose correction is in t·M_h(O),
-hence Iwahori on both sides.
+Working mod t^N with N = v(det) + 1 is exact: A^{-1} = adj(A)/det(A)
+has valuation >= -v(det), so changing A by E with v(E) >= N multiplies
+it by 1 + A^{-1}E whose correction has valuation >= N - v(det) = 1,
+hence lies in t·M_h(O), and 1 + A^{-1}E is Iwahori.  Every pivot
+valuation is at most v(det) < N, so none is lost to the truncation.
 
 Orbit counting identifies the coset gI with its lattice chain g·Lambda_j,
 Lambda_j = span(e_1, ..., e_{h-j}, t·e_{h-j+1}, ..., t·e_h).  For
@@ -66,7 +68,7 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
         vdet = PM.poly_valuation(det)
         if vdet is None:
             raise ValueError('singular matrix')
-    n = vdet + 2
+    n = vdet + 1
     a = PM.pm_pad(PM.pm_truncate(a, n), n)
     perm = [None] * h
     lam = [None] * h

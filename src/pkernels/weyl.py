@@ -144,8 +144,3 @@ def min_coset_reps(h: int, subset: Iterable) -> list:
 def all_permutations(h: int) -> list:
     """All of S_h, lexicographically."""
     return [tuple(w) for w in itertools.permutations(range(1, h + 1))]
-
-
-if __name__ == '__main__':
-    import doctest
-    doctest.testmod()

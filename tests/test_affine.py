@@ -19,8 +19,8 @@ from pkernels.errors import ResourceLimitError
 
 
 def test_doctests():
-    failed, _ = doctest.testmod(affine)
-    assert failed == 0
+    failed, attempted = doctest.testmod(affine)
+    assert failed == 0 and attempted > 0
 
 
 # ---------------------------------------------------- monomial matrix model

@@ -20,7 +20,8 @@ from pkernels.shtuka import (Bt1Module, bt1_of, canonical_filtration, eo_classif
                              run_consistency_suite, sample_shtuka,
                              shtuka_from_element, sigma_conjugate_sample)
 from pkernels.shtuka import polymat as PM
-from pkernels.shtuka.bt1 import f_preimage, nullspace_rows, space_rows, v_preimage
+from pkernels.shtuka import bt1
+from pkernels.shtuka.bt1 import nullspace_rows, space_rows, v_preimage
 from pkernels.shtuka.core import random_unimodular
 from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
@@ -60,7 +61,7 @@ def _matvec(mat, x, cfg):
 
 @pytest.mark.parametrize('p,r', [(2, 1), (3, 1), (2, 2)])
 def test_preimages_match_brute_force(p, r):
-    # F^{-1}(U), V^{-1}(U) and ker against every vector of F_q^h
+    # V^{-1}(U) and ker against every vector of F_q^h
     cfg = field(p, r)
     for h in range(1, 5):
         vectors = [np.array(v, dtype=np.int64)
@@ -78,7 +79,6 @@ def test_preimages_match_brute_force(p, r):
                 span_u = _span(u, cfg)
                 Z = Bt1Module(cfg, f, v)
                 cases = [
-                    (f_preimage(Z, u), lambda x: _matvec(f, cfg.frb[x], cfg) in span_u),
                     (v_preimage(Z, u), lambda x: _matvec(v, cfg.frbi[x], cfg) in span_u),
                     (nullspace_rows(f, cfg), lambda x: not any(_matvec(f, x, cfg))),
                 ]
@@ -184,14 +184,35 @@ def test_canonical_filtration_rejects_non_chain(cfg):
         canonical_filtration(Bt1Module(cfg, e1, e1))
 
 
-@pytest.mark.parametrize('h,d', [(2, 1), (3, 1), (3, 2), (4, 2)])
-def test_eo_classify_fixes_representatives(cfg, h, d):
+@pytest.mark.parametrize('h,d', [(h, d) for h in range(1, 7) for d in range(h + 1)])
+def test_eo_classify_fixes_representatives(h, d):
+    # the table is built over F_2; the references over F_4 and F_3 share it
     hd = HodgeDatum(h, d)
     _, pairs = mu_and_type(hd)
-    for w in weyl.min_coset_reps(h, pairs):
-        x = eo_representative(hd, w)
-        Z = bt1_of(shtuka_from_element(x, cfg))
-        assert eo_classify(Z, d) == w
+    for cfg in (field(2, 2), field(3, 1)):
+        for w in weyl.min_coset_reps(h, pairs):
+            x = eo_representative(hd, w)
+            Z = bt1_of(shtuka_from_element(x, cfg))
+            assert eo_classify(Z, d) == w
+
+
+@pytest.mark.parametrize('h', range(1, 8))
+def test_reference_types_are_distinct(h):
+    # the canonical type separates the reference modules of every stratum
+    for d in range(h + 1):
+        _, pairs = mu_and_type(HodgeDatum(h, d))
+        assert len(bt1._reference_signatures(h, d)) == len(weyl.min_coset_reps(h, pairs))
+
+
+def test_reference_signatures_reject_shared_type(monkeypatch):
+    # a classifier that cannot tell two references apart must raise
+    monkeypatch.setattr(bt1, 'canonical_filtration', lambda Z: ((), ((0, 0, 0),)))
+    bt1._reference_signatures.cache_clear()
+    try:
+        with pytest.raises(ConventionError, match='share the canonical type'):
+            bt1._reference_signatures(2, 1)
+    finally:
+        bt1._reference_signatures.cache_clear()
 
 
 def test_eo_classify_unknown_signature(cfg):
@@ -423,8 +444,8 @@ def test_sigma_conjugate_sample_deterministic(cfg):
 
 def test_sigma_conjugate_precision_is_exact(cfg):
     # the same trials at precision v(det) + 8, reduced as t^2·m: the
-    # central t^2 raises the reduction's own precision from v(det) + 2 to
-    # v(det) + 2h + 2, so it reads m mod t^(v(det) + 2h), within the 8
+    # central t^2 raises the reduction's own precision from v(det) + 1 to
+    # v(det) + 2h + 1, so it reads m mod t^(v(det) + 2h - 1), within the 8
     # digits for h <= 4
     trials, seed = 6, 17
     for h in range(1, 5):

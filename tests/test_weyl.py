@@ -5,8 +5,8 @@ from pkernels import weyl
 
 
 def test_doctests():
-    failed, _ = doctest.testmod(weyl)
-    assert failed == 0
+    failed, attempted = doctest.testmod(weyl)
+    assert failed == 0 and attempted > 0
 
 
 def test_compose_is_function_composition():
