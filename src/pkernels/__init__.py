@@ -3,7 +3,7 @@ minuscule matrix data over k[[t]], decided by the Deligne-Lusztig
 reduction in the extended affine Weyl group and checked against exact
 matrix oracles."""
 
-from . import cosets  # noqa: F401  (every layer loads with the package; perfbench traces them all)
+from . import cosets  # noqa: F401  (perfbench re-imports the package, then its tracer looks the stub up in sys.modules)
 from .affine import Element
 from .criterion import (Bounds, ConventionManifest, IncidenceTable, __version__,
                         adlv_nonempty, calibrate, default_manifest,

@@ -263,9 +263,15 @@ def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
     2014).
 
     The class of x under length-preserving conjugation by s_0, ..., s_{h-1}
-    and omega is walked.  If some y in it has length(s·y·s) =
-    length(y) - 2, then B(x) = B(s·y·s) ∪ B(s·y).  Otherwise x has minimal
-    length in its conjugacy class and B(x) = {ν(x)}.
+    is walked.  If some y in it has length(s·y·s) = length(y) - 2, then
+    B(x) = B(s·y·s) ∪ B(s·y).  Otherwise x has minimal length in its
+    conjugacy class and B(x) = {ν(x)}.
+
+    Conjugation by omega need not be walked: omega has length 0,
+    normalises I and conjugates s_i to s_{i-1 mod h}, so
+    length(s·ω y ω⁻¹·s) = length(s'·y·s') with s' = ω⁻¹ s ω, and the
+    omega-conjugate of the s-walk from y is the s-walk from ω y ω⁻¹.  A
+    length drop is found with omega exactly when it is found without.
 
     Returns (points, explored): points maps each Newton point to the
     minimal-length element at which the reduction reached it, and explored
@@ -278,11 +284,10 @@ def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
     """
     h = x.h
     refs = [simple_reflection(h, i) for i in range(h)] if h > 1 else []
-    tau = omega(h)
-    return _reduce(x, {} if memo is None else memo, limit, refs, tau, tau.inverse())
+    return _reduce(x, {} if memo is None else memo, limit, refs)
 
 
-def _reduce(x, memo, limit, refs, tau, tau_inv):
+def _reduce(x, memo, limit, refs):
     done = memo.get(x)
     if done is not None:
         return done
@@ -294,8 +299,8 @@ def _reduce(x, memo, limit, refs, tau, tau_inv):
             z = s * y * s
             ell_z = length(z)
             if ell_z < ell:
-                points, n_sys = _reduce(z, memo, limit, refs, tau, tau_inv)
-                more, n_sy = _reduce(s * y, memo, limit, refs, tau, tau_inv)
+                points, n_sys = _reduce(z, memo, limit, refs)
+                more, n_sy = _reduce(s * y, memo, limit, refs)
                 points = {**more, **points}
                 done = (points, len(walked) + n_sys + n_sy)
                 break
@@ -304,10 +309,6 @@ def _reduce(x, memo, limit, refs, tau, tau_inv):
                 walked.append(z)
         if done is not None:
             break
-        z = tau * y * tau_inv
-        if z not in seen:
-            seen.add(z)
-            walked.append(z)
         if limit is not None and len(walked) > limit:
             raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
     else:

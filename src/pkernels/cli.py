@@ -9,11 +9,11 @@ import ast
 import json
 import sys
 
-from . import affine, criterion
+from . import criterion
 from .affine import Element
-from .criterion import Bounds, ConventionManifest, __version__
+from .criterion import ConventionManifest, __version__
 from .errors import ConventionError, ResourceLimitError
-from .polygons import HodgeDatum, NewtonPolygon, enumerate_polygons, parse_polygon
+from .polygons import HodgeDatum, enumerate_polygons, parse_polygon
 from .semimodules import enumerate_cochar_block, enumerate_profiles
 
 __all__ = ['main', 'parse_element', 'format_element']
@@ -27,10 +27,10 @@ def parse_element(text: str) -> Element:
             continue
         key, _, val = part.partition('=')
         if key == 'perm':
-            perm = tuple(ast.literal_eval(val))
+            perm = _parse_perm(val)
         elif key == 'lam':
-            parsed = ast.literal_eval(val)
-            lam = tuple(parsed) if isinstance(parsed, (tuple, list)) else (parsed,)
+            parsed = _literal(val, 'lam')
+            lam = _ints(parsed if isinstance(parsed, (tuple, list)) else (parsed,), 'lam')
         else:
             raise ValueError('unknown element field %r' % key)
     if perm is None or lam is None:
@@ -67,8 +67,29 @@ def _add_field_args(p):
     p.add_argument('--ext', type=int, default=2)
 
 
+def _literal(text, what):
+    """ast.literal_eval, reporting malformed input as ValueError (exit 2)."""
+    try:
+        return ast.literal_eval(text)
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise ValueError('malformed %s: %r' % (what, text)) from exc
+
+
+def _ints(val, what):
+    if not isinstance(val, (tuple, list)) or not all(isinstance(v, int) for v in val):
+        raise ValueError('%s must be a list of integers, got %r' % (what, val))
+    return tuple(val)
+
+
 def _parse_perm(text):
-    return tuple(ast.literal_eval(text))
+    return _ints(_literal(text, 'permutation'), 'permutation')
+
+
+def _parse_probe(text):
+    parts = text.split(',')
+    if len(parts) != 2:
+        raise ValueError('probe must be "h,d", got %r' % text)
+    return tuple(int(v) for v in parts)
 
 
 def _build_parser():
@@ -107,11 +128,6 @@ def _build_parser():
     p = sub.add_parser('enumerate-polygons', help='all polygons of a stratum')
     p.add_argument('--height', type=int, required=True)
     p.add_argument('--dim', type=int, required=True)
-    p.add_argument('--out')
-
-    p = sub.add_parser('coset-product', help='support of a double coset product')
-    p.add_argument('--x', required=True)
-    p.add_argument('--y', required=True)
     p.add_argument('--out')
 
     p = sub.add_parser('oracle', help='matrix-level sampling and verification')
@@ -220,21 +236,6 @@ def _cmd_enumerate_polygons(args):
     return 0
 
 
-def _cmd_coset_product(args):
-    from . import cosets
-    x = parse_element(args.x)
-    y = parse_element(args.y)
-    supp = cosets.coset_product_support(x, y)
-    elems = sorted(supp, key=lambda e: (affine.length(e), e.lam, e.perm))
-    out = {
-        'x': x.to_dict(), 'y': y.to_dict(),
-        'support': [e.to_dict() for e in elems],
-        'lengths': [affine.length(e) for e in elems],
-    }
-    _emit(json.dumps(out, sort_keys=True, indent=2) + '\n', args.out)
-    return 0
-
-
 def _cmd_oracle_sample(args):
     import numpy as np
     from .shtuka import bt1_of, eo_classify, newton_polygon_of, sample_shtuka
@@ -265,7 +266,7 @@ def _cmd_calibrate(args):
     cfg = _field_from_args(args)
     probes = None
     if args.probe:
-        probes = [tuple(int(v) for v in p.split(',')) for p in args.probe]
+        probes = [_parse_probe(p) for p in args.probe]
     mani = criterion.calibrate(probes=probes, samples=args.count, seed=args.seed,
                                cfg=cfg, deg=args.degree,
                                sigma_trials=args.sigma_trials)
@@ -286,7 +287,6 @@ _DISPATCH = {
     'adlv': _cmd_adlv,
     'enumerate-cochars': _cmd_enumerate_cochars,
     'enumerate-polygons': _cmd_enumerate_polygons,
-    'coset-product': _cmd_coset_product,
     'calibrate': _cmd_calibrate,
 }
 

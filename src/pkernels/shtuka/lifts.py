@@ -131,7 +131,7 @@ class FiltrationData:
 
 
 def random_filtration_data(P: NewtonPolygon, cfg: FieldConfig, seed=None,
-                           rng=None, beginnings=None, density: float = 1.0) -> FiltrationData:
+                           rng=None, beginnings=None) -> FiltrationData:
     """Random beginnings (unless given) and uniform random free
     coefficients; the dual families are derived."""
     if rng is None:
@@ -157,10 +157,9 @@ def random_filtration_data(P: NewtonPolygon, cfg: FieldConfig, seed=None,
             fam, key = b, (i, j)
         row = {}
         for p2 in pairs[:upto]:
-            if density >= 1.0 or rng.random() < density:
-                v = int(rng.integers(0, cfg.q))
-                if v:
-                    row[p2] = v
+            v = int(rng.integers(0, cfg.q))
+            if v:
+                row[p2] = v
         if row:
             fam[key] = row
     return FiltrationData(P, tuple(beginnings), a, b, cfg)
@@ -204,11 +203,9 @@ def _operators(data: FiltrationData):
     return fmat, vmat
 
 
-def lift_from_filtration(data: FiltrationData, cfg: FieldConfig = None) -> LocalShtuka:
+def lift_from_filtration(data: FiltrationData) -> LocalShtuka:
     """The matrix datum of the filtered lift; raises if the exchange
     identities F·sigma(V) = V·sigma^{-1}(F) = t fail."""
-    if cfg is not None and cfg != data.cfg:
-        raise ValueError('coefficients were drawn from a different field')
     cfg = data.cfg
     fmat, vmat = _operators(data)
     h = fmat.shape[0]
@@ -237,11 +234,11 @@ def _block_slices(data: FiltrationData):
     return out
 
 
-def verify_lift(data: FiltrationData, cfg: FieldConfig = None) -> dict:
+def verify_lift(data: FiltrationData) -> dict:
     """Checks on the assembled lift: residue matches the direct assembly,
     block triangularity, diagonal blocks isoclinic, polygon recovered.
     Returns {name: bool}."""
-    sh = lift_from_filtration(data, cfg)
+    sh = lift_from_filtration(data)
     cfg = data.cfg
     out = {}
     Z = bt1_of(sh)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 Perm = tuple
 
 __all__ = [
-    'identity', 'is_permutation', 'compose', 'inverse', 'finite_length',
+    'identity', 'is_permutation', 'compose', 'inverse',
     'transposition', 'simple_pairs', 'longest_element', 'min_coset_reps',
     'all_permutations',
 ]
@@ -60,15 +60,6 @@ def inverse(w: Perm) -> Perm:
     for j, i in enumerate(w, start=1):
         out[i - 1] = j
     return tuple(out)
-
-
-def finite_length(w: Perm) -> int:
-    """Number of inversions, i.e. Coxeter length in adjacent transpositions.
-
-    >>> finite_length((1, 2, 3)), finite_length((3, 2, 1)), finite_length((2, 3, 1))
-    (0, 3, 2)
-    """
-    return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
 
 
 def transposition(h: int, a: int, b: int) -> Perm:

@@ -14,7 +14,7 @@ from math import comb, gcd
 import numpy as np
 import pytest
 
-from pkernels import affine, cosets, weyl
+from pkernels import affine, weyl
 from pkernels.affine import Element
 from pkernels.criterion import (adlv_nonempty, calibrate, incidence_table,
                                 lifts_to)
@@ -160,8 +160,8 @@ def test_acceptance_5_counting_law(capsys):
 
 
 def test_acceptance_6_lengths_match_matrix_geometry(capsys):
-    with _report(capsys, 6, 'length formula, orbit sizes, reduction, and '
-                 'coset supports all agree with explicit matrices'):
+    with _report(capsys, 6, 'length formula, orbit sizes and reduction all '
+                 'agree with explicit matrices'):
         cfg1 = field(2, 1)
         cfg = field(2, 2)
 
@@ -226,38 +226,6 @@ def test_acceptance_6_lengths_match_matrix_geometry(capsys):
                 assert got == x
                 count += 1
         assert count == 200
-
-        # computed coset supports are exactly witnessed by sampling:
-        # 500 products per pair, coefficients mod t^4
-        for h in (2, 3):
-            prng = np.random.default_rng([9108, h])
-            pairs = []
-            for _ in range(3):
-                lam = tuple(int(v) for v in prng.integers(-1, 2, size=h))
-                xp = tuple(int(v) for v in prng.permutation(h) + 1)
-                yp = tuple(int(v) for v in prng.permutation(h) + 1)
-                pairs.append((Element(lam, xp), Element((0,) * h, yp)))
-            pairs.append((affine.omega(h), affine.omega(h).inverse()))
-            for x, y in pairs:
-                supp = cosets.coset_product_support(x, y)
-                xm, sx = PM.pm_from_element(x)
-                ym, sy = PM.pm_from_element(y)
-                seen = set()
-                for tr in range(500):
-                    trng = np.random.default_rng([9109, h, tr])
-                    mx = PM.pm_mul(PM.pm_mul(random_iwahori(h, cfg1, 4, trng),
-                                             xm, cfg1),
-                                   random_iwahori(h, cfg1, 4, trng), cfg1)
-                    my = PM.pm_mul(PM.pm_mul(random_iwahori(h, cfg1, 4, trng),
-                                             ym, cfg1),
-                                   random_iwahori(h, cfg1, 4, trng), cfg1)
-                    prod = PM.pm_mul(mx, my, cfg1)
-                    w = iwahori_class_of(
-                        prod, cfg1, shift=sx + sy,
-                        expected_vdet=x.v_det() + y.v_det() + h * (sx + sy))
-                    assert w in supp, (x, y, w)
-                    seen.add(w)
-                assert seen == set(supp), (x, y, supp - seen)
 
 
 def test_acceptance_7_random_filtrations_lift(capsys):

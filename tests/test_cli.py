@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from pkernels import cosets
 from pkernels.affine import Element
 from pkernels.cli import format_element, main, parse_element
 from pkernels.criterion import ConventionManifest, default_manifest, incidence_table
@@ -58,6 +57,18 @@ def test_check_cell(capsys):
 def test_check_bad_polygon_exits_2(capsys):
     code, out, err = run(capsys, 'check', '--height', '2', '--dim', '1',
                          '--eo', '[2,1]', '--np', '2')
+    assert code == 2
+    assert 'error:' in err
+
+
+@pytest.mark.parametrize('argv', [
+    ('calibrate', '--probe', '2'),
+    ('check', '--height', '2', '--dim', '1', '--eo', '[2,1', '--np', '0,1'),
+    ('check', '--height', '2', '--dim', '1', '--eo', '5', '--np', '0,1'),
+    ('adlv', '--x', 'perm=[2,1;lam=(0,1)', '--np', '1/2x2'),
+], ids=['probe-one-number', 'eo-unclosed', 'eo-scalar', 'x-unclosed'])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert 'error:' in err
 
@@ -145,19 +156,6 @@ def test_enumerate_cochars_needs_exactly_one_source(capsys):
     assert code == 2
     code, _, err = run(capsys, 'enumerate-cochars', '--block', '1,1', '--np', '0,1')
     assert code == 2
-
-
-def test_coset_product(capsys):
-    code, out, err = run(capsys, 'coset-product',
-                         '--x', 'perm=[2,1];lam=(0,0)',
-                         '--y', 'perm=[2,1];lam=(0,0)')
-    assert code == 0
-    blob = json.loads(out)
-    got = {Element(tuple(e['lam']), tuple(e['perm'])) for e in blob['support']}
-    want = cosets.coset_product_support(Element((0, 0), (2, 1)),
-                                        Element((0, 0), (2, 1)))
-    assert got == set(want)
-    assert blob['lengths'] == sorted(blob['lengths'])
 
 
 def test_oracle_sample_jsonl(tmp_path, capsys):

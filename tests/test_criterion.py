@@ -5,15 +5,13 @@ import json
 
 import pytest
 
-from pkernels import affine, cosets, criterion, weyl
+from pkernels import affine, criterion, weyl
 from pkernels.affine import Element, length
 from pkernels.criterion import (Bounds, ConventionManifest, adlv_nonempty,
                                 calibrate, default_manifest, incidence_table,
                                 lifts_to, load_manifest, __version__)
 from pkernels.errors import ConventionError, ResourceLimitError
-from pkernels.polygons import (HodgeDatum, enumerate_polygons,
-                               eo_representative, parse_polygon)
-from pkernels.semimodules import enumerate_profiles, middle_element
+from pkernels.polygons import HodgeDatum, eo_representative, parse_polygon
 from pkernels.shtuka import bt1_of, eo_classify, minimal_shtuka, shtuka_from_element
 
 HD21 = HodgeDatum(2, 1)
@@ -109,22 +107,6 @@ def test_row_representatives_are_not_coset_minimal():
     assert x == affine.translation((1, 0))
     assert affine.simple_reflection(2, 1) * x == affine.omega(2)
     assert not _left_minimal(x)
-
-
-@pytest.mark.parametrize('h,d', [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
-def test_table_within_sandwich(h, d):
-    # the sandwich condition x_w in IyI·Iz_lam·I·Iy^{-1}I over the profiles
-    # of P is necessary for a nonempty cell
-    hd = HodgeDatum(h, d)
-    t = incidence_table(hd)
-    perms = weyl.all_permutations(h)
-    for P in enumerate_polygons(hd):
-        mids = [middle_element(prof, P) for prof in enumerate_profiles(P)]
-        for w in t.rows:
-            if t.cell(w, P):
-                target = eo_representative(hd, w)
-                assert any(cosets.sandwich_contains(target, y, z)
-                           for z in mids for y in perms), (w, str(P))
 
 
 def test_incidence_table_shape_and_cells(manifest):

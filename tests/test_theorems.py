@@ -1,9 +1,12 @@
 """Whole rows of the incidence tables against published theorems that the
 decision engine does not use."""
 
+from itertools import accumulate
+
 import pytest
 
-from pkernels.affine import length
+from pkernels.affine import (length, newton_point, omega, reduced_decomposition,
+                             simple_reflection)
 from pkernels.criterion import Bounds, incidence_table
 from pkernels.polygons import (HodgeDatum, enumerate_polygons, eo_representative,
                                polygon_from_slopes)
@@ -53,3 +56,54 @@ def test_mu_ordinary_row_is_the_ordinary_column(h):
         col = t.cols.index(ordinary)
         assert [c for c, v in zip(t.cols, t.values[top]) if v] == [ordinary], hd
         assert [w for w, row in zip(t.rows, t.values) if row[col]] == [t.rows[top]], hd
+
+
+def _bruhat_interval(x):
+    # subword property: y <= x exactly when y is the product of a subword
+    # of a reduced word of x, with the same power of omega
+    k, word = reduced_decomposition(x)
+    ys = {omega(x.h) ** k}
+    for i in word:
+        s = simple_reflection(x.h, i)
+        ys |= {y * s for y in ys}
+    return ys
+
+
+def _dominates(nu, mu):
+    # ascending slopes: the partial sums from the largest slope are >=,
+    # and the totals are equal
+    a, b = list(accumulate(reversed(nu))), list(accumulate(reversed(mu)))
+    return a[-1] == b[-1] and all(p >= q for p, q in zip(a, b))
+
+
+def _largest(points):
+    return [p for p in points if all(_dominates(p, q) for q in points)]
+
+
+def _generic_points_match(heights):
+    # Viehmann, "Newton strata in the loop group of a reductive group"
+    # (Amer. J. Math. 2013): the largest point of B(x) is the
+    # dominance-largest Newton point over the Bruhat interval y <= x, which
+    # is read off reduced_decomposition with no conjugation walk
+    rows = 0
+    for h in heights:
+        for d in range(h + 1):
+            hd = HodgeDatum(h, d)
+            t = incidence_table(hd, bounds=TO_7)
+            slopes = {str(P): P.slopes() for P in enumerate_polygons(hd)}
+            for w, row in zip(t.rows, t.values):
+                met = {slopes[c] for c, v in zip(t.cols, row) if v}
+                nus = {newton_point(y) for y in _bruhat_interval(eo_representative(hd, w))}
+                top = _largest(nus)
+                assert len(top) == 1, (hd, w)
+                assert _largest(met) == top, (hd, w)
+                rows += 1
+    return rows
+
+
+def test_generic_newton_point_is_the_largest_cell():
+    assert _generic_points_match(range(2, 7)) == 124
+
+
+def test_generic_newton_point_is_the_largest_cell_at_height_7():
+    assert _generic_points_match([7]) == 128
