@@ -11,7 +11,7 @@ import sys
 
 from . import criterion
 from .affine import Element
-from .criterion import ConventionManifest, __version__
+from .criterion import __version__
 from .errors import ConventionError, ResourceLimitError
 from .polygons import HodgeDatum, enumerate_polygons, parse_polygon
 from .semimodules import enumerate_cochar_block, enumerate_profiles
@@ -46,12 +46,6 @@ def format_element(x: Element) -> str:
 def _field_from_args(args):
     from .shtuka import field
     return field(args.prime, args.ext)
-
-
-def _manifest_from_args(args):
-    if getattr(args, 'manifest', None):
-        return ConventionManifest.load(args.manifest)
-    return criterion.load_manifest(None)
 
 
 def _emit(text, out):
@@ -104,20 +98,17 @@ def _build_parser():
     p.add_argument('--dim', type=int, required=True)
     p.add_argument('--eo', required=True, help='row permutation, e.g. [2,1]')
     p.add_argument('--np', required=True, help='polygon string, e.g. 1/2x2')
-    p.add_argument('--manifest')
     p.add_argument('--out')
 
     p = sub.add_parser('incidence', help='full table for a stratum')
     p.add_argument('--height', type=int, required=True)
     p.add_argument('--dim', type=int, required=True)
     p.add_argument('--format', choices=('csv', 'json'), default='csv')
-    p.add_argument('--manifest')
     p.add_argument('--out')
 
     p = sub.add_parser('adlv', help='whether I·x·I meets the stratum of a polygon')
     p.add_argument('--x', required=True, help='element, e.g. "perm=[2,1];lam=(0,1)"')
     p.add_argument('--np', required=True)
-    p.add_argument('--manifest')
     p.add_argument('--out')
 
     p = sub.add_parser('enumerate-cochars', help='cocharacters of a block or polygon')
@@ -168,8 +159,7 @@ def _cmd_check(args):
     hd = HodgeDatum(args.height, args.dim)
     P = parse_polygon(args.np)
     w = _parse_perm(args.eo)
-    mani = _manifest_from_args(args)
-    value, info = criterion.lifts_to(hd, w, P, mani, return_info=True)
+    value, info = criterion.lifts_to(hd, w, P, return_info=True)
     out = {
         'hodge': [hd.height, hd.dimension],
         'eo': list(w),
@@ -177,8 +167,7 @@ def _cmd_check(args):
         'value': bool(value),
         'witness': info['witness'],
         'searched': info['searched'],
-        'manifest': mani.to_dict(with_report=False),
-        'version': __version__,
+        'provenance': info['provenance'],
     }
     _emit(json.dumps(out, sort_keys=True, indent=2) + '\n', args.out)
     return 0
@@ -186,8 +175,7 @@ def _cmd_check(args):
 
 def _cmd_incidence(args):
     hd = HodgeDatum(args.height, args.dim)
-    mani = _manifest_from_args(args)
-    table = criterion.incidence_table(hd, mani)
+    table = criterion.incidence_table(hd)
     text = table.to_csv() if args.format == 'csv' else table.to_json()
     _emit(text, args.out)
     return 0
@@ -196,16 +184,14 @@ def _cmd_incidence(args):
 def _cmd_adlv(args):
     x = parse_element(args.x)
     P = parse_polygon(args.np)
-    mani = _manifest_from_args(args)
-    value, info = criterion.adlv_nonempty(x, P, mani, return_info=True)
+    value, info = criterion.adlv_nonempty(x, P, return_info=True)
     out = {
         'x': x.to_dict(),
         'np': str(P),
         'value': bool(value),
         'witness': info['witness'],
         'searched': info['searched'],
-        'manifest': mani.to_dict(with_report=False),
-        'version': __version__,
+        'provenance': info['provenance'],
     }
     _emit(json.dumps(out, sort_keys=True, indent=2) + '\n', args.out)
     return 0
@@ -267,15 +253,15 @@ def _cmd_calibrate(args):
     probes = None
     if args.probe:
         probes = [_parse_probe(p) for p in args.probe]
-    mani = criterion.calibrate(probes=probes, samples=args.count, seed=args.seed,
-                               cfg=cfg, deg=args.degree,
-                               sigma_trials=args.sigma_trials)
-    mani.save(args.out)
+    report = criterion.calibrate(probes=probes, samples=args.count, seed=args.seed,
+                                 cfg=cfg, deg=args.degree,
+                                 sigma_trials=args.sigma_trials)
+    _emit(json.dumps(report, sort_keys=True, indent=2) + '\n', args.out)
     summary = {
         'written': args.out,
-        'manifest': mani.to_dict(with_report=False),
-        'observed_cells': sum(map(len, mani.report['observed'].values())),
-        'sigma_classes': len(mani.report['sigma']['classes']),
+        'seed': report['seed'],
+        'observed_cells': sum(map(len, report['observed'].values())),
+        'sigma_classes': len(report['sigma']['classes']),
     }
     sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + '\n')
     return 0

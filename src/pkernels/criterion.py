@@ -9,12 +9,12 @@ affine.newton_strata lists every stratum I·x·I meets, so one reduction
 decides a whole row.
 
 calibrate checks these answers against the matrix oracle and raises on
-any disagreement; the manifest it returns records the evidence and
-travels with every table.
+any disagreement, and returns the evidence as a report.  Every answer
+carries a provenance record: the library version, the engine and the
+seed of the oracle check it was given, if any.
 """
 
 import json
-import sys
 from dataclasses import dataclass
 
 from . import affine, weyl
@@ -24,74 +24,14 @@ from .polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
                        eo_representative, hodge_of, mu_and_type, parse_polygon)
 from .semimodules import enumerate_profiles, middle_element
 
-__version__ = '0.2.0'
+__version__ = '0.3.0'
+
+ENGINE = 'deligne-lusztig-reduction'
 
 __all__ = [
-    'ConventionManifest', 'Bounds', 'IncidenceTable', 'default_manifest',
-    'load_manifest', 'lifts_to', 'adlv_nonempty', 'incidence_table',
-    'calibrate',
+    'Bounds', 'IncidenceTable', 'lifts_to', 'adlv_nonempty',
+    'incidence_table', 'calibrate',
 ]
-
-
-@dataclass(frozen=True)
-class ConventionManifest:
-    """The record of the oracle check, embedded in every output.
-
-    ``calibrated`` is True once calibrate has checked the engine against
-    the matrix oracle on ``probes``; ``report`` holds the evidence.  The
-    answers themselves never depend on the manifest.
-    """
-
-    calibrated: bool = False
-    library_version: str = __version__
-    probes: tuple = ()
-    report: dict = None
-
-    def __post_init__(self):
-        object.__setattr__(self, 'probes', tuple(tuple(p) for p in self.probes))
-
-    def to_dict(self, with_report: bool = True) -> dict:
-        out = {
-            'calibrated': self.calibrated,
-            'library_version': self.library_version,
-            'probes': [list(p) for p in self.probes],
-        }
-        if with_report and self.report is not None:
-            out['report'] = self.report
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> 'ConventionManifest':
-        return cls(
-            calibrated=bool(data.get('calibrated', False)),
-            library_version=data.get('library_version', __version__),
-            probes=tuple(tuple(p) for p in data.get('probes', ())),
-            report=data.get('report'),
-        )
-
-    def save(self, path):
-        with open(path, 'w') as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write('\n')
-
-    @classmethod
-    def load(cls, path) -> 'ConventionManifest':
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def default_manifest() -> ConventionManifest:
-    """The manifest of answers not yet checked against the oracle."""
-    return ConventionManifest()
-
-
-def load_manifest(path=None) -> ConventionManifest:
-    """Manifest from a file, or the unchecked default with a warning."""
-    if path is not None:
-        return ConventionManifest.load(path)
-    print('warning: no calibration manifest given; results are uncalibrated, not '
-          'checked against the matrix oracle (run `pkernels calibrate`)', file=sys.stderr)
-    return default_manifest()
 
 
 @dataclass(frozen=True)
@@ -130,38 +70,50 @@ def _require_stratum(hd: HodgeDatum, P: NewtonPolygon):
                          % (P, hd.height, hd.dimension))
 
 
-def _answer(x: Element, P: NewtonPolygon, bounds: Bounds, return_info: bool):
+def _provenance(check) -> dict:
+    """What produced an answer: this version, the engine, and the seed of
+    the calibrate() report ``check`` (None without one)."""
+    return {'version': __version__, 'engine': ENGINE,
+            'seed': check['seed'] if check else None}
+
+
+def _answer(x: Element, P: NewtonPolygon, check, bounds: Bounds, return_info: bool):
     points, explored = _strata(x, bounds or Bounds(), {})
     wit = _witness(points, P)
     if return_info:
-        return wit is not None, {'witness': wit, 'searched': explored}
+        return wit is not None, {'witness': wit, 'searched': explored,
+                                 'provenance': _provenance(check)}
     return wit is not None
 
 
-def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, manifest: ConventionManifest = None,
+def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
              bounds: Bounds = None, return_info: bool = False):
     """Whether the class of w meets the stratum of P, i.e. whether P is in
-    B(x_w).  With return_info, also the witness (None for an empty cell)
-    and the number of elements the reduction explored."""
+    B(x_w).  ``check`` is a report calibrate() returned, or None; it is
+    recorded, never consulted.  With return_info, also the witness (None
+    for an empty cell), the number of elements the reduction explored and
+    the provenance."""
     _require_stratum(hd, P)
-    return _answer(eo_representative(hd, w), P, bounds, return_info)
+    return _answer(eo_representative(hd, w), P, check, bounds, return_info)
 
 
-def adlv_nonempty(x: Element, P: NewtonPolygon, manifest: ConventionManifest = None,
+def adlv_nonempty(x: Element, P: NewtonPolygon, check: dict = None,
                   bounds: Bounds = None, return_info: bool = False):
     """Whether I·x·I meets the Newton stratum of P, i.e. whether the affine
     Deligne-Lusztig variety X_x(b_P) is nonempty (x must be minuscule of
-    the polygon's height and dimension)."""
+    the polygon's height and dimension).  ``check`` and return_info as
+    for lifts_to."""
     h, d = P.height, P.dimension
     if x.h != h or not affine.in_minuscule_double_coset(x, h, d):
         raise ValueError('x is not in the minuscule stratum of (%d, %d)' % (h, d))
-    return _answer(x, P, bounds, return_info)
+    return _answer(x, P, check, bounds, return_info)
 
 
 @dataclass(frozen=True)
 class IncidenceTable:
     """Full table of a stratum: rows are minimal coset representatives,
-    columns are Newton polygons, entries booleans."""
+    columns are Newton polygons, entries booleans.  ``provenance`` names
+    the version, the engine and the seed of the oracle check."""
 
     hodge: tuple
     rows: tuple
@@ -169,8 +121,7 @@ class IncidenceTable:
     values: tuple
     witnesses: dict
     searched: dict
-    manifest: dict
-    version: str = __version__
+    provenance: dict
 
     def cell(self, w, P) -> bool:
         i = self.rows.index(tuple(w))
@@ -179,8 +130,7 @@ class IncidenceTable:
 
     def to_json(self) -> str:
         out = {
-            'version': self.version,
-            'manifest': self.manifest,
+            'provenance': self.provenance,
             'hodge': list(self.hodge),
             'rows': [list(w) for w in self.rows],
             'cols': list(self.cols),
@@ -194,8 +144,7 @@ class IncidenceTable:
         import csv
         import io
         buf = io.StringIO()
-        buf.write('# pkernels %s\n' % self.version)
-        buf.write('# manifest: %s\n' % json.dumps(self.manifest, sort_keys=True))
+        buf.write('# provenance: %s\n' % json.dumps(self.provenance, sort_keys=True))
         wr = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator='\n')
         wr.writerow(['w\\P'] + list(self.cols))
         for w, row in zip(self.rows, self.values):
@@ -207,11 +156,12 @@ def _cell_key(w, P) -> str:
     return '%s|%s' % (json.dumps(list(w)), P)
 
 
-def incidence_table(hd: HodgeDatum, manifest: ConventionManifest = None,
+def incidence_table(hd: HodgeDatum, check: dict = None,
                     bounds: Bounds = None) -> IncidenceTable:
     """The full table of a stratum, one reduction per row.  Nonempty cells
-    carry their witness, empty ones the size of the exhausted reduction."""
-    manifest = manifest or default_manifest()
+    carry their witness, empty ones the size of the exhausted reduction.
+    ``check`` is a report calibrate() returned, or None; only its seed is
+    recorded, in the provenance."""
     bounds = bounds or Bounds()
     bounds.check_height(hd.height)
     _, pairs = mu_and_type(hd)
@@ -239,7 +189,7 @@ def incidence_table(hd: HodgeDatum, manifest: ConventionManifest = None,
         values=tuple(values),
         witnesses=witnesses,
         searched=searched,
-        manifest=manifest.to_dict(with_report=False),
+        provenance=_provenance(check),
     )
 
 
@@ -285,16 +235,17 @@ def _sigma_classes(P, cfg, seed, trials):
 
 def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
               deg: int = 2, sigma_trials: int = 200,
-              bounds: Bounds = None) -> ConventionManifest:
+              bounds: Bounds = None) -> dict:
     """Check the engine against ground truth and the matrix oracle.
 
     The four height-2 cells must match elliptic curves, every (class,
     polygon) pair the oracle samples on the probe strata must be a
     nonempty cell, and every Iwahori class reached by sigma-conjugating
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
-    must meet that polygon's stratum.  Raises ConventionError on any
-    disagreement; otherwise returns a calibrated manifest whose report
-    carries the evidence.
+    must meet that polygon's stratum.  Raises ResourceLimitError before
+    any sampling if a probe exceeds the height bound, and ConventionError
+    on any disagreement; otherwise returns the report of the evidence,
+    which lifts_to, adlv_nonempty and incidence_table accept as ``check``.
     """
     from .shtuka import field
     cfg = cfg or field(2, 2)
@@ -302,6 +253,8 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     if probes is None:
         probes = ((2, 1), (3, 1), (3, 2))
     probes = tuple(tuple(p) for p in probes)
+    for h, _ in probes:
+        bounds.check_height(h)
     if samples is None:
         samples = {p: (1000 if p == (2, 1) else 300) for p in probes}
     elif isinstance(samples, int):
@@ -330,7 +283,7 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     if violations:
         raise ConventionError('the reduction disagrees with the oracle: %s'
                               % json.dumps(violations, sort_keys=True))
-    report = {
+    return {
         'probes': [list(p) for p in probes],
         'samples': {str(list(p)): samples[p] for p in probes},
         'seed': seed,
@@ -346,4 +299,3 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
                         for x, c in classes.items()},
         },
     }
-    return ConventionManifest(calibrated=True, probes=probes, report=report)

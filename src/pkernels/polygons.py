@@ -8,7 +8,6 @@ mu = (1^d, 0^(h-d)).
 """
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,7 +112,7 @@ def format_polygon(P: NewtonPolygon) -> str:
     return ','.join(p.replace(' ', '') for p in parts)
 
 
-_TOKEN = re.compile(r'^([0-9]+(?:/[0-9]+)?)(?:x([0-9]+))?$')
+_TOKEN = re.compile(r'^([0-9]+(?:/0*[1-9][0-9]*)?)(?:x([0-9]+))?$')   # no zero denominator
 
 
 def parse_polygon(text: str) -> NewtonPolygon:

@@ -11,7 +11,7 @@ from ..polygons import HodgeDatum, mu_and_type, eo_representative
 from .. import weyl
 from .bt1 import eo_classify
 from .core import (bt1_of, newton_polygon_of, sample_shtuka,
-                   shtuka_from_element, LocalShtuka)
+                   shtuka_from_element)
 from .gf import FieldConfig
 from .reduction import iwahori_class_of, random_iwahori
 from . import polymat as PM

@@ -16,8 +16,8 @@ def cfg1():
 
 
 @pytest.fixture(scope='session')
-def manifest():
-    # shared calibrated manifest for criterion tests; the acceptance module
+def report():
+    # shared calibrate() report for criterion tests; the acceptance module
     # runs its own timed calibration with the full sample budget
     return calibrate(probes=((2, 1),), samples={(2, 1): 60}, sigma_trials=20)
 

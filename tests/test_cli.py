@@ -6,7 +6,7 @@ import pytest
 
 from pkernels.affine import Element
 from pkernels.cli import format_element, main, parse_element
-from pkernels.criterion import ConventionManifest, default_manifest, incidence_table
+from pkernels.criterion import calibrate, incidence_table
 from pkernels.polygons import HodgeDatum
 
 
@@ -44,14 +44,13 @@ def test_version_flag(capsys):
 def test_check_cell(capsys):
     code, out, err = run(capsys, 'check', '--height', '2', '--dim', '1',
                          '--eo', '[1,2]', '--np', '1/2x2')
-    assert code == 0
-    assert 'uncalibrated' in err   # no manifest given
+    assert code == 0 and err == ''
     blob = json.loads(out)
     assert blob['value'] is True
     assert blob['hodge'] == [2, 1]
     assert blob['np'] == '1/2x2'
     assert blob['witness']['y'] == {'perm': [2, 1], 'lam': [0, 1]}
-    assert blob['manifest']['calibrated'] is False
+    assert blob['provenance'] == incidence_table(HodgeDatum(2, 1)).provenance
 
 
 def test_check_bad_polygon_exits_2(capsys):
@@ -66,7 +65,9 @@ def test_check_bad_polygon_exits_2(capsys):
     ('check', '--height', '2', '--dim', '1', '--eo', '[2,1', '--np', '0,1'),
     ('check', '--height', '2', '--dim', '1', '--eo', '5', '--np', '0,1'),
     ('adlv', '--x', 'perm=[2,1;lam=(0,1)', '--np', '1/2x2'),
-], ids=['probe-one-number', 'eo-unclosed', 'eo-scalar', 'x-unclosed'])
+    ('check', '--height', '2', '--dim', '1', '--eo', '[2,1]', '--np', '1/0x2'),
+], ids=['probe-one-number', 'eo-unclosed', 'eo-scalar', 'x-unclosed',
+        'np-zero-denominator'])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -82,14 +83,10 @@ def test_check_writes_file(tmp_path, capsys):
     assert blob['value'] is False and blob['searched'] == 1
 
 
-def test_incidence_csv_matches_library(tmp_path, capsys):
-    mpath = tmp_path / 'm.json'
-    default_manifest().save(mpath)
-    code, out, err = run(capsys, 'incidence', '--height', '2', '--dim', '1',
-                         '--manifest', str(mpath))
-    assert code == 0
-    assert 'uncalibrated' not in err
-    assert out == incidence_table(HodgeDatum(2, 1), default_manifest()).to_csv()
+def test_incidence_csv_matches_library(capsys):
+    code, out, err = run(capsys, 'incidence', '--height', '2', '--dim', '1')
+    assert code == 0 and err == ''
+    assert out == incidence_table(HodgeDatum(2, 1)).to_csv()
 
 
 def test_incidence_json_format(capsys):
@@ -116,7 +113,9 @@ def test_adlv(capsys):
     code, out, err = run(capsys, 'adlv', '--x', 'perm=[1,2];lam=(1,0)',
                          '--np', '1/2x2')
     assert code == 0
-    assert json.loads(out)['value'] is False
+    blob = json.loads(out)
+    assert blob['value'] is False
+    assert blob['provenance'] == incidence_table(HodgeDatum(2, 1)).provenance
 
 
 def test_adlv_rejects_nonminuscule(capsys):
@@ -186,20 +185,18 @@ def test_oracle_verify(capsys):
     assert all(blob['checks'].values()) or blob['checks']
 
 
-def test_calibrate_writes_manifest_used_by_incidence(tmp_path, capsys):
+def test_calibrate_writes_report(tmp_path, capsys):
     dest = tmp_path / 'cal.json'
     code, out, err = run(capsys, 'calibrate', '--probe', '2,1', '--count', '20',
                          '--sigma-trials', '4', '--out', str(dest))
     assert code == 0
     summary = json.loads(out)
+    assert set(summary) == {'written', 'seed', 'observed_cells', 'sigma_classes'}
     assert summary['written'] == str(dest)
-    assert summary['manifest']['calibrated'] is True
+    assert summary['seed'] == 20240801
     assert summary['observed_cells'] >= 1
     assert summary['sigma_classes'] >= 1
-    m = ConventionManifest.load(dest)
-    assert m.calibrated is True
-    code2, out2, err2 = run(capsys, 'incidence', '--height', '2', '--dim', '1',
-                            '--manifest', str(dest))
-    assert code2 == 0
-    assert 'uncalibrated' not in err2
-    assert '# manifest: ' in out2
+    report = json.loads(dest.read_text())
+    assert report == calibrate(probes=((2, 1),), samples=20, sigma_trials=4)
+    # the written report is a check the library records
+    assert incidence_table(HodgeDatum(2, 1), report).provenance['seed'] == 20240801

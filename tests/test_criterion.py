@@ -1,4 +1,4 @@
-"""The incidence engine: cells, tables, manifests, the oracle check."""
+"""The incidence engine: cells, tables, provenance, the oracle check."""
 
 import itertools
 import json
@@ -7,9 +7,8 @@ import pytest
 
 from pkernels import affine, criterion, weyl
 from pkernels.affine import Element, length
-from pkernels.criterion import (Bounds, ConventionManifest, adlv_nonempty,
-                                calibrate, default_manifest, incidence_table,
-                                lifts_to, load_manifest, __version__)
+from pkernels.criterion import (ENGINE, Bounds, adlv_nonempty, calibrate,
+                                incidence_table, lifts_to, __version__)
 from pkernels.errors import ConventionError, ResourceLimitError
 from pkernels.polygons import HodgeDatum, eo_representative, parse_polygon
 from pkernels.shtuka import bt1_of, eo_classify, minimal_shtuka, shtuka_from_element
@@ -109,8 +108,8 @@ def test_row_representatives_are_not_coset_minimal():
     assert not _left_minimal(x)
 
 
-def test_incidence_table_shape_and_cells(manifest):
-    t = incidence_table(HD21, manifest)
+def test_incidence_table_shape_and_cells(report):
+    t = incidence_table(HD21, report)
     assert t.rows == ((1, 2), (2, 1))
     assert t.cols == ('0,1', '1/2x2')
     assert t.values == ((False, True), (True, False))
@@ -123,36 +122,51 @@ def test_five_two_cell_count():
     assert sum(map(sum, t.values)) == 11
 
 
-def test_incidence_table_serialization(manifest):
-    t = incidence_table(HD21, manifest)
+def test_incidence_table_serialization(report):
+    t = incidence_table(HD21, report)
     blob = json.loads(t.to_json())
+    assert set(blob) == {'provenance', 'hodge', 'rows', 'cols', 'values',
+                         'witnesses', 'searched'}
     assert blob['hodge'] == [2, 1]
-    assert blob['version'] == __version__
-    assert blob['manifest'] == manifest.to_dict(with_report=False)
-    assert blob['manifest']['calibrated'] is True
+    assert blob['provenance'] == t.provenance
     assert blob['values'] == [[False, True], [True, False]]
     assert set(blob['witnesses']) == {'[1, 2]|1/2x2', '[2, 1]|0,1'}
     assert set(blob['searched']) == {'[1, 2]|0,1', '[2, 1]|1/2x2'}
     csv_text = t.to_csv()
     lines = csv_text.strip().split('\n')
-    assert lines[0].startswith('# pkernels ')
-    assert lines[1].startswith('# manifest: ')
-    assert lines[2].split(',')[0] == 'w\\P'
-    assert lines[3].endswith('0,1')   # [1,2] row: ordinary no, half-slope yes
-    assert lines[4].endswith('1,0')   # [2,1] row: ordinary yes, half-slope no
-    m2 = ConventionManifest.from_dict(json.loads(lines[1][len('# manifest: '):]))
-    assert m2 == ConventionManifest(calibrated=True, probes=manifest.probes)
+    assert lines[0].startswith('# provenance: ')
+    assert json.loads(lines[0][len('# provenance: '):]) == t.provenance
+    assert lines[1].split(',')[0] == 'w\\P'
+    assert lines[2].endswith('0,1')   # [1,2] row: ordinary no, half-slope yes
+    assert lines[3].endswith('1,0')   # [2,1] row: ordinary yes, half-slope no
 
 
-def test_table_determinism(manifest):
-    a = incidence_table(HodgeDatum(3, 1), manifest)
-    b = incidence_table(HodgeDatum(3, 1), manifest)
+def test_provenance_records_the_check_seed(report):
+    checked, plain = incidence_table(HD21, report), incidence_table(HD21)
+    assert checked.provenance == {'version': __version__, 'engine': ENGINE,
+                                  'seed': report['seed']}
+    assert plain.provenance == {'version': __version__, 'engine': ENGINE, 'seed': None}
+    _, info = lifts_to(HD21, (1, 2), SS, report, return_info=True)
+    assert info['provenance'] == checked.provenance
+    _, info = adlv_nonempty(Element((1, 0), (2, 1)), SS, return_info=True)
+    assert info['provenance'] == plain.provenance
+
+
+def test_check_never_changes_an_answer(report):
+    for hd in _strata(5):
+        a, b = incidence_table(hd, report), incidence_table(hd)
+        assert (a.values, a.witnesses, a.searched) == (b.values, b.witnesses, b.searched), hd
+
+
+def test_table_determinism(report):
+    a = incidence_table(HodgeDatum(3, 1), report)
+    b = incidence_table(HodgeDatum(3, 1), report)
     assert a.to_json() == b.to_json()
 
 
 @pytest.mark.parametrize('h,d', [(3, 1), (3, 2)])
-def test_small_tables_cover_rows_and_columns(manifest, h, d):
-    t = incidence_table(HodgeDatum(h, d), manifest)
+def test_small_tables_cover_rows_and_columns(report, h, d):
+    t = incidence_table(HodgeDatum(h, d), report)
     for i, w in enumerate(t.rows):
         assert any(t.values[i]), ('row', w)
     for j, col in enumerate(t.cols):
@@ -195,30 +209,12 @@ def test_bounds_support_guard():
         incidence_table(hd, bounds=Bounds(max_support=29))
 
 
-def test_manifest_roundtrip(tmp_path, manifest):
-    for m in (default_manifest(), manifest):
-        p = tmp_path / 'manifest.json'
-        m.save(p)
-        assert ConventionManifest.load(p) == m
-        assert ConventionManifest.from_dict(m.to_dict()) == m
-    assert set(default_manifest().to_dict()) == {'calibrated', 'library_version', 'probes'}
-
-
-def test_load_manifest_default_warns(capsys):
-    m = load_manifest(None)
-    err = capsys.readouterr().err
-    assert 'calibrat' in err
-    assert m.calibrated is False
-
-
-def test_calibrate_selection_and_report(manifest):
-    # session manifest comes from a real calibration run on (2, 1)
-    assert manifest.calibrated is True
-    assert manifest.probes == ((2, 1),)
-    rep = manifest.report
-    assert rep['samples'] == {'[2, 1]': 60}
-    assert [c[3] for c in rep['ground_truth']] == [True, True, False, False]
-    sig = rep['sigma']
+def test_calibrate_selection_and_report(report):
+    # the session report comes from a real calibration run on (2, 1)
+    assert report['probes'] == [[2, 1]]
+    assert report['samples'] == {'[2, 1]': 60}
+    assert [c[3] for c in report['ground_truth']] == [True, True, False, False]
+    sig = report['sigma']
     assert sig['np'] == '1/2x2'
     assert sig['trials'] == 2 * 20          # two middle elements of 1/2x2
     assert sum(sig['classes'].values()) == sig['trials']
@@ -227,11 +223,11 @@ def test_calibrate_selection_and_report(manifest):
         assert adlv_nonempty(x, SS) is True
 
 
-def test_calibrate_observes_only_true_cells(manifest):
+def test_calibrate_observes_only_true_cells(report):
     # every (class, polygon) pair the sampler produced must be a nonempty
     # cell; calibrate enforced that, so re-check one stratum here
-    obs = manifest.report['observed']['[2, 1]']
-    t = incidence_table(HD21, manifest)
+    obs = report['observed']['[2, 1]']
+    t = incidence_table(HD21, report)
     for key, count in obs.items():
         wtxt, ptxt = key.split('|')
         assert count > 0
@@ -241,10 +237,18 @@ def test_calibrate_observes_only_true_cells(manifest):
 def test_calibrate_multi_probe():
     m = calibrate(probes=((2, 1), (3, 1)), samples={(2, 1): 20, (3, 1): 12},
                   sigma_trials=4)
-    assert m.calibrated is True
-    assert set(m.report['observed']) == {'[2, 1]', '[3, 1]'}
-    assert m.probes == ((2, 1), (3, 1))
-    assert m.report['sigma']['trials'] == 8
+    assert set(m['observed']) == {'[2, 1]', '[3, 1]'}
+    assert m['probes'] == [[2, 1], [3, 1]]
+    assert m['sigma']['trials'] == 8
+
+
+def test_calibrate_checks_height_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError('sampled a probe above the height bound')
+
+    monkeypatch.setattr(criterion, '_observe', no_sampling)
+    with pytest.raises(ResourceLimitError):
+        calibrate(probes=((7, 3),))
 
 
 def test_calibrate_raises_on_disagreement(monkeypatch):
@@ -264,4 +268,3 @@ def test_calibrate_determinism():
     a = calibrate(probes=((2, 1),), samples={(2, 1): 30}, sigma_trials=8)
     b = calibrate(probes=((2, 1),), samples={(2, 1): 30}, sigma_trials=8)
     assert a == b
-    assert a.to_dict(with_report=True) == b.to_dict(with_report=True)

@@ -1,13 +1,12 @@
 """Lifting filtration data to characteristic-zero-style module lattices."""
 
-import numpy as np
 import pytest
 
 from pkernels.polygons import HodgeDatum, enumerate_polygons, parse_polygon, x_of_polygon
 from pkernels.semimodules import cochar_to_beginning, enumerate_cochar_block
-from pkernels.shtuka import (FiltrationData, bt1_of, eo_classify, field,
-                             lift_from_filtration, newton_polygon_of,
-                             random_filtration_data, verify_lift)
+from pkernels.shtuka import (FiltrationData, bt1_of, lift_from_filtration,
+                             newton_polygon_of, random_filtration_data,
+                             verify_lift)
 from pkernels.shtuka import polymat as PM
 from pkernels.shtuka.lifts import pair_basis, residue_of_filtration
 

@@ -45,7 +45,7 @@ def test_dict_roundtrip():
 
 
 def test_parse_errors():
-    for s in ('2', '3/2x2', '1/2', '0x0', '', 'x2', '1/2x3'):
+    for s in ('2', '3/2x2', '1/2', '0x0', '', 'x2', '1/2x3', '1/0', '1/0x2'):
         with pytest.raises(ValueError):
             parse_polygon(s)
 

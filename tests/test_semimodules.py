@@ -11,7 +11,7 @@ import pytest
 
 from pkernels import affine
 from pkernels.affine import Element
-from pkernels.polygons import HodgeDatum, parse_polygon, x_of_polygon
+from pkernels.polygons import parse_polygon
 from pkernels.semimodules import (
     CocharacterProfile, SemimoduleBeginning, beginning_to_cochar,
     cochar_to_beginning, enumerate_cochar_block, enumerate_profiles, eta_of,
