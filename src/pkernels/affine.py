@@ -20,6 +20,7 @@ Newton strata meet a double coset I·x·I.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .errors import ConventionError, ResourceLimitError
 __all__ = [
     'Element', 'identity', 'from_perm', 'translation', 'simple_reflection',
     'omega', 'length', 'reduced_decomposition', 'in_minuscule_double_coset',
-    'translation_conjugate', 'newton_point', 'newton_strata',
+    'translation_conjugate', 'newton_point', 'min_length', 'newton_strata',
 ]
 
 
@@ -151,7 +152,7 @@ def omega(h: int) -> Element:
     return Element(lam, perm)
 
 
-# memo for length(); cleared when full (a full h = 6 sweep stores 3191)
+# memo for length(); cleared when full (the (6, d) tables, d = 0…6, store 192)
 _LENGTH_CACHE_MAX = 1 << 15
 _length_cache = {}
 
@@ -235,6 +236,21 @@ def translation_conjugate(x: Element, lam) -> Element:
 
 # ------------------------------------------------------------- reduction
 
+def _cycle_sums(x: Element) -> list:
+    """(sum of lam over C, |C|) for each cycle C of the permutation."""
+    seen = set()
+    out = []
+    for j in range(1, x.h + 1):
+        cycle = []
+        while j not in seen:
+            seen.add(j)
+            cycle.append(x.lam[j - 1])
+            j = x.perm[j - 1]
+        if cycle:
+            out.append((sum(cycle), len(cycle)))
+    return out
+
+
 def newton_point(x: Element) -> tuple:
     """ν(x), the Newton point of x as ascending slopes.
 
@@ -244,17 +260,30 @@ def newton_point(x: Element) -> tuple:
     >>> newton_point(Element((0, 1), (2, 1)))
     (Fraction(1, 2), Fraction(1, 2))
     """
-    seen = set()
-    slopes = []
-    for j in range(1, x.h + 1):
-        cycle = []
-        while j not in seen:
-            seen.add(j)
-            cycle.append(j)
-            j = x.perm[j - 1]
-        if cycle:
-            slopes += [Fraction(sum(x.lam[i - 1] for i in cycle), len(cycle))] * len(cycle)
-    return tuple(sorted(slopes))
+    return tuple(sorted(Fraction(s, n) for s, n in _cycle_sums(x) for _ in range(n)))
+
+
+def min_length(x: Element) -> int:
+    """The minimal length in the conjugacy class of x, in closed form.
+
+    With S_C the sum of lam over a cycle C of the permutation,
+
+        ℓ_min(x) = Σ_{C<C'} |S_C·|C'| − S_C'·|C|| + Σ_C (gcd(S_C, |C|) − 1).
+
+    The first sum is ⟨ν, 2ρ⟩ = Σ_{i<j} |ν_i − ν_j|, the length of a
+    straight element of the class (He, Ann. Math. 2014).  A cycle of
+    slope a/b in lowest terms is a |C|/b-cycle in the Weyl group of the
+    centraliser of ν, whose minimal length is |C|/b − 1 = gcd(S_C, |C|) − 1
+    (He–Nie, Compositio 2014).
+
+    >>> min_length(Element((1, 0), (2, 1))), min_length(translation((1, 0)))
+    (0, 1)
+    """
+    cycles = _cycle_sums(x)
+    total = sum(math.gcd(s, n) - 1 for s, n in cycles)
+    for (s, n), (t, m) in itertools.combinations(cycles, 2):
+        total += abs(s * m - t * n)
+    return total
 
 
 def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
@@ -262,10 +291,13 @@ def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
     Deligne–Lusztig reduction (He, Ann. Math. 2014; He–Nie, Compositio
     2014).
 
-    The class of x under length-preserving conjugation by s_0, ..., s_{h-1}
-    is walked.  If some y in it has length(s·y·s) = length(y) - 2, then
-    B(x) = B(s·y·s) ∪ B(s·y).  Otherwise x has minimal length in its
-    conjugacy class and B(x) = {ν(x)}.
+    If length(x) = min_length(x), x has minimal length in its conjugacy
+    class and B(x) = {ν(x)}.  Otherwise the class of x under
+    length-preserving conjugation by s_0, ..., s_{h-1} is walked until
+    some y in it has length(s·y·s) = length(y) - 2; then
+    B(x) = B(s·y·s) ∪ B(s·y).  Such a y exists for every x above the
+    minimum (He–Nie), so a walk that ends without one raises
+    ConventionError: every call checks the closed form in that direction.
 
     Conjugation by omega need not be walked: omega has length 0,
     normalises I and conjugates s_i to s_{i-1 mod h}, so
@@ -275,8 +307,9 @@ def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
 
     Returns (points, explored): points maps each Newton point to the
     minimal-length element at which the reduction reached it, and explored
-    counts the elements of the reduction tree.  Calls that share a memo
-    dict share their subtrees; the answers do not depend on it.  Raises
+    counts the reduction tree: one per leaf, and per inner node the
+    elements walked until its drop.  Calls that share a memo dict share
+    their subtrees; the answers do not depend on it.  Raises
     ResourceLimitError when a tree exceeds ``limit`` elements.
 
     >>> sorted(newton_strata(Element((1, 0), (2, 1)))[0])
@@ -289,9 +322,20 @@ def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
 
 def _reduce(x, memo, limit, refs):
     done = memo.get(x)
-    if done is not None:
-        return done
-    ell = length(x)
+    if done is None:
+        ell = length(x)
+        if ell == min_length(x):
+            done = ({newton_point(x): x}, 1)
+        else:
+            done = _drop(x, ell, memo, limit, refs)
+        if limit is not None and done[1] > limit:
+            raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
+        memo[x] = done
+    return done
+
+
+def _drop(x, ell, memo, limit, refs):
+    # walk the length-preserving class of x up to its first drop
     walked = [x]
     seen = {x}
     for y in walked:
@@ -301,19 +345,11 @@ def _reduce(x, memo, limit, refs):
             if ell_z < ell:
                 points, n_sys = _reduce(z, memo, limit, refs)
                 more, n_sy = _reduce(s * y, memo, limit, refs)
-                points = {**more, **points}
-                done = (points, len(walked) + n_sys + n_sy)
-                break
+                return {**more, **points}, len(walked) + n_sys + n_sy
             if ell_z == ell and z not in seen:
                 seen.add(z)
                 walked.append(z)
-        if done is not None:
-            break
         if limit is not None and len(walked) > limit:
             raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
-    else:
-        done = ({newton_point(x): x}, len(walked))
-    if limit is not None and done[1] > limit:
-        raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
-    memo[x] = done
-    return done
+    raise ConventionError('%r has length %d above the minimal length %d of its class, '
+                          'but its class has no drop' % (x, ell, min_length(x)))

@@ -1,7 +1,7 @@
 r"""Command line interface.
 
-Exit codes: 0 success, 2 validation error (bad arguments or
-incompatible inputs), 3 resource limit exceeded.
+Exit codes: 0 success, 2 validation error (bad arguments, incompatible
+inputs or an unwritable --out), 3 resource limit exceeded.
 """
 
 import argparse
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print('resource limit: %s' % exc, file=sys.stderr)
         return 3
-    except (ValueError, ConventionError) as exc:
+    except (ValueError, ConventionError, OSError) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
 

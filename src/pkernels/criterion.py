@@ -243,9 +243,10 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     nonempty cell, and every Iwahori class reached by sigma-conjugating
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
     must meet that polygon's stratum.  Raises ResourceLimitError before
-    any sampling if a probe exceeds the height bound, and ConventionError
-    on any disagreement; otherwise returns the report of the evidence,
-    which lifts_to, adlv_nonempty and incidence_table accept as ``check``.
+    any sampling if a probe exceeds the height bound, ValueError if a
+    sample or trial count is below one, and ConventionError on any
+    disagreement; otherwise returns the report of the evidence, which
+    lifts_to, adlv_nonempty and incidence_table accept as ``check``.
     """
     from .shtuka import field
     cfg = cfg or field(2, 2)
@@ -259,6 +260,9 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
         samples = {p: (1000 if p == (2, 1) else 300) for p in probes}
     elif isinstance(samples, int):
         samples = {p: samples for p in probes}
+    if sigma_trials < 1 or min(samples[p] for p in probes) < 1:
+        raise ValueError('calibrate needs at least one sample per probe and one sigma '
+                         'trial, got samples=%r, sigma_trials=%r' % (samples, sigma_trials))
 
     violations = []
     for hdt, w, ps, expect in KNOWN_CELLS:

@@ -114,7 +114,8 @@ def min_coset_reps(h: int, subset: Iterable) -> list:
     lexicographic order.
 
     w is minimal in W_I·w iff w^{-1}(i) < w^{-1}(i+1) for every swap
-    (i, i+1) in I.
+    (i, i+1) in I, i.e. iff each run [a, b] of I fills its positions in w
+    in increasing order; so each rep is a choice of positions per run.
 
     >>> min_coset_reps(2, set())
     [(1, 2), (2, 1)]
@@ -124,12 +125,12 @@ def min_coset_reps(h: int, subset: Iterable) -> list:
     subset = set(subset)
     if not subset <= simple_pairs(h):
         raise ValueError('not a set of simple reflections of S_%d' % h)
-    reps = []
-    for w in itertools.permutations(range(1, h + 1)):
-        wi = inverse(w)
-        if all(wi[i - 1] < wi[j - 1] for (i, j) in subset):
-            reps.append(w)
-    return reps
+    # taken[v-1] is the position w^{-1}(v) - 1, chosen run by run
+    placed = [()]
+    for a, b in _runs(h, subset):
+        placed = [taken + pos for taken in placed for pos in itertools.combinations(
+            [p for p in range(h) if p not in taken], b - a + 1)]
+    return sorted(inverse(tuple(p + 1 for p in taken)) for taken in placed)
 
 
 def all_permutations(h: int) -> list:

@@ -8,6 +8,7 @@ length-zero elements.
 """
 
 import doctest
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 
 from pkernels import affine, weyl
 from pkernels.affine import Element
-from pkernels.errors import ResourceLimitError
+from pkernels.errors import ConventionError, ResourceLimitError
+from pkernels.polygons import HodgeDatum, eo_representative, mu_and_type
 
 
 def test_doctests():
@@ -309,3 +311,124 @@ def test_newton_strata_memo_and_limit():
     assert affine.newton_strata(big, limit=n)[1] == n
     with pytest.raises(ResourceLimitError):
         affine.newton_strata(big, limit=n - 1)
+
+
+# ------------------------------------------- minimal length, closed form
+
+def _reference_class(x):
+    """The full walk of the class of x under length-preserving conjugation
+    by the simple reflections: (members walked, whether one drops).  The
+    walk stops at the first drop; a class without one is walked whole."""
+    ell = affine.length(x)
+    walked, seen = [x], {x}
+    for y in walked:
+        for s in _cyclic_shifts(y):
+            z = s * y * s
+            ell_z = affine.length(z)
+            if ell_z < ell:
+                return walked, True
+            if ell_z == ell and z not in seen:
+                seen.add(z)
+                walked.append(z)
+    return walked, False
+
+
+def _reference_strata(x, memo):
+    """B(x) by the full class walk, with the witnesses newton_strata picks."""
+    if x not in memo:
+        walked, drops = _reference_class(x)
+        points = {affine.newton_point(x): x}
+        if drops:
+            for y in walked:
+                s = next((s for s in _cyclic_shifts(y)
+                          if affine.length(s * y * s) < affine.length(y)), None)
+                if s is not None:
+                    points = {**_reference_strata(s * y, memo),
+                              **_reference_strata(s * y * s, memo)}
+                    break
+        memo[x] = points
+    return memo[x]
+
+
+def _min_length_by_slopes(x):
+    # ⟨ν, 2ρ⟩ + Σ_C (|C|/b_C − 1), b_C the denominator of the slope of C
+    nu = affine.newton_point(x)
+    total = sum(abs(a - b) for a, b in itertools.combinations(nu, 2))
+    for s, n in affine._cycle_sums(x):
+        total += n // Fraction(s, n).denominator - 1
+    return total
+
+
+def _all_strata(max_h):
+    for h in range(1, max_h + 1):
+        for d in range(h + 1):
+            hd = HodgeDatum(h, d)
+            _, pairs = mu_and_type(hd)
+            yield hd, [eo_representative(hd, w) for w in weyl.min_coset_reps(h, pairs)]
+
+
+def test_min_length_pinned():
+    assert affine.min_length(affine.omega(4)) == 0
+    assert affine.min_length(affine.from_perm((2, 3, 1))) == 2       # a 3-cycle of S_3
+    assert affine.min_length(affine.from_perm((2, 1, 4, 3))) == 2
+    assert affine.min_length(Element((1, -1), (2, 1))) == 1          # slope 0 on a 2-cycle
+    assert affine.min_length(affine.translation((2, 0, 1))) == 4     # ⟨ν, 2ρ⟩ = 1 + 1 + 2
+
+
+def test_min_length_is_a_class_function_below_length():
+    # it agrees with the slope form, never exceeds the length, and is the
+    # same on conjugates by s_i, omega and translations
+    for trial in range(300):
+        rng = np.random.default_rng([32, trial])
+        h = int(rng.integers(1, 7))
+        x = _random_element(rng, h, spread=3)
+        m = affine.min_length(x)
+        assert m == _min_length_by_slopes(x) <= affine.length(x)
+        conj = [affine.omega(h) * x * affine.omega(h).inverse(),
+                affine.translation_conjugate(x, tuple(int(v) for v in rng.integers(-2, 3, size=h)))]
+        conj += [s * x * s for s in _cyclic_shifts(x)]
+        assert all(affine.min_length(y) == m for y in conj)
+
+
+def test_min_length_decides_drops_on_every_reached_element():
+    # every element the reduction reaches in a stratum with h <= 7, and
+    # every member of its class, is terminal by the closed form exactly
+    # when the full walk finds no drop
+    for hd, xs in _all_strata(7):
+        memo = {}
+        for x in xs:
+            affine.newton_strata(x, memo)
+        for x in memo:
+            walked, drops = _reference_class(x)
+            for y in walked:
+                assert (affine.length(y) == affine.min_length(y)) is not drops, (hd, y)
+
+
+def test_min_length_decides_drops_on_random_elements():
+    terminal = 0
+    for h in range(1, 8):
+        for k in range(300):
+            x = _random_element(np.random.default_rng([33, h, k]), h, spread=3)
+            _, drops = _reference_class(x)
+            assert (affine.length(x) == affine.min_length(x)) is not drops, x
+            terminal += not drops
+    assert 0 < terminal < 2100
+
+
+def test_newton_strata_match_the_full_walk():
+    # same points and same witnesses as the reduction that walks every class
+    for hd, xs in _all_strata(6):
+        memo = {}
+        for x in xs:
+            assert affine.newton_strata(x)[0] == _reference_strata(x, memo), (hd, x)
+
+
+def test_reduction_raises_when_min_length_is_too_low(monkeypatch):
+    # a class the closed form puts above its minimum must drop; the walk
+    # checks that and raises when it finds no drop
+    real = affine.min_length
+    x = affine.translation((1, 0, 0))
+    assert affine.length(x) == real(x) == 2
+    monkeypatch.setattr(affine, 'min_length', lambda y: real(y) - 2)
+    with pytest.raises(ConventionError, match='no drop'):
+        affine.newton_strata(x)

@@ -66,8 +66,13 @@ def test_check_bad_polygon_exits_2(capsys):
     ('check', '--height', '2', '--dim', '1', '--eo', '5', '--np', '0,1'),
     ('adlv', '--x', 'perm=[2,1;lam=(0,1)', '--np', '1/2x2'),
     ('check', '--height', '2', '--dim', '1', '--eo', '[2,1]', '--np', '1/0x2'),
+    ('calibrate', '--probe', '2,1', '--count', '0', '--sigma-trials', '0'),
+    ('calibrate', '--probe', '2,1', '--count', '-3', '--sigma-trials', '1'),
+    ('check', '--height', '2', '--dim', '1', '--eo', '[2,1]', '--np', '0,1',
+     '--out', '/nonexistent/dir/c.json'),
 ], ids=['probe-one-number', 'eo-unclosed', 'eo-scalar', 'x-unclosed',
-        'np-zero-denominator'])
+        'np-zero-denominator', 'calibrate-no-samples', 'calibrate-negative-count',
+        'out-unwritable'])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -200,13 +200,13 @@ def test_bounds_height_guard():
 
 
 def test_bounds_support_guard():
-    # the (5, 2) row (3, 4, 1, 5, 2) explores 30 elements, the most of its table
-    hd, w, P = HodgeDatum(5, 2), (3, 4, 1, 5, 2), parse_polygon('2/5x5')
-    assert lifts_to(hd, w, P, bounds=Bounds(max_support=30), return_info=True)[1]['searched'] == 30
+    # the (5, 2) row (1, 3, 4, 2, 5) explores 5 elements, the most of its table
+    hd, w, P = HodgeDatum(5, 2), (1, 3, 4, 2, 5), parse_polygon('2/5x5')
+    assert lifts_to(hd, w, P, bounds=Bounds(max_support=5), return_info=True)[1]['searched'] == 5
     with pytest.raises(ResourceLimitError):
-        lifts_to(hd, w, P, bounds=Bounds(max_support=29))
+        lifts_to(hd, w, P, bounds=Bounds(max_support=4))
     with pytest.raises(ResourceLimitError):
-        incidence_table(hd, bounds=Bounds(max_support=29))
+        incidence_table(hd, bounds=Bounds(max_support=4))
 
 
 def test_calibrate_selection_and_report(report):
@@ -249,6 +249,19 @@ def test_calibrate_checks_height_before_sampling(monkeypatch):
     monkeypatch.setattr(criterion, '_observe', no_sampling)
     with pytest.raises(ResourceLimitError):
         calibrate(probes=((7, 3),))
+
+
+@pytest.mark.parametrize('samples, sigma_trials', [
+    (0, 0), (0, 4), ({(2, 1): 20, (3, 1): 0}, 4), (20, 0), (-3, 1),
+])
+def test_calibrate_rejects_empty_checks(monkeypatch, samples, sigma_trials):
+    # a check with no oracle evidence is refused before any sampling
+    def no_sampling(*args):
+        raise AssertionError('sampled for an empty check')
+
+    monkeypatch.setattr(criterion, '_observe', no_sampling)
+    with pytest.raises(ValueError, match='at least one'):
+        calibrate(probes=((2, 1), (3, 1)), samples=samples, sigma_trials=sigma_trials)
 
 
 def test_calibrate_raises_on_disagreement(monkeypatch):

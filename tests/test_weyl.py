@@ -86,6 +86,25 @@ def test_min_coset_reps_sorted():
         assert list(reps) == sorted(reps)
 
 
+def _brute_min_coset_reps(h, subset):
+    # every permutation whose inverse increases across each swap in subset
+    reps = []
+    for w in itertools.permutations(range(1, h + 1)):
+        wi = weyl.inverse(w)
+        if all(wi[i - 1] < wi[j - 1] for (i, j) in subset):
+            reps.append(w)
+    return reps
+
+
+def test_min_coset_reps_match_brute_force():
+    for h in range(1, 8):
+        pairs = sorted(weyl.simple_pairs(h))
+        for k in range(len(pairs) + 1):
+            for subset in itertools.combinations(pairs, k):
+                assert weyl.min_coset_reps(h, subset) == _brute_min_coset_reps(h, subset), \
+                    (h, subset)
+
+
 def test_all_permutations_count():
     assert len(list(weyl.all_permutations(4))) == 24
     assert set(weyl.all_permutations(4)) == set(itertools.permutations(range(1, 5)))
