@@ -1,11 +1,19 @@
 """Hot numerical kernels: table-driven finite-field linear algebra.
 
-Each kernel is one vectorized numpy routine; tests/test_kernels.py checks
-them against plain loop forms.
-
 Field elements are int64 indices into precomputed tables (see shtuka.gf):
 ADD and MUL are (q, q) tables, NEG and INV are (q,) tables.  Matrices and
 coefficient tensors are int64 arrays of indices.
+
+Each kernel is a row-at-a-time loop over Python lists: it reads its
+operands and the tables with ``tolist()`` (``MUL[c]`` is the row of
+multiples of c), makes each row operation one list comprehension, skips
+zero multipliers, and returns a new C-contiguous int64 array.  The
+oracle's matrices are small (a residue module's preimage stack has at
+most 2h columns, a lattice key's span h·n), and at those sizes numpy's
+per-call dispatch costs more than the arithmetic.  Vectorized numpy wins
+on dense inputs from about 16 columns for gf_rref and about 6 rows for
+polymat_mul (README, Performance).  tests/test_kernels.py checks every
+kernel against plain loop forms.
 """
 
 import numpy as np
@@ -15,63 +23,101 @@ import numpy as np
 USE_NUMBA = HAVE_NUMBA = False
 
 
+def _array(rows, shape):
+    # reshape keeps the shape of inputs with a zero-length axis
+    return np.array(rows, dtype=np.int64).reshape(shape)
+
+
 def gf_matmul(a, b, add, mul):
-    n, k = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m), dtype=np.int64)
-    for l in range(k):
-        out = add[out, mul[a[:, l][:, None], b[l, :][None, :]]]
-    return out
+    ADD, MUL = add.tolist(), mul.tolist()
+    n, m = a.shape[0], b.shape[1]
+    bl = b.tolist()
+    out = []
+    for arow in a.tolist():
+        acc = [0] * m
+        for c, brow in zip(arow, bl):
+            if c:
+                mc = MUL[c]
+                acc = [ADD[x][mc[y]] for x, y in zip(acc, brow)]
+        out.append(acc)
+    return _array(out, (n, m))
 
 
 def gf_rref(mat, add, mul, neg, inv):
     """Full reduced row echelon form; returns (reduced copy, rank)."""
-    m = mat.copy()
-    nrows, ncols = m.shape
+    ADD, MUL, NEG, INV = add.tolist(), mul.tolist(), neg.tolist(), inv.tolist()
+    m = mat.tolist()
+    nrows, ncols = mat.shape
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        for p in range(r, nrows):
+            if m[p][c]:
+                break
+        else:
             continue
-        p = r + nz[0]
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] = mul[inv[m[r, c]], m[r]]
-        col = m[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            m[rows] = add[m[rows], mul[neg[col[rows]][:, None], m[r][None, :]]]
+        row = m[p]
+        m[p] = m[r]
+        if row[c] != 1:
+            ms = MUL[INV[row[c]]]
+            row = [ms[y] for y in row]
+        m[r] = row
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                mf = MUL[NEG[f]]
+                m[i] = [ADD[x][mf[y]] for x, y in zip(m[i], row)]
         r += 1
-    return m, r
+    return _array(m, (nrows, ncols)), r
 
 
 def gf_conv2(a, b, add, mul):
-    """2D polynomial product; 1D is the (1, n) special case."""
+    """2D polynomial product; 1D is the (1, n) special case.
+
+    The output is one flat list of rows of width w = ay+by-1, and b one
+    flat list of its rows, each followed by ay-1 zeros.  The product of
+    a[i, j]·x^i·y^j with b is then b shifted by i·w + j: one
+    comprehension per nonzero coefficient of a.
+    """
+    ADD, MUL = add.tolist(), mul.tolist()
     ax, ay = a.shape
     bx, by = b.shape
-    out = np.zeros((ax + bx - 1, ay + by - 1), dtype=np.int64)
-    for i in range(ax):
-        for j in range(ay):
-            c = a[i, j]
+    w = ay + by - 1
+    pad = [0] * (ay - 1)
+    flat = [y for row in b.tolist() for y in row + pad]
+    out = [0] * ((ax + bx - 1) * w)
+    for i, arow in enumerate(a.tolist()):
+        for j, c in enumerate(arow):
             if c:
-                out[i:i + bx, j:j + by] = add[out[i:i + bx, j:j + by], mul[c, b]]
-    return out
+                mc = MUL[c]
+                s = i * w + j
+                out[s:s + bx * w] = [ADD[x][mc[y]] for x, y in zip(out[s:s + bx * w], flat)]
+    return _array(out, (ax + bx - 1, w))
 
 
 def polymat_mul(a, b, add, mul):
-    """(n, k, da) x (k, m, db) -> (n, m, da+db-1) coefficient tensors."""
-    n, kk, da = a.shape
-    m = b.shape[1]
-    db = b.shape[2]
-    out = np.zeros((n, m, da + db - 1), dtype=np.int64)
-    for l in range(kk):
-        for s in range(da):
-            col = a[:, l, s]
-            if not col.any():
-                continue
-            term = mul[col[:, None, None], b[l][None, :, :]]
-            out[:, :, s:s + db] = add[out[:, :, s:s + db], term]
-    return out
+    """(n, k, da) x (k, m, db) -> (n, m, da+db-1) coefficient tensors.
+
+    Row l of b is laid out as one flat list of m blocks of da+db-1
+    coefficients, each b[l, j] followed by da-1 zeros.  The product of
+    a[i, l, s]·t^s with that row is then the row shifted by s: one
+    comprehension per nonzero coefficient of a, and the zeros keep each
+    block's shifted coefficients inside the block.
+    """
+    ADD, MUL = add.tolist(), mul.tolist()
+    n, _, da = a.shape
+    m, db = b.shape[1], b.shape[2]
+    dc = da + db - 1
+    pad = [0] * (da - 1)
+    flat = [[y for poly in brow for y in poly + pad] for brow in b.tolist()]
+    out = []
+    for arow in a.tolist():
+        acc = [0] * (m * dc)
+        for apoly, brow in zip(arow, flat):
+            for s, c in enumerate(apoly):
+                if c:
+                    mc = MUL[c]
+                    acc[s:] = [ADD[x][mc[y]] for x, y in zip(acc[s:], brow)]
+        out.append(acc)
+    return _array(out, (n, m, dc))

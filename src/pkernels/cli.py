@@ -222,10 +222,20 @@ def _cmd_enumerate_polygons(args):
     return 0
 
 
+def _oracle_stratum(args):
+    """The stratum of an oracle command, checked before any sampling: a
+    height above the bound raises ResourceLimitError (the subset DP of a
+    determinant has 2^h masks), a --count below one ValueError."""
+    criterion.Bounds().check_height(args.height)
+    if args.count < 1:
+        raise ValueError('--count must be at least 1, got %d' % args.count)
+    return HodgeDatum(args.height, args.dim)
+
+
 def _cmd_oracle_sample(args):
     import numpy as np
     from .shtuka import bt1_of, eo_classify, newton_polygon_of, sample_shtuka
-    hd = HodgeDatum(args.height, args.dim)
+    hd = _oracle_stratum(args)
     cfg = _field_from_args(args)
     lines = []
     for k in range(args.count):
@@ -240,7 +250,7 @@ def _cmd_oracle_sample(args):
 
 def _cmd_oracle_verify(args):
     from .shtuka import run_consistency_suite
-    hd = HodgeDatum(args.height, args.dim)
+    hd = _oracle_stratum(args)
     cfg = _field_from_args(args)
     report = run_consistency_suite(hd, cfg, samples=args.count, seed=args.seed,
                                    deg=args.degree)

@@ -28,7 +28,7 @@ table per (h, d) serves every field.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,15 +66,22 @@ class Bt1Module:
     def h(self) -> int:
         return self.fmat.shape[0]
 
+    @cached_property
+    def _im_f(self) -> np.ndarray:
+        """im F as canonical rows; computed once, since fmat is read-only."""
+        imf = f_image(self, full_rows(self.h))
+        imf.setflags(write=False)
+        return imf
+
     @property
     def dimension(self) -> int:
         """Codimension of im F, i.e. the d of the stratum."""
-        return self.h - space_dim(f_image(self, full_rows(self.h)))
+        return self.h - space_dim(self._im_f)
 
     def check(self):
         """Assert im F = ker V and im V = ker F; returns self."""
         cfg = self.cfg
-        imf = f_image(self, full_rows(self.h))
+        imf = self._im_f
         kerv = _rows_apply(cfg.frb, nullspace_rows(self.vmat, cfg), cfg)
         imv = v_image(self, full_rows(self.h))
         kerf = _rows_apply(cfg.frbi, nullspace_rows(self.fmat, cfg), cfg)

@@ -70,9 +70,11 @@ def test_check_bad_polygon_exits_2(capsys):
     ('calibrate', '--probe', '2,1', '--count', '-3', '--sigma-trials', '1'),
     ('check', '--height', '2', '--dim', '1', '--eo', '[2,1]', '--np', '0,1',
      '--out', '/nonexistent/dir/c.json'),
+    ('oracle', 'verify', '--height', '2', '--dim', '1', '--count', '0'),
+    ('oracle', 'sample', '--height', '2', '--dim', '1', '--count', '-2'),
 ], ids=['probe-one-number', 'eo-unclosed', 'eo-scalar', 'x-unclosed',
         'np-zero-denominator', 'calibrate-no-samples', 'calibrate-negative-count',
-        'out-unwritable'])
+        'out-unwritable', 'oracle-verify-no-samples', 'oracle-sample-negative-count'])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -105,6 +107,15 @@ def test_incidence_json_format(capsys):
 def test_incidence_height_limit_exits_3(capsys):
     code, out, err = run(capsys, 'incidence', '--height', '7', '--dim', '3')
     assert code == 3
+    assert 'resource limit' in err
+
+
+@pytest.mark.parametrize('cmd', ['sample', 'verify'])
+def test_oracle_height_limit_exits_3(capsys, cmd):
+    # checked before any sampling: no output at all
+    code, out, err = run(capsys, 'oracle', cmd, '--height', '7', '--dim', '3',
+                         '--count', '1')
+    assert code == 3 and out == ''
     assert 'resource limit' in err
 
 

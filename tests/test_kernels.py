@@ -5,17 +5,40 @@ lookup per operation, in the order the definitions read.  Every kernel
 must agree with its loop form exactly.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from pkernels import _kernels as K
 from pkernels.shtuka import field
 
-FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2)]
+# F_3 and F_9 are the fields where NEG is not the identity
+FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
 
 def _rand(rng, q, shape):
-    return rng.integers(0, q, size=shape, dtype=np.int64)
+    a = rng.integers(0, q, size=shape, dtype=np.int64)
+    a.setflags(write=False)     # a kernel that writes to its input raises
+    return a
+
+
+def _run(kernel, shape, *args):
+    """kernel(*args), checked for what callers rely on: a new C-contiguous
+    int64 array of the documented shape (bt1 and lattice_key key subspaces
+    by its tobytes()), and every input, tables included, left unchanged."""
+    before = [x.copy() for x in args]
+    out = kernel(*args)
+    got = out[0] if kernel is K.gf_rref else out
+    assert got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
+    assert got.shape == shape
+    assert all(np.array_equal(x, y) for x, y in zip(args, before))
+    return out
+
+
+def _sizes(rng, k, hi, edges, trials):
+    """``trials`` random k-tuples of sizes in 1..hi-1, then the edge cases."""
+    return [tuple(rng.integers(1, hi, size=k)) for _ in range(trials)] + list(edges)
 
 
 # ------------------------------------------------ reference loop forms
@@ -104,39 +127,54 @@ def _polymat_mul_loops(a, b, add, mul):
 @pytest.mark.parametrize('p,r', FIELDS)
 def test_matmul_paths_agree(p, r):
     c = field(p, r)
-    for trial in range(20):
-        rng = np.random.default_rng([11, p, r, trial])
-        n, k, m = rng.integers(1, 7, size=3)
+    rng = np.random.default_rng([11, p, r])
+    edges = [(0, 3, 4), (3, 4, 0), (4, 0, 3), (1, 1, 1), (5, 1, 5), (16, 16, 16)]
+    for n, k, m in _sizes(rng, 3, 7, edges, 20):
         a = _rand(rng, c.q, (n, k))
         b = _rand(rng, c.q, (k, m))
-        got = K.gf_matmul(a, b, c.add, c.mul)
-        want = _gf_matmul_loops(a, b, c.add, c.mul)
-        assert (got == want).all()
+        got = _run(K.gf_matmul, (n, m), a, b, c.add, c.mul)
+        assert (got == _gf_matmul_loops(a, b, c.add, c.mul)).all()
 
 
 @pytest.mark.parametrize('p,r', FIELDS)
 def test_rref_paths_agree(p, r):
     c = field(p, r)
-    for trial in range(20):
-        rng = np.random.default_rng([12, p, r, trial])
-        n, m = rng.integers(1, 7, size=2)
+    rng = np.random.default_rng([12, p, r])
+    # up to 16 columns, the width of a lattice key's span
+    edges = [(0, 5), (0, 0), (5, 0), (1, 1), (6, 1), (1, 6), (16, 16), (12, 16), (16, 9)]
+    for n, m in _sizes(rng, 2, 17, edges, 20):
         a = _rand(rng, c.q, (n, m))
-        m1, r1 = K.gf_rref(a.copy(), c.add, c.mul, c.neg, c.inv)
+        m1, r1 = _run(K.gf_rref, (n, m), a, c.add, c.mul, c.neg, c.inv)
         m2, r2 = _gf_rref_loops(a.copy(), c.add, c.mul, c.neg, c.inv)
         assert r1 == r2
         assert (m1 == m2).all()
 
 
+def test_rref_of_sparse_low_rank():
+    # lattice-key spans are sparse and rank-deficient: zero columns,
+    # repeated rows and rows that eliminate to zero
+    c = field(3, 2)
+    for trial in range(20):
+        rng = np.random.default_rng([17, trial])
+        n, m, rank = rng.integers(1, 17), rng.integers(1, 17), rng.integers(0, 5)
+        basis = _rand(rng, c.q, (rank, m)) * (rng.random((rank, m)) < 0.3)
+        a = K.gf_matmul(_rand(rng, c.q, (n, rank)), basis, c.add, c.mul)
+        m1, r1 = _run(K.gf_rref, (n, m), a, c.add, c.mul, c.neg, c.inv)
+        m2, r2 = _gf_rref_loops(a.copy(), c.add, c.mul, c.neg, c.inv)
+        assert r1 == r2 <= rank
+        assert (m1 == m2).all()
+
+
 def test_rref_postconditions():
-    c = field(2, 2)
-    for trial in range(30):
-        rng = np.random.default_rng([13, trial])
-        n, m = rng.integers(1, 7, size=2)
+    for (p, r), trial in itertools.product([(2, 2), (3, 2)], range(30)):
+        c = field(p, r)
+        rng = np.random.default_rng([13, p, r, trial])
+        n, m = rng.integers(1, 9, size=2)
         a = _rand(rng, c.q, (n, m))
-        red, rank = K.gf_rref(a.copy(), c.add, c.mul, c.neg, c.inv)
+        red, rank = K.gf_rref(a, c.add, c.mul, c.neg, c.inv)
         assert 0 <= rank <= min(n, m)
         # idempotent
-        red2, rank2 = K.gf_rref(red.copy(), c.add, c.mul, c.neg, c.inv)
+        red2, rank2 = K.gf_rref(red, c.add, c.mul, c.neg, c.inv)
         assert rank2 == rank and (red2 == red).all()
         # nonzero rows have unit pivots with cleared columns
         pivots = []
@@ -157,12 +195,12 @@ def test_rref_postconditions():
 @pytest.mark.parametrize('p,r', FIELDS)
 def test_conv2_matches_brute(p, r):
     c = field(p, r)
-    for trial in range(12):
-        rng = np.random.default_rng([14, p, r, trial])
-        ax, ay, bx, by = rng.integers(1, 5, size=4)
+    rng = np.random.default_rng([14, p, r])
+    edges = [(1, 1, 1, 1), (1, 5, 16, 1), (1, 3, 9, 4), (0, 3, 2, 2), (3, 1, 1, 4)]
+    for ax, ay, bx, by in _sizes(rng, 4, 5, edges, 12):
         a = _rand(rng, c.q, (ax, ay))
         b = _rand(rng, c.q, (bx, by))
-        got = K.gf_conv2(a, b, c.add, c.mul)
+        got = _run(K.gf_conv2, (ax + bx - 1, ay + by - 1), a, b, c.add, c.mul)
         want = np.zeros((ax + bx - 1, ay + by - 1), dtype=np.int64)
         for i in range(ax):
             for j in range(ay):
@@ -176,16 +214,14 @@ def test_conv2_matches_brute(p, r):
 @pytest.mark.parametrize('p,r', FIELDS)
 def test_polymat_mul_paths_agree(p, r):
     c = field(p, r)
-    for trial in range(12):
-        rng = np.random.default_rng([15, p, r, trial])
-        n, k, m = rng.integers(1, 5, size=3)
-        da, db = rng.integers(1, 6, size=2)
+    rng = np.random.default_rng([15, p, r])
+    edges = [(0, 2, 3, 2, 2), (2, 0, 3, 2, 2), (2, 3, 0, 1, 3), (1, 1, 1, 1, 1),
+             (4, 1, 4, 5, 1), (3, 3, 3, 1, 6), (16, 2, 16, 2, 3)]
+    for n, k, m, da, db in _sizes(rng, 5, 6, edges, 12):
         a = _rand(rng, c.q, (n, k, da))
         b = _rand(rng, c.q, (k, m, db))
-        got = K.polymat_mul(a, b, c.add, c.mul)
-        want = _polymat_mul_loops(a, b, c.add, c.mul)
-        assert (got == want).all()
-        assert got.shape == (n, m, da + db - 1)
+        got = _run(K.polymat_mul, (n, m, da + db - 1), a, b, c.add, c.mul)
+        assert (got == _polymat_mul_loops(a, b, c.add, c.mul)).all()
 
 
 def test_polymat_mul_is_poly_product():

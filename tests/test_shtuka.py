@@ -119,6 +119,16 @@ def test_bt1_of_rejects_dimension_mismatch(cfg, monkeypatch):
         bt1_of(sh)
 
 
+def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
+    # bt1_of runs check() and reads dimension: one F-image of the whole space
+    calls = []
+    f_image = bt1.f_image
+    monkeypatch.setattr(bt1, 'f_image', lambda *a: calls.append(1) or f_image(*a))
+    Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
+    assert Z.dimension == 1 and Z.check() is Z
+    assert len(calls) == 1
+
+
 def test_shtuka_from_element_rejects_shift(cfg, monkeypatch):
     # a minuscule element has no negative exponent, so pm_from_element
     # must return shift 0
