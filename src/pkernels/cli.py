@@ -1,7 +1,9 @@
 r"""Command line interface.
 
 Exit codes: 0 success, 2 validation error (bad arguments, incompatible
-inputs or an unwritable --out), 3 resource limit exceeded.
+inputs or an unwritable --out), 3 resource limit exceeded (a height
+above criterion.Bounds, or a field larger than gf.MAX_ORDER), checked
+before any enumeration, sampling or field table is built.
 """
 
 import argparse
@@ -202,10 +204,12 @@ def _cmd_enumerate_cochars(args):
         raise ValueError('give exactly one of --block or --np')
     if args.block:
         n, m = (int(v) for v in args.block.split(','))
+        criterion.Bounds().check_height(n + m)
         rows = [list(lam) for lam in enumerate_cochar_block(n, m)]
         out = {'block': [n, m], 'cochars': rows, 'count': len(rows)}
     else:
         P = parse_polygon(args.np)
+        criterion.Bounds().check_height(P.height)
         profs = enumerate_profiles(P)
         out = {'np': str(P), 'profiles': [list(pr.lam) for pr in profs],
                'count': len(profs)}
@@ -214,6 +218,7 @@ def _cmd_enumerate_cochars(args):
 
 
 def _cmd_enumerate_polygons(args):
+    criterion.Bounds().check_height(args.height)
     hd = HodgeDatum(args.height, args.dim)
     polys = enumerate_polygons(hd)
     out = {'hodge': [hd.height, hd.dimension],
@@ -225,7 +230,7 @@ def _cmd_enumerate_polygons(args):
 def _oracle_stratum(args):
     """The stratum of an oracle command, checked before any sampling: a
     height above the bound raises ResourceLimitError (the subset DP of a
-    determinant has 2^h masks), a --count below one ValueError."""
+    characteristic polynomial has 2^h masks), a --count below one ValueError."""
     criterion.Bounds().check_height(args.height)
     if args.count < 1:
         raise ValueError('--count must be at least 1, got %d' % args.count)

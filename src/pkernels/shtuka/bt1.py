@@ -190,11 +190,13 @@ def canonical_filtration(Z: Bt1Module):
     flag: tuple of canonical row bases sorted by dimension (totally
     ordered by inclusion for valid modules); signature: the canonical
     type, a tuple of triples (dim U, dim F(U), dim V^{-1}(U)).  One
-    worklist pass computes F(U) and V^{-1}(U) once per member.  A chain
+    worklist pass computes F(U) and V^{-1}(U) once per member, and F of
+    the whole space is the module's cached im F.  A chain
     in an h-dimensional space has at most h+1 members, so the closure
     stops with ConventionError once it grows past that.
     """
     h = Z.h
+    whole = full_rows(h).tobytes()
     members = {}        # rows bytes -> (rows, dim F(U), dim V^{-1}(U))
     work = [zero_rows(h), full_rows(h)]
     while work:
@@ -205,7 +207,8 @@ def canonical_filtration(Z: Bt1Module):
         if len(members) > h:
             raise ConventionError('canonical filtration has more than %d members, '
                                   'so it is not totally ordered' % (h + 1))
-        fu, vu = f_image(Z, rows), v_preimage(Z, rows)
+        fu = Z._im_f if key == whole else f_image(Z, rows)
+        vu = v_preimage(Z, rows)
         members[key] = (rows, space_dim(fu), space_dim(vu))
         work += [fu, vu]
     found = sorted(members.values(), key=lambda m: (space_dim(m[0]), m[0].tobytes()))

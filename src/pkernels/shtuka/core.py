@@ -1,6 +1,7 @@
-r"""Matrix models over k[[t]]: a local datum is a nonsingular polynomial
-matrix A acting sigma-semilinearly; its residue mod t carries the F of a
-residue module, with V recovered from t·A^{-1}.
+r"""Matrix models over k[[t]]: a local datum is a nonsingular minuscule
+polynomial matrix A acting sigma-semilinearly; its residue mod t carries
+the F of a residue module, and V = t·A^{-1} mod t and d = v(det A) come
+from one linear solve mod t^2 (LocalShtuka._solve).
 
 The Newton polygon is computed exactly from the characteristic
 polynomial cp(X) = det(X - B) of the r-fold twisted product
@@ -26,6 +27,7 @@ import numpy as np
 from ..affine import Element, in_minuscule_double_coset
 from ..errors import ConventionError
 from ..polygons import NewtonPolygon, polygon_from_slopes, x_of_polygon
+from .. import _kernels as K
 from .bt1 import Bt1Module
 from .gf import FieldConfig
 from . import polymat as PM
@@ -39,13 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LocalShtuka:
-    """Polynomial matrix amat with v_t(det) = dimension; witness, when
-    present, is a pair (U1, U2) of unimodular tensors with
-    amat = U1 · diag(t^mu) · U2 for the minuscule mu."""
+    """Polynomial matrix amat, nonsingular and minuscule: amat·O^h lies
+    between t·O^h and O^h, and v_t(det amat) = dimension."""
 
     cfg: FieldConfig
     amat: np.ndarray
-    witness: tuple = None
 
     def __post_init__(self):
         a = np.ascontiguousarray(np.asarray(self.amat, dtype=np.int64))
@@ -57,43 +57,47 @@ class LocalShtuka:
         return self.amat.shape[0]
 
     @cached_property
-    def det(self) -> np.ndarray:
-        """det(amat) as a 1D coefficient vector; computed once, since
-        amat is read-only."""
-        det = PM.pm_det(self.amat, self.cfg)
-        det.setflags(write=False)
-        return det
+    def _solve(self):
+        """(t·A^{-1} mod t, v(det A)) from one rref; computed once, since
+        amat is read-only.
+
+        With A = A0 + t·A1 mod t^2, A·(X0 + t·X1) = t·I mod t^2 reads
+        A0·X0 = 0 and A1·X0 + A0·X1 = I, the augmented matrix
+        [[A0, 0 | 0], [A1, A0 | I]].  Its coefficient block is A acting on
+        (O/t^2)^h, whose kernel has dimension sum(min(mu_i, 2)) for the
+        elementary divisors t^mu_i of A.  The system is solvable exactly
+        when every mu_i is 0 or 1, and then X0 = t·A^{-1} mod t is unique
+        (a second solution differs by t^2·A^{-1}·Y, divisible by t), so
+        the first h columns are pivots, X0 is read off with the free
+        unknowns at 0, and 2h - rank = sum(mu_i) = v(det A).
+        """
+        cfg = self.cfg
+        h = self.h
+        stack = np.zeros((2 * h, 3 * h), dtype=np.int64)
+        stack[:h, :h] = stack[h:, h:2 * h] = PM.pm_coeff(self.amat, 0)
+        stack[h:, :h] = PM.pm_coeff(self.amat, 1)
+        stack[h + np.arange(h), 2 * h + np.arange(h)] = 1
+        red, rank = K.gf_rref(stack, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+        if rank and not red[rank - 1, :2 * h].any():
+            raise ValueError('A·X = t·I has no solution mod t^2: the datum is '
+                             'singular or not minuscule')
+        vbar = np.ascontiguousarray(red[:h, 2 * h:])
+        vbar.setflags(write=False)
+        return vbar, 2 * h - rank
 
     @cached_property
     def dimension(self) -> int:
-        v = PM.poly_valuation(self.det)
-        if v is None:
-            raise ValueError('singular matrix')
-        return v
+        return self._solve[1]
 
 
 def shtuka_from_element(x: Element, cfg: FieldConfig) -> LocalShtuka:
-    """Monomial datum of a minuscule affine element, with the standard
-    permutation witness A = P_v · diag(t^mu) · (P_v^{-1} P_u)."""
-    h = x.h
-    d = x.v_det()
-    if not in_minuscule_double_coset(x, h, d):
+    """Monomial datum of a minuscule affine element."""
+    if not in_minuscule_double_coset(x, x.h, x.v_det()):
         raise ValueError('element is not minuscule')
-    from .. import weyl
-    ones = [i for i in range(1, h + 1) if x.lam[i - 1] == 1]
-    zeros = [i for i in range(1, h + 1) if x.lam[i - 1] == 0]
-    v = tuple(ones + zeros)
-    u1 = np.zeros((h, h), dtype=np.int64)
-    for j in range(1, h + 1):
-        u1[v[j - 1] - 1, j - 1] = 1
-    w = weyl.compose(weyl.inverse(v), x.perm)
-    u2 = np.zeros((h, h), dtype=np.int64)
-    for j in range(1, h + 1):
-        u2[w[j - 1] - 1, j - 1] = 1
     amat, s = PM.pm_from_element(x)
     if s != 0:
         raise ConventionError('minuscule element %r has a negative exponent' % (x,))
-    return LocalShtuka(cfg, amat, witness=(PM.pm_from_const(u1), PM.pm_from_const(u2)))
+    return LocalShtuka(cfg, amat)
 
 
 def minimal_shtuka(P: NewtonPolygon, cfg: FieldConfig) -> LocalShtuka:
@@ -129,47 +133,19 @@ def sample_shtuka(hd, cfg: FieldConfig, deg: int = 2, seed=None, rng=None) -> Lo
     mid = PM.pm_zeros(h, h, 2)
     for i in range(h):
         mid[i, i, 1 if i < d else 0] = 1
-    amat = PM.pm_trim(PM.pm_mul(PM.pm_mul(u1, mid, cfg), u2, cfg))
-    return LocalShtuka(cfg, amat, witness=(u1, u2))
+    return LocalShtuka(cfg, PM.pm_trim(PM.pm_mul(PM.pm_mul(u1, mid, cfg), u2, cfg)))
 
 
 def bt1_of(sh: LocalShtuka) -> Bt1Module:
-    """Residue module: F is A mod t; V is (t·A^{-1}) mod t.
+    """Residue module: F is A mod t; V is t·A^{-1} mod t, the datum's one
+    mod-t^2 solve (LocalShtuka._solve).
 
-    With a witness the V-matrix is assembled from the factors; without
-    one it is read off the adjugate exactly: for det A = t^d·(unit u),
-    t·A^{-1} = adj(A)·u^{-1}·t^{1-d}, whose residue is coefficient d-1
-    of adj(A)·(u^{-1} mod t^d); lower coefficients must vanish.
+    The stored matrix is for the sigma^{-1}-semilinear operator, so
+    A·frb(vmat) = t·I forces one twist.
     """
     cfg = sh.cfg
-    h = sh.h
-    fbar = PM.pm_coeff(sh.amat, 0)
-    d = sh.dimension
-    if sh.witness is not None:
-        u1, u2 = sh.witness
-        u1i0 = PM.gf_mat_inv(PM.pm_coeff(u1, 0), cfg)
-        u2i0 = PM.gf_mat_inv(PM.pm_coeff(u2, 0), cfg)
-        # t·A^{-1} = U2^{-1}·diag(t^{1-mu})·U1^{-1}; mod t the diagonal is mu itself
-        mid = np.zeros((h, h), dtype=np.int64)
-        for i in range(d):
-            mid[i, i] = 1
-        vbar = PM.gf_mat_mul(PM.gf_mat_mul(u2i0, mid, cfg), u1i0, cfg)
-    elif d == 0:
-        vbar = np.zeros((h, h), dtype=np.int64)
-    else:
-        adj = PM.pm_adjugate(sh.amat, cfg)
-        unit = sh.det[d:]
-        uinv = PM.poly_series_inv(unit, d, cfg)
-        w = PM.pm_truncate(PM.pm_poly_scale(adj, uinv, cfg), d)
-        for k in range(d - 1):
-            if PM.pm_coeff(w, k).any():
-                raise ConventionError('adjugate residue has a low-order term; '
-                                      'datum is not minuscule')
-        vbar = PM.pm_coeff(w, d - 1)
-    # both routes compute t*A^{-1} mod t; the stored matrix is for the
-    # sigma^{-1}-semilinear operator, so A*frb(vmat) = tI forces one twist
-    vbar = cfg.frbi[vbar]
-    Z = Bt1Module(cfg, fbar, vbar).check()
+    vbar, d = sh._solve
+    Z = Bt1Module(cfg, PM.pm_coeff(sh.amat, 0), cfg.frbi[vbar]).check()
     if Z.dimension != d:
         raise ConventionError('residue module has dimension %d, datum has %d'
                               % (Z.dimension, d))

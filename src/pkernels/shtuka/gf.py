@@ -12,7 +12,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..errors import ConventionError, ResourceLimitError
+
 __all__ = ['FieldConfig', 'field']
+
+# Largest field order built: the (q, q) tables are filled one pair at a
+# time, so each extra degree costs about 4x (q = 256 takes about 0.5 s).
+MAX_ORDER = 256
 
 
 def _digits(e: int, p: int, r: int):
@@ -91,10 +97,15 @@ class FieldConfig:
         p, r = self.p, self.r
         if p < 2 or r < 1:
             raise ValueError('need a prime p >= 2 and r >= 1')
+        q = 1
+        for _ in range(r):          # p >= 2: stops within 9 steps
+            q *= p
+            if q > MAX_ORDER:
+                raise ResourceLimitError('field order %d^%d exceeds bound %d'
+                                         % (p, r, MAX_ORDER))
         for k in range(2, p):
             if p % k == 0:
                 raise ValueError('%d is not prime' % p)
-        q = p ** r
         object.__setattr__(self, 'q', q)
         from itertools import product as iproduct
         mod = None
@@ -141,7 +152,8 @@ class FieldConfig:
         chk = np.arange(q, dtype=np.int64)
         for _ in range(r):
             chk = frb[chk]
-        assert np.array_equal(chk, np.arange(q)), 'frobenius is not of order r'
+        if not np.array_equal(chk, np.arange(q)):
+            raise ConventionError('Frobenius of GF(%d^%d) is not of order %d' % (p, r, r))
         object.__setattr__(self, 'add', add)
         object.__setattr__(self, 'mul', mul)
         object.__setattr__(self, 'neg', neg)

@@ -219,7 +219,7 @@ def lift_from_filtration(data: FiltrationData) -> LocalShtuka:
 
 def residue_of_filtration(data: FiltrationData) -> Bt1Module:
     """The residue module assembled directly from the combinatorial data
-    (without going through the lift and the adjugate)."""
+    (without going through the lift and its mod-t^2 solve)."""
     fmat, vmat = _operators(data)
     return Bt1Module(data.cfg, PM.pm_coeff(fmat, 0), PM.pm_coeff(vmat, 0)).check()
 

@@ -5,17 +5,20 @@ field; Laurent matrices are handled by callers via an explicit power of
 t shift.  Exact arithmetic throughout: products grow degree, truncation
 is explicit.
 
-Determinants, characteristic polynomials and adjugates share one
-kernel, a division-free Laplace DP over row subsets: after column c,
-dp[S] holds the signed sum, over the ways to place columns 0..c in the
-rows S, of the product of the chosen entries.  dp is one dense
-(2^h, x_len, n) array of bivariate coefficients (x for the char poly,
-x_len = 1 for det), mod t^n.  A per-h index plan lists, for each column
-c, every target T with c+1 rows and, for each row i of T, the source
-T without i and the sign (-1)^#{i' in T : i' > i}.  Each column is then
-a few whole-array steps: gather the sources, multiply by the entries'
-t- and x-coefficients with shifted table lookups, negate the odd pairs,
-and add up the c+1 contributions of each target with the add table.
+Determinants and characteristic polynomials share one kernel, a
+division-free Laplace DP over row subsets.  The char poly gives the
+Newton polygon; the determinant only gives v(det) to an Iwahori
+reduction that is not told it (a datum's v(det) and residue come from
+one mod-t^2 solve, core.LocalShtuka).  After column c, dp[S] holds the
+signed sum, over the ways to place columns 0..c in the rows S, of the
+product of the chosen entries.  dp is one dense (2^h, x_len, n) array
+of bivariate coefficients (x for the char poly, x_len = 1 for det),
+mod t^n.  A per-h index plan lists, for each column c, every target T
+with c+1 rows and, for each row i of T, the source T without i and the
+sign (-1)^#{i' in T : i' > i}.  Each column is then a few whole-array
+steps: gather the sources, multiply by the entries' t- and
+x-coefficients with shifted table lookups, negate the odd pairs, and
+add up the c+1 contributions of each target with the add table.
 """
 
 from functools import lru_cache
@@ -29,8 +32,8 @@ __all__ = [
     'pm_zeros', 'pm_eye', 'pm_from_const', 'pm_trim', 'pm_truncate',
     'pm_pad', 'pm_shift', 'pm_add', 'pm_neg', 'pm_mul', 'pm_frob',
     'pm_coeff', 'pm_equal', 'poly_valuation', 'poly_series_inv', 'pm_det',
-    'pm_adjugate', 'pm_char_poly', 'gf_mat_mul', 'gf_mat_inv',
-    'pm_inv_mod', 'pm_from_element',
+    'pm_char_poly', 'gf_mat_mul', 'gf_mat_inv', 'pm_inv_mod',
+    'pm_from_element',
 ]
 
 
@@ -255,23 +258,6 @@ def pm_det(a, cfg: FieldConfig):
     out = _laplace_det(a[:, :, None, :], 1, h * (a.shape[2] - 1) + 1, cfg)[0]
     nz = np.nonzero(out)[0]
     return out[:nz[-1] + 1] if nz.size else np.array([0], dtype=np.int64)
-
-
-def pm_adjugate(a, cfg: FieldConfig):
-    """Adjugate matrix: adj[i, j] = (-1)^(i+j) * minor(j, i)."""
-    h = a.shape[0]
-    deg = (a.shape[2] - 1) * max(h - 1, 0) + 1
-    out = pm_zeros(h, h, deg)
-    rows = list(range(h))
-    cols = list(range(h))
-    for i in range(h):
-        for j in range(h):
-            sub = a[np.ix_([r for r in rows if r != j], [c for c in cols if c != i])]
-            minor = pm_det(sub, cfg) if h > 1 else np.array([1], dtype=np.int64)
-            if (i + j) % 2:
-                minor = cfg.neg[minor]
-            out[i, j, :len(minor)] = minor
-    return pm_trim(out)
 
 
 def pm_char_poly(a, cfg: FieldConfig, n=None):

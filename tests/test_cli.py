@@ -119,6 +119,22 @@ def test_oracle_height_limit_exits_3(capsys, cmd):
     assert 'resource limit' in err
 
 
+@pytest.mark.parametrize('argv', [
+    ('enumerate-cochars', '--block', '12,13'),
+    ('enumerate-cochars', '--np', '1/2x8'),
+    ('enumerate-polygons', '--height', '60', '--dim', '30'),
+    ('oracle', 'sample', '--height', '2', '--dim', '1', '--ext', '16'),
+    ('oracle', 'verify', '--height', '2', '--dim', '1', '--prime', '257', '--ext', '1'),
+    ('calibrate', '--probe', '2,1', '--ext', '9'),
+], ids=['block-height', 'polygon-height', 'polygons-height', 'field-2^16',
+        'field-257', 'calibrate-field-2^9'])
+def test_resource_limit_exits_3(capsys, argv):
+    # checked before anything is enumerated, sampled or tabulated
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ''
+    assert 'resource limit' in err
+
+
 def test_adlv(capsys):
     code, out, err = run(capsys, 'adlv', '--x', 'perm=[1,2];lam=(1,0)',
                          '--np', '0,1')

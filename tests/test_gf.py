@@ -10,7 +10,8 @@ import itertools
 import numpy as np
 import pytest
 
-from pkernels.shtuka import field
+from pkernels.errors import ConventionError, ResourceLimitError
+from pkernels.shtuka import field, gf
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
@@ -173,3 +174,19 @@ def test_field_cache():
         field(4, 1)
     with pytest.raises(ValueError):
         field(2, 0)
+
+
+def test_field_order_bound():
+    # the largest field built is GF(2^8); past it nothing is tabulated
+    assert field(2, 8).q == gf.MAX_ORDER
+    for p, r in ((2, 9), (257, 1), (3, 10 ** 9), (10 ** 9 + 7, 1)):
+        with pytest.raises(ResourceLimitError, match='exceeds bound 256'):
+            gf.FieldConfig(p, r)
+
+
+def test_field_rejects_frobenius_of_wrong_order(monkeypatch):
+    # with a reducible modulus (x^2 + 1 over F_2) the tables are no field
+    # and x -> x^2 is not of order 2: a raise, which python -O keeps
+    monkeypatch.setattr(gf, '_is_irreducible', lambda coeffs, p: True)
+    with pytest.raises(ConventionError, match='not of order 2'):
+        gf.FieldConfig(2, 2)

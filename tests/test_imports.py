@@ -1,8 +1,12 @@
 """No dead imports: every name a module in src/ or tests/ imports is used
-in that module or exported through its __all__."""
+in that module or exported through its __all__.  No stale exports: every
+name in the __all__ of a module in src/ is defined there, since the
+benchmark's tracer looks each one up."""
 
 import ast
+import importlib
 import pathlib
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -47,3 +51,25 @@ def test_scan_sees_a_dead_import():
     tree = ast.parse('import json\nimport re\nfrom os import path as p\n'
                      '__all__ = ["p"]\nre.compile("x")\n')
     assert _unused_imports(tree) == {'json': 1}
+
+
+def _missing_exports(mod):
+    return [name for name in getattr(mod, '__all__', ()) if not hasattr(mod, name)]
+
+
+def test_every_export_is_defined():
+    stale = []
+    for path in sorted((ROOT / 'src').rglob('*.py')):
+        parts = path.relative_to(ROOT / 'src').with_suffix('').parts
+        if parts[-1] == '__init__':
+            parts = parts[:-1]
+        mod = importlib.import_module('.'.join(parts))
+        stale += ['%s.%s' % (mod.__name__, name) for name in _missing_exports(mod)]
+    assert not stale, 'names in __all__ that are not defined:\n' + '\n'.join(stale)
+
+
+def test_scan_sees_a_stale_export():
+    mod = types.ModuleType('stale')
+    mod.__all__ = ['kept', 'removed']
+    mod.kept = len
+    assert _missing_exports(mod) == ['removed']

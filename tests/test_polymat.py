@@ -1,5 +1,5 @@
-"""Polynomial matrices over F_q: determinant, adjugate, characteristic
-polynomial, series inversion, and lattice normal forms.
+"""Polynomial matrices over F_q: determinant, characteristic polynomial,
+the residue of t·A^{-1}, series inversion, and lattice normal forms.
 
 Determinant-family functions are checked against a brute permutation
 expansion written here from scratch (its own polynomial arithmetic and
@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from pkernels.affine import Element
-from pkernels.shtuka import field
+from pkernels.shtuka import LocalShtuka, bt1_of, field
 from pkernels.shtuka import polymat as PM
+from pkernels.shtuka.core import random_unimodular
 from pkernels.shtuka.reduction import lattice_key, random_iwahori
 
 
@@ -74,23 +75,50 @@ def test_det_matches_brute(p, r, h):
 
 @pytest.mark.parametrize('p,r', [(2, 2), (3, 1)])
 @pytest.mark.parametrize('h', [2, 3, 4, 5])
-def test_adjugate_matches_brute(p, r, h):
+def test_residue_solve_matches_brute_adjugate(p, r, h):
+    # t·A^{-1} = t·adj(A)/det(A), with adj from the brute minors: A is
+    # minuscule iff det != 0 and v(adj) >= v(det) - 1 entrywise, and then
+    # V mod t is coefficient v(det) - 1 of adj over the unit of det.
+    # Trial 0 is minuscule with v(det) = k: k rows of A0 are zero, and
+    # they and the t-rows below them form an invertible matrix.  Trial 1
+    # is uniform, times a uniform constant: singular, non-minuscule or not.
     cfg = field(p, r)
-    for trial in range(4):
-        rng = np.random.default_rng([52, p, r, h, trial])
-        a = _rand_pm(rng, cfg.q, h, 2)
-        adj = PM.pm_adjugate(a, cfg)
-        for i in range(h):
-            for j in range(h):
-                want = _brute_det(a, cfg, skip_row=j, skip_col=i)
-                if (i + j) % 2:
-                    want = cfg.neg[want]
-                assert _trim(adj[i, j]).tolist() == _trim(want).tolist()
-        # defining identity
-        d = _trim(PM.pm_det(a, cfg))
-        prod = PM.pm_trim(PM.pm_mul(a, adj, cfg))
-        want = PM.pm_trim(PM.pm_poly_scale(PM.pm_eye(h), d, cfg))
-        assert PM.pm_equal(prod, want)
+    seen = set()
+    for k in range(h + 1):
+        for trial in range(2):
+            rng = np.random.default_rng([52, p, r, h, k, trial])
+            a = _rand_pm(rng, cfg.q, h, 2)
+            if trial == 0:
+                rows = rng.permutation(h)[:k]
+                c = random_unimodular(h, cfg, 1, rng)[:, :, 0]
+                a[:, :, 0] = c
+                a[rows, :, 1] = c[rows]
+                a[rows, :, 0] = 0
+                a = PM.pm_mul(random_unimodular(h, cfg, 1, rng), a, cfg)
+            else:
+                a = PM.pm_mul(_rand_pm(rng, cfg.q, h, 0), a, cfg)
+            det = _trim(_brute_det(a, cfg))
+            adj = []
+            for i in range(h):
+                for j in range(h):
+                    m = _brute_det(a, cfg, skip_row=j, skip_col=i)
+                    adj.append(_trim(cfg.neg[m] if (i + j) % 2 else m))
+            v = PM.poly_valuation(det)
+            sh = LocalShtuka(cfg, a)
+            if v is None or any(PM.poly_valuation(m) is not None
+                                and PM.poly_valuation(m) < v - 1 for m in adj):
+                assert trial == 1
+                seen.add('rejected')
+                with pytest.raises(ValueError):
+                    bt1_of(sh)
+                continue
+            assert trial == 1 or v == k
+            seen.add(v)
+            c = cfg.inv[det[v]]
+            want = [cfg.mul[c, m[v - 1]] if 0 < v <= len(m) else 0 for m in adj]
+            assert cfg.frb[bt1_of(sh).vmat].ravel().tolist() == want, (k, trial)
+            assert sh.dimension == v
+    assert 'rejected' in seen
 
 
 @pytest.mark.parametrize('p,r', [(2, 2), (2, 3), (3, 1)])

@@ -1,7 +1,6 @@
 """Local shtukas: residues, classification, Newton polygons, reduction."""
 
 from collections import Counter
-import dataclasses
 import itertools
 
 import numpy as np
@@ -22,7 +21,7 @@ from pkernels.shtuka import (Bt1Module, bt1_of, canonical_filtration, eo_classif
 from pkernels.shtuka import polymat as PM
 from pkernels.shtuka import bt1
 from pkernels.shtuka.bt1 import nullspace_rows, space_rows, v_preimage
-from pkernels.shtuka.core import random_unimodular
+from pkernels.shtuka.core import LocalShtuka, random_unimodular
 from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
 
@@ -101,15 +100,42 @@ def test_bt1_of_omega(cfg):
     assert Z.vmat.tolist() == [[0, 1], [0, 0]]
 
 
-def test_bt1_routes_agree(cfg):
-    # the adjugate route must reproduce the witness route
-    for seed in range(10):
-        hd = HodgeDatum(2 + seed % 3, 1 + seed % 2)
-        sh = sample_shtuka(hd, cfg, seed=seed)
-        Z1 = bt1_of(sh)
-        Z2 = bt1_of(dataclasses.replace(sh, witness=None))
-        assert (Z1.fmat == Z2.fmat).all()
-        assert (Z1.vmat == Z2.vmat).all()
+def test_bt1_routes_agree():
+    # the solve reproduces V from the sampler's own factors: for
+    # A = U1·diag(t^mu)·U2, t·A^{-1} = U2^{-1}·diag(t^(1-mu))·U1^{-1}, so
+    # V mod t is U2(0)^{-1}·diag(mu)·U1(0)^{-1}, assembled here from the
+    # factors redrawn out of the same rng
+    for p, r in ((2, 2), (3, 1), (2, 3)):
+        cfg = field(p, r)
+        for h in range(1, 6):
+            for d in range(h + 1):
+                for seed in range(3):
+                    sh = sample_shtuka(HodgeDatum(h, d), cfg, seed=[p, r, h, d, seed])
+                    rng = np.random.default_rng([p, r, h, d, seed])
+                    u1 = random_unimodular(h, cfg, 2, rng)
+                    u2 = random_unimodular(h, cfg, 2, rng)
+                    mu = np.diag([1] * d + [0] * (h - d))
+                    want = PM.gf_mat_mul(
+                        PM.gf_mat_mul(PM.gf_mat_inv(u2[:, :, 0], cfg), mu, cfg),
+                        PM.gf_mat_inv(u1[:, :, 0], cfg), cfg)
+                    Z = bt1_of(sh)
+                    assert np.array_equal(Z.fmat, sh.amat[:, :, 0])
+                    assert np.array_equal(cfg.frb[Z.vmat], want), (p, r, h, d, seed)
+                    assert sh.dimension == d
+
+
+@pytest.mark.parametrize('amat', [
+    [[[0, 0, 1], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]],       # diag(t^2, 1)
+    [[[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]],       # diag(t, 0)
+    [[[1, 0, 0], [1, 0, 0]], [[1, 0, 0], [1, 0, 0]]],       # rank 1, constant
+], ids=['non-minuscule', 'singular', 'singular-constant'])
+def test_bt1_of_rejects_non_minuscule_and_singular(cfg, amat):
+    # A·X = t·I has no solution mod t^2
+    sh = LocalShtuka(cfg, np.array(amat))
+    with pytest.raises(ValueError, match='singular or not minuscule'):
+        bt1_of(sh)
+    with pytest.raises(ValueError, match='singular or not minuscule'):
+        sh.dimension
 
 
 def test_bt1_of_rejects_dimension_mismatch(cfg, monkeypatch):
@@ -120,13 +146,17 @@ def test_bt1_of_rejects_dimension_mismatch(cfg, monkeypatch):
 
 
 def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
-    # bt1_of runs check() and reads dimension: one F-image of the whole space
-    calls = []
+    # bt1_of runs check() and reads dimension, eo_classify walks the
+    # canonical filtration from the whole space: one F-image of it
+    bt1._reference_signatures(3, 1)
+    whole = []
     f_image = bt1.f_image
-    monkeypatch.setattr(bt1, 'f_image', lambda *a: calls.append(1) or f_image(*a))
+    monkeypatch.setattr(bt1, 'f_image', lambda Z, rows: whole.append(
+        np.array_equal(rows, np.eye(Z.h, dtype=np.int64))) or f_image(Z, rows))
     Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
     assert Z.dimension == 1 and Z.check() is Z
-    assert len(calls) == 1
+    eo_classify(Z, 1)
+    assert sum(whole) == 1 and len(whole) > 1
 
 
 def test_shtuka_from_element_rejects_shift(cfg, monkeypatch):
@@ -146,18 +176,21 @@ def test_bt1_dimension_zero(cfg):
 
 def test_bt1_semilinear_twist(cfg):
     # V is sigma^{-1}-semilinear: A·frb(vmat) = t·I mod t^2
-    sh = sample_shtuka(HodgeDatum(3, 1), cfg, seed=42)
-    Z = bt1_of(sh)
-    a0 = PM.pm_coeff(sh.amat, 0)
-    a1 = PM.pm_coeff(sh.amat, 1)
-    v = cfg.frb[Z.vmat]
-    # coefficient 0 of A·sigma(V) vanishes, coefficient 1 is the identity
-    c0 = PM.gf_mat_mul(a0, v, cfg)
-    assert not c0.any()
-    c1 = PM.gf_mat_mul(a1, v, cfg)
-    # plus a0 times the degree-1 part of the true inverse; only check
-    # that F-bar kills im V and ranks match
-    assert Z.dimension == sh.dimension
+    for hd in (HodgeDatum(3, 1), HodgeDatum(4, 2)):
+        sh = sample_shtuka(hd, cfg, seed=42)
+        Z = bt1_of(sh)
+        a0 = PM.pm_coeff(sh.amat, 0)
+        a1 = PM.pm_coeff(sh.amat, 1)
+        v = cfg.frb[Z.vmat]
+        # coefficient 0 of A·sigma(V) vanishes
+        assert not PM.gf_mat_mul(a0, v, cfg).any()
+        # coefficient 1 is A1·sigma(V) + A0·X1 = I for some X1: every
+        # column of I - A1·sigma(V) lies in im A0
+        c1 = PM.gf_mat_mul(a1, v, cfg)
+        rest = cfg.sub(np.eye(hd.height, dtype=np.int64), c1)
+        im_a0 = space_rows(a0.T, cfg)
+        assert space_rows(np.vstack([im_a0, rest.T]), cfg).shape == im_a0.shape
+        assert Z.dimension == sh.dimension == hd.dimension
 
 
 def test_graded_bt1_from_beginning(cfg):
@@ -234,7 +267,6 @@ def test_eo_classify_unknown_signature(cfg):
 
 def test_classification_is_conjugation_invariant(cfg):
     # classify(bt1(g·A·sigma(g)^{-1})) == classify(bt1(A)) for unimodular g
-    from pkernels.shtuka.core import random_unimodular
     hd = HodgeDatum(3, 1)
     for seed in range(6):
         rng = np.random.default_rng([61, seed])
@@ -242,7 +274,6 @@ def test_classification_is_conjugation_invariant(cfg):
         g = random_unimodular(3, cfg, 2, rng)
         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), 6, cfg)
         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, sh.amat, cfg), gsi, cfg), 6)
-        from pkernels.shtuka.core import LocalShtuka
         Z1 = bt1_of(sh)
         Z2 = bt1_of(LocalShtuka(cfg, m))
         assert eo_classify(Z1, 1) == eo_classify(Z2, 1)
@@ -274,7 +305,6 @@ def test_minimal_shtuka(cfg):
 
 
 def test_newton_polygon_sigma_conjugation_invariant(cfg):
-    from pkernels.shtuka.core import LocalShtuka, random_unimodular
     for seed in range(6):
         rng = np.random.default_rng([62, seed])
         sh = sample_shtuka(HodgeDatum(3, 2), cfg, seed=seed)
@@ -301,8 +331,7 @@ def _full_precision_polygon(sh):
 @pytest.mark.parametrize('r', [2, 3])
 def test_newton_polygon_precision(r):
     # mod t^(r·d+1) gives the hull of the full-precision char poly, for
-    # witnessed samples and for sigma-conjugates that carry no witness
-    from pkernels.shtuka.core import LocalShtuka, random_unimodular
+    # sampled data and for their sigma-conjugates
     cfg = field(2, r)
     seen = set()
     for h, d in ((3, 1), (3, 2), (4, 2), (5, 2)):
@@ -328,22 +357,25 @@ def test_newton_polygon_rejects_wrong_dimension(cfg):
 
 
 def test_oracle_computes_det_once(cfg, monkeypatch):
-    calls = []
+    # v(det) comes from the datum's one mod-t^2 solve, a (2h, 3h) rref;
+    # no determinant is computed, for the sampled datum and for a datum
+    # built from its bare matrix
+    from pkernels.shtuka import core
+    dets, solves = [], []
     det = PM.pm_det
-    monkeypatch.setattr(PM, 'pm_det', lambda a, c: calls.append(a.shape) or det(a, c))
+    monkeypatch.setattr(PM, 'pm_det', lambda a, c: dets.append(a.shape) or det(a, c))
+    rref = core.K.gf_rref
+    monkeypatch.setattr(core.K, 'gf_rref', lambda m, *t: solves.append(m.shape) or rref(m, *t))
     for seed in range(3):
         sh = sample_shtuka(HodgeDatum(4, 2), cfg, seed=seed)
-        bt1_of(sh)
-        newton_polygon_of(sh)
-        assert calls == [sh.amat.shape]
-        # without a witness bt1_of adds the 16 minors of the adjugate
-        del calls[:]
-        bare = dataclasses.replace(sh, witness=None)
-        bt1_of(bare)
-        newton_polygon_of(bare)
-        assert calls[0] == sh.amat.shape
-        assert sorted(calls[1:]) == [(3, 3, sh.amat.shape[2])] * 16
-        del calls[:]
+        bare = LocalShtuka(cfg, np.array(sh.amat))
+        for datum in (sh, bare):
+            del solves[:]
+            bt1_of(datum)
+            newton_polygon_of(datum)
+            assert datum.dimension == 2
+            assert solves.count((8, 12)) == 1
+    assert dets == []
 
 
 # --------------------------------------------------------- reduction
