@@ -12,8 +12,10 @@ oracle's matrices are small (a residue module's preimage stack has at
 most 2h columns, a lattice key's span h·n), and at those sizes numpy's
 per-call dispatch costs more than the arithmetic.  Vectorized numpy wins
 on dense inputs from about 16 columns for gf_rref and about 6 rows for
-polymat_mul (README, Performance).  tests/test_kernels.py checks every
-kernel against plain loop forms.
+polymat_mul (README, Performance).  charpoly works on entries that are
+truncated power series, lists of n coefficients, and series_inv inverts
+one of them.  tests/test_kernels.py checks every kernel against plain
+loop forms, and charpoly against a division-free DP over row subsets.
 """
 
 import numpy as np
@@ -121,3 +123,96 @@ def polymat_mul(a, b, add, mul):
                     acc[s:] = [ADD[x][mc[y]] for x, y in zip(acc[s:], brow)]
         out.append(acc)
     return _array(out, (n, m, dc))
+
+
+def series_inv(u, n, ADD, MUL, NEG, INV):
+    """Inverse mod t^n of the unit power series u, as a list of n
+    coefficients; u is a list with u[0] != 0, the tables are lists."""
+    u0inv = INV[u[0]]
+    c = MUL[u0inv]
+    out = [u0inv] + [0] * (n - 1)
+    for k in range(1, n):
+        acc = 0
+        for j in range(1, min(k, len(u) - 1) + 1):
+            acc = ADD[acc][MUL[u[j]][out[k - j]]]
+        out[k] = c[NEG[acc]]
+    return out
+
+
+def charpoly(a, n, add, mul, neg, inv):
+    """det(X·I - a) mod t^n for an (h, h, deg) coefficient tensor a, as an
+    (h+1, n) array cp[x_deg, t_deg].
+
+    First a is brought to upper Hessenberg form by similarities over
+    O/t^n, O = k[[t]].  For column k the pivot is an entry of least
+    valuation v among rows k+1..h-1 (the column is skipped when all of
+    them vanish mod t^n); its row and column are swapped into position
+    k+1.  Each lower entry e of the column then has valuation >= v, so
+    with u the pivot's unit part, m = (e/t^v)·u^{-1} mod t^(n-v) gives
+    m·pivot = e mod t^n, and row_i -= m·row_{k+1}, col_{k+1} += m·col_i
+    clears it.  The swap and each elimination are conjugations by
+    matrices of GL_h(O/t^n), and det(X - P·a·P^{-1}) = det(P)·det(X - a)
+    ·det(P)^{-1} over (O/t^n)[X], so the characteristic polynomial mod
+    t^n does not change.  Then the division-free Hessenberg recurrence
+    (Cohen, GTM 138, 2.2.9) gives it in O(h^3) series products: with p_m
+    the characteristic polynomial of the leading m x m block,
+    p_m = (X - H[m-1][m-1])·p_{m-1}
+          - sum_i H[m-1-i][m-1]·H[m-1][m-2]···H[m-i][m-i-1]·p_{m-1-i}.
+    """
+    ADD, MUL, NEG, INV = add.tolist(), mul.tolist(), neg.tolist(), inv.tolist()
+    h = a.shape[0]
+
+    def fma(acc, f, g):
+        # acc + f·g, truncated to the length of acc (g is at least as long)
+        acc = list(acc)
+        for s, c in enumerate(f):
+            if c:
+                mc = MUL[c]
+                acc[s:] = [ADD[x][mc[y]] for x, y in zip(acc[s:], g)]
+        return acc
+
+    def val(f):
+        return next((s for s, c in enumerate(f) if c), n)
+
+    zero = [0] * n
+    pad = [0] * max(0, n - a.shape[2])
+    m = [[e[:n] + pad for e in row] for row in a.tolist()]
+    for k in range(h - 2):
+        v, p = min((val(m[i][k]), i) for i in range(k + 1, h))
+        if v == n:
+            continue
+        if p != k + 1:
+            m[k + 1], m[p] = m[p], m[k + 1]
+            for row in m:
+                row[k + 1], row[p] = row[p], row[k + 1]
+        piv = m[k + 1]
+        uinv = series_inv(piv[k][v:], n - v, ADD, MUL, NEG, INV)
+        for i in range(k + 2, h):
+            row = m[i]
+            if not any(row[k]):
+                continue
+            mult = fma([0] * (n - v), row[k][v:], uinv)
+            negm = [NEG[c] for c in mult]
+            row[k] = zero
+            for j in range(k + 1, h):
+                row[j] = fma(row[j], negm, piv[j])
+            for r in m:
+                r[k + 1] = fma(r[k + 1], mult, r[i])
+    one = [1] + zero[1:]
+    polys = [[one]]
+    for c in range(h):
+        prev = polys[c]
+        negd = [NEG[x] for x in m[c][c]]
+        q = [fma(zero, negd, prev[0])]
+        q += [fma(prev[j - 1], negd, prev[j]) for j in range(1, c + 1)]
+        q.append(prev[c])
+        prod = one
+        for i in range(1, c + 1):
+            prod = fma(zero, prod, m[c - i + 1][c - i])
+            if not any(prod):
+                break
+            coef = [NEG[x] for x in fma(zero, m[c - i][c], prod)]
+            for j, pj in enumerate(polys[c - i]):
+                q[j] = fma(q[j], coef, pj)
+        polys.append(q)
+    return _array(polys[h], (h + 1, n))

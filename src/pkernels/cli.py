@@ -229,8 +229,9 @@ def _cmd_enumerate_polygons(args):
 
 def _oracle_stratum(args):
     """The stratum of an oracle command, checked before any sampling: a
-    height above the bound raises ResourceLimitError (the subset DP of a
-    characteristic polynomial has 2^h masks), a --count below one ValueError."""
+    height above the bound raises ResourceLimitError (the height bound of
+    the table commands: the oracle samples only strata whose tables the
+    engine builds), a --count below one ValueError."""
     criterion.Bounds().check_height(args.height)
     if args.count < 1:
         raise ValueError('--count must be at least 1, got %d' % args.count)

@@ -73,6 +73,14 @@ class Bt1Module:
         imf.setflags(write=False)
         return imf
 
+    @cached_property
+    def _ker_v(self) -> np.ndarray:
+        """ker V = V^{-1}(0) as canonical rows; computed once, since vmat
+        is read-only."""
+        kerv = v_preimage(self, zero_rows(self.h))
+        kerv.setflags(write=False)
+        return kerv
+
     @property
     def dimension(self) -> int:
         """Codimension of im F, i.e. the d of the stratum."""
@@ -81,11 +89,9 @@ class Bt1Module:
     def check(self):
         """Assert im F = ker V and im V = ker F; returns self."""
         cfg = self.cfg
-        imf = self._im_f
-        kerv = _rows_apply(cfg.frb, nullspace_rows(self.vmat, cfg), cfg)
         imv = v_image(self, full_rows(self.h))
         kerf = _rows_apply(cfg.frbi, nullspace_rows(self.fmat, cfg), cfg)
-        if not np.array_equal(imf, kerv):
+        if not np.array_equal(self._im_f, self._ker_v):
             raise ValueError('im F != ker V')
         if not np.array_equal(imv, kerf):
             raise ValueError('im V != ker F')
@@ -190,10 +196,10 @@ def canonical_filtration(Z: Bt1Module):
     flag: tuple of canonical row bases sorted by dimension (totally
     ordered by inclusion for valid modules); signature: the canonical
     type, a tuple of triples (dim U, dim F(U), dim V^{-1}(U)).  One
-    worklist pass computes F(U) and V^{-1}(U) once per member, and F of
-    the whole space is the module's cached im F.  A chain
-    in an h-dimensional space has at most h+1 members, so the closure
-    stops with ConventionError once it grows past that.
+    worklist pass computes F(U) and V^{-1}(U) once per member; F of the
+    whole space and V^{-1} of zero are the module's cached im F and
+    ker V.  A chain in an h-dimensional space has at most h+1 members,
+    so the closure stops with ConventionError once it grows past that.
     """
     h = Z.h
     whole = full_rows(h).tobytes()
@@ -208,7 +214,7 @@ def canonical_filtration(Z: Bt1Module):
             raise ConventionError('canonical filtration has more than %d members, '
                                   'so it is not totally ordered' % (h + 1))
         fu = Z._im_f if key == whole else f_image(Z, rows)
-        vu = v_preimage(Z, rows)
+        vu = Z._ker_v if not rows.size else v_preimage(Z, rows)
         members[key] = (rows, space_dim(fu), space_dim(vu))
         work += [fu, vu]
     found = sorted(members.values(), key=lambda m: (space_dim(m[0]), m[0].tobytes()))

@@ -20,13 +20,13 @@ valuation as it was, so the hull, and the polygon, do not change.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from ..affine import Element, in_minuscule_double_coset
 from ..errors import ConventionError
-from ..polygons import NewtonPolygon, polygon_from_slopes, x_of_polygon
+from ..polygons import NewtonPolygon, x_of_polygon
 from .. import _kernels as K
 from .bt1 import Bt1Module
 from .gf import FieldConfig
@@ -110,11 +110,8 @@ def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
     q = cfg.q
     while True:
         c0 = rng.integers(0, q, size=(h, h), dtype=np.int64)
-        try:
-            PM.gf_mat_inv(c0, cfg)
+        if K.gf_rref(c0, cfg.add, cfg.mul, cfg.neg, cfg.inv)[1] == h:
             break
-        except ValueError:
-            continue
     a = np.zeros((h, h, max(deg, 1)), dtype=np.int64)
     a[:, :, 0] = c0
     if deg > 1:
@@ -124,16 +121,17 @@ def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
 
 def sample_shtuka(hd, cfg: FieldConfig, deg: int = 2, seed=None, rng=None) -> LocalShtuka:
     """U1 · diag(t^mu) · U2 with random unimodular factors of the given
-    coefficient degree."""
+    coefficient degree, mu = (1^d, 0^(h-d)).  U1 · diag(t^mu) is U1 with
+    its first d columns shifted up one coefficient, so one product."""
     if rng is None:
         rng = np.random.default_rng(seed)
     h, d = hd.height, hd.dimension
     u1 = random_unimodular(h, cfg, deg, rng)
     u2 = random_unimodular(h, cfg, deg, rng)
-    mid = PM.pm_zeros(h, h, 2)
-    for i in range(h):
-        mid[i, i, 1 if i < d else 0] = 1
-    return LocalShtuka(cfg, PM.pm_trim(PM.pm_mul(PM.pm_mul(u1, mid, cfg), u2, cfg)))
+    u1mu = PM.pm_zeros(h, h, u1.shape[2] + 1)
+    u1mu[:, :d, 1:] = u1[:, :d]
+    u1mu[:, d:, :-1] = u1[:, d:]
+    return LocalShtuka(cfg, PM.pm_trim(PM.pm_mul(u1mu, u2, cfg)))
 
 
 def bt1_of(sh: LocalShtuka) -> Bt1Module:
@@ -152,11 +150,24 @@ def bt1_of(sh: LocalShtuka) -> Bt1Module:
     return Z
 
 
-def _lower_hull_slopes(points):
-    """points: list of (i, v) with i ascending; returns per-unit slopes of
-    the lower convex hull across the full i range."""
+def _polygon_of_char_poly(cp, r: int) -> NewtonPolygon:
+    """Newton polygon of a sigma-semilinear action from the char poly cp
+    (rows x^0..x^h) of its r-fold norm: the lower convex hull of the
+    points (i, v(cp_i)), slopes divided by r.
+
+    A hull segment of width w and drop y is w slopes y/(r·w); with
+    g = gcd(y, r·w) that is g/r blocks (y/g, (r·w - y)/g).
+    """
+    pts = []
+    for i, row in enumerate(cp.tolist()):
+        v = next((s for s, c in enumerate(row) if c), None)
+        if v is not None:
+            pts.append((i, v))
+    h = cp.shape[0] - 1
+    if pts[0][0] != 0 or pts[-1][0] != h:
+        raise ValueError('singular matrix')
     hull = []
-    for pt in points:
+    for pt in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
@@ -164,11 +175,15 @@ def _lower_hull_slopes(points):
             else:
                 break
         hull.append(pt)
-    slopes = []
+    blocks = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = Fraction(y1 - y2, x2 - x1)
-        slopes.extend([s] * (x2 - x1))
-    return slopes
+        rw, drop = r * (x2 - x1), y1 - y2
+        g = gcd(drop, rw)
+        if g % r:
+            raise ValueError('hull segment from %s to %s is no union of blocks'
+                             % ((x1, y1), (x2, y2)))
+        blocks += [(drop // g, (rw - drop) // g)] * (g // r)
+    return NewtonPolygon(tuple(reversed(blocks)))
 
 
 def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
@@ -181,17 +196,7 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     b = a
     for k in range(1, cfg.r):
         b = PM.pm_truncate(PM.pm_mul(b, PM.pm_frob(a, cfg, k), cfg), n)
-    cp = PM.pm_char_poly(b, cfg, n)
-    pts = []
-    for i in range(h + 1):
-        v = PM.poly_valuation(cp[i])
-        if v is not None:
-            pts.append((i, v))
-    if pts[0][0] != 0 or pts[-1][0] != h:
-        raise ValueError('singular matrix')
-    slopes = [s / cfg.r for s in _lower_hull_slopes(pts)]
-    slopes.reverse()
-    P = polygon_from_slopes(slopes)
+    P = _polygon_of_char_poly(PM.pm_char_poly(b, cfg, n), cfg.r)
     if P.height != h or P.dimension != sh.dimension:
         raise ConventionError('Newton polygon %s does not have height %d and dimension %d'
                               % (P, h, sh.dimension))

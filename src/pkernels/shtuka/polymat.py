@@ -5,23 +5,15 @@ field; Laurent matrices are handled by callers via an explicit power of
 t shift.  Exact arithmetic throughout: products grow degree, truncation
 is explicit.
 
-Determinants and characteristic polynomials share one kernel, a
-division-free Laplace DP over row subsets.  The char poly gives the
-Newton polygon; the determinant only gives v(det) to an Iwahori
-reduction that is not told it (a datum's v(det) and residue come from
-one mod-t^2 solve, core.LocalShtuka).  After column c, dp[S] holds the
-signed sum, over the ways to place columns 0..c in the rows S, of the
-product of the chosen entries.  dp is one dense (2^h, x_len, n) array
-of bivariate coefficients (x for the char poly, x_len = 1 for det),
-mod t^n.  A per-h index plan lists, for each column c, every target T
-with c+1 rows and, for each row i of T, the source T without i and the
-sign (-1)^#{i' in T : i' > i}.  Each column is then a few whole-array
-steps: gather the sources, multiply by the entries' t- and
-x-coefficients with shifted table lookups, negate the odd pairs, and
-add up the c+1 contributions of each target with the add table.
+Determinants and characteristic polynomials share one kernel,
+_kernels.charpoly: a Hessenberg reduction by similarities over O/t^n
+followed by the division-free Hessenberg recurrence, O(h^3) series
+products (its docstring gives the exactness argument).  The char poly
+gives the Newton polygon; the determinant, (-1)^h times its constant
+coefficient, only gives v(det) to an Iwahori reduction that is not told
+it (a datum's v(det) and residue come from one mod-t^2 solve,
+core.LocalShtuka).
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -142,14 +134,8 @@ def poly_series_inv(u, n, cfg: FieldConfig):
     u = np.asarray(u, dtype=np.int64)
     if u[0] == 0:
         raise ValueError('not a unit')
-    out = np.zeros(n, dtype=np.int64)
-    out[0] = cfg.inv[u[0]]
-    for k in range(1, n):
-        acc = 0
-        for j in range(1, min(k, len(u) - 1) + 1):
-            acc = int(cfg.add[acc, cfg.mul[u[j], out[k - j]]])
-        out[k] = cfg.mul[cfg.neg[acc], cfg.inv[u[0]]]
-    return out
+    return np.array(K.series_inv(u.tolist(), n, cfg.add.tolist(), cfg.mul.tolist(),
+                                 cfg.neg.tolist(), cfg.inv.tolist()), dtype=np.int64)
 
 
 def gf_mat_mul(a, b, cfg: FieldConfig):
@@ -199,63 +185,12 @@ def pm_from_element(x):
 
 # ---------------------------------------------------------------- dets
 
-@lru_cache(maxsize=16)
-def _subset_plan(h):
-    """Index plan of the Laplace DP over row subsets of an h x h matrix.
-
-    Per column c: targets (masks with c+1 bits), and for each target T
-    and each row i in T, the source mask T without i, the row i, and the
-    parity of #{i' in T: i' > i}, the sign of inserting row i into the
-    source set.  Shapes (m,) and (m, c+1).
-    """
-    plan = []
-    for c in range(h):
-        targets = [T for T in range(1 << h) if bin(T).count('1') == c + 1]
-        rows = [[i for i in range(h) if T >> i & 1] for T in targets]
-        srcs = [[T ^ (1 << i) for i in r] for T, r in zip(targets, rows)]
-        odd = [[bin(T >> (i + 1)).count('1') % 2 == 1 for i in r]
-               for T, r in zip(targets, rows)]
-        plan.append((np.array(targets), np.array(srcs), np.array(rows),
-                     np.array(odd, dtype=bool)))
-    return tuple(plan)
-
-
-def _laplace_det(ent, xlen, n, cfg: FieldConfig):
-    """det of the h x h matrix whose (i, c) entry is the bivariate
-    polynomial ent[i, c] (shape (h, h, ex, et), index [x_deg, t_deg]),
-    as an (xlen, n) coefficient array mod (x^xlen, t^n).
-
-    dp[S] is the signed sum over injections of columns 0..c-1 into the
-    rows S; column c extends every S by every row i outside it.
-    """
-    h = ent.shape[0]
-    dp = np.zeros((1 << h, xlen, n), dtype=np.int64)
-    dp[0, 0, 0] = 1
-    ex, et = ent.shape[2], min(ent.shape[3], n)
-    for c, (targets, srcs, rows, odd) in enumerate(_subset_plan(h)):
-        src = dp[srcs]
-        coef = ent[rows, c, :, :et]
-        coef[odd] = cfg.neg[coef[odd]]
-        acc = np.zeros_like(src)
-        for x in range(min(ex, xlen)):
-            for s in range(et):
-                k = coef[:, :, x, s]
-                if k.any():
-                    acc[:, :, x:, s:] = cfg.add[acc[:, :, x:, s:], cfg.mul[
-                        k[:, :, None, None], src[:, :, :xlen - x, :n - s]]]
-        out = acc[:, 0]
-        for j in range(1, c + 1):
-            out = cfg.add[out, acc[:, j]]
-        dp[targets] = out
-    return dp[-1]
-
-
 def pm_det(a, cfg: FieldConfig):
     """Determinant as a 1D coefficient vector."""
     h = a.shape[0]
-    if h == 0:
-        return np.array([1], dtype=np.int64)
-    out = _laplace_det(a[:, :, None, :], 1, h * (a.shape[2] - 1) + 1, cfg)[0]
+    out = K.charpoly(a, h * (a.shape[2] - 1) + 1, cfg.add, cfg.mul, cfg.neg, cfg.inv)[0]
+    if h % 2:
+        out = cfg.neg[out]
     nz = np.nonzero(out)[0]
     return out[:nz[-1] + 1] if nz.size else np.array([0], dtype=np.int64)
 
@@ -263,10 +198,6 @@ def pm_det(a, cfg: FieldConfig):
 def pm_char_poly(a, cfg: FieldConfig, n=None):
     """Coefficients of det(X*I - a) as a 2D array cp[x_deg, t_deg];
     mod t^n when n is given, else exact."""
-    h = a.shape[0]
     if n is None:
-        n = h * (a.shape[2] - 1) + 1
-    ent = np.zeros((h, h, 2, a.shape[2]), dtype=np.int64)
-    ent[:, :, 0] = cfg.neg[a]
-    ent[np.arange(h), np.arange(h), 1, 0] = 1
-    return _laplace_det(ent, h + 1, n, cfg)
+        n = a.shape[0] * (a.shape[2] - 1) + 1
+    return K.charpoly(a, n, cfg.add, cfg.mul, cfg.neg, cfg.inv)

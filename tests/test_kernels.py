@@ -2,7 +2,8 @@
 
 The loop forms below are the reference implementation: one scalar table
 lookup per operation, in the order the definitions read.  Every kernel
-must agree with its loop form exactly.
+must agree with its loop form exactly.  The reference for charpoly is
+a division-free Laplace DP over row subsets.
 """
 
 import itertools
@@ -27,7 +28,7 @@ def _run(kernel, shape, *args):
     """kernel(*args), checked for what callers rely on: a new C-contiguous
     int64 array of the documented shape (bt1 and lattice_key key subspaces
     by its tobytes()), and every input, tables included, left unchanged."""
-    before = [x.copy() for x in args]
+    before = [np.copy(x) for x in args]
     out = kernel(*args)
     got = out[0] if kernel is K.gf_rref else out
     assert got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
@@ -122,6 +123,60 @@ def _polymat_mul_loops(a, b, add, mul):
                         if b[l, j, t] != 0:
                             out[i, j, s + t] = add[out[i, j, s + t], mul[c, b[l, j, t]]]
     return out
+
+
+def _subset_dp_plan(h):
+    """Index plan of the Laplace DP over row subsets of an h x h matrix.
+
+    Per column c: targets (masks with c+1 bits), and for each target T
+    and each row i in T, the source mask T without i, the row i, and the
+    parity of #{i' in T: i' > i}, the sign of inserting row i into the
+    source set.  Shapes (m,) and (m, c+1).
+    """
+    plan = []
+    for c in range(h):
+        targets = [T for T in range(1 << h) if bin(T).count('1') == c + 1]
+        rows = [[i for i in range(h) if T >> i & 1] for T in targets]
+        srcs = [[T ^ (1 << i) for i in r] for T, r in zip(targets, rows)]
+        odd = [[bin(T >> (i + 1)).count('1') % 2 == 1 for i in r]
+               for T, r in zip(targets, rows)]
+        plan.append((np.array(targets), np.array(srcs), np.array(rows),
+                     np.array(odd, dtype=bool)))
+    return plan
+
+
+def _charpoly_subset_dp(a, n, add, mul, neg):
+    """det(X·I - a) mod t^n as an (h+1, n) array cp[x_deg, t_deg].
+
+    Entry (i, c) of X·I - a is a bivariate polynomial ent[i, c] (index
+    [x_deg, t_deg]).  After column c, dp[S] is the signed sum over the
+    ways to place columns 0..c in the rows S of the product of the chosen
+    entries; column c extends every S by every row i outside it.
+    """
+    h = a.shape[0]
+    xlen = h + 1
+    ent = np.zeros((h, h, 2, a.shape[2]), dtype=np.int64)
+    ent[:, :, 0] = neg[a]
+    ent[np.arange(h), np.arange(h), 1, 0] = 1
+    dp = np.zeros((1 << h, xlen, n), dtype=np.int64)
+    dp[0, 0, 0] = 1
+    et = min(ent.shape[3], n)
+    for c, (targets, srcs, rows, odd) in enumerate(_subset_dp_plan(h)):
+        src = dp[srcs]
+        coef = ent[rows, c, :, :et]
+        coef[odd] = neg[coef[odd]]
+        acc = np.zeros_like(src)
+        for x in range(2):
+            for s in range(et):
+                k = coef[:, :, x, s]
+                if k.any():
+                    acc[:, :, x:, s:] = add[acc[:, :, x:, s:], mul[
+                        k[:, :, None, None], src[:, :, :xlen - x, :n - s]]]
+        out = acc[:, 0]
+        for j in range(1, c + 1):
+            out = add[out, acc[:, j]]
+        dp[targets] = out
+    return dp[-1]
 
 
 @pytest.mark.parametrize('p,r', FIELDS)
@@ -239,3 +294,49 @@ def test_polymat_mul_is_poly_product():
                     for t in range(3):
                         acc[s + t] = c.add[acc[s + t], c.mul[a[i, l, s], b[l, j, t]]]
             assert (got[i, j] == acc).all()
+
+
+def _charpoly_input(rng, q, h, n, kind):
+    """(h, h, deg) input of one of the branches of the Hessenberg reduction."""
+    deg = int(rng.integers(1, n + 2))
+    a = rng.integers(0, q, size=(h, h, deg), dtype=np.int64)
+    if kind == 'hessenberg':
+        # every column already zero below the subdiagonal: nothing to clear
+        a[np.tril_indices(h, -2)] = 0
+    elif kind == 'skip':
+        # column 0 zero below the diagonal: no pivot
+        a[1:, 0] = 0
+    elif kind == 'swap':
+        # the entry of least valuation in column 0 sits in the last row
+        a[1:, 0] = 0
+        a[h - 1, 0, 0] = 1
+        if deg > 1:
+            a[1, 0, 1] = 1
+    elif kind == 'valuation':
+        # column 0 divisible by t below the diagonal
+        a[1:, 0, 0] = 0
+    elif kind == 'nilpotent':
+        # strictly lower triangular, conjugated by a permutation
+        a[np.triu_indices(h)] = 0
+        perm = rng.permutation(h)
+        a = a[perm][:, perm]
+    return np.ascontiguousarray(a)
+
+
+@pytest.mark.parametrize('p,r', FIELDS + [(5, 1)])
+def test_charpoly_matches_subset_dp(p, r):
+    c = field(p, r)
+    rng = np.random.default_rng([18, p, r])
+    kinds = ('hessenberg', 'skip', 'swap', 'valuation', 'nilpotent')
+    for h in range(8):
+        for n in range(1, 7):
+            # the reduction has a column to clear from h = 3 on
+            for kind in ('dense', kinds[(h + n) % len(kinds)] if h >= 3 else 'dense'):
+                a = _charpoly_input(rng, c.q, h, n, kind)
+                a.setflags(write=False)
+                got = _run(K.charpoly, (h + 1, n), a, n, c.add, c.mul, c.neg, c.inv)
+                want = _charpoly_subset_dp(a, n, c.add, c.mul, c.neg)
+                assert (got == want).all(), (h, n, kind)
+                if kind == 'nilpotent':
+                    assert got[h, 0] == 1 and not got[:h].any() and not got[h, 1:].any()
+

@@ -159,6 +159,21 @@ def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
     assert sum(whole) == 1 and len(whole) > 1
 
 
+def test_bt1_kernel_of_v_is_computed_once(cfg, monkeypatch):
+    # check() compares im F with ker V, and the canonical filtration
+    # starts from V^{-1}(0) = ker V: one preimage of zero under vmat
+    bt1._reference_signatures(3, 1)
+    calls = []
+    preimage = bt1._preimage_linear
+    monkeypatch.setattr(bt1, '_preimage_linear', lambda mat, u_rows, c: calls.append(
+        (mat, u_rows.shape[0])) or preimage(mat, u_rows, c))
+    Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
+    eo_classify(Z, 1)
+    assert not np.array_equal(Z.fmat, Z.vmat)
+    assert sum(np.array_equal(mat, Z.vmat) and k == 0 for mat, k in calls) == 1
+    assert len(calls) > 1
+
+
 def test_shtuka_from_element_rejects_shift(cfg, monkeypatch):
     # a minuscule element has no negative exponent, so pm_from_element
     # must return shift 0
@@ -316,16 +331,12 @@ def test_newton_polygon_sigma_conjugation_invariant(cfg):
 
 def _full_precision_polygon(sh):
     # Newton polygon from the exact char poly of the r-fold norm
-    from pkernels.polygons import polygon_from_slopes
-    from pkernels.shtuka.core import _lower_hull_slopes
+    from pkernels.shtuka.core import _polygon_of_char_poly
     cfg = sh.cfg
     b = sh.amat
     for k in range(1, cfg.r):
         b = PM.pm_mul(b, PM.pm_frob(sh.amat, cfg, k), cfg)
-    cp = PM.pm_char_poly(b, cfg)
-    pts = [(i, PM.poly_valuation(c)) for i, c in enumerate(cp)]
-    slopes = _lower_hull_slopes([pt for pt in pts if pt[1] is not None])
-    return polygon_from_slopes([s / cfg.r for s in reversed(slopes)])
+    return _polygon_of_char_poly(PM.pm_char_poly(b, cfg), cfg.r)
 
 
 @pytest.mark.parametrize('r', [2, 3])
@@ -463,6 +474,42 @@ def test_sample_shtuka_deterministic(cfg):
     c = sample_shtuka(HodgeDatum(3, 1), cfg, seed=6)
     assert (a.amat == b.amat).all()
     assert not (a.amat.shape == c.amat.shape and (a.amat == c.amat).all())
+
+
+def _two_product_sample(hd, cfg, seed, deg=2):
+    # the sampler as two products U1·diag(t^mu)·U2, each constant term
+    # tested for invertibility by inverting it
+    rng = np.random.default_rng(seed)
+    h, d = hd.height, hd.dimension
+    units = []
+    for _ in range(2):
+        while True:
+            c0 = rng.integers(0, cfg.q, size=(h, h), dtype=np.int64)
+            try:
+                PM.gf_mat_inv(c0, cfg)
+                break
+            except ValueError:
+                continue
+        u = np.zeros((h, h, deg), dtype=np.int64)
+        u[:, :, 0] = c0
+        u[:, :, 1:] = rng.integers(0, cfg.q, size=(h, h, deg - 1), dtype=np.int64)
+        units.append(u)
+    mid = PM.pm_zeros(h, h, 2)
+    for i in range(h):
+        mid[i, i, 1 if i < d else 0] = 1
+    return PM.pm_trim(PM.pm_mul(PM.pm_mul(units[0], mid, cfg), units[1], cfg))
+
+
+def test_sample_shtuka_matches_two_product_reference():
+    for p, r in ((2, 2), (3, 1), (2, 3)):
+        cfg = field(p, r)
+        for h in range(1, 6):
+            for d in range(h + 1):
+                for seed in range(3):
+                    s = [91, p, r, h, d, seed]
+                    got = sample_shtuka(HodgeDatum(h, d), cfg, seed=s).amat
+                    want = _two_product_sample(HodgeDatum(h, d), cfg, s)
+                    assert got.shape == want.shape and (got == want).all(), s
 
 
 def test_sample_shtuka_lands_in_stratum(cfg):
