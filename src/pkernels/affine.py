@@ -16,7 +16,17 @@ it agrees with BFS word length over the affine generators and with the
 coset-index [I : I ∩ xIx^{-1}] oracle, both exercised in the tests.
 
 The reduction at the bottom decides, by length arithmetic alone, which
-Newton strata meet a double coset I·x·I.
+Newton strata meet a double coset I·x·I.  It runs on a private flat
+coding: the tuple lam + perm of 2h ints, which keys its memo and the
+length cache.  Conjugation by s_i (1 <= i < h) swaps lam_i and lam_{i+1},
+swaps the positions i and i+1 of u and relabels its values i <-> i+1;
+s_0 does the same for 1 <-> h and adds its exponents (window notation:
+Björner–Brenti, *Combinatorics of Coxeter Groups*, §8.3).  The length of
+s·y·s follows from that of y in O(h), and each leaf is keyed by its
+Newton point as a block tuple in the format of NewtonPolygon.blocks.
+Nothing inside the walk is validated: the public functions take and
+return Elements, whose constructor checks them, and convert at the
+boundary.
 """
 
 import itertools
@@ -152,7 +162,7 @@ def omega(h: int) -> Element:
     return Element(lam, perm)
 
 
-# memo for length(); cleared when full (the (6, d) tables, d = 0…6, store 192)
+# memo for _length(), keyed by the flat coding; cleared when full
 _LENGTH_CACHE_MAX = 1 << 15
 _length_cache = {}
 
@@ -163,23 +173,27 @@ def length(x: Element) -> int:
     >>> length(identity(2)), length(translation((1, 0))), length(omega(2))
     (0, 1, 0)
     """
-    v = _length_cache.get(x)
+    return _length(x.lam + x.perm)
+
+
+def _length(c: tuple) -> int:
+    # Σ_{a<b} |λ_a − λ_b + [u⁻¹(a) > u⁻¹(b)]|: each pair of directions
+    # contributes max(0, k) + max(0, −k) to the coset index
+    v = _length_cache.get(c)
     if v is not None:
         return v
-    ui = weyl.inverse(x.perm)
-    lam = x.lam
+    h = len(c) >> 1
+    ui = [0] * h
+    for j in range(h):
+        ui[c[h + j] - 1] = j
     total = 0
-    for a, b in itertools.permutations(range(x.h), 2):
-        c = lam[a] - lam[b]
-        if ui[a] > ui[b]:
-            c += 1
-        if a > b:
-            c -= 1
-        if c > 0:
-            total += c
+    for a in range(h):
+        la, ua = c[a], ui[a]
+        for b in range(a + 1, h):
+            total += abs(la - c[b] + (ua > ui[b]))
     if len(_length_cache) >= _LENGTH_CACHE_MAX:
         _length_cache.clear()
-    _length_cache[x] = total
+    _length_cache[c] = total
     return total
 
 
@@ -236,19 +250,41 @@ def translation_conjugate(x: Element, lam) -> Element:
 
 # ------------------------------------------------------------- reduction
 
-def _cycle_sums(x: Element) -> list:
+def _element(c: tuple) -> Element:
+    """The Element of a flat coding lam + perm."""
+    h = len(c) >> 1
+    return Element(c[:h], c[h:])
+
+
+def _cycle_sums(c: tuple) -> list:
     """(sum of lam over C, |C|) for each cycle C of the permutation."""
-    seen = set()
+    h = len(c) >> 1
+    seen = [False] * h
     out = []
-    for j in range(1, x.h + 1):
-        cycle = []
-        while j not in seen:
-            seen.add(j)
-            cycle.append(x.lam[j - 1])
-            j = x.perm[j - 1]
-        if cycle:
-            out.append((sum(cycle), len(cycle)))
+    for j in range(h):
+        s = n = 0
+        while not seen[j]:
+            seen[j] = True
+            s += c[j]
+            n += 1
+            j = c[h + j] - 1
+        if n:
+            out.append((s, n))
     return out
+
+
+def _blocks(cycles) -> tuple:
+    """The Newton point of the cycle sums as blocks, in the format of
+    NewtonPolygon.blocks: a cycle with sum S and length n gives
+    g = gcd(S, n) blocks (S/g, (n − S)/g), sorted by slope.  Equal slopes
+    are equal blocks, and float division separates the slopes of
+    denominator at most h exactly, so the tuple is canonical."""
+    out = []
+    for s, n in cycles:
+        g = math.gcd(s, n)
+        out += [(s // g, (n - s) // g)] * g
+    out.sort(key=lambda b: b[0] / (b[0] + b[1]))
+    return tuple(out)
 
 
 def newton_point(x: Element) -> tuple:
@@ -260,7 +296,8 @@ def newton_point(x: Element) -> tuple:
     >>> newton_point(Element((0, 1), (2, 1)))
     (Fraction(1, 2), Fraction(1, 2))
     """
-    return tuple(sorted(Fraction(s, n) for s, n in _cycle_sums(x) for _ in range(n)))
+    return tuple(sorted(Fraction(s, n) for s, n in _cycle_sums(x.lam + x.perm)
+                        for _ in range(n)))
 
 
 def min_length(x: Element) -> int:
@@ -279,11 +316,65 @@ def min_length(x: Element) -> int:
     >>> min_length(Element((1, 0), (2, 1))), min_length(translation((1, 0)))
     (0, 1)
     """
-    cycles = _cycle_sums(x)
+    return _min_length(_cycle_sums(x.lam + x.perm))
+
+
+def _min_length(cycles) -> int:
     total = sum(math.gcd(s, n) - 1 for s, n in cycles)
     for (s, n), (t, m) in itertools.combinations(cycles, 2):
         total += abs(s * m - t * n)
     return total
+
+
+def _root(i: int, h: int) -> tuple:
+    """(a, b, e) for s_i: it swaps the directions a and b and carries the
+    exponents +e at a and −e at b; (i, i+1, 0) for i ≥ 1, (h, 1, 1) for s_0."""
+    return (i, i + 1, 0) if i else (h, 1, 1)
+
+
+def _left(y: tuple, i: int, h: int) -> list:
+    """s_i·y on the flat coding, as a list: λ_a, λ_b ← λ_b + e, λ_a − e and
+    the values a ↔ b of u relabelled."""
+    a, b, e = _root(i, h)
+    z = list(y)
+    z[a - 1], z[b - 1] = y[b - 1] + e, y[a - 1] - e
+    z[y.index(a, h)], z[y.index(b, h)] = b, a
+    return z
+
+
+def _conj(y: tuple, i: int, h: int) -> tuple:
+    """s_i·y·s_i on the flat coding: s_i·y = (λ', u'), then the positions
+    a ↔ b of u' swapped, +e added to λ' at u'(a) and −e at u'(b)."""
+    a, b, e = _root(i, h)
+    z = _left(y, i, h)
+    pa, pb = h + a - 1, h + b - 1
+    z[pa], z[pb] = z[pb], z[pa]
+    if e:
+        z[z[pa] - 1] -= 1
+        z[z[pb] - 1] += 1
+    return tuple(z)
+
+
+def _conj_delta(y: tuple, i: int, h: int) -> int:
+    """length(s_i·y·s_i) − length(y) ∈ {−2, 0, 2}, from a few entries of
+    y and the positions of the values a and b in u.
+
+    In the sum of _length, the left factor changes only the term of the
+    pair (a, b), from k to 1 − k, and the right factor only that of the
+    pair (u'(a), u'(b)) of s_i·y = (λ', u'), from k to k + 1; every other
+    term moves to another pair unchanged.  So nothing is built."""
+    a, b, e = _root(i, h)
+    k = y[a - 1] - y[b - 1] + (y.index(a, h) > y.index(b, h)) - e
+    delta = -1 if k >= 1 else 1
+    # u' = t∘u, so u'(a) = t(u(a)); λ' is λ but at a and b
+    p, q = y[h + a - 1], y[h + b - 1]
+    k = y[p - 1] - y[q - 1] + e
+    if e:
+        k += (p == b) - (p == a) - (q == b) + (q == a)
+    p = b if p == a else a if p == b else p
+    q = b if q == a else a if q == b else q
+    k -= p > q
+    return delta + (1 if k >= 0 else -1)
 
 
 def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
@@ -315,41 +406,53 @@ def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
     >>> sorted(newton_strata(Element((1, 0), (2, 1)))[0])
     [(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 2))]
     """
-    h = x.h
-    refs = [simple_reflection(h, i) for i in range(h)] if h > 1 else []
-    return _reduce(x, {} if memo is None else memo, limit, refs)
+    points, explored = _newton_blocks(x.lam + x.perm, {} if memo is None else memo, limit)
+    # each witness is a leaf keyed by its own Newton point
+    return {newton_point(y): y for y in map(_element, points.values())}, explored
 
 
-def _reduce(x, memo, limit, refs):
-    done = memo.get(x)
+def _newton_blocks(c: tuple, memo: dict, limit) -> tuple:
+    """newton_strata on the flat coding: (points, explored) with each
+    Newton point a block tuple and each witness a flat coding."""
+    return _reduce(c, _length(c), memo, limit)
+
+
+def _reduce(c, ell, memo, limit):
+    done = memo.get(c)
     if done is None:
-        ell = length(x)
-        if ell == min_length(x):
-            done = ({newton_point(x): x}, 1)
+        cycles = _cycle_sums(c)
+        if ell == _min_length(cycles):
+            done = ({_blocks(cycles): c}, 1)
         else:
-            done = _drop(x, ell, memo, limit, refs)
+            done = _drop(c, ell, memo, limit)
         if limit is not None and done[1] > limit:
-            raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
-        memo[x] = done
+            raise ResourceLimitError('reduction of %r exceeds %d elements'
+                                     % (_element(c), limit))
+        memo[c] = done
     return done
 
 
-def _drop(x, ell, memo, limit, refs):
-    # walk the length-preserving class of x up to its first drop
-    walked = [x]
-    seen = {x}
+def _drop(c, ell, memo, limit):
+    # walk the length-preserving class of c up to its first drop; there
+    # s·y·s has length ell - 2 and s·y length ell - 1
+    h = len(c) >> 1
+    walked = [c]
+    seen = {c}
     for y in walked:
-        for s in refs:
-            z = s * y * s
-            ell_z = length(z)
-            if ell_z < ell:
-                points, n_sys = _reduce(z, memo, limit, refs)
-                more, n_sy = _reduce(s * y, memo, limit, refs)
+        for i in range(h if h > 1 else 0):
+            delta = _conj_delta(y, i, h)
+            if delta < 0:
+                points, n_sys = _reduce(_conj(y, i, h), ell - 2, memo, limit)
+                more, n_sy = _reduce(tuple(_left(y, i, h)), ell - 1, memo, limit)
                 return {**more, **points}, len(walked) + n_sys + n_sy
-            if ell_z == ell and z not in seen:
-                seen.add(z)
-                walked.append(z)
+            if delta == 0:
+                z = _conj(y, i, h)
+                if z not in seen:
+                    seen.add(z)
+                    walked.append(z)
         if limit is not None and len(walked) > limit:
-            raise ResourceLimitError('reduction of %r exceeds %d elements' % (x, limit))
+            raise ResourceLimitError('reduction of %r exceeds %d elements'
+                                     % (_element(c), limit))
     raise ConventionError('%r has length %d above the minimal length %d of its class, '
-                          'but its class has no drop' % (x, ell, min_length(x)))
+                          'but its class has no drop'
+                          % (_element(c), ell, _min_length(_cycle_sums(c))))

@@ -21,7 +21,7 @@ from . import affine, weyl
 from .affine import Element
 from .errors import ConventionError, ResourceLimitError
 from .polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
-                       eo_representative, hodge_of, mu_and_type, parse_polygon)
+                       eo_representative, mu_and_type, parse_polygon)
 from .semimodules import enumerate_profiles, middle_element
 
 __version__ = '0.3.0'
@@ -53,19 +53,20 @@ class Bounds:
 # ------------------------------------------------------------- engine
 
 def _strata(x: Element, bounds: Bounds, memo: dict) -> tuple:
-    """(points, explored) of affine.newton_strata for x, within bounds."""
+    """(points, explored) of the reduction of x within bounds, on the flat
+    coding: each Newton point a block tuple, each witness a flat tuple."""
     bounds.check_height(x.h)
-    return affine.newton_strata(x, memo, bounds.max_support)
+    return affine._newton_blocks(x.lam + x.perm, memo, bounds.max_support)
 
 
 def _witness(points: dict, P: NewtonPolygon):
     """The minimal-length element the reduction reached P at, or None."""
-    y = points.get(P.slopes())
-    return None if y is None else {'y': y.to_dict()}
+    y = points.get(P.blocks)
+    return None if y is None else {'y': affine._element(y).to_dict()}
 
 
 def _require_stratum(hd: HodgeDatum, P: NewtonPolygon):
-    if hodge_of(P) != hd:
+    if (P.height, P.dimension) != (hd.height, hd.dimension):
         raise ValueError('polygon %s does not lie in stratum (%d, %d)'
                          % (P, hd.height, hd.dimension))
 
@@ -124,9 +125,20 @@ class IncidenceTable:
     provenance: dict
 
     def cell(self, w, P) -> bool:
-        i = self.rows.index(tuple(w))
-        j = self.cols.index(str(P) if isinstance(P, NewtonPolygon) else P)
-        return self.values[i][j]
+        """The value at row w and column P, a NewtonPolygon or any
+        spelling parse_polygon accepts; ValueError names a missing one.
+
+        >>> t = incidence_table(HodgeDatum(2, 1))
+        >>> t.cell((1, 2), '1/2 x2'), t.cell((1, 2), '0,1')
+        (True, False)
+        """
+        w = tuple(w)
+        col = str(P if isinstance(P, NewtonPolygon) else parse_polygon(P))
+        if w not in self.rows:
+            raise ValueError('no row %s in the table of %s' % (list(w), self.hodge))
+        if col not in self.cols:
+            raise ValueError('no column %s in the table of %s' % (col, self.hodge))
+        return self.values[self.rows.index(w)][self.cols.index(col)]
 
     def to_json(self) -> str:
         out = {
@@ -167,25 +179,27 @@ def incidence_table(hd: HodgeDatum, check: dict = None,
     _, pairs = mu_and_type(hd)
     rows = tuple(weyl.min_coset_reps(hd.height, pairs))
     cols = enumerate_polygons(hd)
+    names = tuple(str(P) for P in cols)
     memo = {}
     values = []
     witnesses = {}
     searched = {}
     for w in rows:
         points, explored = _strata(eo_representative(hd, w), bounds, memo)
+        row_key = _cell_key(w, '')
         row = []
-        for P in cols:
+        for P, name in zip(cols, names):
             wit = _witness(points, P)
             row.append(wit is not None)
             if wit is None:
-                searched[_cell_key(w, P)] = explored
+                searched[row_key + name] = explored
             else:
-                witnesses[_cell_key(w, P)] = wit
+                witnesses[row_key + name] = wit
         values.append(tuple(row))
     return IncidenceTable(
         hodge=(hd.height, hd.dimension),
         rows=rows,
-        cols=tuple(str(P) for P in cols),
+        cols=names,
         values=tuple(values),
         witnesses=witnesses,
         searched=searched,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import affine, weyl
+from . import weyl
 from .affine import Element
 
 __all__ = [
@@ -165,20 +165,28 @@ def mu_and_type(hd: HodgeDatum):
 
 def eo_representative(hd: HodgeDatum, w) -> Element:
     """The double-coset point w·w_0·w_{0,I}·eps^mu attached to a minimal
-    coset representative w (raises if w is not one)."""
+    coset representative w (raises if w is not one).
+
+    w_0·w_{0,I} sends j to j + h - d for j <= d and to j - d otherwise, so
+    u = w∘w_0∘w_{0,I} is w rotated left by h - d, and u·mu puts the
+    exponent 1 at the last d values of w.
+
+    >>> eo_representative(HodgeDatum(3, 1), (2, 3, 1))
+    Element(lam=(1, 0, 0), perm=(1, 2, 3))
+    """
     h, d = hd.height, hd.dimension
     w = tuple(w)
     if not weyl.is_permutation(w) or len(w) != h:
         raise ValueError('w must be a permutation of size %d' % h)
-    mu, pairs = mu_and_type(hd)
     wi = weyl.inverse(w)
-    for (i, j) in sorted(pairs):
-        if wi[i - 1] > wi[j - 1]:
-            raise ValueError('w is not minimal in its coset: descent at (%d, %d)' % (i, j))
-    w0 = weyl.longest_element(h)
-    w0i = weyl.longest_element(h, pairs)
-    u = weyl.compose(weyl.compose(w, w0), w0i)
-    return affine.from_perm(u) * affine.translation(mu)
+    # I holds every simple pair but (d, d+1)
+    for i in range(1, h):
+        if i != d and wi[i - 1] > wi[i]:
+            raise ValueError('w is not minimal in its coset: descent at (%d, %d)' % (i, i + 1))
+    lam = [0] * h
+    for v in w[h - d:]:
+        lam[v - 1] = 1
+    return Element(tuple(lam), w[h - d:] + w[:h - d])
 
 
 def enumerate_polygons(hd: HodgeDatum) -> list:

@@ -7,7 +7,6 @@ Lengths are checked against breadth-first search word length from the
 length-zero elements.
 """
 
-import doctest
 import itertools
 from fractions import Fraction
 
@@ -17,12 +16,7 @@ import pytest
 from pkernels import affine, weyl
 from pkernels.affine import Element
 from pkernels.errors import ConventionError, ResourceLimitError
-from pkernels.polygons import HodgeDatum, eo_representative, mu_and_type
-
-
-def test_doctests():
-    failed, attempted = doctest.testmod(affine)
-    assert failed == 0 and attempted > 0
+from pkernels.polygons import HodgeDatum, eo_representative, mu_and_type, polygon_from_slopes
 
 
 # ---------------------------------------------------- monomial matrix model
@@ -184,6 +178,43 @@ def test_length_cache_is_bounded():
         affine.length(x)
         assert len(affine._length_cache) <= cap
     assert [affine.length(x) for x in probe] == before
+
+
+# ------------------------------------------------------------- flat coding
+
+def _small_elements(max_h):
+    # every element with lam in {-1, 0, 1}^h, h = 2…max_h
+    for h in range(2, max_h + 1):
+        for lam in itertools.product((-1, 0, 1), repeat=h):
+            for u in weyl.all_permutations(h):
+                yield Element(lam, u)
+
+
+def _code(x):
+    return x.lam + x.perm
+
+
+def test_flat_steps_match_the_group_law():
+    # s·y·s, s·y and the length change of s·y·s on the coding lam + perm
+    # agree with Element products and length(), for every s_0…s_{h-1}
+    for x in _small_elements(4):
+        c = _code(x)
+        assert affine._element(c) == x
+        for i in range(x.h):
+            s = affine.simple_reflection(x.h, i)
+            assert affine._conj(c, i, x.h) == _code(s * x * s), (x, i)
+            assert tuple(affine._left(c, i, x.h)) == _code(s * x), (x, i)
+            assert (affine._conj_delta(c, i, x.h)
+                    == affine.length(s * x * s) - affine.length(x)), (x, i)
+
+
+def test_block_key_is_the_newton_point():
+    for x in _small_elements(4):
+        blocks = affine._blocks(affine._cycle_sums(_code(x)))
+        nu = affine.newton_point(x)
+        assert tuple(Fraction(a, a + b) for a, b in blocks for _ in range(a + b)) == nu, x
+        if 0 <= min(nu) and max(nu) <= 1:
+            assert blocks == polygon_from_slopes(nu).blocks, x
 
 
 # ----------------------------------------------------- reduced decomposition
@@ -354,7 +385,7 @@ def _min_length_by_slopes(x):
     # ⟨ν, 2ρ⟩ + Σ_C (|C|/b_C − 1), b_C the denominator of the slope of C
     nu = affine.newton_point(x)
     total = sum(abs(a - b) for a, b in itertools.combinations(nu, 2))
-    for s, n in affine._cycle_sums(x):
+    for s, n in affine._cycle_sums(x.lam + x.perm):
         total += n // Fraction(s, n).denominator - 1
     return total
 
@@ -398,8 +429,8 @@ def test_min_length_decides_drops_on_every_reached_element():
         memo = {}
         for x in xs:
             affine.newton_strata(x, memo)
-        for x in memo:
-            walked, drops = _reference_class(x)
+        for c in memo:
+            walked, drops = _reference_class(affine._element(c))
             for y in walked:
                 assert (affine.length(y) == affine.min_length(y)) is not drops, (hd, y)
 
@@ -423,12 +454,57 @@ def test_newton_strata_match_the_full_walk():
             assert affine.newton_strata(x)[0] == _reference_strata(x, memo), (hd, x)
 
 
+def _element_reduce(x, memo, refs):
+    # the reduction on validated Elements, every conjugate built and its
+    # length taken from length(): the reference for the flat coding
+    done = memo.get(x)
+    if done is None:
+        ell = affine.length(x)
+        if ell == affine.min_length(x):
+            done = ({affine.newton_point(x): x}, 1)
+        else:
+            done = _element_drop(x, ell, memo, refs)
+        memo[x] = done
+    return done
+
+
+def _element_drop(x, ell, memo, refs):
+    walked = [x]
+    seen = {x}
+    for y in walked:
+        for s in refs:
+            z = s * y * s
+            ell_z = affine.length(z)
+            if ell_z < ell:
+                points, n_sys = _element_reduce(z, memo, refs)
+                more, n_sy = _element_reduce(s * y, memo, refs)
+                return {**more, **points}, len(walked) + n_sys + n_sy
+            if ell_z == ell and z not in seen:
+                seen.add(z)
+                walked.append(z)
+    raise ConventionError('%r has no drop' % (x,))
+
+
+def test_newton_strata_match_the_element_walk():
+    # points, witnesses and explored, with one memo per table on each side
+    for hd, xs in _all_strata(7):
+        memo, ref_memo = {}, {}
+        refs = _cyclic_shifts(xs[0])
+        for x in xs:
+            assert (affine.newton_strata(x, memo)
+                    == _element_reduce(x, ref_memo, refs)), (hd, x)
+        # the block key of every element the reduction reached
+        for c in memo:
+            nu = affine.newton_point(affine._element(c))
+            assert affine._blocks(affine._cycle_sums(c)) == polygon_from_slopes(nu).blocks
+
+
 def test_reduction_raises_when_min_length_is_too_low(monkeypatch):
     # a class the closed form puts above its minimum must drop; the walk
     # checks that and raises when it finds no drop
-    real = affine.min_length
+    real = affine._min_length
     x = affine.translation((1, 0, 0))
-    assert affine.length(x) == real(x) == 2
-    monkeypatch.setattr(affine, 'min_length', lambda y: real(y) - 2)
+    assert affine.length(x) == affine.min_length(x) == 2
+    monkeypatch.setattr(affine, '_min_length', lambda cycles: real(cycles) - 2)
     with pytest.raises(ConventionError, match='no drop'):
         affine.newton_strata(x)

@@ -117,6 +117,19 @@ def test_incidence_table_shape_and_cells(report):
     assert t.cell((1, 2), '0,1') is False
 
 
+def test_cell_accepts_every_spelling_of_a_column(report):
+    t = incidence_table(HD21, report)
+    for spelling in ('1/2x2', '1/2 x2', '2/4x2', '1/2,1/2', SS):
+        assert t.cell((1, 2), spelling) is True, spelling
+        assert t.cell([2, 1], spelling) is False, spelling
+    with pytest.raises(ValueError, match=r'no row \[3, 1\]'):
+        t.cell((3, 1), SS)
+    with pytest.raises(ValueError, match='no column 1/3x3'):
+        t.cell((1, 2), '1/3x3')
+    with pytest.raises(ValueError, match='bad slope token'):
+        t.cell((1, 2), 'half')
+
+
 def test_five_two_cell_count():
     t = incidence_table(HodgeDatum(5, 2))
     assert sum(map(sum, t.values)) == 11
@@ -266,13 +279,13 @@ def test_calibrate_rejects_empty_checks(monkeypatch, samples, sigma_trials):
 
 def test_calibrate_raises_on_disagreement(monkeypatch):
     # an engine that loses the supersingular stratum contradicts the oracle
-    real = affine.newton_strata
+    real = affine._newton_blocks
 
-    def lossy(x, memo=None, limit=None):
-        points, explored = real(x, memo, limit)
-        return {p: y for p, y in points.items() if p != SS.slopes()}, explored
+    def lossy(c, memo, limit):
+        points, explored = real(c, memo, limit)
+        return {p: y for p, y in points.items() if p != SS.blocks}, explored
 
-    monkeypatch.setattr(criterion.affine, 'newton_strata', lossy)
+    monkeypatch.setattr(criterion.affine, '_newton_blocks', lossy)
     with pytest.raises(ConventionError, match='disagrees'):
         calibrate(probes=((2, 1),), samples={(2, 1): 20}, sigma_trials=4)
 

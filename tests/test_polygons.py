@@ -138,6 +138,28 @@ def test_eo_representative_requires_minimal_rep():
                 eo_representative(hd, w)
 
 
+def test_eo_representative_matches_the_coset_product():
+    # x_w = from_perm(w∘w_0∘w_{0,I})·eps^mu for every minimal coset
+    # representative with h <= 7; a non-permutation and every non-minimal
+    # w of S_4 raise
+    for h in range(1, 8):
+        for d in range(h + 1):
+            hd = HodgeDatum(h, d)
+            mu, pairs = mu_and_type(hd)
+            u0 = weyl.compose(weyl.longest_element(h), weyl.longest_element(h, pairs))
+            reps = weyl.min_coset_reps(h, pairs)
+            for w in reps:
+                expect = affine.from_perm(weyl.compose(w, u0)) * affine.translation(mu)
+                assert eo_representative(hd, w) == expect, (hd, w)
+            for bad in (tuple(range(2, h + 2)), weyl.identity(h + 1)):
+                with pytest.raises(ValueError, match='permutation'):
+                    eo_representative(hd, bad)
+            if h == 4:
+                for w in set(weyl.all_permutations(h)) - set(reps):
+                    with pytest.raises(ValueError, match='not minimal'):
+                        eo_representative(hd, w)
+
+
 @pytest.mark.parametrize('h', [2, 3, 4, 5])
 def test_eo_representatives_injective_and_minuscule(h):
     for d in range(h + 1):

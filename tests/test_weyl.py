@@ -1,4 +1,3 @@
-import doctest
 import itertools
 
 from pkernels import weyl
@@ -6,11 +5,6 @@ from pkernels import weyl
 
 def _inversions(w):
     return sum(1 for a, b in itertools.combinations(range(len(w)), 2) if w[a] > w[b])
-
-
-def test_doctests():
-    failed, attempted = doctest.testmod(weyl)
-    assert failed == 0 and attempted > 0
 
 
 def test_compose_is_function_composition():
