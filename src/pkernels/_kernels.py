@@ -1,21 +1,29 @@
-"""Hot numerical kernels: table-driven finite-field linear algebra.
+"""Hot numerical kernels: finite-field linear algebra and packed power
+series.
 
 Field elements are int64 indices into precomputed tables (see shtuka.gf):
 ADD and MUL are (q, q) tables, NEG and INV are (q,) tables.  Matrices and
 coefficient tensors are int64 arrays of indices.
 
-Each kernel is a row-at-a-time loop over Python lists: it reads its
-operands and the tables with ``tolist()`` (``MUL[c]`` is the row of
-multiples of c), makes each row operation one list comprehension, skips
-zero multipliers, and returns a new C-contiguous int64 array.  The
-oracle's matrices are small (a residue module's preimage stack has at
-most 2h columns, a lattice key's span h·n), and at those sizes numpy's
-per-call dispatch costs more than the arithmetic.  Vectorized numpy wins
-on dense inputs from about 16 columns for gf_rref and about 6 rows for
-polymat_mul (README, Performance).  charpoly works on entries that are
-truncated power series, lists of n coefficients, and series_inv inverts
-one of them.  tests/test_kernels.py checks every kernel against plain
-loop forms, and charpoly against a division-free DP over row subsets.
+gf_matmul, gf_rref, gf_conv2 and polymat_mul are row-at-a-time loops
+over Python lists: each reads its operands and the tables with
+``tolist()`` (``MUL[c]`` is the row of multiples of c), makes each row
+operation one list comprehension, skips zero multipliers, and returns a
+new C-contiguous int64 array.  The oracle's matrices are small (a
+residue module's preimage stack has at most 2h columns, a lattice key's
+span h·n), and at those sizes numpy's per-call dispatch costs more than
+the arithmetic.  Vectorized numpy wins on dense inputs from about 16
+columns for gf_rref and about 6 rows for polymat_mul (README,
+Performance).
+
+charpoly works on truncated power series over F_q packed into Python
+ints (Packing): a series product is one int multiply, sums of products
+accumulate unreduced, and one reduction per entry truncates, folds and
+takes every digit mod p (Kronecker substitution; Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J.
+Symb. Comput. 2009).  tests/test_kernels.py checks every list kernel
+against plain loop forms, and charpoly against a division-free DP over
+row subsets and against the list form it replaced.
 """
 
 import numpy as np
@@ -125,58 +133,159 @@ def polymat_mul(a, b, add, mul):
     return _array(out, (n, m, dc))
 
 
-def series_inv(u, n, ADD, MUL, NEG, INV):
-    """Inverse mod t^n of the unit power series u, as a list of n
-    coefficients; u is a list with u[0] != 0, the tables are lists."""
-    u0inv = INV[u[0]]
-    c = MUL[u0inv]
-    out = [u0inv] + [0] * (n - 1)
-    for k in range(1, n):
-        acc = 0
-        for j in range(1, min(k, len(u) - 1) + 1):
-            acc = ADD[acc][MUL[u[j]][out[k - j]]]
-        out[k] = c[NEG[acc]]
-    return out
+class Packing:
+    r"""F_q[t]/t^n, q = p^r, with each truncated series one Python int.
+
+    A coefficient c in F_q has the base-p digits c_0..c_{r-1} of its field
+    index, its coordinates against alpha^j (shtuka.gf).  Digit j of the
+    coefficient of t^s sits in slot s·S + j, W bits wide, with S = 2r - 1
+    slots per t-block.  An int is normalised when every slot of planes
+    j < r holds a digit < p and every other slot, and every block from n
+    on, is 0.  The product of two normalised ints is one multiply: slot
+    (s, j) of it sums at most n·r digit products, and j <= 2r - 2 < S, so
+    no slot reaches into the next t-block.
+
+    red(x) normalises a sum x of at most ``terms`` such products, each
+    possibly times p - 1 (a negation), plus at most two normalised ints.
+    Every slot of x is then at most V0 = 2(p-1) + terms·n·r·(p-1)^3.  In
+    order, red
+      - truncates: keeps the first n t-blocks (no slot has carried, so
+        this is reduction mod t^n);
+      - folds each plane j = r..2r-2 onto planes 0..r-1 by the digits of
+        alpha^j reduced mod the field's modulus m (alpha^r = sum_i
+        (-m_i mod p)·alpha^i): one shift, mask and multiply per plane.
+        A fold adds only to planes below r, which no later fold reads,
+        and adds at most (p-1)·V0 to each, so every slot stays at most
+        V = V0·(1 + (r-1)(p-1)) < 2^N;
+      - takes every slot mod p at once, x - p·(((x·M) >> K) & LOW), with
+        K = N + bitlen(p), M = ceil(2^K / p) and W = K + N.
+    The last step is exact for every slot value 0 <= v < 2^N.  With
+    M = (2^K + e)/p, 0 <= e < p, v·M/2^K = v/p + v·e/(p·2^K), and the
+    error is below 2^(N-K) = 2^-bitlen(p) < 1/p while v/p is at most
+    (p-1)/p above its floor, so floor(v·M/2^K) = floor(v/p).  Since
+    v·M < 2^N·(2^K/p + 1) <= 2^W, no slot of x·M carries into the next.
+    After the shift by K, slot i holds floor(v_i/p) < 2^N in its low bits
+    and the bits of slot i+1 start at bit W - K = N, so LOW, the low N
+    bits of every slot, drops them, and subtracting p·floor(v_i/p)
+    borrows from no slot.  W = K + N is tight: one bit less puts bit 0
+    of the next slot's product inside LOW.
+
+    On a normalised int the valuation is the block of the lowest set
+    bit, division by t^v is a right shift by v blocks, and the digits of
+    every slot are what unpack reads.
+    """
+
+    def __init__(self, p, r, modulus, inv, n, terms):
+        S = 2 * r - 1
+        v0 = 2 * (p - 1) + terms * n * r * (p - 1) ** 3
+        N = (v0 * (1 + (r - 1) * (p - 1))).bit_length()
+        K = N + p.bit_length()
+        W = K + N
+        B = S * W
+        self.p, self.r, self.n, self.terms, self.W, self.block = p, r, n, terms, W, B
+        self._digit = (1 << p.bit_length()) - 1
+        self._pack = [sum((e // p ** j % p) << j * W for j in range(r)) for e in range(p ** r)]
+        self._inv = inv.tolist()
+        trunc = (1 << n * B) - 1
+        plane = self._plane = trunc // ((1 << B) - 1) * ((1 << W) - 1)   # slot 0 of each block
+        low = trunc // ((1 << W) - 1) * ((1 << N) - 1)                   # low N bits of each slot
+        M = -(-(1 << K) // p)
+        alpha_r = [-m % p for m in modulus[:r]]
+        power, folds = alpha_r, []                          # alpha^j reduced, from j = r
+        for j in range(r, 2 * r - 1):
+            folds.append((j * W, sum(c << i * W for i, c in enumerate(power)) - (1 << j * W)))
+            power = [(a + power[-1] * b) % p for a, b in zip([0] + power[:-1], alpha_r)]
+
+        def red(x):
+            x &= trunc
+            for shift, c in folds:
+                x += ((x >> shift) & plane) * c
+            return x - p * (((x * M) >> K) & low)
+
+        self.red = red
+
+    def val(self, x):
+        """Valuation of a normalised int; n for 0."""
+        return ((x & -x).bit_length() - 1) // self.block if x else self.n
+
+    def pack(self, coeffs):
+        """The normalised int of a series given by its field indices (t^0
+        first), mod t^n."""
+        P, B = self._pack, self.block
+        x = 0
+        for c in reversed(coeffs[:self.n]):
+            x = (x << B) | P[c]
+        return x
+
+    def _index(self, x):
+        # field index of the coefficient of t^0
+        e = 0
+        for j in range(self.r - 1, -1, -1):
+            e = e * self.p + ((x >> j * self.W) & self._digit)
+        return e
+
+    def unpack(self, x):
+        """The n field indices of a normalised int, t^0 first."""
+        return [self._index(x >> s * self.block) for s in range(self.n)]
+
+    def linear(self, table):
+        """The map applying, to every coefficient, the F_p-linear map of
+        the field whose values on field indices are ``table`` (a power of
+        Frobenius): plane j goes to the image of alpha^j."""
+        W, plane, red = self.W, self._plane, self.red
+        images = [(j * W, self._pack[int(table[self.p ** j])]) for j in range(self.r)]
+
+        def apply(x):
+            return red(sum(((x >> shift) & plane) * c for shift, c in images))
+
+        return apply
+
+    def series_inv(self, u, n=None):
+        """u^-1 mod t^n (default the layout's n) for a normalised u with a
+        nonzero constant term, by Newton's iteration x <- x·(2 - u·x),
+        which doubles the precision of x each step."""
+        red, neg1 = self.red, self.p - 1
+        x = self._pack[self._inv[self._index(u)]]
+        prec = 1
+        while prec < (self.n if n is None else n):
+            x = red(2 * x + neg1 * x * red(u * x))
+            prec *= 2
+        return x
 
 
-def charpoly(a, n, add, mul, neg, inv):
-    """det(X·I - a) mod t^n for an (h, h, deg) coefficient tensor a, as an
-    (h+1, n) array cp[x_deg, t_deg].
+def charpoly(m, lay):
+    """det(X·I - m) mod t^n for an h x h matrix m (lists of rows) of
+    normalised ints of the Packing lay, whose ``terms`` is at least h; the
+    h+1 coefficients as normalised ints, X^0 first.
 
-    First a is brought to upper Hessenberg form by similarities over
+    First m is brought to upper Hessenberg form by similarities over
     O/t^n, O = k[[t]].  For column k the pivot is an entry of least
     valuation v among rows k+1..h-1 (the column is skipped when all of
     them vanish mod t^n); its row and column are swapped into position
     k+1.  Each lower entry e of the column then has valuation >= v, so
-    with u the pivot's unit part, m = (e/t^v)·u^{-1} mod t^(n-v) gives
-    m·pivot = e mod t^n, and row_i -= m·row_{k+1}, col_{k+1} += m·col_i
-    clears it.  The swap and each elimination are conjugations by
-    matrices of GL_h(O/t^n), and det(X - P·a·P^{-1}) = det(P)·det(X - a)
-    ·det(P)^{-1} over (O/t^n)[X], so the characteristic polynomial mod
-    t^n does not change.  Then the division-free Hessenberg recurrence
-    (Cohen, GTM 138, 2.2.9) gives it in O(h^3) series products: with p_m
-    the characteristic polynomial of the leading m x m block,
+    with u the pivot's unit part, m_i = (e/t^v)·u^{-1} (u^{-1} mod
+    t^(n-v) suffices) gives m_i·pivot = e mod t^n.  The row operations
+    row_i -= m_i·row_{k+1} all read only the pivot row, which none of
+    them changes, so they commute and run first; then every row gets
+    the one column update col_{k+1} += sum_i m_i·col_i, summed unreduced.
+    Together this is conjugation by P = I - sum_i m_i·E_{i,k+1}, a matrix
+    of GL_h(O/t^n), as is the swap, and det(X - P·a·P^{-1}) =
+    det(P)·det(X - a)·det(P)^{-1} over (O/t^n)[X], so the characteristic
+    polynomial mod t^n does not change.  Then the division-free
+    Hessenberg recurrence (Cohen, GTM 138, 2.2.9) gives it in O(h^3)
+    series products: with p_m the characteristic polynomial of the
+    leading m x m block,
     p_m = (X - H[m-1][m-1])·p_{m-1}
-          - sum_i H[m-1-i][m-1]·H[m-1][m-2]···H[m-i][m-i-1]·p_{m-1-i}.
+          - sum_i H[m-1-i][m-1]·H[m-1][m-2]···H[m-i][m-i-1]·p_{m-1-i},
+    each coefficient summed unreduced (at most m <= h products) and
+    reduced once.
     """
-    ADD, MUL, NEG, INV = add.tolist(), mul.tolist(), neg.tolist(), inv.tolist()
-    h = a.shape[0]
-
-    def fma(acc, f, g):
-        # acc + f·g, truncated to the length of acc (g is at least as long)
-        acc = list(acc)
-        for s, c in enumerate(f):
-            if c:
-                mc = MUL[c]
-                acc[s:] = [ADD[x][mc[y]] for x, y in zip(acc[s:], g)]
-        return acc
-
-    def val(f):
-        return next((s for s, c in enumerate(f) if c), n)
-
-    zero = [0] * n
-    pad = [0] * max(0, n - a.shape[2])
-    m = [[e[:n] + pad for e in row] for row in a.tolist()]
+    red, val = lay.red, lay.val
+    neg1, B, n = lay.p - 1, lay.block, lay.n
+    h = len(m)
+    if h > lay.terms:
+        raise ValueError('a %d x %d matrix needs a Packing with terms >= %d' % (h, h, h))
+    m = [list(row) for row in m]
     for k in range(h - 2):
         v, p = min((val(m[i][k]), i) for i in range(k + 1, h))
         if v == n:
@@ -186,33 +295,31 @@ def charpoly(a, n, add, mul, neg, inv):
             for row in m:
                 row[k + 1], row[p] = row[p], row[k + 1]
         piv = m[k + 1]
-        uinv = series_inv(piv[k][v:], n - v, ADD, MUL, NEG, INV)
+        uinv = lay.series_inv(piv[k] >> v * B, n - v)
+        negpiv = [neg1 * x for x in piv[k + 1:]]
+        mults = []
         for i in range(k + 2, h):
             row = m[i]
-            if not any(row[k]):
-                continue
-            mult = fma([0] * (n - v), row[k][v:], uinv)
-            negm = [NEG[c] for c in mult]
-            row[k] = zero
-            for j in range(k + 1, h):
-                row[j] = fma(row[j], negm, piv[j])
-            for r in m:
-                r[k + 1] = fma(r[k + 1], mult, r[i])
-    one = [1] + zero[1:]
-    polys = [[one]]
+            if row[k]:
+                mult = red((row[k] >> v * B) * uinv)
+                row[k] = 0
+                row[k + 1:] = [red(x + mult * y) for x, y in zip(row[k + 1:], negpiv)]
+                mults.append((i, mult))
+        if mults:
+            for row in m:
+                row[k + 1] = red(row[k + 1] + sum(f * row[i] for i, f in mults))
+    polys = [[1]]
     for c in range(h):
         prev = polys[c]
-        negd = [NEG[x] for x in m[c][c]]
-        q = [fma(zero, negd, prev[0])]
-        q += [fma(prev[j - 1], negd, prev[j]) for j in range(1, c + 1)]
-        q.append(prev[c])
-        prod = one
+        negd = neg1 * m[c][c]
+        acc = [negd * prev[0]] + [x + negd * y for x, y in zip(prev, prev[1:])] + [prev[c]]
+        prod = 1
         for i in range(1, c + 1):
-            prod = fma(zero, prod, m[c - i + 1][c - i])
-            if not any(prod):
+            prod = red(prod * m[c - i + 1][c - i])
+            if not prod:
                 break
-            coef = [NEG[x] for x in fma(zero, m[c - i][c], prod)]
-            for j, pj in enumerate(polys[c - i]):
-                q[j] = fma(q[j], coef, pj)
-        polys.append(q)
-    return _array(polys[h], (h + 1, n))
+            coef = red(neg1 * m[c - i][c] * prod)
+            for j, y in enumerate(polys[c - i]):
+                acc[j] += coef * y
+        polys.append([red(x) for x in acc])
+    return polys[h]

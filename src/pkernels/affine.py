@@ -39,7 +39,7 @@ from .errors import ConventionError, ResourceLimitError
 
 __all__ = [
     'Element', 'identity', 'from_perm', 'translation', 'simple_reflection',
-    'omega', 'length', 'reduced_decomposition', 'in_minuscule_double_coset',
+    'omega', 'length', 'in_minuscule_double_coset',
     'translation_conjugate', 'newton_point', 'min_length', 'newton_strata',
 ]
 
@@ -195,37 +195,6 @@ def _length(c: tuple) -> int:
         _length_cache.clear()
     _length_cache[c] = total
     return total
-
-
-def reduced_decomposition(x: Element):
-    """Write x = omega^k · s_{i_1} ··· s_{i_l} with l = length(x).
-
-    Returns (k, [i_1, ..., i_l]).  Greedy: repeatedly strip a left descent.
-    If the residual after length(x) strips is not a power of omega the
-    length convention is broken somewhere, which must not pass silently.
-
-    >>> reduced_decomposition(omega(2))
-    (1, [])
-    >>> k, word = reduced_decomposition(Element((1, 0), (2, 1)))
-    >>> (k, len(word))
-    (1, 2)
-    """
-    h = x.h
-    k = x.v_det()
-    rest = omega(h) ** (-k) * x
-    word = []
-    refs = [simple_reflection(h, i) for i in range(h)] if h >= 2 else []
-    while length(rest) > 0:
-        for i, s in enumerate(refs):
-            if length(s * rest) < length(rest):
-                word.append(i)
-                rest = s * rest
-                break
-        else:
-            raise ConventionError('no descent found at positive length: %r' % (rest,))
-    if rest != identity(h):
-        raise ConventionError('residual not an omega-power: %r' % (rest,))
-    return k, word
 
 
 def in_minuscule_double_coset(x: Element, h: int, d: int) -> bool:

@@ -18,7 +18,7 @@ from .errors import ConventionError, ResourceLimitError
 from .polygons import HodgeDatum, enumerate_polygons, parse_polygon
 from .semimodules import enumerate_cochar_block, enumerate_profiles
 
-__all__ = ['main', 'parse_element', 'format_element']
+__all__ = ['main', 'parse_element']
 
 
 def parse_element(text: str) -> Element:
@@ -38,11 +38,6 @@ def parse_element(text: str) -> Element:
     if perm is None or lam is None:
         raise ValueError('element needs both perm=[...] and lam=(...)')
     return Element(lam, perm)
-
-
-def format_element(x: Element) -> str:
-    return 'perm=%s;lam=(%s)' % (json.dumps(list(x.perm)),
-                                 ','.join(str(v) for v in x.lam))
 
 
 def _field_from_args(args):

@@ -18,7 +18,7 @@ from .polygons import NewtonPolygon, x_of_polygon
 
 __all__ = [
     'SemimoduleBeginning', 'CocharacterProfile', 'is_beginning',
-    'enumerate_cochar_block', 'cochar_to_beginning', 'beginning_to_cochar',
+    'enumerate_cochar_block', 'cochar_to_beginning',
     'enumerate_profiles', 'eta_of', 'middle_element',
 ]
 
@@ -88,20 +88,6 @@ def cochar_to_beginning(lam, n: int, m: int) -> SemimoduleBeginning:
         raise ValueError('cocharacter length %d != %d' % (len(lam), h))
     C = frozenset(h + 1 - j + h * lam[j - 1] for j in range(1, h + 1))
     return SemimoduleBeginning(C, n, m)
-
-
-def beginning_to_cochar(B: SemimoduleBeginning) -> tuple:
-    """Unique lambda with h+1-j+h*lambda_j in C for each j."""
-    h = B.n + B.m
-    by_res = {c % h: c for c in B.C}
-    lam = []
-    for j in range(1, h + 1):
-        c = by_res[(h + 1 - j) % h]
-        num = c - (h + 1 - j)
-        if num % h:
-            raise ValueError('corrupt beginning')
-        lam.append(num // h)
-    return tuple(lam)
 
 
 def enumerate_profiles(P: NewtonPolygon) -> list:

@@ -9,8 +9,11 @@ A linear preimage {x : M·x in U} is one rref.  The rows of
 [[M^T | I], [U | 0]] span the pairs (M·x + u, x).  In their rref the rows
 whose left block vanishes span exactly the pairs (0, x) with M·x in U,
 and since the rref clears every pivot column, their right blocks are
-already the canonical rref basis of the preimage.  The kernel of M is
-the preimage of 0.
+already the canonical rref basis of the preimage.  The other rows have
+their pivots in the left block, so their left blocks are the canonical
+basis of im M + U.  With U = 0 one rref gives im M and ker M, so a
+module's check() takes one solve per operator, and caches im F and
+ker V for the canonical filtration.
 
 The canonical filtration is the closure of {0, whole space} under
 U -> F(U) and U -> V^{-1}(U); for a valid module it is a chain.  Its
@@ -39,7 +42,7 @@ from .polymat import gf_mat_mul
 
 __all__ = [
     'Bt1Module', 'space_rows', 'space_dim', 'nullspace_rows',
-    'sum_rows', 'intersect_dim', 'f_image', 'v_image', 'v_preimage',
+    'sum_rows', 'intersect_dim', 'f_image', 'v_preimage',
     'canonical_filtration', 'eo_classify', 'graded_bt1_from_beginning',
 ]
 
@@ -68,18 +71,16 @@ class Bt1Module:
 
     @cached_property
     def _im_f(self) -> np.ndarray:
-        """im F as canonical rows; computed once, since fmat is read-only."""
-        imf = f_image(self, full_rows(self.h))
-        imf.setflags(write=False)
-        return imf
+        """im F = im fmat as canonical rows; computed once, since fmat is
+        read-only (check() fills it from its solve on fmat)."""
+        return _frozen(_image_and_kernel(self.fmat, self.cfg)[0])
 
     @cached_property
     def _ker_v(self) -> np.ndarray:
-        """ker V = V^{-1}(0) as canonical rows; computed once, since vmat
-        is read-only."""
-        kerv = v_preimage(self, zero_rows(self.h))
-        kerv.setflags(write=False)
-        return kerv
+        """ker V = sigma(ker vmat) as canonical rows; computed once, since
+        vmat is read-only (check() fills it from its solve on vmat)."""
+        cfg = self.cfg
+        return _frozen(_rows_apply(cfg.frb, _image_and_kernel(self.vmat, cfg)[1], cfg))
 
     @property
     def dimension(self) -> int:
@@ -87,13 +88,19 @@ class Bt1Module:
         return self.h - space_dim(self._im_f)
 
     def check(self):
-        """Assert im F = ker V and im V = ker F; returns self."""
+        """Assert im F = ker V and im V = ker F; returns self.  One solve
+        per operator gives its image and kernel; F and V are sigma- and
+        sigma^{-1}-semilinear, so im F = im fmat, ker F = sigma^{-1}(ker
+        fmat), im V = im vmat and ker V = sigma(ker vmat)."""
         cfg = self.cfg
-        imv = v_image(self, full_rows(self.h))
-        kerf = _rows_apply(cfg.frbi, nullspace_rows(self.fmat, cfg), cfg)
+        imf, kerf = _image_and_kernel(self.fmat, cfg)
+        imv, kerv = _image_and_kernel(self.vmat, cfg)
+        cache = vars(self)
+        cache.setdefault('_im_f', _frozen(imf))
+        cache.setdefault('_ker_v', _frozen(_rows_apply(cfg.frb, kerv, cfg)))
         if not np.array_equal(self._im_f, self._ker_v):
             raise ValueError('im F != ker V')
-        if not np.array_equal(imv, kerf):
+        if not np.array_equal(imv, _rows_apply(cfg.frbi, kerf, cfg)):
             raise ValueError('im V != ker F')
         return self
 
@@ -131,8 +138,7 @@ def zero_rows(h):
 
 def nullspace_rows(mat, cfg: FieldConfig):
     """Row basis of {x : mat @ x = 0}: the preimage of the zero subspace."""
-    mat = np.asarray(mat, dtype=np.int64)
-    return _preimage_linear(mat, zero_rows(mat.shape[0]), cfg)
+    return _image_and_kernel(mat, cfg)[1]
 
 
 def sum_rows(a, b, cfg: FieldConfig):
@@ -149,20 +155,32 @@ def _rows_apply(table, rows, cfg):
     return table[rows] if rows.size else rows
 
 
-def _preimage_linear(mat, u_rows, cfg: FieldConfig):
-    """{x : mat @ x in span(u_rows)} as canonical rows, from one rref of
-    [[mat^T | I], [U | 0]] (module docstring)."""
+def _frozen(rows):
+    rows.setflags(write=False)
+    return rows
+
+
+def _image_preimage(mat, u_rows, cfg: FieldConfig):
+    """(im mat + span(u_rows), {x : mat @ x in span(u_rows)}) as canonical
+    rows, from one rref of [[mat^T | I], [U | 0]] (module docstring)."""
     m, n = mat.shape
     k = u_rows.shape[0]
     if k == m:
-        return full_rows(n)
+        return full_rows(m), full_rows(n)
     stack = np.zeros((n + k, m + n), dtype=np.int64)
     stack[:n, :m] = mat.T
     stack[np.arange(n), m + np.arange(n)] = 1
     stack[n:, :m] = u_rows
     red, rank = K.gf_rref(stack, cfg.add, cfg.mul, cfg.neg, cfg.inv)
     red = red[:rank]
-    return np.ascontiguousarray(red[~red[:, :m].any(axis=1), m:])
+    left = red[:, :m].any(axis=1)
+    return np.ascontiguousarray(red[left, :m]), np.ascontiguousarray(red[~left, m:])
+
+
+def _image_and_kernel(mat, cfg: FieldConfig):
+    """(im mat, ker mat) as canonical rows, from one rref."""
+    mat = np.asarray(mat, dtype=np.int64)
+    return _image_preimage(mat, zero_rows(mat.shape[0]), cfg)
 
 
 # ------------------------------------------------- semilinear operators
@@ -175,17 +193,10 @@ def f_image(Z: Bt1Module, u_rows):
     return space_rows(gf_mat_mul(_rows_apply(cfg.frb, u_rows, cfg), Z.fmat.T, cfg), cfg)
 
 
-def v_image(Z: Bt1Module, u_rows):
-    cfg = Z.cfg
-    if u_rows.shape[0] == 0:
-        return zero_rows(Z.h)
-    return space_rows(gf_mat_mul(_rows_apply(cfg.frbi, u_rows, cfg), Z.vmat.T, cfg), cfg)
-
-
 def v_preimage(Z: Bt1Module, u_rows):
     """V^{-1}(U) = sigma of the linear preimage under vmat."""
     cfg = Z.cfg
-    return _rows_apply(cfg.frb, _preimage_linear(Z.vmat, u_rows, cfg), cfg)
+    return _rows_apply(cfg.frb, _image_preimage(Z.vmat, u_rows, cfg)[1], cfg)
 
 
 # ------------------------------------------------- canonical filtration

@@ -6,7 +6,7 @@ from one linear solve mod t^2 (LocalShtuka._solve).
 The Newton polygon is computed exactly from the characteristic
 polynomial cp(X) = det(X - B) of the r-fold twisted product
 B = A·sigma(A)···sigma^{r-1}(A) (lower convex hull of coefficient
-valuations, slopes divided by r).
+valuations, slopes divided by r), on packed series throughout.
 
 Working mod t^(r·d+1), d = v(det A), is exact.  cp is monic, so its
 point at X^h is (h, 0), and v(cp_0) = v(det B) = r·d, so its point at
@@ -17,6 +17,7 @@ t^(r·d+1) drops exactly those coefficients and leaves every other
 valuation as it was, so the hull, and the polygon, do not change.
 """
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -150,20 +151,17 @@ def bt1_of(sh: LocalShtuka) -> Bt1Module:
     return Z
 
 
-def _polygon_of_char_poly(cp, r: int) -> NewtonPolygon:
-    """Newton polygon of a sigma-semilinear action from the char poly cp
-    (rows x^0..x^h) of its r-fold norm: the lower convex hull of the
-    points (i, v(cp_i)), slopes divided by r.
+def _polygon_of_valuations(vals, r: int) -> NewtonPolygon:
+    """Newton polygon of a sigma-semilinear action from the valuations
+    vals[i] = v(cp_i) (None for cp_i = 0) of the char poly cp of its
+    r-fold norm: the lower convex hull of the points (i, v(cp_i)), slopes
+    divided by r.
 
     A hull segment of width w and drop y is w slopes y/(r·w); with
     g = gcd(y, r·w) that is g/r blocks (y/g, (r·w - y)/g).
     """
-    pts = []
-    for i, row in enumerate(cp.tolist()):
-        v = next((s for s, c in enumerate(row) if c), None)
-        if v is not None:
-            pts.append((i, v))
-    h = cp.shape[0] - 1
+    pts = [(i, v) for i, v in enumerate(vals) if v is not None]
+    h = len(vals) - 1
     if pts[0][0] != 0 or pts[-1][0] != h:
         raise ValueError('singular matrix')
     hull = []
@@ -186,17 +184,44 @@ def _polygon_of_char_poly(cp, r: int) -> NewtonPolygon:
     return NewtonPolygon(tuple(reversed(blocks)))
 
 
+def _norm(a, lay: K.Packing, cfg: FieldConfig):
+    """The r-fold norm A·sigma(A)···sigma^(r-1)(A) mod t^n of a packed
+    matrix, by doubling: N_(2k) = N_k·sigma^k(N_k) and N_(k+1) =
+    N_k·sigma^k(A), one step per binary digit of r, so ceil(log2 r) to
+    2·floor(log2 r) products (3 for GF(256)) instead of r - 1.  Each
+    entry of a product is a sum of h products reduced once."""
+    red = lay.red
+
+    def mul(x, y):
+        cols = list(zip(*y))
+        return [[red(sum(map(operator.mul, row, col))) for col in cols] for row in x]
+
+    def sigma(x, k):
+        f = lay.linear(PM.pm_frob(np.arange(cfg.q), cfg, k))
+        return [[f(e) for e in row] for row in x]
+
+    b, k = a, 1
+    for bit in bin(cfg.r)[3:]:
+        b, k = mul(b, sigma(b, k)), 2 * k
+        if bit == '1':
+            b, k = mul(b, sigma(a, k)), k + 1
+    return b
+
+
 def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     """Exact Newton polygon of the sigma-semilinear action of amat,
-    computed mod t^(r·d+1) (see the module docstring)."""
+    computed mod t^(r·d+1) (see the module docstring).
+
+    A mod t^n is packed once (_kernels.Packing), its r-fold norm is built
+    by doubling (_norm), and the valuation of each coefficient of the
+    norm's characteristic polynomial is read straight off its packed int.
+    """
     cfg = sh.cfg
     h = sh.h
-    n = cfg.r * sh.dimension + 1
-    a = PM.pm_truncate(sh.amat, n)
-    b = a
-    for k in range(1, cfg.r):
-        b = PM.pm_truncate(PM.pm_mul(b, PM.pm_frob(a, cfg, k), cfg), n)
-    P = _polygon_of_char_poly(PM.pm_char_poly(b, cfg, n), cfg.r)
+    lay = PM.packing(cfg, cfg.r * sh.dimension + 1, h)
+    a = [[lay.pack(e) for e in row] for row in sh.amat.tolist()]
+    cp = K.charpoly(_norm(a, lay, cfg), lay)
+    P = _polygon_of_valuations([lay.val(c) if c else None for c in cp], cfg.r)
     if P.height != h or P.dimension != sh.dimension:
         raise ConventionError('Newton polygon %s does not have height %d and dimension %d'
                               % (P, h, sh.dimension))

@@ -8,12 +8,17 @@ is explicit.
 Determinants and characteristic polynomials share one kernel,
 _kernels.charpoly: a Hessenberg reduction by similarities over O/t^n
 followed by the division-free Hessenberg recurrence, O(h^3) series
-products (its docstring gives the exactness argument).  The char poly
-gives the Newton polygon; the determinant, (-1)^h times its constant
-coefficient, only gives v(det) to an Iwahori reduction that is not told
-it (a datum's v(det) and residue come from one mod-t^2 solve,
-core.LocalShtuka).
+products (its docstring gives the exactness argument).  It works on
+packed series, each entry of O/t^n one Python int (_kernels.Packing);
+pm_char_poly, pm_det and poly_series_inv pack at the boundary and
+unpack the result.  The char poly gives the Newton polygon
+(core.newton_polygon_of, which stays packed); the determinant, (-1)^h
+times its constant coefficient, only gives v(det) to an Iwahori
+reduction that is not told it (a datum's v(det) and residue come from
+one mod-t^2 solve, core.LocalShtuka).
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,13 +134,21 @@ def poly_valuation(c):
     return int(nz[0]) if nz.size else None
 
 
+@lru_cache(maxsize=64)
+def packing(cfg: FieldConfig, n: int, terms: int) -> K.Packing:
+    """The packed layout of cfg's F_q[t]/t^n for sums of up to ``terms``
+    products (_kernels.Packing).  Its constants depend only on these
+    three, so the last 64 layouts are kept."""
+    return K.Packing(cfg.p, cfg.r, cfg.modulus, cfg.inv, n, terms)
+
+
 def poly_series_inv(u, n, cfg: FieldConfig):
     """Inverse of a unit power series mod t^n."""
     u = np.asarray(u, dtype=np.int64)
     if u[0] == 0:
         raise ValueError('not a unit')
-    return np.array(K.series_inv(u.tolist(), n, cfg.add.tolist(), cfg.mul.tolist(),
-                                 cfg.neg.tolist(), cfg.inv.tolist()), dtype=np.int64)
+    lay = packing(cfg, n, 1)
+    return np.array(lay.unpack(lay.series_inv(lay.pack(u.tolist()))), dtype=np.int64)
 
 
 def gf_mat_mul(a, b, cfg: FieldConfig):
@@ -188,7 +201,7 @@ def pm_from_element(x):
 def pm_det(a, cfg: FieldConfig):
     """Determinant as a 1D coefficient vector."""
     h = a.shape[0]
-    out = K.charpoly(a, h * (a.shape[2] - 1) + 1, cfg.add, cfg.mul, cfg.neg, cfg.inv)[0]
+    out = pm_char_poly(a, cfg)[0]
     if h % 2:
         out = cfg.neg[out]
     nz = np.nonzero(out)[0]
@@ -198,6 +211,9 @@ def pm_det(a, cfg: FieldConfig):
 def pm_char_poly(a, cfg: FieldConfig, n=None):
     """Coefficients of det(X*I - a) as a 2D array cp[x_deg, t_deg];
     mod t^n when n is given, else exact."""
+    h = a.shape[0]
     if n is None:
-        n = a.shape[0] * (a.shape[2] - 1) + 1
-    return K.charpoly(a, n, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+        n = h * (a.shape[2] - 1) + 1
+    lay = packing(cfg, n, h)
+    cp = K.charpoly([[lay.pack(e) for e in row] for row in a.tolist()], lay)
+    return np.array([lay.unpack(c) for c in cp], dtype=np.int64).reshape(h + 1, n)

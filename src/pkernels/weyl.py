@@ -11,13 +11,13 @@ iterables of such pairs.
 """
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable
 
 Perm = tuple
 
 __all__ = [
     'identity', 'is_permutation', 'compose', 'inverse',
-    'transposition', 'simple_pairs', 'longest_element', 'min_coset_reps',
+    'transposition', 'simple_pairs', 'min_coset_reps',
     'all_permutations',
 ]
 
@@ -87,26 +87,6 @@ def _runs(h: int, subset) -> list:
             runs.append((a, i))
             a = i + 1
     return runs
-
-
-def longest_element(h: int, subset: Optional[Iterable] = None) -> Perm:
-    """Longest element of the parabolic subgroup generated by ``subset``
-    (the full group when subset is None).
-
-    >>> longest_element(3)
-    (3, 2, 1)
-    >>> longest_element(3, set())
-    (1, 2, 3)
-    >>> longest_element(3, {(2, 3)})
-    (1, 3, 2)
-    """
-    subset = simple_pairs(h) if subset is None else set(subset)
-    if not subset <= simple_pairs(h):
-        raise ValueError('not a set of simple reflections of S_%d' % h)
-    w = []
-    for a, b in _runs(h, subset):
-        w.extend(range(b, a - 1, -1))
-    return tuple(w)
 
 
 def min_coset_reps(h: int, subset: Iterable) -> list:

@@ -19,15 +19,15 @@ from pkernels.criterion import (adlv_nonempty, calibrate, incidence_table,
                                 lifts_to)
 from pkernels.polygons import (HodgeDatum, enumerate_polygons,
                                eo_representative, parse_polygon)
-from pkernels.semimodules import (beginning_to_cochar, cochar_to_beginning,
-                                  enumerate_cochar_block, enumerate_profiles,
-                                  is_beginning, middle_element)
+from pkernels.semimodules import (cochar_to_beginning, enumerate_cochar_block,
+                                  enumerate_profiles, is_beginning, middle_element)
 from pkernels.shtuka import (bt1_of, eo_classify, field, iwahori_orbit_size,
                              minimal_shtuka, newton_polygon_of,
                              random_filtration_data, sample_shtuka,
                              verify_lift)
 from pkernels.shtuka import polymat as PM
 from pkernels.shtuka.reduction import iwahori_class_of, random_iwahori
+from test_semimodules import beginning_to_cochar
 
 _STATE = {}
 

@@ -5,9 +5,14 @@ import json
 import pytest
 
 from pkernels.affine import Element
-from pkernels.cli import format_element, main, parse_element
+from pkernels.cli import main, parse_element
 from pkernels.criterion import calibrate, incidence_table
 from pkernels.polygons import HodgeDatum
+
+
+def format_element(x: Element) -> str:
+    # the spelling parse_element reads
+    return 'perm=%s;lam=(%s)' % (json.dumps(list(x.perm)), ','.join(str(v) for v in x.lam))
 
 
 def run(capsys, *argv):

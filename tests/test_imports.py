@@ -73,3 +73,43 @@ def test_scan_sees_a_stale_export():
     mod.__all__ = ['kept', 'removed']
     mod.kept = len
     assert _missing_exports(mod) == ['removed']
+
+
+def _tracer_names(source):
+    """KERNELS, CORE and LAYERS of the benchmark's tracer, read with ast so
+    that the tracer is never imported."""
+    out = {}
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ('KERNELS', 'CORE', 'LAYERS')):
+            out[node.targets[0].id] = ast.literal_eval(node.value)
+    return out
+
+
+def _unresolved(names):
+    # KERNELS are names in pkernels._kernels; CORE are 'layer.function'
+    # with the layer's module in LAYERS
+    kernels = importlib.import_module('pkernels._kernels')
+    missing = ['_kernels.' + k for k in names['KERNELS'] if not callable(getattr(kernels, k, None))]
+    for name in names['CORE']:
+        layer, attr = name.split('.')
+        mod = importlib.import_module(names['LAYERS'][layer])
+        if not callable(getattr(mod, attr, None)):
+            missing.append(name)
+    return missing
+
+
+def test_traced_benchmark_names_resolve():
+    # perfbench/run.py --trace 1 wraps these names; a rename in src/ would
+    # break it without failing any other test
+    names = _tracer_names((ROOT / 'perfbench' / 'tracer.py').read_text())
+    assert names['KERNELS'] and names['CORE']
+    missing = _unresolved(names)
+    assert not missing, 'names the tracer wraps that pkernels lacks:\n' + '\n'.join(missing)
+
+
+def test_scan_sees_a_renamed_kernel():
+    names = _tracer_names("KERNELS = ('gf_rref', 'gf_gone')\nCORE = ('core.bt1_of', 'bt1.gone')\n"
+                          "LAYERS = {'core': 'pkernels.shtuka.core', 'bt1': 'pkernels.shtuka.bt1'}\n")
+    assert _unresolved(names) == ['_kernels.gf_gone', 'bt1.gone']

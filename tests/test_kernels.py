@@ -2,8 +2,9 @@
 
 The loop forms below are the reference implementation: one scalar table
 lookup per operation, in the order the definitions read.  Every kernel
-must agree with its loop form exactly.  The reference for charpoly is
-a division-free Laplace DP over row subsets.
+must agree with its loop form exactly.  The references for the packed
+charpoly are a division-free Laplace DP over row subsets and the list
+form it replaced, a Hessenberg reduction on lists of coefficients.
 """
 
 import itertools
@@ -13,9 +14,12 @@ import pytest
 
 from pkernels import _kernels as K
 from pkernels.shtuka import field
+from pkernels.shtuka import polymat as PM
 
 # F_3 and F_9 are the fields where NEG is not the identity
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+# for the packed series: odd p, r up to 8, and the largest primes
+PACKED_FIELDS = FIELDS + [(5, 1), (7, 2), (3, 5), (13, 1), (251, 1), (2, 8)]
 
 
 def _rand(rng, q, shape):
@@ -179,6 +183,82 @@ def _charpoly_subset_dp(a, n, add, mul, neg):
     return dp[-1]
 
 
+def _series_inv_lists(u, n, ADD, MUL, NEG, INV):
+    # inverse mod t^n of the unit power series u (u[0] != 0), n coefficients
+    u0inv = INV[u[0]]
+    c = MUL[u0inv]
+    out = [u0inv] + [0] * (n - 1)
+    for k in range(1, n):
+        acc = 0
+        for j in range(1, min(k, len(u) - 1) + 1):
+            acc = ADD[acc][MUL[u[j]][out[k - j]]]
+        out[k] = c[NEG[acc]]
+    return out
+
+
+def _charpoly_lists(a, n, add, mul, neg, inv):
+    """det(X·I - a) mod t^n as an (h+1, n) array cp[x_deg, t_deg], by the
+    Hessenberg reduction and recurrence of K.charpoly on entries that are
+    lists of n coefficients, one table lookup per coefficient product."""
+    ADD, MUL, NEG, INV = add.tolist(), mul.tolist(), neg.tolist(), inv.tolist()
+    h = a.shape[0]
+
+    def fma(acc, f, g):
+        # acc + f·g, truncated to the length of acc (g is at least as long)
+        acc = list(acc)
+        for s, c in enumerate(f):
+            if c:
+                mc = MUL[c]
+                acc[s:] = [ADD[x][mc[y]] for x, y in zip(acc[s:], g)]
+        return acc
+
+    def val(f):
+        return next((s for s, c in enumerate(f) if c), n)
+
+    zero = [0] * n
+    pad = [0] * max(0, n - a.shape[2])
+    m = [[e[:n] + pad for e in row] for row in a.tolist()]
+    for k in range(h - 2):
+        v, p = min((val(m[i][k]), i) for i in range(k + 1, h))
+        if v == n:
+            continue
+        if p != k + 1:
+            m[k + 1], m[p] = m[p], m[k + 1]
+            for row in m:
+                row[k + 1], row[p] = row[p], row[k + 1]
+        piv = m[k + 1]
+        uinv = _series_inv_lists(piv[k][v:], n - v, ADD, MUL, NEG, INV)
+        for i in range(k + 2, h):
+            row = m[i]
+            if not any(row[k]):
+                continue
+            mult = fma([0] * (n - v), row[k][v:], uinv)
+            negm = [NEG[c] for c in mult]
+            row[k] = zero
+            for j in range(k + 1, h):
+                row[j] = fma(row[j], negm, piv[j])
+            for r in m:
+                r[k + 1] = fma(r[k + 1], mult, r[i])
+    one = [1] + zero[1:]
+    polys = [[one]]
+    for c in range(h):
+        prev = polys[c]
+        negd = [NEG[x] for x in m[c][c]]
+        q = [fma(zero, negd, prev[0])]
+        q += [fma(prev[j - 1], negd, prev[j]) for j in range(1, c + 1)]
+        q.append(prev[c])
+        prod = one
+        for i in range(1, c + 1):
+            prod = fma(zero, prod, m[c - i + 1][c - i])
+            if not any(prod):
+                break
+            coef = [NEG[x] for x in fma(zero, m[c - i][c], prod)]
+            for j, pj in enumerate(polys[c - i]):
+                q[j] = fma(q[j], coef, pj)
+        polys.append(q)
+    return np.array(polys[h], dtype=np.int64).reshape(h + 1, n)
+
+
 @pytest.mark.parametrize('p,r', FIELDS)
 def test_matmul_paths_agree(p, r):
     c = field(p, r)
@@ -323,20 +403,103 @@ def _charpoly_input(rng, q, h, n, kind):
     return np.ascontiguousarray(a)
 
 
+def _charpoly_packed(a, n, c):
+    """K.charpoly on a packed (h, h, deg) tensor, unpacked to the (h+1, n)
+    array of the references; checks that it leaves its input as it was."""
+    h = a.shape[0]
+    lay = PM.packing(c, n, h)
+    m = [[lay.pack(e) for e in row] for row in a.tolist()]
+    before = [list(row) for row in m]
+    cp = K.charpoly(m, lay)
+    assert m == before and len(cp) == h + 1
+    return np.array([lay.unpack(x) for x in cp], dtype=np.int64).reshape(h + 1, n)
+
+
+CHARPOLY_KINDS = ('hessenberg', 'skip', 'swap', 'valuation', 'nilpotent')
+
+
 @pytest.mark.parametrize('p,r', FIELDS + [(5, 1)])
 def test_charpoly_matches_subset_dp(p, r):
     c = field(p, r)
     rng = np.random.default_rng([18, p, r])
-    kinds = ('hessenberg', 'skip', 'swap', 'valuation', 'nilpotent')
     for h in range(8):
         for n in range(1, 7):
             # the reduction has a column to clear from h = 3 on
+            kinds = CHARPOLY_KINDS
             for kind in ('dense', kinds[(h + n) % len(kinds)] if h >= 3 else 'dense'):
                 a = _charpoly_input(rng, c.q, h, n, kind)
                 a.setflags(write=False)
-                got = _run(K.charpoly, (h + 1, n), a, n, c.add, c.mul, c.neg, c.inv)
+                got = _charpoly_packed(a, n, c)
                 want = _charpoly_subset_dp(a, n, c.add, c.mul, c.neg)
                 assert (got == want).all(), (h, n, kind)
                 if kind == 'nilpotent':
                     assert got[h, 0] == 1 and not got[:h].any() and not got[h, 1:].any()
 
+
+@pytest.mark.parametrize('p,r', PACKED_FIELDS)
+def test_packed_charpoly_matches_lists(p, r):
+    # every input kind (cycling with h + n) at h <= 8 and n <= 12; GF(243),
+    # GF(251) and GF(256) see every third (h, n), since the list form pays
+    # per table lookup
+    c = field(p, r)
+    rng = np.random.default_rng([19, p, r])
+    step = 3 if c.q > 200 else 1
+    for h in range(9):
+        for n in range(1 + h % step, 13, step):
+            kinds = CHARPOLY_KINDS
+            for kind in ('dense', kinds[(h + n) % len(kinds)] if h >= 3 else 'dense'):
+                a = _charpoly_input(rng, c.q, h, n, kind)
+                a.setflags(write=False)
+                got = _charpoly_packed(a, n, c)
+                want = _charpoly_lists(a, n, c.add, c.mul, c.neg, c.inv)
+                assert (got == want).all(), (h, n, kind)
+
+
+def _series_product(f, g, c):
+    # f·g mod t^len(f) by table lookups
+    out = [0] * len(f)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g[:len(f) - i]):
+            out[i + j] = int(c.add[out[i + j], c.mul[x, y]])
+    return out
+
+
+@pytest.mark.parametrize('p,r', PACKED_FIELDS)
+def test_packed_reduction_worst_case(p, r):
+    # red at the largest slot values it promises to take: `terms` products
+    # of series whose every digit is p - 1, each negated by a factor p - 1,
+    # plus two normalised ints, at the largest terms and n the oracle uses
+    # (h = 10, n = 11 at (10, 5)) and beyond.  The second addend has every
+    # digit 1, so that for odd p the slot values are odd: a layout one bit
+    # too narrow then corrupts the quotient it takes mod p.
+    c = field(p, r)
+    ones = sum(p ** j for j in range(r))
+    for n, terms in ((1, 1), (6, 4), (12, 10)):
+        lay = PM.packing(c, n, terms)
+        full = [c.q - 1] * n              # index q - 1: every digit p - 1
+        x = lay.pack(full)
+        got = lay.red(terms * (p - 1) * x * x + x + lay.pack([ones] * n))
+        # terms·(p-1) is an element of the prime field: its index mod p
+        sq = _series_product(full, full, c)
+        want = [int(c.add[c.add[c.mul[terms * (p - 1) % p, s], f], ones])
+                for s, f in zip(sq, full)]
+        assert lay.unpack(got) == want, (n, terms)
+        assert got == lay.pack(want)
+
+
+@pytest.mark.parametrize('p,r', PACKED_FIELDS)
+def test_packed_series_round_trip(p, r):
+    c = field(p, r)
+    rng = np.random.default_rng([20, p, r])
+    for n in (1, 2, 5, 12):
+        lay = PM.packing(c, n, 3)
+        for _ in range(5):
+            f = rng.integers(0, c.q, size=n + 2).tolist()
+            x = lay.pack(f)
+            assert lay.unpack(x) == f[:n]
+            assert lay.val(x) == next((s for s, e in enumerate(f[:n]) if e), n)
+            # every field map a power of Frobenius, coefficientwise
+            table = c.frb[c.frb]
+            assert lay.unpack(lay.linear(table)(x)) == [int(table[e]) for e in f[:n]]
+            if f[0]:
+                assert _series_product(f[:n], lay.unpack(lay.series_inv(x)), c) == [1] + [0] * (n - 1)

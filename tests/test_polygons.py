@@ -12,6 +12,7 @@ from pkernels.polygons import (
     format_polygon, hodge_of, mu_and_type, parse_polygon, polygon_from_slopes,
     x_block, x_of_polygon,
 )
+from test_weyl import longest_element
 
 
 def test_block_validation():
@@ -146,7 +147,7 @@ def test_eo_representative_matches_the_coset_product():
         for d in range(h + 1):
             hd = HodgeDatum(h, d)
             mu, pairs = mu_and_type(hd)
-            u0 = weyl.compose(weyl.longest_element(h), weyl.longest_element(h, pairs))
+            u0 = weyl.compose(longest_element(h), longest_element(h, pairs))
             reps = weyl.min_coset_reps(h, pairs)
             for w in reps:
                 expect = affine.from_perm(weyl.compose(w, u0)) * affine.translation(mu)

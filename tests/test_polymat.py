@@ -195,15 +195,17 @@ def test_series_inverse(p, r):
 
 
 def test_poly_series_inv():
-    cfg = field(2, 2)
-    rng = np.random.default_rng(55)
-    for trial in range(10):
-        n = int(rng.integers(1, 9))
-        u = rng.integers(0, 4, size=5, dtype=np.int64)
-        u[0] = rng.integers(1, 4)
-        v = PM.poly_series_inv(u, n, cfg)
-        prod = PM.pm_poly_scale(u[None, None, :], v, cfg)[0, 0, :n]
-        assert prod[0] == 1 and not prod[1:].any()
+    # Newton's iteration on packed series, also for odd p, where 2·x is not 0
+    for p, r in ((2, 2), (3, 1), (3, 2), (5, 1), (2, 8)):
+        cfg = field(p, r)
+        rng = np.random.default_rng([55, p, r])
+        for trial in range(10):
+            n = int(rng.integers(1, 9))
+            u = rng.integers(0, cfg.q, size=5, dtype=np.int64)
+            u[0] = rng.integers(1, cfg.q)
+            v = PM.poly_series_inv(u, n, cfg)
+            prod = PM.pm_poly_scale(u[None, None, :], v, cfg)[0, 0, :n]
+            assert prod[0] == 1 and not prod[1:].any()
 
 
 def test_frob_entrywise():

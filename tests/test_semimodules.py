@@ -13,10 +13,25 @@ from pkernels import affine
 from pkernels.affine import Element
 from pkernels.polygons import parse_polygon
 from pkernels.semimodules import (
-    CocharacterProfile, SemimoduleBeginning, beginning_to_cochar,
-    cochar_to_beginning, enumerate_cochar_block, enumerate_profiles, eta_of,
-    is_beginning, middle_element,
+    CocharacterProfile, SemimoduleBeginning, cochar_to_beginning,
+    enumerate_cochar_block, enumerate_profiles, eta_of, is_beginning,
+    middle_element,
 )
+
+def beginning_to_cochar(B: SemimoduleBeginning) -> tuple:
+    """Unique lambda with h+1-j+h*lambda_j in C for each j: the inverse of
+    cochar_to_beginning, read off the residues of C."""
+    h = B.n + B.m
+    by_res = {c % h: c for c in B.C}
+    lam = []
+    for j in range(1, h + 1):
+        c = by_res[(h + 1 - j) % h]
+        num = c - (h + 1 - j)
+        if num % h:
+            raise ValueError('corrupt beginning')
+        lam.append(num // h)
+    return tuple(lam)
+
 
 COPRIME = [(n, m) for n in range(1, 8) for m in range(1, 8)
            if n + m <= 8 and gcd(n, m) == 1]

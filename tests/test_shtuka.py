@@ -145,33 +145,50 @@ def test_bt1_of_rejects_dimension_mismatch(cfg, monkeypatch):
         bt1_of(sh)
 
 
+def _count_solves(monkeypatch):
+    # the matrices bt1 takes image and kernel of, one rref each
+    solves = []
+    solve = bt1._image_and_kernel
+    monkeypatch.setattr(bt1, '_image_and_kernel',
+                        lambda mat, c: solves.append(mat) or solve(mat, c))
+    return solves
+
+
 def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
     # bt1_of runs check() and reads dimension, eo_classify walks the
-    # canonical filtration from the whole space: one F-image of it
+    # canonical filtration from the whole space: im F comes from the one
+    # solve on fmat, and F of the whole space is never formed
     bt1._reference_signatures(3, 1)
+    solves = _count_solves(monkeypatch)
     whole = []
     f_image = bt1.f_image
     monkeypatch.setattr(bt1, 'f_image', lambda Z, rows: whole.append(
         np.array_equal(rows, np.eye(Z.h, dtype=np.int64))) or f_image(Z, rows))
     Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
-    assert Z.dimension == 1 and Z.check() is Z
+    assert Z.dimension == 1
     eo_classify(Z, 1)
-    assert sum(whole) == 1 and len(whole) > 1
+    assert sum(np.array_equal(mat, Z.fmat) for mat in solves) == 1
+    assert whole and not any(whole)
+    assert Z.check() is Z
 
 
 def test_bt1_kernel_of_v_is_computed_once(cfg, monkeypatch):
     # check() compares im F with ker V, and the canonical filtration
-    # starts from V^{-1}(0) = ker V: one preimage of zero under vmat
+    # starts from V^{-1}(0) = ker V: both read the one solve on vmat, and
+    # every other preimage the filtration takes is of a nonzero subspace
     bt1._reference_signatures(3, 1)
+    solves = _count_solves(monkeypatch)
     calls = []
-    preimage = bt1._preimage_linear
-    monkeypatch.setattr(bt1, '_preimage_linear', lambda mat, u_rows, c: calls.append(
+    preimage = bt1._image_preimage
+    monkeypatch.setattr(bt1, '_image_preimage', lambda mat, u_rows, c: calls.append(
         (mat, u_rows.shape[0])) or preimage(mat, u_rows, c))
     Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
     eo_classify(Z, 1)
     assert not np.array_equal(Z.fmat, Z.vmat)
+    assert sum(np.array_equal(mat, Z.vmat) for mat in solves) == 1
+    assert len(solves) == 2
     assert sum(np.array_equal(mat, Z.vmat) and k == 0 for mat, k in calls) == 1
-    assert len(calls) > 1
+    assert len(calls) > 2
 
 
 def test_shtuka_from_element_rejects_shift(cfg, monkeypatch):
@@ -331,12 +348,13 @@ def test_newton_polygon_sigma_conjugation_invariant(cfg):
 
 def _full_precision_polygon(sh):
     # Newton polygon from the exact char poly of the r-fold norm
-    from pkernels.shtuka.core import _polygon_of_char_poly
+    from pkernels.shtuka.core import _polygon_of_valuations
     cfg = sh.cfg
     b = sh.amat
     for k in range(1, cfg.r):
         b = PM.pm_mul(b, PM.pm_frob(sh.amat, cfg, k), cfg)
-    return _polygon_of_char_poly(PM.pm_char_poly(b, cfg), cfg.r)
+    return _polygon_of_valuations([PM.poly_valuation(c) for c in PM.pm_char_poly(b, cfg)],
+                                  cfg.r)
 
 
 @pytest.mark.parametrize('r', [2, 3])
@@ -357,6 +375,57 @@ def test_newton_polygon_precision(r):
                 assert P == _full_precision_polygon(datum), (r, h, d, seed)
                 seen.add(str(P))
     assert len(seen) > 4
+
+
+def _list_reference_polygon(sh):
+    # the list path newton_polygon_of replaced: the norm by r - 1 tensor
+    # products mod t^(r·d+1), the list charpoly, and the same hull
+    from test_kernels import _charpoly_lists
+    from pkernels.shtuka.core import _polygon_of_valuations
+    cfg = sh.cfg
+    n = cfg.r * sh.dimension + 1
+    a = PM.pm_truncate(sh.amat, n)
+    b = a
+    for k in range(1, cfg.r):
+        b = PM.pm_truncate(PM.pm_mul(b, PM.pm_frob(a, cfg, k), cfg), n)
+    cp = _charpoly_lists(b, n, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+    return _polygon_of_valuations([PM.poly_valuation(c) for c in cp], cfg.r)
+
+
+@pytest.mark.parametrize('p,r', [(2, 2), (2, 1), (3, 1)])
+def test_newton_polygon_matches_list_path_on_samples(p, r):
+    cfg = field(p, r)
+    for h, d in ((8, 4), (10, 5)):
+        for seed in range(3):
+            sh = sample_shtuka(HodgeDatum(h, d), cfg, rng=np.random.default_rng([63, p, r, h, seed]))
+            assert newton_polygon_of(sh) == _list_reference_polygon(sh), (h, d, seed)
+
+
+@pytest.mark.parametrize('p,r', [(2, 2), (3, 2)])
+def test_newton_polygon_matches_list_path_on_minimal_data(p, r):
+    cfg = field(p, r)
+    for h in range(1, 7):
+        for d in range(h + 1):
+            for P in enumerate_polygons(HodgeDatum(h, d)):
+                sh = minimal_shtuka(P, cfg)
+                assert newton_polygon_of(sh) == _list_reference_polygon(sh) == P
+
+
+@pytest.mark.parametrize('p,r', [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 5)])
+def test_doubling_norm_matches_product_norm(p, r):
+    # _norm takes ceil(log2 r) to 2·floor(log2 r) products; the reference
+    # takes r - 1; GF(16) and GF(256) are the fields the doubling is for
+    from pkernels.shtuka.core import _norm
+    cfg = field(p, r)
+    rng = np.random.default_rng([64, p, r])
+    for h, n in ((1, 3), (3, 4), (4, 7)):
+        a = rng.integers(0, cfg.q, size=(h, h, 3), dtype=np.int64)
+        want = PM.pm_truncate(a, n)
+        for k in range(1, r):
+            want = PM.pm_truncate(PM.pm_mul(want, PM.pm_frob(a, cfg, k), cfg), n)
+        lay = PM.packing(cfg, n, h)
+        got = _norm([[lay.pack(e) for e in row] for row in a.tolist()], lay, cfg)
+        assert got == [[lay.pack(e) for e in row] for row in want.tolist()]
 
 
 def test_newton_polygon_rejects_wrong_dimension(cfg):

@@ -5,12 +5,12 @@ from itertools import accumulate
 
 import pytest
 
-from pkernels.affine import (length, newton_point, omega, reduced_decomposition,
-                             simple_reflection)
+from pkernels.affine import length, newton_point, omega, simple_reflection
 from pkernels.criterion import Bounds, incidence_table
 from pkernels.polygons import (HodgeDatum, enumerate_polygons, eo_representative,
                                polygon_from_slopes)
 from pkernels.shtuka import bt1_of, eo_classify, minimal_shtuka
+from test_affine import reduced_decomposition
 
 TO_7 = Bounds(max_height=7)
 

