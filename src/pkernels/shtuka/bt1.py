@@ -41,9 +41,8 @@ from .gf import FieldConfig
 from .polymat import gf_mat_mul
 
 __all__ = [
-    'Bt1Module', 'space_rows', 'space_dim', 'nullspace_rows',
-    'sum_rows', 'intersect_dim', 'f_image', 'v_preimage',
-    'canonical_filtration', 'eo_classify', 'graded_bt1_from_beginning',
+    'Bt1Module', 'space_rows', 'space_dim', 'sum_rows', 'intersect_dim',
+    'f_image', 'v_preimage', 'canonical_filtration', 'eo_classify', 'graded_bt1_from_beginning',
 ]
 
 
@@ -91,17 +90,22 @@ class Bt1Module:
         """Assert im F = ker V and im V = ker F; returns self.  One solve
         per operator gives its image and kernel; F and V are sigma- and
         sigma^{-1}-semilinear, so im F = im fmat, ker F = sigma^{-1}(ker
-        fmat), im V = im vmat and ker V = sigma(ker vmat)."""
+        fmat), im V = im vmat and ker V = sigma(ker vmat).  The module is
+        immutable, so a check that passed is remembered and a repeated
+        check() solves nothing; a failing one raises on every call."""
+        cache = vars(self)
+        if '_checked' in cache:
+            return self
         cfg = self.cfg
         imf, kerf = _image_and_kernel(self.fmat, cfg)
         imv, kerv = _image_and_kernel(self.vmat, cfg)
-        cache = vars(self)
         cache.setdefault('_im_f', _frozen(imf))
         cache.setdefault('_ker_v', _frozen(_rows_apply(cfg.frb, kerv, cfg)))
         if not np.array_equal(self._im_f, self._ker_v):
             raise ValueError('im F != ker V')
         if not np.array_equal(imv, _rows_apply(cfg.frbi, kerf, cfg)):
             raise ValueError('im V != ker F')
+        cache['_checked'] = True
         return self
 
     def __hash__(self):
@@ -134,11 +138,6 @@ def full_rows(h):
 
 def zero_rows(h):
     return np.zeros((0, h), dtype=np.int64)
-
-
-def nullspace_rows(mat, cfg: FieldConfig):
-    """Row basis of {x : mat @ x = 0}: the preimage of the zero subspace."""
-    return _image_and_kernel(mat, cfg)[1]
 
 
 def sum_rows(a, b, cfg: FieldConfig):

@@ -18,8 +18,6 @@ reduction that is not told it (a datum's v(det) and residue come from
 one mod-t^2 solve, core.LocalShtuka).
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .. import _kernels as K
@@ -134,11 +132,9 @@ def poly_valuation(c):
     return int(nz[0]) if nz.size else None
 
 
-@lru_cache(maxsize=64)
 def packing(cfg: FieldConfig, n: int, terms: int) -> K.Packing:
     """The packed layout of cfg's F_q[t]/t^n for sums of up to ``terms``
-    products (_kernels.Packing).  Its constants depend only on these
-    three, so the last 64 layouts are kept."""
+    products (_kernels.Packing)."""
     return K.Packing(cfg.p, cfg.r, cfg.modulus, cfg.inv, n, terms)
 
 

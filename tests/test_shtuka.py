@@ -20,7 +20,7 @@ from pkernels.shtuka import (Bt1Module, bt1_of, canonical_filtration, eo_classif
                              shtuka_from_element, sigma_conjugate_sample)
 from pkernels.shtuka import polymat as PM
 from pkernels.shtuka import bt1
-from pkernels.shtuka.bt1 import nullspace_rows, space_rows, v_preimage
+from pkernels.shtuka.bt1 import space_rows, v_preimage
 from pkernels.shtuka.core import LocalShtuka, random_unimodular
 from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
@@ -33,8 +33,10 @@ def test_bt1_check_rejects_bad_pair(cfg):
     v = np.zeros((2, 2), dtype=np.int64)
     f[0, 0] = 1
     v[0, 0] = 1   # im V = ker F fails: im F = im V = e1
-    with pytest.raises(ValueError):
-        Bt1Module(cfg, f, v).check()
+    Z = Bt1Module(cfg, f, v)
+    for _ in range(2):      # a failing check is not remembered
+        with pytest.raises(ValueError):
+            Z.check()
 
 
 def _span(rows, cfg):
@@ -79,7 +81,7 @@ def test_preimages_match_brute_force(p, r):
                 Z = Bt1Module(cfg, f, v)
                 cases = [
                     (v_preimage(Z, u), lambda x: _matvec(v, cfg.frbi[x], cfg) in span_u),
-                    (nullspace_rows(f, cfg), lambda x: not any(_matvec(f, x, cfg))),
+                    (bt1._image_and_kernel(f, cfg)[1], lambda x: not any(_matvec(f, x, cfg))),
                 ]
                 for got, member in cases:
                     assert np.array_equal(got, space_rows(got, cfg))
@@ -155,9 +157,10 @@ def _count_solves(monkeypatch):
 
 
 def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
-    # bt1_of runs check() and reads dimension, eo_classify walks the
-    # canonical filtration from the whole space: im F comes from the one
-    # solve on fmat, and F of the whole space is never formed
+    # bt1_of runs check() and reads dimension, a second check() is
+    # remembered, eo_classify walks the canonical filtration from the
+    # whole space: im F comes from the one solve on fmat, and F of the
+    # whole space is never formed
     bt1._reference_signatures(3, 1)
     solves = _count_solves(monkeypatch)
     whole = []
@@ -165,11 +168,10 @@ def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
     monkeypatch.setattr(bt1, 'f_image', lambda Z, rows: whole.append(
         np.array_equal(rows, np.eye(Z.h, dtype=np.int64))) or f_image(Z, rows))
     Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
-    assert Z.dimension == 1
+    assert Z.dimension == 1 and Z.check() is Z
     eo_classify(Z, 1)
     assert sum(np.array_equal(mat, Z.fmat) for mat in solves) == 1
     assert whole and not any(whole)
-    assert Z.check() is Z
 
 
 def test_bt1_kernel_of_v_is_computed_once(cfg, monkeypatch):
