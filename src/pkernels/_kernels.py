@@ -16,15 +16,18 @@ the arithmetic.  Vectorized numpy wins on dense inputs from about 16
 columns for gf_rref and about 6 rows for polymat_mul (README,
 Performance).
 
-charpoly works on truncated power series over F_q packed into Python
-ints (Packing): a series product is one int multiply, sums of products
-accumulate unreduced, and one reduction per entry truncates, folds and
-takes every digit mod p (Kronecker substitution; Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", J.
-Symb. Comput. 2009).  tests/test_kernels.py checks every list kernel
-against plain loop forms, and charpoly against a division-free DP over
-row subsets and against the list form it replaced.
+charpoly and series_matmul work on truncated power series over F_q
+packed into Python ints (Packing): a series product is one int
+multiply, sums of products accumulate unreduced, and one reduction per
+entry truncates, folds and takes every digit mod p (Kronecker
+substitution; Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symb. Comput. 2009).  tests/test_kernels.py
+checks every list kernel against plain loop forms, and charpoly against
+a division-free DP over row subsets and against the list form it
+replaced.
 """
+
+import operator
 
 import numpy as np
 
@@ -82,6 +85,7 @@ def gf_rref(mat, add, mul, neg, inv):
     return _array(m, (nrows, ncols)), r
 
 
+# No caller in src/; kept while perfbench/tracer.py (KERNELS) wraps it.
 def gf_conv2(a, b, add, mul):
     """2D polynomial product; 1D is the (1, n) special case.
 
@@ -251,6 +255,17 @@ class Packing:
             x = red(2 * x + neg1 * x * red(u * x))
             prec *= 2
         return x
+
+
+def series_matmul(x, y, lay):
+    """x·y mod t^n for matrices (lists of rows) of normalised ints of the
+    Packing lay.  Each entry is a sum of len(y) products reduced once, so
+    lay.terms must be at least len(y)."""
+    if len(y) > lay.terms:
+        raise ValueError('a Packing with terms = %d cannot hold %d products' % (lay.terms, len(y)))
+    red = lay.red
+    cols = list(zip(*y))
+    return [[red(sum(map(operator.mul, row, col))) for col in cols] for row in x]
 
 
 def charpoly(m, lay):

@@ -36,8 +36,9 @@ class NewtonPolygon:
         for n, m in blocks:
             if n < 0 or m < 0 or n + m < 1 or gcd(n, m) != 1:
                 raise ValueError('block (%d, %d) is not coprime' % (n, m))
-        slopes = [Fraction(n, n + m) for n, m in blocks]
-        if slopes != sorted(slopes):
+        # some adjacent pair has slope n/(n+m) > n'/(n'+m'), cross-multiplied
+        if any(n * (n2 + m2) > n2 * (n + m)
+               for (n, m), (n2, m2) in zip(blocks, blocks[1:])):
             blocks = tuple(sorted(blocks, key=lambda b: Fraction(b[0], b[0] + b[1])))
         object.__setattr__(self, 'blocks', blocks)
 

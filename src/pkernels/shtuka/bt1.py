@@ -41,8 +41,8 @@ from .gf import FieldConfig
 from .polymat import gf_mat_mul
 
 __all__ = [
-    'Bt1Module', 'space_rows', 'space_dim', 'sum_rows', 'intersect_dim',
-    'f_image', 'v_preimage', 'canonical_filtration', 'eo_classify', 'graded_bt1_from_beginning',
+    'Bt1Module', 'space_rows', 'f_image', 'v_preimage', 'canonical_filtration',
+    'eo_classify', 'graded_bt1_from_beginning',
 ]
 
 

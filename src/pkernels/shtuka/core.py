@@ -17,7 +17,6 @@ t^(r·d+1) drops exactly those coefficients and leaves every other
 valuation as it was, so the hull, and the polygon, do not change.
 """
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -189,12 +188,8 @@ def _norm(a, lay: K.Packing, cfg: FieldConfig):
     matrix, by doubling: N_(2k) = N_k·sigma^k(N_k) and N_(k+1) =
     N_k·sigma^k(A), one step per binary digit of r, so ceil(log2 r) to
     2·floor(log2 r) products (3 for GF(256)) instead of r - 1.  Each
-    entry of a product is a sum of h products reduced once."""
-    red = lay.red
-
-    def mul(x, y):
-        cols = list(zip(*y))
-        return [[red(sum(map(operator.mul, row, col))) for col in cols] for row in x]
+    entry of a product is a sum of h products reduced once
+    (_kernels.series_matmul)."""
 
     def sigma(x, k):
         f = lay.linear(PM.pm_frob(np.arange(cfg.q), cfg, k))
@@ -202,9 +197,9 @@ def _norm(a, lay: K.Packing, cfg: FieldConfig):
 
     b, k = a, 1
     for bit in bin(cfg.r)[3:]:
-        b, k = mul(b, sigma(b, k)), 2 * k
+        b, k = K.series_matmul(b, sigma(b, k), lay), 2 * k
         if bit == '1':
-            b, k = mul(b, sigma(a, k)), k + 1
+            b, k = K.series_matmul(b, sigma(a, k), lay), k + 1
     return b
 
 
@@ -219,8 +214,7 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     cfg = sh.cfg
     h = sh.h
     lay = PM.packing(cfg, cfg.r * sh.dimension + 1, h)
-    a = [[lay.pack(e) for e in row] for row in sh.amat.tolist()]
-    cp = K.charpoly(_norm(a, lay, cfg), lay)
+    cp = K.charpoly(_norm(PM.pack_matrix(sh.amat, lay), lay, cfg), lay)
     P = _polygon_of_valuations([lay.val(c) if c else None for c in cp], cfg.r)
     if P.height != h or P.dimension != sh.dimension:
         raise ConventionError('Newton polygon %s does not have height %d and dimension %d'

@@ -14,11 +14,11 @@ free families (a, b) exactly when c and d are the negated twins
 
     c[(i,j)] = -b[(i, j+m_i)],    d[(i,j)] = -a[(i, j-n_i)],
 
-whose index ranges coincide pair by pair; explicit (c, d) input is
-validated against this and rejected when inconsistent.
+whose index ranges coincide pair by pair; so c and d are always derived
+from (a, b), never given.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,15 +62,15 @@ def _clean_family(fam, q):
 class FiltrationData:
     """Polygon, per-block beginnings, and correction coefficients over
     the field of cfg.  The free families are a and b; c and d are
-    derived (explicit values are checked for consistency)."""
+    their negated twins, set on construction."""
 
     polygon: NewtonPolygon
     beginnings: tuple
     a: dict
     b: dict
     cfg: FieldConfig
-    c: dict = None
-    d: dict = None
+    c: dict = field(init=False)
+    d: dict = field(init=False)
 
     def __post_init__(self):
         P = self.polygon
@@ -105,25 +105,21 @@ class FiltrationData:
                     if p2 not in rng[p]:
                         raise ValueError('%s[%r] refers to %r outside its predecessor range'
                                          % (name, p, p2))
-        c_exp, d_exp = {}, {}
+        c, d = {}, {}
         for (i, j) in b_rng:
             _, m_i = P.blocks[i - 1]
             row = b.get((i, j))
             if row:
-                c_exp[(i, j - m_i)] = {k: int(cfg.neg[v]) for k, v in row.items()}
+                c[(i, j - m_i)] = {k: int(cfg.neg[v]) for k, v in row.items()}
         for (i, j) in a_rng:
             n_i, _ = P.blocks[i - 1]
             row = a.get((i, j))
             if row:
-                d_exp[(i, j + n_i)] = {k: int(cfg.neg[v]) for k, v in row.items()}
-        if self.c is not None and _clean_family(self.c, cfg.q) != c_exp:
-            raise ValueError('explicit c coefficients are inconsistent with b')
-        if self.d is not None and _clean_family(self.d, cfg.q) != d_exp:
-            raise ValueError('explicit d coefficients are inconsistent with a')
+                d[(i, j + n_i)] = {k: int(cfg.neg[v]) for k, v in row.items()}
         object.__setattr__(self, 'a', a)
         object.__setattr__(self, 'b', b)
-        object.__setattr__(self, 'c', c_exp)
-        object.__setattr__(self, 'd', d_exp)
+        object.__setattr__(self, 'c', c)
+        object.__setattr__(self, 'd', d)
 
     @property
     def pairs(self) -> tuple:

@@ -5,17 +5,15 @@ field; Laurent matrices are handled by callers via an explicit power of
 t shift.  Exact arithmetic throughout: products grow degree, truncation
 is explicit.
 
+Work over O/t^n runs on packed series, each entry one Python int
+(_kernels.Packing); pack_matrix packs a tensor at the boundary.
 Determinants and characteristic polynomials share one kernel,
 _kernels.charpoly: a Hessenberg reduction by similarities over O/t^n
 followed by the division-free Hessenberg recurrence, O(h^3) series
-products (its docstring gives the exactness argument).  It works on
-packed series, each entry of O/t^n one Python int (_kernels.Packing);
-pm_char_poly, pm_det and poly_series_inv pack at the boundary and
-unpack the result.  The char poly gives the Newton polygon
-(core.newton_polygon_of, which stays packed); the determinant, (-1)^h
-times its constant coefficient, only gives v(det) to an Iwahori
-reduction that is not told it (a datum's v(det) and residue come from
-one mod-t^2 solve, core.LocalShtuka).
+products (its docstring gives the exactness argument); pm_char_poly and
+pm_det unpack its result.  pm_inv_mod runs Newton's iteration on packed
+matrices and unpacks once.  The Newton polygon (core.newton_polygon_of)
+and the Iwahori reduction (reduction.iwahori_class_of) stay packed.
 """
 
 import numpy as np
@@ -24,11 +22,9 @@ from .. import _kernels as K
 from .gf import FieldConfig
 
 __all__ = [
-    'pm_zeros', 'pm_eye', 'pm_from_const', 'pm_trim', 'pm_truncate',
-    'pm_pad', 'pm_shift', 'pm_add', 'pm_neg', 'pm_mul', 'pm_frob',
-    'pm_coeff', 'pm_equal', 'poly_valuation', 'poly_series_inv', 'pm_det',
-    'pm_char_poly', 'gf_mat_mul', 'gf_mat_inv', 'pm_inv_mod',
-    'pm_from_element',
+    'pm_zeros', 'pm_eye', 'pm_trim', 'pm_truncate', 'pm_pad', 'pm_shift',
+    'pm_mul', 'pm_frob', 'pm_coeff', 'pm_equal', 'pm_det', 'pm_char_poly',
+    'gf_mat_mul', 'gf_mat_inv', 'pm_inv_mod', 'pm_from_element',
 ]
 
 
@@ -40,11 +36,6 @@ def pm_eye(h, deg1=1):
     a = pm_zeros(h, h, deg1)
     a[np.arange(h), np.arange(h), 0] = 1
     return a
-
-
-def pm_from_const(mat):
-    mat = np.asarray(mat, dtype=np.int64)
-    return mat[:, :, None].copy()
 
 
 def pm_trim(a):
@@ -81,26 +72,9 @@ def pm_shift(a, s):
     return out
 
 
-def pm_add(a, b, cfg: FieldConfig):
-    d = max(a.shape[2], b.shape[2])
-    return cfg.add[pm_pad(a, d), pm_pad(b, d)]
-
-
-def pm_neg(a, cfg: FieldConfig):
-    return cfg.neg[a]
-
-
 def pm_mul(a, b, cfg: FieldConfig):
     """Exact polynomial matrix product."""
     return K.polymat_mul(a, b, cfg.add, cfg.mul)
-
-
-def pm_poly_scale(a, poly, cfg: FieldConfig):
-    """Multiply every entry of a by the scalar polynomial poly (1D coeffs)."""
-    n, m, da = a.shape
-    poly = np.asarray(poly, dtype=np.int64)
-    out = K.gf_conv2(poly[None, :], a.reshape(-1, da), cfg.add, cfg.mul)
-    return out.reshape(n, m, -1)
 
 
 def pm_frob(a, cfg: FieldConfig, k: int = 1):
@@ -126,25 +100,15 @@ def pm_equal(a, b):
     return np.array_equal(pm_pad(a, d), pm_pad(b, d))
 
 
-def poly_valuation(c):
-    """Valuation of a 1D coefficient vector (None for zero)."""
-    nz = np.nonzero(np.asarray(c))[0]
-    return int(nz[0]) if nz.size else None
-
-
 def packing(cfg: FieldConfig, n: int, terms: int) -> K.Packing:
     """The packed layout of cfg's F_q[t]/t^n for sums of up to ``terms``
     products (_kernels.Packing)."""
     return K.Packing(cfg.p, cfg.r, cfg.modulus, cfg.inv, n, terms)
 
 
-def poly_series_inv(u, n, cfg: FieldConfig):
-    """Inverse of a unit power series mod t^n."""
-    u = np.asarray(u, dtype=np.int64)
-    if u[0] == 0:
-        raise ValueError('not a unit')
-    lay = packing(cfg, n, 1)
-    return np.array(lay.unpack(lay.series_inv(lay.pack(u.tolist()))), dtype=np.int64)
+def pack_matrix(a, lay: K.Packing) -> list:
+    """The coefficient tensor a mod t^n as rows of normalised ints of lay."""
+    return [[lay.pack(e) for e in row] for row in a.tolist()]
 
 
 def gf_mat_mul(a, b, cfg: FieldConfig):
@@ -166,17 +130,26 @@ def gf_mat_inv(mat, cfg: FieldConfig):
 
 
 def pm_inv_mod(a, n, cfg: FieldConfig):
-    """Inverse of a matrix with unit constant term, mod t^n (Newton)."""
-    x = pm_from_const(gf_mat_inv(pm_coeff(a, 0), cfg))
+    """Inverse of a matrix with unit constant term, mod t^n, as an
+    (h, h, n) tensor: Newton's x <- x·(2 - a·x) on packed matrices
+    (terms = h), which doubles the precision of x each step.  Each entry
+    of a product is h products reduced once (_kernels.series_matmul);
+    2 - a·x is reduced as 2·u + (p-1)·v, u and v normalised, whose slots
+    are below those of one negated product plus two normalised ints."""
+    h = a.shape[0]
+    lay = packing(cfg, n, h)
+    red, neg1 = lay.red, cfg.p - 1
+    am = pack_matrix(a, lay)
+    x = pack_matrix(gf_mat_inv(pm_coeff(a, 0), cfg)[:, :, None], lay)
     prec = 1
-    aa = pm_truncate(a, n)
     while prec < n:
-        prec = min(2 * prec, n)
-        ax = pm_truncate(pm_mul(pm_truncate(aa, prec), x, cfg), prec)
-        xax = pm_truncate(pm_mul(x, ax, cfg), prec)
-        x = pm_add(pm_add(x, x, cfg), pm_neg(xax, cfg), cfg)
-        x = pm_truncate(x, prec)
-    return pm_pad(x, n)
+        ax = K.series_matmul(am, x, lay)
+        two_ax = [[red(2 * (i == j) + neg1 * v) for j, v in enumerate(row)]
+                  for i, row in enumerate(ax)]
+        x = K.series_matmul(x, two_ax, lay)
+        prec *= 2
+    return np.array([[lay.unpack(e) for e in row] for row in x],
+                    dtype=np.int64).reshape(h, h, n)
 
 
 def pm_from_element(x):
@@ -211,5 +184,5 @@ def pm_char_poly(a, cfg: FieldConfig, n=None):
     if n is None:
         n = h * (a.shape[2] - 1) + 1
     lay = packing(cfg, n, h)
-    cp = K.charpoly([[lay.pack(e) for e in row] for row in a.tolist()], lay)
+    cp = K.charpoly(pack_matrix(a, lay), lay)
     return np.array([lay.unpack(c) for c in cp], dtype=np.int64).reshape(h + 1, n)

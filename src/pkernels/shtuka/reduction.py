@@ -23,11 +23,23 @@ integral above; in row i0 the entries left of j0 have valuation above
 v, so those column multipliers are in tO and the ones to the right are
 integral.  Each pivot records lam[i0] = v and perm[j0] = i0 + 1.
 
-Working mod t^N with N = v(det) + 1 is exact: A^{-1} = adj(A)/det(A)
+The matrix is packed once (_kernels.Packing, terms = 1).  The pivot's
+unit u is a[i0, j0] shifted down v t-blocks; u^{-1} mod t^(N-v)
+suffices, since row i0 is divisible by t^v.  Each c_i is one reduced
+product, and each updated entry one reduction of x + c_i·(p-1)·y: one
+negated product plus one normalised int, within the bound of terms = 1.
+
+Working mod t^N is exact for any N > v(det): A^{-1} = adj(A)/det(A)
 has valuation >= -v(det), so changing A by E with v(E) >= N multiplies
-it by 1 + A^{-1}E whose correction has valuation >= N - v(det) = 1,
-hence lies in t·M_h(O), and 1 + A^{-1}E is Iwahori.  Every pivot
-valuation is at most v(det) < N, so none is lost to the truncation.
+it by 1 + A^{-1}E whose correction has valuation >= 1, hence lies in
+t·M_h(O), and 1 + A^{-1}E is Iwahori.  Every pivot valuation is at most
+v(det) < N, so none is lost to the truncation.  N is v(det) + 1 when
+the caller gives v(det), else h·(D-1) + 1 for a tensor of D
+coefficients, which exceeds deg det >= v(det), so no determinant is
+computed.  Pivots found mod t^N are those of the exact elimination over
+O, whose pivots multiply to det up to a unit; so a singular A, or a
+given v(det) that is too small, makes an active block vanish mod t^N or
+the pivot valuations miss the given v(det), and both raise ValueError.
 
 Orbit counting identifies the coset gI with its lattice chain g·Lambda_j,
 Lambda_j = span(e_1, ..., e_{h-j}, t·e_{h-j+1}, ..., t·e_h).  For
@@ -58,38 +70,39 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
 
     amat is a polynomial coefficient tensor; shift=s means the actual
     matrix is t^{-s}·amat (so Laurent inputs are supported by premultiplying).
-    Each of the h pivots is one rank-1 update mod t^n (module docstring).
+    Each of the h pivots is one rank-1 update on packed series mod t^n
+    (module docstring).  Raises ValueError for a singular matrix, and
+    for an expected_vdet that is not v(det).
     """
     a = np.asarray(amat, dtype=np.int64)
     h = a.shape[0]
-    vdet = expected_vdet
-    if vdet is None:
-        det = PM.pm_det(a, cfg)
-        vdet = PM.poly_valuation(det)
-        if vdet is None:
-            raise ValueError('singular matrix')
-    n = vdet + 1
-    a = PM.pm_pad(PM.pm_truncate(a, n), n)
+    n = h * (a.shape[2] - 1) + 1 if expected_vdet is None else expected_vdet + 1
+    lay = PM.packing(cfg, n, 1)
+    red, val, B, neg1 = lay.red, lay.val, lay.block, cfg.p - 1
+    m = PM.pack_matrix(a, lay)
     perm = [None] * h
     lam = [None] * h
     for _ in range(h):
-        nz = a != 0
-        val = np.where(nz.any(axis=2), nz.argmax(axis=2), n)
-        best = int(val.min())
-        if best == n:
-            raise ValueError('insufficient precision: active block vanishes mod t^%d' % n)
-        i0 = int(np.nonzero((val == best).any(axis=1))[0][-1])
-        j0 = int(np.nonzero(val[i0] == best)[0][0])
-        # c = a[:, j0] / a[i0, j0]: the column shifted down by t^best, times
-        # the inverse of the pivot's unit; c is known mod t^(n-best) and
-        # row i0 is divisible by t^best, so c ⊗ a[i0] is exact mod t^n
-        uinv = PM.poly_series_inv(a[i0, j0, best:], n, cfg)
-        c = PM.pm_poly_scale(a[:, j0:j0 + 1, best:], uinv, cfg)[:, :, :n]
-        a = cfg.add[a, cfg.neg[PM.pm_mul(c, a[i0:i0 + 1], cfg)[:, :, :n]]]
+        # least valuation, then the last row, then the leftmost entry
+        piv = min(((val(x), -i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x),
+                  default=None)
+        if piv is None:
+            raise ValueError('active block vanishes mod t^%d: the matrix is singular '
+                             'or v(det) >= %d' % (n, n))
+        best, i0, j0 = piv[0], -piv[1], piv[2]
+        shift_down = best * B
+        uinv = lay.series_inv(m[i0][j0] >> shift_down, n - best)
+        negrow = [neg1 * y for y in m[i0]]
+        for i, row in enumerate(m):
+            if row[j0] and i != i0:
+                c = red((row[j0] >> shift_down) * uinv)
+                m[i] = [red(x + c * y) for x, y in zip(row, negrow)]
+        m[i0] = [0] * h
         perm[j0] = i0 + 1
         lam[i0] = best
-    if sum(lam) != vdet:
-        raise ValueError('pivot valuations sum to %d, determinant has %d' % (sum(lam), vdet))
+    if expected_vdet is not None and sum(lam) != expected_vdet:
+        raise ValueError('pivot valuations sum to %d, determinant has %d'
+                         % (sum(lam), expected_vdet))
     return Element(tuple(v - shift for v in lam), tuple(perm))
 
 

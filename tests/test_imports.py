@@ -1,7 +1,8 @@
 """No dead imports: every name a module in src/ or tests/ imports is used
 in that module or exported through its __all__.  No stale exports: every
 name in the __all__ of a module in src/ is defined there, since the
-benchmark's tracer looks each one up."""
+benchmark's tracer looks each one up, and is used outside that module
+or public in pkernels.__all__."""
 
 import ast
 import importlib
@@ -73,6 +74,52 @@ def test_scan_sees_a_stale_export():
     mod.__all__ = ['kept', 'removed']
     mod.kept = len
     assert _missing_exports(mod) == ['removed']
+
+
+def _references(tree):
+    """Identifiers a module uses: names, attributes, imported names, and
+    the dotted parts of string constants (monkeypatch targets, the
+    tracer's 'layer.function' names)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split('.')[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split('.'))
+    return out
+
+
+def _unreferenced_exports(exports, used, public):
+    return [name for name in exports if name not in used and name not in public]
+
+
+def test_every_export_is_used():
+    # a name exported but used by no other module, test or the benchmark
+    # is private: keep it out of __all__, which the tracer wraps
+    import pkernels
+    refs = {path: _references(ast.parse(path.read_text()))
+            for d in ('src', 'tests', 'perfbench') for path in sorted((ROOT / d).rglob('*.py'))}
+    unused = []
+    for path in sorted((ROOT / 'src').rglob('*.py')):
+        parts = path.relative_to(ROOT / 'src').with_suffix('').parts
+        if parts[-1] == '__init__':
+            parts = parts[:-1]
+        mod = importlib.import_module('.'.join(parts))
+        used = set().union(*(names for other, names in refs.items() if other != path))
+        unused += ['%s.%s' % (mod.__name__, name) for name in
+                   _unreferenced_exports(getattr(mod, '__all__', ()), used, pkernels.__all__)]
+    assert not unused, 'names in __all__ used nowhere else:\n' + '\n'.join(unused)
+
+
+def test_scan_sees_an_unused_export():
+    used = _references(ast.parse('from stale import imported\nimport stale\nstale.attr()\n'
+                                 'setattr(stale, "patched", None)\n'))
+    exports = ['imported', 'attr', 'patched', 'public', 'unused']
+    assert _unreferenced_exports(exports, used, ['public']) == ['unused']
 
 
 def _tracer_names(source):

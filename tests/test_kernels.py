@@ -488,6 +488,21 @@ def test_packed_reduction_worst_case(p, r):
 
 
 @pytest.mark.parametrize('p,r', PACKED_FIELDS)
+def test_series_matmul_matches_polymat_mul(p, r):
+    # (n, k) x (k, m) mod t^len at terms = k, the most it may sum
+    c = field(p, r)
+    rng = np.random.default_rng([21, p, r])
+    for n, k, m, length in ((1, 1, 1, 1), (2, 3, 1, 4), (3, 3, 3, 6), (1, 5, 2, 9)):
+        lay = PM.packing(c, length, k)
+        a, b = _rand(rng, c.q, (n, k, length)), _rand(rng, c.q, (k, m, length))
+        want = K.polymat_mul(a, b, c.add, c.mul)[:, :, :length]
+        got = K.series_matmul(PM.pack_matrix(a, lay), PM.pack_matrix(b, lay), lay)
+        assert got == PM.pack_matrix(want, lay), (n, k, m, length)
+    with pytest.raises(ValueError, match='cannot hold'):
+        K.series_matmul([[1, 1]], [[1], [1]], PM.packing(c, 1, 1))
+
+
+@pytest.mark.parametrize('p,r', PACKED_FIELDS)
 def test_packed_series_round_trip(p, r):
     c = field(p, r)
     rng = np.random.default_rng([20, p, r])

@@ -98,17 +98,14 @@ def test_random_filtration_determinism(cfg):
 def test_explicit_families_validated(cfg):
     P = parse_polygon('1/2x2,2/3x3')
     data = random_filtration_data(P, cfg, seed=2)
-    # the implied linear/recursive families are accepted verbatim
-    ok = FiltrationData(P, data.beginnings, data.a, data.b, cfg,
-                        c=data.c, d=data.d)
+    # the dual families are derived on construction, never given: the
+    # same free families give the same twins, and the lift accepts them
+    ok = FiltrationData(P, data.beginnings, data.a, data.b, cfg)
     assert ok.c == data.c and ok.d == data.d
-    # tampering with a derived coefficient is rejected
-    if data.c:
-        key = next(iter(data.c))
-        bad = dict(data.c)
-        bad[key] = {k: cfg.add[v, 1] for k, v in bad[key].items()} if isinstance(bad[key], dict) else cfg.add[bad[key], 1]
-        with pytest.raises(ValueError):
-            FiltrationData(P, data.beginnings, data.a, data.b, cfg, c=bad, d=data.d)
+    assert data.c and data.d
+    assert lift_from_filtration(ok).dimension == P.dimension
+    with pytest.raises(TypeError):
+        FiltrationData(P, data.beginnings, data.a, data.b, cfg, c=data.c, d=data.d)
 
 
 def test_beginnings_must_match_blocks(cfg):

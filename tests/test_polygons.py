@@ -1,6 +1,7 @@
 """Newton polygons, Hodge data, and stratum representatives."""
 
 from fractions import Fraction
+import itertools
 from math import gcd
 
 import pytest
@@ -23,6 +24,15 @@ def test_block_validation():
     with pytest.raises(ValueError):
         NewtonPolygon(())
     assert NewtonPolygon(((1, 0), (0, 1))).blocks == ((0, 1), (1, 0))
+
+
+def test_blocks_sort_by_slope():
+    # every ordering of three blocks, repeats (equal slopes) included,
+    # ends in ascending slope order, as a sort by Fraction slope gives
+    blocks = [(0, 1), (1, 2), (1, 1), (2, 1), (1, 0)]
+    for combo in itertools.product(blocks, repeat=3):
+        want = tuple(sorted(combo, key=lambda b: Fraction(b[0], b[0] + b[1])))
+        assert NewtonPolygon(combo).blocks == want, combo
 
 
 def test_height_dimension_slopes():

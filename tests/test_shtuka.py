@@ -24,6 +24,8 @@ from pkernels.shtuka.bt1 import space_rows, v_preimage
 from pkernels.shtuka.core import LocalShtuka, random_unimodular
 from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
+from test_kernels import FIELDS, _series_inv_lists
+from test_polymat import _valuation
 
 
 # ---------------------------------------------------------------- bt1
@@ -355,8 +357,7 @@ def _full_precision_polygon(sh):
     b = sh.amat
     for k in range(1, cfg.r):
         b = PM.pm_mul(b, PM.pm_frob(sh.amat, cfg, k), cfg)
-    return _polygon_of_valuations([PM.poly_valuation(c) for c in PM.pm_char_poly(b, cfg)],
-                                  cfg.r)
+    return _polygon_of_valuations([_valuation(c) for c in PM.pm_char_poly(b, cfg)], cfg.r)
 
 
 @pytest.mark.parametrize('r', [2, 3])
@@ -391,7 +392,7 @@ def _list_reference_polygon(sh):
     for k in range(1, cfg.r):
         b = PM.pm_truncate(PM.pm_mul(b, PM.pm_frob(a, cfg, k), cfg), n)
     cp = _charpoly_lists(b, n, cfg.add, cfg.mul, cfg.neg, cfg.inv)
-    return _polygon_of_valuations([PM.poly_valuation(c) for c in cp], cfg.r)
+    return _polygon_of_valuations([_valuation(c) for c in cp], cfg.r)
 
 
 @pytest.mark.parametrize('p,r', [(2, 2), (2, 1), (3, 1)])
@@ -426,8 +427,7 @@ def test_doubling_norm_matches_product_norm(p, r):
         for k in range(1, r):
             want = PM.pm_truncate(PM.pm_mul(want, PM.pm_frob(a, cfg, k), cfg), n)
         lay = PM.packing(cfg, n, h)
-        got = _norm([[lay.pack(e) for e in row] for row in a.tolist()], lay, cfg)
-        assert got == [[lay.pack(e) for e in row] for row in want.tolist()]
+        assert _norm(PM.pack_matrix(a, lay), lay, cfg) == PM.pack_matrix(want, lay)
 
 
 def test_newton_polygon_rejects_wrong_dimension(cfg):
@@ -440,24 +440,27 @@ def test_newton_polygon_rejects_wrong_dimension(cfg):
 
 def test_oracle_computes_det_once(cfg, monkeypatch):
     # v(det) comes from the datum's one mod-t^2 solve, a (2h, 3h) rref;
-    # no determinant is computed, for the sampled datum and for a datum
-    # built from its bare matrix
+    # no determinant is computed: bt1_of runs no characteristic
+    # polynomial and newton_polygon_of exactly one, for the sampled datum
+    # and for a datum built from its bare matrix
     from pkernels.shtuka import core
-    dets, solves = [], []
-    det = PM.pm_det
-    monkeypatch.setattr(PM, 'pm_det', lambda a, c: dets.append(a.shape) or det(a, c))
+    charpolys, solves = [], []
+    charpoly = core.K.charpoly
+    monkeypatch.setattr(core.K, 'charpoly',
+                        lambda m, lay: charpolys.append(len(m)) or charpoly(m, lay))
     rref = core.K.gf_rref
     monkeypatch.setattr(core.K, 'gf_rref', lambda m, *t: solves.append(m.shape) or rref(m, *t))
     for seed in range(3):
         sh = sample_shtuka(HodgeDatum(4, 2), cfg, seed=seed)
         bare = LocalShtuka(cfg, np.array(sh.amat))
         for datum in (sh, bare):
-            del solves[:]
+            del solves[:], charpolys[:]
             bt1_of(datum)
+            assert charpolys == []
             newton_polygon_of(datum)
+            assert charpolys == [4]
             assert datum.dimension == 2
             assert solves.count((8, 12)) == 1
-    assert dets == []
 
 
 # --------------------------------------------------------- reduction
@@ -498,6 +501,89 @@ def test_iwahori_class_singular(cfg):
     a[0, 0, 1] = 1   # rank 1
     with pytest.raises(ValueError):
         iwahori_class_of(a, cfg)
+
+
+def _iwahori_class_numpy(amat, cfg, shift=0, expected_vdet=None):
+    """The numpy form iwahori_class_of replaced: the same pivots on
+    (h, h, n) coefficient tensors, at n = v(det) + 1 with v(det) read off
+    the exact determinant when not given."""
+    a = np.asarray(amat, dtype=np.int64)
+    h = a.shape[0]
+    vdet = expected_vdet
+    if vdet is None:
+        vdet = _valuation(PM.pm_det(a, cfg))
+        if vdet is None:
+            raise ValueError('singular matrix')
+    n = vdet + 1
+    a = PM.pm_pad(PM.pm_truncate(a, n), n)
+    tables = cfg.add.tolist(), cfg.mul.tolist(), cfg.neg.tolist(), cfg.inv.tolist()
+    perm = [None] * h
+    lam = [None] * h
+    for _ in range(h):
+        nz = a != 0
+        val = np.where(nz.any(axis=2), nz.argmax(axis=2), n)
+        best = int(val.min())
+        if best == n:
+            raise ValueError('insufficient precision: active block vanishes mod t^%d' % n)
+        i0 = int(np.nonzero((val == best).any(axis=1))[0][-1])
+        j0 = int(np.nonzero(val[i0] == best)[0][0])
+        # c = a[:, j0] / a[i0, j0]: the column shifted down by t^best, times
+        # the inverse of the pivot's unit
+        uinv = np.array(_series_inv_lists(a[i0, j0, best:].tolist(), n, *tables), dtype=np.int64)
+        c = PM.pm_mul(a[:, j0:j0 + 1, best:], uinv[None, None, :], cfg)[:, :, :n]
+        a = cfg.add[a, cfg.neg[PM.pm_mul(c, a[i0:i0 + 1], cfg)[:, :, :n]]]
+        perm[j0] = i0 + 1
+        lam[i0] = best
+    if sum(lam) != vdet:
+        raise ValueError('pivot valuations sum to %d, determinant has %d' % (sum(lam), vdet))
+    return Element(tuple(v - shift for v in lam), tuple(perm))
+
+
+def _reduce_both(m, cfg, shift=0, vdet=None):
+    """The packed reduction's class, checked against the numpy reference;
+    None when both raise ValueError."""
+    try:
+        want = _iwahori_class_numpy(m, cfg, shift, vdet)
+    except ValueError:
+        want = None
+    try:
+        got = iwahori_class_of(m, cfg, shift=shift, expected_vdet=vdet)
+    except ValueError:
+        got = None
+    assert got == want, (m.tolist(), shift, vdet)
+    return got
+
+
+@pytest.mark.parametrize('p,r', FIELDS + [(5, 1)])
+def test_packed_reduction_matches_numpy_reference(p, r):
+    # with and without v(det): i1·x·i2 round trips, sampled data,
+    # rank-deficient matrices, and a v(det) one too small
+    cfg = field(p, r)
+    for trial in range(12):
+        rng = np.random.default_rng([65, p, r, trial])
+        h = 2 + trial % 4
+        x = _random_element(rng, h, spread=2)
+        a, s = PM.pm_from_element(x)
+        m = PM.pm_mul(PM.pm_mul(random_iwahori(h, cfg, 3, rng), a, cfg),
+                      random_iwahori(h, cfg, 3, rng), cfg)
+        vdet = x.v_det() + h * s
+        assert _reduce_both(m, cfg, s, vdet) == _reduce_both(m, cfg, s) == x
+        if vdet:
+            assert _reduce_both(m, cfg, s, vdet - 1) is None
+    for h in range(1, 7):
+        for d in range(h + 1):
+            rng = np.random.default_rng([66, p, r, h, d])
+            sh = sample_shtuka(HodgeDatum(h, d), cfg, rng=rng)
+            got = _reduce_both(sh.amat, cfg, 0, d)
+            assert got is not None and got.v_det() == d
+            assert _reduce_both(sh.amat, cfg) == got
+            if d:
+                assert _reduce_both(sh.amat, cfg, 0, d - 1) is None
+            # rank at most h - 1: a product through h - 1 columns
+            low = PM.pm_mul(rng.integers(0, cfg.q, size=(h, h - 1, 2)),
+                            rng.integers(0, cfg.q, size=(h - 1, h, 2)), cfg)
+            for vdet in (None, 0, d, 2 * h):
+                assert _reduce_both(low, cfg, 0, vdet) is None
 
 
 def test_orbit_size_is_q_to_length(cfg1):
