@@ -138,10 +138,11 @@ def polymat_mul(a, b, add, mul):
 
 
 class Packing:
-    r"""F_q[t]/t^n, q = p^r, with each truncated series one Python int.
+    r"""F_q[t]/t^n, F_q = cfg (shtuka.gf), q = p^r, with each truncated
+    series one Python int.
 
     A coefficient c in F_q has the base-p digits c_0..c_{r-1} of its field
-    index, its coordinates against alpha^j (shtuka.gf).  Digit j of the
+    index, its coordinates against x^j (shtuka.gf).  Digit j of the
     coefficient of t^s sits in slot s·S + j, W bits wide, with S = 2r - 1
     slots per t-block.  An int is normalised when every slot of planes
     j < r holds a digit < p and every other slot, and every block from n
@@ -156,11 +157,11 @@ class Packing:
       - truncates: keeps the first n t-blocks (no slot has carried, so
         this is reduction mod t^n);
       - folds each plane j = r..2r-2 onto planes 0..r-1 by the digits of
-        alpha^j reduced mod the field's modulus m (alpha^r = sum_i
-        (-m_i mod p)·alpha^i): one shift, mask and multiply per plane.
-        A fold adds only to planes below r, which no later fold reads,
-        and adds at most (p-1)·V0 to each, so every slot stays at most
-        V = V0·(1 + (r-1)(p-1)) < 2^N;
+        x^j, read from the field's multiplication (x^j = x^(r-1)·x^(j-r+1),
+        both of index a power of p): one shift, mask and multiply per
+        plane.  A fold adds only to planes below r, which no later fold
+        reads, and adds at most (p-1)·V0 to each, so every slot stays at
+        most V = V0·(1 + (r-1)(p-1)) < 2^N;
       - takes every slot mod p at once, x - p·(((x·M) >> K) & LOW), with
         K = N + bitlen(p), M = ceil(2^K / p) and W = K + N.
     The last step is exact for every slot value 0 <= v < 2^N.  With
@@ -179,7 +180,8 @@ class Packing:
     every slot are what unpack reads.
     """
 
-    def __init__(self, p, r, modulus, inv, n, terms):
+    def __init__(self, cfg, n, terms):
+        p, r = cfg.p, cfg.r
         S = 2 * r - 1
         v0 = 2 * (p - 1) + terms * n * r * (p - 1) ** 3
         N = (v0 * (1 + (r - 1) * (p - 1))).bit_length()
@@ -189,16 +191,13 @@ class Packing:
         self.p, self.r, self.n, self.terms, self.W, self.block = p, r, n, terms, W, B
         self._digit = (1 << p.bit_length()) - 1
         self._pack = [sum((e // p ** j % p) << j * W for j in range(r)) for e in range(p ** r)]
-        self._inv = inv.tolist()
+        self._inv = cfg.inv.tolist()
         trunc = (1 << n * B) - 1
         plane = self._plane = trunc // ((1 << B) - 1) * ((1 << W) - 1)   # slot 0 of each block
         low = trunc // ((1 << W) - 1) * ((1 << N) - 1)                   # low N bits of each slot
         M = -(-(1 << K) // p)
-        alpha_r = [-m % p for m in modulus[:r]]
-        power, folds = alpha_r, []                          # alpha^j reduced, from j = r
-        for j in range(r, 2 * r - 1):
-            folds.append((j * W, sum(c << i * W for i, c in enumerate(power)) - (1 << j * W)))
-            power = [(a + power[-1] * b) % p for a, b in zip([0] + power[:-1], alpha_r)]
+        folds = [(j * W, self._pack[cfg.mul[p ** (r - 1), p ** (j - r + 1)]] - (1 << j * W))
+                 for j in range(r, 2 * r - 1)]
 
         def red(x):
             x &= trunc
@@ -235,7 +234,7 @@ class Packing:
     def linear(self, table):
         """The map applying, to every coefficient, the F_p-linear map of
         the field whose values on field indices are ``table`` (a power of
-        Frobenius): plane j goes to the image of alpha^j."""
+        Frobenius): plane j goes to the image of x^j."""
         W, plane, red = self.W, self._plane, self.red
         images = [(j * W, self._pack[int(table[self.p ** j])]) for j in range(self.r)]
 
@@ -244,14 +243,14 @@ class Packing:
 
         return apply
 
-    def series_inv(self, u, n=None):
-        """u^-1 mod t^n (default the layout's n) for a normalised u with a
-        nonzero constant term, by Newton's iteration x <- x·(2 - u·x),
-        which doubles the precision of x each step."""
+    def series_inv(self, u, n):
+        """u^-1 mod t^n for a normalised u with a nonzero constant term, by
+        Newton's iteration x <- x·(2 - u·x), which doubles the precision of
+        x each step."""
         red, neg1 = self.red, self.p - 1
         x = self._pack[self._inv[self._index(u)]]
         prec = 1
-        while prec < (self.n if n is None else n):
+        while prec < n:
             x = red(2 * x + neg1 * x * red(u * x))
             prec *= 2
         return x

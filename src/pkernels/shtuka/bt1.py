@@ -55,14 +55,11 @@ class Bt1Module:
     vmat: np.ndarray
 
     def __post_init__(self):
-        f = np.ascontiguousarray(np.asarray(self.fmat, dtype=np.int64))
-        v = np.ascontiguousarray(np.asarray(self.vmat, dtype=np.int64))
+        f, v = self.cfg.array(self.fmat), self.cfg.array(self.vmat)
         if f.shape != v.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ValueError('fmat and vmat must be square of equal size')
         object.__setattr__(self, 'fmat', f)
         object.__setattr__(self, 'vmat', v)
-        f.setflags(write=False)
-        v.setflags(write=False)
 
     @property
     def h(self) -> int:

@@ -42,15 +42,14 @@ __all__ = [
 @dataclass(frozen=True)
 class LocalShtuka:
     """Polynomial matrix amat, nonsingular and minuscule: amat·O^h lies
-    between t·O^h and O^h, and v_t(det amat) = dimension."""
+    between t·O^h and O^h, and v_t(det amat) = dimension.  Its entries
+    must be field indices of cfg (FieldConfig.array)."""
 
     cfg: FieldConfig
     amat: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.amat, dtype=np.int64))
-        object.__setattr__(self, 'amat', a)
-        a.setflags(write=False)
+        object.__setattr__(self, 'amat', self.cfg.array(self.amat))
 
     @property
     def h(self) -> int:
@@ -213,7 +212,7 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     """
     cfg = sh.cfg
     h = sh.h
-    lay = PM.packing(cfg, cfg.r * sh.dimension + 1, h)
+    lay = K.Packing(cfg, cfg.r * sh.dimension + 1, h)
     cp = K.charpoly(_norm(PM.pack_matrix(sh.amat, lay), lay, cfg), lay)
     P = _polygon_of_valuations([lay.val(c) if c else None for c in cp], cfg.r)
     if P.height != h or P.dimension != sh.dimension:

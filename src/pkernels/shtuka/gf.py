@@ -1,14 +1,23 @@
 r"""Small finite fields as lookup tables.
 
 Elements of GF(p^r) are the integers 0..p^r-1, read as base-p digit
-vectors (little-endian) of coefficients against the power basis of the
-lexicographically smallest monic irreducible of degree r.  All
-arithmetic is table lookup on int64 numpy arrays, so field ops broadcast
-over whole matrices.
+vectors (little-endian) against the power basis of F_p[x]/(f), f the
+first monic irreducible of degree r in the order of (f_0, ..., f_{r-1})
+(f = x for r = 1).  All arithmetic is table lookup on int64 numpy
+arrays, so field ops broadcast over whole matrices.
+
+One rule multiplies, _mulmod: convolve two digit vectors and fold each
+x^k, k >= r, down by f, digits mod p.  It fills mul and selects f:
+F_p[x]/(f) is a field exactly when f is irreducible, and a reducible f
+has a factor g of degree 1..r//2 (Lidl-Niederreiter, Finite Fields, 2nd
+ed., 1997), an element of index 1..p^(r//2+1)-1 with g·(f/g) = 0.  So
+the first candidate (f_0 = 0 skipped) with no such zero divisor is the
+first irreducible, the f that trial division picks.
 """
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -16,66 +25,30 @@ from ..errors import ConventionError, ResourceLimitError
 
 __all__ = ['FieldConfig', 'field']
 
-# Largest field order built: the (q, q) tables are filled one pair at a
-# time, so each extra degree costs about 4x (q = 256 takes about 0.5 s).
+# Largest field order built: each (q, q) int64 table takes 512 KB at q = 256.
 MAX_ORDER = 256
+_ROWS = 4                           # rows per block: keeps the digit products small
 
 
-def _digits(e: int, p: int, r: int):
-    out = []
-    for _ in range(r):
-        out.append(e % p)
-        e //= p
-    return out
+def _mulmod(a, b, modulus, p):
+    """Digits of a·b mod (f = modulus, p) for broadcasting digit arrays (..., r)."""
+    r = len(modulus) - 1
+    prod = np.zeros(np.broadcast(a, b).shape[:-1] + (2 * r - 1,), dtype=np.int64)
+    for i in range(r):
+        prod[..., i:i + r] += a[..., i:i + 1] * b
+    for k in range(2 * r - 2, r - 1, -1):
+        prod[..., k - r:k] -= prod[..., k:k + 1] % p * modulus[:r]
+    return prod[..., :r] % p
 
 
-def _undigits(ds, p: int) -> int:
-    e = 0
-    for d in reversed(ds):
-        e = e * p + d
-    return e
-
-
-def _poly_mulmod(a, b, mod, p):
-    # a, b digit lists (len r), mod digit list of the irreducible (len r+1, monic)
-    r = len(mod) - 1
-    prod = [0] * (2 * r - 1 if r > 0 else 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, r - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(r):
-                prod[k - r + j] = (prod[k - r + j] - c * mod[j]) % p
-    return [prod[i] % p for i in range(r)]
-
-
-def _is_irreducible(coeffs, p):
-    # coeffs: monic, little-endian, degree r; trial division by all monic
-    # polys of degree 1..r//2
-    r = len(coeffs) - 1
-
-    def polydiv_rem(num, den):
-        num = list(num)
-        dd = len(den) - 1
-        inv_lead = pow(den[-1], -1, p)
-        for k in range(len(num) - 1, dd - 1, -1):
-            c = (num[k] * inv_lead) % p
-            if c:
-                for j in range(dd + 1):
-                    num[k - dd + j] = (num[k - dd + j] - c * den[j]) % p
-        return any(num[:dd])
-
-    from itertools import product
-    for deg in range(1, r // 2 + 1):
-        for tail in product(range(p), repeat=deg):
-            den = list(tail) + [1]
-            if not polydiv_rem(coeffs, den):
-                return False
-    return True
+def _modulus(digits, p, r):
+    """f for r >= 2: the first candidate with no zero divisor (module docstring)."""
+    small, nonzero = digits[1:p ** (r // 2 + 1), None], digits[None, 1:]
+    for tail in product(range(p), repeat=r):
+        mod = tail + (1,)
+        if tail[0] and not any((_mulmod(small[s:s + _ROWS], nonzero, mod, p) == 0).all(-1).any()
+                               for s in range(0, len(small), _ROWS)):
+            return mod
 
 
 @dataclass(frozen=True)
@@ -97,69 +70,31 @@ class FieldConfig:
         p, r = self.p, self.r
         if p < 2 or r < 1:
             raise ValueError('need a prime p >= 2 and r >= 1')
-        q = 1
-        for _ in range(r):          # p >= 2: stops within 9 steps
-            q *= p
-            if q > MAX_ORDER:
-                raise ResourceLimitError('field order %d^%d exceeds bound %d'
-                                         % (p, r, MAX_ORDER))
-        for k in range(2, p):
-            if p % k == 0:
-                raise ValueError('%d is not prime' % p)
-        object.__setattr__(self, 'q', q)
-        from itertools import product as iproduct
-        mod = None
-        if r == 1:
-            mod = (0, 1)
-        else:
-            for tail in iproduct(*(range(p) for _ in range(r))):
-                cand = list(tail) + [1]
-                if cand[0] != 0 and _is_irreducible(cand, p):
-                    # no roots is necessary; trial division makes it sufficient
-                    mod = tuple(cand)
-                    break
-        object.__setattr__(self, 'modulus', mod)
-
-        digs = [_digits(e, p, r) for e in range(q)]
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                s = _undigits([(x + y) % p for x, y in zip(digs[a], digs[b])], p)
-                add[a, b] = add[b, a] = s
-                if r == 1:
-                    m = (a * b) % p
-                else:
-                    m = _undigits(_poly_mulmod(digs[a], digs[b], list(mod), p), p)
-                mul[a, b] = mul[b, a] = m
-        neg = np.array([_undigits([(-x) % p for x in digs[a]], p) for a in range(q)],
-                       dtype=np.int64)
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a, b] == 1:
-                    inv[a] = b
-                    break
-        fr = np.arange(q, dtype=np.int64)
-        for a in range(q):
-            acc = 1
-            for _ in range(p):
-                acc = int(mul[acc, a])
-            fr[a] = acc
-        frb = fr
-        frbi = np.zeros(q, dtype=np.int64)
-        frbi[frb] = np.arange(q, dtype=np.int64)
-        chk = np.arange(q, dtype=np.int64)
-        for _ in range(r):
-            chk = frb[chk]
-        if not np.array_equal(chk, np.arange(q)):
+        q = p ** min(r, 9)          # p >= 2, so p^9 > MAX_ORDER
+        if q > MAX_ORDER:
+            raise ResourceLimitError('field order %d^%d exceeds bound %d' % (p, r, MAX_ORDER))
+        if any(p % k == 0 for k in range(2, p)):
+            raise ValueError('%d is not prime' % p)
+        place = p ** np.arange(r)
+        digits = np.arange(q)[:, None] // place % p
+        mod = (0, 1) if r == 1 else _modulus(digits, p, r)
+        add, mul = np.empty((q, q), dtype=np.int64), np.empty((q, q), dtype=np.int64)
+        for s in range(0, q, _ROWS):
+            add[s:s + _ROWS] = (digits[s:s + _ROWS, None] + digits) % p @ place
+            mul[s:s + _ROWS] = _mulmod(digits[s:s + _ROWS, None], digits, mod, p) @ place
+        idx = np.arange(q)
+        frb = idx                   # a^p
+        for _ in range(p - 1):
+            frb = mul[frb, idx]
+        frbi = idx                  # frb^(r-1), the inverse when frb^r = 1
+        for _ in range(r - 1):
+            frbi = frb[frbi]
+        if (frb[frbi] != idx).any():
             raise ConventionError('Frobenius of GF(%d^%d) is not of order %d' % (p, r, r))
-        object.__setattr__(self, 'add', add)
-        object.__setattr__(self, 'mul', mul)
-        object.__setattr__(self, 'neg', neg)
-        object.__setattr__(self, 'inv', inv)
-        object.__setattr__(self, 'frb', frb)
-        object.__setattr__(self, 'frbi', frbi)
+        for name, value in dict(q=q, modulus=mod, add=add, mul=mul, neg=-digits % p @ place,
+                                inv=(mul == 1).argmax(1).astype(np.int64), frb=frb,
+                                frbi=frbi).items():
+            object.__setattr__(self, name, value)
 
     def __hash__(self):
         return hash((self.p, self.r))
@@ -169,6 +104,15 @@ class FieldConfig:
 
     def sub(self, a, b):
         return self.add[a, self.neg[b]]
+
+    def array(self, a) -> np.ndarray:
+        """a as a new read-only, C-contiguous int64 array of field
+        indices; ValueError if an entry lies outside [0, q)."""
+        out = np.array(a, dtype=np.int64, order='C')
+        if out.size and out.view(np.uint64).max() >= self.q:   # negatives read >= 2^63
+            raise ValueError('field indices must lie in [0, %d)' % self.q)
+        out.setflags(write=False)
+        return out
 
     def primitive(self) -> int:
         """Smallest multiplicative generator (0 for the trivial group)."""

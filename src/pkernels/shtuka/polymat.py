@@ -100,12 +100,6 @@ def pm_equal(a, b):
     return np.array_equal(pm_pad(a, d), pm_pad(b, d))
 
 
-def packing(cfg: FieldConfig, n: int, terms: int) -> K.Packing:
-    """The packed layout of cfg's F_q[t]/t^n for sums of up to ``terms``
-    products (_kernels.Packing)."""
-    return K.Packing(cfg.p, cfg.r, cfg.modulus, cfg.inv, n, terms)
-
-
 def pack_matrix(a, lay: K.Packing) -> list:
     """The coefficient tensor a mod t^n as rows of normalised ints of lay."""
     return [[lay.pack(e) for e in row] for row in a.tolist()]
@@ -137,7 +131,7 @@ def pm_inv_mod(a, n, cfg: FieldConfig):
     2 - a·x is reduced as 2·u + (p-1)·v, u and v normalised, whose slots
     are below those of one negated product plus two normalised ints."""
     h = a.shape[0]
-    lay = packing(cfg, n, h)
+    lay = K.Packing(cfg, n, h)
     red, neg1 = lay.red, cfg.p - 1
     am = pack_matrix(a, lay)
     x = pack_matrix(gf_mat_inv(pm_coeff(a, 0), cfg)[:, :, None], lay)
@@ -183,6 +177,6 @@ def pm_char_poly(a, cfg: FieldConfig, n=None):
     h = a.shape[0]
     if n is None:
         n = h * (a.shape[2] - 1) + 1
-    lay = packing(cfg, n, h)
+    lay = K.Packing(cfg, n, h)
     cp = K.charpoly(pack_matrix(a, lay), lay)
     return np.array([lay.unpack(c) for c in cp], dtype=np.int64).reshape(h + 1, n)

@@ -71,13 +71,14 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
     amat is a polynomial coefficient tensor; shift=s means the actual
     matrix is t^{-s}·amat (so Laurent inputs are supported by premultiplying).
     Each of the h pivots is one rank-1 update on packed series mod t^n
-    (module docstring).  Raises ValueError for a singular matrix, and
-    for an expected_vdet that is not v(det).
+    (module docstring).  Raises ValueError for a singular matrix, for
+    an expected_vdet that is not v(det), and for an entry that is no
+    field index (FieldConfig.array).
     """
-    a = np.asarray(amat, dtype=np.int64)
+    a = cfg.array(amat)
     h = a.shape[0]
     n = h * (a.shape[2] - 1) + 1 if expected_vdet is None else expected_vdet + 1
-    lay = PM.packing(cfg, n, 1)
+    lay = K.Packing(cfg, n, 1)
     red, val, B, neg1 = lay.red, lay.val, lay.block, cfg.p - 1
     m = PM.pack_matrix(a, lay)
     perm = [None] * h

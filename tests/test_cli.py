@@ -213,6 +213,20 @@ def test_oracle_sample_jsonl(tmp_path, capsys):
     assert dest.read_text() == out
 
 
+@pytest.mark.parametrize('field_args', [('--ext', '8'), ('--prime', '3', '--ext', '5')],
+                         ids=['GF(256)', 'GF(243)'])
+def test_oracle_sample_at_the_field_bound(capsys, field_args):
+    # the largest fields of characteristic 2 and 3: their tables and the
+    # packed series folds of r = 8 and r = 5 run end to end
+    code, out, err = run(capsys, 'oracle', 'sample', '--height', '3', '--dim', '1',
+                         '--count', '2', *field_args)
+    assert code == 0
+    lines = out.strip().split('\n')
+    assert len(lines) == 2
+    for line in lines:
+        assert set(json.loads(line)) == {'eo', 'np'}
+
+
 def test_oracle_verify(capsys):
     code, out, err = run(capsys, 'oracle', 'verify', '--height', '2', '--dim', '1',
                          '--count', '6', '--seed', '3')

@@ -2,7 +2,8 @@
 
 The modulus choice is re-derived independently: coefficients are base-p
 digit vectors, and irreducibility is checked by trial division against
-every monic polynomial of degree at most r/2.
+every monic polynomial of degree at most r/2.  The tables are checked
+against pair-at-a-time digit arithmetic.
 """
 
 import itertools
@@ -14,6 +15,11 @@ from pkernels.errors import ConventionError, ResourceLimitError
 from pkernels.shtuka import field, gf
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+# every field up to the order bound (gf.MAX_ORDER = 256)
+ALL_FIELDS = [(p, r) for p in range(2, 257) if all(p % k for k in range(2, p))
+              for r in range(1, 9) if p ** r <= 256]
+# the largest field of each characteristic 2, 3, 5, 7 and the largest prime
+SAMPLED_FIELDS = [(2, 8), (3, 5), (5, 3), (7, 2), (251, 1)]
 
 
 # ------------------------------------- independent polynomial arithmetic
@@ -50,7 +56,7 @@ def _smallest_irreducible(p, r):
     raise AssertionError('none found')
 
 
-@pytest.mark.parametrize('p,r', FIELDS)
+@pytest.mark.parametrize('p,r', ALL_FIELDS)
 def test_modulus_is_smallest_irreducible(p, r):
     cfg = field(p, r)
     assert cfg.q == p ** r
@@ -76,22 +82,42 @@ def _to_int(digits, p):
     return out
 
 
-@pytest.mark.parametrize('p,r', FIELDS)
+def _check_pair(cfg, a, b):
+    p, r = cfg.p, cfg.r
+    da, db = _digits(a, p, r), _digits(b, p, r)
+    s = [(x + y) % p for x, y in zip(da, db)]
+    assert cfg.add[a, b] == _to_int(s, p)
+    prod = [0] * (2 * r - 1)
+    for i in range(r):
+        for j in range(r):
+            prod[i + j] = (prod[i + j] + da[i] * db[j]) % p
+    rem = _poly_mod(prod, list(cfg.modulus), p)
+    rem += [0] * (r - len(rem))
+    assert cfg.mul[a, b] == _to_int(rem, p)
+
+
+def _check_neg(cfg):
+    p, r = cfg.p, cfg.r
+    for a in range(cfg.q):
+        assert cfg.neg[a] == _to_int([-x % p for x in _digits(a, p, r)], p)
+
+
+@pytest.mark.parametrize('p,r', [f for f in ALL_FIELDS if f[0] ** f[1] <= 64])
 def test_add_mul_against_digit_arithmetic(p, r):
     cfg = field(p, r)
-    q = cfg.q
-    for a in range(q):
-        for b in range(q):
-            da, db = _digits(a, p, r), _digits(b, p, r)
-            s = [(x + y) % p for x, y in zip(da, db)]
-            assert cfg.add[a, b] == _to_int(s, p)
-            prod = [0] * (2 * r - 1)
-            for i in range(r):
-                for j in range(r):
-                    prod[i + j] = (prod[i + j] + da[i] * db[j]) % p
-            rem = _poly_mod(prod, list(cfg.modulus), p)
-            rem += [0] * (r - len(rem))
-            assert cfg.mul[a, b] == _to_int(rem, p)
+    for a in range(cfg.q):
+        for b in range(cfg.q):
+            _check_pair(cfg, a, b)
+    _check_neg(cfg)
+
+
+@pytest.mark.parametrize('p,r', SAMPLED_FIELDS)
+def test_add_mul_against_digit_arithmetic_sampled(p, r):
+    cfg = field(p, r)
+    rng = np.random.default_rng([43, p, r])
+    for a, b in rng.integers(0, cfg.q, size=(4096, 2)).tolist():
+        _check_pair(cfg, a, b)
+    _check_neg(cfg)
 
 
 @pytest.mark.parametrize('p,r', FIELDS)
@@ -187,6 +213,19 @@ def test_field_order_bound():
 def test_field_rejects_frobenius_of_wrong_order(monkeypatch):
     # with a reducible modulus (x^2 + 1 over F_2) the tables are no field
     # and x -> x^2 is not of order 2: a raise, which python -O keeps
-    monkeypatch.setattr(gf, '_is_irreducible', lambda coeffs, p: True)
+    monkeypatch.setattr(gf, '_modulus', lambda digits, p, r: (1, 0, 1))
     with pytest.raises(ConventionError, match='not of order 2'):
         gf.FieldConfig(2, 2)
+
+
+def test_array_validates_field_indices():
+    cfg = field(2, 2)
+    src = np.array([[0, 3], [2, 1]])[:, ::-1]       # a non-contiguous view
+    a = cfg.array(src)
+    assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
+    assert a.tolist() == [[3, 0], [1, 2]]
+    assert src.flags.writeable                      # a copy: the input is left alone
+    assert cfg.array([]).shape == (0,)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=r'field indices must lie in \[0, 4\)'):
+            cfg.array([[0, bad]])

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pkernels import _kernels as K
 from pkernels import affine
 from pkernels.affine import Element
 from pkernels.errors import ConventionError
@@ -426,7 +427,7 @@ def test_doubling_norm_matches_product_norm(p, r):
         want = PM.pm_truncate(a, n)
         for k in range(1, r):
             want = PM.pm_truncate(PM.pm_mul(want, PM.pm_frob(a, cfg, k), cfg), n)
-        lay = PM.packing(cfg, n, h)
+        lay = K.Packing(cfg, n, h)
         assert _norm(PM.pack_matrix(a, lay), lay, cfg) == PM.pack_matrix(want, lay)
 
 
@@ -501,6 +502,24 @@ def test_iwahori_class_singular(cfg):
     a[0, 0, 1] = 1   # rank 1
     with pytest.raises(ValueError):
         iwahori_class_of(a, cfg)
+
+
+@pytest.mark.parametrize('bad', [-1, 4])
+def test_entries_outside_the_field_are_rejected(bad):
+    # over F_4 a table lookup would read -1 as element 3 (a negative
+    # index wraps) and raise IndexError on 4: all three inputs reject both
+    cfg = field(2, 2)
+    amat, _ = PM.pm_from_element(Element((0, 1), (1, 2)))     # diag(1, t)
+    amat[0, 1, 0] = bad
+    with pytest.raises(ValueError, match='field indices'):
+        LocalShtuka(cfg, amat)
+    with pytest.raises(ValueError, match='field indices'):
+        iwahori_class_of(amat, cfg)
+    one, f = np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64)
+    f[0, 1] = bad
+    for fmat, vmat in ((f, one), (one, f)):
+        with pytest.raises(ValueError, match='field indices'):
+            Bt1Module(cfg, fmat, vmat)
 
 
 def _iwahori_class_numpy(amat, cfg, shift=0, expected_vdet=None):
