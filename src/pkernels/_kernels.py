@@ -1,12 +1,13 @@
 """Hot numerical kernels: finite-field linear algebra and packed power
 series.
 
-Field elements are int64 indices into precomputed tables (see shtuka.gf):
-ADD and MUL are (q, q) tables, NEG and INV are (q,) tables.  Matrices and
+Field elements are int64 indices into the tables of a field cfg
+(shtuka.gf): ADD and MUL are (q, q), NEG and INV (q,).  Matrices and
 coefficient tensors are int64 arrays of indices.
 
 gf_matmul, gf_rref, gf_conv2 and polymat_mul are row-at-a-time loops
-over Python lists: each reads its operands and the tables with
+over Python lists: each reads the tables from ``cfg.tables``, tuples of
+ints the field builds once, not on every call, and its operands with
 ``tolist()`` (``MUL[c]`` is the row of multiples of c), makes each row
 operation one list comprehension, skips zero multipliers, and returns a
 new C-contiguous int64 array.  The oracle's matrices are small (a
@@ -41,8 +42,8 @@ def _array(rows, shape):
     return np.array(rows, dtype=np.int64).reshape(shape)
 
 
-def gf_matmul(a, b, add, mul):
-    ADD, MUL = add.tolist(), mul.tolist()
+def gf_matmul(a, b, cfg):
+    ADD, MUL = cfg.tables[:2]
     n, m = a.shape[0], b.shape[1]
     bl = b.tolist()
     out = []
@@ -56,9 +57,9 @@ def gf_matmul(a, b, add, mul):
     return _array(out, (n, m))
 
 
-def gf_rref(mat, add, mul, neg, inv):
+def gf_rref(mat, cfg):
     """Full reduced row echelon form; returns (reduced copy, rank)."""
-    ADD, MUL, NEG, INV = add.tolist(), mul.tolist(), neg.tolist(), inv.tolist()
+    ADD, MUL, NEG, INV = cfg.tables
     m = mat.tolist()
     nrows, ncols = mat.shape
     r = 0
@@ -86,7 +87,7 @@ def gf_rref(mat, add, mul, neg, inv):
 
 
 # No caller in src/; kept while perfbench/tracer.py (KERNELS) wraps it.
-def gf_conv2(a, b, add, mul):
+def gf_conv2(a, b, cfg):
     """2D polynomial product; 1D is the (1, n) special case.
 
     The output is one flat list of rows of width w = ay+by-1, and b one
@@ -94,7 +95,7 @@ def gf_conv2(a, b, add, mul):
     a[i, j]·x^i·y^j with b is then b shifted by i·w + j: one
     comprehension per nonzero coefficient of a.
     """
-    ADD, MUL = add.tolist(), mul.tolist()
+    ADD, MUL = cfg.tables[:2]
     ax, ay = a.shape
     bx, by = b.shape
     w = ay + by - 1
@@ -110,7 +111,7 @@ def gf_conv2(a, b, add, mul):
     return _array(out, (ax + bx - 1, w))
 
 
-def polymat_mul(a, b, add, mul):
+def polymat_mul(a, b, cfg):
     """(n, k, da) x (k, m, db) -> (n, m, da+db-1) coefficient tensors.
 
     Row l of b is laid out as one flat list of m blocks of da+db-1
@@ -119,7 +120,7 @@ def polymat_mul(a, b, add, mul):
     comprehension per nonzero coefficient of a, and the zeros keep each
     block's shifted coefficients inside the block.
     """
-    ADD, MUL = add.tolist(), mul.tolist()
+    ADD, MUL = cfg.tables[:2]
     n, _, da = a.shape
     m, db = b.shape[1], b.shape[2]
     dc = da + db - 1
@@ -190,8 +191,10 @@ class Packing:
         B = S * W
         self.p, self.r, self.n, self.terms, self.W, self.block = p, r, n, terms, W, B
         self._digit = (1 << p.bit_length()) - 1
-        self._pack = [sum((e // p ** j % p) << j * W for j in range(r)) for e in range(p ** r)]
-        self._inv = cfg.inv.tolist()
+        self._pack = [0]        # digit j of e in slot j of _pack[e], one digit per pass
+        for j in range(r):
+            self._pack = [x + (d << j * W) for d in range(p) for x in self._pack]
+        self._inv = cfg.tables[3]
         trunc = (1 << n * B) - 1
         plane = self._plane = trunc // ((1 << B) - 1) * ((1 << W) - 1)   # slot 0 of each block
         low = trunc // ((1 << W) - 1) * ((1 << N) - 1)                   # low N bits of each slot

@@ -274,6 +274,9 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
         samples = {p: (1000 if p == (2, 1) else 300) for p in probes}
     elif isinstance(samples, int):
         samples = {p: samples for p in probes}
+    for p in probes:
+        if p not in samples:
+            raise ValueError('calibrate has no sample count for probe %r' % (p,))
     if sigma_trials < 1 or min(samples[p] for p in probes) < 1:
         raise ValueError('calibrate needs at least one sample per probe and one sigma '
                          'trial, got samples=%r, sigma_trials=%r' % (samples, sigma_trials))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import affine
 from .affine import Element
-from .polygons import NewtonPolygon, x_of_polygon
+from .polygons import NewtonPolygon, x_block, x_of_polygon
 
 __all__ = [
     'SemimoduleBeginning', 'CocharacterProfile', 'is_beginning',
@@ -52,17 +52,11 @@ def enumerate_cochar_block(n: int, m: int) -> list:
 
     Walks the single h-cycle of x_block: fixing lambda_1 = 0, each choice
     of which n columns carry the exponent-drop determines lambda by
-    lambda_{u(j)} = lambda_j + kappa_{u(j)} - delta_j, where kappa is the
-    exponent row of x_block.  There are C(n+m, n) of them.
+    lambda_{u(j)} = lambda_j + kappa_{u(j)} - delta_j, where u and kappa are
+    the permutation and the exponent row of x_block.  There are C(n+m, n)
+    of them.
     """
-    h = n + m
-    if h < 1 or n < 0 or m < 0:
-        raise ValueError('bad block')
-    from math import gcd
-    if gcd(n, m) != 1:
-        raise ValueError('block (%d, %d) is not coprime' % (n, m))
-    perm = tuple(j + m if j <= n else j - n for j in range(1, h + 1))
-    kappa = tuple(0 if i <= m else 1 for i in range(1, h + 1))
+    h, x = n + m, x_block(n, m)     # ValueError unless (n, m) is a coprime block
     out = set()
     for bits in itertools.combinations(range(h), n):
         delta = [0] * (h + 1)
@@ -72,8 +66,8 @@ def enumerate_cochar_block(n: int, m: int) -> list:
         lam[1] = 0
         j = 1
         for _ in range(h - 1):
-            nj = perm[j - 1]
-            lam[nj] = lam[j] + kappa[nj - 1] - delta[j]
+            nj = x.perm[j - 1]
+            lam[nj] = lam[j] + x.lam[nj - 1] - delta[j]
             j = nj
         lo = min(lam[1:])
         out.add(tuple(v - lo for v in lam[1:]))

@@ -38,7 +38,6 @@ import numpy as np
 from .. import _kernels as K
 from ..errors import ConventionError
 from .gf import FieldConfig
-from .polymat import gf_mat_mul
 
 __all__ = [
     'Bt1Module', 'space_rows', 'f_image', 'v_preimage', 'canonical_filtration',
@@ -76,7 +75,7 @@ class Bt1Module:
         """ker V = sigma(ker vmat) as canonical rows; computed once, since
         vmat is read-only (check() fills it from its solve on vmat)."""
         cfg = self.cfg
-        return _frozen(_rows_apply(cfg.frb, _image_and_kernel(self.vmat, cfg)[1], cfg))
+        return _frozen(_rows_apply(cfg.frb, _image_and_kernel(self.vmat, cfg)[1]))
 
     @property
     def dimension(self) -> int:
@@ -97,10 +96,10 @@ class Bt1Module:
         imf, kerf = _image_and_kernel(self.fmat, cfg)
         imv, kerv = _image_and_kernel(self.vmat, cfg)
         cache.setdefault('_im_f', _frozen(imf))
-        cache.setdefault('_ker_v', _frozen(_rows_apply(cfg.frb, kerv, cfg)))
+        cache.setdefault('_ker_v', _frozen(_rows_apply(cfg.frb, kerv)))
         if not np.array_equal(self._im_f, self._ker_v):
             raise ValueError('im F != ker V')
-        if not np.array_equal(imv, _rows_apply(cfg.frbi, kerf, cfg)):
+        if not np.array_equal(imv, _rows_apply(cfg.frbi, kerf)):
             raise ValueError('im V != ker F')
         cache['_checked'] = True
         return self
@@ -121,7 +120,7 @@ def space_rows(rows, cfg: FieldConfig):
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    red, rank = K.gf_rref(np.ascontiguousarray(rows), cfg.add, cfg.mul, cfg.neg, cfg.inv)
+    red, rank = K.gf_rref(np.ascontiguousarray(rows), cfg)
     return np.ascontiguousarray(red[:rank])
 
 
@@ -145,7 +144,7 @@ def intersect_dim(a, b, cfg: FieldConfig) -> int:
     return space_dim(a) + space_dim(b) - space_dim(sum_rows(a, b, cfg))
 
 
-def _rows_apply(table, rows, cfg):
+def _rows_apply(table, rows):
     # sigma fixes 0 and 1, so it maps a canonical (rref) basis to the
     # canonical basis of the image subspace
     return table[rows] if rows.size else rows
@@ -167,7 +166,7 @@ def _image_preimage(mat, u_rows, cfg: FieldConfig):
     stack[:n, :m] = mat.T
     stack[np.arange(n), m + np.arange(n)] = 1
     stack[n:, :m] = u_rows
-    red, rank = K.gf_rref(stack, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+    red, rank = K.gf_rref(stack, cfg)
     red = red[:rank]
     left = red[:, :m].any(axis=1)
     return np.ascontiguousarray(red[left, :m]), np.ascontiguousarray(red[~left, m:])
@@ -186,13 +185,13 @@ def f_image(Z: Bt1Module, u_rows):
     cfg = Z.cfg
     if u_rows.shape[0] == 0:
         return zero_rows(Z.h)
-    return space_rows(gf_mat_mul(_rows_apply(cfg.frb, u_rows, cfg), Z.fmat.T, cfg), cfg)
+    return space_rows(K.gf_matmul(_rows_apply(cfg.frb, u_rows), Z.fmat.T, cfg), cfg)
 
 
 def v_preimage(Z: Bt1Module, u_rows):
     """V^{-1}(U) = sigma of the linear preimage under vmat."""
     cfg = Z.cfg
-    return _rows_apply(cfg.frb, _image_preimage(Z.vmat, u_rows, cfg)[1], cfg)
+    return _rows_apply(cfg.frb, _image_preimage(Z.vmat, u_rows, cfg)[1])
 
 
 # ------------------------------------------------- canonical filtration

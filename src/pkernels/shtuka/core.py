@@ -76,7 +76,7 @@ class LocalShtuka:
         stack[:h, :h] = stack[h:, h:2 * h] = PM.pm_coeff(self.amat, 0)
         stack[h:, :h] = PM.pm_coeff(self.amat, 1)
         stack[h + np.arange(h), 2 * h + np.arange(h)] = 1
-        red, rank = K.gf_rref(stack, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+        red, rank = K.gf_rref(stack, cfg)
         if rank and not red[rank - 1, :2 * h].any():
             raise ValueError('A·X = t·I has no solution mod t^2: the datum is '
                              'singular or not minuscule')
@@ -109,7 +109,7 @@ def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
     q = cfg.q
     while True:
         c0 = rng.integers(0, q, size=(h, h), dtype=np.int64)
-        if K.gf_rref(c0, cfg.add, cfg.mul, cfg.neg, cfg.inv)[1] == h:
+        if K.gf_rref(c0, cfg)[1] == h:
             break
     a = np.zeros((h, h, max(deg, 1)), dtype=np.int64)
     a[:, :, 0] = c0

@@ -3,8 +3,9 @@ r"""Small finite fields as lookup tables.
 Elements of GF(p^r) are the integers 0..p^r-1, read as base-p digit
 vectors (little-endian) against the power basis of F_p[x]/(f), f the
 first monic irreducible of degree r in the order of (f_0, ..., f_{r-1})
-(f = x for r = 1).  All arithmetic is table lookup on int64 numpy
-arrays, so field ops broadcast over whole matrices.
+(f = x for r = 1).  All arithmetic is table lookup on read-only int64
+numpy arrays, so field ops broadcast over whole matrices; ``tables`` holds
+add, mul, neg and inv once more as tuples of ints, for pkernels._kernels.
 
 One rule multiplies, _mulmod: convolve two digit vectors and fold each
 x^k, k >= r, down by f, digits mod p.  It fills mul and selects f:
@@ -53,7 +54,8 @@ def _modulus(digits, p, r):
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """GF(p^r) with full arithmetic tables."""
+    """GF(p^r) with full arithmetic tables; equal and hashed by the fields
+    that compare, p, r, q and the modulus, so by (p, r)."""
 
     p: int = 2
     r: int = 2
@@ -65,6 +67,7 @@ class FieldConfig:
     inv: np.ndarray = dfield(init=False, repr=False, compare=False)
     frb: np.ndarray = dfield(init=False, repr=False, compare=False)
     frbi: np.ndarray = dfield(init=False, repr=False, compare=False)
+    tables: tuple = dfield(init=False, repr=False, compare=False)   # (add, mul, neg, inv)
 
     def __post_init__(self):
         p, r = self.p, self.r
@@ -91,24 +94,25 @@ class FieldConfig:
             frbi = frb[frbi]
         if (frb[frbi] != idx).any():
             raise ConventionError('Frobenius of GF(%d^%d) is not of order %d' % (p, r, r))
-        for name, value in dict(q=q, modulus=mod, add=add, mul=mul, neg=-digits % p @ place,
-                                inv=(mul == 1).argmax(1).astype(np.int64), frb=frb,
-                                frbi=frbi).items():
+        neg, inv = -digits % p @ place, (mul == 1).argmax(1).astype(np.int64)
+        tables = tuple(tuple(map(tuple, t.tolist()) if t.ndim == 2 else t.tolist())
+                       for t in (add, mul, neg, inv))
+        for name, value in dict(q=q, modulus=mod, add=add, mul=mul, neg=neg, inv=inv, frb=frb,
+                                frbi=frbi, tables=tables).items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    def __hash__(self):
-        return hash((self.p, self.r))
-
-    def __eq__(self, other):
-        return isinstance(other, FieldConfig) and (self.p, self.r) == (other.p, other.r)
 
     def sub(self, a, b):
         return self.add[a, self.neg[b]]
 
     def array(self, a) -> np.ndarray:
         """a as a new read-only, C-contiguous int64 array of field
-        indices; ValueError if an entry lies outside [0, q)."""
-        out = np.array(a, dtype=np.int64, order='C')
+        indices; ValueError if an entry is not an integer in [0, q)."""
+        src = np.asarray(a)
+        out = np.array(src, dtype=np.int64, order='C')
+        if src.dtype.kind not in 'iu' and (out != src).any():
+            raise ValueError('field indices must be integers')
         if out.size and out.view(np.uint64).max() >= self.q:   # negatives read >= 2^63
             raise ValueError('field indices must lie in [0, %d)' % self.q)
         out.setflags(write=False)

@@ -24,7 +24,7 @@ from .gf import FieldConfig
 __all__ = [
     'pm_zeros', 'pm_eye', 'pm_trim', 'pm_truncate', 'pm_pad', 'pm_shift',
     'pm_mul', 'pm_frob', 'pm_coeff', 'pm_equal', 'pm_det', 'pm_char_poly',
-    'gf_mat_mul', 'gf_mat_inv', 'pm_inv_mod', 'pm_from_element',
+    'gf_mat_inv', 'pm_inv_mod', 'pm_from_element',
 ]
 
 
@@ -74,14 +74,14 @@ def pm_shift(a, s):
 
 def pm_mul(a, b, cfg: FieldConfig):
     """Exact polynomial matrix product."""
-    return K.polymat_mul(a, b, cfg.add, cfg.mul)
+    return K.polymat_mul(a, b, cfg)
 
 
 def pm_frob(a, cfg: FieldConfig, k: int = 1):
     """Apply the p-power Frobenius k times entrywise (k may be negative)."""
     out = a
     if k >= 0:
-        for _ in range(k % cfg.r if cfg.r > 0 else k):
+        for _ in range(k % cfg.r):
             out = cfg.frb[out]
     else:
         for _ in range((-k) % cfg.r):
@@ -105,11 +105,6 @@ def pack_matrix(a, lay: K.Packing) -> list:
     return [[lay.pack(e) for e in row] for row in a.tolist()]
 
 
-def gf_mat_mul(a, b, cfg: FieldConfig):
-    return K.gf_matmul(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
-                       cfg.add, cfg.mul)
-
-
 def gf_mat_inv(mat, cfg: FieldConfig):
     """Inverse of a constant matrix (raises on singular input)."""
     mat = np.asarray(mat, dtype=np.int64)
@@ -117,7 +112,7 @@ def gf_mat_inv(mat, cfg: FieldConfig):
     aug = np.zeros((h, 2 * h), dtype=np.int64)
     aug[:, :h] = mat
     aug[np.arange(h), h + np.arange(h)] = 1
-    red, rank = K.gf_rref(aug, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+    red, rank = K.gf_rref(aug, cfg)
     if rank < h or not np.array_equal(red[:, :h], np.eye(h, dtype=np.int64)):
         raise ValueError('singular matrix')
     return np.ascontiguousarray(red[:, h:])

@@ -144,7 +144,7 @@ def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
         # Lambda_j takes t·c for the last j columns: drop their k = 0 rows
         span = np.concatenate([shifted[:h - j].reshape(-1, h * n),
                                shifted[h - j:, 1:].reshape(-1, h * n)])
-        red, rank = K.gf_rref(span, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+        red, rank = K.gf_rref(span, cfg)
         keys.append(red[:rank].tobytes())
     return tuple(keys)
 

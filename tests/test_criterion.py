@@ -277,6 +277,15 @@ def test_calibrate_rejects_empty_checks(monkeypatch, samples, sigma_trials):
         calibrate(probes=((2, 1), (3, 1)), samples=samples, sigma_trials=sigma_trials)
 
 
+def test_calibrate_names_a_probe_without_samples(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError('sampled before checking the sample counts')
+
+    monkeypatch.setattr(criterion, '_observe', no_sampling)
+    with pytest.raises(ValueError, match=r'no sample count for probe \(3, 1\)'):
+        calibrate(probes=((2, 1), (3, 1)), samples={(2, 1): 5})
+
+
 def test_calibrate_raises_on_disagreement(monkeypatch):
     # an engine that loses the supersingular stratum contradicts the oracle
     real = affine._newton_blocks

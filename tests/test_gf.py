@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pkernels.errors import ConventionError, ResourceLimitError
-from pkernels.shtuka import field, gf
+from pkernels.shtuka import Bt1Module, field, gf
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 # every field up to the order bound (gf.MAX_ORDER = 256)
@@ -229,3 +229,31 @@ def test_array_validates_field_indices():
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=r'field indices must lie in \[0, 4\)'):
             cfg.array([[0, bad]])
+    # integer-valued floats are indices; a fraction is refused, not truncated
+    assert cfg.array([[1.0, 3.0]]).tolist() == [[1, 3]]
+    for bad in ([[1.7, 2.2]], [[0.9]], [[3, -0.5]]):
+        with pytest.raises(ValueError, match='field indices must be integers'):
+            cfg.array(bad)
+    with pytest.raises(ValueError, match='field indices must be integers'):
+        Bt1Module(cfg, [[0.9]], [[0]])
+
+
+@pytest.mark.parametrize('name', ['add', 'mul', 'neg', 'inv', 'frb', 'frbi'])
+def test_tables_are_read_only(name):
+    # field() is cached, so one write would change every later lookup
+    table = getattr(field(2, 2), name)
+    with pytest.raises(ValueError, match='read-only'):
+        table[(1,) * table.ndim] = 0
+    assert field(2, 2).mul[1, 1] == 1
+
+
+def test_list_tables_equal_the_arrays():
+    # the kernels read cfg.tables: the same entries, as tuples of ints
+    for p, r in ALL_FIELDS:
+        cfg = field(p, r)
+        add, mul, neg, inv = cfg.tables
+        assert [list(row) for row in add] == cfg.add.tolist()
+        assert [list(row) for row in mul] == cfg.mul.tolist()
+        assert list(neg) == cfg.neg.tolist() and list(inv) == cfg.inv.tolist()
+        assert type(add) is type(add[0]) is type(mul[-1]) is type(neg) is type(inv) is tuple
+        assert type(mul[-1][-1]) is int

@@ -28,16 +28,17 @@ def _rand(rng, q, shape):
     return a
 
 
-def _run(kernel, shape, *args):
-    """kernel(*args), checked for what callers rely on: a new C-contiguous
-    int64 array of the documented shape (bt1 and lattice_key key subspaces
-    by its tobytes()), and every input, tables included, left unchanged."""
-    before = [np.copy(x) for x in args]
-    out = kernel(*args)
+def _run(kernel, shape, c, *arrays):
+    """kernel(*arrays, c), checked for what callers rely on: a new
+    C-contiguous int64 array of the documented shape (bt1 and lattice_key
+    key subspaces by its tobytes()), and every array operand left
+    unchanged."""
+    before = [np.copy(x) for x in arrays]
+    out = kernel(*arrays, c)
     got = out[0] if kernel is K.gf_rref else out
     assert got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
     assert got.shape == shape
-    assert all(np.array_equal(x, y) for x, y in zip(args, before))
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, before))
     return out
 
 
@@ -267,7 +268,7 @@ def test_matmul_paths_agree(p, r):
     for n, k, m in _sizes(rng, 3, 7, edges, 20):
         a = _rand(rng, c.q, (n, k))
         b = _rand(rng, c.q, (k, m))
-        got = _run(K.gf_matmul, (n, m), a, b, c.add, c.mul)
+        got = _run(K.gf_matmul, (n, m), c, a, b)
         assert (got == _gf_matmul_loops(a, b, c.add, c.mul)).all()
 
 
@@ -279,7 +280,7 @@ def test_rref_paths_agree(p, r):
     edges = [(0, 5), (0, 0), (5, 0), (1, 1), (6, 1), (1, 6), (16, 16), (12, 16), (16, 9)]
     for n, m in _sizes(rng, 2, 17, edges, 20):
         a = _rand(rng, c.q, (n, m))
-        m1, r1 = _run(K.gf_rref, (n, m), a, c.add, c.mul, c.neg, c.inv)
+        m1, r1 = _run(K.gf_rref, (n, m), c, a)
         m2, r2 = _gf_rref_loops(a.copy(), c.add, c.mul, c.neg, c.inv)
         assert r1 == r2
         assert (m1 == m2).all()
@@ -293,8 +294,8 @@ def test_rref_of_sparse_low_rank():
         rng = np.random.default_rng([17, trial])
         n, m, rank = rng.integers(1, 17), rng.integers(1, 17), rng.integers(0, 5)
         basis = _rand(rng, c.q, (rank, m)) * (rng.random((rank, m)) < 0.3)
-        a = K.gf_matmul(_rand(rng, c.q, (n, rank)), basis, c.add, c.mul)
-        m1, r1 = _run(K.gf_rref, (n, m), a, c.add, c.mul, c.neg, c.inv)
+        a = K.gf_matmul(_rand(rng, c.q, (n, rank)), basis, c)
+        m1, r1 = _run(K.gf_rref, (n, m), c, a)
         m2, r2 = _gf_rref_loops(a.copy(), c.add, c.mul, c.neg, c.inv)
         assert r1 == r2 <= rank
         assert (m1 == m2).all()
@@ -306,10 +307,10 @@ def test_rref_postconditions():
         rng = np.random.default_rng([13, p, r, trial])
         n, m = rng.integers(1, 9, size=2)
         a = _rand(rng, c.q, (n, m))
-        red, rank = K.gf_rref(a, c.add, c.mul, c.neg, c.inv)
+        red, rank = K.gf_rref(a, c)
         assert 0 <= rank <= min(n, m)
         # idempotent
-        red2, rank2 = K.gf_rref(red, c.add, c.mul, c.neg, c.inv)
+        red2, rank2 = K.gf_rref(red, c)
         assert rank2 == rank and (red2 == red).all()
         # nonzero rows have unit pivots with cleared columns
         pivots = []
@@ -335,7 +336,7 @@ def test_conv2_matches_brute(p, r):
     for ax, ay, bx, by in _sizes(rng, 4, 5, edges, 12):
         a = _rand(rng, c.q, (ax, ay))
         b = _rand(rng, c.q, (bx, by))
-        got = _run(K.gf_conv2, (ax + bx - 1, ay + by - 1), a, b, c.add, c.mul)
+        got = _run(K.gf_conv2, (ax + bx - 1, ay + by - 1), c, a, b)
         want = np.zeros((ax + bx - 1, ay + by - 1), dtype=np.int64)
         for i in range(ax):
             for j in range(ay):
@@ -355,7 +356,7 @@ def test_polymat_mul_paths_agree(p, r):
     for n, k, m, da, db in _sizes(rng, 5, 6, edges, 12):
         a = _rand(rng, c.q, (n, k, da))
         b = _rand(rng, c.q, (k, m, db))
-        got = _run(K.polymat_mul, (n, m, da + db - 1), a, b, c.add, c.mul)
+        got = _run(K.polymat_mul, (n, m, da + db - 1), c, a, b)
         assert (got == _polymat_mul_loops(a, b, c.add, c.mul)).all()
 
 
@@ -365,7 +366,7 @@ def test_polymat_mul_is_poly_product():
     rng = np.random.default_rng(16)
     a = _rand(rng, c.q, (3, 2, 4))
     b = _rand(rng, c.q, (2, 3, 3))
-    got = K.polymat_mul(a, b, c.add, c.mul)
+    got = K.polymat_mul(a, b, c)
     for i in range(3):
         for j in range(3):
             acc = np.zeros(6, dtype=np.int64)
@@ -495,11 +496,20 @@ def test_series_matmul_matches_polymat_mul(p, r):
     for n, k, m, length in ((1, 1, 1, 1), (2, 3, 1, 4), (3, 3, 3, 6), (1, 5, 2, 9)):
         lay = K.Packing(c, length, k)
         a, b = _rand(rng, c.q, (n, k, length)), _rand(rng, c.q, (k, m, length))
-        want = K.polymat_mul(a, b, c.add, c.mul)[:, :, :length]
+        want = K.polymat_mul(a, b, c)[:, :, :length]
         got = K.series_matmul(PM.pack_matrix(a, lay), PM.pack_matrix(b, lay), lay)
         assert got == PM.pack_matrix(want, lay), (n, k, m, length)
     with pytest.raises(ValueError, match='cannot hold'):
         K.series_matmul([[1, 1]], [[1], [1]], K.Packing(c, 1, 1))
+
+
+@pytest.mark.parametrize('p,r', PACKED_FIELDS)
+def test_pack_table_puts_digit_j_in_slot_j(p, r):
+    c = field(p, r)
+    for n, terms in ((1, 1), (3, 2), (7, 5), (12, 10)):
+        lay = K.Packing(c, n, terms)
+        assert lay._pack == [sum((e // p ** j % p) << j * lay.W for j in range(r))
+                             for e in range(c.q)], (n, terms)
 
 
 @pytest.mark.parametrize('p,r', PACKED_FIELDS)

@@ -120,8 +120,8 @@ def test_bt1_routes_agree():
                     u1 = random_unimodular(h, cfg, 2, rng)
                     u2 = random_unimodular(h, cfg, 2, rng)
                     mu = np.diag([1] * d + [0] * (h - d))
-                    want = PM.gf_mat_mul(
-                        PM.gf_mat_mul(PM.gf_mat_inv(u2[:, :, 0], cfg), mu, cfg),
+                    want = K.gf_matmul(
+                        K.gf_matmul(PM.gf_mat_inv(u2[:, :, 0], cfg), mu, cfg),
                         PM.gf_mat_inv(u1[:, :, 0], cfg), cfg)
                     Z = bt1_of(sh)
                     assert np.array_equal(Z.fmat, sh.amat[:, :, 0])
@@ -220,10 +220,10 @@ def test_bt1_semilinear_twist(cfg):
         a1 = PM.pm_coeff(sh.amat, 1)
         v = cfg.frb[Z.vmat]
         # coefficient 0 of A·sigma(V) vanishes
-        assert not PM.gf_mat_mul(a0, v, cfg).any()
+        assert not K.gf_matmul(a0, v, cfg).any()
         # coefficient 1 is A1·sigma(V) + A0·X1 = I for some X1: every
         # column of I - A1·sigma(V) lies in im A0
-        c1 = PM.gf_mat_mul(a1, v, cfg)
+        c1 = K.gf_matmul(a1, v, cfg)
         rest = cfg.sub(np.eye(hd.height, dtype=np.int64), c1)
         im_a0 = space_rows(a0.T, cfg)
         assert space_rows(np.vstack([im_a0, rest.T]), cfg).shape == im_a0.shape
