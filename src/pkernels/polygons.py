@@ -8,6 +8,7 @@ mu = (1^d, 0^(h-d)).
 """
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ class NewtonPolygon:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple((int(n), int(m)) for n, m in self.blocks)
+        blocks = tuple((operator.index(n), operator.index(m)) for n, m in self.blocks)
         if not blocks:
             raise ValueError('empty polygon')
         for n, m in blocks:

@@ -10,6 +10,7 @@ monomial "middle" element of the affine group.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import affine
@@ -26,7 +27,7 @@ __all__ = [
 def is_beginning(C, n: int, m: int) -> bool:
     """Whether C hits each class mod n+m once and is step-closed."""
     h = n + m
-    C = frozenset(int(c) for c in C)
+    C = frozenset(map(operator.index, C))
     if len(C) != h or len({c % h for c in C}) != h:
         return False
     return all(i + n in C or i - m in C for i in C)
@@ -39,7 +40,7 @@ class SemimoduleBeginning:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, 'C', frozenset(int(c) for c in self.C))
+        object.__setattr__(self, 'C', frozenset(map(operator.index, self.C)))
         if not is_beginning(self.C, self.n, self.m):
             raise ValueError('not a beginning for block (%d, %d)' % (self.n, self.m))
 
@@ -77,7 +78,7 @@ def enumerate_cochar_block(n: int, m: int) -> list:
 def cochar_to_beginning(lam, n: int, m: int) -> SemimoduleBeginning:
     """C = {h+1-j + h*lambda_j : j}; validates the result."""
     h = n + m
-    lam = tuple(int(v) for v in lam)
+    lam = tuple(map(operator.index, lam))
     if len(lam) != h:
         raise ValueError('cocharacter length %d != %d' % (len(lam), h))
     C = frozenset(h + 1 - j + h * lam[j - 1] for j in range(1, h + 1))
@@ -100,8 +101,8 @@ class CocharacterProfile:
     block_sizes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, 'lam', tuple(int(v) for v in self.lam))
-        object.__setattr__(self, 'block_sizes', tuple(int(v) for v in self.block_sizes))
+        object.__setattr__(self, 'lam', tuple(map(operator.index, self.lam)))
+        object.__setattr__(self, 'block_sizes', tuple(map(operator.index, self.block_sizes)))
         if sum(self.block_sizes) != len(self.lam):
             raise ValueError('block sizes do not tile the cocharacter')
 

@@ -80,7 +80,7 @@ class Bt1Module:
     @property
     def dimension(self) -> int:
         """Codimension of im F, i.e. the d of the stratum."""
-        return self.h - space_dim(self._im_f)
+        return self.h - len(self._im_f)
 
     def check(self):
         """Assert im F = ker V and im V = ker F; returns self.  One solve
@@ -124,24 +124,12 @@ def space_rows(rows, cfg: FieldConfig):
     return np.ascontiguousarray(red[:rank])
 
 
-def space_dim(rows) -> int:
-    return rows.shape[0]
-
-
 def full_rows(h):
     return np.eye(h, dtype=np.int64)
 
 
 def zero_rows(h):
     return np.zeros((0, h), dtype=np.int64)
-
-
-def sum_rows(a, b, cfg: FieldConfig):
-    return space_rows(np.vstack([a, b]), cfg)
-
-
-def intersect_dim(a, b, cfg: FieldConfig) -> int:
-    return space_dim(a) + space_dim(b) - space_dim(sum_rows(a, b, cfg))
 
 
 def _rows_apply(table, rows):
@@ -221,14 +209,14 @@ def canonical_filtration(Z: Bt1Module):
                                   'so it is not totally ordered' % (h + 1))
         fu = Z._im_f if key == whole else f_image(Z, rows)
         vu = Z._ker_v if not rows.size else v_preimage(Z, rows)
-        members[key] = (rows, space_dim(fu), space_dim(vu))
+        members[key] = (rows, len(fu), len(vu))
         work += [fu, vu]
-    found = sorted(members.values(), key=lambda m: (space_dim(m[0]), m[0].tobytes()))
+    found = sorted(members.values(), key=lambda m: (len(m[0]), m[0].tobytes()))
     flag = tuple(m[0] for m in found)
-    for a, b in zip(flag, flag[1:]):
-        if intersect_dim(a, b, Z.cfg) != space_dim(a):
+    for a, b in zip(flag, flag[1:]):       # a lies in b when a + b is no bigger than b
+        if len(space_rows(np.vstack([a, b]), Z.cfg)) != len(b):
             raise ConventionError('canonical filtration is not totally ordered')
-    return flag, tuple((space_dim(u), df, dv) for u, df, dv in found)
+    return flag, tuple((len(u), df, dv) for u, df, dv in found)
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,15 @@ free families (a, b) exactly when c and d are the negated twins
     c[(i,j)] = -b[(i, j+m_i)],    d[(i,j)] = -a[(i, j-n_i)],
 
 whose index ranges coincide pair by pair; so c and d are always derived
-from (a, b), never given.
+from (a, b), never given.  _steps is the one place that decides each
+step: forward or back, its target, and which earlier pairs its free
+coefficients may use.  The families' checks, their twins, the random
+draws and both operators read its table.
 """
 
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,22 +44,46 @@ __all__ = [
 def pair_basis(beginnings) -> tuple:
     """All (block, j) pairs in construction order: blocks ascending,
     j descending within each block."""
-    out = []
-    for i, B in enumerate(beginnings, start=1):
-        for j in sorted(B.C, reverse=True):
-            out.append((i, j))
-    return tuple(out)
+    return tuple((i, j) for i, B in enumerate(beginnings, start=1)
+                 for j in sorted(B.C, reverse=True))
+
+
+def _steps(P: NewtonPolygon, beginnings, dual=False):
+    """(pairs, steps), one step (pair, target, forward, upto) per pair in
+    construction order.  F steps forward to (i, j+n_i) when that is in
+    C_i and otherwise back to (i, j-m_i); V (dual) swaps n_i and m_i.
+    The step's free coefficients may use pairs[:upto].  Raises
+    ValueError unless there is one matching beginning per block."""
+    if len(beginnings) != len(P.blocks):
+        raise ValueError('need one beginning per block')
+    for B, (n, m) in zip(beginnings, P.blocks):
+        if not isinstance(B, SemimoduleBeginning) or (B.n, B.m) != (n, m):
+            raise ValueError('beginning does not match block (%d, %d)' % (n, m))
+    pairs = pair_basis(beginnings)
+    index = {p: k for k, p in enumerate(pairs)}
+    steps = []
+    for k, (i, j) in enumerate(pairs):
+        n, m = P.blocks[i - 1][::-1] if dual else P.blocks[i - 1]
+        C = beginnings[i - 1].C
+        if j + n in C:
+            steps.append(((i, j), (i, j + n), True, index[(i, j + n)]))
+        elif j - m in C:
+            steps.append(((i, j), (i, j - m), False, k))
+        else:
+            raise ConventionError('no forward or backward step at %r' % ((i, j),))
+    return pairs, tuple(steps)
 
 
 def _clean_family(fam, q):
     out = {}
     for p, row in (fam or {}).items():
-        row = {p2: int(v) for p2, v in row.items() if int(v)}
+        row = {tuple(p2): operator.index(v) for p2, v in row.items()}
         for v in row.values():
             if not 0 <= v < q:
                 raise ValueError('coefficient %r is not an element of GF(%d)' % (v, q))
+        row = {p2: v for p2, v in row.items() if v}
         if row:
-            out[tuple(p)] = {tuple(k): v for k, v in row.items()}
+            out[tuple(p)] = row
     return out
 
 
@@ -62,7 +91,7 @@ def _clean_family(fam, q):
 class FiltrationData:
     """Polygon, per-block beginnings, and correction coefficients over
     the field of cfg.  The free families are a and b; c and d are
-    their negated twins, set on construction."""
+    their negated twins, set on construction with the pairs."""
 
     polygon: NewtonPolygon
     beginnings: tuple
@@ -71,59 +100,30 @@ class FiltrationData:
     cfg: FieldConfig
     c: dict = field(init=False)
     d: dict = field(init=False)
+    pairs: tuple = field(init=False)
 
     def __post_init__(self):
-        P = self.polygon
-        cfg = self.cfg
         begs = tuple(self.beginnings)
-        if len(begs) != len(P.blocks):
-            raise ValueError('need one beginning per block')
-        for B, (n, m) in zip(begs, P.blocks):
-            if not isinstance(B, SemimoduleBeginning) or (B.n, B.m) != (n, m):
-                raise ValueError('beginning does not match block (%d, %d)' % (n, m))
-        object.__setattr__(self, 'beginnings', begs)
-        pairs = pair_basis(begs)
-        index = {p: k for k, p in enumerate(pairs)}
-        a_rng, b_rng = {}, {}
-        for (i, j) in pairs:
-            n_i, m_i = P.blocks[i - 1]
-            C = begs[i - 1].C
-            if j + n_i in C:
-                a_rng[(i, j)] = frozenset(p for p in pairs if index[p] < index[(i, j + n_i)])
-            elif j - m_i in C:
-                b_rng[(i, j)] = frozenset(p for p in pairs if index[p] < index[(i, j)])
-            else:
-                raise ConventionError('beginning is not step-closed at %r' % ((i, j),))
-        a = _clean_family(self.a, cfg.q)
-        b = _clean_family(self.b, cfg.q)
-        for name, fam, rng in (('a', a, a_rng), ('b', b, b_rng)):
+        pairs, steps = _steps(self.polygon, begs)
+        step = {p: (forward, upto) for p, _, forward, upto in steps}
+        a, b = _clean_family(self.a, self.cfg.q), _clean_family(self.b, self.cfg.q)
+        for name, fam, forward in (('a', a, True), ('b', b, False)):
             for p, row in fam.items():
-                if p not in rng:
+                if step.get(p, (None,))[0] is not forward:
                     raise ValueError('%s has a row for %r, which takes no free coefficients'
                                      % (name, p))
                 for p2 in row:
-                    if p2 not in rng[p]:
+                    if p2 not in pairs[:step[p][1]]:
                         raise ValueError('%s[%r] refers to %r outside its predecessor range'
                                          % (name, p, p2))
         c, d = {}, {}
-        for (i, j) in b_rng:
-            _, m_i = P.blocks[i - 1]
-            row = b.get((i, j))
+        for p, target, forward, _ in steps:
+            row = (a if forward else b).get(p)
             if row:
-                c[(i, j - m_i)] = {k: int(cfg.neg[v]) for k, v in row.items()}
-        for (i, j) in a_rng:
-            n_i, _ = P.blocks[i - 1]
-            row = a.get((i, j))
-            if row:
-                d[(i, j + n_i)] = {k: int(cfg.neg[v]) for k, v in row.items()}
-        object.__setattr__(self, 'a', a)
-        object.__setattr__(self, 'b', b)
-        object.__setattr__(self, 'c', c)
-        object.__setattr__(self, 'd', d)
-
-    @property
-    def pairs(self) -> tuple:
-        return pair_basis(self.beginnings)
+                (d if forward else c)[target] = {k: int(self.cfg.neg[v]) for k, v in row.items()}
+        for name, value in (('beginnings', begs), ('a', a), ('b', b), ('c', c), ('d', d),
+                            ('pairs', pairs)):
+            object.__setattr__(self, name, value)
 
 
 def random_filtration_data(P: NewtonPolygon, cfg: FieldConfig, seed=None,
@@ -133,70 +133,48 @@ def random_filtration_data(P: NewtonPolygon, cfg: FieldConfig, seed=None,
     if rng is None:
         rng = np.random.default_rng(seed)
     if beginnings is None:
-        begs = []
+        beginnings = []
         for (n, m) in P.blocks:
             lams = enumerate_cochar_block(n, m)
-            lam = lams[int(rng.integers(0, len(lams)))]
-            begs.append(cochar_to_beginning(lam, n, m))
-        beginnings = tuple(begs)
-    pairs = pair_basis(beginnings)
-    index = {p: k for k, p in enumerate(pairs)}
+            beginnings.append(cochar_to_beginning(lams[int(rng.integers(0, len(lams)))], n, m))
+    beginnings = tuple(beginnings)
+    pairs, steps = _steps(P, beginnings)
     a, b = {}, {}
-    for (i, j) in pairs:
-        n_i, m_i = P.blocks[i - 1]
-        C = beginnings[i - 1].C
-        if j + n_i in C:
-            upto = index[(i, j + n_i)]
-            fam, key = a, (i, j)
-        else:
-            upto = index[(i, j)]
-            fam, key = b, (i, j)
+    for p, _, forward, upto in steps:
         row = {}
         for p2 in pairs[:upto]:
             v = int(rng.integers(0, cfg.q))
             if v:
                 row[p2] = v
         if row:
-            fam[key] = row
-    return FiltrationData(P, tuple(beginnings), a, b, cfg)
+            (a if forward else b)[p] = row
+    return FiltrationData(P, beginnings, a, b, cfg)
 
 
-def _build_operator(data: FiltrationData, step, back, lin_fam, rec_fam, rec_twist):
-    """Shared induction for F (step=n_i, back=m_i, twist=sigma) and V
-    (roles of n and m swapped, twist=sigma^{-1})."""
+def _build_operator(data: FiltrationData, dual):
+    """The induction of the module docstring: F from the families a, b
+    and sigma, or V (dual) from c, d and sigma^{-1}."""
     cfg = data.cfg
-    P = data.polygon
-    pairs = data.pairs
+    lin_fam, rec_fam, twist = (data.c, data.d, cfg.frbi) if dual else (data.a, data.b, cfg.frb)
+    pairs, steps = _steps(data.polygon, data.beginnings, dual)
     index = {p: k for k, p in enumerate(pairs)}
     h = len(pairs)
-    cols = {}
     mat = PM.pm_zeros(h, h, 2)
-    for (i, j) in pairs:
-        n_i, m_i = P.blocks[i - 1]
-        s, bk = step(n_i, m_i), back(n_i, m_i)
-        C = data.beginnings[i - 1].C
+    for k, (p, target, forward, _) in enumerate(steps):
         col = np.zeros((h, 2), dtype=np.int64)
-        if j + s in C:
-            col[index[(i, j + s)], 0] = 1
-            for p2, v in lin_fam.get((i, j), {}).items():
-                col[index[p2], 0] = cfg.add[col[index[p2], 0], v]
-        elif j - bk in C:
-            col[index[(i, j - bk)], 1] = 1
-            for p2, v in rec_fam.get((i, j), {}).items():
-                col = cfg.add[col, cfg.mul[int(rec_twist[v]), cols[p2]]]
+        col[index[target], 0 if forward else 1] = 1
+        if forward:
+            for p2, v in lin_fam.get(p, {}).items():
+                col[index[p2], 0] = v          # p2 comes before the target
         else:
-            raise ConventionError('no forward or backward step at %r' % ((i, j),))
-        cols[(i, j)] = col
-        mat[:, index[(i, j)], :] = col
+            for p2, v in rec_fam.get(p, {}).items():
+                col = cfg.add[col, cfg.mul[int(twist[v]), mat[:, index[p2], :]]]
+        mat[:, k, :] = col
     return mat
 
 
 def _operators(data: FiltrationData):
-    fmat = _build_operator(data, lambda n, m: n, lambda n, m: m,
-                           data.a, data.b, data.cfg.frb)
-    vmat = _build_operator(data, lambda n, m: m, lambda n, m: n,
-                           data.c, data.d, data.cfg.frbi)
-    return fmat, vmat
+    return _build_operator(data, False), _build_operator(data, True)
 
 
 def lift_from_filtration(data: FiltrationData) -> LocalShtuka:
@@ -220,39 +198,22 @@ def residue_of_filtration(data: FiltrationData) -> Bt1Module:
     return Bt1Module(data.cfg, PM.pm_coeff(fmat, 0), PM.pm_coeff(vmat, 0)).check()
 
 
-def _block_slices(data: FiltrationData):
-    out = []
-    k = 0
-    for B in data.beginnings:
-        size = len(B.C)
-        out.append(slice(k, k + size))
-        k += size
-    return out
-
-
 def verify_lift(data: FiltrationData) -> dict:
     """Checks on the assembled lift: residue matches the direct assembly,
     block triangularity, diagonal blocks isoclinic, polygon recovered.
     Returns {name: bool}."""
     sh = lift_from_filtration(data)
-    cfg = data.cfg
-    out = {}
-    Z = bt1_of(sh)
-    Zdirect = residue_of_filtration(data)
-    out['residue'] = (np.array_equal(Z.fmat, Zdirect.fmat)
-                      and np.array_equal(Z.vmat, Zdirect.vmat))
-    sl = _block_slices(data)
-    tri = True
-    for bi in range(len(sl)):
-        for bj in range(len(sl)):
-            if bi > bj and sh.amat[sl[bi], sl[bj]].any():
-                tri = False
-    out['block_triangular'] = tri
-    iso = True
-    for bi, (n, m) in enumerate(data.polygon.blocks):
-        blk = np.ascontiguousarray(sh.amat[sl[bi], sl[bi]])
-        Pb = newton_polygon_of(LocalShtuka(cfg, blk))
-        iso = iso and Pb.blocks == ((n, m),)
-    out['isoclinic_blocks'] = iso
-    out['polygon'] = newton_polygon_of(sh) == data.polygon
-    return out
+    Z, Zdirect = bt1_of(sh), residue_of_filtration(data)
+    blocks = data.polygon.blocks
+    edges = (0, *accumulate(n + m for n, m in blocks))
+    sl = [slice(s, e) for s, e in zip(edges, edges[1:])]
+    diag = [newton_polygon_of(LocalShtuka(data.cfg, np.ascontiguousarray(sh.amat[s, s])))
+            for s in sl]
+    return {
+        'residue': (np.array_equal(Z.fmat, Zdirect.fmat)
+                    and np.array_equal(Z.vmat, Zdirect.vmat)),
+        'block_triangular': not any(sh.amat[sl[bi], sl[bj]].any()
+                                    for bi in range(len(sl)) for bj in range(bi)),
+        'isoclinic_blocks': all(Pb.blocks == (b,) for Pb, b in zip(diag, blocks)),
+        'polygon': newton_polygon_of(sh) == data.polygon,
+    }

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,14 @@ def test_provenance_records_the_check_seed(report):
     assert info['provenance'] == checked.provenance
     _, info = adlv_nonempty(Element((1, 0), (2, 1)), SS, return_info=True)
     assert info['provenance'] == plain.provenance
+
+
+def test_package_version_matches_pyproject():
+    # every table's provenance records __version__, so it must be the
+    # version the package is built and installed as
+    tomllib = pytest.importorskip('tomllib')        # Python >= 3.11
+    with open(Path(__file__).resolve().parents[1] / 'pyproject.toml', 'rb') as fh:
+        assert tomllib.load(fh)['project']['version'] == __version__
 
 
 def test_check_never_changes_an_answer(report):

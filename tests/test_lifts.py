@@ -1,14 +1,15 @@
 """Lifting filtration data to characteristic-zero-style module lattices."""
 
+import numpy as np
 import pytest
 
 from pkernels.polygons import HodgeDatum, enumerate_polygons, parse_polygon, x_of_polygon
 from pkernels.semimodules import cochar_to_beginning, enumerate_cochar_block
-from pkernels.shtuka import (FiltrationData, bt1_of, lift_from_filtration,
+from pkernels.shtuka import (FiltrationData, bt1_of, field, lift_from_filtration,
                              newton_polygon_of, random_filtration_data,
                              verify_lift)
 from pkernels.shtuka import polymat as PM
-from pkernels.shtuka.lifts import pair_basis, residue_of_filtration
+from pkernels.shtuka.lifts import _steps, pair_basis, residue_of_filtration
 
 
 def _zero_data(P, cfg):
@@ -121,3 +122,85 @@ def test_nonzero_beginnings_still_lift(cfg):
         data = FiltrationData(P, (cochar_to_beginning(lam, 2, 1),), {}, {}, cfg)
         rep = verify_lift(data)
         assert all(rep.values()), (lam, rep)
+
+
+def test_coefficients_must_be_integers(cfg):
+    P = parse_polygon('1/3x3,1')
+    data = random_filtration_data(P, cfg, seed=0)
+    (p, row), = data.a.items()
+    (p2, _), = row.items()
+    # a fractional coefficient raises instead of truncating to an element
+    # or to zero; numpy ints are accepted
+    for v in (1.7, 0.4, 2.0):
+        with pytest.raises(TypeError):
+            FiltrationData(P, data.beginnings, {p: {p2: v}}, data.b, cfg)
+    ok = FiltrationData(P, data.beginnings, {p: {p2: np.int64(2)}}, data.b, cfg)
+    assert ok.a == {p: {p2: 2}} and type(ok.a[p][p2]) is int
+
+
+def test_families_stay_in_their_steps(cfg):
+    P = parse_polygon('1/3x3,1')
+    data = random_filtration_data(P, cfg, seed=0)
+    (pa, _), = data.a.items()
+    # a row in a on a pair that steps back, and a coefficient on the
+    # forward step's own target
+    with pytest.raises(ValueError, match='takes no free coefficients'):
+        FiltrationData(P, data.beginnings, {(2, 1): {(1, 5): 1}}, {}, cfg)
+    target = next(t for p, t, _, _ in _steps(P, data.beginnings)[1] if p == pa)
+    with pytest.raises(ValueError, match='outside its predecessor range'):
+        FiltrationData(P, data.beginnings, {pa: {target: 1}}, {}, cfg)
+
+
+def test_twins_land_where_the_dual_step_comes_back(cfg):
+    # each F step from p to t is undone by the V step from t, in the other
+    # direction and with the same predecessor range: the twin of p's row
+    # is the row of t in the other family
+    for s in ('1/3x3,1', '1/2x2,2/3x3', '2/5x5', '0,1/2x2,1'):
+        P = parse_polygon(s)
+        for seed in range(3):
+            data = random_filtration_data(P, cfg, seed=seed)
+            pairs, f_steps = _steps(P, data.beginnings)
+            _, v_steps = _steps(P, data.beginnings, dual=True)
+            assert pairs == data.pairs == pair_basis(data.beginnings)
+            back = {p: (t, fwd, upto) for p, t, fwd, upto in v_steps}
+            for p, t, fwd, upto in f_steps:
+                assert back[t] == (p, not fwd, upto)
+                row = (data.a if fwd else data.b).get(p)
+                twin = (data.d if fwd else data.c).get(t)
+                assert twin == ({k: int(cfg.neg[v]) for k, v in row.items()} if row else None)
+
+
+def test_too_many_beginnings_raise_value_error(cfg):
+    P = parse_polygon('1/2x2')
+    extra = (cochar_to_beginning((0, 0), 1, 1), cochar_to_beginning((0, 0), 1, 1))
+    with pytest.raises(ValueError, match='one beginning per block'):
+        random_filtration_data(P, cfg, seed=0, beginnings=extra)
+    with pytest.raises(ValueError, match='one beginning per block'):
+        FiltrationData(P, extra, {}, {}, cfg)
+
+
+# Seeded draws pinned to literal values: a change in the order of the
+# draws changes every seeded certificate built on them
+PINNED = {
+    ('1/3x3,1', 0): ([[3, 4, 5], [1]],
+                     {(1, 3): {(1, 5): 2}},
+                     {(2, 1): {(1, 5): 2, (1, 4): 1, (1, 3): 1}}),
+    ('1/3x3,1', 1): ([[2, 3, 4], [1]],
+                     {(1, 2): {(1, 4): 2}},
+                     {(2, 1): {(1, 4): 3, (1, 3): 3}}),
+    ('1/2x2,2/3x3', 0): ([[2, 3], [2, 3, 4]],
+                         {},
+                         {(2, 4): {(1, 3): 2, (1, 2): 1}, (2, 3): {(1, 3): 1}}),
+    ('1/2x2,2/3x3', 1): ([[1, 2], [2, 3, 4]],
+                         {(2, 2): {(1, 2): 3}},
+                         {(2, 4): {(1, 2): 3, (1, 1): 3}, (2, 3): {(2, 4): 3}}),
+}
+
+
+@pytest.mark.parametrize('key', sorted(PINNED))
+def test_seeded_families_pinned(key):
+    s, seed = key
+    begs, a, b = PINNED[key]
+    data = random_filtration_data(parse_polygon(s), field(2, 2), seed=seed)
+    assert [sorted(B.C) for B in data.beginnings] == begs
+    assert data.a == a and data.b == b

@@ -4,6 +4,7 @@ from fractions import Fraction
 import itertools
 from math import gcd
 
+import numpy as np
 import pytest
 
 from pkernels import affine, weyl
@@ -24,6 +25,16 @@ def test_block_validation():
     with pytest.raises(ValueError):
         NewtonPolygon(())
     assert NewtonPolygon(((1, 0), (0, 1))).blocks == ((0, 1), (1, 0))
+
+
+def test_blocks_must_be_integers():
+    # a fractional entry raises instead of truncating; numpy ints are accepted
+    with pytest.raises(TypeError):
+        NewtonPolygon(((0.5, 1),))
+    with pytest.raises(TypeError):
+        NewtonPolygon(((1.0, 1),))
+    P = NewtonPolygon(((np.int64(1), np.int32(2)),))
+    assert P.blocks == ((1, 2),) and all(type(v) is int for v in P.blocks[0])
 
 
 def test_blocks_sort_by_slope():

@@ -7,6 +7,7 @@ forced-membership obligations, with no reference to cocharacters.
 
 from math import comb, gcd
 
+import numpy as np
 import pytest
 
 from pkernels import affine
@@ -52,6 +53,22 @@ def test_beginning_validation():
         SemimoduleBeginning(frozenset({5}), 1, 1)
     B = SemimoduleBeginning(frozenset({2, 3}), 1, 1)
     assert B.sorted_elements() == (2, 3)
+
+
+def test_beginning_elements_must_be_integers():
+    # fractional elements raise instead of truncating; numpy ints are accepted
+    with pytest.raises(TypeError):
+        SemimoduleBeginning({1.5, 2}, 1, 1)
+    with pytest.raises(TypeError):
+        is_beginning({1.5, 2}, 1, 1)
+    B = SemimoduleBeginning({np.int64(1), np.int64(2)}, 1, 1)
+    assert B.C == frozenset({1, 2}) and all(type(c) is int for c in B.C)
+
+
+def test_cocharacter_entries_must_be_integers():
+    with pytest.raises(TypeError):
+        cochar_to_beginning((0, 0.9), 1, 1)
+    assert cochar_to_beginning(np.array([0, 0]), 1, 1) == cochar_to_beginning((0, 0), 1, 1)
 
 
 def test_cochar_counts():
@@ -141,6 +158,12 @@ def test_profiles_product_structure():
 def test_profile_validation():
     with pytest.raises(ValueError):
         CocharacterProfile((0, 1), (3,))
+    with pytest.raises(TypeError):
+        CocharacterProfile((0, 1.5), (2,))
+    with pytest.raises(TypeError):
+        CocharacterProfile((0, 1), (2.0,))
+    prof = CocharacterProfile(np.array([0, 1]), (np.int64(2),))
+    assert prof.lam == (0, 1) and prof.block_sizes == (2,)
 
 
 def test_eta_pinned():

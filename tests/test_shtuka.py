@@ -262,6 +262,11 @@ def test_canonical_filtration_rejects_non_chain(cfg):
     e1 = [[1, 0], [0, 0]]
     with pytest.raises(ConventionError):
         canonical_filtration(Bt1Module(cfg, e1, e1))
+    # h = 3, F = V = E_11: the members 0, <e1>, <e2, e3>, whole are few
+    # enough, but <e1> does not lie in <e2, e3>
+    e11 = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    with pytest.raises(ConventionError, match='not totally ordered'):
+        canonical_filtration(Bt1Module(cfg, e11, e11))
 
 
 @pytest.mark.parametrize('h,d', [(h, d) for h in range(1, 7) for d in range(h + 1)])
