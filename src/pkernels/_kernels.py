@@ -1,21 +1,25 @@
 """Hot numerical kernels: finite-field linear algebra and packed power
 series.
 
-Field elements are int64 indices into the tables of a field cfg
-(shtuka.gf): ADD and MUL are (q, q), NEG and INV (q,).  Matrices and
-coefficient tensors are int64 arrays of indices.
+Field elements are indices into the tables of a field cfg (shtuka.gf):
+ADD and MUL are (q, q), NEG and INV (q,).
 
-gf_matmul, gf_rref, gf_conv2 and polymat_mul are row-at-a-time loops
-over Python lists: each reads the tables from ``cfg.tables``, tuples of
-ints the field builds once, not on every call, and its operands with
-``tolist()`` (``MUL[c]`` is the row of multiples of c), makes each row
-operation one list comprehension, skips zero multipliers, and returns a
-new C-contiguous int64 array.  The oracle's matrices are small (a
-residue module's preimage stack has at most 2h columns, a lattice key's
-span h·n), and at those sizes numpy's per-call dispatch costs more than
-the arithmetic.  Vectorized numpy wins on dense inputs from about 16
-columns for gf_rref and about 6 rows for polymat_mul (README,
-Performance).
+The list kernels matmul_rows, rref_rows and polymat_rows do the finite-
+field work on Python lists of rows: each reads the tables from
+``cfg.tables``, tuples of ints the field builds once, not on every call
+(``MUL[c]`` is the row of multiples of c), makes each row operation one
+list comprehension and skips zero multipliers.  rref_rows reduces its
+list in place and replaces rows without writing into them, so rows may
+be tuples; the shapes a list cannot carry (no rows, no columns) are
+passed as counts.  gf_matmul, gf_rref and polymat_mul are thin wrappers
+for int64 arrays: ``tolist()`` in, a new C-contiguous int64 array out.
+The oracle calls the list kernels directly, so one sample stays on
+lists from the random draw to the answer (shtuka.core, shtuka.bt1).
+Its matrices are small (a residue module's preimage stack has at most
+2h columns, a lattice key's span h·n), and at those sizes numpy's
+per-call dispatch costs more than the arithmetic.  Vectorized numpy
+wins on dense inputs from about 16 columns for gf_rref and about 6 rows
+for polymat_mul (README, Performance).
 
 charpoly and series_matmul work on truncated power series over F_q
 packed into Python ints (Packing): a series product is one int
@@ -25,7 +29,8 @@ substitution; Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", J. Symb. Comput. 2009).  tests/test_kernels.py
 checks every list kernel against plain loop forms, and charpoly against
 a division-free DP over row subsets and against the list form it
-replaced.
+replaced.  A field keeps its Packings (FieldConfig.packing), each with
+its Frobenius maps, so a caller does not rebuild them.
 """
 
 import operator
@@ -42,28 +47,34 @@ def _array(rows, shape):
     return np.array(rows, dtype=np.int64).reshape(shape)
 
 
-def gf_matmul(a, b, cfg):
+def matmul_rows(a, b, m, cfg):
+    """a·b for a, b lists of rows of field indices, b with m columns; a
+    new list of rows."""
     ADD, MUL = cfg.tables[:2]
-    n, m = a.shape[0], b.shape[1]
-    bl = b.tolist()
     out = []
-    for arow in a.tolist():
+    for arow in a:
         acc = [0] * m
-        for c, brow in zip(arow, bl):
+        for c, brow in zip(arow, b):
             if c:
                 mc = MUL[c]
                 acc = [ADD[x][mc[y]] for x, y in zip(acc, brow)]
         out.append(acc)
-    return _array(out, (n, m))
+    return out
 
 
-def gf_rref(mat, cfg):
-    """Full reduced row echelon form; returns (reduced copy, rank)."""
+def gf_matmul(a, b, cfg):
+    n, m = a.shape[0], b.shape[1]
+    return _array(matmul_rows(a.tolist(), b.tolist(), m, cfg), (n, m))
+
+
+def rref_rows(m, cfg):
+    """Bring the list of rows m (sequences of field indices, all of one
+    length) to full reduced row echelon form in place; returns the rank.
+    Rows are replaced, never written into, so they may be tuples."""
     ADD, MUL, NEG, INV = cfg.tables
-    m = mat.tolist()
-    nrows, ncols = mat.shape
+    nrows = len(m)
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         if r == nrows:
             break
         for p in range(r, nrows):
@@ -83,7 +94,14 @@ def gf_rref(mat, cfg):
                 mf = MUL[NEG[f]]
                 m[i] = [ADD[x][mf[y]] for x, y in zip(m[i], row)]
         r += 1
-    return _array(m, (nrows, ncols)), r
+    return r
+
+
+def gf_rref(mat, cfg):
+    """Full reduced row echelon form; returns (reduced copy, rank)."""
+    m = mat.tolist()
+    r = rref_rows(m, cfg)
+    return _array(m, mat.shape), r
 
 
 # No caller in src/; kept while perfbench/tracer.py (KERNELS) wraps it.
@@ -111,23 +129,22 @@ def gf_conv2(a, b, cfg):
     return _array(out, (ax + bx - 1, w))
 
 
-def polymat_mul(a, b, cfg):
-    """(n, k, da) x (k, m, db) -> (n, m, da+db-1) coefficient tensors.
+def polymat_rows(a, b, m, dc, cfg):
+    """The product of polynomial matrices a (n rows of k coefficient
+    lists, t^0 first) and b (k rows of m coefficient lists), with dc
+    coefficients per product entry (at least da+db-1); n flat rows of
+    m blocks of dc coefficients.
 
-    Row l of b is laid out as one flat list of m blocks of da+db-1
-    coefficients, each b[l, j] followed by da-1 zeros.  The product of
-    a[i, l, s]·t^s with that row is then the row shifted by s: one
-    comprehension per nonzero coefficient of a, and the zeros keep each
-    block's shifted coefficients inside the block.
+    Row l of b is laid out as one flat list of its m entries, each padded
+    with zeros to dc coefficients.  The product of a[i][l][s]·t^s with
+    that row is then the row shifted by s: one comprehension per nonzero
+    coefficient of a, and the zeros keep each block's shifted
+    coefficients inside the block.
     """
     ADD, MUL = cfg.tables[:2]
-    n, _, da = a.shape
-    m, db = b.shape[1], b.shape[2]
-    dc = da + db - 1
-    pad = [0] * (da - 1)
-    flat = [[y for poly in brow for y in poly + pad] for brow in b.tolist()]
+    flat = [[y for poly in brow for y in poly + [0] * (dc - len(poly))] for brow in b]
     out = []
-    for arow in a.tolist():
+    for arow in a:
         acc = [0] * (m * dc)
         for apoly, brow in zip(arow, flat):
             for s, c in enumerate(apoly):
@@ -135,7 +152,14 @@ def polymat_mul(a, b, cfg):
                     mc = MUL[c]
                     acc[s:] = [ADD[x][mc[y]] for x, y in zip(acc[s:], brow)]
         out.append(acc)
-    return _array(out, (n, m, dc))
+    return out
+
+
+def polymat_mul(a, b, cfg):
+    """(n, k, da) x (k, m, db) -> (n, m, da+db-1) coefficient tensors."""
+    n, m = a.shape[0], b.shape[1]
+    dc = a.shape[2] + b.shape[2] - 1
+    return _array(polymat_rows(a.tolist(), b.tolist(), m, dc, cfg), (n, m, dc))
 
 
 class Packing:
@@ -195,6 +219,7 @@ class Packing:
         for j in range(r):
             self._pack = [x + (d << j * W) for d in range(p) for x in self._pack]
         self._inv = cfg.tables[3]
+        self._frb, self._frobenius = cfg.frobs[0], {}
         trunc = (1 << n * B) - 1
         plane = self._plane = trunc // ((1 << B) - 1) * ((1 << W) - 1)   # slot 0 of each block
         low = trunc // ((1 << W) - 1) * ((1 << N) - 1)                   # low N bits of each slot
@@ -245,6 +270,18 @@ class Packing:
             return red(sum(((x >> shift) & plane) * c for shift, c in images))
 
         return apply
+
+    def frobenius(self, k):
+        """linear() of sigma^k, sigma the p-power Frobenius; built once
+        per k mod r and kept."""
+        k %= self.r
+        f = self._frobenius.get(k)
+        if f is None:
+            table = range(self.p ** self.r)
+            for _ in range(k):
+                table = [self._frb[e] for e in table]
+            f = self._frobenius[k] = self.linear(table)
+        return f
 
     def series_inv(self, u, n):
         """u^-1 mod t^n for a normalised u with a nonzero constant term, by

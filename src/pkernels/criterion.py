@@ -221,18 +221,22 @@ SIGMA_POLYGON = '1/2x2'
 
 
 def _observe(hd, cfg, n_samples, seed, deg):
-    """Sampled (w, polygon) pairs that actually occur, with counts."""
+    """Sampled (w, polygon) pairs that actually occur, with counts; the
+    samples are counted by the polygon's blocks, and each distinct
+    polygon is formatted once."""
     from .shtuka import bt1_of, eo_classify, newton_polygon_of, sample_shtuka
     import numpy as np
-    seen = {}
+    seen, polygons = {}, {}
     for k in range(n_samples):
         rng = np.random.default_rng([seed, hd.height, hd.dimension, k])
         sh = sample_shtuka(hd, cfg, deg=deg, rng=rng)
         w = eo_classify(bt1_of(sh), hd.dimension)
         P = newton_polygon_of(sh)
-        key = (w, str(P))
+        polygons[P.blocks] = P
+        key = (w, P.blocks)
         seen[key] = seen.get(key, 0) + 1
-    return seen
+    names = {blocks: str(P) for blocks, P in polygons.items()}
+    return {(w, names[blocks]): c for (w, blocks), c in seen.items()}
 
 
 def _sigma_classes(P, cfg, seed, trials):

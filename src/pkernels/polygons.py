@@ -75,6 +75,8 @@ class HodgeDatum:
     dimension: int
 
     def __post_init__(self):
+        object.__setattr__(self, 'height', operator.index(self.height))
+        object.__setattr__(self, 'dimension', operator.index(self.dimension))
         if not (self.height >= 1 and 0 <= self.dimension <= self.height):
             raise ValueError('need 0 <= dimension <= height, height >= 1')
 

@@ -26,7 +26,7 @@ __all__ = [
 
 def is_beginning(C, n: int, m: int) -> bool:
     """Whether C hits each class mod n+m once and is step-closed."""
-    h = n + m
+    h = operator.index(n) + operator.index(m)
     C = frozenset(map(operator.index, C))
     if len(C) != h or len({c % h for c in C}) != h:
         return False
@@ -41,6 +41,8 @@ class SemimoduleBeginning:
 
     def __post_init__(self):
         object.__setattr__(self, 'C', frozenset(map(operator.index, self.C)))
+        object.__setattr__(self, 'n', operator.index(self.n))
+        object.__setattr__(self, 'm', operator.index(self.m))
         if not is_beginning(self.C, self.n, self.m):
             raise ValueError('not a beginning for block (%d, %d)' % (self.n, self.m))
 

@@ -2,8 +2,12 @@ r"""Residue modules: a finite-dimensional vector space with a semilinear
 operator F (twisted by Frobenius) and an anti-semilinear operator V,
 satisfying im F = ker V and im V = ker F.
 
-Vectors are columns; subspaces are stored as canonical reduced
-row-basis matrices (rref), so equality of subspaces is array equality.
+Vectors are columns.  Inside this module a subspace is the tuple of its
+canonical reduced row-basis (rref) rows, each a tuple of field indices:
+equality of subspaces is tuple equality, and the canonical filtration's
+worklist keys its members by them.  The work runs on lists
+(_kernels.rref_rows, matmul_rows); canonical_filtration, space_rows,
+f_image and v_preimage return int64 arrays, converted once at return.
 
 A linear preimage {x : M·x in U} is one rref.  The rows of
 [[M^T | I], [U | 0]] span the pairs (M·x + u, x).  In their rref the rows
@@ -13,7 +17,7 @@ already the canonical rref basis of the preimage.  The other rows have
 their pivots in the left block, so their left blocks are the canonical
 basis of im M + U.  With U = 0 one rref gives im M and ker M, so a
 module's check() takes one solve per operator, and caches im F and
-ker V for the canonical filtration.
+ker V (one tuple, since they are equal) for the canonical filtration.
 
 The canonical filtration is the closure of {0, whole space} under
 U -> F(U) and U -> V^{-1}(U); for a valid module it is a chain.  Its
@@ -65,17 +69,16 @@ class Bt1Module:
         return self.fmat.shape[0]
 
     @cached_property
-    def _im_f(self) -> np.ndarray:
-        """im F = im fmat as canonical rows; computed once, since fmat is
+    def _im_f(self) -> tuple:
+        """im F = im fmat as a subspace; computed once, since fmat is
         read-only (check() fills it from its solve on fmat)."""
-        return _frozen(_image_and_kernel(self.fmat, self.cfg)[0])
+        return _image_preimage(self.fmat.tolist(), (), self.cfg)[0]
 
     @cached_property
-    def _ker_v(self) -> np.ndarray:
-        """ker V = sigma(ker vmat) as canonical rows; computed once, since
-        vmat is read-only (check() fills it from its solve on vmat)."""
-        cfg = self.cfg
-        return _frozen(_rows_apply(cfg.frb, _image_and_kernel(self.vmat, cfg)[1]))
+    def _ker_v(self) -> tuple:
+        """ker V = sigma(ker vmat) as a subspace; computed once, since vmat
+        is read-only (check() fills it from its solve on vmat)."""
+        return _apply(self.cfg.frobs[0], _image_preimage(self.vmat.tolist(), (), self.cfg)[1])
 
     @property
     def dimension(self) -> int:
@@ -93,14 +96,15 @@ class Bt1Module:
         if '_checked' in cache:
             return self
         cfg = self.cfg
-        imf, kerf = _image_and_kernel(self.fmat, cfg)
-        imv, kerv = _image_and_kernel(self.vmat, cfg)
-        cache.setdefault('_im_f', _frozen(imf))
-        cache.setdefault('_ker_v', _frozen(_rows_apply(cfg.frb, kerv)))
-        if not np.array_equal(self._im_f, self._ker_v):
+        imf, kerf = _image_preimage(self.fmat.tolist(), (), cfg)
+        imv, kerv = _image_preimage(self.vmat.tolist(), (), cfg)
+        cache.setdefault('_im_f', imf)
+        cache.setdefault('_ker_v', _apply(cfg.frobs[0], kerv))
+        if self._im_f != self._ker_v:
             raise ValueError('im F != ker V')
-        if not np.array_equal(imv, _rows_apply(cfg.frbi, kerf)):
+        if imv != _apply(cfg.frobs[1], kerf):
             raise ValueError('im V != ker F')
+        cache['_ker_v'] = self._im_f            # equal: keep one of them
         cache['_checked'] = True
         return self
 
@@ -115,74 +119,107 @@ class Bt1Module:
 
 # ------------------------------------------------- subspace primitives
 
+def _space(rows, cfg: FieldConfig) -> tuple:
+    """The subspace spanned by rows (sequences of field indices)."""
+    rows = list(rows)
+    return tuple(map(tuple, rows[:K.rref_rows(rows, cfg)]))
+
+
+def _matrix(u, h: int) -> np.ndarray:
+    """A subspace of F_q^h as its (dim, h) array of canonical rows."""
+    return np.array(u, dtype=np.int64).reshape(len(u), h)
+
+
+@lru_cache(maxsize=64)
+def _whole(h: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(h)) for i in range(h))
+
+
+def _apply(table, u) -> tuple:
+    # sigma fixes 0 and 1, so it maps canonical rows to the canonical
+    # rows of the image subspace
+    return tuple(tuple(map(table.__getitem__, row)) for row in u)
+
+
 def space_rows(rows, cfg: FieldConfig):
     """Canonical rref basis (drops zero rows)."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    red, rank = K.gf_rref(np.ascontiguousarray(rows), cfg)
-    return np.ascontiguousarray(red[:rank])
+    return _matrix(_space(rows.tolist(), cfg), rows.shape[1])
 
 
-def full_rows(h):
-    return np.eye(h, dtype=np.int64)
-
-
-def zero_rows(h):
-    return np.zeros((0, h), dtype=np.int64)
-
-
-def _rows_apply(table, rows):
-    # sigma fixes 0 and 1, so it maps a canonical (rref) basis to the
-    # canonical basis of the image subspace
-    return table[rows] if rows.size else rows
-
-
-def _frozen(rows):
-    rows.setflags(write=False)
-    return rows
-
-
-def _image_preimage(mat, u_rows, cfg: FieldConfig):
-    """(im mat + span(u_rows), {x : mat @ x in span(u_rows)}) as canonical
-    rows, from one rref of [[mat^T | I], [U | 0]] (module docstring)."""
-    m, n = mat.shape
-    k = u_rows.shape[0]
-    if k == m:
-        return full_rows(m), full_rows(n)
-    stack = np.zeros((n + k, m + n), dtype=np.int64)
-    stack[:n, :m] = mat.T
-    stack[np.arange(n), m + np.arange(n)] = 1
-    stack[n:, :m] = u_rows
-    red, rank = K.gf_rref(stack, cfg)
-    red = red[:rank]
-    left = red[:, :m].any(axis=1)
-    return np.ascontiguousarray(red[left, :m]), np.ascontiguousarray(red[~left, m:])
-
-
-def _image_and_kernel(mat, cfg: FieldConfig):
-    """(im mat, ker mat) as canonical rows, from one rref."""
-    mat = np.asarray(mat, dtype=np.int64)
-    return _image_preimage(mat, zero_rows(mat.shape[0]), cfg)
+def _image_preimage(mat, u, cfg: FieldConfig):
+    """(im mat + U, {x : mat·x in U}) for a square mat (list of rows) and
+    a subspace U, from one rref of [[mat^T | I], [U | 0]] (module
+    docstring)."""
+    h = len(mat)
+    if len(u) == h:
+        return _whole(h), _whole(h)
+    zero = [0] * h
+    stack = [list(col) + zero[:i] + [1] + zero[i + 1:] for i, col in enumerate(zip(*mat))]
+    stack += [row + tuple(zero) for row in u]
+    image, preimage = [], []
+    for row in stack[:K.rref_rows(stack, cfg)]:
+        left = tuple(row[:h])
+        if any(left):
+            image.append(left)
+        else:
+            preimage.append(tuple(row[h:]))
+    return tuple(image), tuple(preimage)
 
 
 # ------------------------------------------------- semilinear operators
 
+def _f_image(Z: Bt1Module, u) -> tuple:
+    # the rows sigma(u)·fmat^T
+    if not u:
+        return ()
+    return _space(K.matmul_rows(_apply(Z.cfg.frobs[0], u), Z.fmat.T.tolist(), Z.h, Z.cfg), Z.cfg)
+
+
+def _v_preimage(Z: Bt1Module, u) -> tuple:
+    return _apply(Z.cfg.frobs[0], _image_preimage(Z.vmat.tolist(), u, Z.cfg)[1])
+
+
 def f_image(Z: Bt1Module, u_rows):
     """F(U) for U given as rows: span of fmat·sigma(u)."""
-    cfg = Z.cfg
-    if u_rows.shape[0] == 0:
-        return zero_rows(Z.h)
-    return space_rows(K.gf_matmul(_rows_apply(cfg.frb, u_rows), Z.fmat.T, cfg), cfg)
+    return _matrix(_f_image(Z, tuple(map(tuple, np.asarray(u_rows).tolist()))), Z.h)
 
 
 def v_preimage(Z: Bt1Module, u_rows):
     """V^{-1}(U) = sigma of the linear preimage under vmat."""
-    cfg = Z.cfg
-    return _rows_apply(cfg.frb, _image_preimage(Z.vmat, u_rows, cfg)[1])
+    return _matrix(_v_preimage(Z, _space(np.asarray(u_rows).tolist(), Z.cfg)), Z.h)
 
 
 # ------------------------------------------------- canonical filtration
+
+def _filtration(Z: Bt1Module):
+    """canonical_filtration with each member a subspace (tuple of
+    canonical rows)."""
+    h, cfg = Z.h, Z.cfg
+    whole = _whole(h)
+    members = {}        # U -> (dim F(U), dim V^{-1}(U))
+    work = [(), whole]
+    while work:
+        u = work.pop()
+        if u in members:
+            continue
+        if len(members) > h:
+            raise ConventionError('canonical filtration has more than %d members, '
+                                  'so it is not totally ordered' % (h + 1))
+        fu = Z._im_f if u == whole else _f_image(Z, u)
+        vu = Z._ker_v if not u else _v_preimage(Z, u)
+        members[u] = len(fu), len(vu)
+        work += [fu, vu]
+    flag = sorted(members, key=lambda u: (len(u), u))
+    # a lies in b when a + b is no bigger than b; 0 lies in every member,
+    # and every member in the whole space
+    for a, b in zip(flag[1:], flag[2:-1]):
+        if K.rref_rows(list(a + b), cfg) != len(b):
+            raise ConventionError('canonical filtration is not totally ordered')
+    return tuple(flag), tuple((len(u),) + members[u] for u in flag)
+
 
 def canonical_filtration(Z: Bt1Module):
     """Closure of {0, whole} under F and V^{-1}; returns (flag, signature).
@@ -195,28 +232,8 @@ def canonical_filtration(Z: Bt1Module):
     ker V.  A chain in an h-dimensional space has at most h+1 members,
     so the closure stops with ConventionError once it grows past that.
     """
-    h = Z.h
-    whole = full_rows(h).tobytes()
-    members = {}        # rows bytes -> (rows, dim F(U), dim V^{-1}(U))
-    work = [zero_rows(h), full_rows(h)]
-    while work:
-        rows = work.pop()
-        key = rows.tobytes()       # every row has h entries: the length fixes dim U
-        if key in members:
-            continue
-        if len(members) > h:
-            raise ConventionError('canonical filtration has more than %d members, '
-                                  'so it is not totally ordered' % (h + 1))
-        fu = Z._im_f if key == whole else f_image(Z, rows)
-        vu = Z._ker_v if not rows.size else v_preimage(Z, rows)
-        members[key] = (rows, len(fu), len(vu))
-        work += [fu, vu]
-    found = sorted(members.values(), key=lambda m: (len(m[0]), m[0].tobytes()))
-    flag = tuple(m[0] for m in found)
-    for a, b in zip(flag, flag[1:]):       # a lies in b when a + b is no bigger than b
-        if len(space_rows(np.vstack([a, b]), Z.cfg)) != len(b):
-            raise ConventionError('canonical filtration is not totally ordered')
-    return flag, tuple((len(u), df, dv) for u, df, dv in found)
+    flag, sig = _filtration(Z)
+    return tuple(_matrix(u, Z.h) for u in flag), sig
 
 
 @lru_cache(maxsize=None)
@@ -235,7 +252,7 @@ def _reference_signatures(h: int, d: int):
     sigs = {}
     for w in weyl.min_coset_reps(h, pairs):
         Z = bt1_of(shtuka_from_element(eo_representative(hd, w), cfg))
-        s = canonical_filtration(Z)[1]
+        s = _filtration(Z)[1]
         if s in sigs:
             raise ConventionError('reference modules %s and %s of stratum (%d, %d) share '
                                   'the canonical type %s' % (sigs[s], w, h, d, s))
@@ -249,7 +266,7 @@ def eo_classify(Z: Bt1Module, d: int = None):
     h = Z.h
     if d is None:
         d = Z.dimension
-    w = _reference_signatures(h, d).get(canonical_filtration(Z)[1])
+    w = _reference_signatures(h, d).get(_filtration(Z)[1])
     if w is None:
         raise ConventionError('canonical type matches no reference module of stratum (%d, %d)'
                               % (h, d))

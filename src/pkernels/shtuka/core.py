@@ -57,8 +57,8 @@ class LocalShtuka:
 
     @cached_property
     def _solve(self):
-        """(t·A^{-1} mod t, v(det A)) from one rref; computed once, since
-        amat is read-only.
+        """(t·A^{-1} mod t as a tuple of rows, v(det A)) from one rref on
+        lists; computed once, since amat is read-only.
 
         With A = A0 + t·A1 mod t^2, A·(X0 + t·X1) = t·I mod t^2 reads
         A0·X0 = 0 and A1·X0 + A0·X1 = I, the augmented matrix
@@ -70,19 +70,18 @@ class LocalShtuka:
         the first h columns are pivots, X0 is read off with the free
         unknowns at 0, and 2h - rank = sum(mu_i) = v(det A).
         """
-        cfg = self.cfg
-        h = self.h
-        stack = np.zeros((2 * h, 3 * h), dtype=np.int64)
-        stack[:h, :h] = stack[h:, h:2 * h] = PM.pm_coeff(self.amat, 0)
-        stack[h:, :h] = PM.pm_coeff(self.amat, 1)
-        stack[h + np.arange(h), 2 * h + np.arange(h)] = 1
-        red, rank = K.gf_rref(stack, cfg)
-        if rank and not red[rank - 1, :2 * h].any():
+        rows = self.amat.tolist()
+        h = len(rows)
+        zero = [0] * h
+        a0 = [[e[0] for e in row] for row in rows]
+        a1 = [[e[1] if len(e) > 1 else 0 for e in row] for row in rows]
+        stack = [r0 + zero + zero for r0 in a0]
+        stack += [r1 + r0 + zero[:i] + [1] + zero[i + 1:] for i, (r0, r1) in enumerate(zip(a0, a1))]
+        rank = K.rref_rows(stack, self.cfg)
+        if rank and not any(stack[rank - 1][:2 * h]):
             raise ValueError('A·X = t·I has no solution mod t^2: the datum is '
                              'singular or not minuscule')
-        vbar = np.ascontiguousarray(red[:h, 2 * h:])
-        vbar.setflags(write=False)
-        return vbar, 2 * h - rank
+        return tuple(tuple(row[2 * h:]) for row in stack[:h]), 2 * h - rank
 
     @cached_property
     def dimension(self) -> int:
@@ -103,34 +102,40 @@ def minimal_shtuka(P: NewtonPolygon, cfg: FieldConfig) -> LocalShtuka:
     return shtuka_from_element(x_of_polygon(P), cfg)
 
 
+def _unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> list:
+    """random_unimodular as h rows of h coefficient lists, from the same
+    draws."""
+    q = cfg.q
+    while True:
+        c0 = rng.integers(0, q, size=(h, h), dtype=np.int64).tolist()
+        if K.rref_rows(list(c0), cfg) == h:
+            break
+    if deg <= 1:
+        return [[[c] for c in row] for row in c0]
+    high = rng.integers(0, q, size=(h, h, deg - 1), dtype=np.int64).tolist()
+    return [[[c] + t for c, t in zip(row, trow)] for row, trow in zip(c0, high)]
+
+
 def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
     """Random element of GL_h(O) mod t^deg: invertible constant term,
     uniform higher coefficients."""
-    q = cfg.q
-    while True:
-        c0 = rng.integers(0, q, size=(h, h), dtype=np.int64)
-        if K.gf_rref(c0, cfg)[1] == h:
-            break
-    a = np.zeros((h, h, max(deg, 1)), dtype=np.int64)
-    a[:, :, 0] = c0
-    if deg > 1:
-        a[:, :, 1:] = rng.integers(0, q, size=(h, h, deg - 1), dtype=np.int64)
-    return a
+    return np.array(_unimodular(h, cfg, deg, rng), dtype=np.int64).reshape(h, h, max(deg, 1))
 
 
 def sample_shtuka(hd, cfg: FieldConfig, deg: int = 2, seed=None, rng=None) -> LocalShtuka:
     """U1 · diag(t^mu) · U2 with random unimodular factors of the given
     coefficient degree, mu = (1^d, 0^(h-d)).  U1 · diag(t^mu) is U1 with
-    its first d columns shifted up one coefficient, so one product."""
+    its first d columns shifted up one coefficient, so one product, on
+    lists (_kernels.polymat_rows)."""
     if rng is None:
         rng = np.random.default_rng(seed)
     h, d = hd.height, hd.dimension
-    u1 = random_unimodular(h, cfg, deg, rng)
-    u2 = random_unimodular(h, cfg, deg, rng)
-    u1mu = PM.pm_zeros(h, h, u1.shape[2] + 1)
-    u1mu[:, :d, 1:] = u1[:, :d]
-    u1mu[:, d:, :-1] = u1[:, d:]
-    return LocalShtuka(cfg, PM.pm_trim(PM.pm_mul(u1mu, u2, cfg)))
+    u1 = _unimodular(h, cfg, deg, rng)
+    u2 = _unimodular(h, cfg, deg, rng)
+    u1mu = [[[0] + e if j < d else e + [0] for j, e in enumerate(row)] for row in u1]
+    dc = 2 * max(deg, 1)
+    prod = K.polymat_rows(u1mu, u2, h, dc, cfg)
+    return LocalShtuka(cfg, PM.pm_trim(np.array(prod, dtype=np.int64).reshape(h, h, dc)))
 
 
 def bt1_of(sh: LocalShtuka) -> Bt1Module:
@@ -140,9 +145,10 @@ def bt1_of(sh: LocalShtuka) -> Bt1Module:
     The stored matrix is for the sigma^{-1}-semilinear operator, so
     A·frb(vmat) = t·I forces one twist.
     """
-    cfg = sh.cfg
+    frbi = sh.cfg.frobs[1]
     vbar, d = sh._solve
-    Z = Bt1Module(cfg, PM.pm_coeff(sh.amat, 0), cfg.frbi[vbar]).check()
+    Z = Bt1Module(sh.cfg, PM.pm_coeff(sh.amat, 0),
+                  [[frbi[x] for x in row] for row in vbar]).check()
     if Z.dimension != d:
         raise ConventionError('residue module has dimension %d, datum has %d'
                               % (Z.dimension, d))
@@ -188,10 +194,10 @@ def _norm(a, lay: K.Packing, cfg: FieldConfig):
     N_k·sigma^k(A), one step per binary digit of r, so ceil(log2 r) to
     2·floor(log2 r) products (3 for GF(256)) instead of r - 1.  Each
     entry of a product is a sum of h products reduced once
-    (_kernels.series_matmul)."""
+    (_kernels.series_matmul); sigma^k is the Packing's kept map."""
 
     def sigma(x, k):
-        f = lay.linear(PM.pm_frob(np.arange(cfg.q), cfg, k))
+        f = lay.frobenius(k)
         return [[f(e) for e in row] for row in x]
 
     b, k = a, 1
@@ -206,14 +212,16 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     """Exact Newton polygon of the sigma-semilinear action of amat,
     computed mod t^(r·d+1) (see the module docstring).
 
-    A mod t^n is packed once (_kernels.Packing), its r-fold norm is built
+    A mod t^n is packed once (the field's kept Packing of (n, h),
+    FieldConfig.packing), its r-fold norm is built
     by doubling (_norm), and the valuation of each coefficient of the
     norm's characteristic polynomial is read straight off its packed int.
     """
     cfg = sh.cfg
     h = sh.h
-    lay = K.Packing(cfg, cfg.r * sh.dimension + 1, h)
-    cp = K.charpoly(_norm(PM.pack_matrix(sh.amat, lay), lay, cfg), lay)
+    lay = cfg.packing(cfg.r * sh.dimension + 1, h)
+    pack = lay.pack
+    cp = K.charpoly(_norm([[pack(e) for e in row] for row in sh.amat.tolist()], lay, cfg), lay)
     P = _polygon_of_valuations([lay.val(c) if c else None for c in cp], cfg.r)
     if P.height != h or P.dimension != sh.dimension:
         raise ConventionError('Newton polygon %s does not have height %d and dimension %d'

@@ -22,12 +22,15 @@ from itertools import product
 
 import numpy as np
 
+from .._kernels import Packing
 from ..errors import ConventionError, ResourceLimitError
 
 __all__ = ['FieldConfig', 'field']
 
 # Largest field order built: each (q, q) int64 table takes 512 KB at q = 256.
 MAX_ORDER = 256
+# Packings one field keeps (FieldConfig.packing)
+PACKINGS = 64
 _ROWS = 4                           # rows per block: keeps the digit products small
 
 
@@ -68,6 +71,8 @@ class FieldConfig:
     frb: np.ndarray = dfield(init=False, repr=False, compare=False)
     frbi: np.ndarray = dfield(init=False, repr=False, compare=False)
     tables: tuple = dfield(init=False, repr=False, compare=False)   # (add, mul, neg, inv)
+    frobs: tuple = dfield(init=False, repr=False, compare=False)    # (frb, frbi)
+    _packings: dict = dfield(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, r = self.p, self.r
@@ -97,11 +102,24 @@ class FieldConfig:
         neg, inv = -digits % p @ place, (mul == 1).argmax(1).astype(np.int64)
         tables = tuple(tuple(map(tuple, t.tolist()) if t.ndim == 2 else t.tolist())
                        for t in (add, mul, neg, inv))
+        frobs = tuple(frb.tolist()), tuple(frbi.tolist())
         for name, value in dict(q=q, modulus=mod, add=add, mul=mul, neg=neg, inv=inv, frb=frb,
-                                frbi=frbi, tables=tables).items():
+                                frbi=frbi, tables=tables, frobs=frobs, _packings={}).items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def packing(self, n: int, terms: int):
+        """The _kernels.Packing(self, n, terms), with its Frobenius maps;
+        built once and kept, at most PACKINGS of them (oldest dropped
+        first)."""
+        key = (n, terms)
+        lay = self._packings.get(key)
+        if lay is None:
+            if len(self._packings) >= PACKINGS:
+                del self._packings[next(iter(self._packings))]
+            lay = self._packings[key] = Packing(self, n, terms)
+        return lay
 
     def sub(self, a, b):
         return self.add[a, self.neg[b]]

@@ -126,7 +126,7 @@ def pm_inv_mod(a, n, cfg: FieldConfig):
     2 - a·x is reduced as 2·u + (p-1)·v, u and v normalised, whose slots
     are below those of one negated product plus two normalised ints."""
     h = a.shape[0]
-    lay = K.Packing(cfg, n, h)
+    lay = cfg.packing(n, h)
     red, neg1 = lay.red, cfg.p - 1
     am = pack_matrix(a, lay)
     x = pack_matrix(gf_mat_inv(pm_coeff(a, 0), cfg)[:, :, None], lay)
@@ -172,6 +172,6 @@ def pm_char_poly(a, cfg: FieldConfig, n=None):
     h = a.shape[0]
     if n is None:
         n = h * (a.shape[2] - 1) + 1
-    lay = K.Packing(cfg, n, h)
+    lay = cfg.packing(n, h)
     cp = K.charpoly(pack_matrix(a, lay), lay)
     return np.array([lay.unpack(c) for c in cp], dtype=np.int64).reshape(h + 1, n)

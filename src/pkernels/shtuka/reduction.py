@@ -23,7 +23,7 @@ integral above; in row i0 the entries left of j0 have valuation above
 v, so those column multipliers are in tO and the ones to the right are
 integral.  Each pivot records lam[i0] = v and perm[j0] = i0 + 1.
 
-The matrix is packed once (_kernels.Packing, terms = 1).  The pivot's
+The matrix is packed once (the field's kept Packing, terms = 1).  The pivot's
 unit u is a[i0, j0] shifted down v t-blocks; u^{-1} mod t^(N-v)
 suffices, since row i0 is divisible by t^v.  Each c_i is one reduced
 product, and each updated entry one reduction of x + c_i·(p-1)·y: one
@@ -78,7 +78,7 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
     a = cfg.array(amat)
     h = a.shape[0]
     n = h * (a.shape[2] - 1) + 1 if expected_vdet is None else expected_vdet + 1
-    lay = K.Packing(cfg, n, 1)
+    lay = cfg.packing(n, 1)
     red, val, B, neg1 = lay.red, lay.val, lay.block, cfg.p - 1
     m = PM.pack_matrix(a, lay)
     perm = [None] * h

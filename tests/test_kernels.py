@@ -360,6 +360,66 @@ def test_polymat_mul_paths_agree(p, r):
         assert (got == _polymat_mul_loops(a, b, c.add, c.mul)).all()
 
 
+# F_2, F_3, F_4 and F_8: the fields of the oracle's list kernels
+LIST_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize('p,r', LIST_FIELDS)
+def test_list_rref_matches_wrapper_and_loops(p, r):
+    # rref_rows does the work of gf_rref on lists of rows, in place; it
+    # replaces rows and never writes into one, so tuple rows work too
+    c = field(p, r)
+    rng = np.random.default_rng([21, p, r])
+    edges = [(0, 0), (0, 5), (5, 0), (1, 1), (4, 1), (1, 4), (8, 12), (12, 8)]
+    for n, m in _sizes(rng, 2, 10, edges, 15):
+        a = _rand(rng, c.q, (n, m))
+        want, rank = _gf_rref_loops(a.copy(), c.add, c.mul, c.neg, c.inv)
+        red, rank2 = K.gf_rref(a, c)
+        for rows in (a.tolist(), [tuple(row) for row in a.tolist()]):
+            objects = list(rows)
+            assert K.rref_rows(rows, c) == rank == rank2, (n, m)
+            assert [list(row) for row in rows] == want.tolist() == red.tolist(), (n, m)
+            assert [list(row) for row in objects] == a.tolist()     # no row written into
+
+
+@pytest.mark.parametrize('p,r', LIST_FIELDS)
+def test_list_polymat_matches_wrapper_and_loops(p, r):
+    # polymat_rows does the work of polymat_mul on nested lists; the
+    # shapes with no rows, no inner dimension or no columns come from the
+    # counts it is given, not from the lists
+    c = field(p, r)
+    rng = np.random.default_rng([22, p, r])
+    edges = [(0, 2, 3, 2, 2), (2, 0, 3, 2, 2), (2, 3, 0, 1, 3), (0, 0, 0, 1, 1),
+             (1, 1, 1, 1, 1), (3, 3, 3, 3, 2), (4, 4, 4, 2, 2)]
+    for n, k, m, da, db in _sizes(rng, 5, 5, edges, 12):
+        a = _rand(rng, c.q, (n, k, da))
+        b = _rand(rng, c.q, (k, m, db))
+        dc = da + db - 1
+        want = _polymat_mul_loops(a, b, c.add, c.mul)
+        got = K.polymat_rows(a.tolist(), b.tolist(), m, dc, c)
+        assert len(got) == n and all(len(row) == m * dc for row in got)
+        assert np.array(got, dtype=np.int64).reshape(n, m, dc).tolist() == want.tolist()
+        assert (K.polymat_mul(a, b, c) == want).all()
+        # a wider dc pads every entry with zeros
+        wide = K.polymat_rows(a.tolist(), b.tolist(), m, dc + 2, c)
+        padded = np.zeros((n, m, dc + 2), dtype=np.int64)
+        padded[:, :, :dc] = want
+        assert np.array(wide, dtype=np.int64).reshape(n, m, dc + 2).tolist() == padded.tolist()
+
+
+@pytest.mark.parametrize('p,r', LIST_FIELDS)
+def test_list_matmul_matches_wrapper_and_loops(p, r):
+    c = field(p, r)
+    rng = np.random.default_rng([23, p, r])
+    for n, k, m in _sizes(rng, 3, 6, [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1)], 12):
+        a = _rand(rng, c.q, (n, k))
+        b = _rand(rng, c.q, (k, m))
+        want = _gf_matmul_loops(a, b, c.add, c.mul)
+        got = K.matmul_rows(a.tolist(), b.tolist(), m, c)
+        assert np.array(got, dtype=np.int64).reshape(n, m).tolist() == want.tolist()
+        assert (K.gf_matmul(a, b, c) == want).all()
+
+
 def test_polymat_mul_is_poly_product():
     # entrywise check against scalar polynomial arithmetic over F_4
     c = field(2, 2)

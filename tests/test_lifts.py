@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pkernels.polygons import HodgeDatum, enumerate_polygons, parse_polygon, x_of_polygon
-from pkernels.semimodules import cochar_to_beginning, enumerate_cochar_block
+from pkernels.semimodules import SemimoduleBeginning, cochar_to_beginning, enumerate_cochar_block
 from pkernels.shtuka import (FiltrationData, bt1_of, field, lift_from_filtration,
                              newton_polygon_of, random_filtration_data,
                              verify_lift)
@@ -114,6 +114,16 @@ def test_beginnings_must_match_blocks(cfg):
     wrong = (cochar_to_beginning((0, 0, 0), 1, 2),)
     with pytest.raises(ValueError):
         FiltrationData(P, wrong, {}, {}, cfg)
+
+
+def test_float_block_sizes_are_rejected(cfg):
+    # a beginning with float block sizes (say, read from JSON) raises
+    # before it can match the block (1, 1)
+    P = parse_polygon('1/2x2')
+    with pytest.raises(TypeError):
+        FiltrationData(P, (SemimoduleBeginning({1, 2}, 1.0, 1.0),), {}, {}, cfg)
+    ok = FiltrationData(P, (SemimoduleBeginning({1, 2}, 1, 1),), {}, {}, cfg)
+    assert ok.beginnings[0].n == 1
 
 
 def test_nonzero_beginnings_still_lift(cfg):

@@ -37,6 +37,18 @@ def test_blocks_must_be_integers():
     assert P.blocks == ((1, 2),) and all(type(v) is int for v in P.blocks[0])
 
 
+def test_hodge_datum_must_be_integers():
+    # a fractional height or dimension raises at construction, not later in
+    # mu(); numpy ints are accepted
+    with pytest.raises(TypeError):
+        HodgeDatum(2.5, 1)
+    with pytest.raises(TypeError):
+        HodgeDatum(2, 1.0)
+    hd = HodgeDatum(np.int64(3), np.int32(1))
+    assert hd == HodgeDatum(3, 1) and type(hd.height) is int and type(hd.dimension) is int
+    assert hd.mu() == (1, 0, 0)
+
+
 def test_blocks_sort_by_slope():
     # every ordering of three blocks, repeats (equal slopes) included,
     # ends in ascending slope order, as a sort by Fraction slope gives

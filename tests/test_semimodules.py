@@ -65,6 +65,18 @@ def test_beginning_elements_must_be_integers():
     assert B.C == frozenset({1, 2}) and all(type(c) is int for c in B.C)
 
 
+def test_beginning_block_sizes_must_be_integers():
+    # float block sizes raise instead of comparing equal to the block
+    with pytest.raises(TypeError):
+        SemimoduleBeginning({1, 2}, 1.0, 1.0)
+    with pytest.raises(TypeError):
+        SemimoduleBeginning({1, 2}, 1, 1.0)
+    with pytest.raises(TypeError):
+        is_beginning({1, 2}, 1.0, 1)
+    B = SemimoduleBeginning({1, 2}, np.int64(1), np.int64(1))
+    assert (B.n, B.m) == (1, 1) and type(B.n) is int and type(B.m) is int
+
+
 def test_cocharacter_entries_must_be_integers():
     with pytest.raises(TypeError):
         cochar_to_beginning((0, 0.9), 1, 1)

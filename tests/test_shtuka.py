@@ -84,7 +84,8 @@ def test_preimages_match_brute_force(p, r):
                 Z = Bt1Module(cfg, f, v)
                 cases = [
                     (v_preimage(Z, u), lambda x: _matvec(v, cfg.frbi[x], cfg) in span_u),
-                    (bt1._image_and_kernel(f, cfg)[1], lambda x: not any(_matvec(f, x, cfg))),
+                    (bt1._matrix(bt1._image_preimage(f.tolist(), (), cfg)[1], h),
+                     lambda x: not any(_matvec(f, x, cfg))),
                 ]
                 for got, member in cases:
                     assert np.array_equal(got, space_rows(got, cfg))
@@ -150,13 +151,14 @@ def test_bt1_of_rejects_dimension_mismatch(cfg, monkeypatch):
         bt1_of(sh)
 
 
-def _count_solves(monkeypatch):
-    # the matrices bt1 takes image and kernel of, one rref each
-    solves = []
-    solve = bt1._image_and_kernel
-    monkeypatch.setattr(bt1, '_image_and_kernel',
-                        lambda mat, c: solves.append(mat) or solve(mat, c))
-    return solves
+def _count_preimages(monkeypatch):
+    # (matrix, dim U) for each preimage bt1 takes, one rref each; those
+    # with U = 0 are the solves that give a matrix's image and kernel
+    calls = []
+    preimage = bt1._image_preimage
+    monkeypatch.setattr(bt1, '_image_preimage', lambda mat, u, c: calls.append(
+        (mat, len(u))) or preimage(mat, u, c))
+    return calls
 
 
 def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
@@ -165,14 +167,15 @@ def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
     # whole space: im F comes from the one solve on fmat, and F of the
     # whole space is never formed
     bt1._reference_signatures(3, 1)
-    solves = _count_solves(monkeypatch)
+    calls = _count_preimages(monkeypatch)
     whole = []
-    f_image = bt1.f_image
-    monkeypatch.setattr(bt1, 'f_image', lambda Z, rows: whole.append(
-        np.array_equal(rows, np.eye(Z.h, dtype=np.int64))) or f_image(Z, rows))
+    f_image = bt1._f_image
+    monkeypatch.setattr(bt1, '_f_image', lambda Z, u: whole.append(
+        np.array_equal(bt1._matrix(u, Z.h), np.eye(Z.h, dtype=np.int64))) or f_image(Z, u))
     Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
     assert Z.dimension == 1 and Z.check() is Z
     eo_classify(Z, 1)
+    solves = [mat for mat, k in calls if k == 0]
     assert sum(np.array_equal(mat, Z.fmat) for mat in solves) == 1
     assert whole and not any(whole)
 
@@ -182,13 +185,10 @@ def test_bt1_kernel_of_v_is_computed_once(cfg, monkeypatch):
     # starts from V^{-1}(0) = ker V: both read the one solve on vmat, and
     # every other preimage the filtration takes is of a nonzero subspace
     bt1._reference_signatures(3, 1)
-    solves = _count_solves(monkeypatch)
-    calls = []
-    preimage = bt1._image_preimage
-    monkeypatch.setattr(bt1, '_image_preimage', lambda mat, u_rows, c: calls.append(
-        (mat, u_rows.shape[0])) or preimage(mat, u_rows, c))
+    calls = _count_preimages(monkeypatch)
     Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
     eo_classify(Z, 1)
+    solves = [mat for mat, k in calls if k == 0]
     assert not np.array_equal(Z.fmat, Z.vmat)
     assert sum(np.array_equal(mat, Z.vmat) for mat in solves) == 1
     assert len(solves) == 2
@@ -291,7 +291,7 @@ def test_reference_types_are_distinct(h):
 
 def test_reference_signatures_reject_shared_type(monkeypatch):
     # a classifier that cannot tell two references apart must raise
-    monkeypatch.setattr(bt1, 'canonical_filtration', lambda Z: ((), ((0, 0, 0),)))
+    monkeypatch.setattr(bt1, '_filtration', lambda Z: ((), ((0, 0, 0),)))
     bt1._reference_signatures.cache_clear()
     try:
         with pytest.raises(ConventionError, match='share the canonical type'):
@@ -444,8 +444,30 @@ def test_newton_polygon_rejects_wrong_dimension(cfg):
         newton_polygon_of(sh)
 
 
+def test_oracle_packs_with_the_fields_packings():
+    # newton_polygon_of, iwahori_class_of and pm_inv_mod take their
+    # Packings from the field: repeated calls build none
+    from pkernels.shtuka import gf
+    cfg = gf.FieldConfig(2, 2)
+    keys, built = [], []
+    packing = cfg.packing
+
+    def counted(n, terms):
+        keys.append((n, terms))
+        built.append((n, terms) not in cfg._packings)
+        return packing(n, terms)
+
+    object.__setattr__(cfg, 'packing', counted)
+    for seed in range(4):
+        sh = sample_shtuka(HodgeDatum(3, 1), cfg, seed=seed)
+        newton_polygon_of(sh)
+        iwahori_class_of(sh.amat, cfg)
+        PM.pm_inv_mod(random_unimodular(3, cfg, 2, np.random.default_rng(seed)), 5, cfg)
+    assert len(keys) == 12 and sum(built) == len(set(keys)) == 3
+
+
 def test_oracle_computes_det_once(cfg, monkeypatch):
-    # v(det) comes from the datum's one mod-t^2 solve, a (2h, 3h) rref;
+    # v(det) comes from the datum's one mod-t^2 solve, a (2h, 3h) rref on lists;
     # no determinant is computed: bt1_of runs no characteristic
     # polynomial and newton_polygon_of exactly one, for the sampled datum
     # and for a datum built from its bare matrix
@@ -454,8 +476,9 @@ def test_oracle_computes_det_once(cfg, monkeypatch):
     charpoly = core.K.charpoly
     monkeypatch.setattr(core.K, 'charpoly',
                         lambda m, lay: charpolys.append(len(m)) or charpoly(m, lay))
-    rref = core.K.gf_rref
-    monkeypatch.setattr(core.K, 'gf_rref', lambda m, *t: solves.append(m.shape) or rref(m, *t))
+    rref = core.K.rref_rows
+    monkeypatch.setattr(core.K, 'rref_rows', lambda m, c: solves.append(
+        (len(m), len(m[0]) if m else 0)) or rref(m, c))
     for seed in range(3):
         sh = sample_shtuka(HodgeDatum(4, 2), cfg, seed=seed)
         bare = LocalShtuka(cfg, np.array(sh.amat))
