@@ -220,8 +220,7 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     cfg = sh.cfg
     h = sh.h
     lay = cfg.packing(cfg.r * sh.dimension + 1, h)
-    pack = lay.pack
-    cp = K.charpoly(_norm([[pack(e) for e in row] for row in sh.amat.tolist()], lay, cfg), lay)
+    cp = K.charpoly(_norm(PM.pack_matrix(sh.amat, lay), lay, cfg), lay)
     P = _polygon_of_valuations([lay.val(c) if c else None for c in cp], cfg.r)
     if P.height != h or P.dimension != sh.dimension:
         raise ConventionError('Newton polygon %s does not have height %d and dimension %d'

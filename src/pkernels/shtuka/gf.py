@@ -5,7 +5,10 @@ vectors (little-endian) against the power basis of F_p[x]/(f), f the
 first monic irreducible of degree r in the order of (f_0, ..., f_{r-1})
 (f = x for r = 1).  All arithmetic is table lookup on read-only int64
 numpy arrays, so field ops broadcast over whole matrices; ``tables`` holds
-add, mul, neg and inv once more as tuples of ints, for pkernels._kernels.
+add, mul, neg and inv once more as tuples of ints, for pkernels._kernels,
+and ``frobs`` frb and frbi.  A field also keeps the Packings its callers
+ask for (FieldConfig.packing), so they go with it when field's cache is
+cleared.
 
 One rule multiplies, _mulmod: convolve two digit vectors and fold each
 x^k, k >= r, down by f, digits mod p.  It fills mul and selects f:
