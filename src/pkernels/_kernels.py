@@ -131,9 +131,9 @@ def gf_conv2(a, b, cfg):
 
 def polymat_rows(a, b, m, dc, cfg):
     """The product of polynomial matrices a (n rows of k coefficient
-    lists, t^0 first) and b (k rows of m coefficient lists), with dc
-    coefficients per product entry (at least da+db-1); n flat rows of
-    m blocks of dc coefficients.
+    lists, t^0 first) and b (k rows of m coefficient lists, all of one
+    length db), with dc coefficients per product entry (at least
+    da+db-1); n flat rows of m blocks of dc coefficients.
 
     Row l of b is laid out as one flat list of its m entries, each padded
     with zeros to dc coefficients.  The product of a[i][l][s]·t^s with
@@ -142,7 +142,8 @@ def polymat_rows(a, b, m, dc, cfg):
     coefficients inside the block.
     """
     ADD, MUL = cfg.tables[:2]
-    flat = [[y for poly in brow for y in poly + [0] * (dc - len(poly))] for brow in b]
+    pad = [0] * (dc - len(b[0][0])) if b and b[0] else []
+    flat = [[y for poly in brow for y in poly + pad] for brow in b]
     out = []
     for arow in a:
         acc = [0] * (m * dc)
