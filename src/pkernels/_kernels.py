@@ -260,29 +260,25 @@ class Packing:
         """The n field indices of a normalised int, t^0 first."""
         return [self._index(x >> s * self.block) for s in range(self.n)]
 
-    def linear(self, table):
-        """The map applying, to every coefficient, the F_p-linear map of
-        the field whose values on field indices are ``table`` (a power of
-        Frobenius): plane j goes to the image of x^j."""
-        W, plane, red = self.W, self._plane, self.red
-        images = [(j * W, self._pack[int(table[self.p ** j])]) for j in range(self.r)]
-
-        def apply(x):
-            return red(sum(((x >> shift) & plane) * c for shift, c in images))
-
-        return apply
-
     def frobenius(self, k):
-        """linear() of sigma^k, sigma the p-power Frobenius; built once
-        per k mod r and kept."""
+        """The map applying sigma^k, sigma the p-power Frobenius, to every
+        coefficient: an F_p-linear map, so plane j goes to the image of
+        x^j.  Built once per k mod r and kept."""
         k %= self.r
-        f = self._frobenius.get(k)
-        if f is None:
-            table = range(self.p ** self.r)
-            for _ in range(k):
-                table = [self._frb[e] for e in table]
-            f = self._frobenius[k] = self.linear(table)
-        return f
+        apply = self._frobenius.get(k)
+        if apply is None:
+            W, plane, red, images = self.W, self._plane, self.red, []
+            for j in range(self.r):
+                e = self.p ** j
+                for _ in range(k):
+                    e = self._frb[e]
+                images.append((j * W, self._pack[e]))
+
+            def apply(x):
+                return red(sum(((x >> shift) & plane) * c for shift, c in images))
+
+            self._frobenius[k] = apply
+        return apply
 
     def series_inv(self, u, n):
         """u^-1 mod t^n for a normalised u with a nonzero constant term, by
