@@ -93,6 +93,13 @@ def test_preimages_match_brute_force(p, r):
                     assert _span(got, cfg) == want, (h, k, trial)
 
 
+def test_preimage_of_dependent_rows(cfg):
+    # h rows spanning less than the whole space are taken as their span,
+    # not as the whole space
+    Z = Bt1Module(cfg, np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64))
+    assert v_preimage(Z, np.array([[1, 0], [1, 0]])).tolist() == [[1, 0]]
+
+
 def test_bt1_of_diag_t_1(cfg):
     Z = bt1_of(shtuka_from_element(Element((1, 0), (1, 2)), cfg))
     assert Z.fmat.tolist() == [[0, 0], [0, 1]]
