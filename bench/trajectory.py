@@ -241,7 +241,7 @@ def run_case(name, seed):
     return out
 
 
-# ------------------------------------------------------------ the driver
+# ------------------------------------------------------------ running the cases
 
 def _git(root, *args):
     try:
