@@ -261,7 +261,7 @@ def _child(root, name, seed):
     return json.loads(child.stdout)
 
 
-def measure(sides, seed, cases, rounds):
+def measure(sides, seed, rounds):
     """Run every case ``rounds`` times per side, each run in its own
     child, the sides interleaved; one record per side."""
     import importlib.util
@@ -274,7 +274,7 @@ def measure(sides, seed, cases, rounds):
         'python': sys.version.split()[0],
         'cases': {},
     } for name, root in sides.items()}
-    for case in cases:
+    for case in CASES:
         runs = {name: [] for name in sides}
         order = list(sides.items())
         for k in range(rounds):
@@ -296,10 +296,8 @@ def main(argv=None):
     ap.add_argument('--out', help='the BENCH_<pr>.json to write')
     ap.add_argument('--side', action='append', metavar='NAME=ROOT',
                     help='a checkout to measure, under NAME (repeatable)')
-    ap.add_argument('--rounds', type=int, default=3, help='children per case and side')
+    ap.add_argument('--rounds', type=int, default=5, help='children per case and side')
     ap.add_argument('--seed', type=int, default=20240801)
-    ap.add_argument('--cases', default=','.join(CASES),
-                    help='comma-separated subset of: ' + ', '.join(CASES))
     ap.add_argument('--case', help=argparse.SUPPRESS)      # a child's one case
     args = ap.parse_args(argv)
     if args.case:
@@ -315,15 +313,11 @@ def main(argv=None):
         if not (name and sep and os.path.isdir(os.path.join(root, 'src', 'pkernels'))):
             ap.error('--side %r is not NAME=ROOT with ROOT/src/pkernels' % spec)
         sides[name] = os.path.abspath(root)
-    cases = [c for c in args.cases.split(',') if c]
-    unknown = sorted(set(cases) - set(CASES))
-    if unknown:
-        ap.error('unknown cases: %s' % ', '.join(unknown))
     data = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
-    data.update(measure(sides, args.seed, cases, args.rounds))
+    data.update(measure(sides, args.seed, args.rounds))
     with open(args.out, 'w') as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write('\n')

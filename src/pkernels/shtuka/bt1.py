@@ -130,7 +130,6 @@ def _matrix(u, h: int) -> np.ndarray:
     return np.array(u, dtype=np.int64).reshape(len(u), h)
 
 
-@lru_cache(maxsize=64)
 def _whole(h: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(h)) for i in range(h))
 
