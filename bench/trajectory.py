@@ -1,25 +1,28 @@
 """Performance trajectory of pkernels: end-to-end and layer cases, each
 timed in fresh child processes.
 
-    python3 bench/trajectory.py --out BENCH_21.json
-    python3 bench/trajectory.py --out BENCH_21.json --side parent=../parent --side change=.
+    python3 bench/trajectory.py --out BENCH_22.json
+    python3 bench/trajectory.py --out BENCH_22.json --side parent=../parent --side change=.
 
 Each ``--side NAME=ROOT`` is a checkout; its cases run in new
 interpreters that import ``pkernels`` from ``ROOT/src`` (one side,
 ``current``, the checkout holding this script, by default).  Every case
 runs ``--rounds`` times per side, the sides interleaved round by round
 (the first side first in even rounds, last in odd ones) so that a slow
-spell of the host hits both, and reports the best wall
-time over all rounds and repeats, every time, and the largest peak RSS
-of its children (each child's own, with the peak of any process it
-waited for).  Each side records its commit, whether its tree was dirty,
-``os.cpu_count()``, the seed and whether numba is importable, and is
-stored under its NAME in ``--out`` next to what the file already holds.
+spell of the host hits both, and reports the best and the median wall
+time over all rounds and repeats (``best_s``, ``median_s``), every
+time, and the largest peak RSS of its children (each child's own, with
+the peak of any process it waited for).  On a loaded host the best is
+one lucky child, so compare medians too.  Each side records its commit,
+whether its tree was dirty, ``os.cpu_count()``, the seed and whether
+numba is importable, and is stored under its NAME in ``--out`` next to
+what the file already holds.
 
 End-to-end cases: the default ``calibrate()`` from empty caches; F_4
 oracle samples (sample, residue module, class, Newton polygon) per
 second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 8 and of
-h = 10; the Tier-1 test suite.  Layer cases: ``gf_rref``,
+h = 10; the 50 Iwahori orbits of acceptance 6 over F_2, in cosets per
+second; the Tier-1 test suite.  Layer cases: ``gf_rref``,
 ``polymat_mul``, ``charpoly``, ``Packing.red``, ``lattice_key``, and
 affine multiplication and length.
 """
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -81,6 +85,28 @@ def _strata(h):
                 incidence_table(HodgeDatum(h, d), bounds=bounds)
         return run, _clear_caches, {}
     return case
+
+
+def _acceptance6_orbits(seed):
+    # the elements of tests/test_acceptance.py::test_acceptance_6, in order
+    import numpy as np
+    from pkernels import affine
+    from pkernels.shtuka import field, iwahori_orbit_size
+    cfg = field(2, 1)
+    rng = np.random.default_rng([9106])
+    xs = []
+    while len(xs) < 50:
+        h = int(rng.integers(2, 4))
+        lam = tuple(int(v) for v in rng.integers(-1, 2, size=h))
+        x = affine.Element(lam, tuple(int(v) for v in rng.permutation(h) + 1))
+        if affine.length(x) <= 9:
+            xs.append(x)
+
+    def run():
+        for x in xs:
+            iwahori_orbit_size(x, cfg)
+    cosets = sum(2 ** affine.length(x) for x in xs)
+    return run, None, {'elements': len(xs), 'cosets': cosets, 'rate_unit': 'cosets/s'}
 
 
 def _tier1(seed):
@@ -209,6 +235,7 @@ CASES = {
     'oracle_f4_8_4': ('end_to_end', 3, _oracle(8, 4, 20)),
     'strata_h8': ('end_to_end', 5, _strata(8)),
     'strata_h10': ('end_to_end', 3, _strata(10)),
+    'acceptance6_orbits': ('end_to_end', 5, _acceptance6_orbits),
     'tier1': ('end_to_end', 1, _tier1),
     'gf_rref': ('layer', 5, _gf_rref),
     'polymat_mul': ('layer', 5, _polymat_mul),
@@ -221,8 +248,9 @@ CASES = {
 
 
 def run_case(name, seed):
-    """In the child: time the case, best of its repeats, and return its
-    record."""
+    """In the child: time the case's repeats and return its record, with
+    the best and the median time; a rate (per ``rate_unit``, e.g.
+    samples/s) is the count its unit names over the best time."""
     kind, repeats, setup = CASES[name]
     run, reset, info = setup(seed)
     times = []
@@ -234,10 +262,11 @@ def run_case(name, seed):
         times.append(time.perf_counter() - t0)
     peak = max(resource.getrusage(who).ru_maxrss
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    out = dict(info, kind=kind, repeats=repeats, best_s=min(times), times_s=times,
+    out = dict(info, kind=kind, repeats=repeats, best_s=min(times),
+               median_s=statistics.median(times), times_s=times,
                peak_rss_mb=round(peak / 1024.0, 1))
     if 'rate_unit' in info:
-        out['rate'] = info['samples'] / min(times)
+        out['rate'] = info[info['rate_unit'].split('/')[0]] / min(times)
     return out
 
 
@@ -282,11 +311,12 @@ def measure(sides, seed, rounds):
                 runs[name].append(_child(root, case, seed))
         for name, got in runs.items():
             best = min(got, key=lambda r: r['best_s'])
-            out = dict(best, rounds=rounds, times_s=[t for r in got for t in r['times_s']],
+            times = [t for r in got for t in r['times_s']]
+            out = dict(best, rounds=rounds, times_s=times, median_s=statistics.median(times),
                        peak_rss_mb=max(r['peak_rss_mb'] for r in got))
             record[name]['cases'][case] = out
-            print('%-8s %-15s best %.4f s  peak %.1f MB' % (name, case, out['best_s'],
-                                                            out['peak_rss_mb']),
+            print('%-8s %-18s best %.4f s  median %.4f s  peak %.1f MB'
+                  % (name, case, out['best_s'], out['median_s'], out['peak_rss_mb']),
                   file=sys.stderr)
     return record
 

@@ -13,13 +13,13 @@ list in place and replaces rows without writing into them, so rows may
 be tuples; the shapes a list cannot carry (no rows, no columns) are
 passed as counts.  gf_matmul, gf_rref and polymat_mul are thin wrappers
 for int64 arrays: ``tolist()`` in, a new C-contiguous int64 array out.
-The oracle calls the list kernels directly, so one sample stays on
-lists from the random draw to the answer (shtuka.core, shtuka.bt1).
-Its matrices are small (a residue module's preimage stack has at most
-2h columns, a lattice key's span h·n), and at those sizes numpy's
-per-call dispatch costs more than the arithmetic.  Vectorized numpy
-wins on dense inputs from about 16 columns for gf_rref and about 6 rows
-for polymat_mul (README, Performance).
+The oracle and the orbit count call the list kernels directly
+(shtuka.core, shtuka.bt1, shtuka.reduction).  Their matrices are small
+(a residue module's preimage stack has at most 2h columns, a lattice
+key's span h·n), and at those sizes numpy's per-call dispatch costs
+more than the arithmetic.  Vectorized numpy wins on dense inputs from
+about 16 columns for gf_rref and about 6 rows for polymat_mul (README,
+Performance).
 
 charpoly and series_matmul work on truncated power series over F_q
 packed into Python ints (Packing): a series product is one int

@@ -46,9 +46,15 @@ Lambda_j = span(e_1, ..., e_{h-j}, t·e_{h-j+1}, ..., t·e_h).  For
 m = t^s·x (pm_from_element) every entry is a power t^(lam_i+s), so
 m·Lambda_j contains t^N O^h with N = max(lam)+s+1.  Every g in
 I ⊂ GL_h(O) preserves t^N O^h, so each lattice of the orbit contains it
-as well and is determined by its image in (O/t^N)^h: working mod t^N is
-exact.  A generator 1 + c·t^a·E_ij with a >= N fixes every such lattice,
-so generators of depth <= N-1 give the whole action of I.
+as well and is determined by its image S_j in (O/t^N)^h, the F_q-span of
+t^k·c over the columns c of m·Lambda_j, of rank h·N - v(det m) - j:
+working mod t^N is exact.  A generator 1 + c·t^a·E_ij with a >= N fixes
+every such lattice, so generators of depth <= N-1 give the whole action
+of I.  A matrix is a list of its columns, each flat over (row,
+coefficient), and a generator the row operation row_i += c·t^a·row_j
+mod t^N.  Lambda_j ⊃ Lambda_{j+1}, so S_j = S_{j+1} + <col_{h-j-1}>:
+the keys of a coset are one rref of S_{h-1}, then h-1 rrefs of the
+reduced rows with one column appended.
 """
 
 import numpy as np
@@ -121,94 +127,87 @@ def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
 
 # ------------------------------------------------------ orbit counting
 
-def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
-    """Key of the coset m·I: one canonical form per lattice m·Lambda_j,
-    Lambda_j = span(e_1, ..., e_{h-j}, t·e_{h-j+1}, ..., t·e_h).
-
-    Key j is the reduced row echelon form (rows of rank, as bytes) of the
-    F_q-span of t^k·c mod t^n, k < n, over the columns c of m·Lambda_j,
-    each flattened to F_q^(h·n).  That span is the t-stable subspace
-    (m·Lambda_j + t^n O^h) / t^n O^h, so the key determines the lattice
-    exactly when t^n O^h ⊂ m·Lambda_j; its rank is then
-    h·n - v(det m) - j.
-    """
+def _columns(m, n):
+    """The columns of m mod t^n, each flat over (row, coefficient)."""
     h = m.shape[0]
-    cols = PM.pm_pad(PM.pm_truncate(m, n), n).transpose(1, 0, 2)
-    # shifted[c, k] = t^k · column c, flattened row-major over (row, coeff)
-    shifted = np.zeros((h, n, h, n), dtype=np.int64)
-    for k in range(n):
-        shifted[:, k, :, k:] = cols[:, :, :n - k]
-    shifted = shifted.reshape(h, n, h * n)
-    keys = []
-    for j in range(h):
-        # Lambda_j takes t·c for the last j columns: drop their k = 0 rows
-        span = np.concatenate([shifted[:h - j].reshape(-1, h * n),
-                               shifted[h - j:, 1:].reshape(-1, h * n)])
-        red, rank = K.gf_rref(span, cfg)
-        keys.append(red[:rank].tobytes())
-    return tuple(keys)
+    return PM.pm_pad(PM.pm_truncate(m, n), n).transpose(1, 0, 2).reshape(h, h * n).tolist()
 
 
-def _iwahori_generators(h: int, cfg: FieldConfig, depth: int):
-    """Generators of I mod t^(depth+1): elementary matrices
-    1 + c·t^a·E_ij, a <= depth, over an additive basis c, plus diagonal
-    units."""
-    gens = []
+def _key_rows(cols, h, n, cfg):
+    """The rref rows of S_j, j = h-1, ..., 0 (module docstring): one list,
+    extended at each step."""
+    span = [cols[0]]
+    for col in cols:
+        for k in range(1, n):
+            span.append([y for s in range(0, h * n, n) for y in [0] * k + col[s:s + n - k]])
+    for c in range(h):
+        if c:
+            span.append(cols[c])
+        del span[K.rref_rows(span, cfg):]
+        yield span
+
+
+def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
+    """Key of the coset m·I: for j = 0, ..., h-1 the rref rows of S_j mod
+    t^n (module docstring) as int64 bytes; exact when t^n O^h ⊂ m·Lambda_j."""
+    return tuple(np.array(rows, dtype=np.int64).tobytes()
+                 for rows in _key_rows(_columns(m, n), m.shape[0], n, cfg))[::-1]
+
+
+def _generators(h, cfg, depth):
+    """Generators (i, j, a, c) = 1 + c·t^a·E_ij of I mod t^(depth+1), c
+    over an additive basis, and the primitive element (c = prim - 1)."""
     basis = cfg.basis()
-    for i in range(h):
-        for j in range(h):
-            lo = 0 if i < j else 1
-            if i == j:
-                continue
-            for a in range(lo, depth + 1):
-                for c in basis:
-                    g = PM.pm_eye(h, a + 1)
-                    g[i, j, a] = c
-                    gens.append(g)
+    gens = [(i, j, a, c) for i in range(h) for j in range(h) if i != j
+            for a in range(0 if i < j else 1, depth + 1) for c in basis]
     prim = cfg.primitive()
     for i in range(h):
         if prim:
-            g = PM.pm_eye(h, 1)
-            g[i, i, 0] = prim
-            gens.append(g)
-        for a in range(1, depth + 1):
-            for c in basis:
-                g = PM.pm_eye(h, a + 1)
-                g[i, i, a] = cfg.add[g[i, i, a], c]
-                gens.append(g)
+            gens.append((i, i, 0, int(cfg.sub(prim, 1))))
+        gens += [(i, i, a, c) for a in range(1, depth + 1) for c in basis]
     return gens
 
 
-def iwahori_orbit_size(x: Element, cfg: FieldConfig, limit: int = 1 << 22) -> int:
-    """[I : I ∩ x I x^{-1}], counted as the orbit of xI in G/I under
-    left multiplication by I, at precision N = max(lam) + s + 1.
+def _row_op(cols, gen, n, cfg):
+    """gen·m mod t^n on the columns of m; unchanged columns are shared."""
+    i, j, a, c = gen
+    ADD, mc = cfg.tables[0], cfg.tables[1][c]
+    lo, hi, src = i * n + a, i * n + n, j * n
+    out = []
+    for col in cols:
+        y = col[src:src + n - a]
+        if any(y):
+            col = col[:lo] + [ADD[u][mc[v]] for u, v in zip(col[lo:hi], y)] + col[hi:]
+        out.append(col)
+    return out
 
-    The start m = t^s·x contains t^N O^h in each m·Lambda_j (module
-    docstring), so the generators of depth <= N-1 and lattice keys mod
-    t^N are exact.  Raises ValueError if a key's rank shows a lattice
-    that does not contain t^N O^h.
-    """
+
+def iwahori_orbit_size(x: Element, cfg: FieldConfig, limit: int = 1 << 22) -> int:
+    """[I : I ∩ x I x^{-1}], the size of the orbit of xI in G/I under I,
+    counted mod t^N (module docstring).  ValueError if a key's rank shows
+    a lattice that does not contain t^N O^h."""
     h = x.h
     start, s = PM.pm_from_element(x)
     n = start.shape[2]
-    vdet = x.v_det() + h * s
-    row_bytes = h * n * np.dtype(np.int64).itemsize
-    want = tuple(row_bytes * (h * n - vdet - j) for j in range(h))
+    low = h * n - x.v_det() - h * s - h + 1     # rank of S_{h-1}
 
-    def key(m):
-        k = lattice_key(m, cfg, n)
-        if tuple(map(len, k)) != want:
-            raise ValueError('lattice does not contain t^%d O^%d' % (n, h))
-        return k
+    def key(cols):
+        parts = []
+        for rank, rows in enumerate(_key_rows(cols, h, n, cfg), low):
+            if len(rows) != rank:
+                raise ValueError('lattice does not contain t^%d O^%d' % (n, h))
+            parts += map(bytes, rows)
+        return b''.join(parts)
 
-    gens = _iwahori_generators(h, cfg, n - 1)
-    seen = {key(start)}
-    frontier = [start]
+    gens = _generators(h, cfg, n - 1)
+    cols = _columns(start, n)
+    seen = {key(cols)}
+    frontier = [cols]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
-                m2 = PM.pm_truncate(PM.pm_mul(g, m, cfg), n)
+                m2 = _row_op(m, g, n, cfg)
                 k = key(m2)
                 if k not in seen:
                     seen.add(k)

@@ -23,6 +23,7 @@ from pkernels.shtuka import polymat as PM
 from pkernels.shtuka import bt1
 from pkernels.shtuka.bt1 import space_rows, v_preimage
 from pkernels.shtuka.core import LocalShtuka, random_unimodular
+from pkernels.shtuka import reduction
 from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
 from test_kernels import FIELDS, _series_inv_lists
@@ -658,14 +659,95 @@ def test_orbit_size_is_q_to_length(cfg1):
         assert want == 2 ** affine.length(x)
 
 
+ORBIT_CASES = [((1, 0), (1, 2)), ((0, 0, 1), (3, 1, 2)), ((1, 0, 0), (1, 2, 3)),
+               ((0, 1, -1), (2, 1, 3)), ((1, -1, 0), (1, 3, 2)), ((1, 1, 0), (1, 3, 2))]
+
+
 def test_orbit_size_q4():
     # same law over F_4
     cfg = field(2, 2)
-    for lam, perm in [((1, 0), (1, 2)), ((0, 0, 1), (3, 1, 2)), ((1, 0, 0), (1, 2, 3)),
-                      ((0, 1, -1), (2, 1, 3)), ((1, -1, 0), (1, 3, 2)),
-                      ((1, 1, 0), (1, 3, 2))]:
+    for lam, perm in ORBIT_CASES:
         x = Element(lam, perm)
         assert iwahori_orbit_size(x, cfg) == 4 ** affine.length(x), x
+
+
+def test_orbit_size_q3():
+    # and over F_3, where a diagonal generator scales a row by 2
+    cfg = field(3, 1)
+    for lam, perm in ORBIT_CASES:
+        x = Element(lam, perm)
+        assert iwahori_orbit_size(x, cfg) == 3 ** affine.length(x), x
+
+
+def _elementary_generators(h, cfg, depth):
+    # the generators of I mod t^(depth+1) as elementary matrices, in the
+    # order and with the entries the orbit count used before row operations
+    gens = []
+    basis = cfg.basis()
+    for i in range(h):
+        for j in range(h):
+            if i == j:
+                continue
+            for a in range(0 if i < j else 1, depth + 1):
+                for c in basis:
+                    g = PM.pm_eye(h, a + 1)
+                    g[i, j, a] = c
+                    gens.append(g)
+    prim = cfg.primitive()
+    for i in range(h):
+        if prim:
+            g = PM.pm_eye(h, 1)
+            g[i, i, 0] = prim
+            gens.append(g)
+        for a in range(1, depth + 1):
+            for c in basis:
+                g = PM.pm_eye(h, a + 1)
+                g[i, i, a] = cfg.add[g[i, i, a], c]
+                gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize('pr', [(2, 1), (2, 2), (3, 1)])
+def test_row_op_generators_match_matrix_products(pr):
+    cfg = field(*pr)
+    rng = np.random.default_rng([61, cfg.q])
+    for h, n in [(2, 1), (2, 3), (3, 2), (3, 3)]:
+        gens = reduction._generators(h, cfg, n - 1)
+        mats = _elementary_generators(h, cfg, n - 1)
+        assert len(gens) == len(mats)
+        m = rng.integers(0, cfg.q, size=(h, h, n), dtype=np.int64)
+        cols = reduction._columns(m, n)
+        for gen, g in zip(gens, mats):
+            want = PM.pm_pad(PM.pm_truncate(PM.pm_mul(g, m, cfg), n), n)
+            assert reduction._row_op(cols, gen, n, cfg) == reduction._columns(want, n), gen
+        assert reduction._columns(m, n) == cols      # the input is not written into
+
+
+@pytest.mark.parametrize('pr', [(2, 1), (2, 2), (3, 1)])
+def test_nested_keys_match_one_rref_per_lattice(pr):
+    # key j is the rref of t^k·c over the columns c of m·Lambda_j: k < n
+    # for c < h-j, 1 <= k < n for the others; each span built from scratch
+    cfg = field(*pr)
+    rng = np.random.default_rng([62, cfg.q])
+    for trial in range(40):
+        h, n = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        m = rng.integers(0, cfg.q, size=(h, h, n), dtype=np.int64)
+        if trial % 2:       # a coset g·x of an orbit count
+            x = Element(tuple(int(v) for v in rng.integers(0, n, size=h)),
+                        tuple(int(v) + 1 for v in rng.permutation(h)))
+            m = PM.pm_mul(random_iwahori(h, cfg, n, rng), PM.pm_from_element(x)[0], cfg)
+        a = PM.pm_pad(PM.pm_truncate(m, n), n)
+        want = []
+        for j in range(h):
+            span = [[0] * (h * n)]
+            for c in range(h):
+                for k in range(0 if c < h - j else 1, n):
+                    shifted = np.zeros((h, n), dtype=np.int64)
+                    shifted[:, k:] = a[:, c, :n - k]
+                    span.append(shifted.ravel().tolist())
+            red, rank = K.gf_rref(np.array(span, dtype=np.int64), cfg)
+            want.append(red[:rank].tobytes())
+        assert reduction.lattice_key(m, cfg, n) == tuple(want), trial
 
 
 def test_orbit_size_rejects_start_without_t_n(cfg1, monkeypatch):
