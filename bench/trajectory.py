@@ -1,8 +1,8 @@
 """Performance trajectory of pkernels: end-to-end and layer cases, each
 timed in fresh child processes.
 
-    python3 bench/trajectory.py --out BENCH_22.json
-    python3 bench/trajectory.py --out BENCH_22.json --side parent=../parent --side change=.
+    python3 bench/trajectory.py --out BENCH_23.json
+    python3 bench/trajectory.py --out BENCH_23.json --side parent=../parent --side change=.
 
 Each ``--side NAME=ROOT`` is a checkout; its cases run in new
 interpreters that import ``pkernels`` from ``ROOT/src`` (one side,
@@ -14,9 +14,13 @@ time over all rounds and repeats (``best_s``, ``median_s``), every
 time, and the largest peak RSS of its children (each child's own, with
 the peak of any process it waited for).  On a loaded host the best is
 one lucky child, so compare medians too.  Each side records its commit,
-whether its tree was dirty, ``os.cpu_count()``, the seed and whether
-numba is importable, and is stored under its NAME in ``--out`` next to
-what the file already holds.
+whether its tree was dirty, ``os.cpu_count()``, the seed, whether numba
+is importable, and the lines and bytes of its ``src/pkernels/**/*.py``
+(``src_lines``, ``src_bytes``), and is stored under its NAME in
+``--out`` next to what the file already holds.  The source size is the
+measure of the aim of the least code, and perfbench compiles those bytes
+on every re-import of the package, so the ``setup_s`` of its ``oracle``
+and ``orbits`` workloads follows them.
 
 End-to-end cases: the default ``calibrate()`` from empty caches; F_4
 oracle samples (sample, residue module, class, Newton polygon) per
@@ -280,6 +284,18 @@ def _git(root, *args):
         return None
 
 
+def _source_size(root):
+    """(lines, bytes) of the Python files under ROOT/src/pkernels."""
+    lines = size = 0
+    for path, _, files in os.walk(os.path.join(root, 'src', 'pkernels')):
+        for name in files:
+            if name.endswith('.py'):
+                with open(os.path.join(path, name), 'rb') as fh:
+                    data = fh.read()
+                lines, size = lines + data.count(b'\n'), size + len(data)
+    return lines, size
+
+
 def _child(root, name, seed):
     env = dict(os.environ, PYTHONPATH=os.path.join(root, 'src'))
     child = subprocess.run([sys.executable, os.path.abspath(__file__), '--case', name,
@@ -294,15 +310,20 @@ def measure(sides, seed, rounds):
     """Run every case ``rounds`` times per side, each run in its own
     child, the sides interleaved; one record per side."""
     import importlib.util
-    record = {name: {
-        'commit': _git(root, 'rev-parse', 'HEAD'),
-        'dirty': bool(_git(root, 'status', '--porcelain', '--untracked-files=no')),
-        'cpu_count': os.cpu_count(),
-        'seed': seed,
-        'numba': importlib.util.find_spec('numba') is not None,
-        'python': sys.version.split()[0],
-        'cases': {},
-    } for name, root in sides.items()}
+    record = {}
+    for name, root in sides.items():
+        lines, size = _source_size(root)
+        record[name] = {
+            'commit': _git(root, 'rev-parse', 'HEAD'),
+            'dirty': bool(_git(root, 'status', '--porcelain', '--untracked-files=no')),
+            'cpu_count': os.cpu_count(),
+            'seed': seed,
+            'numba': importlib.util.find_spec('numba') is not None,
+            'python': sys.version.split()[0],
+            'src_lines': lines,
+            'src_bytes': size,
+            'cases': {},
+        }
     for case in CASES:
         runs = {name: [] for name in sides}
         order = list(sides.items())

@@ -165,7 +165,7 @@ def polymat_mul(a, b, cfg):
 
 class Packing:
     r"""F_q[t]/t^n, F_q = cfg (shtuka.gf), q = p^r, with each truncated
-    series one Python int.
+    series one Python int; n and terms must be at least 1.
 
     A coefficient c in F_q has the base-p digits c_0..c_{r-1} of its field
     index, its coordinates against x^j (shtuka.gf).  Digit j of the
@@ -207,6 +207,9 @@ class Packing:
     """
 
     def __init__(self, cfg, n, terms):
+        if n < 1 or terms < 1:
+            raise ValueError('a Packing needs n >= 1 and terms >= 1, got n = %r, terms = %r'
+                             % (n, terms))
         p, r = cfg.p, cfg.r
         S = 2 * r - 1
         v0 = 2 * (p - 1) + terms * n * r * (p - 1) ** 3

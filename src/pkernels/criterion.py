@@ -262,7 +262,7 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
     must meet that polygon's stratum.  Raises ResourceLimitError before
     any sampling if a probe exceeds the height bound, ValueError if a
-    sample or trial count is below one, and ConventionError on any
+    sample or trial count or deg is below one, and ConventionError on any
     disagreement; otherwise returns the report of the evidence, which
     lifts_to, adlv_nonempty and incidence_table accept as ``check``.
     """

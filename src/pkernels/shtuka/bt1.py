@@ -2,12 +2,12 @@ r"""Residue modules: a finite-dimensional vector space with a semilinear
 operator F (twisted by Frobenius) and an anti-semilinear operator V,
 satisfying im F = ker V and im V = ker F.
 
-Vectors are columns.  Inside this module a subspace is the tuple of its
-canonical reduced row-basis (rref) rows, each a tuple of field indices:
-equality of subspaces is tuple equality, and the canonical filtration's
-worklist keys its members by them.  The work runs on lists
-(_kernels.rref_rows, matmul_rows); canonical_filtration, space_rows,
-f_image and v_preimage return int64 arrays, converted once at return.
+Vectors are columns.  A subspace is the tuple of its canonical reduced
+row-basis (rref) rows, each a tuple of field indices: equality of
+subspaces is tuple equality, and the canonical filtration's worklist
+keys its members by them.  space_rows, f_image and v_preimage each take
+a list or tuple of rows, not necessarily independent, and return a
+subspace; the work runs on lists (_kernels.rref_rows, matmul_rows).
 
 A linear preimage {x : M·x in U} is one rref.  The rows of
 [[M^T | I], [U | 0]] span the pairs (M·x + u, x).  In their rref the rows
@@ -119,15 +119,10 @@ class Bt1Module:
 
 # ------------------------------------------------- subspace primitives
 
-def _space(rows, cfg: FieldConfig) -> tuple:
+def space_rows(rows, cfg: FieldConfig) -> tuple:
     """The subspace spanned by rows (sequences of field indices)."""
     rows = list(rows)
     return tuple(map(tuple, rows[:K.rref_rows(rows, cfg)]))
-
-
-def _matrix(u, h: int) -> np.ndarray:
-    """A subspace of F_q^h as its (dim, h) array of canonical rows."""
-    return np.array(u, dtype=np.int64).reshape(len(u), h)
 
 
 def _whole(h: int) -> tuple:
@@ -140,24 +135,17 @@ def _apply(table, u) -> tuple:
     return tuple(tuple(map(table.__getitem__, row)) for row in u)
 
 
-def space_rows(rows, cfg: FieldConfig):
-    """Canonical rref basis (drops zero rows)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    return _matrix(_space(rows.tolist(), cfg), rows.shape[1])
-
-
 def _image_preimage(mat, u, cfg: FieldConfig):
     """(im mat + U, {x : mat·x in U}) for a square mat (list of rows) and
-    a subspace U, from one rref of [[mat^T | I], [U | 0]] (module
-    docstring)."""
+    U given by rows, from one rref of [[mat^T | I], [U | 0]] (module
+    docstring).  Only U = the whole space, as its canonical rows, skips
+    the rref: h dependent rows span less."""
     h = len(mat)
-    if len(u) == h:
-        return _whole(h), _whole(h)
+    if len(u) == h and u == _whole(h):
+        return u, u
     zero = [0] * h
     stack = [list(col) + zero[:i] + [1] + zero[i + 1:] for i, col in enumerate(zip(*mat))]
-    stack += [row + tuple(zero) for row in u]
+    stack += [list(row) + zero for row in u]
     image, preimage = [], []
     for row in stack[:K.rref_rows(stack, cfg)]:
         left = tuple(row[:h])
@@ -170,32 +158,32 @@ def _image_preimage(mat, u, cfg: FieldConfig):
 
 # ------------------------------------------------- semilinear operators
 
-def _f_image(Z: Bt1Module, u) -> tuple:
-    # the rows sigma(u)·fmat^T
+def f_image(Z: Bt1Module, u) -> tuple:
+    """F(U) for U given by rows: the span of the rows sigma(u)·fmat^T."""
     if not u:
         return ()
-    return _space(K.matmul_rows(_apply(Z.cfg.frobs[0], u), Z.fmat.T.tolist(), Z.h, Z.cfg), Z.cfg)
+    return space_rows(K.matmul_rows(_apply(Z.cfg.frobs[0], u), Z.fmat.T.tolist(), Z.h, Z.cfg),
+                      Z.cfg)
 
 
-def _v_preimage(Z: Bt1Module, u) -> tuple:
+def v_preimage(Z: Bt1Module, u) -> tuple:
+    """V^{-1}(U) for U given by rows: sigma of its preimage under vmat."""
     return _apply(Z.cfg.frobs[0], _image_preimage(Z.vmat.tolist(), u, Z.cfg)[1])
-
-
-def f_image(Z: Bt1Module, u_rows):
-    """F(U) for U given as rows: span of fmat·sigma(u)."""
-    return _matrix(_f_image(Z, tuple(map(tuple, np.asarray(u_rows).tolist()))), Z.h)
-
-
-def v_preimage(Z: Bt1Module, u_rows):
-    """V^{-1}(U) = sigma of the linear preimage under vmat."""
-    return _matrix(_v_preimage(Z, _space(np.asarray(u_rows).tolist(), Z.cfg)), Z.h)
 
 
 # ------------------------------------------------- canonical filtration
 
-def _filtration(Z: Bt1Module):
-    """canonical_filtration with each member a subspace (tuple of
-    canonical rows)."""
+def canonical_filtration(Z: Bt1Module):
+    """Closure of {0, whole} under F and V^{-1}; returns (flag, signature).
+
+    flag: the member subspaces sorted by dimension (totally ordered by
+    inclusion for valid modules); signature: the canonical type, a tuple
+    of triples (dim U, dim F(U), dim V^{-1}(U)).  One worklist pass
+    computes F(U) and V^{-1}(U) once per member; F of the whole space
+    and V^{-1} of zero are the module's cached im F and ker V.  A chain
+    in an h-dimensional space has at most h+1 members, so the closure
+    stops with ConventionError once it grows past that.
+    """
     h, cfg = Z.h, Z.cfg
     whole = _whole(h)
     members = {}        # U -> (dim F(U), dim V^{-1}(U))
@@ -207,8 +195,8 @@ def _filtration(Z: Bt1Module):
         if len(members) > h:
             raise ConventionError('canonical filtration has more than %d members, '
                                   'so it is not totally ordered' % (h + 1))
-        fu = Z._im_f if u == whole else _f_image(Z, u)
-        vu = Z._ker_v if not u else _v_preimage(Z, u)
+        fu = Z._im_f if u == whole else f_image(Z, u)
+        vu = Z._ker_v if not u else v_preimage(Z, u)
         members[u] = len(fu), len(vu)
         work += [fu, vu]
     flag = sorted(members, key=lambda u: (len(u), u))
@@ -218,21 +206,6 @@ def _filtration(Z: Bt1Module):
         if K.rref_rows(list(a + b), cfg) != len(b):
             raise ConventionError('canonical filtration is not totally ordered')
     return tuple(flag), tuple((len(u),) + members[u] for u in flag)
-
-
-def canonical_filtration(Z: Bt1Module):
-    """Closure of {0, whole} under F and V^{-1}; returns (flag, signature).
-
-    flag: tuple of canonical row bases sorted by dimension (totally
-    ordered by inclusion for valid modules); signature: the canonical
-    type, a tuple of triples (dim U, dim F(U), dim V^{-1}(U)).  One
-    worklist pass computes F(U) and V^{-1}(U) once per member; F of the
-    whole space and V^{-1} of zero are the module's cached im F and
-    ker V.  A chain in an h-dimensional space has at most h+1 members,
-    so the closure stops with ConventionError once it grows past that.
-    """
-    flag, sig = _filtration(Z)
-    return tuple(_matrix(u, Z.h) for u in flag), sig
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +224,7 @@ def _reference_signatures(h: int, d: int):
     sigs = {}
     for w in weyl.min_coset_reps(h, pairs):
         Z = bt1_of(shtuka_from_element(eo_representative(hd, w), cfg))
-        s = _filtration(Z)[1]
+        s = canonical_filtration(Z)[1]
         if s in sigs:
             raise ConventionError('reference modules %s and %s of stratum (%d, %d) share '
                                   'the canonical type %s' % (sigs[s], w, h, d, s))
@@ -265,7 +238,7 @@ def eo_classify(Z: Bt1Module, d: int = None):
     h = Z.h
     if d is None:
         d = Z.dimension
-    w = _reference_signatures(h, d).get(_filtration(Z)[1])
+    w = _reference_signatures(h, d).get(canonical_filtration(Z)[1])
     if w is None:
         raise ConventionError('canonical type matches no reference module of stratum (%d, %d)'
                               % (h, d))
@@ -277,12 +250,6 @@ def graded_bt1_from_beginning(B, cfg: FieldConfig) -> Bt1Module:
     j+n in C (else 0), V e_j = e_{j+m} when j+m in C (else 0)."""
     elems = B.sorted_elements()
     pos = {j: k for k, j in enumerate(elems)}
-    h = len(elems)
-    f = np.zeros((h, h), dtype=np.int64)
-    v = np.zeros((h, h), dtype=np.int64)
-    for j in elems:
-        if j + B.n in pos:
-            f[pos[j + B.n], pos[j]] = 1
-        if j + B.m in pos:
-            v[pos[j + B.m], pos[j]] = 1
+    f = [[int(pos.get(j + B.n) == i) for j in elems] for i in range(len(elems))]
+    v = [[int(pos.get(j + B.m) == i) for j in elems] for i in range(len(elems))]
     return Bt1Module(cfg, f, v).check()

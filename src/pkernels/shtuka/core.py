@@ -17,6 +17,7 @@ t^(r·d+1) drops exactly those coefficients and leaves every other
 valuation as it was, so the hull, and the polygon, do not change.
 """
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,24 +103,22 @@ def minimal_shtuka(P: NewtonPolygon, cfg: FieldConfig) -> LocalShtuka:
     return shtuka_from_element(x_of_polygon(P), cfg)
 
 
-def _unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> list:
-    """random_unimodular as h rows of h coefficient lists, from the same
-    draws."""
+def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> list:
+    """Random element of GL_h(O) mod t^deg, as h rows of h coefficient
+    lists (t^0 first): invertible constant term, uniform higher
+    coefficients.  Raises ValueError for deg < 1."""
+    deg = operator.index(deg)
+    if deg < 1:
+        raise ValueError('coefficient degree must be at least 1, got %d' % deg)
     q = cfg.q
     while True:
         c0 = rng.integers(0, q, size=(h, h), dtype=np.int64).tolist()
         if K.rref_rows(list(c0), cfg) == h:
             break
-    if deg <= 1:
+    if deg == 1:
         return [[[c] for c in row] for row in c0]
     high = rng.integers(0, q, size=(h, h, deg - 1), dtype=np.int64).tolist()
     return [[[c] + t for c, t in zip(row, trow)] for row, trow in zip(c0, high)]
-
-
-def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
-    """Random element of GL_h(O) mod t^deg: invertible constant term,
-    uniform higher coefficients."""
-    return np.array(_unimodular(h, cfg, deg, rng), dtype=np.int64).reshape(h, h, max(deg, 1))
 
 
 def sample_shtuka(hd, cfg: FieldConfig, deg: int = 2, seed=None, rng=None) -> LocalShtuka:
@@ -130,12 +129,11 @@ def sample_shtuka(hd, cfg: FieldConfig, deg: int = 2, seed=None, rng=None) -> Lo
     if rng is None:
         rng = np.random.default_rng(seed)
     h, d = hd.height, hd.dimension
-    u1 = _unimodular(h, cfg, deg, rng)
-    u2 = _unimodular(h, cfg, deg, rng)
+    u1 = random_unimodular(h, cfg, deg, rng)
+    u2 = random_unimodular(h, cfg, deg, rng)
     u1mu = [[[0] + e if j < d else e + [0] for j, e in enumerate(row)] for row in u1]
-    dc = 2 * max(deg, 1)
-    prod = K.polymat_rows(u1mu, u2, h, dc, cfg)
-    return LocalShtuka(cfg, PM.pm_trim(np.array(prod, dtype=np.int64).reshape(h, h, dc)))
+    prod = K.polymat_rows(u1mu, u2, h, 2 * deg, cfg)
+    return LocalShtuka(cfg, PM.pm_trim(np.array(prod, dtype=np.int64).reshape(h, h, 2 * deg)))
 
 
 def bt1_of(sh: LocalShtuka) -> Bt1Module:
@@ -246,7 +244,7 @@ def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0,
     out = Counter()
     for tr in range(trials):
         rng = np.random.default_rng([seed, tr])
-        g = random_unimodular(h, cfg, deg, rng)
+        g = np.array(random_unimodular(h, cfg, deg, rng), dtype=np.int64)
         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
         out[iwahori_class_of(m, cfg, shift=s, expected_vdet=vdet)] += 1

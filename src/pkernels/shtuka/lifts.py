@@ -18,7 +18,9 @@ whose index ranges coincide pair by pair; so c and d are always derived
 from (a, b), never given.  _steps is the one place that decides each
 step: forward or back, its target, and which earlier pairs its free
 coefficients may use.  The families' checks, their twins, the random
-draws and both operators read its table.
+draws and both operators read its table.  The operators are h rows of
+[t^0, t^1] coefficient pairs built on the field's list tables, and the
+exchange identities are two list products (_kernels.polymat_rows).
 """
 
 import operator
@@ -27,6 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .. import _kernels as K
 from ..errors import ConventionError
 from ..polygons import NewtonPolygon
 from ..semimodules import SemimoduleBeginning, cochar_to_beginning, enumerate_cochar_block
@@ -153,24 +156,27 @@ def random_filtration_data(P: NewtonPolygon, cfg: FieldConfig, seed=None,
 
 def _build_operator(data: FiltrationData, dual):
     """The induction of the module docstring: F from the families a, b
-    and sigma, or V (dual) from c, d and sigma^{-1}."""
+    and sigma, or V (dual) from c, d and sigma^{-1}; h rows of h
+    [t^0, t^1] coefficient pairs."""
     cfg = data.cfg
-    lin_fam, rec_fam, twist = (data.c, data.d, cfg.frbi) if dual else (data.a, data.b, cfg.frb)
+    ADD, MUL = cfg.tables[:2]
+    lin_fam, rec_fam = (data.c, data.d) if dual else (data.a, data.b)
+    twist = cfg.frobs[1 if dual else 0]
     pairs, steps = _steps(data.polygon, data.beginnings, dual)
     index = {p: k for k, p in enumerate(pairs)}
-    h = len(pairs)
-    mat = PM.pm_zeros(h, h, 2)
-    for k, (p, target, forward, _) in enumerate(steps):
-        col = np.zeros((h, 2), dtype=np.int64)
-        col[index[target], 0 if forward else 1] = 1
+    cols = []
+    for p, target, forward, _ in steps:
+        col = [[0, 0] for _ in pairs]
+        col[index[target]][0 if forward else 1] = 1
         if forward:
             for p2, v in lin_fam.get(p, {}).items():
-                col[index[p2], 0] = v          # p2 comes before the target
+                col[index[p2]][0] = v          # p2 comes before the target
         else:
             for p2, v in rec_fam.get(p, {}).items():
-                col = cfg.add[col, cfg.mul[int(twist[v]), mat[:, index[p2], :]]]
-        mat[:, k, :] = col
-    return mat
+                mv, prev = MUL[twist[v]], cols[index[p2]]
+                col = [[ADD[x][mv[y]] for x, y in zip(e, e2)] for e, e2 in zip(col, prev)]
+        cols.append(col)
+    return list(zip(*cols))
 
 
 def _operators(data: FiltrationData):
@@ -182,20 +188,22 @@ def lift_from_filtration(data: FiltrationData) -> LocalShtuka:
     identities F·sigma(V) = V·sigma^{-1}(F) = t fail."""
     cfg = data.cfg
     fmat, vmat = _operators(data)
-    h = fmat.shape[0]
-    tI = PM.pm_shift(PM.pm_eye(h), 1)
-    fv = PM.pm_trim(PM.pm_mul(fmat, PM.pm_frob(vmat, cfg, 1), cfg))
-    vf = PM.pm_trim(PM.pm_mul(vmat, PM.pm_frob(fmat, cfg, -1), cfg))
-    if not (PM.pm_equal(fv, tI) and PM.pm_equal(vf, tI)):
-        raise ConventionError('exchange identities fail for the assembled lift')
-    return LocalShtuka(cfg, PM.pm_trim(fmat))
+    h = len(fmat)
+    t_eye = [[c for j in range(h) for c in (0, int(i == j), 0)] for i in range(h)]
+    for a, b, twist in ((fmat, vmat, cfg.frobs[0]), (vmat, fmat, cfg.frobs[1])):
+        twisted = [[[twist[c] for c in e] for e in row] for row in b]
+        if K.polymat_rows(a, twisted, h, 3, cfg) != t_eye:
+            raise ConventionError('exchange identities fail for the assembled lift')
+    return LocalShtuka(cfg, PM.pm_trim(np.array(fmat, dtype=np.int64).reshape(h, h, 2)))
 
 
 def residue_of_filtration(data: FiltrationData) -> Bt1Module:
     """The residue module assembled directly from the combinatorial data
-    (without going through the lift and its mod-t^2 solve)."""
+    (without going through the lift and its mod-t^2 solve): the t^0
+    coefficients of F and V."""
     fmat, vmat = _operators(data)
-    return Bt1Module(data.cfg, PM.pm_coeff(fmat, 0), PM.pm_coeff(vmat, 0)).check()
+    return Bt1Module(data.cfg, [[e[0] for e in row] for row in fmat],
+                     [[e[0] for e in row] for row in vmat]).check()
 
 
 def verify_lift(data: FiltrationData) -> dict:

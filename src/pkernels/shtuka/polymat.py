@@ -5,13 +5,15 @@ field; Laurent matrices are handled by callers via an explicit power of
 t shift.  Exact arithmetic throughout: products grow degree, truncation
 is explicit.
 
-Work over O/t^n runs on packed series, each entry one Python int
-(_kernels.Packing); pack_matrix packs a tensor at the boundary.
-Determinants and characteristic polynomials share one kernel,
-_kernels.charpoly: a Hessenberg reduction by similarities over O/t^n
-followed by the division-free Hessenberg recurrence, O(h^3) series
-products (its docstring gives the exactness argument); pm_char_poly and
-pm_det unpack its result.  pm_inv_mod runs Newton's iteration on packed
+These tensors are the package's array form: a datum's amat, the
+output of random_iwahori and pm_from_element, and the input of pm_mul
+and iwahori_class_of.  Work over O/t^n runs on packed series, each
+entry one Python int (_kernels.Packing); pack_matrix packs a tensor at
+the boundary.  The characteristic polynomial (pm_char_poly, whose
+coefficient of X^0 is (-1)^h·det) is _kernels.charpoly: a Hessenberg
+reduction by similarities over O/t^n followed by the division-free
+Hessenberg recurrence, O(h^3) series products (its docstring gives the
+exactness argument).  pm_inv_mod runs Newton's iteration on packed
 matrices and unpacks once.  The Newton polygon (core.newton_polygon_of)
 and the Iwahori reduction (reduction.iwahori_class_of) stay packed.
 """
@@ -22,20 +24,13 @@ from .. import _kernels as K
 from .gf import FieldConfig
 
 __all__ = [
-    'pm_zeros', 'pm_eye', 'pm_trim', 'pm_truncate', 'pm_pad', 'pm_shift',
-    'pm_mul', 'pm_frob', 'pm_coeff', 'pm_equal', 'pm_det', 'pm_char_poly',
-    'gf_mat_inv', 'pm_inv_mod', 'pm_from_element',
+    'pm_zeros', 'pm_trim', 'pm_truncate', 'pm_pad', 'pm_mul', 'pm_frob', 'pm_coeff',
+    'pm_char_poly', 'gf_mat_inv', 'pm_inv_mod', 'pm_from_element',
 ]
 
 
 def pm_zeros(h, w, deg1=1):
     return np.zeros((h, w, deg1), dtype=np.int64)
-
-
-def pm_eye(h, deg1=1):
-    a = pm_zeros(h, h, deg1)
-    a[np.arange(h), np.arange(h), 0] = 1
-    return a
 
 
 def pm_trim(a):
@@ -61,17 +56,6 @@ def pm_pad(a, deg1):
     return out
 
 
-def pm_shift(a, s):
-    """Multiply by t^s (s >= 0)."""
-    if s < 0:
-        raise ValueError('negative shift')
-    if s == 0:
-        return a.copy()
-    out = np.zeros(a.shape[:2] + (a.shape[2] + s,), dtype=np.int64)
-    out[:, :, s:] = a
-    return out
-
-
 def pm_mul(a, b, cfg: FieldConfig):
     """Exact polynomial matrix product."""
     return K.polymat_mul(a, b, cfg)
@@ -93,11 +77,6 @@ def pm_coeff(a, i):
     if i < 0 or i >= a.shape[2]:
         return np.zeros(a.shape[:2], dtype=np.int64)
     return a[:, :, i].copy()
-
-
-def pm_equal(a, b):
-    d = max(a.shape[2], b.shape[2])
-    return np.array_equal(pm_pad(a, d), pm_pad(b, d))
 
 
 def pack_matrix(a, lay: K.Packing) -> list:
@@ -152,18 +131,6 @@ def pm_from_element(x):
         i = x.perm[j - 1]
         a[i - 1, j - 1, x.lam[i - 1] + s] = 1
     return a, s
-
-
-# ---------------------------------------------------------------- dets
-
-def pm_det(a, cfg: FieldConfig):
-    """Determinant as a 1D coefficient vector."""
-    h = a.shape[0]
-    out = pm_char_poly(a, cfg)[0]
-    if h % 2:
-        out = cfg.neg[out]
-    nz = np.nonzero(out)[0]
-    return out[:nz[-1] + 1] if nz.size else np.array([0], dtype=np.int64)
 
 
 def pm_char_poly(a, cfg: FieldConfig, n=None):

@@ -466,9 +466,10 @@ def _charpoly_input(rng, q, h, n, kind):
 
 def _charpoly_packed(a, n, c):
     """K.charpoly on a packed (h, h, deg) tensor, unpacked to the (h+1, n)
-    array of the references; checks that it leaves its input as it was."""
+    array of the references; checks that it leaves its input as it was.
+    A Packing holds at least one term, so h = 0 packs with terms = 1."""
     h = a.shape[0]
-    lay = K.Packing(c, n, h)
+    lay = K.Packing(c, n, max(h, 1))
     m = [[lay.pack(e) for e in row] for row in a.tolist()]
     before = [list(row) for row in m]
     cp = K.charpoly(m, lay)
@@ -561,6 +562,21 @@ def test_series_matmul_matches_polymat_mul(p, r):
         assert got == PM.pack_matrix(want, lay), (n, k, m, length)
     with pytest.raises(ValueError, match='cannot hold'):
         K.series_matmul([[1, 1]], [[1], [1]], K.Packing(c, 1, 1))
+
+
+def test_packing_refuses_empty_precision_or_terms():
+    # n = 0 would pack every series to 0 and terms = 0 hold no product;
+    # pm_char_poly and pm_inv_mod reach Packing with their n as given
+    c = field(2, 2)
+    a = np.eye(3, dtype=np.int64)[:, :, None]
+    for n, terms in ((0, 3), (3, 0), (-1, 3), (3, -2)):
+        with pytest.raises(ValueError, match='n >= 1 and terms >= 1'):
+            K.Packing(c, n, terms)
+    with pytest.raises(ValueError, match='n >= 1 and terms >= 1'):
+        PM.pm_char_poly(a, c, 0)
+    with pytest.raises(ValueError, match='n >= 1 and terms >= 1'):
+        PM.pm_inv_mod(a, 0, c)
+    assert PM.pm_char_poly(a, c, 1).shape == (4, 1)
 
 
 @pytest.mark.parametrize('p,r', PACKED_FIELDS)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pkernels.errors import ConventionError
 from pkernels.polygons import HodgeDatum, enumerate_polygons, parse_polygon, x_of_polygon
 from pkernels.semimodules import SemimoduleBeginning, cochar_to_beginning, enumerate_cochar_block
 from pkernels.shtuka import (FiltrationData, bt1_of, field, lift_from_filtration,
@@ -23,7 +24,7 @@ def test_zero_corrections_give_block_matrix(cfg):
         sh = lift_from_filtration(_zero_data(P, cfg))
         xm, shift = PM.pm_from_element(x_of_polygon(P))
         assert shift == 0
-        assert PM.pm_equal(PM.pm_trim(sh.amat), PM.pm_trim(xm))
+        assert np.array_equal(PM.pm_trim(sh.amat), PM.pm_trim(xm))
 
 
 def test_pair_basis_order():
@@ -41,13 +42,35 @@ def test_fv_is_multiplication_by_t(cfg):
     for seed in range(8):
         P = parse_polygon('1/2x2,2/3x3' if seed % 2 else '1/3x3,1')
         data = random_filtration_data(P, cfg, seed=seed)
-        fmat, vmat = _operators(data)
+        fmat, vmat = (np.array(m, dtype=np.int64) for m in _operators(data))
         h = P.height
-        t_eye = PM.pm_shift(PM.pm_eye(h), 1)
+        t_eye = PM.pm_zeros(h, h, 2)
+        t_eye[np.arange(h), np.arange(h), 1] = 1
         fv = PM.pm_trim(PM.pm_mul(fmat, PM.pm_frob(vmat, cfg, 1), cfg))
         vf = PM.pm_trim(PM.pm_mul(vmat, PM.pm_frob(fmat, cfg, -1), cfg))
-        assert PM.pm_equal(fv, PM.pm_trim(t_eye))
-        assert PM.pm_equal(vf, PM.pm_trim(t_eye))
+        assert np.array_equal(fv, t_eye)
+        assert np.array_equal(vf, t_eye)
+
+
+@pytest.mark.parametrize('op,coeff', [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=['F-t0', 'F-t1', 'V-t0', 'V-t1'])
+def test_lift_rejects_failed_exchange(cfg, monkeypatch, op, coeff):
+    # one coefficient of F or V changed: F·sigma(V) or V·sigma^{-1}(F)
+    # is no longer t
+    from pkernels.shtuka import lifts
+    data = random_filtration_data(parse_polygon('1/2x2,2/3x3'), cfg, seed=3)
+    assert lift_from_filtration(data).dimension == 3
+    operators = lifts._operators
+
+    def corrupted(d):
+        ops = operators(d)
+        entry = ops[op][1][2]
+        entry[coeff] = int(cfg.add[entry[coeff], 1])
+        return ops
+
+    monkeypatch.setattr(lifts, '_operators', corrupted)
+    with pytest.raises(ConventionError, match='exchange identities fail'):
+        lift_from_filtration(data)
 
 
 def test_entries_have_degree_at_most_one(cfg):
