@@ -1,8 +1,8 @@
 """Performance trajectory of pkernels: end-to-end and layer cases, each
 timed in fresh child processes.
 
-    python3 bench/trajectory.py --out BENCH_23.json
-    python3 bench/trajectory.py --out BENCH_23.json --side parent=../parent --side change=.
+    python3 bench/trajectory.py --out BENCH_24.json
+    python3 bench/trajectory.py --out BENCH_24.json --side parent=../parent --side change=.
 
 Each ``--side NAME=ROOT`` is a checkout; its cases run in new
 interpreters that import ``pkernels`` from ``ROOT/src`` (one side,
@@ -24,9 +24,10 @@ and ``orbits`` workloads follows them.
 
 End-to-end cases: the default ``calibrate()`` from empty caches; F_4
 oracle samples (sample, residue module, class, Newton polygon) per
-second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 8 and of
-h = 10; the 50 Iwahori orbits of acceptance 6 over F_2, in cosets per
-second; the Tier-1 test suite.  Layer cases: ``gf_rref``,
+second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 8, of
+h = 10 and of h = 11, the height bound of criterion.Bounds; the 50
+Iwahori orbits of acceptance 6 over F_2, in cosets per second; the
+Tier-1 test suite.  Layer cases: ``gf_rref``,
 ``polymat_mul``, ``charpoly``, ``Packing.red``, ``lattice_key``, and
 affine multiplication and length.
 """
@@ -66,14 +67,18 @@ def _oracle(h, d, count):
         import numpy as np
         from pkernels.polygons import HodgeDatum
         from pkernels.shtuka import bt1_of, eo_classify, field, newton_polygon_of, sample_shtuka
+        try:
+            from pkernels.shtuka import sample_cell
+        except ImportError:         # a checkout from before sample_cell: the same work
+            def sample_cell(hd, cfg, rng, deg=2):
+                sh = sample_shtuka(hd, cfg, deg=deg, rng=rng)
+                return eo_classify(bt1_of(sh), hd.dimension), newton_polygon_of(sh)
         cfg, hd = field(2, 2), HodgeDatum(h, d)
         eo_classify(bt1_of(sample_shtuka(hd, cfg, seed=seed)), d)    # the reference table
 
         def run():
             for k in range(count):
-                sh = sample_shtuka(hd, cfg, rng=np.random.default_rng([seed, h, d, k]))
-                eo_classify(bt1_of(sh), d)
-                newton_polygon_of(sh)
+                sample_cell(hd, cfg, np.random.default_rng([seed, h, d, k]))
         return run, None, {'samples': count, 'rate_unit': 'samples/s'}
     return case
 
@@ -239,6 +244,7 @@ CASES = {
     'oracle_f4_8_4': ('end_to_end', 3, _oracle(8, 4, 20)),
     'strata_h8': ('end_to_end', 5, _strata(8)),
     'strata_h10': ('end_to_end', 3, _strata(10)),
+    'strata_h11': ('end_to_end', 1, _strata(11)),
     'acceptance6_orbits': ('end_to_end', 5, _acceptance6_orbits),
     'tier1': ('end_to_end', 1, _tier1),
     'gf_rref': ('layer', 5, _gf_rref),

@@ -212,7 +212,7 @@ def in_minuscule_double_coset(x: Element, h: int, d: int) -> bool:
 
 
 def translation_conjugate(x: Element, lam) -> Element:
-    """ε^{-lam} · x · ε^{lam}, computed directly on the exponents."""
+    """ε^{-lam} · x · ε^{lam}, as the product of three Elements."""
     t = translation(lam)
     return t.inverse() * x * t
 

@@ -53,6 +53,10 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _emit_json(obj, out):
+    _emit(json.dumps(obj, sort_keys=True, indent=2) + '\n', out)
+
+
 def _add_field_args(p):
     p.add_argument('--prime', type=int, default=2)
     p.add_argument('--ext', type=int, default=2)
@@ -84,6 +88,7 @@ def _parse_probe(text):
 
 
 def _build_parser():
+    """The argument parser; each command names its handler as ``run``."""
     ap = argparse.ArgumentParser(prog='pkernels',
                                  description='incidence tables between residue-module '
                                              'classes and Newton strata')
@@ -96,48 +101,47 @@ def _build_parser():
     p.add_argument('--eo', required=True, help='row permutation, e.g. [2,1]')
     p.add_argument('--np', required=True, help='polygon string, e.g. 1/2x2')
     p.add_argument('--out')
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser('incidence', help='full table for a stratum')
     p.add_argument('--height', type=int, required=True)
     p.add_argument('--dim', type=int, required=True)
     p.add_argument('--format', choices=('csv', 'json'), default='csv')
     p.add_argument('--out')
+    p.set_defaults(run=_cmd_incidence)
 
     p = sub.add_parser('adlv', help='whether I·x·I meets the stratum of a polygon')
     p.add_argument('--x', required=True, help='element, e.g. "perm=[2,1];lam=(0,1)"')
     p.add_argument('--np', required=True)
     p.add_argument('--out')
+    p.set_defaults(run=_cmd_adlv)
 
     p = sub.add_parser('enumerate-cochars', help='cocharacters of a block or polygon')
     p.add_argument('--block', help='coprime block "n,m"')
     p.add_argument('--np', help='polygon string (profiles over all blocks)')
     p.add_argument('--out')
+    p.set_defaults(run=_cmd_enumerate_cochars)
 
     p = sub.add_parser('enumerate-polygons', help='all polygons of a stratum')
     p.add_argument('--height', type=int, required=True)
     p.add_argument('--dim', type=int, required=True)
     p.add_argument('--out')
+    p.set_defaults(run=_cmd_enumerate_polygons)
 
     p = sub.add_parser('oracle', help='matrix-level sampling and verification')
     osub = p.add_subparsers(dest='oracle_cmd', required=True)
-
-    q = osub.add_parser('sample', help='sample matrices; JSONL of class and polygon')
-    q.add_argument('--height', type=int, required=True)
-    q.add_argument('--dim', type=int, required=True)
-    q.add_argument('--count', type=int, default=10)
-    q.add_argument('--seed', type=int, default=0)
-    q.add_argument('--degree', type=int, default=2)
-    _add_field_args(q)
-    q.add_argument('--out')
-
-    q = osub.add_parser('verify', help='random-input consistency suite')
-    q.add_argument('--height', type=int, required=True)
-    q.add_argument('--dim', type=int, required=True)
-    q.add_argument('--count', type=int, default=50)
-    q.add_argument('--seed', type=int, default=0)
-    q.add_argument('--degree', type=int, default=2)
-    _add_field_args(q)
-    q.add_argument('--out')
+    for name, count, run, text in (
+            ('sample', 10, _cmd_oracle_sample, 'sample matrices; JSONL of class and polygon'),
+            ('verify', 50, _cmd_oracle_verify, 'random-input consistency suite')):
+        q = osub.add_parser(name, help=text)
+        q.add_argument('--height', type=int, required=True)
+        q.add_argument('--dim', type=int, required=True)
+        q.add_argument('--count', type=int, default=count)
+        q.add_argument('--seed', type=int, default=0)
+        q.add_argument('--degree', type=int, default=2)
+        _add_field_args(q)
+        q.add_argument('--out')
+        q.set_defaults(run=run)
 
     p = sub.add_parser('calibrate', help='check the incidence engine against the oracle')
     p.add_argument('--probe', action='append', default=None,
@@ -149,25 +153,24 @@ def _build_parser():
     p.add_argument('--sigma-trials', type=int, default=200)
     _add_field_args(p)
     p.add_argument('--out', default='calibration.json')
+    p.set_defaults(run=_cmd_calibrate)
     return ap
+
+
+def _emit_answer(args, answer, **query):
+    """Write a check or adlv answer: the query, the value and the
+    engine's witness, search size and provenance."""
+    value, info = answer
+    _emit_json(dict(query, value=bool(value), **info), args.out)
+    return 0
 
 
 def _cmd_check(args):
     hd = HodgeDatum(args.height, args.dim)
     P = parse_polygon(args.np)
     w = _parse_perm(args.eo)
-    value, info = criterion.lifts_to(hd, w, P, return_info=True)
-    out = {
-        'hodge': [hd.height, hd.dimension],
-        'eo': list(w),
-        'np': str(P),
-        'value': bool(value),
-        'witness': info['witness'],
-        'searched': info['searched'],
-        'provenance': info['provenance'],
-    }
-    _emit(json.dumps(out, sort_keys=True, indent=2) + '\n', args.out)
-    return 0
+    return _emit_answer(args, criterion.lifts_to(hd, w, P, return_info=True),
+                        hodge=[hd.height, hd.dimension], eo=list(w), np=str(P))
 
 
 def _cmd_incidence(args):
@@ -181,17 +184,8 @@ def _cmd_incidence(args):
 def _cmd_adlv(args):
     x = parse_element(args.x)
     P = parse_polygon(args.np)
-    value, info = criterion.adlv_nonempty(x, P, return_info=True)
-    out = {
-        'x': x.to_dict(),
-        'np': str(P),
-        'value': bool(value),
-        'witness': info['witness'],
-        'searched': info['searched'],
-        'provenance': info['provenance'],
-    }
-    _emit(json.dumps(out, sort_keys=True, indent=2) + '\n', args.out)
-    return 0
+    return _emit_answer(args, criterion.adlv_nonempty(x, P, return_info=True),
+                        x=x.to_dict(), np=str(P))
 
 
 def _cmd_enumerate_cochars(args):
@@ -208,7 +202,7 @@ def _cmd_enumerate_cochars(args):
         profs = enumerate_profiles(P)
         out = {'np': str(P), 'profiles': [list(pr.lam) for pr in profs],
                'count': len(profs)}
-    _emit(json.dumps(out, sort_keys=True, indent=2) + '\n', args.out)
+    _emit_json(out, args.out)
     return 0
 
 
@@ -216,9 +210,8 @@ def _cmd_enumerate_polygons(args):
     criterion.Bounds().check_height(args.height)
     hd = HodgeDatum(args.height, args.dim)
     polys = enumerate_polygons(hd)
-    out = {'hodge': [hd.height, hd.dimension],
-           'polygons': [str(P) for P in polys], 'count': len(polys)}
-    _emit(json.dumps(out, sort_keys=True, indent=2) + '\n', args.out)
+    _emit_json({'hodge': [hd.height, hd.dimension],
+                'polygons': [str(P) for P in polys], 'count': len(polys)}, args.out)
     return 0
 
 
@@ -235,17 +228,14 @@ def _oracle_stratum(args):
 
 def _cmd_oracle_sample(args):
     import numpy as np
-    from .shtuka import bt1_of, eo_classify, newton_polygon_of, sample_shtuka
+    from .shtuka import sample_cell
     hd = _oracle_stratum(args)
     cfg = _field_from_args(args)
     lines = []
     for k in range(args.count):
-        rng = np.random.default_rng([args.seed, k])
-        sh = sample_shtuka(hd, cfg, deg=args.degree, rng=rng)
-        w = eo_classify(bt1_of(sh), hd.dimension)
-        P = newton_polygon_of(sh)
-        lines.append(json.dumps({'eo': list(w), 'np': str(P)}, sort_keys=True))
-    _emit(''.join(line + '\n' for line in lines), args.out)
+        w, P = sample_cell(hd, cfg, np.random.default_rng([args.seed, k]), args.degree)
+        lines.append(json.dumps({'eo': list(w), 'np': str(P)}, sort_keys=True) + '\n')
+    _emit(''.join(lines), args.out)
     return 0
 
 
@@ -255,7 +245,7 @@ def _cmd_oracle_verify(args):
     cfg = _field_from_args(args)
     report = run_consistency_suite(hd, cfg, samples=args.count, seed=args.seed,
                                    deg=args.degree)
-    _emit(json.dumps(report, sort_keys=True, indent=2) + '\n', args.out)
+    _emit_json(report, args.out)
     return 0 if report['ok'] else 2
 
 
@@ -267,35 +257,20 @@ def _cmd_calibrate(args):
     report = criterion.calibrate(probes=probes, samples=args.count, seed=args.seed,
                                  cfg=cfg, deg=args.degree,
                                  sigma_trials=args.sigma_trials)
-    _emit(json.dumps(report, sort_keys=True, indent=2) + '\n', args.out)
-    summary = {
+    _emit_json(report, args.out)
+    _emit_json({
         'written': args.out,
         'seed': report['seed'],
         'observed_cells': sum(map(len, report['observed'].values())),
         'sigma_classes': len(report['sigma']['classes']),
-    }
-    sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + '\n')
+    }, None)
     return 0
 
 
-_DISPATCH = {
-    'check': _cmd_check,
-    'incidence': _cmd_incidence,
-    'adlv': _cmd_adlv,
-    'enumerate-cochars': _cmd_enumerate_cochars,
-    'enumerate-polygons': _cmd_enumerate_polygons,
-    'calibrate': _cmd_calibrate,
-}
-
-
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.cmd == 'oracle':
-            fn = _cmd_oracle_sample if args.oracle_cmd == 'sample' else _cmd_oracle_verify
-            return fn(args)
-        return _DISPATCH[args.cmd](args)
+        return args.run(args)
     except ResourceLimitError as exc:
         print('resource limit: %s' % exc, file=sys.stderr)
         return 3

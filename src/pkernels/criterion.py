@@ -15,6 +15,7 @@ seed of the oracle check it was given, if any.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from . import affine, weyl
@@ -42,7 +43,7 @@ class Bounds:
     elements one reduction explores.
     """
 
-    max_height: int = 6
+    max_height: int = 11
     max_support: int = 500_000
 
     def check_height(self, h):
@@ -221,22 +222,14 @@ SIGMA_POLYGON = '1/2x2'
 
 
 def _observe(hd, cfg, n_samples, seed, deg):
-    """Sampled (w, polygon) pairs that actually occur, with counts; the
-    samples are counted by the polygon's blocks, and each distinct
-    polygon is formatted once."""
-    from .shtuka import bt1_of, eo_classify, newton_polygon_of, sample_shtuka
+    """Sampled (w, polygon) pairs that actually occur, with counts; each
+    distinct polygon is formatted once."""
+    from .shtuka import sample_cell
     import numpy as np
-    seen, polygons = {}, {}
-    for k in range(n_samples):
-        rng = np.random.default_rng([seed, hd.height, hd.dimension, k])
-        sh = sample_shtuka(hd, cfg, deg=deg, rng=rng)
-        w = eo_classify(bt1_of(sh), hd.dimension)
-        P = newton_polygon_of(sh)
-        polygons[P.blocks] = P
-        key = (w, P.blocks)
-        seen[key] = seen.get(key, 0) + 1
-    names = {blocks: str(P) for blocks, P in polygons.items()}
-    return {(w, names[blocks]): c for (w, blocks), c in seen.items()}
+    h, d = hd.height, hd.dimension
+    seen = Counter(sample_cell(hd, cfg, np.random.default_rng([seed, h, d, k]), deg)
+                   for k in range(n_samples))
+    return {(w, str(P)): c for (w, P), c in seen.items()}
 
 
 def _sigma_classes(P, cfg, seed, trials):

@@ -17,7 +17,7 @@ already the canonical rref basis of the preimage.  The other rows have
 their pivots in the left block, so their left blocks are the canonical
 basis of im M + U.  With U = 0 one rref gives im M and ker M, so a
 module's check() takes one solve per operator, and caches im F and
-ker V (one tuple, since they are equal) for the canonical filtration.
+ker V for the canonical filtration.
 
 The canonical filtration is the closure of {0, whole space} under
 U -> F(U) and U -> V^{-1}(U); for a valid module it is a chain.  Its
@@ -69,43 +69,35 @@ class Bt1Module:
         return self.fmat.shape[0]
 
     @cached_property
-    def _im_f(self) -> tuple:
-        """im F = im fmat as a subspace; computed once, since fmat is
-        read-only (check() fills it from its solve on fmat)."""
-        return _image_preimage(self.fmat.tolist(), (), self.cfg)[0]
+    def _f(self) -> tuple:
+        """(im F, ker F) = (im fmat, sigma^{-1}(ker fmat)) from one solve;
+        computed once, since fmat is read-only."""
+        im, ker = _image_preimage(self.fmat.tolist(), (), self.cfg)
+        return im, _apply(self.cfg.frobs[1], ker)
 
     @cached_property
-    def _ker_v(self) -> tuple:
-        """ker V = sigma(ker vmat) as a subspace; computed once, since vmat
-        is read-only (check() fills it from its solve on vmat)."""
-        return _apply(self.cfg.frobs[0], _image_preimage(self.vmat.tolist(), (), self.cfg)[1])
+    def _v(self) -> tuple:
+        """(im V, ker V) = (im vmat, sigma(ker vmat)) from one solve;
+        computed once, since vmat is read-only."""
+        im, ker = _image_preimage(self.vmat.tolist(), (), self.cfg)
+        return im, _apply(self.cfg.frobs[0], ker)
 
     @property
     def dimension(self) -> int:
         """Codimension of im F, i.e. the d of the stratum."""
-        return self.h - len(self._im_f)
+        return self.h - len(self._f[0])
 
     def check(self):
-        """Assert im F = ker V and im V = ker F; returns self.  One solve
-        per operator gives its image and kernel; F and V are sigma- and
-        sigma^{-1}-semilinear, so im F = im fmat, ker F = sigma^{-1}(ker
-        fmat), im V = im vmat and ker V = sigma(ker vmat).  The module is
-        immutable, so a check that passed is remembered and a repeated
-        check() solves nothing; a failing one raises on every call."""
-        cache = vars(self)
-        if '_checked' in cache:
-            return self
-        cfg = self.cfg
-        imf, kerf = _image_preimage(self.fmat.tolist(), (), cfg)
-        imv, kerv = _image_preimage(self.vmat.tolist(), (), cfg)
-        cache.setdefault('_im_f', imf)
-        cache.setdefault('_ker_v', _apply(cfg.frobs[0], kerv))
-        if self._im_f != self._ker_v:
+        """Assert im F = ker V and im V = ker F; returns self.  F and V
+        are sigma- and sigma^{-1}-semilinear, so one solve per operator
+        gives its image and kernel (_f, _v).  Both are cached, so a
+        repeated check() compares tuples and solves nothing; a failing
+        one raises on every call."""
+        (imf, kerf), (imv, kerv) = self._f, self._v
+        if imf != kerv:
             raise ValueError('im F != ker V')
-        if imv != _apply(cfg.frobs[1], kerf):
+        if imv != kerf:
             raise ValueError('im V != ker F')
-        cache['_ker_v'] = self._im_f            # equal: keep one of them
-        cache['_checked'] = True
         return self
 
     def __hash__(self):
@@ -195,8 +187,8 @@ def canonical_filtration(Z: Bt1Module):
         if len(members) > h:
             raise ConventionError('canonical filtration has more than %d members, '
                                   'so it is not totally ordered' % (h + 1))
-        fu = Z._im_f if u == whole else f_image(Z, u)
-        vu = Z._ker_v if not u else v_preimage(Z, u)
+        fu = Z._f[0] if u == whole else f_image(Z, u)
+        vu = Z._v[1] if not u else v_preimage(Z, u)
         members[u] = len(fu), len(vu)
         work += [fu, vu]
     flag = sorted(members, key=lambda u: (len(u), u))

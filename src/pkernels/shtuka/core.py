@@ -29,13 +29,13 @@ from ..affine import Element, in_minuscule_double_coset
 from ..errors import ConventionError
 from ..polygons import NewtonPolygon, x_of_polygon
 from .. import _kernels as K
-from .bt1 import Bt1Module
+from .bt1 import Bt1Module, eo_classify
 from .gf import FieldConfig
 from . import polymat as PM
 
 __all__ = [
     'LocalShtuka', 'shtuka_from_element', 'minimal_shtuka', 'sample_shtuka',
-    'random_unimodular', 'bt1_of', 'newton_polygon_of',
+    'random_unimodular', 'bt1_of', 'newton_polygon_of', 'sample_cell',
     'sigma_conjugate_sample',
 ]
 
@@ -43,14 +43,14 @@ __all__ = [
 @dataclass(frozen=True)
 class LocalShtuka:
     """Polynomial matrix amat, nonsingular and minuscule: amat·O^h lies
-    between t·O^h and O^h, and v_t(det amat) = dimension.  Its entries
-    must be field indices of cfg (FieldConfig.array)."""
+    between t·O^h and O^h, and v_t(det amat) = dimension.  It must be an
+    (h, h, D) tensor, D >= 1, of field indices of cfg (FieldConfig.array)."""
 
     cfg: FieldConfig
     amat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, 'amat', self.cfg.array(self.amat))
+        object.__setattr__(self, 'amat', PM._square_tensor(self.amat, self.cfg))
 
     @property
     def h(self) -> int:
@@ -224,6 +224,14 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
         raise ConventionError('Newton polygon %s does not have height %d and dimension %d'
                               % (P, h, sh.dimension))
     return P
+
+
+def sample_cell(hd, cfg: FieldConfig, rng, deg: int = 2) -> tuple:
+    """The table cell (w, P) of one datum of the stratum hd drawn from
+    rng (sample_shtuka): the class of its residue module and its Newton
+    polygon.  The oracle's unit of evidence."""
+    sh = sample_shtuka(hd, cfg, deg=deg, rng=rng)
+    return eo_classify(bt1_of(sh), hd.dimension), newton_polygon_of(sh)
 
 
 def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0,

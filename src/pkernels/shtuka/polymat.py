@@ -33,6 +33,15 @@ def pm_zeros(h, w, deg1=1):
     return np.zeros((h, w, deg1), dtype=np.int64)
 
 
+def _square_tensor(a, cfg: FieldConfig) -> np.ndarray:
+    """cfg.array(a); ValueError unless it is an (h, h, D) tensor, D >= 1."""
+    a = cfg.array(a)
+    if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] < 1:
+        raise ValueError('a matrix datum must be an (h, h, D) tensor with D >= 1, '
+                         'got shape %s' % (a.shape,))
+    return a
+
+
 def pm_trim(a):
     """Drop trailing all-zero coefficient slices (always keeps one)."""
     d = a.shape[2]

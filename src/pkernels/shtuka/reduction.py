@@ -57,6 +57,8 @@ the keys of a coset are one rref of S_{h-1}, then h-1 rrefs of the
 reduced rows with one column appended.
 """
 
+import operator
+
 import numpy as np
 
 from .. import _kernels as K
@@ -78,10 +80,10 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
     matrix is t^{-s}·amat (so Laurent inputs are supported by premultiplying).
     Each of the h pivots is one rank-1 update on packed series mod t^n
     (module docstring).  Raises ValueError for a singular matrix, for
-    an expected_vdet that is not v(det), and for an entry that is no
-    field index (FieldConfig.array).
+    an expected_vdet that is not v(det), for an entry that is no field
+    index (FieldConfig.array) and for a shape other than (h, h, D), D >= 1.
     """
-    a = cfg.array(amat)
+    a = PM._square_tensor(amat, cfg)
     h = a.shape[0]
     n = h * (a.shape[2] - 1) + 1 if expected_vdet is None else expected_vdet + 1
     lay = cfg.packing(n, 1)
@@ -115,7 +117,11 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
 
 def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
     """Random Iwahori element mod t^deg: upper triangular invertible
-    constant term, strictly sub-diagonal entries divisible by t."""
+    constant term, strictly sub-diagonal entries divisible by t.  Raises
+    ValueError for deg < 1."""
+    deg = operator.index(deg)
+    if deg < 1:
+        raise ValueError('coefficient degree must be at least 1, got %d' % deg)
     q = cfg.q
     a = rng.integers(0, q, size=(h, h, deg), dtype=np.int64)
     for i in range(h):

@@ -116,7 +116,7 @@ def test_incidence_json_format(capsys):
 
 
 def test_incidence_height_limit_exits_3(capsys):
-    code, out, err = run(capsys, 'incidence', '--height', '7', '--dim', '3')
+    code, out, err = run(capsys, 'incidence', '--height', '12', '--dim', '6')
     assert code == 3
     assert 'resource limit' in err
 
@@ -124,7 +124,7 @@ def test_incidence_height_limit_exits_3(capsys):
 @pytest.mark.parametrize('cmd', ['sample', 'verify'])
 def test_oracle_height_limit_exits_3(capsys, cmd):
     # checked before any sampling: no output at all
-    code, out, err = run(capsys, 'oracle', cmd, '--height', '7', '--dim', '3',
+    code, out, err = run(capsys, 'oracle', cmd, '--height', '12', '--dim', '6',
                          '--count', '1')
     assert code == 3 and out == ''
     assert 'resource limit' in err
@@ -132,7 +132,7 @@ def test_oracle_height_limit_exits_3(capsys, cmd):
 
 @pytest.mark.parametrize('argv', [
     ('enumerate-cochars', '--block', '12,13'),
-    ('enumerate-cochars', '--np', '1/2x8'),
+    ('enumerate-cochars', '--np', '1/2x12'),
     ('enumerate-polygons', '--height', '60', '--dim', '30'),
     ('oracle', 'sample', '--height', '2', '--dim', '1', '--ext', '16'),
     ('oracle', 'verify', '--height', '2', '--dim', '1', '--prime', '257', '--ext', '1'),

@@ -218,7 +218,7 @@ def test_bounds_height_guard():
     with pytest.raises(ResourceLimitError):
         incidence_table(HodgeDatum(7, 3), bounds=Bounds(max_height=6))
     with pytest.raises(ResourceLimitError):
-        lifts_to(HodgeDatum(7, 3), (1, 2, 3, 4, 5, 6, 7), parse_polygon('3/7x7'))
+        lifts_to(HodgeDatum(12, 5), tuple(range(1, 13)), parse_polygon('5/12x12'))
 
 
 def test_bounds_support_guard():
@@ -270,7 +270,7 @@ def test_calibrate_checks_height_before_sampling(monkeypatch):
 
     monkeypatch.setattr(criterion, '_observe', no_sampling)
     with pytest.raises(ResourceLimitError):
-        calibrate(probes=((7, 3),))
+        calibrate(probes=((12, 6),))
 
 
 @pytest.mark.parametrize('samples, sigma_trials', [

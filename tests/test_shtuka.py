@@ -562,6 +562,18 @@ def test_entries_outside_the_field_are_rejected(bad):
             Bt1Module(cfg, fmat, vmat)
 
 
+@pytest.mark.parametrize('shape', [(2, 2), (2, 3, 2), (2, 3, 1), (2, 2, 0), (2, 2, 1, 1)])
+def test_data_that_are_no_square_tensors_are_rejected(shape):
+    # a matrix datum is an (h, h, D) tensor with D >= 1; anything else
+    # used to fail later, or be called singular
+    cfg = field(2, 2)
+    amat = np.ones(shape, dtype=np.int64)
+    with pytest.raises(ValueError, match=r'\(h, h, D\) tensor.*shape \(%s' % shape[0]):
+        LocalShtuka(cfg, amat)
+    with pytest.raises(ValueError, match=r'\(h, h, D\) tensor.*shape \(%s' % shape[0]):
+        iwahori_class_of(amat, cfg)
+
+
 def _iwahori_class_numpy(amat, cfg, shift=0, expected_vdet=None):
     """The numpy form iwahori_class_of replaced: the same pivots on
     (h, h, n) coefficient tensors, at n = v(det) + 1 with v(det) read off
@@ -828,8 +840,12 @@ def test_degree_below_one_is_refused(cfg, deg):
         sigma_conjugate_sample(Element((0, 1), (2, 1)), cfg, trials=1, deg=deg)
     with pytest.raises(ValueError, match='degree must be at least 1'):
         calibrate(probes=((2, 1),), samples=1, sigma_trials=1, deg=deg)
+    with pytest.raises(ValueError, match='degree must be at least 1'):
+        random_iwahori(3, cfg, deg, rng)
     with pytest.raises(TypeError):
         random_unimodular(3, cfg, 2.0, rng)
+    with pytest.raises(TypeError):
+        random_iwahori(3, cfg, 2.0, rng)
     assert np.array(random_unimodular(3, cfg, 1, rng)).shape == (3, 3, 1)
 
 
