@@ -67,18 +67,14 @@ def _oracle(h, d, count):
         import numpy as np
         from pkernels.polygons import HodgeDatum
         from pkernels.shtuka import bt1_of, eo_classify, field, newton_polygon_of, sample_shtuka
-        try:
-            from pkernels.shtuka import sample_cell
-        except ImportError:         # a checkout from before sample_cell: the same work
-            def sample_cell(hd, cfg, rng, deg=2):
-                sh = sample_shtuka(hd, cfg, deg=deg, rng=rng)
-                return eo_classify(bt1_of(sh), hd.dimension), newton_polygon_of(sh)
         cfg, hd = field(2, 2), HodgeDatum(h, d)
         eo_classify(bt1_of(sample_shtuka(hd, cfg, seed=seed)), d)    # the reference table
 
         def run():
             for k in range(count):
-                sample_cell(hd, cfg, np.random.default_rng([seed, h, d, k]))
+                sh = sample_shtuka(hd, cfg, rng=np.random.default_rng([seed, h, d, k]))
+                eo_classify(bt1_of(sh), d)
+                newton_polygon_of(sh)
         return run, None, {'samples': count, 'rate_unit': 'samples/s'}
     return case
 

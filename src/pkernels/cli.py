@@ -157,11 +157,11 @@ def _build_parser():
     return ap
 
 
-def _emit_answer(args, answer, **query):
+def _emit_answer(out, answer, **query):
     """Write a check or adlv answer: the query, the value and the
     engine's witness, search size and provenance."""
     value, info = answer
-    _emit_json(dict(query, value=bool(value), **info), args.out)
+    _emit_json(dict(query, value=bool(value), **info), out)
     return 0
 
 
@@ -169,7 +169,7 @@ def _cmd_check(args):
     hd = HodgeDatum(args.height, args.dim)
     P = parse_polygon(args.np)
     w = _parse_perm(args.eo)
-    return _emit_answer(args, criterion.lifts_to(hd, w, P, return_info=True),
+    return _emit_answer(args.out, criterion.lifts_to(hd, w, P, return_info=True),
                         hodge=[hd.height, hd.dimension], eo=list(w), np=str(P))
 
 
@@ -184,7 +184,7 @@ def _cmd_incidence(args):
 def _cmd_adlv(args):
     x = parse_element(args.x)
     P = parse_polygon(args.np)
-    return _emit_answer(args, criterion.adlv_nonempty(x, P, return_info=True),
+    return _emit_answer(args.out, criterion.adlv_nonempty(x, P, return_info=True),
                         x=x.to_dict(), np=str(P))
 
 

@@ -222,8 +222,7 @@ SIGMA_POLYGON = '1/2x2'
 
 
 def _observe(hd, cfg, n_samples, seed, deg):
-    """Sampled (w, polygon) pairs that actually occur, with counts; each
-    distinct polygon is formatted once."""
+    """Sampled (w, polygon) pairs that actually occur, with counts."""
     from .shtuka import sample_cell
     import numpy as np
     h, d = hd.height, hd.dimension
