@@ -250,10 +250,12 @@ def _cmd_oracle_verify(args):
 
 
 def _cmd_calibrate(args):
-    cfg = _field_from_args(args)
     probes = None
     if args.probe:
         probes = [_parse_probe(p) for p in args.probe]
+        for h, _ in probes:
+            criterion.Bounds().check_height(h)
+    cfg = _field_from_args(args)
     report = criterion.calibrate(probes=probes, samples=args.count, seed=args.seed,
                                  cfg=cfg, deg=args.degree,
                                  sigma_trials=args.sigma_trials)

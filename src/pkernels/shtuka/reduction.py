@@ -52,11 +52,22 @@ working mod t^N is exact.  A generator 1 + c·t^a·E_ij with a >= N fixes
 every such lattice, so generators of depth <= N-1 give the whole action
 of I.  A matrix is a list of its columns, each flat over (row,
 coefficient), and a generator the row operation row_i += c·t^a·row_j
-mod t^N.  Lambda_j ⊃ Lambda_{j+1}, so S_j = S_{j+1} + <col_{h-j-1}>:
-the keys of a coset are one rref of S_{h-1}, then h-1 rrefs of the
-reduced rows with one column appended.
+mod t^N.  Lambda_j ⊃ Lambda_{j+1}, so S_j = S_{j+1} + <col_{h-j-1}>,
+and the key of a coset is built from the rows that each S_j adds: the
+rref rows of S_{h-1} (one rref), then for j = h-2, ..., 0 the residue
+of col_{h-j-1} modulo the rows so far, zero at their pivots and scaled
+to lead with 1, or no row when the column adds nothing.  Each row is
+zero at the pivots of the rows before it, so the rows restricted to
+their pivots are unitriangular, the vectors of S_j zero at every pivot
+of S_{j+1} form a complement of S_{j+1}, and that residue is unique.
+The parts are therefore a function of the lattice chain, and the parts
+j' >= j span S_j, so they tell cosets apart.  In an orbit count S_{h-1}
+has rank h·N - v(det m) - h + 1 and each later column adds exactly one
+row.  A generator product that changes no column of m is the coset of
+m and gets no key.
 """
 
+import functools
 import operator
 
 import numpy as np
@@ -139,23 +150,53 @@ def _columns(m, n):
     return PM.pm_pad(PM.pm_truncate(m, n), n).transpose(1, 0, 2).reshape(h, h * n).tolist()
 
 
+@functools.lru_cache(maxsize=64)
+def _shifts(h, n):
+    """For k = 1, ..., n-1 the map that takes a column with one zero
+    appended to t^k times it."""
+    zero = h * n
+    return [operator.itemgetter(*[s + i - k if i >= k else zero
+                                  for s in range(0, h * n, n) for i in range(n)])
+            for k in range(1, n)]
+
+
 def _key_rows(cols, h, n, cfg):
-    """The rref rows of S_j, j = h-1, ..., 0 (module docstring): one list,
-    extended at each step."""
-    span = [cols[0]]
-    for col in cols:
-        for k in range(1, n):
-            span.append([y for s in range(0, h * n, n) for y in [0] * k + col[s:s + n - k]])
-    for c in range(h):
-        if c:
-            span.append(cols[c])
-        del span[K.rref_rows(span, cfg):]
-        yield span
+    """The rows that each S_j adds, j = h-1, ..., 0 (module docstring):
+    first the rref rows of S_{h-1}, then for each further column its
+    residue modulo the rows so far, as a list of one row, or of none when
+    the column adds nothing."""
+    padded = [col + [0] for col in cols]
+    rows = [cols[0]]
+    for shift in _shifts(h, n):
+        rows += map(shift, padded)
+    del rows[K.rref_rows(rows, cfg):]
+    yield rows
+    ADD, MUL, NEG, INV = cfg.tables
+    pivots = [(row.index(1), row) for row in rows]
+    for col in cols[1:]:
+        # each row is zero at the pivots before its own, so one pass in
+        # the order the rows were added clears every pivot
+        for p, row in pivots:
+            f = col[p]
+            if f:
+                mf = MUL[NEG[f]]
+                col = [ADD[x][mf[y]] for x, y in zip(col, row)]
+        lead = next((y for y in col if y), 0)
+        if not lead:
+            yield []
+            continue
+        if lead != 1:
+            ms = MUL[INV[lead]]
+            col = [ms[y] for y in col]
+        pivots.append((col.index(1), col))
+        yield [col]
 
 
 def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
-    """Key of the coset m·I: for j = 0, ..., h-1 the rref rows of S_j mod
-    t^n (module docstring) as int64 bytes; exact when t^n O^h ⊂ m·Lambda_j."""
+    """Key of the coset m·I: for j = 0, ..., h-1 the rows that S_j mod t^n
+    adds to S_{j+1} (module docstring; S_h = 0, so part h-1 is the rref of
+    S_{h-1}), as int64 bytes.  The parts j' >= j span S_j; exact when
+    t^n O^h ⊂ m·Lambda_j."""
     return tuple(np.array(rows, dtype=np.int64).tobytes()
                  for rows in _key_rows(_columns(m, n), m.shape[0], n, cfg))[::-1]
 
@@ -190,20 +231,24 @@ def _row_op(cols, gen, n, cfg):
 
 def iwahori_orbit_size(x: Element, cfg: FieldConfig, limit: int = 1 << 22) -> int:
     """[I : I ∩ x I x^{-1}], the size of the orbit of xI in G/I under I,
-    counted mod t^N (module docstring).  ValueError if a key's rank shows
-    a lattice that does not contain t^N O^h."""
+    counted mod t^N (module docstring).  A generator product that shares
+    every column with its factor is that coset again and gets no key.
+    ValueError if a key's rank shows a lattice that does not contain
+    t^N O^h, or if limit is below one; ResourceLimitError once the orbit
+    has more than limit cosets."""
+    limit = operator.index(limit)
+    if limit < 1:
+        raise ValueError('orbit limit must be at least 1, got %d' % limit)
     h = x.h
     start, s = PM.pm_from_element(x)
     n = start.shape[2]
     low = h * n - x.v_det() - h * s - h + 1     # rank of S_{h-1}
 
     def key(cols):
-        parts = []
-        for rank, rows in enumerate(_key_rows(cols, h, n, cfg), low):
-            if len(rows) != rank:
-                raise ValueError('lattice does not contain t^%d O^%d' % (n, h))
-            parts += map(bytes, rows)
-        return b''.join(parts)
+        parts = list(_key_rows(cols, h, n, cfg))
+        if len(parts[0]) != low or any(len(rows) != 1 for rows in parts[1:]):
+            raise ValueError('lattice does not contain t^%d O^%d' % (n, h))
+        return b''.join(bytes(row) for rows in parts for row in rows)
 
     gens = _generators(h, cfg, n - 1)
     cols = _columns(start, n)
@@ -214,6 +259,8 @@ def iwahori_orbit_size(x: Element, cfg: FieldConfig, limit: int = 1 << 22) -> in
         for m in frontier:
             for g in gens:
                 m2 = _row_op(m, g, n, cfg)
+                if all(u is v for u, v in zip(m2, m)):
+                    continue
                 k = key(m2)
                 if k not in seen:
                     seen.add(k)

@@ -130,6 +130,18 @@ def test_oracle_height_limit_exits_3(capsys, cmd):
     assert 'resource limit' in err
 
 
+def test_calibrate_height_limit_exits_3_before_any_field(capsys, monkeypatch):
+    # the probe heights are checked before the field table is built
+    import pkernels.shtuka
+
+    def no_field(*args):
+        raise AssertionError('field built before the height check')
+    monkeypatch.setattr(pkernels.shtuka, 'field', no_field)
+    code, out, err = run(capsys, 'calibrate', '--probe', '12,6', '--ext', '8')
+    assert code == 3 and out == ''
+    assert 'resource limit' in err
+
+
 @pytest.mark.parametrize('argv', [
     ('enumerate-cochars', '--block', '12,13'),
     ('enumerate-cochars', '--np', '1/2x12'),

@@ -252,6 +252,28 @@ def test_lattice_key_separates_and_normalizes():
         assert lattice_key(PM.pm_truncate(m, n), cfg, n) == lattice_key(prod, cfg, n)
 
 
+@pytest.mark.parametrize('pr', [(3, 1), (2, 2)])
+def test_lattice_key_is_right_iwahori_invariant(pr):
+    # m·i·Lambda_j = m·Lambda_j for i in I, for a coset g·x of an orbit
+    # count and for any m mod t^n
+    cfg = field(*pr)
+    rng = np.random.default_rng([58, cfg.q])
+    for trial in range(30):
+        h = int(rng.integers(2, 4))
+        if trial % 2:
+            x = Element(tuple(int(v) for v in rng.integers(-1, 2, size=h)),
+                        tuple(int(v) for v in rng.permutation(h) + 1))
+            m, _ = PM.pm_from_element(x)
+            n = m.shape[2]
+            m = PM.pm_mul(random_iwahori(h, cfg, n, rng), m, cfg)
+        else:
+            n = int(rng.integers(1, 4))
+            m = rng.integers(0, cfg.q, size=(h, h, n), dtype=np.int64)
+        i = random_iwahori(h, cfg, n, rng)
+        assert (lattice_key(PM.pm_truncate(m, n), cfg, n)
+                == lattice_key(PM.pm_truncate(PM.pm_mul(m, i, cfg), n), cfg, n)), trial
+
+
 @pytest.mark.parametrize('pr', [(2, 1), (2, 2)])
 def test_lattice_key_precision_n_is_exact(pr):
     # m = t^s·x has m·Lambda_j ⊇ t^N O^h, N = max(lam)+s+1: keys of g·m and
@@ -281,7 +303,8 @@ def test_lattice_key_precision_n_is_exact(pr):
 
 
 def test_lattice_key_rank():
-    # rank of key j is h·n - v(det m) - j when t^n O^h ⊂ m·Lambda_j
+    # the parts j' >= j of the key have h·n - v(det m) - j rows in all
+    # when t^n O^h ⊂ m·Lambda_j
     cfg = field(2, 2)
     x = Element((2, 0, -1), (2, 3, 1))
     m, s = PM.pm_from_element(x)
@@ -289,4 +312,5 @@ def test_lattice_key_rank():
     for p in (n, n + 2):
         keys = lattice_key(m, cfg, p)
         ranks = [len(k) // (8 * h * p) for k in keys]
-        assert ranks == [h * p - (x.v_det() + h * s) - j for j in range(h)]
+        assert [sum(ranks[j:]) for j in range(h)] == [h * p - (x.v_det() + h * s) - j
+                                                      for j in range(h)]

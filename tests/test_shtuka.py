@@ -9,7 +9,7 @@ import pytest
 from pkernels import _kernels as K
 from pkernels import affine
 from pkernels.affine import Element
-from pkernels.errors import ConventionError
+from pkernels.errors import ConventionError, ResourceLimitError
 from pkernels.polygons import (HodgeDatum, enumerate_polygons, eo_representative,
                                mu_and_type, parse_polygon, x_of_polygon)
 from pkernels.semimodules import (cochar_to_beginning, enumerate_cochar_block,
@@ -695,6 +695,47 @@ def test_orbit_size_q3():
         assert iwahori_orbit_size(x, cfg) == 3 ** affine.length(x), x
 
 
+@pytest.mark.parametrize('pr', [(2, 1), (3, 1), (2, 2)])
+def test_orbit_count_keys_only_products_that_change_a_column(pr, monkeypatch):
+    # one key for the start, then one per generator product that changes a
+    # column of its factor: a product that changes none is the same coset
+    cfg = field(*pr)
+    calls = Counter()
+    key_rows, row_op = reduction._key_rows, reduction._row_op
+
+    def counted_key_rows(*args):
+        calls['keys'] += 1
+        return key_rows(*args)
+
+    def counted_row_op(cols, gen, n, cfg):
+        out = row_op(cols, gen, n, cfg)
+        calls['products'] += 1
+        calls['changed'] += out != cols
+        return out
+
+    monkeypatch.setattr(reduction, '_key_rows', counted_key_rows)
+    monkeypatch.setattr(reduction, '_row_op', counted_row_op)
+    for lam, perm in ORBIT_CASES:
+        x = Element(lam, perm)
+        calls.clear()
+        assert iwahori_orbit_size(x, cfg) == cfg.q ** affine.length(x), x
+        assert calls['keys'] == 1 + calls['changed'], x
+    assert calls['changed'] < calls['products']
+
+
+def test_orbit_size_limit(cfg1):
+    one, two = affine.identity(2), Element((1, 0), (1, 2))
+    assert iwahori_orbit_size(one, cfg1, limit=1) == 1
+    assert iwahori_orbit_size(two, cfg1, limit=2) == 2
+    with pytest.raises(ResourceLimitError, match='exceeds 1 cosets'):
+        iwahori_orbit_size(two, cfg1, limit=1)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match='at least 1'):
+            iwahori_orbit_size(one, cfg1, limit=bad)
+    with pytest.raises(TypeError):
+        iwahori_orbit_size(one, cfg1, limit=1.5)
+
+
 def _eye(h, deg1):
     g = PM.pm_zeros(h, h, deg1)
     g[np.arange(h), np.arange(h), 0] = 1
@@ -747,8 +788,11 @@ def test_row_op_generators_match_matrix_products(pr):
 
 @pytest.mark.parametrize('pr', [(2, 1), (2, 2), (3, 1)])
 def test_nested_keys_match_one_rref_per_lattice(pr):
-    # key j is the rref of t^k·c over the columns c of m·Lambda_j: k < n
-    # for c < h-j, 1 <= k < n for the others; each span built from scratch
+    # the parts j' >= j of the key span S_j, the span of t^k·c over the
+    # columns c of m·Lambda_j: k < n for c < h-j, 1 <= k < n for the
+    # others; each span built from scratch.  Part h-1 is in rref, and each
+    # earlier part is at most one row, leading with 1 and zero at every
+    # pivot of the later parts
     cfg = field(*pr)
     rng = np.random.default_rng([62, cfg.q])
     for trial in range(40):
@@ -769,7 +813,21 @@ def test_nested_keys_match_one_rref_per_lattice(pr):
                     span.append(shifted.ravel().tolist())
             red, rank = K.gf_rref(np.array(span, dtype=np.int64), cfg)
             want.append(red[:rank].tobytes())
-        assert reduction.lattice_key(m, cfg, n) == tuple(want), trial
+        parts = [np.frombuffer(k, dtype=np.int64).reshape(-1, h * n)
+                 for k in reduction.lattice_key(m, cfg, n)]
+        for j in range(h):
+            stacked = np.vstack([np.zeros((1, h * n), dtype=np.int64)] + parts[j:])
+            red, rank = K.gf_rref(stacked, cfg)
+            assert red[:rank].tobytes() == want[j], (trial, j)
+        red, rank = K.gf_rref(parts[-1], cfg)
+        assert rank == len(parts[-1]) and (red == parts[-1]).all(), trial
+        pivots = [int(np.flatnonzero(row)[0]) for row in parts[-1]]
+        for part in parts[-2::-1]:
+            assert len(part) <= 1, trial
+            for row in part:
+                lead = int(np.flatnonzero(row)[0])
+                assert row[lead] == 1 and not row[pivots].any(), trial
+                pivots.append(lead)
 
 
 def test_orbit_size_rejects_start_without_t_n(cfg1, monkeypatch):
