@@ -138,7 +138,6 @@ def _build_parser():
         q.add_argument('--dim', type=int, required=True)
         q.add_argument('--count', type=int, default=count)
         q.add_argument('--seed', type=int, default=0)
-        q.add_argument('--degree', type=int, default=2)
         _add_field_args(q)
         q.add_argument('--out')
         q.set_defaults(run=run)
@@ -149,7 +148,6 @@ def _build_parser():
     p.add_argument('--count', type=int, default=None,
                    help='samples per probe (default 1000 for 2,1, else 300)')
     p.add_argument('--seed', type=int, default=20240801)
-    p.add_argument('--degree', type=int, default=2)
     p.add_argument('--sigma-trials', type=int, default=200)
     _add_field_args(p)
     p.add_argument('--out', default='calibration.json')
@@ -233,7 +231,7 @@ def _cmd_oracle_sample(args):
     cfg = _field_from_args(args)
     lines = []
     for k in range(args.count):
-        w, P = sample_cell(hd, cfg, np.random.default_rng([args.seed, k]), args.degree)
+        w, P = sample_cell(hd, cfg, np.random.default_rng([args.seed, k]))
         lines.append(json.dumps({'eo': list(w), 'np': str(P)}, sort_keys=True) + '\n')
     _emit(''.join(lines), args.out)
     return 0
@@ -243,8 +241,7 @@ def _cmd_oracle_verify(args):
     from .shtuka import run_consistency_suite
     hd = _oracle_stratum(args)
     cfg = _field_from_args(args)
-    report = run_consistency_suite(hd, cfg, samples=args.count, seed=args.seed,
-                                   deg=args.degree)
+    report = run_consistency_suite(hd, cfg, samples=args.count, seed=args.seed)
     _emit_json(report, args.out)
     return 0 if report['ok'] else 2
 
@@ -257,8 +254,7 @@ def _cmd_calibrate(args):
             criterion.Bounds().check_height(h)
     cfg = _field_from_args(args)
     report = criterion.calibrate(probes=probes, samples=args.count, seed=args.seed,
-                                 cfg=cfg, deg=args.degree,
-                                 sigma_trials=args.sigma_trials)
+                                 cfg=cfg, sigma_trials=args.sigma_trials)
     _emit_json(report, args.out)
     _emit_json({
         'written': args.out,

@@ -221,12 +221,12 @@ KNOWN_CELLS = (
 SIGMA_POLYGON = '1/2x2'
 
 
-def _observe(hd, cfg, n_samples, seed, deg):
+def _observe(hd, cfg, n_samples, seed):
     """Sampled (w, polygon) pairs that actually occur, with counts."""
     from .shtuka import sample_cell
     import numpy as np
     h, d = hd.height, hd.dimension
-    seen = Counter(sample_cell(hd, cfg, np.random.default_rng([seed, h, d, k]), deg)
+    seen = Counter(sample_cell(hd, cfg, np.random.default_rng([seed, h, d, k]))
                    for k in range(n_samples))
     return {(w, str(P)): c for (w, P), c in seen.items()}
 
@@ -244,8 +244,7 @@ def _sigma_classes(P, cfg, seed, trials):
 
 
 def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
-              deg: int = 2, sigma_trials: int = 200,
-              bounds: Bounds = None) -> dict:
+              sigma_trials: int = 200, bounds: Bounds = None) -> dict:
     """Check the engine against ground truth and the matrix oracle.
 
     The four height-2 cells must match elliptic curves, every (class,
@@ -254,7 +253,7 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
     must meet that polygon's stratum.  Raises ResourceLimitError before
     any sampling if a probe exceeds the height bound, ValueError if a
-    sample or trial count or deg is below one, and ConventionError on any
+    sample or trial count is below one, and ConventionError on any
     disagreement; otherwise returns the report of the evidence, which
     lifts_to, adlv_nonempty and incidence_table accept as ``check``.
     """
@@ -285,7 +284,7 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     observed = {}
     for p in probes:
         hd = HodgeDatum(*p)
-        observed[p] = _observe(hd, cfg, samples[p], seed, deg)
+        observed[p] = _observe(hd, cfg, samples[p], seed)
         table = incidence_table(hd, bounds=bounds)
         for (w, ps), cnt in sorted(observed[p].items()):
             if not table.cell(w, ps):

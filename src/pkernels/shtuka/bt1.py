@@ -49,9 +49,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bt1Module:
-    """h-dimensional module with F(x) = fmat·sigma(x), V(x) = vmat·sigma^{-1}(x)."""
+    """h-dimensional module with F(x) = fmat·sigma(x), V(x) = vmat·sigma^{-1}(x).
+    Modules compare and hash by identity; classify them with eo_classify."""
 
     cfg: FieldConfig
     fmat: np.ndarray
@@ -99,14 +100,6 @@ class Bt1Module:
         if imv != kerf:
             raise ValueError('im V != ker F')
         return self
-
-    def __hash__(self):
-        return hash((self.cfg, self.fmat.tobytes(), self.vmat.tobytes()))
-
-    def __eq__(self, other):
-        return (isinstance(other, Bt1Module) and self.cfg == other.cfg
-                and np.array_equal(self.fmat, other.fmat)
-                and np.array_equal(self.vmat, other.vmat))
 
 
 # ------------------------------------------------- subspace primitives
@@ -224,12 +217,11 @@ def _reference_signatures(h: int, d: int):
     return sigs
 
 
-def eo_classify(Z: Bt1Module, d: int = None):
-    """The minimal coset representative w whose reference module has
-    Z's canonical type.  Raises ConventionError when nothing matches."""
+def eo_classify(Z: Bt1Module, d: int):
+    """The minimal coset representative w of the stratum (Z.h, d) whose
+    reference module has Z's canonical type.  Raises ConventionError when
+    nothing matches."""
     h = Z.h
-    if d is None:
-        d = Z.dimension
     w = _reference_signatures(h, d).get(canonical_filtration(Z)[1])
     if w is None:
         raise ConventionError('canonical type matches no reference module of stratum (%d, %d)'

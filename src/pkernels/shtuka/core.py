@@ -226,18 +226,17 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     return P
 
 
-def sample_cell(hd, cfg: FieldConfig, rng, deg: int = 2) -> tuple:
+def sample_cell(hd, cfg: FieldConfig, rng) -> tuple:
     """The table cell (w, P) of one datum of the stratum hd drawn from
-    rng (sample_shtuka): the class of its residue module and its Newton
-    polygon.  The oracle's unit of evidence."""
-    sh = sample_shtuka(hd, cfg, deg=deg, rng=rng)
+    rng (sample_shtuka, factors mod t^2): the class of its residue module
+    and its Newton polygon.  The oracle's unit of evidence."""
+    sh = sample_shtuka(hd, cfg, rng=rng)
     return eo_classify(bt1_of(sh), hd.dimension), newton_polygon_of(sh)
 
 
-def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0,
-                           deg: int = 2) -> Counter:
+def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0) -> Counter:
     """Multiset of Iwahori classes of g·X·sigma(g)^{-1} over random
-    g in GL_h(O), X the monomial matrix of x.
+    g in GL_h(O) mod t^2, X the monomial matrix of x.
 
     One precision is exact: n = v(det) + 1 for the shifted matrix t^s·X.
     The reduction reads its input only mod t^n (reduction docstring), and
@@ -252,7 +251,7 @@ def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0,
     out = Counter()
     for tr in range(trials):
         rng = np.random.default_rng([seed, tr])
-        g = np.array(random_unimodular(h, cfg, deg, rng), dtype=np.int64)
+        g = np.array(random_unimodular(h, cfg, 2, rng), dtype=np.int64)
         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
         out[iwahori_class_of(m, cfg, shift=s, expected_vdet=vdet)] += 1

@@ -196,7 +196,9 @@ def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
     """Key of the coset m·I: for j = 0, ..., h-1 the rows that S_j mod t^n
     adds to S_{j+1} (module docstring; S_h = 0, so part h-1 is the rref of
     S_{h-1}), as int64 bytes.  The parts j' >= j span S_j; exact when
-    t^n O^h ⊂ m·Lambda_j."""
+    t^n O^h ⊂ m·Lambda_j.  ValueError as for iwahori_class_of on an entry
+    that is no field index or a shape other than (h, h, D)."""
+    m = PM._square_tensor(m, cfg)
     return tuple(np.array(rows, dtype=np.int64).tobytes()
                  for rows in _key_rows(_columns(m, n), m.shape[0], n, cfg))[::-1]
 

@@ -77,15 +77,9 @@ def test_check_bad_polygon_exits_2(capsys):
      '--out', '/nonexistent/dir/c.json'),
     ('oracle', 'verify', '--height', '2', '--dim', '1', '--count', '0'),
     ('oracle', 'sample', '--height', '2', '--dim', '1', '--count', '-2'),
-    ('oracle', 'sample', '--height', '3', '--dim', '1', '--count', '1', '--degree', '0'),
-    ('oracle', 'sample', '--height', '3', '--dim', '1', '--count', '1', '--degree', '-4'),
-    ('oracle', 'verify', '--height', '2', '--dim', '1', '--count', '1', '--degree', '0'),
-    ('calibrate', '--probe', '2,1', '--count', '1', '--sigma-trials', '1', '--degree', '0'),
 ], ids=['probe-one-number', 'eo-unclosed', 'eo-scalar', 'x-unclosed',
         'np-zero-denominator', 'calibrate-no-samples', 'calibrate-negative-count',
-        'out-unwritable', 'oracle-verify-no-samples', 'oracle-sample-negative-count',
-        'oracle-sample-degree-zero', 'oracle-sample-negative-degree',
-        'oracle-verify-degree-zero', 'calibrate-degree-zero'])
+        'out-unwritable', 'oracle-verify-no-samples', 'oracle-sample-negative-count'])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

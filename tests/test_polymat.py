@@ -302,6 +302,17 @@ def test_lattice_key_precision_n_is_exact(pr):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize('entry,shape', [(-1, (2, 2, 1)), (3, (2, 2, 1)), (5, (2, 2, 1)),
+                                         (0, (2, 3, 1)), (0, (2, 2))],
+                         ids=['negative', 'q', 'above-q', 'not-square', 'no-coefficients'])
+def test_lattice_key_refuses_malformed_input(entry, shape):
+    # over F_3 an entry -1 would read as 2, and 5 would index past the tables
+    m = np.zeros(shape, dtype=np.int64)
+    m.flat[0] = entry
+    with pytest.raises(ValueError):
+        lattice_key(m, field(3, 1), 1)
+
+
 def test_lattice_key_rank():
     # the parts j' >= j of the key have h·n - v(det m) - j rows in all
     # when t^n O^h ⊂ m·Lambda_j

@@ -888,16 +888,11 @@ def test_sample_shtuka_matches_two_product_reference():
 @pytest.mark.parametrize('deg', [0, -3])
 def test_degree_below_one_is_refused(cfg, deg):
     # every sampling route draws its factors through random_unimodular
-    from pkernels.criterion import calibrate
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match='degree must be at least 1'):
         random_unimodular(3, cfg, deg, rng)
     with pytest.raises(ValueError, match='degree must be at least 1'):
         sample_shtuka(HodgeDatum(3, 1), cfg, deg=deg, seed=0)
-    with pytest.raises(ValueError, match='degree must be at least 1'):
-        sigma_conjugate_sample(Element((0, 1), (2, 1)), cfg, trials=1, deg=deg)
-    with pytest.raises(ValueError, match='degree must be at least 1'):
-        calibrate(probes=((2, 1),), samples=1, sigma_trials=1, deg=deg)
     with pytest.raises(ValueError, match='degree must be at least 1'):
         random_iwahori(3, cfg, deg, rng)
     with pytest.raises(TypeError):
