@@ -28,8 +28,9 @@ second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 8, of
 h = 10 and of h = 11, the height bound of criterion.Bounds; the 50
 Iwahori orbits of acceptance 6 over F_2, in cosets per second; the
 Tier-1 test suite.  Layer cases: ``gf_rref``,
-``polymat_mul``, ``charpoly``, ``Packing.red``, ``lattice_key``, and
-affine multiplication and length.
+``polymat_mul``, ``charpoly``, ``Packing.red``, ``lattice_key``, affine
+multiplication and length, and one reduction step (``_conj_delta`` plus
+``_conj`` on the flat coding).
 """
 
 import argparse
@@ -233,6 +234,21 @@ def _affine_length(seed):
     return run, affine._length_cache.clear, {'calls': len(xs), 'h': 6}
 
 
+def _reduction_step(seed):
+    # the reduction's inner step: the length change of s_i·y·s_i, then
+    # the conjugate itself, for every i
+    from pkernels import affine
+    h = 8
+    codes = [x.lam + x.perm for x in _elements(seed, h, 1000)]
+
+    def run():
+        for c in codes:
+            for i in range(h):
+                affine._conj_delta(c, i, h)
+                affine._conj(c, i, h)
+    return run, None, {'calls': h * len(codes), 'h': h}
+
+
 # name -> (kind, repeats, setup); acceptance6_orbits takes 20 repeats
 # because at 5 its 25 runs per side spread by 0.22-0.38 s, too wide to
 # resolve a 30 % change
@@ -252,6 +268,7 @@ CASES = {
     'lattice_key': ('layer', 5, _lattice_key),
     'affine_mul': ('layer', 5, _affine_mul),
     'affine_length': ('layer', 5, _affine_length),
+    'reduction_step': ('layer', 5, _reduction_step),
 }
 
 
