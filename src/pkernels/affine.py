@@ -58,6 +58,10 @@ class Element:
     perm: tuple
 
     def __post_init__(self):
+        if type(self.lam) is not tuple or type(self.perm) is not tuple:
+            # stored as tuples, so an element built from to_dict() hashes
+            object.__setattr__(self, 'lam', tuple(self.lam))
+            object.__setattr__(self, 'perm', tuple(self.perm))
         if len(self.lam) != len(self.perm) or not weyl.is_permutation(self.perm):
             raise ValueError('malformed element: lam=%r perm=%r' % (self.lam, self.perm))
 

@@ -48,15 +48,20 @@ def test_extreme_dimension_tables_are_permutations(cfg, h):
 
 def test_cell_witness_is_checkable():
     # a witness is a minimal-length element of P's Newton point: no cyclic
-    # shift s·y·s is shorter, and its own Newton point is P
+    # shift s·y·s is shorter, and its own Newton point is P; the witness's
+    # dict, lists and all, builds an element that the engine takes back
     for hd in _strata(5):
         t = incidence_table(hd)
         for key, wit in t.witnesses.items():
-            y = Element(tuple(wit['y']['lam']), tuple(wit['y']['perm']))
+            y = Element(**wit['y'])
+            assert y == Element(tuple(wit['y']['lam']), tuple(wit['y']['perm']))
+            assert hash(y) == hash(Element(y.lam, y.perm)) and y.to_dict() == wit['y']
             P = parse_polygon(key.split('|')[1])
             assert affine.newton_point(y) == P.slopes(), key
             refs = [affine.simple_reflection(y.h, i) for i in range(y.h)] if y.h > 1 else []
             assert all(length(s * y * s) >= length(y) for s in refs), key
+    wit = incidence_table(HodgeDatum(4, 2)).witnesses['[1, 2, 3, 4]|1/2x4']
+    assert adlv_nonempty(Element(**wit['y']), parse_polygon('1/2x4')) is True
     val, info = lifts_to(HD21, (1, 2), SS, return_info=True)
     assert val is True
     assert info['witness'] == {'y': {'lam': [0, 1], 'perm': [2, 1]}}
