@@ -27,10 +27,10 @@ oracle samples (sample, residue module, class, Newton polygon) per
 second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 8, of
 h = 10 and of h = 11, the height bound of criterion.Bounds; the 50
 Iwahori orbits of acceptance 6 over F_2, in cosets per second; the
-Tier-1 test suite.  Layer cases: ``gf_rref``,
-``polymat_mul``, ``charpoly``, ``Packing.red``, ``lattice_key``, affine
-multiplication and length, and one reduction step (``_conj_delta`` plus
-``_conj`` on the flat coding).
+Tier-1 test suite.  Layer cases: the list kernels ``rref_rows`` and
+``polymat_rows`` that the oracle runs, ``charpoly``, ``Packing.red``,
+``lattice_key``, affine multiplication and length, and one reduction
+step (``_conj_delta`` plus ``_conj`` on the flat coding).
 """
 
 import argparse
@@ -131,27 +131,29 @@ def _matrices(seed, q, shape, count):
     return [rng.integers(0, q, size=shape, dtype=np.int64) for _ in range(count)]
 
 
-def _gf_rref(seed):
+def _rref_rows(seed):
+    # rref_rows reduces its list in place, replacing rows: each call gets
+    # a new list of the same rows
     from pkernels import _kernels as K
     from pkernels.shtuka import field
     cfg = field(2, 2)
-    mats = _matrices(seed, cfg.q, (8, 12), 1000)
+    mats = [m.tolist() for m in _matrices(seed, cfg.q, (8, 12), 1000)]
 
     def run():
         for m in mats:
-            K.gf_rref(m, cfg)
+            K.rref_rows(list(m), cfg)
     return run, None, {'calls': len(mats), 'shape': [8, 12]}
 
 
-def _polymat_mul(seed):
+def _polymat_rows(seed):
     from pkernels import _kernels as K
     from pkernels.shtuka import field
     cfg = field(2, 2)
-    mats = _matrices(seed, cfg.q, (4, 4, 2), 1000)
+    mats = [m.tolist() for m in _matrices(seed, cfg.q, (4, 4, 2), 1000)]
 
     def run():
         for a, b in zip(mats, mats[1:]):
-            K.polymat_mul(a, b, cfg)
+            K.polymat_rows(a, b, 4, 3, cfg)
     return run, None, {'calls': len(mats) - 1, 'shape': [4, 4, 2]}
 
 
@@ -202,7 +204,7 @@ def _lattice_key(seed):
 
     def run():
         for m in mats:
-            lattice_key(m, cfg, m.shape[2])
+            lattice_key(m, cfg, len(m[0][0]))
     return run, None, {'calls': len(mats), 'h': 3}
 
 
@@ -261,8 +263,8 @@ CASES = {
     'strata_h11': ('end_to_end', 1, _strata(11)),
     'acceptance6_orbits': ('end_to_end', 20, _acceptance6_orbits),
     'tier1': ('end_to_end', 1, _tier1),
-    'gf_rref': ('layer', 5, _gf_rref),
-    'polymat_mul': ('layer', 5, _polymat_mul),
+    'rref_rows': ('layer', 5, _rref_rows),
+    'polymat_rows': ('layer', 5, _polymat_rows),
     'charpoly': ('layer', 5, _charpoly),
     'packing_red': ('layer', 5, _packing_red),
     'lattice_key': ('layer', 5, _lattice_key),

@@ -11,15 +11,10 @@ field work on Python lists of rows: each reads the tables from
 list comprehension and skips zero multipliers.  rref_rows reduces its
 list in place and replaces rows without writing into them, so rows may
 be tuples; the shapes a list cannot carry (no rows, no columns) are
-passed as counts.  gf_matmul, gf_rref and polymat_mul are thin wrappers
-for int64 arrays: ``tolist()`` in, a new C-contiguous int64 array out.
-The oracle and the orbit count call the list kernels directly
-(shtuka.core, shtuka.bt1, shtuka.reduction).  Their matrices are small
-(a residue module's preimage stack has at most 2h columns, a lattice
-key's span h·n), and at those sizes numpy's per-call dispatch costs
-more than the arithmetic.  Vectorized numpy wins on dense inputs from
-about 16 columns for gf_rref and about 6 rows for polymat_mul (README,
-Performance).
+passed as counts.  The oracle and the orbit count call them directly.
+Their matrices are small (a residue module's preimage stack has at most
+2h columns, a lattice key's span h·n), and at those sizes numpy's
+per-call dispatch costs more than the arithmetic (README, Performance).
 
 charpoly and series_matmul work on truncated power series over F_q
 packed into Python ints (Packing): a series product is one int
@@ -37,14 +32,8 @@ import operator
 
 import numpy as np
 
-# Recorded in the environment line of perfbench/run.py; always False now
-# that the kernels have one form.
+# Recorded in the environment line of perfbench/run.py; always False.
 USE_NUMBA = HAVE_NUMBA = False
-
-
-def _array(rows, shape):
-    # reshape keeps the shape of inputs with a zero-length axis
-    return np.array(rows, dtype=np.int64).reshape(shape)
 
 
 def matmul_rows(a, b, m, cfg):
@@ -60,11 +49,6 @@ def matmul_rows(a, b, m, cfg):
                 acc = [ADD[x][mc[y]] for x, y in zip(acc, brow)]
         out.append(acc)
     return out
-
-
-def gf_matmul(a, b, cfg):
-    n, m = a.shape[0], b.shape[1]
-    return _array(matmul_rows(a.tolist(), b.tolist(), m, cfg), (n, m))
 
 
 def rref_rows(m, cfg):
@@ -97,6 +81,46 @@ def rref_rows(m, cfg):
     return r
 
 
+def polymat_rows(a, b, m, dc, cfg):
+    """The product of polynomial matrices a (n rows of k coefficient
+    sequences, t^0 first) and b (k rows of m coefficient sequences, all of
+    one length db), with dc coefficients per product entry (at least
+    da+db-1); n flat rows of m blocks of dc coefficients.
+
+    Row l of b is laid out as one flat list of its m entries, each padded
+    with zeros to dc coefficients.  The product of a[i][l][s]·t^s with
+    that row is then the row shifted by s: one comprehension per nonzero
+    coefficient of a, and the zeros keep each block's shifted
+    coefficients inside the block.
+    """
+    ADD, MUL = cfg.tables[:2]
+    pad = (0,) * (dc - len(b[0][0])) if len(b) and len(b[0]) else ()
+    flat = [[y for poly in brow for y in (*poly, *pad)] for brow in b]
+    out = []
+    for arow in a:
+        acc = [0] * (m * dc)
+        for apoly, brow in zip(arow, flat):
+            for s, c in enumerate(apoly):
+                if c:
+                    mc = MUL[c]
+                    acc[s:] = [ADD[x][mc[y]] for x, y in zip(acc[s:], brow)]
+        out.append(acc)
+    return out
+
+
+# The array wrappers: int64 arrays in and out of the list kernels.  No
+# caller in src/; kept while perfbench/tracer.py (KERNELS) wraps them.
+
+def _array(rows, shape):
+    # reshape keeps the shape of inputs with a zero-length axis
+    return np.array(rows, dtype=np.int64).reshape(shape)
+
+
+def gf_matmul(a, b, cfg):
+    n, m = a.shape[0], b.shape[1]
+    return _array(matmul_rows(a.tolist(), b.tolist(), m, cfg), (n, m))
+
+
 def gf_rref(mat, cfg):
     """Full reduced row echelon form; returns (reduced copy, rank)."""
     m = mat.tolist()
@@ -104,7 +128,6 @@ def gf_rref(mat, cfg):
     return _array(m, mat.shape), r
 
 
-# No caller in src/; kept while perfbench/tracer.py (KERNELS) wraps it.
 def gf_conv2(a, b, cfg):
     """2D polynomial product; 1D is the (1, n) special case.
 
@@ -127,33 +150,6 @@ def gf_conv2(a, b, cfg):
                 s = i * w + j
                 out[s:s + bx * w] = [ADD[x][mc[y]] for x, y in zip(out[s:s + bx * w], flat)]
     return _array(out, (ax + bx - 1, w))
-
-
-def polymat_rows(a, b, m, dc, cfg):
-    """The product of polynomial matrices a (n rows of k coefficient
-    lists, t^0 first) and b (k rows of m coefficient lists, all of one
-    length db), with dc coefficients per product entry (at least
-    da+db-1); n flat rows of m blocks of dc coefficients.
-
-    Row l of b is laid out as one flat list of its m entries, each padded
-    with zeros to dc coefficients.  The product of a[i][l][s]·t^s with
-    that row is then the row shifted by s: one comprehension per nonzero
-    coefficient of a, and the zeros keep each block's shifted
-    coefficients inside the block.
-    """
-    ADD, MUL = cfg.tables[:2]
-    pad = [0] * (dc - len(b[0][0])) if b and b[0] else []
-    flat = [[y for poly in brow for y in poly + pad] for brow in b]
-    out = []
-    for arow in a:
-        acc = [0] * (m * dc)
-        for apoly, brow in zip(arow, flat):
-            for s, c in enumerate(apoly):
-                if c:
-                    mc = MUL[c]
-                    acc[s:] = [ADD[x][mc[y]] for x, y in zip(acc[s:], brow)]
-        out.append(acc)
-    return out
 
 
 def polymat_mul(a, b, cfg):
@@ -228,7 +224,7 @@ class Packing:
         plane = self._plane = trunc // ((1 << B) - 1) * ((1 << W) - 1)   # slot 0 of each block
         low = trunc // ((1 << W) - 1) * ((1 << N) - 1)                   # low N bits of each slot
         M = -(-(1 << K) // p)
-        folds = [(j * W, self._pack[cfg.mul[p ** (r - 1), p ** (j - r + 1)]] - (1 << j * W))
+        folds = [(j * W, self._pack[cfg.tables[1][p ** (r - 1)][p ** (j - r + 1)]] - (1 << j * W))
                  for j in range(r, 2 * r - 1)]
 
         def red(x):

@@ -37,11 +37,10 @@ table per (h, d) serves every field.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .. import _kernels as K
 from ..errors import ConventionError
 from .gf import FieldConfig
+from .polymat import square_rows
 
 __all__ = [
     'Bt1Module', 'space_rows', 'f_image', 'v_preimage', 'canonical_filtration',
@@ -51,36 +50,34 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Bt1Module:
-    """h-dimensional module with F(x) = fmat·sigma(x), V(x) = vmat·sigma^{-1}(x).
-    Modules compare and hash by identity; classify them with eo_classify."""
+    """h-dimensional module with F(x) = fmat·sigma(x), V(x) = vmat·sigma^{-1}(x) for
+    constant matrices (polymat).  Modules compare and hash by identity."""
 
     cfg: FieldConfig
-    fmat: np.ndarray
-    vmat: np.ndarray
+    fmat: tuple
+    vmat: tuple
 
     def __post_init__(self):
-        f, v = self.cfg.array(self.fmat), self.cfg.array(self.vmat)
-        if f.shape != v.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
+        f, v = (square_rows(m, self.cfg, poly=False) for m in (self.fmat, self.vmat))
+        if len(f) != len(v):
             raise ValueError('fmat and vmat must be square of equal size')
         object.__setattr__(self, 'fmat', f)
         object.__setattr__(self, 'vmat', v)
 
     @property
     def h(self) -> int:
-        return self.fmat.shape[0]
+        return len(self.fmat)
 
     @cached_property
     def _f(self) -> tuple:
-        """(im F, ker F) = (im fmat, sigma^{-1}(ker fmat)) from one solve;
-        computed once, since fmat is read-only."""
-        im, ker = _image_preimage(self.fmat.tolist(), (), self.cfg)
+        """(im F, ker F) = (im fmat, sigma^{-1}(ker fmat)) from one solve."""
+        im, ker = _image_preimage(self.fmat, (), self.cfg)
         return im, _apply(self.cfg.frobs[1], ker)
 
     @cached_property
     def _v(self) -> tuple:
-        """(im V, ker V) = (im vmat, sigma(ker vmat)) from one solve;
-        computed once, since vmat is read-only."""
-        im, ker = _image_preimage(self.vmat.tolist(), (), self.cfg)
+        """(im V, ker V) = (im vmat, sigma(ker vmat)) from one solve."""
+        im, ker = _image_preimage(self.vmat, (), self.cfg)
         return im, _apply(self.cfg.frobs[0], ker)
 
     @property
@@ -147,13 +144,13 @@ def f_image(Z: Bt1Module, u) -> tuple:
     """F(U) for U given by rows: the span of the rows sigma(u)·fmat^T."""
     if not u:
         return ()
-    return space_rows(K.matmul_rows(_apply(Z.cfg.frobs[0], u), Z.fmat.T.tolist(), Z.h, Z.cfg),
+    return space_rows(K.matmul_rows(_apply(Z.cfg.frobs[0], u), tuple(zip(*Z.fmat)), Z.h, Z.cfg),
                       Z.cfg)
 
 
 def v_preimage(Z: Bt1Module, u) -> tuple:
     """V^{-1}(U) for U given by rows: sigma of its preimage under vmat."""
-    return _apply(Z.cfg.frobs[0], _image_preimage(Z.vmat.tolist(), u, Z.cfg)[1])
+    return _apply(Z.cfg.frobs[0], _image_preimage(Z.vmat, u, Z.cfg)[1])
 
 
 # ------------------------------------------------- canonical filtration

@@ -43,23 +43,23 @@ __all__ = [
 @dataclass(frozen=True)
 class LocalShtuka:
     """Polynomial matrix amat, nonsingular and minuscule: amat·O^h lies
-    between t·O^h and O^h, and v_t(det amat) = dimension.  It must be an
-    (h, h, D) tensor, D >= 1, of field indices of cfg (FieldConfig.array)."""
+    between t·O^h and O^h, and v_t(det amat) = dimension, over the field
+    cfg (polymat.square_rows)."""
 
     cfg: FieldConfig
-    amat: np.ndarray
+    amat: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, 'amat', PM._square_tensor(self.amat, self.cfg))
+        object.__setattr__(self, 'amat', PM.square_rows(self.amat, self.cfg, poly=True))
 
     @property
     def h(self) -> int:
-        return self.amat.shape[0]
+        return len(self.amat)
 
     @cached_property
     def _solve(self):
         """(t·A^{-1} mod t as a tuple of rows, v(det A)) from one rref on
-        lists; computed once, since amat is read-only.
+        lists, computed once.
 
         With A = A0 + t·A1 mod t^2, A·(X0 + t·X1) = t·I mod t^2 reads
         A0·X0 = 0 and A1·X0 + A0·X1 = I, the augmented matrix
@@ -71,7 +71,7 @@ class LocalShtuka:
         the first h columns are pivots, X0 is read off with the free
         unknowns at 0, and 2h - rank = sum(mu_i) = v(det A).
         """
-        rows = self.amat.tolist()
+        rows = self.amat
         h = len(rows)
         zero = [0] * h
         a0 = [[e[0] for e in row] for row in rows]
@@ -103,10 +103,10 @@ def minimal_shtuka(P: NewtonPolygon, cfg: FieldConfig) -> LocalShtuka:
     return shtuka_from_element(x_of_polygon(P), cfg)
 
 
-def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> list:
-    """Random element of GL_h(O) mod t^deg, as h rows of h coefficient
-    lists (t^0 first): invertible constant term, uniform higher
-    coefficients.  Raises ValueError for deg < 1."""
+def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> tuple:
+    """Random element of GL_h(O) mod t^deg, as a polynomial matrix
+    (polymat): invertible constant term, uniform higher coefficients.
+    Raises ValueError for deg < 1."""
     deg = operator.index(deg)
     if deg < 1:
         raise ValueError('coefficient degree must be at least 1, got %d' % deg)
@@ -116,24 +116,22 @@ def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> list:
         if K.rref_rows(list(c0), cfg) == h:
             break
     if deg == 1:
-        return [[[c] for c in row] for row in c0]
+        return tuple(tuple((c,) for c in row) for row in c0)
     high = rng.integers(0, q, size=(h, h, deg - 1), dtype=np.int64).tolist()
-    return [[[c] + t for c, t in zip(row, trow)] for row, trow in zip(c0, high)]
+    return tuple(tuple((c, *t) for c, t in zip(row, trow)) for row, trow in zip(c0, high))
 
 
 def sample_shtuka(hd, cfg: FieldConfig, deg: int = 2, seed=None, rng=None) -> LocalShtuka:
     """U1 · diag(t^mu) · U2 with random unimodular factors of the given
     coefficient degree, mu = (1^d, 0^(h-d)).  U1 · diag(t^mu) is U1 with
-    its first d columns shifted up one coefficient, so one product, on
-    lists (_kernels.polymat_rows)."""
+    its first d columns shifted up one coefficient, so one product."""
     if rng is None:
         rng = np.random.default_rng(seed)
     h, d = hd.height, hd.dimension
     u1 = random_unimodular(h, cfg, deg, rng)
     u2 = random_unimodular(h, cfg, deg, rng)
-    u1mu = [[[0] + e if j < d else e + [0] for j, e in enumerate(row)] for row in u1]
-    prod = K.polymat_rows(u1mu, u2, h, 2 * deg, cfg)
-    return LocalShtuka(cfg, PM.pm_trim(np.array(prod, dtype=np.int64).reshape(h, h, 2 * deg)))
+    u1mu = [[(0,) + e if j < d else e + (0,) for j, e in enumerate(row)] for row in u1]
+    return LocalShtuka(cfg, PM.pm_trim(PM.pm_mul(u1mu, u2, cfg)))
 
 
 def bt1_of(sh: LocalShtuka) -> Bt1Module:
@@ -251,7 +249,7 @@ def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0) ->
     out = Counter()
     for tr in range(trials):
         rng = np.random.default_rng([seed, tr])
-        g = np.array(random_unimodular(h, cfg, 2, rng), dtype=np.int64)
+        g = random_unimodular(h, cfg, 2, rng)
         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
         out[iwahori_class_of(m, cfg, shift=s, expected_vdet=vdet)] += 1

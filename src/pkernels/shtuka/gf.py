@@ -3,12 +3,11 @@ r"""Small finite fields as lookup tables.
 Elements of GF(p^r) are the integers 0..p^r-1, read as base-p digit
 vectors (little-endian) against the power basis of F_p[x]/(f), f the
 first monic irreducible of degree r in the order of (f_0, ..., f_{r-1})
-(f = x for r = 1).  All arithmetic is table lookup on read-only int64
-numpy arrays, so field ops broadcast over whole matrices; ``tables`` holds
-add, mul, neg and inv once more as tuples of ints, for pkernels._kernels,
-and ``frobs`` frb and frbi.  A field also keeps the Packings its callers
-ask for (FieldConfig.packing), so they go with it when field's cache is
-cleared.
+(f = x for r = 1).  All arithmetic is table lookup: ``tables`` holds
+add, mul, neg and inv as tuples of ints (``MUL[a][b]``), ``frobs`` the
+Frobenius a -> a^p and its inverse; numpy only builds them.  A field
+also keeps the Packings its callers ask for (FieldConfig.packing), so
+they go with it when field's cache is cleared.
 
 One rule multiplies, _mulmod: convolve two digit vectors and fold each
 x^k, k >= r, down by f, digits mod p.  It fills mul and selects f:
@@ -30,7 +29,7 @@ from ..errors import ConventionError, ResourceLimitError
 
 __all__ = ['FieldConfig', 'field']
 
-# Largest field order built: each (q, q) int64 table takes 512 KB at q = 256.
+# Largest field order built: each (q, q) table of tuples takes about 530 KB at q = 256.
 MAX_ORDER = 256
 # Packings one field keeps (FieldConfig.packing)
 PACKINGS = 64
@@ -67,12 +66,6 @@ class FieldConfig:
     r: int = 2
     q: int = dfield(init=False)
     modulus: tuple = dfield(init=False)
-    add: np.ndarray = dfield(init=False, repr=False, compare=False)
-    mul: np.ndarray = dfield(init=False, repr=False, compare=False)
-    neg: np.ndarray = dfield(init=False, repr=False, compare=False)
-    inv: np.ndarray = dfield(init=False, repr=False, compare=False)
-    frb: np.ndarray = dfield(init=False, repr=False, compare=False)
-    frbi: np.ndarray = dfield(init=False, repr=False, compare=False)
     tables: tuple = dfield(init=False, repr=False, compare=False)   # (add, mul, neg, inv)
     frobs: tuple = dfield(init=False, repr=False, compare=False)    # (frb, frbi)
     _packings: dict = dfield(init=False, repr=False, compare=False)
@@ -106,10 +99,8 @@ class FieldConfig:
         tables = tuple(tuple(map(tuple, t.tolist()) if t.ndim == 2 else t.tolist())
                        for t in (add, mul, neg, inv))
         frobs = tuple(frb.tolist()), tuple(frbi.tolist())
-        for name, value in dict(q=q, modulus=mod, add=add, mul=mul, neg=neg, inv=inv, frb=frb,
-                                frbi=frbi, tables=tables, frobs=frobs, _packings={}).items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        for name, value in dict(q=q, modulus=mod, tables=tables, frobs=frobs,
+                                _packings={}).items():
             object.__setattr__(self, name, value)
 
     def packing(self, n: int, terms: int):
@@ -124,30 +115,15 @@ class FieldConfig:
             lay = self._packings[key] = Packing(self, n, terms)
         return lay
 
-    def sub(self, a, b):
-        return self.add[a, self.neg[b]]
-
-    def array(self, a) -> np.ndarray:
-        """a as a new read-only, C-contiguous int64 array of field
-        indices; ValueError if an entry is not an integer in [0, q)."""
-        src = np.asarray(a)
-        out = np.array(src, dtype=np.int64, order='C')
-        if src.dtype.kind not in 'iu' and (out != src).any():
-            raise ValueError('field indices must be integers')
-        if out.size and out.view(np.uint64).max() >= self.q:   # negatives read >= 2^63
-            raise ValueError('field indices must lie in [0, %d)' % self.q)
-        out.setflags(write=False)
-        return out
-
     def primitive(self) -> int:
         """Smallest multiplicative generator (0 for the trivial group)."""
-        n = self.q - 1
+        n, MUL = self.q - 1, self.tables[1]
         if n == 1:
             return 0
         for g in range(2, self.q):
             acc, seen = 1, 0
             for _ in range(n):
-                acc = int(self.mul[acc, g])
+                acc = MUL[acc][g]
                 seen += 1
                 if acc == 1:
                     break

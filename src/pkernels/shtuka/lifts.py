@@ -120,10 +120,11 @@ class FiltrationData:
                         raise ValueError('%s[%r] refers to %r outside its predecessor range'
                                          % (name, p, p2))
         c, d = {}, {}
+        NEG = self.cfg.tables[2]
         for p, target, forward, _ in steps:
             row = (a if forward else b).get(p)
             if row:
-                (d if forward else c)[target] = {k: int(self.cfg.neg[v]) for k, v in row.items()}
+                (d if forward else c)[target] = {k: NEG[v] for k, v in row.items()}
         for name, value in (('beginnings', begs), ('a', a), ('b', b), ('c', c), ('d', d),
                             ('pairs', pairs)):
             object.__setattr__(self, name, value)
@@ -194,7 +195,7 @@ def lift_from_filtration(data: FiltrationData) -> LocalShtuka:
         twisted = [[[twist[c] for c in e] for e in row] for row in b]
         if K.polymat_rows(a, twisted, h, 3, cfg) != t_eye:
             raise ConventionError('exchange identities fail for the assembled lift')
-    return LocalShtuka(cfg, PM.pm_trim(np.array(fmat, dtype=np.int64).reshape(h, h, 2)))
+    return LocalShtuka(cfg, PM.pm_trim(fmat))
 
 
 def residue_of_filtration(data: FiltrationData) -> Bt1Module:
@@ -215,13 +216,12 @@ def verify_lift(data: FiltrationData) -> dict:
     blocks = data.polygon.blocks
     edges = (0, *accumulate(n + m for n, m in blocks))
     sl = [slice(s, e) for s, e in zip(edges, edges[1:])]
-    diag = [newton_polygon_of(LocalShtuka(data.cfg, np.ascontiguousarray(sh.amat[s, s])))
+    diag = [newton_polygon_of(LocalShtuka(data.cfg, [row[s] for row in sh.amat[s]]))
             for s in sl]
     return {
-        'residue': (np.array_equal(Z.fmat, Zdirect.fmat)
-                    and np.array_equal(Z.vmat, Zdirect.vmat)),
-        'block_triangular': not any(sh.amat[sl[bi], sl[bj]].any()
-                                    for bi in range(len(sl)) for bj in range(bi)),
+        'residue': (Z.fmat, Z.vmat) == (Zdirect.fmat, Zdirect.vmat),
+        'block_triangular': not any(c for bi in range(len(sl)) for bj in range(bi)
+                                    for row in sh.amat[sl[bi]] for e in row[sl[bj]] for c in e),
         'isoclinic_blocks': all(Pb.blocks == (b,) for Pb, b in zip(diag, blocks)),
         'polygon': newton_polygon_of(sh) == data.polygon,
     }

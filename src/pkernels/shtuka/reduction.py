@@ -34,8 +34,8 @@ has valuation >= -v(det), so changing A by E with v(E) >= N multiplies
 it by 1 + A^{-1}E whose correction has valuation >= 1, hence lies in
 t·M_h(O), and 1 + A^{-1}E is Iwahori.  Every pivot valuation is at most
 v(det) < N, so none is lost to the truncation.  N is v(det) + 1 when
-the caller gives v(det), else h·(D-1) + 1 for a tensor of D
-coefficients, which exceeds deg det >= v(det), so no determinant is
+the caller gives v(det), else h·(D-1) + 1 for a matrix of D coefficients
+per entry, which exceeds deg det >= v(det), so no determinant is
 computed.  Pivots found mod t^N are those of the exact elimination over
 O, whose pivots multiply to det up to a unit; so a singular A, or a
 given v(det) that is too small, makes an active block vanish mod t^N or
@@ -87,16 +87,16 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
                      expected_vdet: int = None) -> Element:
     """Monomial representative of I·A·I as an affine element.
 
-    amat is a polynomial coefficient tensor; shift=s means the actual
+    amat is a polynomial matrix (polymat); shift=s means the actual
     matrix is t^{-s}·amat (so Laurent inputs are supported by premultiplying).
     Each of the h pivots is one rank-1 update on packed series mod t^n
     (module docstring).  Raises ValueError for a singular matrix, for
-    an expected_vdet that is not v(det), for an entry that is no field
-    index (FieldConfig.array) and for a shape other than (h, h, D), D >= 1.
+    an expected_vdet that is not v(det), and for an amat that
+    polymat.square_rows refuses.
     """
-    a = PM._square_tensor(amat, cfg)
-    h = a.shape[0]
-    n = h * (a.shape[2] - 1) + 1 if expected_vdet is None else expected_vdet + 1
+    a = PM.square_rows(amat, cfg, poly=True)
+    h = len(a)
+    n = h * (len(a[0][0]) - 1) + 1 if expected_vdet is None else expected_vdet + 1
     lay = cfg.packing(n, 1)
     red, val, B, neg1 = lay.red, lay.val, lay.block, cfg.p - 1
     m = PM.pack_matrix(a, lay)
@@ -126,28 +126,28 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
     return Element(tuple(v - shift for v in lam), tuple(perm))
 
 
-def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> np.ndarray:
-    """Random Iwahori element mod t^deg: upper triangular invertible
-    constant term, strictly sub-diagonal entries divisible by t.  Raises
-    ValueError for deg < 1."""
+def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> tuple:
+    """Random Iwahori element mod t^deg, as a polynomial matrix (polymat):
+    upper triangular invertible constant term, strictly sub-diagonal
+    entries divisible by t.  Raises ValueError for deg < 1."""
     deg = operator.index(deg)
     if deg < 1:
         raise ValueError('coefficient degree must be at least 1, got %d' % deg)
     q = cfg.q
-    a = rng.integers(0, q, size=(h, h, deg), dtype=np.int64)
-    for i in range(h):
-        a[i, i, 0] = rng.integers(1, q, dtype=np.int64)
-        for j in range(i):
-            a[i, j, 0] = 0
-    return a
+    a = rng.integers(0, q, size=(h, h, deg), dtype=np.int64).tolist()
+    for i, row in enumerate(a):
+        row[i][0] = int(rng.integers(1, q, dtype=np.int64))
+        for e in row[:i]:
+            e[0] = 0
+    return tuple(tuple(map(tuple, row)) for row in a)
 
 
 # ------------------------------------------------------ orbit counting
 
 def _columns(m, n):
     """The columns of m mod t^n, each flat over (row, coefficient)."""
-    h = m.shape[0]
-    return PM.pm_pad(PM.pm_truncate(m, n), n).transpose(1, 0, 2).reshape(h, h * n).tolist()
+    pad = (0,) * max(0, n - len(m[0][0]))
+    return [[c for row in m for c in (*row[j], *pad)[:n]] for j in range(len(m))]
 
 
 @functools.lru_cache(maxsize=64)
@@ -195,24 +195,25 @@ def _key_rows(cols, h, n, cfg):
 def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
     """Key of the coset m·I: for j = 0, ..., h-1 the rows that S_j mod t^n
     adds to S_{j+1} (module docstring; S_h = 0, so part h-1 is the rref of
-    S_{h-1}), as int64 bytes.  The parts j' >= j span S_j; exact when
-    t^n O^h ⊂ m·Lambda_j.  ValueError as for iwahori_class_of on an entry
-    that is no field index or a shape other than (h, h, D)."""
-    m = PM._square_tensor(m, cfg)
-    return tuple(np.array(rows, dtype=np.int64).tobytes()
-                 for rows in _key_rows(_columns(m, n), m.shape[0], n, cfg))[::-1]
+    S_{h-1}), as the bytes of its rows, one byte per entry.  The parts
+    j' >= j span S_j; exact when t^n O^h ⊂ m·Lambda_j.  ValueError as for
+    iwahori_class_of on an m that polymat.square_rows refuses."""
+    m = PM.square_rows(m, cfg, poly=True)
+    return tuple(b''.join(map(bytes, rows))
+                 for rows in _key_rows(_columns(m, n), len(m), n, cfg))[::-1]
 
 
 def _generators(h, cfg, depth):
     """Generators (i, j, a, c) = 1 + c·t^a·E_ij of I mod t^(depth+1), c
     over an additive basis, and the primitive element (c = prim - 1)."""
+    ADD, _, NEG = cfg.tables[:3]
     basis = cfg.basis()
     gens = [(i, j, a, c) for i in range(h) for j in range(h) if i != j
             for a in range(0 if i < j else 1, depth + 1) for c in basis]
     prim = cfg.primitive()
     for i in range(h):
         if prim:
-            gens.append((i, i, 0, int(cfg.sub(prim, 1))))
+            gens.append((i, i, 0, ADD[prim][NEG[1]]))
         gens += [(i, i, a, c) for a in range(1, depth + 1) for c in basis]
     return gens
 
@@ -243,7 +244,7 @@ def iwahori_orbit_size(x: Element, cfg: FieldConfig, limit: int = 1 << 22) -> in
         raise ValueError('orbit limit must be at least 1, got %d' % limit)
     h = x.h
     start, s = PM.pm_from_element(x)
-    n = start.shape[2]
+    n = len(start[0][0])
     low = h * n - x.v_det() - h * s - h + 1     # rank of S_{h-1}
 
     def key(cols):

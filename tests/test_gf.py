@@ -11,8 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import arrays
 from pkernels.errors import ConventionError, ResourceLimitError
 from pkernels.shtuka import Bt1Module, field, gf
+from pkernels.shtuka.polymat import square_rows
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 # every field up to the order bound (gf.MAX_ORDER = 256)
@@ -86,20 +88,20 @@ def _check_pair(cfg, a, b):
     p, r = cfg.p, cfg.r
     da, db = _digits(a, p, r), _digits(b, p, r)
     s = [(x + y) % p for x, y in zip(da, db)]
-    assert cfg.add[a, b] == _to_int(s, p)
+    assert cfg.tables[0][a][b] == _to_int(s, p)
     prod = [0] * (2 * r - 1)
     for i in range(r):
         for j in range(r):
             prod[i + j] = (prod[i + j] + da[i] * db[j]) % p
     rem = _poly_mod(prod, list(cfg.modulus), p)
     rem += [0] * (r - len(rem))
-    assert cfg.mul[a, b] == _to_int(rem, p)
+    assert cfg.tables[1][a][b] == _to_int(rem, p)
 
 
 def _check_neg(cfg):
     p, r = cfg.p, cfg.r
     for a in range(cfg.q):
-        assert cfg.neg[a] == _to_int([-x % p for x in _digits(a, p, r)], p)
+        assert cfg.tables[2][a] == _to_int([-x % p for x in _digits(a, p, r)], p)
 
 
 @pytest.mark.parametrize('p,r', [f for f in ALL_FIELDS if f[0] ** f[1] <= 64])
@@ -124,46 +126,49 @@ def test_add_mul_against_digit_arithmetic_sampled(p, r):
 def test_field_axioms(p, r):
     cfg = field(p, r)
     q = cfg.q
+    ADD, MUL, NEG, INV = cfg.tables
     rng = np.random.default_rng([41, p, r])
     trips = rng.integers(0, q, size=(120, 3))
     for a, b, c in trips:
-        assert cfg.add[a, b] == cfg.add[b, a]
-        assert cfg.mul[a, b] == cfg.mul[b, a]
-        assert cfg.add[cfg.add[a, b], c] == cfg.add[a, cfg.add[b, c]]
-        assert cfg.mul[cfg.mul[a, b], c] == cfg.mul[a, cfg.mul[b, c]]
-        assert cfg.mul[a, cfg.add[b, c]] == cfg.add[cfg.mul[a, b], cfg.mul[a, c]]
+        assert ADD[a][b] == ADD[b][a]
+        assert MUL[a][b] == MUL[b][a]
+        assert ADD[ADD[a][b]][c] == ADD[a][ADD[b][c]]
+        assert MUL[MUL[a][b]][c] == MUL[a][MUL[b][c]]
+        assert MUL[a][ADD[b][c]] == ADD[MUL[a][b]][MUL[a][c]]
     for a in range(q):
-        assert cfg.add[a, cfg.neg[a]] == 0
-        assert cfg.mul[a, 1] == a
+        assert ADD[a][NEG[a]] == 0
+        assert MUL[a][1] == a
         if a:
-            assert cfg.mul[a, cfg.inv[a]] == 1
-    assert cfg.sub(3 % q, 3 % q) == 0
+            assert MUL[a][INV[a]] == 1
+    assert ADD[3 % q][NEG[3 % q]] == 0
 
 
 @pytest.mark.parametrize('p,r', FIELDS)
 def test_frobenius(p, r):
     cfg = field(p, r)
+    ADD, MUL = cfg.tables[:2]
+    FRB, FRBI = cfg.frobs
     for a in range(cfg.q):
         # a^p by repeated multiplication
         ap = 1
         for _ in range(p):
-            ap = cfg.mul[ap, a]
-        assert cfg.frb[a] == ap
-        assert cfg.frbi[cfg.frb[a]] == a
-        assert cfg.frb[cfg.frbi[a]] == a
+            ap = MUL[ap][a]
+        assert FRB[a] == ap
+        assert FRBI[FRB[a]] == a
+        assert FRB[FRBI[a]] == a
     # order exactly r
     x = np.arange(cfg.q)
     y = x
     for k in range(1, r + 1):
-        y = cfg.frb[y]
+        y = arrays(cfg).frb[y]
         if k < r:
             assert (y != x).any() or cfg.q == p  # proper power moves something
     assert (y == x).all()
     # additive and multiplicative
     rng = np.random.default_rng([42, p, r])
     for a, b in rng.integers(0, cfg.q, size=(60, 2)):
-        assert cfg.frb[cfg.add[a, b]] == cfg.add[cfg.frb[a], cfg.frb[b]]
-        assert cfg.frb[cfg.mul[a, b]] == cfg.mul[cfg.frb[a], cfg.frb[b]]
+        assert FRB[ADD[a][b]] == ADD[FRB[a]][FRB[b]]
+        assert FRB[MUL[a][b]] == MUL[FRB[a]][FRB[b]]
 
 
 @pytest.mark.parametrize('p,r', FIELDS)
@@ -177,7 +182,7 @@ def test_primitive_and_basis(p, r):
         x = 1
         for _ in range(cfg.q - 1):
             seen.add(x)
-            x = cfg.mul[x, prim]
+            x = cfg.tables[1][x][prim]
         assert len(seen) == cfg.q - 1
     basis = cfg.basis()
     assert len(basis) == r
@@ -188,7 +193,7 @@ def test_primitive_and_basis(p, r):
         for v in span:
             acc = v
             for _ in range(p - 1):
-                acc = cfg.add[acc, e]
+                acc = cfg.tables[0][acc][e]
                 new.add(acc)
         span |= new
     assert len(span) == cfg.q
@@ -219,44 +224,42 @@ def test_field_rejects_frobenius_of_wrong_order(monkeypatch):
 
 
 def test_array_validates_field_indices():
+    # polymat.square_rows takes any nested sequence, ndarrays included
     cfg = field(2, 2)
     src = np.array([[0, 3], [2, 1]])[:, ::-1]       # a non-contiguous view
-    a = cfg.array(src)
-    assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
-    assert a.tolist() == [[3, 0], [1, 2]]
-    assert src.flags.writeable                      # a copy: the input is left alone
-    assert cfg.array([]).shape == (0,)
+    a = square_rows(src, cfg, poly=False)
+    assert a == ((3, 0), (1, 2)) and type(a[0][0]) is int
+    rows = [[0, 3], [2, 1]]
+    Z = Bt1Module(cfg, rows, rows)
+    rows[0][0] = 2                  # a datum keeps a copy: the caller's list may change
+    assert Z.fmat == Z.vmat == ((0, 3), (2, 1))
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=r'field indices must lie in \[0, 4\)'):
-            cfg.array([[0, bad]])
+            square_rows([[0, bad], [0, 0]], cfg, poly=False)
     # integer-valued floats are indices; a fraction is refused, not truncated
-    assert cfg.array([[1.0, 3.0]]).tolist() == [[1, 3]]
-    for bad in ([[1.7, 2.2]], [[0.9]], [[3, -0.5]]):
+    assert square_rows(np.array([[1.0, 3.0], [0.0, 2.0]]), cfg, poly=False) == ((1, 3), (0, 2))
+    for bad in ([[1.7, 2.2], [0, 0]], [[0.9]], [[3, -0.5], [0, 0]]):
         with pytest.raises(ValueError, match='field indices must be integers'):
-            cfg.array(bad)
+            square_rows(bad, cfg, poly=False)
     with pytest.raises(ValueError, match='field indices must be integers'):
         Bt1Module(cfg, [[0.9]], [[0]])
-
-
-@pytest.mark.parametrize('name', ['add', 'mul', 'neg', 'inv', 'frb', 'frbi'])
-def test_tables_are_read_only(name):
-    # field() is cached, so one write would change every later lookup
-    table = getattr(field(2, 2), name)
-    with pytest.raises(ValueError, match='read-only'):
-        table[(1,) * table.ndim] = 0
-    assert field(2, 2).mul[1, 1] == 1
+    # a matrix is h rows of h entries: no rows, ragged rows and nested
+    # entries are refused
+    for bad in ([], [[0, 1], [2]], [[0, 1], 2], [[[0], [1]], [[2], [3]]]):
+        with pytest.raises(ValueError, match=r'\(h, h\) array'):
+            Bt1Module(cfg, bad, bad)
 
 
 def test_list_tables_equal_the_arrays():
-    # the kernels read cfg.tables: the same entries, as tuples of ints
+    # numpy builds the tables; the field keeps them once, as the tuples of
+    # ints that the kernels read (cfg.tables, cfg.frobs)
     for p, r in ALL_FIELDS:
         cfg = field(p, r)
         add, mul, neg, inv = cfg.tables
-        assert [list(row) for row in add] == cfg.add.tolist()
-        assert [list(row) for row in mul] == cfg.mul.tolist()
-        assert list(neg) == cfg.neg.tolist() and list(inv) == cfg.inv.tolist()
+        assert len(add) == len(mul[-1]) == len(neg) == len(inv) == cfg.q
         assert type(add) is type(add[0]) is type(mul[-1]) is type(neg) is type(inv) is tuple
         assert type(mul[-1][-1]) is int
+        assert all(type(t) is tuple and len(t) == cfg.q for t in cfg.frobs)
 
 
 def test_field_keeps_its_packings():
@@ -272,7 +275,7 @@ def test_field_keeps_its_packings():
     for k in range(3):
         image = coeffs
         for _ in range(k):
-            image = [int(cfg.frb[e]) for e in image]
+            image = [cfg.frobs[0][e] for e in image]
         assert lay.unpack(lay.frobenius(k)(x)) == image
     for n in range(1, gf.PACKINGS + 5):
         cfg.packing(n, 1)

@@ -44,7 +44,7 @@ def test_fv_is_multiplication_by_t(cfg):
         data = random_filtration_data(P, cfg, seed=seed)
         fmat, vmat = (np.array(m, dtype=np.int64) for m in _operators(data))
         h = P.height
-        t_eye = PM.pm_zeros(h, h, 2)
+        t_eye = np.zeros((h, h, 2), dtype=np.int64)
         t_eye[np.arange(h), np.arange(h), 1] = 1
         fv = PM.pm_trim(PM.pm_mul(fmat, PM.pm_frob(vmat, cfg, 1), cfg))
         vf = PM.pm_trim(PM.pm_mul(vmat, PM.pm_frob(fmat, cfg, -1), cfg))
@@ -65,7 +65,7 @@ def test_lift_rejects_failed_exchange(cfg, monkeypatch, op, coeff):
     def corrupted(d):
         ops = operators(d)
         entry = ops[op][1][2]
-        entry[coeff] = int(cfg.add[entry[coeff], 1])
+        entry[coeff] = cfg.tables[0][entry[coeff]][1]
         return ops
 
     monkeypatch.setattr(lifts, '_operators', corrupted)
@@ -78,7 +78,7 @@ def test_entries_have_degree_at_most_one(cfg):
         P = parse_polygon('2/5x5')
         data = random_filtration_data(P, cfg, seed=seed)
         sh = lift_from_filtration(data)
-        assert PM.pm_trim(sh.amat).shape[2] <= 2
+        assert len(PM.pm_trim(sh.amat)[0][0]) <= 2
 
 
 def test_verify_lift_random(cfg):
@@ -100,8 +100,8 @@ def test_residue_is_graded_module(cfg):
         data = random_filtration_data(P, cfg, seed=seed)
         Z_direct = residue_of_filtration(data)
         Z_lift = bt1_of(lift_from_filtration(data))
-        assert (Z_direct.fmat == Z_lift.fmat).all()
-        assert (Z_direct.vmat == Z_lift.vmat).all()
+        assert Z_direct.fmat == Z_lift.fmat
+        assert Z_direct.vmat == Z_lift.vmat
 
 
 def test_lift_polygon_and_class(cfg):
@@ -200,7 +200,7 @@ def test_twins_land_where_the_dual_step_comes_back(cfg):
                 assert back[t] == (p, not fwd, upto)
                 row = (data.a if fwd else data.b).get(p)
                 twin = (data.d if fwd else data.c).get(t)
-                assert twin == ({k: int(cfg.neg[v]) for k, v in row.items()} if row else None)
+                assert twin == ({k: cfg.tables[2][v] for k, v in row.items()} if row else None)
 
 
 def test_too_many_beginnings_raise_value_error(cfg):

@@ -26,6 +26,7 @@ from pkernels.shtuka.core import LocalShtuka, random_unimodular
 from pkernels.shtuka import reduction
 from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
+from conftest import arrays
 from test_kernels import FIELDS, _series_inv_lists
 from test_polymat import _valuation
 
@@ -49,17 +50,18 @@ def _span(rows, h, cfg):
     for coeffs in itertools.product(range(cfg.q), repeat=len(rows)):
         v = np.zeros(h, dtype=np.int64)
         for c, r in zip(coeffs, rows):
-            v = cfg.add[v, cfg.mul[c, r]]
+            v = arrays(cfg).add[v, arrays(cfg).mul[c, r]]
         out.add(tuple(int(e) for e in v))
     return out
 
 
 def _matvec(mat, x, cfg):
+    ADD, MUL = cfg.tables[:2]
     out = []
     for row in mat:
         acc = 0
         for a, b in zip(row, x):
-            acc = cfg.add[acc, cfg.mul[a, b]]
+            acc = ADD[acc][MUL[a][b]]
         out.append(int(acc))
     return tuple(out)
 
@@ -85,7 +87,7 @@ def test_preimages_match_brute_force(p, r):
                 span_u = _span(u, h, cfg)
                 Z = Bt1Module(cfg, f, v)
                 cases = [
-                    (v_preimage(Z, u), lambda x: _matvec(v, cfg.frbi[x], cfg) in span_u),
+                    (v_preimage(Z, u), lambda x: _matvec(v, arrays(cfg).frbi[x], cfg) in span_u),
                     (bt1._image_preimage(f.tolist(), (), cfg)[1],
                      lambda x: not any(_matvec(f, x, cfg))),
                 ]
@@ -105,15 +107,15 @@ def test_preimage_of_dependent_rows(cfg):
 
 def test_bt1_of_diag_t_1(cfg):
     Z = bt1_of(shtuka_from_element(Element((1, 0), (1, 2)), cfg))
-    assert Z.fmat.tolist() == [[0, 0], [0, 1]]
-    assert Z.vmat.tolist() == [[1, 0], [0, 0]]
+    assert Z.fmat == ((0, 0), (0, 1))
+    assert Z.vmat == ((1, 0), (0, 0))
     assert Z.dimension == 1
 
 
 def test_bt1_of_omega(cfg):
     Z = bt1_of(shtuka_from_element(affine.omega(2), cfg))
-    assert Z.fmat.tolist() == [[0, 1], [0, 0]]
-    assert Z.vmat.tolist() == [[0, 1], [0, 0]]
+    assert Z.fmat == ((0, 1), (0, 0))
+    assert Z.vmat == ((0, 1), (0, 0))
 
 
 def test_bt1_routes_agree():
@@ -132,11 +134,12 @@ def test_bt1_routes_agree():
                     u2 = np.array(random_unimodular(h, cfg, 2, rng))
                     mu = np.diag([1] * d + [0] * (h - d))
                     want = K.gf_matmul(
-                        K.gf_matmul(PM.gf_mat_inv(u2[:, :, 0], cfg), mu, cfg),
-                        PM.gf_mat_inv(u1[:, :, 0], cfg), cfg)
+                        K.gf_matmul(np.array(PM.gf_mat_inv(u2[:, :, 0], cfg)), mu, cfg),
+                        np.array(PM.gf_mat_inv(u1[:, :, 0], cfg)), cfg)
                     Z = bt1_of(sh)
-                    assert np.array_equal(Z.fmat, sh.amat[:, :, 0])
-                    assert np.array_equal(cfg.frb[Z.vmat], want), (p, r, h, d, seed)
+                    assert np.array_equal(Z.fmat, np.array(sh.amat)[:, :, 0])
+                    assert np.array_equal(arrays(cfg).frb[np.array(Z.vmat)], want), \
+                        (p, r, h, d, seed)
                     assert sh.dimension == d
 
 
@@ -219,7 +222,7 @@ def test_shtuka_from_element_rejects_shift(cfg, monkeypatch):
 def test_bt1_dimension_zero(cfg):
     Z = bt1_of(shtuka_from_element(affine.identity(3), cfg))
     assert Z.dimension == 0
-    assert not Z.vmat.any()
+    assert not any(map(any, Z.vmat))
 
 
 def test_bt1_semilinear_twist(cfg):
@@ -227,15 +230,15 @@ def test_bt1_semilinear_twist(cfg):
     for hd in (HodgeDatum(3, 1), HodgeDatum(4, 2)):
         sh = sample_shtuka(hd, cfg, seed=42)
         Z = bt1_of(sh)
-        a0 = PM.pm_coeff(sh.amat, 0)
-        a1 = PM.pm_coeff(sh.amat, 1)
-        v = cfg.frb[Z.vmat]
+        a0 = np.array(PM.pm_coeff(sh.amat, 0))
+        a1 = np.array(PM.pm_coeff(sh.amat, 1))
+        v = arrays(cfg).frb[np.array(Z.vmat)]
         # coefficient 0 of A·sigma(V) vanishes
         assert not K.gf_matmul(a0, v, cfg).any()
         # coefficient 1 is A1·sigma(V) + A0·X1 = I for some X1: every
         # column of I - A1·sigma(V) lies in im A0
         c1 = K.gf_matmul(a1, v, cfg)
-        rest = cfg.sub(np.eye(hd.height, dtype=np.int64), c1)
+        rest = arrays(cfg).add[np.eye(hd.height, dtype=np.int64), arrays(cfg).neg[c1]]
         im_a0 = space_rows(a0.T.tolist(), cfg)
         assert len(space_rows(im_a0 + tuple(rest.T.tolist()), cfg)) == len(im_a0)
         assert Z.dimension == sh.dimension == hd.dimension
@@ -244,8 +247,8 @@ def test_bt1_semilinear_twist(cfg):
 def test_graded_bt1_from_beginning(cfg):
     B = cochar_to_beginning((0, 1), 1, 1)
     Z = graded_bt1_from_beginning(B, cfg)
-    assert Z.fmat.tolist() == [[0, 0], [1, 0]]
-    assert Z.vmat.tolist() == [[0, 0], [1, 0]]
+    assert Z.fmat == ((0, 0), (1, 0))
+    assert Z.vmat == ((0, 0), (1, 0))
     # all beginnings of all blocks build valid modules
     for n, m in ((1, 2), (2, 1), (2, 3), (3, 1)):
         for lam in enumerate_cochar_block(n, m):
@@ -262,7 +265,7 @@ def test_canonical_filtration_is_flag(cfg):
         Z = bt1_of(sh)
         flag, sig = canonical_filtration(Z)
         dims = [len(f) for f in flag]
-        assert dims[0] == 0 and dims[-1] == Z.fmat.shape[0]
+        assert dims[0] == 0 and dims[-1] == len(Z.fmat)
         assert dims == sorted(dims)
         assert len(sig) == len(flag)
         assert all(s[0] == d for s, d in zip(sig, dims))
@@ -408,7 +411,8 @@ def _list_reference_polygon(sh):
     b = a
     for k in range(1, cfg.r):
         b = PM.pm_truncate(PM.pm_mul(b, PM.pm_frob(a, cfg, k), cfg), n)
-    cp = _charpoly_lists(b, n, cfg.add, cfg.mul, cfg.neg, cfg.inv)
+    t = arrays(cfg)
+    cp = _charpoly_lists(np.array(b), n, t.add, t.mul, t.neg, t.inv)
     return _polygon_of_valuations([_valuation(c) for c in cp], cfg.r)
 
 
@@ -538,7 +542,7 @@ def test_iwahori_class_invariance(cfg, cfg1, h):
 
 
 def test_iwahori_class_singular(cfg):
-    a = PM.pm_zeros(2, 2, 3)
+    a = np.zeros((2, 2, 3), dtype=np.int64)
     a[0, 0, 1] = 1   # rank 1
     with pytest.raises(ValueError):
         iwahori_class_of(a, cfg)
@@ -549,7 +553,7 @@ def test_entries_outside_the_field_are_rejected(bad):
     # over F_4 a table lookup would read -1 as element 3 (a negative
     # index wraps) and raise IndexError on 4: all three inputs reject both
     cfg = field(2, 2)
-    amat, _ = PM.pm_from_element(Element((0, 1), (1, 2)))     # diag(1, t)
+    amat = np.array(PM.pm_from_element(Element((0, 1), (1, 2)))[0])     # diag(1, t)
     amat[0, 1, 0] = bad
     with pytest.raises(ValueError, match='field indices'):
         LocalShtuka(cfg, amat)
@@ -562,16 +566,21 @@ def test_entries_outside_the_field_are_rejected(bad):
             Bt1Module(cfg, fmat, vmat)
 
 
-@pytest.mark.parametrize('shape', [(2, 2), (2, 3, 2), (2, 3, 1), (2, 2, 0), (2, 2, 1, 1)])
+@pytest.mark.parametrize('shape', [(2, 2), (2, 3, 2), (2, 3, 1), (2, 2, 0), (2, 2, 1, 1),
+                                   [[(1,), (1,)], [(1,)]], [[(1,), (1, 1)], [(1,), (1,)]]])
 def test_data_that_are_no_square_tensors_are_rejected(shape):
-    # a matrix datum is an (h, h, D) tensor with D >= 1; anything else
-    # used to fail later, or be called singular
+    # a matrix datum is an (h, h, D) tensor with D >= 1, h rows of h
+    # coefficient sequences of one length D; anything else used to fail
+    # later, or be called singular.  The last two are ragged lists: a
+    # short row, and an entry with one coefficient too many
     cfg = field(2, 2)
-    amat = np.ones(shape, dtype=np.int64)
-    with pytest.raises(ValueError, match=r'\(h, h, D\) tensor.*shape \(%s' % shape[0]):
+    amat = np.ones(shape, dtype=np.int64) if isinstance(shape, tuple) else shape
+    with pytest.raises(ValueError, match=r'\(h, h, D\) tensor.*shape \(2'):
         LocalShtuka(cfg, amat)
-    with pytest.raises(ValueError, match=r'\(h, h, D\) tensor.*shape \(%s' % shape[0]):
+    with pytest.raises(ValueError, match=r'\(h, h, D\) tensor.*shape \(2'):
         iwahori_class_of(amat, cfg)
+    with pytest.raises(ValueError, match=r'\(h, h, D\) tensor.*shape \(2'):
+        reduction.lattice_key(amat, cfg, 1)
 
 
 def _iwahori_class_numpy(amat, cfg, shift=0, expected_vdet=None):
@@ -586,8 +595,9 @@ def _iwahori_class_numpy(amat, cfg, shift=0, expected_vdet=None):
         if vdet is None:
             raise ValueError('singular matrix')
     n = vdet + 1
-    a = PM.pm_pad(PM.pm_truncate(a, n), n)
-    tables = cfg.add.tolist(), cfg.mul.tolist(), cfg.neg.tolist(), cfg.inv.tolist()
+    a = a[:, :, :n]
+    a = np.pad(a, ((0, 0), (0, 0), (0, n - a.shape[2])))
+    tables = cfg.tables
     perm = [None] * h
     lam = [None] * h
     for _ in range(h):
@@ -601,8 +611,9 @@ def _iwahori_class_numpy(amat, cfg, shift=0, expected_vdet=None):
         # c = a[:, j0] / a[i0, j0]: the column shifted down by t^best, times
         # the inverse of the pivot's unit
         uinv = np.array(_series_inv_lists(a[i0, j0, best:].tolist(), n, *tables), dtype=np.int64)
-        c = PM.pm_mul(a[:, j0:j0 + 1, best:], uinv[None, None, :], cfg)[:, :, :n]
-        a = cfg.add[a, cfg.neg[PM.pm_mul(c, a[i0:i0 + 1], cfg)[:, :, :n]]]
+        c = np.array(PM.pm_mul(a[:, j0:j0 + 1, best:], uinv[None, None, :], cfg))[:, :, :n]
+        cr = np.array(PM.pm_mul(c, a[i0:i0 + 1], cfg))[:, :, :n]
+        a = arrays(cfg).add[a, arrays(cfg).neg[cr]]
         perm[j0] = i0 + 1
         lam[i0] = best
     if sum(lam) != vdet:
@@ -621,7 +632,7 @@ def _reduce_both(m, cfg, shift=0, vdet=None):
         got = iwahori_class_of(m, cfg, shift=shift, expected_vdet=vdet)
     except ValueError:
         got = None
-    assert got == want, (m.tolist(), shift, vdet)
+    assert got == want, (np.asarray(m).tolist(), shift, vdet)
     return got
 
 
@@ -650,9 +661,12 @@ def test_packed_reduction_matches_numpy_reference(p, r):
             assert _reduce_both(sh.amat, cfg) == got
             if d:
                 assert _reduce_both(sh.amat, cfg, 0, d - 1) is None
-            # rank at most h - 1: a product through h - 1 columns
-            low = PM.pm_mul(rng.integers(0, cfg.q, size=(h, h - 1, 2)),
-                            rng.integers(0, cfg.q, size=(h - 1, h, 2)), cfg)
+            # rank at most h - 1: a product through h - 1 columns; at h = 1
+            # the (1, 1, 3) zero matrix it is, since rows cannot carry the
+            # shape of a factor with no columns
+            f = rng.integers(0, cfg.q, size=(h, h - 1, 2))
+            g = rng.integers(0, cfg.q, size=(h - 1, h, 2))
+            low = PM.pm_mul(f, g, cfg) if h > 1 else np.zeros((1, 1, 3), dtype=np.int64)
             for vdet in (None, 0, d, 2 * h):
                 assert _reduce_both(low, cfg, 0, vdet) is None
 
@@ -737,7 +751,7 @@ def test_orbit_size_limit(cfg1):
 
 
 def _eye(h, deg1):
-    g = PM.pm_zeros(h, h, deg1)
+    g = np.zeros((h, h, deg1), dtype=np.int64)
     g[np.arange(h), np.arange(h), 0] = 1
     return g
 
@@ -765,7 +779,7 @@ def _elementary_generators(h, cfg, depth):
         for a in range(1, depth + 1):
             for c in basis:
                 g = _eye(h, a + 1)
-                g[i, i, a] = cfg.add[g[i, i, a], c]
+                g[i, i, a] = cfg.tables[0][g[i, i, a]][c]
                 gens.append(g)
     return gens
 
@@ -781,7 +795,7 @@ def test_row_op_generators_match_matrix_products(pr):
         m = rng.integers(0, cfg.q, size=(h, h, n), dtype=np.int64)
         cols = reduction._columns(m, n)
         for gen, g in zip(gens, mats):
-            want = PM.pm_pad(PM.pm_truncate(PM.pm_mul(g, m, cfg), n), n)
+            want = PM.pm_truncate(PM.pm_mul(g, m, cfg), n)
             assert reduction._row_op(cols, gen, n, cfg) == reduction._columns(want, n), gen
         assert reduction._columns(m, n) == cols      # the input is not written into
 
@@ -802,7 +816,8 @@ def test_nested_keys_match_one_rref_per_lattice(pr):
             x = Element(tuple(int(v) for v in rng.integers(0, n, size=h)),
                         tuple(int(v) + 1 for v in rng.permutation(h)))
             m = PM.pm_mul(random_iwahori(h, cfg, n, rng), PM.pm_from_element(x)[0], cfg)
-        a = PM.pm_pad(PM.pm_truncate(m, n), n)
+        a = np.array(PM.pm_truncate(m, n))
+        a = np.pad(a, ((0, 0), (0, 0), (0, n - a.shape[2])))
         want = []
         for j in range(h):
             span = [[0] * (h * n)]
@@ -813,7 +828,8 @@ def test_nested_keys_match_one_rref_per_lattice(pr):
                     span.append(shifted.ravel().tolist())
             red, rank = K.gf_rref(np.array(span, dtype=np.int64), cfg)
             want.append(red[:rank].tobytes())
-        parts = [np.frombuffer(k, dtype=np.int64).reshape(-1, h * n)
+        # one byte per entry
+        parts = [np.frombuffer(k, dtype=np.uint8).astype(np.int64).reshape(-1, h * n)
                  for k in reduction.lattice_key(m, cfg, n)]
         for j in range(h):
             stacked = np.vstack([np.zeros((1, h * n), dtype=np.int64)] + parts[j:])
@@ -834,7 +850,7 @@ def test_orbit_size_rejects_start_without_t_n(cfg1, monkeypatch):
     # diag(t^2, 1) mod t does not contain t·O^2: keys mod t are not exact
     x = Element((2, 0), (1, 2))
     m, s = PM.pm_from_element(x)
-    monkeypatch.setattr(PM, 'pm_from_element', lambda _: (m[:, :, :1], s))
+    monkeypatch.setattr(PM, 'pm_from_element', lambda _: (PM.pm_truncate(m, 1), s))
     with pytest.raises(ValueError, match='does not contain'):
         iwahori_orbit_size(x, cfg1)
 
@@ -845,8 +861,8 @@ def test_sample_shtuka_deterministic(cfg):
     a = sample_shtuka(HodgeDatum(3, 1), cfg, seed=5)
     b = sample_shtuka(HodgeDatum(3, 1), cfg, seed=5)
     c = sample_shtuka(HodgeDatum(3, 1), cfg, seed=6)
-    assert (a.amat == b.amat).all()
-    assert not (a.amat.shape == c.amat.shape and (a.amat == c.amat).all())
+    assert a.amat == b.amat
+    assert a.amat != c.amat
 
 
 def _two_product_sample(hd, cfg, seed, deg=2):
@@ -867,7 +883,7 @@ def _two_product_sample(hd, cfg, seed, deg=2):
         u[:, :, 0] = c0
         u[:, :, 1:] = rng.integers(0, cfg.q, size=(h, h, deg - 1), dtype=np.int64)
         units.append(u)
-    mid = PM.pm_zeros(h, h, 2)
+    mid = np.zeros((h, h, 2), dtype=np.int64)
     for i in range(h):
         mid[i, i, 1 if i < d else 0] = 1
     return PM.pm_trim(PM.pm_mul(PM.pm_mul(units[0], mid, cfg), units[1], cfg))
@@ -882,7 +898,7 @@ def test_sample_shtuka_matches_two_product_reference():
                     s = [91, p, r, h, d, seed]
                     got = sample_shtuka(HodgeDatum(h, d), cfg, seed=s).amat
                     want = _two_product_sample(HodgeDatum(h, d), cfg, s)
-                    assert got.shape == want.shape and (got == want).all(), s
+                    assert got == want, s
 
 
 @pytest.mark.parametrize('deg', [0, -3])
@@ -952,3 +968,47 @@ def test_consistency_suite(cfg):
     assert rep['ok']
     assert rep['checks']['reference_fixed_points'] == {'pass': 2, 'of': 2}
     assert sum(rep['eo_counts'].values()) == 6
+
+
+# --------------------------------------------------------- one form
+
+def _numpy_objects(obj, path='out', seen=None):
+    """The paths of every numpy array or scalar reachable from obj through
+    containers and stored attributes (cached properties included)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or callable(obj) and not hasattr(obj, '__dataclass_fields__'):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return [path]
+    if isinstance(obj, dict):
+        items = [(path + '[%r]' % (k,), v) for k, v in obj.items()]
+        items += [(path + '.key', k) for k in obj]
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        items = [(path + '[%d]' % i, v) for i, v in enumerate(obj)]
+    else:
+        items = [(path + '.' + k, v) for k, v in getattr(obj, '__dict__', {}).items()]
+    return [p for sub, v in items for p in _numpy_objects(v, sub, seen)]
+
+
+def test_oracle_returns_and_stores_no_numpy_objects(cfg):
+    # every entry point of the matrix oracle hands back, and keeps, the
+    # one matrix form: tuples of Python ints, never an ndarray or a numpy
+    # scalar, also where its input was drawn with numpy
+    from pkernels.shtuka import lift_from_filtration, random_filtration_data
+    hd = HodgeDatum(4, 2)
+    sh = sample_shtuka(hd, cfg, seed=1)
+    Z = bt1_of(sh)
+    outputs = {'datum': sh, 'module': Z, 'class': eo_classify(Z, 2),
+               'polygon': newton_polygon_of(sh)}
+    rng = np.random.default_rng(2)
+    i1 = random_iwahori(4, cfg, 2, rng)
+    m = PM.pm_mul(PM.pm_mul(i1, sh.amat, cfg), random_iwahori(4, cfg, 2, rng), cfg)
+    outputs.update(iwahori=i1, product=m, reduced=iwahori_class_of(m, cfg),
+                   inverse=PM.pm_inv_mod(i1, 3, cfg), charpoly=PM.pm_char_poly(m, cfg),
+                   monomial=PM.pm_from_element(Element((1, 0, -1), (2, 3, 1))),
+                   key=reduction.lattice_key(m, cfg, 3),
+                   lift=lift_from_filtration(random_filtration_data(
+                       parse_polygon('1/2x2,0'), cfg, seed=0)))
+    assert _numpy_objects(outputs) == []
+    assert _numpy_objects({'a': [np.int64(1)]}) == ["out['a'][0]"]     # the walk sees them
