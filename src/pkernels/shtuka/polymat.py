@@ -9,9 +9,9 @@ callers via an explicit power of t shift.  Exact arithmetic throughout:
 products grow degree, truncation is explicit.
 
 Work over O/t^n runs on packed series (_kernels.Packing); pack_matrix
-packs a matrix at the boundary.  pm_char_poly (whose coefficient of X^0
-is (-1)^h·det) is _kernels.charpoly, whose docstring gives the
-algorithm, and pm_inv_mod runs Newton's iteration on packed matrices.
+packs a matrix at the boundary.  pm_char_poly (its coefficient of X^0
+is (-1)^h·det) is _kernels.charpoly, and pm_inv_mod runs Newton's
+iteration on packed matrices.
 """
 
 from itertools import chain
@@ -58,22 +58,25 @@ def _field_bytes(flat, q) -> bytes:
 
 def square_rows(a, cfg: FieldConfig, poly: bool) -> tuple:
     """a, any nested sequence, as a new polynomial matrix (poly) or
-    constant matrix (the caller's kind) of the module's form.  ValueError unless it is h >= 1
-    rows of h entries, each (poly) D >= 1 coefficients with one D for all,
-    and every entry or coefficient a field index of cfg."""
-    shape = _shape(a)
-    h, d = (shape[0], shape[-1]) if shape else (0, 0)
-    square = len(shape) == 2 + poly and shape[1] == h >= 1 and d >= 1
+    constant matrix of the module's form, the kind its caller needs.
+    ValueError unless it is h >= 1 rows of h entries, each (poly) D >= 1
+    coefficients with one D for all, every one a field index of cfg."""
     try:
-        entries = list(chain.from_iterable(a)) if poly and square else a
-        ragged = not square or set(map(len, a)) != {h} or set(map(len, entries)) != {d}
-    except TypeError:                   # a row or an entry that is no sequence
-        ragged = True
-    if ragged:
+        h = len(a)
+        entries = list(chain.from_iterable(a)) if poly else a
+        d = len(entries[0]) if poly else h
+        flat = list(chain.from_iterable(entries))
+        regular = (h >= 1 and d >= 1 and set(map(len, a)) == {h}
+                   and set(map(len, entries)) == {d} and not hasattr(flat[0], '__len__'))
+    except (TypeError, IndexError):     # empty, or a row or entry is no sequence
+        regular = False
+    if not regular:
+        shape = _shape(a)
+        square = len(shape) == 2 + poly and shape[1] == shape[0] >= 1 and shape[-1] >= 1
         what = ('matrix datum must be an (h, h, D) tensor with D >= 1' if poly
                 else 'constant matrix must be an (h, h) array, h >= 1')
         raise ValueError('a %s, got shape %s%s' % (what, shape, ' with ragged rows' * square))
-    data = _field_bytes(list(chain.from_iterable(entries)), cfg.q)
+    data = _field_bytes(flat, cfg.q)
     return _blocks(_blocks(data, d), h) if poly else _blocks(data, h)
 
 

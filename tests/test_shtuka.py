@@ -551,7 +551,7 @@ def test_iwahori_class_singular(cfg):
 @pytest.mark.parametrize('bad', [-1, 4])
 def test_entries_outside_the_field_are_rejected(bad):
     # over F_4 a table lookup would read -1 as element 3 (a negative
-    # index wraps) and raise IndexError on 4: all three inputs reject both
+    # index wraps) and raise IndexError on 4: all four inputs reject both
     cfg = field(2, 2)
     amat = np.array(PM.pm_from_element(Element((0, 1), (1, 2)))[0])     # diag(1, t)
     amat[0, 1, 0] = bad
@@ -559,6 +559,8 @@ def test_entries_outside_the_field_are_rejected(bad):
         LocalShtuka(cfg, amat)
     with pytest.raises(ValueError, match='field indices'):
         iwahori_class_of(amat, cfg)
+    with pytest.raises(ValueError, match='field indices'):
+        reduction.lattice_key(amat, cfg, 2)
     one, f = np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64)
     f[0, 1] = bad
     for fmat, vmat in ((f, one), (one, f)):
