@@ -115,22 +115,6 @@ class FieldConfig:
             lay = self._packings[key] = Packing(self, n, terms)
         return lay
 
-    def primitive(self) -> int:
-        """Smallest multiplicative generator (0 for the trivial group)."""
-        n, MUL = self.q - 1, self.tables[1]
-        if n == 1:
-            return 0
-        for g in range(2, self.q):
-            acc, seen = 1, 0
-            for _ in range(n):
-                acc = MUL[acc][g]
-                seen += 1
-                if acc == 1:
-                    break
-            if seen == n:
-                return g
-        raise RuntimeError('no generator found')
-
     def basis(self) -> tuple:
         """An F_p-basis of the field: the power-basis monomials."""
         return tuple(self.p ** i for i in range(self.r))

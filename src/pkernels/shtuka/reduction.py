@@ -48,23 +48,42 @@ m·Lambda_j contains t^N O^h with N = max(lam)+s+1.  Every g in
 I ⊂ GL_h(O) preserves t^N O^h, so each lattice of the orbit contains it
 as well and is determined by its image S_j in (O/t^N)^h, the F_q-span of
 t^k·c over the columns c of m·Lambda_j, of rank h·N - v(det m) - j:
-working mod t^N is exact.  A generator 1 + c·t^a·E_ij with a >= N fixes
-every such lattice, so generators of depth <= N-1 give the whole action
-of I.  A matrix is a list of its columns, each flat over (row,
-coefficient), and a generator the row operation row_i += c·t^a·row_j
-mod t^N.  Lambda_j ⊃ Lambda_{j+1}, so S_j = S_{j+1} + <col_{h-j-1}>,
-and the key of a coset is built from the rows that each S_j adds: the
-rref rows of S_{h-1} (one rref), then for j = h-2, ..., 0 the residue
-of col_{h-j-1} modulo the rows so far, zero at their pivots and scaled
-to lead with 1, or no row when the column adds nothing.  Each row is
-zero at the pivots of the rows before it, so the rows restricted to
-their pivots are unitriangular, the vectors of S_j zero at every pivot
-of S_{j+1} form a complement of S_{j+1}, and that residue is unique.
-The parts are therefore a function of the lattice chain, and the parts
-j' >= j span S_j, so they tell cosets apart.  In an orbit count S_{h-1}
-has rank h·N - v(det m) - h + 1 and each later column adds exactly one
-row.  A generator product that changes no column of m is the coset of
-m and gets no key.
+working mod t^N is exact, and I acts through I mod t^N.  The affine root
+subgroups 1 + c·t^a·E_ij (i < j, or i > j and a >= 1) alone reach the orbit:
+
+1. Iwahori factorisation, I = U^-(tO)·T(O)·U^+(O) (Iwahori–Matsumoto
+   1965), writes g in I as u·tau, u in the group U of the positive root
+   subgroups and tau in T(O).  x is monomial, so x^{-1}·tau·x is in T(O)
+   ⊂ I and g·xI = u·xI: the I-orbit of xI is its U-orbit.
+2. For h >= 3 the Chevalley commutator [1 + u·t^a·E_ik, 1 + v·t^b·E_kj]
+   = 1 + uv·t^(a+b)·E_ij, i, k, j distinct (Steinberg, Lectures on
+   Chevalley groups, §3), builds every positive root subgroup mod t^N
+   from the simple ones, (i, i+1, 0) and (h-1, 0, 1), by induction on
+   the height a·h + j - i of (i, j, a): additive, positive exactly on
+   the positive roots, and 1 exactly on the simple ones.  At height
+   H >= 2, (i, j, a) = (i, k, b) + (k, j, a-b), both positive and lower,
+   with b least and k = i+1 mod h (height 1), or k = i+2 mod h (height
+   2, and H > h) when j = i+1 mod h.  u = 1 gives the basis coefficients
+   and (1 + c·X)(1 + c'·X) = 1 + (c + c')·X their sums.  h = 2 has no
+   third index: every positive root of depth < N is a generator.
+3. I mod t^N is finite, so a generator's inverse is a power of it: the
+   products of the generators alone reach the whole orbit.
+
+A matrix is a list of its columns, each flat over (row, coefficient),
+and a generator the row operation row_i += c·t^a·row_j mod t^N.
+Lambda_j ⊃ Lambda_{j+1}, so S_j = S_{j+1} + <col_{h-j-1}>, and the key
+of a coset is built from the rows that each S_j adds: the rref rows of
+S_{h-1} (one rref), then for j = h-2, ..., 0 the residue of col_{h-j-1}
+modulo the rows so far, zero at their pivots and scaled to lead with 1,
+or no row when the column adds nothing.  Each row is zero at the pivots
+of the rows before it, so the rows restricted to their pivots are
+unitriangular, the vectors of S_j zero at every pivot of S_{j+1} form a
+complement of S_{j+1}, and that residue is unique.  The parts are
+therefore a function of the lattice chain, and the parts j' >= j span
+S_j, so they tell cosets apart.  In an orbit count S_{h-1} has rank
+h·N - v(det m) - h + 1 and each later column adds exactly one row.  A
+generator product that changes no column of m is the coset of m and
+gets no key.
 """
 
 import functools
@@ -161,10 +180,8 @@ def _shifts(h, n):
 
 
 def _key_rows(cols, h, n, cfg):
-    """The rows that each S_j adds, j = h-1, ..., 0 (module docstring):
-    first the rref rows of S_{h-1}, then for each further column its
-    residue modulo the rows so far, as a list of one row, or of none when
-    the column adds nothing."""
+    """The rows that each S_j adds, j = h-1, ..., 0 (module docstring), a
+    list per part: the rref of S_{h-1}, then one residue row or none."""
     padded = [col + [0] for col in cols]
     rows = [cols[0]]
     for shift in _shifts(h, n):
@@ -196,26 +213,25 @@ def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
     """Key of the coset m·I: for j = 0, ..., h-1 the rows that S_j mod t^n
     adds to S_{j+1} (module docstring; S_h = 0, so part h-1 is the rref of
     S_{h-1}), as the bytes of its rows, one byte per entry.  The parts
-    j' >= j span S_j; exact when t^n O^h ⊂ m·Lambda_j.  ValueError as for
-    iwahori_class_of on an m that polymat.square_rows refuses."""
+    j' >= j span S_j; exact when t^n O^h ⊂ m·Lambda_j.  ValueError for
+    n < 1 and for an m that polymat.square_rows refuses."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError('key precision must be at least 1, got %d' % n)
     m = PM.square_rows(m, cfg, poly=True)
     return tuple(b''.join(map(bytes, rows))
                  for rows in _key_rows(_columns(m, n), len(m), n, cfg))[::-1]
 
 
 def _generators(h, cfg, depth):
-    """Generators (i, j, a, c) = 1 + c·t^a·E_ij of I mod t^(depth+1), c
-    over an additive basis, and the primitive element (c = prim - 1)."""
-    ADD, _, NEG = cfg.tables[:3]
-    basis = cfg.basis()
-    gens = [(i, j, a, c) for i in range(h) for j in range(h) if i != j
-            for a in range(0 if i < j else 1, depth + 1) for c in basis]
-    prim = cfg.primitive()
-    for i in range(h):
-        if prim:
-            gens.append((i, i, 0, ADD[prim][NEG[1]]))
-        gens += [(i, i, a, c) for a in range(1, depth + 1) for c in basis]
-    return gens
+    """Root subgroups (i, j, a, c) = 1 + c·t^a·E_ij, c over cfg.basis(),
+    that reach every coset of an I-orbit mod t^(depth+1) (module docstring)."""
+    if h >= 3:
+        roots = [(i, i + 1, 0) for i in range(h - 1)] + [(h - 1, 0, 1)] * (depth >= 1)
+    else:
+        roots = [(i, j, a) for i in range(h) for j in range(h) if i != j
+                 for a in range(0 if i < j else 1, depth + 1)]
+    return [(i, j, a, c) for i, j, a in roots for c in cfg.basis()]
 
 
 def _row_op(cols, gen, n, cfg):
@@ -234,11 +250,9 @@ def _row_op(cols, gen, n, cfg):
 
 def iwahori_orbit_size(x: Element, cfg: FieldConfig, limit: int = 1 << 22) -> int:
     """[I : I ∩ x I x^{-1}], the size of the orbit of xI in G/I under I,
-    counted mod t^N (module docstring).  A generator product that shares
-    every column with its factor is that coset again and gets no key.
-    ValueError if a key's rank shows a lattice that does not contain
-    t^N O^h, or if limit is below one; ResourceLimitError once the orbit
-    has more than limit cosets."""
+    counted mod t^N (module docstring).  ValueError if a key's rank shows
+    a lattice that does not contain t^N O^h, or if limit is below one;
+    ResourceLimitError once the orbit has more than limit cosets."""
     limit = operator.index(limit)
     if limit < 1:
         raise ValueError('orbit limit must be at least 1, got %d' % limit)

@@ -173,17 +173,8 @@ def test_frobenius(p, r):
 
 @pytest.mark.parametrize('p,r', FIELDS)
 def test_primitive_and_basis(p, r):
+    # the orbit count's generators take their coefficients from basis()
     cfg = field(p, r)
-    prim = cfg.primitive()
-    if cfg.q == 2:
-        assert prim == 0
-    else:
-        seen = set()
-        x = 1
-        for _ in range(cfg.q - 1):
-            seen.add(x)
-            x = cfg.tables[1][x][prim]
-        assert len(seen) == cfg.q - 1
     basis = cfg.basis()
     assert len(basis) == r
     # spans the additive group

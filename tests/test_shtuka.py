@@ -691,6 +691,7 @@ def test_orbit_size_is_q_to_length(cfg1):
         assert want == 2 ** affine.length(x)
 
 
+ORBIT_SET_CAP = 9           # l <= 3 over F_2, l <= 2 over F_3, l <= 1 over F_4: about 1.5 s
 ORBIT_CASES = [((1, 0), (1, 2)), ((0, 0, 1), (3, 1, 2)), ((1, 0, 0), (1, 2, 3)),
                ((0, 1, -1), (2, 1, 3)), ((1, -1, 0), (1, 3, 2)), ((1, 1, 0), (1, 3, 2))]
 
@@ -704,7 +705,7 @@ def test_orbit_size_q4():
 
 
 def test_orbit_size_q3():
-    # and over F_3, where a diagonal generator scales a row by 2
+    # and over F_3, where the coefficient 2 of a root subgroup is a product of two 1s
     cfg = field(3, 1)
     for lam, perm in ORBIT_CASES:
         x = Element(lam, perm)
@@ -752,6 +753,19 @@ def test_orbit_size_limit(cfg1):
         iwahori_orbit_size(one, cfg1, limit=1.5)
 
 
+def test_lattice_key_refuses_a_precision_below_one():
+    # a negative n would slice the columns from their end, and n = 0
+    # would key every matrix by empty parts
+    cfg = field(2, 1)
+    m = PM.pm_from_element(Element((1, 0), (2, 1)))[0]
+    assert len(reduction.lattice_key(m, cfg, 1)) == 2
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match='at least 1'):
+            reduction.lattice_key(m, cfg, bad)
+    with pytest.raises(TypeError):
+        reduction.lattice_key(m, cfg, 2.0)
+
+
 def _eye(h, deg1):
     g = np.zeros((h, h, deg1), dtype=np.int64)
     g[np.arange(h), np.arange(h), 0] = 1
@@ -759,30 +773,21 @@ def _eye(h, deg1):
 
 
 def _elementary_generators(h, cfg, depth):
-    # the generators of I mod t^(depth+1) as elementary matrices, in the
-    # order and with the entries the orbit count used before row operations
+    # the orbit count's generators as elementary matrices 1 + c·t^a·E_ij,
+    # in its order, c over the additive basis: for h >= 3 the simple
+    # affine roots, for h = 2 every positive affine root of depth <= depth
+    if h >= 3:
+        roots = [(i, i + 1, 0) for i in range(h - 1)] + [(h - 1, 0, 1)][:depth]
+    elif h == 2:
+        roots = [(0, 1, a) for a in range(depth + 1)] + [(1, 0, a) for a in range(1, depth + 1)]
+    else:
+        roots = []
     gens = []
-    basis = cfg.basis()
-    for i in range(h):
-        for j in range(h):
-            if i == j:
-                continue
-            for a in range(0 if i < j else 1, depth + 1):
-                for c in basis:
-                    g = _eye(h, a + 1)
-                    g[i, j, a] = c
-                    gens.append(g)
-    prim = cfg.primitive()
-    for i in range(h):
-        if prim:
-            g = _eye(h, 1)
-            g[i, i, 0] = prim
+    for i, j, a in roots:
+        for c in cfg.basis():
+            g = _eye(h, a + 1)
+            g[i, j, a] = c
             gens.append(g)
-        for a in range(1, depth + 1):
-            for c in basis:
-                g = _eye(h, a + 1)
-                g[i, i, a] = cfg.tables[0][g[i, i, a]][c]
-                gens.append(g)
     return gens
 
 
@@ -790,7 +795,7 @@ def _elementary_generators(h, cfg, depth):
 def test_row_op_generators_match_matrix_products(pr):
     cfg = field(*pr)
     rng = np.random.default_rng([61, cfg.q])
-    for h, n in [(2, 1), (2, 3), (3, 2), (3, 3)]:
+    for h, n in [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2)]:
         gens = reduction._generators(h, cfg, n - 1)
         mats = _elementary_generators(h, cfg, n - 1)
         assert len(gens) == len(mats)
@@ -800,6 +805,74 @@ def test_row_op_generators_match_matrix_products(pr):
             want = PM.pm_truncate(PM.pm_mul(g, m, cfg), n)
             assert reduction._row_op(cols, gen, n, cfg) == reduction._columns(want, n), gen
         assert reduction._columns(m, n) == cols      # the input is not written into
+
+
+def _reference_orbit_keys(x, cfg):
+    # the lattice keys of the I-orbit of xI mod t^N, by a search over a
+    # plainly generating set of I mod t^N as elementary matrices: every
+    # off-diagonal 1 + c·t^a·E_ij, 1 + c·t^a·E_ii for a >= 1, and
+    # diag(..., c, ...) for every nonzero c other than 1
+    start, _ = PM.pm_from_element(x)
+    h, n = x.h, len(start[0][0])
+    gens = []
+    for i in range(h):
+        for j in range(h):
+            for a in range(0 if i < j else 1, n):
+                for c in cfg.basis():
+                    g = _eye(h, a + 1)
+                    g[i, j, a] = c
+                    gens.append(g)
+        for c in range(2, cfg.q):
+            g = _eye(h, 1)
+            g[i, i, 0] = c
+            gens.append(g)
+    seen = {reduction.lattice_key(start, cfg, n)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                m2 = PM.pm_truncate(PM.pm_mul(g, m, cfg), n)
+                if m2 == m:
+                    continue
+                k = reduction.lattice_key(m2, cfg, n)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(m2)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize('pr', [(2, 1), (3, 1), (2, 2)])
+def test_root_subgroup_orbits_match_a_plain_generating_set(pr, monkeypatch):
+    # the orbit count's search over the affine root subgroups reaches the
+    # same set of cosets as a search over all of I mod t^N: every x with
+    # h <= 3 and lam in {-1, 0, 1}^h whose orbit has at most CAP cosets
+    cfg = field(*pr)
+    reached = set()
+    key_rows = reduction._key_rows
+
+    def recorded_key_rows(cols, h, n, cfg):
+        reached.add(tuple(tuple(tuple(col[r * n:r * n + n]) for col in cols) for r in range(h)))
+        return key_rows(cols, h, n, cfg)
+
+    checked = 0
+    for h in (1, 2, 3):
+        for lam in itertools.product((-1, 0, 1), repeat=h):
+            for perm in itertools.permutations(range(1, h + 1)):
+                x = Element(lam, perm)
+                if cfg.q ** affine.length(x) > ORBIT_SET_CAP:
+                    continue
+                reached.clear()
+                with monkeypatch.context() as patched:     # lattice_key reads _key_rows too
+                    patched.setattr(reduction, '_key_rows', recorded_key_rows)
+                    size = iwahori_orbit_size(x, cfg)
+                n = len(PM.pm_from_element(x)[0][0][0])
+                keys = {reduction.lattice_key(m, cfg, n) for m in reached}
+                assert size == len(keys) == cfg.q ** affine.length(x), x
+                assert keys == _reference_orbit_keys(x, cfg), x
+                checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize('pr', [(2, 1), (2, 2), (3, 1)])
