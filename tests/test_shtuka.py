@@ -847,7 +847,7 @@ def _reference_orbit_keys(x, cfg):
 def test_root_subgroup_orbits_match_a_plain_generating_set(pr, monkeypatch):
     # the orbit count's search over the affine root subgroups reaches the
     # same set of cosets as a search over all of I mod t^N: every x with
-    # h <= 3 and lam in {-1, 0, 1}^h whose orbit has at most CAP cosets
+    # h <= 3 and lam in {-1, 0, 1}^h whose orbit has at most ORBIT_SET_CAP cosets
     cfg = field(*pr)
     reached = set()
     key_rows = reduction._key_rows
