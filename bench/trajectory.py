@@ -24,8 +24,8 @@ and ``orbits`` workloads follows them.
 
 End-to-end cases: the default ``calibrate()`` from empty caches; F_4
 oracle samples (sample, residue module, class, Newton polygon) per
-second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 8, of
-h = 10 and of h = 11, the height bound of criterion.Bounds; the 50
+second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 4, 6, 8
+and 10, and of h = 11, the height bound of criterion.Bounds; the 50
 Iwahori orbits of acceptance 6 over F_2, in cosets per second; the
 Tier-1 test suite.  Layer cases: the list kernels ``rref_rows`` and
 ``polymat_rows`` that the oracle runs, ``charpoly``, ``Packing.red``,
@@ -253,11 +253,14 @@ def _reduction_step(seed):
 
 # name -> (kind, repeats, setup); acceptance6_orbits takes 20 repeats
 # because at 5 its 25 runs per side spread by 0.22-0.38 s, too wide to
-# resolve a 30 % change
+# resolve a 30 % change, and strata_h4 and strata_h6 take 50 because one
+# run lasts a few milliseconds
 CASES = {
     'calibrate': ('end_to_end', 5, _calibrate),
     'oracle_f4_4_2': ('end_to_end', 5, _oracle(4, 2, 200)),
     'oracle_f4_8_4': ('end_to_end', 3, _oracle(8, 4, 20)),
+    'strata_h4': ('end_to_end', 50, _strata(4)),
+    'strata_h6': ('end_to_end', 50, _strata(6)),
     'strata_h8': ('end_to_end', 5, _strata(8)),
     'strata_h10': ('end_to_end', 3, _strata(10)),
     'strata_h11': ('end_to_end', 1, _strata(11)),

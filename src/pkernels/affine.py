@@ -31,6 +31,7 @@ boundary.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,12 +59,14 @@ class Element:
     perm: tuple
 
     def __post_init__(self):
-        if type(self.lam) is not tuple or type(self.perm) is not tuple:
-            # stored as tuples, so an element built from to_dict() hashes
-            object.__setattr__(self, 'lam', tuple(self.lam))
-            object.__setattr__(self, 'perm', tuple(self.perm))
-        if len(self.lam) != len(self.perm) or not weyl.is_permutation(self.perm):
+        # stored as tuples of ints, so an element built from to_dict() hashes
+        # and a float entry raises here, not in the group law
+        lam = tuple(map(operator.index, self.lam))
+        perm = tuple(map(operator.index, self.perm))
+        if len(lam) != len(perm) or not weyl.is_permutation(perm):
             raise ValueError('malformed element: lam=%r perm=%r' % (self.lam, self.perm))
+        object.__setattr__(self, 'lam', lam)
+        object.__setattr__(self, 'perm', perm)
 
     @property
     def h(self) -> int:
@@ -108,7 +111,7 @@ class Element:
         return out
 
     def to_dict(self) -> dict:
-        return {'perm': list(self.perm), 'lam': list(self.lam)}
+        return _as_dict(self.lam + self.perm)
 
 
 def identity(h: int) -> Element:
@@ -227,6 +230,13 @@ def _element(c: tuple) -> Element:
     """The Element of a flat coding lam + perm."""
     h = len(c) >> 1
     return Element(c[:h], c[h:])
+
+
+def _as_dict(c: tuple) -> dict:
+    """The dict of a flat coding lam + perm: Element.to_dict, and each
+    witness of an incidence table without building its Element."""
+    h = len(c) >> 1
+    return {'perm': list(c[h:]), 'lam': list(c[:h])}
 
 
 def _cycle_sums(c: tuple) -> list:

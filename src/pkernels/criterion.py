@@ -18,7 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from . import affine, weyl
+from . import affine, polygons, weyl
 from .affine import Element
 from .errors import ConventionError, ResourceLimitError
 from .polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
@@ -53,17 +53,17 @@ class Bounds:
 
 # ------------------------------------------------------------- engine
 
-def _strata(x: Element, bounds: Bounds, memo: dict) -> tuple:
-    """(points, explored) of the reduction of x within bounds, on the flat
-    coding: each Newton point a block tuple, each witness a flat tuple."""
-    bounds.check_height(x.h)
-    return affine._newton_blocks(x.lam + x.perm, memo, bounds.max_support)
+def _strata(c: tuple, bounds: Bounds, memo: dict) -> tuple:
+    """(points, explored) of the reduction of the flat coding c within
+    bounds: each Newton point a block tuple, each witness a flat tuple."""
+    bounds.check_height(len(c) >> 1)
+    return affine._newton_blocks(c, memo, bounds.max_support)
 
 
 def _witness(points: dict, P: NewtonPolygon):
     """The minimal-length element the reduction reached P at, or None."""
     y = points.get(P.blocks)
-    return None if y is None else {'y': affine._element(y).to_dict()}
+    return None if y is None else {'y': affine._as_dict(y)}
 
 
 def _require_stratum(hd: HodgeDatum, P: NewtonPolygon):
@@ -80,12 +80,12 @@ def _provenance(check) -> dict:
 
 
 def _answer(x: Element, P: NewtonPolygon, check, bounds: Bounds, return_info: bool):
-    points, explored = _strata(x, bounds or Bounds(), {})
+    points, explored = _strata(x.lam + x.perm, bounds or Bounds(), {})
+    if not return_info:
+        return P.blocks in points
     wit = _witness(points, P)
-    if return_info:
-        return wit is not None, {'witness': wit, 'searched': explored,
-                                 'provenance': _provenance(check)}
-    return wit is not None
+    return wit is not None, {'witness': wit, 'searched': explored,
+                             'provenance': _provenance(check)}
 
 
 def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
@@ -166,7 +166,8 @@ class IncidenceTable:
 
 
 def _cell_key(w, P) -> str:
-    return '%s|%s' % (json.dumps(list(w)), P)
+    """'[1, 2, 3]|P', the row spelled as json.dumps spells a list of ints."""
+    return '[%s]|%s' % (', '.join(map(str, w)), P)
 
 
 def incidence_table(hd: HodgeDatum, check: dict = None,
@@ -177,8 +178,9 @@ def incidence_table(hd: HodgeDatum, check: dict = None,
     recorded, in the provenance."""
     bounds = bounds or Bounds()
     bounds.check_height(hd.height)
+    h, d = hd.height, hd.dimension
     _, pairs = mu_and_type(hd)
-    rows = tuple(weyl.min_coset_reps(hd.height, pairs))
+    rows = tuple(weyl.min_coset_reps(h, pairs))
     cols = enumerate_polygons(hd)
     names = tuple(str(P) for P in cols)
     memo = {}
@@ -186,7 +188,7 @@ def incidence_table(hd: HodgeDatum, check: dict = None,
     witnesses = {}
     searched = {}
     for w in rows:
-        points, explored = _strata(eo_representative(hd, w), bounds, memo)
+        points, explored = _strata(polygons._eo_coding(h, d, w), bounds, memo)
         row_key = _cell_key(w, '')
         row = []
         for P, name in zip(cols, names):

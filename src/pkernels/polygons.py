@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import weyl
+from . import affine, weyl
 from .affine import Element
 
 __all__ = [
@@ -31,16 +31,18 @@ class NewtonPolygon:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple((operator.index(n), operator.index(m)) for n, m in self.blocks)
+        blocks = tuple([(operator.index(n), operator.index(m)) for n, m in self.blocks])
         if not blocks:
             raise ValueError('empty polygon')
         for n, m in blocks:
-            if n < 0 or m < 0 or n + m < 1 or gcd(n, m) != 1:
+            # gcd(0, 0) = 0 refuses the empty block
+            if n < 0 or m < 0 or gcd(n, m) != 1:
                 raise ValueError('block (%d, %d) is not coprime' % (n, m))
-        # some adjacent pair has slope n/(n+m) > n'/(n'+m'), cross-multiplied
-        if any(n * (n2 + m2) > n2 * (n + m)
-               for (n, m), (n2, m2) in zip(blocks, blocks[1:])):
-            blocks = tuple(sorted(blocks, key=lambda b: Fraction(b[0], b[0] + b[1])))
+        # sort once some adjacent pair has slope n/(n+m) > n'/(n'+m'), cross-multiplied
+        for (n, m), (n2, m2) in zip(blocks, blocks[1:]):
+            if n * (n2 + m2) > n2 * (n + m):
+                blocks = tuple(sorted(blocks, key=lambda b: Fraction(b[0], b[0] + b[1])))
+                break
         object.__setattr__(self, 'blocks', blocks)
 
     @property
@@ -107,13 +109,16 @@ def polygon_from_slopes(slopes) -> NewtonPolygon:
 
 
 def format_polygon(P: NewtonPolygon) -> str:
-    """Canonical string: ascending slopes with xCount shorthand, e.g. "0,1/2x2"."""
+    """Canonical string: ascending slopes with xCount shorthand, e.g. "0,1/2x2".
+
+    Spelled from the blocks: equal slopes are equal blocks, a block (n, m)
+    has slope n/(n+m) in lowest terms, and (0, 1) and (1, 0) are 0 and 1."""
     parts = []
-    for s, grp in itertools.groupby(P.slopes()):
-        c = len(list(grp))
-        tok = str(s)
-        parts.append(tok if c == 1 else '%s x%d' % (tok, c))
-    return ','.join(p.replace(' ', '') for p in parts)
+    for (n, m), grp in itertools.groupby(P.blocks):
+        c = (n + m) * len(list(grp))
+        tok = '%d/%d' % (n, n + m) if n and m else str(n)
+        parts.append(tok if c == 1 else '%sx%d' % (tok, c))
+    return ','.join(parts)
 
 
 _TOKEN = re.compile(r'^([0-9]+(?:/0*[1-9][0-9]*)?)(?:x([0-9]+))?$')   # no zero denominator
@@ -179,7 +184,7 @@ def eo_representative(hd: HodgeDatum, w) -> Element:
     Element(lam=(1, 0, 0), perm=(1, 2, 3))
     """
     h, d = hd.height, hd.dimension
-    w = tuple(w)
+    w = tuple(map(operator.index, w))
     if not weyl.is_permutation(w) or len(w) != h:
         raise ValueError('w must be a permutation of size %d' % h)
     wi = weyl.inverse(w)
@@ -187,34 +192,38 @@ def eo_representative(hd: HodgeDatum, w) -> Element:
     for i in range(1, h):
         if i != d and wi[i - 1] > wi[i]:
             raise ValueError('w is not minimal in its coset: descent at (%d, %d)' % (i, i + 1))
+    return affine._element(_eo_coding(h, d, w))
+
+
+def _eo_coding(h: int, d: int, w: tuple) -> tuple:
+    """The flat coding lam + perm of eo_representative's point, for a w
+    already known to be a minimal coset representative; nothing is checked."""
     lam = [0] * h
     for v in w[h - d:]:
         lam[v - 1] = 1
-    return Element(tuple(lam), w[h - d:] + w[:h - d])
+    return tuple(lam) + w[h - d:] + w[:h - d]
 
 
 def enumerate_polygons(hd: HodgeDatum) -> list:
     """All Newton polygons with the given height and dimension, sorted by
-    their block tuples (slope-ascending juxtapositions compare lexicographically)."""
+    their block tuples (slope-ascending juxtapositions compare lexicographically).
+    The blocks are ordered by float slope, which is exact for coprime blocks
+    of this size (affine._blocks)."""
     h, d = hd.height, hd.dimension
-    blocks = sorted(
-        ((n, m) for n in range(0, d + 1) for m in range(0, h - d + 1)
-         if 1 <= n + m <= h and gcd(n, m) == 1),
-        key=lambda b: (Fraction(b[0], b[0] + b[1]), b))
+    blocks = sorted(((n, m) for n in range(d + 1) for m in range(h - d + 1) if gcd(n, m) == 1),
+                    key=lambda b: b[0] / (b[0] + b[1]))
     out = []
 
-    def rec(start, rem_h, rem_d, acc):
-        if rem_h == 0:
-            if rem_d == 0:
-                out.append(NewtonPolygon(tuple(acc)))
+    def rec(start, rem_n, rem_m, acc):
+        # acc is slope-ascending; rem_n and rem_m are the n and m left to fill
+        if not rem_n and not rem_m:
+            out.append(NewtonPolygon(acc))
             return
         for k in range(start, len(blocks)):
             n, m = blocks[k]
-            if n + m <= rem_h and n <= rem_d and (rem_d - n) <= (rem_h - n - m):
-                acc.append((n, m))
-                rec(k, rem_h - n - m, rem_d - n, acc)
-                acc.pop()
+            if n <= rem_n and m <= rem_m:
+                rec(k, rem_n - n, rem_m - m, acc + ((n, m),))
 
-    rec(0, h, d, [])
+    rec(0, d, h - d, ())
     out.sort(key=lambda P: P.blocks)
     return out

@@ -14,6 +14,7 @@ is (-1)^h·det) is _kernels.charpoly, and pm_inv_mod runs Newton's
 iteration on packed matrices.
 """
 
+import operator
 from itertools import chain
 from numbers import Real
 
@@ -90,7 +91,8 @@ def pm_trim(a):
 
 
 def pm_truncate(a, n):
-    """Reduce mod t^n."""
+    """Reduce mod t^n.  Raises ValueError for n < 1."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError('truncation order must be >= 1')
     return tuple(tuple(tuple(e[:n]) for e in row) for row in a)

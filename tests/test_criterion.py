@@ -60,6 +60,17 @@ def test_cell_witness_is_checkable():
             assert affine.newton_point(y) == P.slopes(), key
             refs = [affine.simple_reflection(y.h, i) for i in range(y.h)] if y.h > 1 else []
             assert all(length(s * y * s) >= length(y) for s in refs), key
+    # the boolean answer of every cell with h <= 5 is the table's, and the
+    # witness that return_info reports is the table's dict
+    for hd in _strata(5):
+        t = incidence_table(hd)
+        for w, row in zip(t.rows, t.values):
+            for col, v in zip(t.cols, row):
+                P = parse_polygon(col)
+                assert lifts_to(hd, w, P) is v, (hd, w, col)
+                val, info = lifts_to(hd, w, P, return_info=True)
+                key = '%s|%s' % (json.dumps(list(w)), col)
+                assert val is v and info['witness'] == t.witnesses.get(key), key
     wit = incidence_table(HodgeDatum(4, 2)).witnesses['[1, 2, 3, 4]|1/2x4']
     assert adlv_nonempty(Element(**wit['y']), parse_polygon('1/2x4')) is True
     val, info = lifts_to(HD21, (1, 2), SS, return_info=True)

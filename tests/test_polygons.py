@@ -9,6 +9,7 @@ import pytest
 
 from pkernels import affine, weyl
 from pkernels.affine import Element
+from pkernels.criterion import lifts_to
 from pkernels.polygons import (
     HodgeDatum, NewtonPolygon, enumerate_polygons, eo_representative,
     format_polygon, hodge_of, mu_and_type, parse_polygon, polygon_from_slopes,
@@ -49,6 +50,23 @@ def test_hodge_datum_must_be_integers():
     assert hd.mu() == (1, 0, 0)
 
 
+def test_elements_and_rows_must_be_integers():
+    # a float entry of an element or of a row raises at construction, not
+    # later inside length or weyl.inverse; numpy ints are accepted
+    for lam, perm in (((1.0, 0), (2, 1)), ((1, 0.5), (2.0, 1)), ((1, 0), (2.0, 1))):
+        with pytest.raises(TypeError):
+            Element(lam, perm)
+    x = Element((np.int64(1), 0), [np.int32(2), 1])
+    assert x == Element((1, 0), (2, 1)) and all(type(v) is int for v in x.lam + x.perm)
+    hd = HodgeDatum(2, 1)
+    with pytest.raises(TypeError):
+        eo_representative(hd, (2.0, 1))
+    with pytest.raises(TypeError):
+        lifts_to(hd, (2.0, 1), parse_polygon('0,1'))
+    assert eo_representative(hd, (np.int64(2), 1)) == Element((1, 0), (1, 2))
+    assert lifts_to(hd, (np.int64(2), 1), parse_polygon('0,1')) is True
+
+
 def test_blocks_sort_by_slope():
     # every ordering of three blocks, repeats (equal slopes) included,
     # ends in ascending slope order, as a sort by Fraction slope gives
@@ -65,12 +83,29 @@ def test_height_dimension_slopes():
     assert hodge_of(P) == HodgeDatum(4, 2)
 
 
+def _fraction_spelling(P):
+    # the canonical string read off the Fraction slopes with multiplicity
+    parts = []
+    for s, grp in itertools.groupby(P.slopes()):
+        c = len(list(grp))
+        parts.append(str(s) if c == 1 else '%sx%d' % (s, c))
+    return ','.join(parts)
+
+
 def test_string_roundtrip():
     for s in ('0,1', '1/2x2', '0x2,1', '2/5x5', '0x3', '1x2', '0,1/3x3,1x2'):
         P = parse_polygon(s)
         assert str(P) == s
         assert format_polygon(P) == s
         assert parse_polygon(str(P)) == P
+    # every polygon of every stratum with h <= 11: the spelling from the
+    # blocks is the one from the slopes, and it parses back
+    for h in range(1, 12):
+        for d in range(h + 1):
+            for P in enumerate_polygons(HodgeDatum(h, d)):
+                s = str(P)
+                assert s == format_polygon(P) == _fraction_spelling(P), P
+                assert parse_polygon(s) == P
 
 
 def test_dict_roundtrip():

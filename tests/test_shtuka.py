@@ -766,6 +766,17 @@ def test_lattice_key_refuses_a_precision_below_one():
         reduction.lattice_key(m, cfg, 2.0)
 
 
+def test_pm_truncate_takes_an_integer_order():
+    # a float order raises instead of failing inside slicing; numpy ints
+    # are accepted
+    m = PM.pm_from_element(Element((1, 0), (2, 1)))[0]
+    assert PM.pm_truncate(m, np.int64(1)) == PM.pm_truncate(m, 1)
+    with pytest.raises(TypeError, match='interpreted as an integer'):
+        PM.pm_truncate(m, 2.0)
+    with pytest.raises(ValueError):
+        PM.pm_truncate(m, 0)
+
+
 def _eye(h, deg1):
     g = np.zeros((h, h, deg1), dtype=np.int64)
     g[np.arange(h), np.arange(h), 0] = 1
