@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from . import affine, polygons, weyl
 from .affine import Element
 from .errors import ConventionError, ResourceLimitError
-from .polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
-                       eo_representative, mu_and_type, parse_polygon)
+from .polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons, mu_and_type,
+                       parse_polygon)
 from .semimodules import enumerate_profiles, middle_element
 
 __version__ = '0.3.0'
@@ -79,8 +79,8 @@ def _provenance(check) -> dict:
             'seed': check['seed'] if check else None}
 
 
-def _answer(x: Element, P: NewtonPolygon, check, bounds: Bounds, return_info: bool):
-    points, explored = _strata(x.lam + x.perm, bounds or Bounds(), {})
+def _answer(c: tuple, P: NewtonPolygon, check, bounds: Bounds, return_info: bool):
+    points, explored = _strata(c, bounds or Bounds(), {})
     if not return_info:
         return P.blocks in points
     wit = _witness(points, P)
@@ -96,7 +96,8 @@ def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
     for an empty cell), the number of elements the reduction explored and
     the provenance."""
     _require_stratum(hd, P)
-    return _answer(eo_representative(hd, w), P, check, bounds, return_info)
+    c = polygons._eo_coding(hd.height, hd.dimension, polygons._minimal_rep(hd, w))
+    return _answer(c, P, check, bounds, return_info)
 
 
 def adlv_nonempty(x: Element, P: NewtonPolygon, check: dict = None,
@@ -108,7 +109,7 @@ def adlv_nonempty(x: Element, P: NewtonPolygon, check: dict = None,
     h, d = P.height, P.dimension
     if x.h != h or not affine.in_minuscule_double_coset(x, h, d):
         raise ValueError('x is not in the minuscule stratum of (%d, %d)' % (h, d))
-    return _answer(x, P, check, bounds, return_info)
+    return _answer(x.lam + x.perm, P, check, bounds, return_info)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,12 @@ def eo_representative(hd: HodgeDatum, w) -> Element:
     >>> eo_representative(HodgeDatum(3, 1), (2, 3, 1))
     Element(lam=(1, 0, 0), perm=(1, 2, 3))
     """
+    return affine._element(_eo_coding(hd.height, hd.dimension, _minimal_rep(hd, w)))
+
+
+def _minimal_rep(hd: HodgeDatum, w) -> tuple:
+    """w as a tuple of ints; raises unless it is a minimal coset
+    representative of the parabolic of hd."""
     h, d = hd.height, hd.dimension
     w = tuple(map(operator.index, w))
     if not weyl.is_permutation(w) or len(w) != h:
@@ -192,7 +198,7 @@ def eo_representative(hd: HodgeDatum, w) -> Element:
     for i in range(1, h):
         if i != d and wi[i - 1] > wi[i]:
             raise ValueError('w is not minimal in its coset: descent at (%d, %d)' % (i, i + 1))
-    return affine._element(_eo_coding(h, d, w))
+    return w
 
 
 def _eo_coding(h: int, d: int, w: tuple) -> tuple:
