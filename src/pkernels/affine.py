@@ -90,13 +90,14 @@ class Element:
         return tuple(tuple(r) for r in rows)
 
     def __mul__(self, other: 'Element') -> 'Element':
-        if self.h != other.h:
-            raise ValueError('size mismatch: %d != %d' % (self.h, other.h))
-        acted = [0] * self.h
-        for j in range(self.h):
-            acted[self.perm[j] - 1] = other.lam[j]
-        lam = tuple(a + b for a, b in zip(self.lam, acted))
-        return Element(lam, weyl.compose(self.perm, other.perm))
+        h = self.h
+        if h != other.h:
+            raise ValueError('size mismatch: %d != %d' % (h, other.h))
+        acted = [0] * h
+        for j, i in enumerate(self.perm):
+            acted[i - 1] = other.lam[j]
+        return Element(tuple(map(operator.add, self.lam, acted)),
+                       weyl.compose(self.perm, other.perm))
 
     def inverse(self) -> 'Element':
         ui = weyl.inverse(self.perm)
