@@ -27,7 +27,8 @@ oracle samples (sample, residue module, class, Newton polygon) per
 second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 4, 6, 8
 and 10, and of h = 11, the height bound of criterion.Bounds; the 50
 Iwahori orbits of acceptance 6 over F_2, in cosets per second; the
-Tier-1 test suite.  Layer cases: the list kernels ``rref_rows`` and
+Tier-1 test suite.  Layer cases: the first ``eo_classify`` of a module
+at (11, 5) from an empty memo, the list kernels ``rref_rows`` and
 ``polymat_rows`` that the oracle runs, ``charpoly``, ``Packing.red``,
 ``lattice_key``, affine multiplication and length, and one reduction
 step (``_conj_delta`` plus ``_conj`` on the flat coding).
@@ -69,7 +70,8 @@ def _oracle(h, d, count):
         from pkernels.polygons import HodgeDatum
         from pkernels.shtuka import bt1_of, eo_classify, field, newton_polygon_of, sample_shtuka
         cfg, hd = field(2, 2), HodgeDatum(h, d)
-        eo_classify(bt1_of(sample_shtuka(hd, cfg, seed=seed)), d)    # the reference table
+        # warms the field; the first sample of each canonical type is checked inside run
+        eo_classify(bt1_of(sample_shtuka(hd, cfg, seed=seed)), d)
 
         def run():
             for k in range(count):
@@ -77,6 +79,20 @@ def _oracle(h, d, count):
                 eo_classify(bt1_of(sh), d)
                 newton_polygon_of(sh)
         return run, None, {'samples': count, 'rate_unit': 'samples/s'}
+    return case
+
+
+def _classify_first(h, d):
+    # the first classification of one module's canonical type, from an
+    # empty memo: what a new type costs eo_classify
+    def case(seed):
+        from pkernels.polygons import HodgeDatum
+        from pkernels.shtuka import bt1, bt1_of, eo_classify, field, sample_shtuka
+        Z = bt1_of(sample_shtuka(HodgeDatum(h, d), field(2, 2), seed=seed))
+
+        def run():
+            eo_classify(Z, d)
+        return run, bt1._reference_signatures.cache_clear, {'h': h, 'd': d}
     return case
 
 
@@ -266,6 +282,7 @@ CASES = {
     'strata_h11': ('end_to_end', 1, _strata(11)),
     'acceptance6_orbits': ('end_to_end', 20, _acceptance6_orbits),
     'tier1': ('end_to_end', 1, _tier1),
+    'classify_first_11_5': ('layer', 5, _classify_first(11, 5)),
     'rref_rows': ('layer', 5, _rref_rows),
     'polymat_rows': ('layer', 5, _polymat_rows),
     'charpoly': ('layer', 5, _charpoly),

@@ -15,6 +15,7 @@ seed of the oracle check it was given, if any.
 """
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -66,12 +67,6 @@ def _witness(points: dict, P: NewtonPolygon):
     return None if y is None else {'y': affine._as_dict(y)}
 
 
-def _require_stratum(hd: HodgeDatum, P: NewtonPolygon):
-    if (P.height, P.dimension) != (hd.height, hd.dimension):
-        raise ValueError('polygon %s does not lie in stratum (%d, %d)'
-                         % (P, hd.height, hd.dimension))
-
-
 def _provenance(check) -> dict:
     """What produced an answer: this version, the engine, and the seed of
     the calibrate() report ``check`` (None without one)."""
@@ -95,7 +90,9 @@ def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
     recorded, never consulted.  With return_info, also the witness (None
     for an empty cell), the number of elements the reduction explored and
     the provenance."""
-    _require_stratum(hd, P)
+    if (P.height, P.dimension) != (hd.height, hd.dimension):
+        raise ValueError('polygon %s does not lie in stratum (%d, %d)'
+                         % (P, hd.height, hd.dimension))
     c = polygons._eo_coding(hd.height, hd.dimension, polygons._minimal_rep(hd, w))
     return _answer(c, P, check, bounds, return_info)
 
@@ -134,7 +131,7 @@ class IncidenceTable:
         >>> t.cell((1, 2), '1/2 x2'), t.cell((1, 2), '0,1')
         (True, False)
         """
-        w = tuple(w)
+        w = tuple(map(operator.index, w))
         col = str(P if isinstance(P, NewtonPolygon) else parse_polygon(P))
         if w not in self.rows:
             raise ValueError('no row %s in the table of %s' % (list(w), self.hodge))

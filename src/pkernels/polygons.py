@@ -44,14 +44,9 @@ class NewtonPolygon:
                 blocks = tuple(sorted(blocks, key=lambda b: Fraction(b[0], b[0] + b[1])))
                 break
         object.__setattr__(self, 'blocks', blocks)
-
-    @property
-    def height(self) -> int:
-        return sum(n + m for n, m in self.blocks)
-
-    @property
-    def dimension(self) -> int:
-        return sum(n for n, _ in self.blocks)
+        # not fields: eq, hash and repr read the blocks alone
+        object.__setattr__(self, 'height', sum(n + m for n, m in blocks))
+        object.__setattr__(self, 'dimension', sum(n for n, _ in blocks))
 
     def slopes(self) -> tuple:
         """All h slopes with multiplicity, ascending."""

@@ -27,19 +27,21 @@ truncated Barsotti-Tate group of level 1 (Oort, "A stratification of a
 moduli space of abelian varieties", 2001).  The isomorphism classes of
 height h and dimension d match the minimal coset representatives w of
 the stratum (h, d) one to one (Moonen, "Group schemes with additional
-structures and Weyl group cosets", 2001).  So a module is classified by
-looking its type up in a table of the reference modules of (h, d), one
-per w.  Those are 0/1 monomial, so every member of their filtration is
-a coordinate subspace and their types do not depend on the field: one
-table per (h, d) serves every field.
+structures and Weyl group cosets", 2001).  The type reads w (Oort's final
+sequence): psi(i) = dim F(U), U the member of dimension i, is flat or
+rises by one per step between members, letter i of a word is
+1 - (psi(i) - psi(i-1)), and its 1s and 0s take 1..d and d+1..h in order.
+w is checked on its reference module, 0/1 monomial and so alike on all fields.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .. import _kernels as K
 from ..errors import ConventionError
-from .gf import FieldConfig
+from ..polygons import _eo_coding
+from .gf import FieldConfig, field
 from .polymat import square_rows
 
 __all__ = [
@@ -190,40 +192,29 @@ def canonical_filtration(Z: Bt1Module):
     return tuple(flag), tuple((len(u),) + members[u] for u in flag)
 
 
-@lru_cache(maxsize=None)
-def _reference_signatures(h: int, d: int):
-    """Map canonical type -> minimal coset rep w, over the reference
-    modules of the stratum (h, d), built over F_2 (module docstring).
-    Raises ConventionError if two references share a type."""
-    from .. import weyl
-    from ..polygons import HodgeDatum, mu_and_type, eo_representative
-    from .core import shtuka_from_element, bt1_of
-    from .gf import field
-
-    cfg = field(2, 1)
-    hd = HodgeDatum(h, d)
-    _, pairs = mu_and_type(hd)
-    sigs = {}
-    for w in weyl.min_coset_reps(h, pairs):
-        Z = bt1_of(shtuka_from_element(eo_representative(hd, w), cfg))
-        s = canonical_filtration(Z)[1]
-        if s in sigs:
-            raise ConventionError('reference modules %s and %s of stratum (%d, %d) share '
-                                  'the canonical type %s' % (sigs[s], w, h, d, s))
-        sigs[s] = w
-    return sigs
+@lru_cache(maxsize=1024)      # 1022 types have h <= 9
+def _reference_signatures(sig: tuple, d: int) -> tuple:
+    """eo_classify on Z's canonical type sig."""
+    steps = [(b - a, fb - fa) for (a, fa, _), (b, fb, _) in zip(sig, sig[1:])]
+    word = [not rise for step, rise in steps for _ in range(step)]
+    if sum(word) != d or any(rise not in (0, step) for step, rise in steps):
+        raise ConventionError('canonical type %s reads no word of dimension %d' % (sig, d))
+    h = len(word)
+    ones, zeros = iter(range(1, d + 1)), iter(range(d + 1, h + 1))
+    w = tuple(next(ones) if a else next(zeros) for a in word)
+    # w's reference module, bt1_of of x_w: lam is 1 at u(j) just for j < d
+    u, r = _eo_coding(h, d, w)[h:], range(h)
+    fmat = [[u[j] == i + 1 and j >= d for j in r] for i in r]
+    vmat = [[u[i] == j + 1 and i < d for j in r] for i in r]
+    if canonical_filtration(Bt1Module(field(2, 1), fmat, vmat))[1] != sig:
+        raise ConventionError('canonical type %s is not that of %s' % (sig, w))
+    return w
 
 
 def eo_classify(Z: Bt1Module, d: int):
-    """The minimal coset representative w of the stratum (Z.h, d) whose
-    reference module has Z's canonical type.  Raises ConventionError when
-    nothing matches."""
-    h = Z.h
-    w = _reference_signatures(h, d).get(canonical_filtration(Z)[1])
-    if w is None:
-        raise ConventionError('canonical type matches no reference module of stratum (%d, %d)'
-                              % (h, d))
-    return w
+    """The minimal coset representative w of the stratum (Z.h, d) that
+    Z's canonical type reads (module docstring); else ConventionError."""
+    return _reference_signatures(canonical_filtration(Z)[1], operator.index(d))
 
 
 def graded_bt1_from_beginning(B, cfg: FieldConfig) -> Bt1Module:

@@ -4,6 +4,7 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pkernels import affine, criterion, weyl
@@ -145,6 +146,17 @@ def test_cell_accepts_every_spelling_of_a_column(report):
         t.cell((1, 2), '1/3x3')
     with pytest.raises(ValueError, match='bad slope token'):
         t.cell((1, 2), 'half')
+
+
+def test_cell_takes_rows_of_integers_only(report):
+    # as lifts_to does: an integer-valued float is no index of a row
+    t = incidence_table(HD21, report)
+    assert t.cell(np.array([2, 1]), ORD) is True
+    for row in ((2.0, 1), (2, 1.0)):
+        with pytest.raises(TypeError):
+            lifts_to(HD21, row, ORD)
+        with pytest.raises(TypeError):
+            t.cell(row, ORD)
 
 
 def test_five_two_cell_count():

@@ -178,8 +178,9 @@ def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
     # bt1_of runs check() and reads dimension, a second check() is
     # remembered, eo_classify walks the canonical filtration from the
     # whole space: im F comes from the one solve on fmat, and F of the
-    # whole space is never formed
-    bt1._reference_signatures(3, 1)
+    # whole space is never formed; the sample's type is classified once
+    # first, so the memo answers and no reference module is counted
+    eo_classify(bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3)), 1)
     calls = _count_preimages(monkeypatch)
     whole = []
     f_image = bt1.f_image
@@ -198,7 +199,7 @@ def test_bt1_kernel_of_v_is_computed_once(cfg, monkeypatch):
     # check() compares im F with ker V, and the canonical filtration
     # starts from V^{-1}(0) = ker V: both read the one solve on vmat, and
     # every other preimage the filtration takes is of a nonzero subspace
-    bt1._reference_signatures(3, 1)
+    eo_classify(bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3)), 1)
     calls = _count_preimages(monkeypatch)
     Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
     eo_classify(Z, 1)
@@ -283,42 +284,64 @@ def test_canonical_filtration_rejects_non_chain(cfg):
         canonical_filtration(Bt1Module(cfg, e11, e11))
 
 
+def _reference_module(hd, w, cfg):
+    # the residue module of x_w, by the datum route eo_classify does not take
+    return bt1_of(shtuka_from_element(eo_representative(hd, w), cfg))
+
+
 @pytest.mark.parametrize('h,d', [(h, d) for h in range(1, 7) for d in range(h + 1)])
 def test_eo_classify_fixes_representatives(h, d):
-    # the table is built over F_2; the references over F_4 and F_3 share it
+    # the reading is checked over F_2; the references over F_4 and F_3
+    # have the same types
     hd = HodgeDatum(h, d)
     _, pairs = mu_and_type(hd)
     for cfg in (field(2, 2), field(3, 1)):
         for w in weyl.min_coset_reps(h, pairs):
-            x = eo_representative(hd, w)
-            Z = bt1_of(shtuka_from_element(x, cfg))
-            assert eo_classify(Z, d) == w
+            assert eo_classify(_reference_module(hd, w, cfg), d) == w
 
 
-@pytest.mark.parametrize('h', range(1, 8))
+@pytest.mark.parametrize('h', range(1, 9))
 def test_reference_types_are_distinct(h):
-    # the canonical type separates the reference modules of every stratum
+    # every reference module over F_2 reads back its own w, and the
+    # canonical type separates the reference modules of every stratum
     for d in range(h + 1):
-        _, pairs = mu_and_type(HodgeDatum(h, d))
-        assert len(bt1._reference_signatures(h, d)) == len(weyl.min_coset_reps(h, pairs))
+        hd = HodgeDatum(h, d)
+        reps = weyl.min_coset_reps(h, mu_and_type(hd)[1])
+        types = set()
+        for w in reps:
+            Z = _reference_module(hd, w, field(2, 1))
+            assert eo_classify(Z, d) == w
+            types.add(canonical_filtration(Z)[1])
+        assert len(types) == len(reps)
 
 
-def test_reference_signatures_reject_shared_type(monkeypatch):
-    # a classifier that cannot tell two references apart must raise
-    monkeypatch.setattr(bt1, 'canonical_filtration', lambda Z: ((), ((0, 0, 0),)))
-    bt1._reference_signatures.cache_clear()
-    try:
-        with pytest.raises(ConventionError, match='share the canonical type'):
-            bt1._reference_signatures(2, 1)
-    finally:
-        bt1._reference_signatures.cache_clear()
+def test_eo_classify_refuses_a_type_that_reads_no_word():
+    # dim F rises by 1 over two steps: neither flat nor one per step,
+    # although the count of letters would fit d = 0
+    with pytest.raises(ConventionError, match='reads no word'):
+        bt1._reference_signatures(((0, 0, 0), (2, 1, 2), (3, 2, 3)), 0)
 
 
 def test_eo_classify_unknown_signature(cfg):
     # a module whose signature matches no reference of that dimension
     Z = graded_bt1_from_beginning(cochar_to_beginning((0, 0), 1, 1), cfg)
-    with pytest.raises(ConventionError):
+    with pytest.raises(ConventionError, match='no word of dimension 0'):
         eo_classify(Z, 0)           # wrong dimension on purpose
+    assert eo_classify(Z, 1) == (1, 2)
+    with pytest.raises(TypeError):
+        eo_classify(Z, 1.0)
+
+
+def test_eo_classify_refuses_a_type_its_word_does_not_have():
+    # the dims of V^{-1} play no part in the reading: changing one keeps
+    # the word (2, 3, 1) of (3, 1), and the check on its reference refuses it
+    hd, w = HodgeDatum(3, 1), (2, 3, 1)
+    sig = canonical_filtration(_reference_module(hd, w, field(2, 1)))[1]
+    assert bt1._reference_signatures(sig, 1) == w
+    (a, fa, va), rest = sig[1], sig[2:]
+    bad = sig[:1] + ((a, fa, va + 1),) + rest
+    with pytest.raises(ConventionError, match=r'is not that of \(2, 3, 1\)'):
+        bt1._reference_signatures(bad, 1)
 
 
 def test_classification_is_conjugation_invariant(cfg):

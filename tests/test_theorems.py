@@ -1,11 +1,13 @@
 """Whole rows of the incidence tables against published theorems that the
 decision engine does not use."""
 
+from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
-from pkernels.affine import length, newton_point, omega, simple_reflection
+from pkernels.affine import Element, length, newton_point, newton_strata, omega, simple_reflection
 from pkernels.criterion import Bounds, incidence_table
 from pkernels.polygons import (HodgeDatum, enumerate_polygons, eo_representative,
                                polygon_from_slopes)
@@ -107,3 +109,62 @@ def test_generic_newton_point_is_the_largest_cell():
 
 def test_generic_newton_point_is_the_largest_cell_at_height_7():
     assert _generic_points_match([7]) == 128
+
+
+def _basic_is_missed(lam, u):
+    # Görtz–He–Nie, "P-alcoves and nonemptiness of affine Deligne-Lusztig
+    # varieties" (Ann. Sci. ENS 2015): for basic b, X_x(b) is empty exactly
+    # when x is a P-alcove for a proper Levi M with kappa_M(x) off
+    # kappa_M(b).  For x = (lam, u) in GL_h, M is cut out by an ordered
+    # partition into unions of cycles of u, and x is a P-alcove when
+    # U_alpha ∩ xIx^-1 lies in I for every entry (i, j) from an earlier
+    # part to a later one: lam_i - lam_j + [u^-1(i) > u^-1(j)] >= [i > j].
+    # A failing finer partition has a failing two-block coarsening, so
+    # two blocks S, T suffice; kappa is off when S has a lam-sum other
+    # than v(det x)·|S|/h.
+    h = len(u)
+    pos = {v: j for j, v in enumerate(u)}
+    seen, cycles = set(), []
+    for i in range(1, h + 1):
+        cycle = []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = u[i - 1]
+        cycles += [cycle] if cycle else []
+    for mask in range(1, 2 ** len(cycles) - 1):
+        s = [i for k, c in enumerate(cycles) if mask >> k & 1 for i in c]
+        t = [i for k, c in enumerate(cycles) if not mask >> k & 1 for i in c]
+        if (sum(lam[i - 1] for i in s) * h != sum(lam) * len(s)
+                and all(lam[i - 1] - lam[j - 1] + (pos[i] > pos[j]) >= (i > j)
+                        for i in s for j in t)):
+            return True
+    return False
+
+
+def test_basic_column_is_the_p_alcove_criterion():
+    # every row of every stratum with h <= 9: the basic column of the
+    # table is nonempty exactly when no P-alcove rules it out
+    rows = 0
+    for h in range(1, 10):
+        for d in range(h + 1):
+            hd = HodgeDatum(h, d)
+            t = incidence_table(hd)
+            col = t.cols.index(str(polygon_from_slopes([Fraction(d, h)] * h)))
+            for w, row in zip(t.rows, t.values):
+                x = eo_representative(hd, w)
+                assert row[col] != _basic_is_missed(x.lam, x.perm), (hd, w)
+                rows += 1
+    assert rows == 1022
+
+
+def test_basic_point_of_random_elements_is_the_p_alcove_criterion():
+    # rows alone let a wrong alcove inequality through; 1200 seeded x
+    # with h <= 5 and lam_i in [-2, 2] do not
+    rng = np.random.default_rng(31)
+    for _ in range(1200):
+        h = int(rng.integers(1, 6))
+        x = Element(tuple(int(v) for v in rng.integers(-2, 3, size=h)),
+                    tuple(int(v) + 1 for v in rng.permutation(h)))
+        basic = (Fraction(x.v_det(), h),) * h
+        assert (basic in newton_strata(x)[0]) != _basic_is_missed(x.lam, x.perm), x
