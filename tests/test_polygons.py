@@ -79,6 +79,11 @@ def test_blocks_sort_by_slope():
 def test_height_dimension_slopes():
     P = parse_polygon('0,1/2x2,1')
     assert P.height == 4 and P.dimension == 2
+    # both are stored once, as plain attributes: repr, to_dict, eq and
+    # hash read the blocks alone
+    assert repr(P) == 'NewtonPolygon(blocks=((0, 1), (1, 1), (1, 0)))'
+    assert P.to_dict() == {'blocks': [[0, 1], [1, 1], [1, 0]]}
+    assert hash(P) == hash(NewtonPolygon(P.blocks))
     assert P.slopes() == (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1))
     assert hodge_of(P) == HodgeDatum(4, 2)
 

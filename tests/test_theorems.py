@@ -111,7 +111,7 @@ def test_generic_newton_point_is_the_largest_cell_at_height_7():
     assert _generic_points_match([7]) == 128
 
 
-def _basic_is_missed(lam, u):
+def _p_alcove_excludes_basic(lam, u):
     # Görtz–He–Nie, "P-alcoves and nonemptiness of affine Deligne-Lusztig
     # varieties" (Ann. Sci. ENS 2015): for basic b, X_x(b) is empty exactly
     # when x is a P-alcove for a proper Levi M with kappa_M(x) off
@@ -153,7 +153,7 @@ def test_basic_column_is_the_p_alcove_criterion():
             col = t.cols.index(str(polygon_from_slopes([Fraction(d, h)] * h)))
             for w, row in zip(t.rows, t.values):
                 x = eo_representative(hd, w)
-                assert row[col] != _basic_is_missed(x.lam, x.perm), (hd, w)
+                assert row[col] != _p_alcove_excludes_basic(x.lam, x.perm), (hd, w)
                 rows += 1
     assert rows == 1022
 
@@ -167,4 +167,4 @@ def test_basic_point_of_random_elements_is_the_p_alcove_criterion():
         x = Element(tuple(int(v) for v in rng.integers(-2, 3, size=h)),
                     tuple(int(v) + 1 for v in rng.permutation(h)))
         basic = (Fraction(x.v_det(), h),) * h
-        assert (basic in newton_strata(x)[0]) != _basic_is_missed(x.lam, x.perm), x
+        assert (basic in newton_strata(x)[0]) != _p_alcove_excludes_basic(x.lam, x.perm), x
