@@ -194,7 +194,7 @@ def canonical_filtration(Z: Bt1Module):
 
 @lru_cache(maxsize=1024)      # 1022 types have h <= 9
 def _reference_signatures(sig: tuple, d: int) -> tuple:
-    """eo_classify on Z's canonical type sig."""
+    """eo_classify on the canonical type sig."""
     steps = [(b - a, fb - fa) for (a, fa, _), (b, fb, _) in zip(sig, sig[1:])]
     word = [not rise for step, rise in steps for _ in range(step)]
     if sum(word) != d or any(rise not in (0, step) for step, rise in steps):
