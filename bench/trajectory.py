@@ -29,7 +29,8 @@ and 10, and of h = 11, the height bound of criterion.Bounds; the 50
 Iwahori orbits of acceptance 6 over F_2, in cosets per second; the
 Tier-1 test suite.  Layer cases: the first ``eo_classify`` of a module
 at (11, 5) from an empty memo, the list kernels ``rref_rows`` and
-``polymat_rows`` that the oracle runs, ``charpoly``, ``Packing.red``,
+``polymat_rows`` that the oracle runs, ``charpoly`` over F_4 at h = 8,
+n = 9 and at h = 4, n = 5 (``charpoly_h4``), ``Packing.red``,
 ``lattice_key``, affine multiplication and length, and one reduction
 step (``_conj_delta`` plus ``_conj`` on the flat coding).
 """
@@ -183,14 +184,16 @@ def _packed(seed, h, n, count):
     return lay, mats
 
 
-def _charpoly(seed):
-    from pkernels import _kernels as K
-    lay, mats = _packed(seed, 8, 9, 200)
+def _charpoly(h, n, count):
+    def case(seed):
+        from pkernels import _kernels as K
+        lay, mats = _packed(seed, h, n, count)
 
-    def run():
-        for m in mats:
-            K.charpoly(m, lay)
-    return run, None, {'calls': len(mats), 'h': 8, 'n': 9}
+        def run():
+            for m in mats:
+                K.charpoly(m, lay)
+        return run, None, {'calls': len(mats), 'h': h, 'n': n}
+    return case
 
 
 def _packing_red(seed):
@@ -285,7 +288,8 @@ CASES = {
     'classify_first_11_5': ('layer', 5, _classify_first(11, 5)),
     'rref_rows': ('layer', 5, _rref_rows),
     'polymat_rows': ('layer', 5, _polymat_rows),
-    'charpoly': ('layer', 5, _charpoly),
+    'charpoly': ('layer', 5, _charpoly(8, 9, 200)),
+    'charpoly_h4': ('layer', 5, _charpoly(4, 5, 1000)),
     'packing_red': ('layer', 5, _packing_red),
     'lattice_key': ('layer', 5, _lattice_key),
     'affine_mul': ('layer', 5, _affine_mul),

@@ -23,9 +23,9 @@ entry truncates, folds and takes every digit mod p (Kronecker
 substitution; Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", J. Symb. Comput. 2009).  tests/test_kernels.py
 checks every list kernel against plain loop forms, and charpoly against
-a division-free DP over row subsets and against the list form it
-replaced.  A field keeps its Packings (FieldConfig.packing), each with
-its Frobenius maps, so a caller does not rebuild them.
+a division-free DP over row subsets and a Hessenberg reduction on lists
+of coefficients.  A field keeps its Packings (FieldConfig.packing), each
+with its Frobenius maps, so a caller does not rebuild them.
 """
 
 import operator
@@ -218,7 +218,6 @@ class Packing:
         self._pack = [0]        # digit j of e in slot j of _pack[e], one digit per pass
         for j in range(r):
             self._pack = [x + (d << j * W) for d in range(p) for x in self._pack]
-        self._inv = cfg.tables[3]
         self._frb, self._frobenius = cfg.frobs[0], {}
         trunc = (1 << n * B) - 1
         plane = self._plane = trunc // ((1 << B) - 1) * ((1 << W) - 1)   # slot 0 of each block
@@ -279,18 +278,6 @@ class Packing:
             self._frobenius[k] = apply
         return apply
 
-    def series_inv(self, u, n):
-        """u^-1 mod t^n for a normalised u with a nonzero constant term, by
-        Newton's iteration x <- x·(2 - u·x), which doubles the precision of
-        x each step."""
-        red, neg1 = self.red, self.p - 1
-        x = self._pack[self._inv[self._index(u)]]
-        prec = 1
-        while prec < n:
-            x = red(2 * x + neg1 * x * red(u * x))
-            prec *= 2
-        return x
-
 
 def series_matmul(x, y, lay):
     """x·y mod t^n for matrices (lists of rows) of normalised ints of the
@@ -308,68 +295,34 @@ def charpoly(m, lay):
     normalised ints of the Packing lay, whose ``terms`` is at least h; the
     h+1 coefficients as normalised ints, X^0 first.
 
-    First m is brought to upper Hessenberg form by similarities over
-    O/t^n, O = k[[t]].  For column k the pivot is an entry of least
-    valuation v among rows k+1..h-1 (the column is skipped when all of
-    them vanish mod t^n); its row and column are swapped into position
-    k+1.  Each lower entry e of the column then has valuation >= v, so
-    with u the pivot's unit part, m_i = (e/t^v)·u^{-1} (u^{-1} mod
-    t^(n-v) suffices) gives m_i·pivot = e mod t^n.  The row operations
-    row_i -= m_i·row_{k+1} all read only the pivot row, which none of
-    them changes, so they commute and run first; then every row gets
-    the one column update col_{k+1} += sum_i m_i·col_i, summed unreduced.
-    Together this is conjugation by P = I - sum_i m_i·E_{i,k+1}, a matrix
-    of GL_h(O/t^n), as is the swap, and det(X - P·a·P^{-1}) =
-    det(P)·det(X - a)·det(P)^{-1} over (O/t^n)[X], so the characteristic
-    polynomial mod t^n does not change.  Then the division-free
-    Hessenberg recurrence (Cohen, GTM 138, 2.2.9) gives it in O(h^3)
-    series products: with p_m the characteristic polynomial of the
-    leading m x m block,
-    p_m = (X - H[m-1][m-1])·p_{m-1}
-          - sum_i H[m-1-i][m-1]·H[m-1][m-2]···H[m-i][m-i-1]·p_{m-1-i},
-    each coefficient summed unreduced (at most m <= h products) and
-    reduced once.
+    Berkowitz's recurrence (Inform. Process. Lett. 18, 1984) uses ring
+    operations only, so it is exact over O/t^n, O = k[[t]], with no
+    pivot or inverse.  For m = [[a, R], [C, M]], a the corner entry, the
+    characteristic polynomial of m, coefficients from X^k down, is the
+    (k+2) x (k+1) lower triangular Toeplitz matrix with first column
+    (1, -a, -R·C, -R·M·C, ..., -R·M^(k-1)·C) times that of the k x k
+    block M.  The blocks are taken from the bottom right corner up, in
+    O(h^4) series products.  Each entry of M^j·C, each R·M^j·C and each
+    coefficient is a sum of at most h products, reduced once; a
+    coefficient is one normalised int plus its products, each negated.
     """
-    red, val = lay.red, lay.val
-    neg1, B, n = lay.p - 1, lay.block, lay.n
+    red, neg1 = lay.red, lay.p - 1
+    mul = operator.mul
     h = len(m)
     if h > lay.terms:
         raise ValueError('a %d x %d matrix needs a Packing with terms >= %d' % (h, h, h))
-    m = [list(row) for row in m]
-    for k in range(h - 2):
-        v, p = min((val(m[i][k]), i) for i in range(k + 1, h))
-        if v == n:
-            continue
-        if p != k + 1:
-            m[k + 1], m[p] = m[p], m[k + 1]
-            for row in m:
-                row[k + 1], row[p] = row[p], row[k + 1]
-        piv = m[k + 1]
-        uinv = lay.series_inv(piv[k] >> v * B, n - v)
-        negpiv = [neg1 * x for x in piv[k + 1:]]
-        mults = []
-        for i in range(k + 2, h):
-            row = m[i]
-            if row[k]:
-                mult = red((row[k] >> v * B) * uinv)
-                row[k] = 0
-                row[k + 1:] = [red(x + mult * y) for x, y in zip(row[k + 1:], negpiv)]
-                mults.append((i, mult))
-        if mults:
-            for row in m:
-                row[k + 1] = red(row[k + 1] + sum(f * row[i] for i, f in mults))
-    polys = [[1]]
-    for c in range(h):
-        prev = polys[c]
-        negd = neg1 * m[c][c]
-        acc = [negd * prev[0]] + [x + negd * y for x, y in zip(prev, prev[1:])] + [prev[c]]
-        prod = 1
-        for i in range(1, c + 1):
-            prod = red(prod * m[c - i + 1][c - i])
-            if not prod:
-                break
-            coef = red(neg1 * m[c - i][c] * prod)
-            for j, y in enumerate(polys[c - i]):
-                acc[j] += coef * y
-        polys.append([red(x) for x in acc])
-    return polys[h]
+    poly = [1]          # of the k x k block M, from X^k down
+    for k in range(h):
+        i = h - 1 - k
+        R = m[i][i + 1:]
+        M = [row[i + 1:] for row in m[i + 1:]]
+        v = [row[i] for row in m[i + 1:]]
+        col = [m[i][i]]     # a, R·C, R·M·C, ..., R·M^(k-1)·C
+        for j in range(k):
+            if j:
+                v = [red(sum(map(mul, row, v))) for row in M]
+            col.append(red(sum(map(mul, R, v))))
+        col.reverse()       # row l of the Toeplitz matrix is 1 and -col[k+1-l:]
+        poly = [red(x + neg1 * sum(map(mul, col[k + 1 - l:], poly)))
+                for l, x in enumerate(poly + [0])]
+    return poly[::-1]

@@ -108,10 +108,6 @@ class CocharacterProfile:
         if sum(self.block_sizes) != len(self.lam):
             raise ValueError('block sizes do not tile the cocharacter')
 
-    @property
-    def h(self) -> int:
-        return len(self.lam)
-
 
 def eta_of(profile: CocharacterProfile) -> tuple:
     """Blockwise stable ascending sort permutation: within each block,

@@ -10,24 +10,28 @@ I-legal row and column operations:
   c in tO); col_j += c * col_i likewise iff (i < j and c integral) or
   (i > j and c in tO).
 
-Each pivot is one rank-1 update.  The pivot (i0, j0) has the least
-valuation v in the matrix, lies in the LAST row that holds it, and is
-the LEFTMOST entry of valuation v in that row.  With c = a[:, j0] /
-a[i0, j0], the update a <- a - c ⊗ a[i0] is the row operations
-row_i -= c_i·row_i0 (i != i0) that clear column j0, then the column
+Each pivot clears its row and column with no division.  The pivot
+(i0, j0) has the least valuation v in the matrix, lies in the LAST row
+that holds it, and is the LEFTMOST entry of valuation v in that row.
+Write a[i0, j0] = u·t^v, u a unit of O, and a[i, j0] = c_i·t^v for
+i != i0.  The row operations row_i <- u·row_i - c_i·row_i0 (i != i0)
+clear column j0 exactly, as u·c_i·t^v - c_i·u·t^v = 0; then the column
 operations that clear row i0 (they touch only row i0 once column j0 is
 clear), then the removal of the pivot itself, so row i0 and column j0
-end at zero and never hold a later pivot.  Every step is I-legal: rows
-below i0 have no entry of valuation v, so c_i is in tO there and
-integral above; in row i0 the entries left of j0 have valuation above
-v, so those column multipliers are in tO and the ones to the right are
-integral.  Each pivot records lam[i0] = v and perm[j0] = i0 + 1.
+end at zero and never hold a later pivot.  Every step is I-legal:
+scaling a row by the unit u is left multiplication by an element of
+T(O) ⊂ I (Iwahori–Matsumoto 1965); rows below i0 have no entry of
+valuation v, so c_i is in tO there and integral above; in row i0 the
+entries left of j0 have valuation above v, so the column multipliers
+a[i0, j]/a[i0, j0] are in tO there and integral to the right.  A unit
+multiple of a row has the valuations of that row, so the pivots are
+those of the rank-1 update a <- a - (a[:, j0]/a[i0, j0]) ⊗ a[i0].  Each
+pivot records lam[i0] = v and perm[j0] = i0 + 1.
 
-The matrix is packed once (the field's kept Packing, terms = 1).  The pivot's
-unit u is a[i0, j0] shifted down v t-blocks; u^{-1} mod t^(N-v)
-suffices, since row i0 is divisible by t^v.  Each c_i is one reduced
-product, and each updated entry one reduction of x + c_i·(p-1)·y: one
-negated product plus one normalised int, within the bound of terms = 1.
+The matrix is packed once (the field's kept Packing, terms = 2).  u and
+each c_i are packed entries shifted down v t-blocks, and each updated
+entry is one reduction of u·x + c_i·(p-1)·y: two products, one of them
+negated, within the bound of terms = 2.
 
 Working mod t^N is exact for any N > v(det): A^{-1} = adj(A)/det(A)
 has valuation >= -v(det), so changing A by E with v(E) >= N multiplies
@@ -108,15 +112,15 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
 
     amat is a polynomial matrix (polymat); shift=s means the actual
     matrix is t^{-s}·amat (so Laurent inputs are supported by premultiplying).
-    Each of the h pivots is one rank-1 update on packed series mod t^n
-    (module docstring).  Raises ValueError for a singular matrix, for
-    an expected_vdet that is not v(det), and for an amat that
-    polymat.square_rows refuses.
+    Each of the h pivots clears its row and column on packed series mod
+    t^n, with no division (module docstring).  Raises ValueError for a
+    singular matrix, for an expected_vdet that is not v(det), and for an
+    amat that polymat.square_rows refuses.
     """
     a = PM.square_rows(amat, cfg, poly=True)
     h = len(a)
     n = h * (len(a[0][0]) - 1) + 1 if expected_vdet is None else expected_vdet + 1
-    lay = cfg.packing(n, 1)
+    lay = cfg.packing(n, 2)
     red, val, B, neg1 = lay.red, lay.val, lay.block, cfg.p - 1
     m = PM.pack_matrix(a, lay)
     perm = [None] * h
@@ -130,12 +134,12 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
                              'or v(det) >= %d' % (n, n))
         best, i0, j0 = piv[0], -piv[1], piv[2]
         shift_down = best * B
-        uinv = lay.series_inv(m[i0][j0] >> shift_down, n - best)
+        u = m[i0][j0] >> shift_down
         negrow = [neg1 * y for y in m[i0]]
         for i, row in enumerate(m):
             if row[j0] and i != i0:
-                c = red((row[j0] >> shift_down) * uinv)
-                m[i] = [red(x + c * y) for x, y in zip(row, negrow)]
+                c = row[j0] >> shift_down
+                m[i] = [red(u * x + c * y) for x, y in zip(row, negrow)]
         m[i0] = [0] * h
         perm[j0] = i0 + 1
         lam[i0] = best

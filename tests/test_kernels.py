@@ -3,8 +3,8 @@
 The loop forms below are the reference implementation: one scalar table
 lookup per operation, in the order the definitions read.  Every kernel
 must agree with its loop form exactly.  The references for the packed
-charpoly are a division-free Laplace DP over row subsets and the list
-form it replaced, a Hessenberg reduction on lists of coefficients.
+charpoly are a division-free Laplace DP over row subsets and a
+Hessenberg reduction on lists of coefficients.
 """
 
 import itertools
@@ -199,9 +199,12 @@ def _series_inv_lists(u, n, ADD, MUL, NEG, INV):
 
 
 def _charpoly_lists(a, n, add, mul, neg, inv):
-    """det(X·I - a) mod t^n as an (h+1, n) array cp[x_deg, t_deg], by the
-    Hessenberg reduction and recurrence of K.charpoly on entries that are
-    lists of n coefficients, one table lookup per coefficient product."""
+    """det(X·I - a) mod t^n as an (h+1, n) array cp[x_deg, t_deg], on
+    entries that are lists of n coefficients, one table lookup per
+    coefficient product: a Hessenberg reduction by similarities over
+    O/t^n, each pivot an entry of least valuation (its unit part inverted
+    mod t^n), then the division-free Hessenberg recurrence (Cohen, GTM
+    138, 2.2.9)."""
     ADD, MUL, NEG, INV = add.tolist(), mul.tolist(), neg.tolist(), inv.tolist()
     h = a.shape[0]
 
@@ -444,14 +447,14 @@ def test_polymat_mul_is_poly_product():
 
 
 def _charpoly_input(rng, q, h, n, kind):
-    """(h, h, deg) input of one of the branches of the Hessenberg reduction."""
-    deg = int(rng.integers(1, n + 2))
+    """(h, h, deg) input of one kind: dense, or with a zero pattern."""
+    deg = int(rng.integers(2 if kind in T_KINDS else 1, n + 2))
     a = rng.integers(0, q, size=(h, h, deg), dtype=np.int64)
     if kind == 'hessenberg':
-        # every column already zero below the subdiagonal: nothing to clear
+        # every column already zero below the subdiagonal
         a[np.tril_indices(h, -2)] = 0
     elif kind == 'skip':
-        # column 0 zero below the diagonal: no pivot
+        # column 0 zero below the diagonal
         a[1:, 0] = 0
     elif kind == 'swap':
         # the entry of least valuation in column 0 sits in the last row
@@ -465,6 +468,19 @@ def _charpoly_input(rng, q, h, n, kind):
     elif kind == 'nilpotent':
         # strictly lower triangular, conjugated by a permutation
         a[np.triu_indices(h)] = 0
+        perm = rng.permutation(h)
+        a = a[perm][:, perm]
+    elif kind == 'divisible':
+        # some rows and some columns divisible by t
+        a[rng.random(h) < 0.5, :, 0] = 0
+        a[:, rng.random(h) < 0.5, 0] = 0
+    elif kind == 'column':
+        # one column zero below the diagonal, the subdiagonal entry included
+        k = int(rng.integers(0, h - 1))
+        a[k + 1:, k] = 0
+    elif kind == 'nilpotent_mod_t':
+        # strictly lower triangular mod t, conjugated by a permutation
+        a[np.triu_indices(h) + (0,)] = 0
         perm = rng.permutation(h)
         a = a[perm][:, perm]
     return np.ascontiguousarray(a)
@@ -483,25 +499,33 @@ def _charpoly_packed(a, n, c):
     return np.array([lay.unpack(x) for x in cp], dtype=np.int64).reshape(h + 1, n)
 
 
-CHARPOLY_KINDS = ('hessenberg', 'skip', 'swap', 'valuation', 'nilpotent')
+# the kinds with a t-divisible part, built with at least two coefficients
+T_KINDS = ('divisible', 'column', 'nilpotent_mod_t')
+CHARPOLY_KINDS = ('hessenberg', 'skip', 'swap', 'valuation', 'nilpotent') + T_KINDS
 
 
-@pytest.mark.parametrize('p,r', FIELDS + [(5, 1)])
+@pytest.mark.parametrize('p,r', PACKED_FIELDS)
 def test_charpoly_matches_subset_dp(p, r):
+    # every kind (cycling with h + n) at h <= 8 and n <= 6, and at every
+    # h >= 2 each kind with a t-divisible part at one n >= 2
     c = field(p, r)
     rng = np.random.default_rng([18, p, r])
-    for h in range(8):
+    for h in range(9):
         for n in range(1, 7):
-            # the reduction has a column to clear from h = 3 on
-            kinds = CHARPOLY_KINDS
-            for kind in ('dense', kinds[(h + n) % len(kinds)] if h >= 3 else 'dense'):
+            kinds = ['dense', CHARPOLY_KINDS[(h + n) % len(CHARPOLY_KINDS)] if h >= 3 else 'dense']
+            if h >= 2 and n == 2 + h % 5:
+                kinds += T_KINDS
+            for kind in kinds:
                 a = _charpoly_input(rng, c.q, h, n, kind)
                 a.setflags(write=False)
                 got = _charpoly_packed(a, n, c)
                 want = _charpoly_subset_dp(a, n, arrays(c).add, arrays(c).mul, arrays(c).neg)
                 assert (got == want).all(), (h, n, kind)
+                if kind.startswith('nilpotent'):
+                    # X^h mod t, and X^h exactly when nilpotent
+                    assert got[h, 0] == 1 and not got[:h, 0].any()
                 if kind == 'nilpotent':
-                    assert got[h, 0] == 1 and not got[:h].any() and not got[h, 1:].any()
+                    assert not got[:h].any() and not got[h, 1:].any()
 
 
 @pytest.mark.parametrize('p,r', PACKED_FIELDS)
@@ -612,6 +636,3 @@ def test_packed_series_round_trip(p, r):
             for k in range(r + 1):
                 assert lay.unpack(lay.frobenius(k)(x)) == [int(table[e]) for e in f[:n]]
                 table = arrays(c).frb[table]
-            if f[0]:
-                inv = lay.unpack(lay.series_inv(x, n))
-                assert _series_product(f[:n], inv, c) == [1] + [0] * (n - 1)

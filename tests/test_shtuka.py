@@ -663,8 +663,9 @@ def _reduce_both(m, cfg, shift=0, vdet=None):
 
 @pytest.mark.parametrize('p,r', FIELDS + [(5, 1)])
 def test_packed_reduction_matches_numpy_reference(p, r):
-    # with and without v(det): i1·x·i2 round trips, sampled data,
-    # rank-deficient matrices, and a v(det) one too small
+    # with and without v(det): i1·x·i2 round trips, pivots with dense
+    # units, sampled data, rank-deficient matrices, and a v(det) one too
+    # small
     cfg = field(p, r)
     for trial in range(12):
         rng = np.random.default_rng([65, p, r, trial])
@@ -677,6 +678,22 @@ def test_packed_reduction_matches_numpy_reference(p, r):
         assert _reduce_both(m, cfg, s, vdet) == _reduce_both(m, cfg, s) == x
         if vdet:
             assert _reduce_both(m, cfg, s, vdet - 1) is None
+    # pivot units with four nonzero terms: u·x·d for u upper unitriangular
+    # over F_q and d diagonal in T(O), each unit's coefficients all
+    # nonzero; the entry of a column of x·d is the unit that u leaves on
+    # its pivot, and the rows above it hold scalar multiples to clear
+    for trial in range(8):
+        rng = np.random.default_rng([67, p, r, trial])
+        h = 2 + trial % 4
+        x = _random_element(rng, h, spread=2)
+        a, s = PM.pm_from_element(x)
+        units = rng.integers(1, cfg.q, size=(h, 4)).tolist()
+        d = [[tuple(units[i]) if i == j else (0,) * 4 for j in range(h)] for i in range(h)]
+        u = [[(int(rng.integers(0, cfg.q)) if j > i else int(i == j),) for j in range(h)]
+             for i in range(h)]
+        m = PM.pm_mul(PM.pm_mul(u, a, cfg), d, cfg)
+        vdet = x.v_det() + h * s
+        assert _reduce_both(m, cfg, s, vdet) == _reduce_both(m, cfg, s) == x
     for h in range(1, 7):
         for d in range(h + 1):
             rng = np.random.default_rng([66, p, r, h, d])
@@ -1077,6 +1094,17 @@ def test_consistency_suite(cfg):
     assert rep['ok']
     assert rep['checks']['reference_fixed_points'] == {'pass': 2, 'of': 2}
     assert sum(rep['eo_counts'].values()) == 6
+
+
+def test_consistency_suite_checks_at_most_samples_rows(cfg, monkeypatch):
+    # (10, 5) has 252 rows; samples = 2 builds two reference modules
+    from pkernels.shtuka import verify
+    calls = []
+    bt1_of = verify.bt1_of
+    monkeypatch.setattr(verify, 'bt1_of', lambda sh: calls.append(sh) or bt1_of(sh))
+    rep = run_consistency_suite(HodgeDatum(10, 5), cfg, samples=2, seed=0)
+    assert rep['ok'] and len(calls) == 2
+    assert rep['checks']['reference_fixed_points'] == {'pass': 2, 'of': 2}
 
 
 # --------------------------------------------------------- one form

@@ -142,11 +142,11 @@ def _p_alcove_excludes_basic(lam, u):
     return False
 
 
-def test_basic_column_is_the_p_alcove_criterion():
-    # every row of every stratum with h <= 9: the basic column of the
-    # table is nonempty exactly when no P-alcove rules it out
+def _basic_columns_match(heights):
+    # the basic column of the table is nonempty exactly when no P-alcove
+    # rules it out
     rows = 0
-    for h in range(1, 10):
+    for h in heights:
         for d in range(h + 1):
             hd = HodgeDatum(h, d)
             t = incidence_table(hd)
@@ -155,16 +155,36 @@ def test_basic_column_is_the_p_alcove_criterion():
                 x = eo_representative(hd, w)
                 assert row[col] != _p_alcove_excludes_basic(x.lam, x.perm), (hd, w)
                 rows += 1
-    assert rows == 1022
+    return rows
 
 
-def test_basic_point_of_random_elements_is_the_p_alcove_criterion():
-    # rows alone let a wrong alcove inequality through; 1200 seeded x
-    # with h <= 5 and lam_i in [-2, 2] do not
-    rng = np.random.default_rng(31)
-    for _ in range(1200):
-        h = int(rng.integers(1, 6))
+def test_basic_column_is_the_p_alcove_criterion():
+    # every row of every stratum with h <= 9
+    assert _basic_columns_match(range(1, 10)) == 1022
+
+
+@pytest.mark.slow
+def test_basic_column_is_the_p_alcove_criterion_at_height_10():
+    assert _basic_columns_match([10]) == 1024
+
+
+def _basic_points_match(rng, count, heights):
+    # the basic point is in B(x) exactly when no P-alcove rules it out,
+    # for seeded x with lam_i in [-2, 2]
+    for _ in range(count):
+        h = int(rng.integers(*heights))
         x = Element(tuple(int(v) for v in rng.integers(-2, 3, size=h)),
                     tuple(int(v) + 1 for v in rng.permutation(h)))
         basic = (Fraction(x.v_det(), h),) * h
         assert (basic in newton_strata(x)[0]) != _p_alcove_excludes_basic(x.lam, x.perm), x
+
+
+def test_basic_point_of_random_elements_is_the_p_alcove_criterion():
+    # rows alone let a wrong alcove inequality through; 1200 seeded x
+    # with h <= 5 do not
+    _basic_points_match(np.random.default_rng(31), 1200, (1, 6))
+
+
+@pytest.mark.slow
+def test_basic_point_of_random_elements_is_the_p_alcove_criterion_at_height_6():
+    _basic_points_match(np.random.default_rng(32), 1000, (6, 7))
