@@ -10,8 +10,9 @@ interpreters that import ``pkernels`` from ``ROOT/src`` (one side,
 runs ``--rounds`` times per side, the sides interleaved round by round
 (the first side first in even rounds, last in odd ones) so that a slow
 spell of the host hits both, and reports the best and the median wall
-time over all rounds and repeats (``best_s``, ``median_s``), every
-time, and the largest peak RSS of its children (each child's own, with
+time over all rounds and repeats (``best_s``, ``median_s``), the
+quartiles of those times (``quartiles_s``), every time, and the largest
+peak RSS of its children (each child's own, with
 the peak of any process it waited for).  On a loaded host the best is
 one lucky child, so compare medians too.  Each side records its commit,
 whether its tree was dirty, ``os.cpu_count()``, the seed, whether numba
@@ -26,8 +27,10 @@ End-to-end cases: the default ``calibrate()`` from empty caches; F_4
 oracle samples (sample, residue module, class, Newton polygon) per
 second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 4, 6, 8
 and 10, and of h = 11, the height bound of criterion.Bounds; the 50
-Iwahori orbits of acceptance 6 over F_2, in cosets per second; the
-Tier-1 test suite.  Layer cases: the first ``eo_classify`` of a module
+Iwahori orbits of acceptance 6 over F_2, in cosets per second; four
+seeded shuffles of the 302 cells with 2 <= h <= 5 as single-cell
+``lifts_to`` queries (``cell_queries_h5``), in queries per second, each
+repeat from an empty session memo; the Tier-1 test suite.  Layer cases: the first ``eo_classify`` of a module
 at (11, 5) from an empty memo, the list kernels ``rref_rows`` and
 ``polymat_rows`` that the oracle runs, ``charpoly`` over F_4 at h = 8,
 n = 9 and at h = 4, n = 5 (``charpoly_h4``), ``Packing.red``,
@@ -53,8 +56,16 @@ def _clear_caches():
     from pkernels import affine
     from pkernels.shtuka import bt1, gf
     affine._length_cache.clear()
+    _clear_session_memo()
     gf.field.cache_clear()
     bt1._reference_signatures.cache_clear()
+
+
+def _clear_session_memo():
+    # the reduction memo lifts_to and adlv_nonempty share; checkouts older
+    # than it have none
+    from pkernels import criterion
+    criterion.__dict__.get('_memo', {}).clear()
 
 
 def _calibrate(seed):
@@ -107,6 +118,30 @@ def _strata(h):
             for d in range(1, h):
                 incidence_table(HodgeDatum(h, d), bounds=bounds)
         return run, _clear_caches, {}
+    return case
+
+
+def _cell_queries(heights, shuffles):
+    # seeded shuffles of every cell of every stratum of the given heights,
+    # d = 0..h, as single-cell lifts_to queries in one session; each
+    # repeat starts from an empty session memo and a warm length cache
+    def case(seed):
+        import numpy as np
+        from pkernels import weyl
+        from pkernels.criterion import lifts_to
+        from pkernels.polygons import HodgeDatum, enumerate_polygons, mu_and_type
+        cells = [(hd, w, P) for h in heights for d in range(h + 1)
+                 for hd in [HodgeDatum(h, d)] for P in enumerate_polygons(hd)
+                 for w in weyl.min_coset_reps(h, mu_and_type(hd)[1])]
+        rng = np.random.default_rng([seed, 2])
+        queries = [cells[i] for _ in range(shuffles) for i in rng.permutation(len(cells))]
+
+        def run():
+            for q in queries:
+                lifts_to(*q)
+        run()
+        return run, _clear_session_memo, {'cells': len(cells), 'queries': len(queries),
+                                          'rate_unit': 'queries/s'}
     return case
 
 
@@ -270,19 +305,21 @@ def _reduction_step(seed):
     return run, None, {'calls': h * len(codes), 'h': h}
 
 
-# name -> (kind, repeats, setup); acceptance6_orbits takes 20 repeats
-# because at 5 its 25 runs per side spread by 0.22-0.38 s, too wide to
-# resolve a 30 % change, and strata_h4 and strata_h6 take 50 because one
-# run lasts a few milliseconds
+# name -> (kind, repeats, setup); acceptance6_orbits and oracle_f4_4_2
+# take 20 repeats because at 5 their 25 runs per side spread too widely
+# to resolve a 20-30 % change (0.22-0.38 s for the orbits), strata_h4,
+# strata_h6 and cell_queries_h5 take 50 because one run lasts a few
+# milliseconds
 CASES = {
     'calibrate': ('end_to_end', 5, _calibrate),
-    'oracle_f4_4_2': ('end_to_end', 5, _oracle(4, 2, 200)),
+    'oracle_f4_4_2': ('end_to_end', 20, _oracle(4, 2, 200)),
     'oracle_f4_8_4': ('end_to_end', 3, _oracle(8, 4, 20)),
     'strata_h4': ('end_to_end', 50, _strata(4)),
     'strata_h6': ('end_to_end', 50, _strata(6)),
     'strata_h8': ('end_to_end', 5, _strata(8)),
     'strata_h10': ('end_to_end', 3, _strata(10)),
     'strata_h11': ('end_to_end', 1, _strata(11)),
+    'cell_queries_h5': ('end_to_end', 50, _cell_queries((2, 3, 4, 5), 4)),
     'acceptance6_orbits': ('end_to_end', 20, _acceptance6_orbits),
     'tier1': ('end_to_end', 1, _tier1),
     'classify_first_11_5': ('layer', 5, _classify_first(11, 5)),
@@ -380,12 +417,15 @@ def measure(sides, seed, rounds):
         for name, got in runs.items():
             best = min(got, key=lambda r: r['best_s'])
             times = [t for r in got for t in r['times_s']]
-            out = dict(best, rounds=rounds, times_s=times, median_s=statistics.median(times),
+            quartiles = (statistics.quantiles(times, n=4, method='inclusive')
+                         if len(times) > 1 else times * 3)
+            out = dict(best, rounds=rounds, times_s=times, median_s=quartiles[1],
+                       quartiles_s=[quartiles[0], quartiles[2]],
                        peak_rss_mb=max(r['peak_rss_mb'] for r in got))
             record[name]['cases'][case] = out
-            print('%-8s %-18s best %.4f s  median %.4f s  peak %.1f MB'
-                  % (name, case, out['best_s'], out['median_s'], out['peak_rss_mb']),
-                  file=sys.stderr)
+            print('%-8s %-18s best %.4f s  median %.4f s  quartiles %.4f-%.4f s  peak %.1f MB'
+                  % (name, case, out['best_s'], out['median_s'], quartiles[0], quartiles[2],
+                     out['peak_rss_mb']), file=sys.stderr)
     return record
 
 

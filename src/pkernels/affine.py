@@ -385,7 +385,8 @@ def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
     counts the reduction tree: one per leaf, and per inner node the
     elements walked until its drop.  Calls that share a memo dict share
     their subtrees; the answers do not depend on it.  Raises
-    ResourceLimitError when a tree exceeds ``limit`` elements.
+    ResourceLimitError when a tree exceeds ``limit`` elements, whether it
+    is built or found in the memo.
 
     >>> sorted(newton_strata(Element((1, 0), (2, 1)))[0])
     [(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 2))]
@@ -409,10 +410,11 @@ def _reduce(c, ell, memo, limit):
             done = ({_blocks(cycles): c}, 1)
         else:
             done = _drop(c, ell, memo, limit)
-        if limit is not None and done[1] > limit:
-            raise ResourceLimitError('reduction of %r exceeds %d elements'
-                                     % (_element(c), limit))
         memo[c] = done
+    # on hits too: a memo warmed under a larger limit must not let a tree through
+    if limit is not None and done[1] > limit:
+        raise ResourceLimitError('reduction of %r exceeds %d elements'
+                                 % (_element(c), limit))
     return done
 
 

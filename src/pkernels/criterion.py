@@ -41,7 +41,8 @@ class Bounds:
     """Resource limits; exceeding either raises ResourceLimitError.
 
     max_height caps the height of a query, max_support the number of
-    elements one reduction explores.
+    elements one reduction explores, checked also on a tree that
+    lifts_to and adlv_nonempty find in their shared memo.
     """
 
     max_height: int = 11
@@ -74,8 +75,17 @@ def _provenance(check) -> dict:
             'seed': check['seed'] if check else None}
 
 
+# the reduction memo that lifts_to and adlv_nonempty share across calls;
+# each entry is a complete subtree, and it is cleared when full at the
+# start of a query, so it holds at most _MEMO_MAX entries plus one tree
+_MEMO_MAX = 1 << 12
+_memo = {}
+
+
 def _answer(c: tuple, P: NewtonPolygon, check, bounds: Bounds, return_info: bool):
-    points, explored = _strata(c, bounds or Bounds(), {})
+    if len(_memo) >= _MEMO_MAX:
+        _memo.clear()
+    points, explored = _strata(c, bounds or Bounds(), _memo)
     if not return_info:
         return P.blocks in points
     wit = _witness(points, P)
@@ -89,7 +99,9 @@ def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
     B(x_w).  ``check`` is a report calibrate() returned, or None; it is
     recorded, never consulted.  With return_info, also the witness (None
     for an empty cell), the number of elements the reduction explored and
-    the provenance."""
+    the provenance.  Calls share one bounded memo of reduction subtrees
+    with adlv_nonempty; no answer depends on it, and ``max_support`` is
+    checked on its hits too."""
     if (P.height, P.dimension) != (hd.height, hd.dimension):
         raise ValueError('polygon %s does not lie in stratum (%d, %d)'
                          % (P, hd.height, hd.dimension))
@@ -101,8 +113,8 @@ def adlv_nonempty(x: Element, P: NewtonPolygon, check: dict = None,
                   bounds: Bounds = None, return_info: bool = False):
     """Whether I·x·I meets the Newton stratum of P, i.e. whether the affine
     Deligne-Lusztig variety X_x(b_P) is nonempty (x must be minuscule of
-    the polygon's height and dimension).  ``check`` and return_info as
-    for lifts_to."""
+    the polygon's height and dimension).  ``check``, return_info and the
+    shared memo as for lifts_to."""
     h, d = P.height, P.dimension
     if x.h != h or not affine.in_minuscule_double_coset(x, h, d):
         raise ValueError('x is not in the minuscule stratum of (%d, %d)' % (h, d))

@@ -259,6 +259,96 @@ def test_bounds_support_guard():
         incidence_table(hd, bounds=Bounds(max_support=4))
 
 
+def _cells(tables):
+    """(hodge datum, row, polygon) for every cell of the tables."""
+    return [(HodgeDatum(*t.hodge), w, parse_polygon(col)) for t in tables
+            for w in t.rows for col in t.cols]
+
+
+def _cell_answers(cells, ask, cold):
+    """ask(*cell) with return_info for every cell, from an empty memo per
+    cell when ``cold``, else from whatever the memo holds."""
+    out = []
+    for cell in cells:
+        if cold:
+            criterion._memo.clear()
+        val, info = ask(*cell, return_info=True)
+        out.append((val, info['witness'], info['searched']))
+    return out
+
+
+def test_session_memo_never_changes_an_answer(monkeypatch, report):
+    # every cell with h <= 5: the same value, witness and searched count
+    # from an empty memo as after every cell has warmed it, and the table's
+    monkeypatch.setattr(criterion, '_memo', {})
+    tables = [incidence_table(hd) for hd in _strata(5)]
+    cells = _cells(tables)
+    cold = _cell_answers(cells, lifts_to, cold=True)
+    _cell_answers(cells, lifts_to, cold=False)
+    assert _cell_answers(cells, lifts_to, cold=False) == cold
+    expect = []
+    for t in tables:
+        for w, row in zip(t.rows, t.values):
+            for col, v in zip(t.cols, row):
+                key = criterion._cell_key(w, col)
+                expect.append((v, t.witnesses.get(key), t.searched.get(key)))
+    assert [(v, wit, None if v else n) for v, wit, n in cold] == expect
+    # the sigma-classes of the oracle check, against both polygons of (2, 1)
+    xs = [Element(**{k: tuple(v) for k, v in json.loads(text).items()})
+          for text in report['sigma']['classes']]
+    queries = [(x, P) for x in xs for P in (SS, ORD)]
+    cold = _cell_answers(queries, adlv_nonempty, cold=True)
+    assert _cell_answers(queries, adlv_nonempty, cold=False) == cold
+    for (x, P), (val, wit, n) in zip(queries, cold):
+        points, explored = affine.newton_strata(x)
+        assert val is (P.slopes() in points) and n == explored
+        assert wit == (None if not val else {'y': points[P.slopes()].to_dict()})
+
+
+def test_session_memo_keeps_the_support_guard(monkeypatch):
+    # the (5, 2) row (1, 3, 4, 2, 5) explores 5 elements; a tree the memo
+    # already holds is refused by a smaller max_support all the same
+    monkeypatch.setattr(criterion, '_memo', {})
+    hd, w, P = HodgeDatum(5, 2), (1, 3, 4, 2, 5), parse_polygon('2/5x5')
+    x = eo_representative(hd, w)
+    small, exact = Bounds(max_support=4), Bounds(max_support=5)
+    # warm first, then refused
+    assert lifts_to(hd, w, P, bounds=exact, return_info=True)[1]['searched'] == 5
+    with pytest.raises(ResourceLimitError):
+        lifts_to(hd, w, P, bounds=small)
+    with pytest.raises(ResourceLimitError):
+        adlv_nonempty(x, P, bounds=small)
+    # refused first, then answered, then refused again
+    criterion._memo.clear()
+    with pytest.raises(ResourceLimitError):
+        adlv_nonempty(x, P, bounds=small)
+    assert adlv_nonempty(x, P, return_info=True)[1]['searched'] == 5
+    with pytest.raises(ResourceLimitError):
+        lifts_to(hd, w, P, bounds=small)
+    with pytest.raises(ResourceLimitError):
+        adlv_nonempty(x, P, bounds=small)
+
+
+def test_session_memo_is_bounded(monkeypatch):
+    # with a cap of 8 the memo is cleared at the start of any query that
+    # finds it full, so it never holds more than the cap plus the new
+    # entries of one tree (at most the elements that tree explored)
+    cells = _cells(incidence_table(hd) for hd in _strata(6))
+    monkeypatch.setattr(criterion, '_memo', {})
+    want = _cell_answers(cells, lifts_to, cold=True)
+    monkeypatch.setattr(criterion, '_MEMO_MAX', 8)
+    got, clears, largest = [], 0, 0
+    for cell in cells:
+        before = len(criterion._memo)
+        got += _cell_answers([cell], lifts_to, cold=False)
+        clears += before >= 8
+        largest = max(largest, len(criterion._memo))
+        assert len(criterion._memo) <= (0 if before >= 8 else before) + got[-1][2]
+        assert len(criterion._memo) < 8 + got[-1][2]
+    assert got == want
+    assert largest > 8 and clears > 1
+
+
 def test_calibrate_selection_and_report(report):
     # the session report comes from a real calibration run on (2, 1)
     assert report['probes'] == [[2, 1]]

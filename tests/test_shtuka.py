@@ -27,7 +27,7 @@ from pkernels.shtuka import reduction
 from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
 from conftest import arrays
-from test_kernels import FIELDS, _series_inv_lists
+from test_kernels import FIELDS, _charpoly_subset_dp, _series_inv_lists
 from test_polymat import _valuation
 
 
@@ -611,12 +611,16 @@ def test_data_that_are_no_square_tensors_are_rejected(shape):
 def _iwahori_class_numpy(amat, cfg, shift=0, expected_vdet=None):
     """The numpy form iwahori_class_of replaced: the same pivots on
     (h, h, n) coefficient tensors, at n = v(det) + 1 with v(det) read off
-    the exact determinant when not given."""
+    the exact determinant when not given, by the subset DP of
+    test_kernels, so that no kernel under test enters the reference."""
     a = np.asarray(amat, dtype=np.int64)
     h = a.shape[0]
     vdet = expected_vdet
     if vdet is None:
-        vdet = _valuation(PM.pm_char_poly(a, cfg)[0])     # v(det(-a)) = v(det(a))
+        t = arrays(cfg)
+        # the constant term det(-a), exact at t-degree h·(D − 1)
+        cp = _charpoly_subset_dp(a, h * (a.shape[2] - 1) + 1, t.add, t.mul, t.neg)
+        vdet = _valuation(cp[0])     # v(det(-a)) = v(det(a))
         if vdet is None:
             raise ValueError('singular matrix')
     n = vdet + 1
