@@ -12,8 +12,8 @@ runs ``--rounds`` times per side, the sides interleaved round by round
 spell of the host hits both, and reports the best and the median wall
 time over all rounds and repeats (``best_s``, ``median_s``), the
 quartiles of those times (``quartiles_s``), every time, and the largest
-peak RSS of its children (each child's own, with
-the peak of any process it waited for).  On a loaded host the best is
+peak RSS of its children (each child's own, with the peak of any
+process it waited for).  On a loaded host the best is
 one lucky child, so compare medians too.  Each side records its commit,
 whether its tree was dirty, ``os.cpu_count()``, the seed, whether numba
 is importable, and the lines and bytes of its ``src/pkernels/**/*.py``
@@ -30,12 +30,13 @@ and 10, and of h = 11, the height bound of criterion.Bounds; the 50
 Iwahori orbits of acceptance 6 over F_2, in cosets per second; four
 seeded shuffles of the 302 cells with 2 <= h <= 5 as single-cell
 ``lifts_to`` queries (``cell_queries_h5``), in queries per second, each
-repeat from an empty session memo; the Tier-1 test suite.  Layer cases: the first ``eo_classify`` of a module
-at (11, 5) from an empty memo, the list kernels ``rref_rows`` and
-``polymat_rows`` that the oracle runs, ``charpoly`` over F_4 at h = 8,
-n = 9 and at h = 4, n = 5 (``charpoly_h4``), ``Packing.red``,
-``lattice_key``, affine multiplication and length, and one reduction
-step (``_conj_delta`` plus ``_conj`` on the flat coding).
+repeat from an empty session memo; the Tier-1 test suite.  Layer cases:
+the first ``eo_classify`` of a module at (11, 5) from an empty memo,
+the list kernels ``rref_rows`` and ``polymat_rows`` that the oracle
+runs, ``charpoly`` over F_4 at h = 8, n = 9 and at h = 4, n = 5
+(``charpoly_h4``), ``Packing.red``, ``lattice_key``, affine
+multiplication and length, and one reduction step (``_conj_delta`` plus
+``_conj`` on the flat coding).
 """
 
 import argparse

@@ -617,9 +617,9 @@ def _iwahori_class_numpy(amat, cfg, shift=0, expected_vdet=None):
     h = a.shape[0]
     vdet = expected_vdet
     if vdet is None:
-        t = arrays(cfg)
+        tab = arrays(cfg)
         # the constant term det(-a), exact at t-degree h·(D − 1)
-        cp = _charpoly_subset_dp(a, h * (a.shape[2] - 1) + 1, t.add, t.mul, t.neg)
+        cp = _charpoly_subset_dp(a, h * (a.shape[2] - 1) + 1, tab.add, tab.mul, tab.neg)
         vdet = _valuation(cp[0])     # v(det(-a)) = v(det(a))
         if vdet is None:
             raise ValueError('singular matrix')
