@@ -308,17 +308,18 @@ def _reduction_step(seed):
 
 # name -> (kind, repeats, setup); acceptance6_orbits and oracle_f4_4_2
 # take 20 repeats because at 5 their 25 runs per side spread too widely
-# to resolve a 20-30 % change (0.22-0.38 s for the orbits), strata_h4,
-# strata_h6 and cell_queries_h5 take 50 because one run lasts a few
-# milliseconds
+# to resolve a 20-30 % change (0.22-0.38 s for the orbits), calibrate 10
+# and strata_h10 8 because at 5 and 3 their medians read 13 % and 8 %
+# apart on an unchanged path, strata_h4, strata_h6 and cell_queries_h5
+# take 50 because one run lasts a few milliseconds
 CASES = {
-    'calibrate': ('end_to_end', 5, _calibrate),
+    'calibrate': ('end_to_end', 10, _calibrate),
     'oracle_f4_4_2': ('end_to_end', 20, _oracle(4, 2, 200)),
     'oracle_f4_8_4': ('end_to_end', 3, _oracle(8, 4, 20)),
     'strata_h4': ('end_to_end', 50, _strata(4)),
     'strata_h6': ('end_to_end', 50, _strata(6)),
     'strata_h8': ('end_to_end', 5, _strata(8)),
-    'strata_h10': ('end_to_end', 3, _strata(10)),
+    'strata_h10': ('end_to_end', 8, _strata(10)),
     'strata_h11': ('end_to_end', 1, _strata(11)),
     'cell_queries_h5': ('end_to_end', 50, _cell_queries((2, 3, 4, 5), 4)),
     'acceptance6_orbits': ('end_to_end', 20, _acceptance6_orbits),

@@ -24,8 +24,9 @@ substitution; Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", J. Symb. Comput. 2009).  tests/test_kernels.py
 checks every list kernel against plain loop forms, and charpoly against
 a division-free DP over row subsets and a Hessenberg reduction on lists
-of coefficients.  A field keeps its Packings (FieldConfig.packing), each
-with its Frobenius maps, so a caller does not rebuild them.
+of coefficients.  A field keeps its Packings (FieldConfig.packing), so a
+caller does not rebuild them.  Frobenius acts on unpacked matrices
+(polymat.pm_frob), before they are packed.
 """
 
 import operator
@@ -131,24 +132,20 @@ def gf_rref(mat, cfg):
 def gf_conv2(a, b, cfg):
     """2D polynomial product; 1D is the (1, n) special case.
 
-    The output is one flat list of rows of width w = ay+by-1, and b one
-    flat list of its rows, each followed by ay-1 zeros.  The product of
-    a[i, j]·x^i·y^j with b is then b shifted by i·w + j: one
-    comprehension per nonzero coefficient of a.
+    Each operand is one polynomial with row i at i·w, w = ay+by-1, and
+    its product (polymat_rows on 1 x 1 matrices) holds row i of the
+    result at i·w: a row of the result has w coefficients, so no row
+    reaches into the next.
     """
-    ADD, MUL = cfg.tables[:2]
     ax, ay = a.shape
     bx, by = b.shape
     w = ay + by - 1
-    pad = [0] * (ay - 1)
-    flat = [y for row in b.tolist() for y in row + pad]
-    out = [0] * ((ax + bx - 1) * w)
-    for i, arow in enumerate(a.tolist()):
-        for j, c in enumerate(arow):
-            if c:
-                mc = MUL[c]
-                s = i * w + j
-                out[s:s + bx * w] = [ADD[x][mc[y]] for x, y in zip(out[s:s + bx * w], flat)]
+
+    def flat(x):        # the last row unpadded
+        pad = [0] * (w - x.shape[1])
+        return [y for row in x.tolist() for y in row + pad][:len(x) * w - len(pad)]
+
+    out = polymat_rows([[flat(a)]], [[flat(b)]], 1, (ax + bx - 1) * w, cfg)[0]
     return _array(out, (ax + bx - 1, w))
 
 
@@ -218,9 +215,8 @@ class Packing:
         self._pack = [0]        # digit j of e in slot j of _pack[e], one digit per pass
         for j in range(r):
             self._pack = [x + (d << j * W) for d in range(p) for x in self._pack]
-        self._frb, self._frobenius = cfg.frobs[0], {}
         trunc = (1 << n * B) - 1
-        plane = self._plane = trunc // ((1 << B) - 1) * ((1 << W) - 1)   # slot 0 of each block
+        plane = trunc // ((1 << B) - 1) * ((1 << W) - 1)                 # slot 0 of each block
         low = trunc // ((1 << W) - 1) * ((1 << N) - 1)                   # low N bits of each slot
         M = -(-(1 << K) // p)
         folds = [(j * W, self._pack[cfg.tables[1][p ** (r - 1)][p ** (j - r + 1)]] - (1 << j * W))
@@ -257,26 +253,6 @@ class Packing:
     def unpack(self, x):
         """The n field indices of a normalised int, t^0 first."""
         return [self._index(x >> s * self.block) for s in range(self.n)]
-
-    def frobenius(self, k):
-        """The map applying sigma^k, sigma the p-power Frobenius, to every
-        coefficient: an F_p-linear map, so plane j goes to the image of
-        x^j.  Built once per k mod r and kept."""
-        k %= self.r
-        apply = self._frobenius.get(k)
-        if apply is None:
-            W, plane, red, images = self.W, self._plane, self.red, []
-            for j in range(self.r):
-                e = self.p ** j
-                for _ in range(k):
-                    e = self._frb[e]
-                images.append((j * W, self._pack[e]))
-
-            def apply(x):
-                return red(sum(((x >> shift) & plane) * c for shift, c in images))
-
-            self._frobenius[k] = apply
-        return apply
 
 
 def series_matmul(x, y, lay):

@@ -256,7 +256,7 @@ def _sigma_classes(P, cfg, seed, trials):
 
 
 def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
-              sigma_trials: int = 200, bounds: Bounds = None) -> dict:
+              sigma_trials: int = 200) -> dict:
     """Check the engine against ground truth and the matrix oracle.
 
     The four height-2 cells must match elliptic curves, every (class,
@@ -264,19 +264,19 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     nonempty cell, and every Iwahori class reached by sigma-conjugating
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
     must meet that polygon's stratum.  Raises ResourceLimitError before
-    any sampling if a probe exceeds the height bound, ValueError if a
-    sample or trial count is below one, and ConventionError on any
-    disagreement; otherwise returns the report of the evidence, which
-    lifts_to, adlv_nonempty and incidence_table accept as ``check``.
+    any sampling if a probe exceeds the height bound of Bounds(),
+    ValueError if a sample or trial count is below one, and
+    ConventionError on any disagreement; otherwise returns the report of
+    the evidence, which lifts_to, adlv_nonempty and incidence_table
+    accept as ``check``.
     """
     from .shtuka import field
     cfg = cfg or field(2, 2)
-    bounds = bounds or Bounds()
     if probes is None:
         probes = ((2, 1), (3, 1), (3, 2))
     probes = tuple(tuple(p) for p in probes)
     for h, _ in probes:
-        bounds.check_height(h)
+        Bounds().check_height(h)
     if samples is None:
         samples = {p: (1000 if p == (2, 1) else 300) for p in probes}
     elif isinstance(samples, int):
@@ -290,14 +290,14 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
 
     violations = []
     for hdt, w, ps, expect in KNOWN_CELLS:
-        if lifts_to(HodgeDatum(*hdt), w, parse_polygon(ps), bounds=bounds) != expect:
+        if lifts_to(HodgeDatum(*hdt), w, parse_polygon(ps)) != expect:
             violations.append({'cell': [list(hdt), list(w), ps], 'expected': expect,
                                'why': 'ground truth'})
     observed = {}
     for p in probes:
         hd = HodgeDatum(*p)
         observed[p] = _observe(hd, cfg, samples[p], seed)
-        table = incidence_table(hd, bounds=bounds)
+        table = incidence_table(hd)
         for (w, ps), cnt in sorted(observed[p].items()):
             if not table.cell(w, ps):
                 violations.append({'cell': [list(p), list(w), ps], 'expected': True,
@@ -305,7 +305,7 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     P = parse_polygon(SIGMA_POLYGON)
     classes = _sigma_classes(P, cfg, seed, sigma_trials)
     for x, cnt in classes.items():
-        if not adlv_nonempty(x, P, bounds=bounds):
+        if not adlv_nonempty(x, P):
             violations.append({'class': x.to_dict(), 'np': SIGMA_POLYGON, 'expected': True,
                                'why': 'sigma-conjugate x%d' % cnt})
     if violations:

@@ -6,7 +6,8 @@ from one linear solve mod t^2 (LocalShtuka._solve).
 The Newton polygon is computed exactly from the characteristic
 polynomial cp(X) = det(X - B) of the r-fold twisted product
 B = A·sigma(A)···sigma^{r-1}(A) (lower convex hull of coefficient
-valuations, slopes divided by r), on packed series throughout.
+valuations, slopes divided by r): sigma acts on A before it is packed,
+and the products and cp run on packed series.
 
 Working mod t^(r·d+1), d = v(det A), is exact.  cp is monic, so its
 point at X^h is (h, 0), and v(cp_0) = v(det B) = r·d, so its point at
@@ -115,8 +116,6 @@ def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> tuple:
         c0 = rng.integers(0, q, size=(h, h), dtype=np.int64).tolist()
         if K.rref_rows(list(c0), cfg) == h:
             break
-    if deg == 1:
-        return tuple(tuple((c,) for c in row) for row in c0)
     high = rng.integers(0, q, size=(h, h, deg - 1), dtype=np.int64).tolist()
     return tuple(tuple((c, *t) for c, t in zip(row, trow)) for row, trow in zip(c0, high))
 
@@ -185,22 +184,14 @@ def _polygon_of_valuations(vals, r: int) -> NewtonPolygon:
 
 
 def _norm(a, lay: K.Packing, cfg: FieldConfig):
-    """The r-fold norm A·sigma(A)···sigma^(r-1)(A) mod t^n of a packed
-    matrix, by doubling: N_(2k) = N_k·sigma^k(N_k) and N_(k+1) =
-    N_k·sigma^k(A), one step per binary digit of r, so ceil(log2 r) to
-    2·floor(log2 r) products (3 for GF(256)) instead of r - 1.  Each
-    entry of a product is a sum of h products reduced once
-    (_kernels.series_matmul); sigma^k is the Packing's kept map."""
-
-    def sigma(x, k):
-        f = lay.frobenius(k)
-        return [[f(e) for e in row] for row in x]
-
-    b, k = a, 1
-    for bit in bin(cfg.r)[3:]:
-        b, k = K.series_matmul(b, sigma(b, k), lay), 2 * k
-        if bit == '1':
-            b, k = K.series_matmul(b, sigma(a, k), lay), k + 1
+    """The r-fold norm A·sigma(A)···sigma^(r-1)(A) mod t^n of a
+    polynomial matrix, packed in lay: r - 1 products, each entry a sum
+    of h products reduced once (_kernels.series_matmul).  sigma^k(A) is
+    sigma applied to sigma^(k-1)(A) before packing (polymat.pm_frob)."""
+    b = PM.pack_matrix(a, lay)
+    for _ in range(1, cfg.r):
+        a = PM.pm_frob(a, cfg)
+        b = K.series_matmul(b, PM.pack_matrix(a, lay), lay)
     return b
 
 
@@ -208,15 +199,15 @@ def newton_polygon_of(sh: LocalShtuka) -> NewtonPolygon:
     """Exact Newton polygon of the sigma-semilinear action of amat,
     computed mod t^(r·d+1) (see the module docstring).
 
-    A mod t^n is packed once (the field's kept Packing of (n, h),
-    FieldConfig.packing), its r-fold norm is built
-    by doubling (_norm), and the valuation of each coefficient of the
+    A and its r - 1 Frobenius twists mod t^n are packed in the field's
+    kept Packing of (n, h) (FieldConfig.packing), their product is the
+    r-fold norm (_norm), and the valuation of each coefficient of the
     norm's characteristic polynomial is read straight off its packed int.
     """
     cfg = sh.cfg
     h = sh.h
     lay = cfg.packing(cfg.r * sh.dimension + 1, h)
-    cp = K.charpoly(_norm(PM.pack_matrix(sh.amat, lay), lay, cfg), lay)
+    cp = K.charpoly(_norm(sh.amat, lay, cfg), lay)
     P = _polygon_of_valuations([lay.val(c) if c else None for c in cp], cfg.r)
     if P.height != h or P.dimension != sh.dimension:
         raise ConventionError('Newton polygon %s does not have height %d and dimension %d'

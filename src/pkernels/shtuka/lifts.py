@@ -20,7 +20,8 @@ step: forward or back, its target, and which earlier pairs its free
 coefficients may use.  The families' checks, their twins, the random
 draws and both operators read its table.  The operators are h rows of
 [t^0, t^1] coefficient pairs built on the field's list tables, and the
-exchange identities are two list products (_kernels.polymat_rows).
+exchange identities are two polynomial matrix products of one operator
+with the other's Frobenius twist (polymat.pm_mul, polymat.pm_frob).
 """
 
 import operator
@@ -29,7 +30,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .. import _kernels as K
 from ..errors import ConventionError
 from ..polygons import NewtonPolygon
 from ..semimodules import SemimoduleBeginning, cochar_to_beginning, enumerate_cochar_block
@@ -190,10 +190,9 @@ def lift_from_filtration(data: FiltrationData) -> LocalShtuka:
     cfg = data.cfg
     fmat, vmat = _operators(data)
     h = len(fmat)
-    t_eye = [[c for j in range(h) for c in (0, int(i == j), 0)] for i in range(h)]
-    for a, b, twist in ((fmat, vmat, cfg.frobs[0]), (vmat, fmat, cfg.frobs[1])):
-        twisted = [[[twist[c] for c in e] for e in row] for row in b]
-        if K.polymat_rows(a, twisted, h, 3, cfg) != t_eye:
+    t_eye = tuple(tuple((0, int(i == j), 0) for j in range(h)) for i in range(h))
+    for a, b, k in ((fmat, vmat, 1), (vmat, fmat, -1)):
+        if PM.pm_mul(a, PM.pm_frob(b, cfg, k), cfg) != t_eye:
             raise ConventionError('exchange identities fail for the assembled lift')
     return LocalShtuka(cfg, PM.pm_trim(fmat))
 

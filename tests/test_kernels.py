@@ -631,8 +631,3 @@ def test_packed_series_round_trip(p, r):
             x = lay.pack(f)
             assert lay.unpack(x) == f[:n]
             assert lay.val(x) == next((s for s, e in enumerate(f[:n]) if e), n)
-            # every power of Frobenius, coefficientwise
-            table = np.arange(c.q)
-            for k in range(r + 1):
-                assert lay.unpack(lay.frobenius(k)(x)) == [int(table[e]) for e in f[:n]]
-                table = arrays(c).frb[table]

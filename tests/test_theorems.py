@@ -9,8 +9,8 @@ import pytest
 
 from pkernels.affine import Element, length, newton_point, newton_strata, omega, simple_reflection
 from pkernels.criterion import Bounds, incidence_table
-from pkernels.polygons import (HodgeDatum, enumerate_polygons, eo_representative,
-                               polygon_from_slopes)
+from pkernels.polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
+                               eo_representative, parse_polygon, polygon_from_slopes)
 from pkernels.shtuka import bt1_of, eo_classify, minimal_shtuka
 from test_affine import reduced_decomposition
 
@@ -109,6 +109,35 @@ def test_generic_newton_point_is_the_largest_cell():
 
 def test_generic_newton_point_is_the_largest_cell_at_height_7():
     assert _generic_points_match([7]) == 128
+
+
+def _dual_row(w):
+    # w0·w·w0: j -> h+1-w(h+1-j)
+    h = len(w)
+    return tuple(h + 1 - w[h - j] for j in range(1, h + 1))
+
+
+def _dual_tables_match(heights):
+    # Cartier duality sends the stratum (h, d) to (h, h - d), each block
+    # (n, m) to (m, n), and the row w to w0·w·w0
+    cells = 0
+    for h in heights:
+        for d in range(h + 1):
+            t, dual = (incidence_table(HodgeDatum(h, e)) for e in (d, h - d))
+            cols = [str(NewtonPolygon(tuple(b[::-1] for b in parse_polygon(c).blocks)))
+                    for c in t.cols]
+            assert sorted(cols) == sorted(dual.cols), (h, d)
+            assert sorted(map(_dual_row, t.rows)) == sorted(dual.rows), (h, d)
+            for w, row in zip(t.rows, t.values):
+                want = dict(zip(dual.cols, dual.values[dual.rows.index(_dual_row(w))]))
+                assert dict(zip(cols, row)) == want, (h, d, w)
+                cells += len(row)
+    return cells
+
+
+def test_cartier_dual_tables_match():
+    # every stratum with h <= 7
+    assert _dual_tables_match(range(1, 8)) == 3098
 
 
 def _p_alcove_excludes_basic(lam, u):
