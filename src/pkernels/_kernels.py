@@ -25,8 +25,7 @@ Kronecker substitution", J. Symb. Comput. 2009).  tests/test_kernels.py
 checks every list kernel against plain loop forms, and charpoly against
 a division-free DP over row subsets and a Hessenberg reduction on lists
 of coefficients.  A field keeps its Packings (FieldConfig.packing), so a
-caller does not rebuild them.  Frobenius acts on unpacked matrices
-(polymat.pm_frob), before they are packed.
+caller does not rebuild them.
 """
 
 import operator
@@ -132,21 +131,17 @@ def gf_rref(mat, cfg):
 def gf_conv2(a, b, cfg):
     """2D polynomial product; 1D is the (1, n) special case.
 
-    Each operand is one polynomial with row i at i·w, w = ay+by-1, and
-    its product (polymat_rows on 1 x 1 matrices) holds row i of the
-    result at i·w: a row of the result has w coefficients, so no row
-    reaches into the next.
+    Each operand, its rows padded to w = ay+by-1 and laid end to end, is
+    one polynomial with row i at i·w, and so is their product
+    (polymat_rows on 1 x 1 matrices): its rows have w coefficients, so
+    none reaches into the next.
     """
     ax, ay = a.shape
     bx, by = b.shape
     w = ay + by - 1
-
-    def flat(x):        # the last row unpadded
-        pad = [0] * (w - x.shape[1])
-        return [y for row in x.tolist() for y in row + pad][:len(x) * w - len(pad)]
-
-    out = polymat_rows([[flat(a)]], [[flat(b)]], 1, (ax + bx - 1) * w, cfg)[0]
-    return _array(out, (ax + bx - 1, w))
+    fa, fb = ([y for row in x.tolist() for y in row + [0] * (w - len(row))] for x in (a, b))
+    out = polymat_rows([[fa]], [[fb]], 1, len(fa) + len(fb) - 1, cfg)[0]
+    return _array(out[:(ax + bx - 1) * w], (ax + bx - 1, w))
 
 
 def polymat_mul(a, b, cfg):

@@ -264,11 +264,10 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     nonempty cell, and every Iwahori class reached by sigma-conjugating
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
     must meet that polygon's stratum.  Raises ResourceLimitError before
-    any sampling if a probe exceeds the height bound of Bounds(),
-    ValueError if a sample or trial count is below one, and
-    ConventionError on any disagreement; otherwise returns the report of
-    the evidence, which lifts_to, adlv_nonempty and incidence_table
-    accept as ``check``.
+    any sampling if a probe exceeds the height bound, ValueError if a
+    sample or trial count is below one, and ConventionError on any
+    disagreement; otherwise returns the report of the evidence, which
+    lifts_to, adlv_nonempty and incidence_table accept as ``check``.
     """
     from .shtuka import field
     cfg = cfg or field(2, 2)

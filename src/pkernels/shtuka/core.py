@@ -6,8 +6,7 @@ from one linear solve mod t^2 (LocalShtuka._solve).
 The Newton polygon is computed exactly from the characteristic
 polynomial cp(X) = det(X - B) of the r-fold twisted product
 B = A·sigma(A)···sigma^{r-1}(A) (lower convex hull of coefficient
-valuations, slopes divided by r): sigma acts on A before it is packed,
-and the products and cp run on packed series.
+valuations, slopes divided by r); sigma acts before packing.
 
 Working mod t^(r·d+1), d = v(det A), is exact.  cp is monic, so its
 point at X^h is (h, 0), and v(cp_0) = v(det B) = r·d, so its point at
@@ -184,14 +183,12 @@ def _polygon_of_valuations(vals, r: int) -> NewtonPolygon:
 
 
 def _norm(a, lay: K.Packing, cfg: FieldConfig):
-    """The r-fold norm A·sigma(A)···sigma^(r-1)(A) mod t^n of a
-    polynomial matrix, packed in lay: r - 1 products, each entry a sum
-    of h products reduced once (_kernels.series_matmul).  sigma^k(A) is
-    sigma applied to sigma^(k-1)(A) before packing (polymat.pm_frob)."""
+    """The r-fold norm A·sigma(A)···sigma^(r-1)(A) mod t^n of a polynomial
+    matrix, packed in lay: r - 1 products, each entry a sum of h products
+    reduced once (_kernels.series_matmul)."""
     b = PM.pack_matrix(a, lay)
-    for _ in range(1, cfg.r):
-        a = PM.pm_frob(a, cfg)
-        b = K.series_matmul(b, PM.pack_matrix(a, lay), lay)
+    for k in range(1, cfg.r):
+        b = K.series_matmul(b, PM.pack_matrix(PM.pm_frob(a, cfg, k), lay), lay)
     return b
 
 

@@ -5,10 +5,9 @@ vectors (little-endian) against the power basis of F_p[x]/(f), f the
 first monic irreducible of degree r in the order of (f_0, ..., f_{r-1})
 (f = x for r = 1).  All arithmetic is table lookup: ``tables`` holds
 add, mul, neg and inv as tuples of ints (``MUL[a][b]``), ``frobs`` the
-Frobenius a -> a^p and its inverse, which polymat.pm_frob applies to a
-matrix; numpy only builds them.  A field also keeps the Packings its
-callers ask for (FieldConfig.packing), so they go with it when field's
-cache is cleared.
+Frobenius a -> a^p and its inverse; numpy only builds them.  A field
+also keeps the Packings its callers ask for (FieldConfig.packing), so
+they go with it when field's cache is cleared.
 
 One rule multiplies, _mulmod: convolve two digit vectors and fold each
 x^k, k >= r, down by f, digits mod p.  It fills mul and selects f:
