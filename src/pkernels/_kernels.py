@@ -133,8 +133,8 @@ def gf_conv2(a, b, cfg):
 
     Each operand, its rows padded to w = ay+by-1 and laid end to end, is
     one polynomial with row i at i·w, and so is their product
-    (polymat_rows on 1 x 1 matrices): its rows have w coefficients, so
-    none reaches into the next.
+    (polymat_rows on 1 x 1 matrices): a product of two rows has w
+    coefficients, so none reaches into the next row.
     """
     ax, ay = a.shape
     bx, by = b.shape
