@@ -84,7 +84,7 @@ def _oracle(h, d, count):
         from pkernels.shtuka import bt1_of, eo_classify, field, newton_polygon_of, sample_shtuka
         cfg, hd = field(2, 2), HodgeDatum(h, d)
         # warms the field; the first sample of each canonical type is checked inside run
-        eo_classify(bt1_of(sample_shtuka(hd, cfg, seed=seed)), d)
+        eo_classify(bt1_of(sample_shtuka(hd, cfg, rng=np.random.default_rng(seed))), d)
 
         def run():
             for k in range(count):
@@ -99,9 +99,10 @@ def _classify_first(h, d):
     # the first classification of one module's canonical type, from an
     # empty memo: what a new type costs eo_classify
     def case(seed):
+        import numpy as np
         from pkernels.polygons import HodgeDatum
         from pkernels.shtuka import bt1, bt1_of, eo_classify, field, sample_shtuka
-        Z = bt1_of(sample_shtuka(HodgeDatum(h, d), field(2, 2), seed=seed))
+        Z = bt1_of(sample_shtuka(HodgeDatum(h, d), field(2, 2), rng=np.random.default_rng(seed)))
 
         def run():
             eo_classify(Z, d)
@@ -308,12 +309,13 @@ def _reduction_step(seed):
 
 # name -> (kind, repeats, setup); acceptance6_orbits and oracle_f4_4_2
 # take 20 repeats because at 5 their 25 runs per side spread too widely
-# to resolve a 20-30 % change (0.22-0.38 s for the orbits), calibrate 10
-# and strata_h10 8 because at 5 and 3 their medians read 13 % and 8 %
-# apart on an unchanged path, strata_h4, strata_h6 and cell_queries_h5
-# take 50 because one run lasts a few milliseconds
+# to resolve a 20-30 % change (0.22-0.38 s for the orbits), calibrate 20
+# because at 5 and 10 its medians read 13 % and 8 % apart on an
+# unchanged path, strata_h10 8 because at 3 its medians read 8 % apart,
+# strata_h4, strata_h6 and cell_queries_h5 take 50 because one run
+# lasts a few milliseconds
 CASES = {
-    'calibrate': ('end_to_end', 10, _calibrate),
+    'calibrate': ('end_to_end', 20, _calibrate),
     'oracle_f4_4_2': ('end_to_end', 20, _oracle(4, 2, 200)),
     'oracle_f4_8_4': ('end_to_end', 3, _oracle(8, 4, 20)),
     'strata_h4': ('end_to_end', 50, _strata(4)),

@@ -22,12 +22,17 @@ __all__ = ['main', 'parse_element']
 
 
 def parse_element(text: str) -> Element:
-    """Parse "perm=[2,1];lam=(0,1)" (field order free, spaces ignored)."""
+    """Parse "perm=[2,1];lam=(0,1)" (each field once, in either order,
+    spaces ignored)."""
     perm = lam = None
+    seen = set()
     for part in text.replace(' ', '').split(';'):
         if not part:
             continue
         key, _, val = part.partition('=')
+        if key in seen:
+            raise ValueError('element field %r given twice' % key)
+        seen.add(key)
         if key == 'perm':
             perm = _parse_perm(val)
         elif key == 'lam':
@@ -71,7 +76,7 @@ def _literal(text, what):
 
 
 def _ints(val, what):
-    if not isinstance(val, (tuple, list)) or not all(isinstance(v, int) for v in val):
+    if not isinstance(val, (tuple, list)) or not all(type(v) is int for v in val):
         raise ValueError('%s must be a list of integers, got %r' % (what, val))
     return tuple(val)
 

@@ -112,19 +112,18 @@ def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> tuple:
         raise ValueError('coefficient degree must be at least 1, got %d' % deg)
     q = cfg.q
     while True:
-        c0 = rng.integers(0, q, size=(h, h), dtype=np.int64).tolist()
+        c0 = rng.integers(0, q, size=(h, h)).tolist()
         if K.rref_rows(list(c0), cfg) == h:
             break
-    high = rng.integers(0, q, size=(h, h, deg - 1), dtype=np.int64).tolist()
+    high = rng.integers(0, q, size=(h, h, deg - 1)).tolist()
     return tuple(tuple((c, *t) for c, t in zip(row, trow)) for row, trow in zip(c0, high))
 
 
-def sample_shtuka(hd, cfg: FieldConfig, deg: int = 2, seed=None, rng=None) -> LocalShtuka:
-    """U1 · diag(t^mu) · U2 with random unimodular factors of the given
-    coefficient degree, mu = (1^d, 0^(h-d)).  U1 · diag(t^mu) is U1 with
-    its first d columns shifted up one coefficient, so one product."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+def sample_shtuka(hd, cfg: FieldConfig, rng, deg: int = 2) -> LocalShtuka:
+    """U1 · diag(t^mu) · U2 with unimodular factors of the given
+    coefficient degree drawn from rng, mu = (1^d, 0^(h-d)).  U1 · diag(t^mu)
+    is U1 with its first d columns shifted up one coefficient, so one
+    product."""
     h, d = hd.height, hd.dimension
     u1 = random_unimodular(h, cfg, deg, rng)
     u2 = random_unimodular(h, cfg, deg, rng)

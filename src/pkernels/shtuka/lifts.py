@@ -28,8 +28,6 @@ import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-import numpy as np
-
 from ..errors import ConventionError
 from ..polygons import NewtonPolygon
 from ..semimodules import SemimoduleBeginning, cochar_to_beginning, enumerate_cochar_block
@@ -130,12 +128,10 @@ class FiltrationData:
             object.__setattr__(self, name, value)
 
 
-def random_filtration_data(P: NewtonPolygon, cfg: FieldConfig, seed=None,
-                           rng=None, beginnings=None) -> FiltrationData:
+def random_filtration_data(P: NewtonPolygon, cfg: FieldConfig, rng,
+                           beginnings=None) -> FiltrationData:
     """Random beginnings (unless given) and uniform random free
-    coefficients; the dual families are derived."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    coefficients, drawn from rng; the dual families are derived."""
     if beginnings is None:
         beginnings = []
         for (n, m) in P.blocks:

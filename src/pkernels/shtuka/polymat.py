@@ -16,7 +16,6 @@ iteration on packed matrices.
 
 import operator
 from itertools import chain
-from numbers import Real
 
 from .. import _kernels as K
 from .gf import FieldConfig
@@ -43,13 +42,11 @@ def _shape(a) -> tuple:
 
 def _field_bytes(flat, q) -> bytes:
     """The list flat as bytes; ValueError unless every entry is an integer
-    (an integral float counts) in [0, q), q <= 256 (gf.MAX_ORDER)."""
+    in [0, q), q <= 256 (gf.MAX_ORDER)."""
     try:
         data = bytes(flat)
     except TypeError:
-        if not all(isinstance(x, Real) and x % 1 == 0 for x in flat):
-            raise ValueError('field indices must be integers') from None
-        return _field_bytes([int(x) for x in flat], q)
+        raise ValueError('field indices must be integers') from None
     except ValueError:                  # an entry below 0 or above 255
         data = None
     if data is None or data and max(data) >= q:

@@ -93,8 +93,6 @@ gets no key.
 import functools
 import operator
 
-import numpy as np
-
 from .. import _kernels as K
 from ..affine import Element
 from ..errors import ResourceLimitError
@@ -157,9 +155,9 @@ def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> tuple:
     if deg < 1:
         raise ValueError('coefficient degree must be at least 1, got %d' % deg)
     q = cfg.q
-    a = rng.integers(0, q, size=(h, h, deg), dtype=np.int64).tolist()
+    a = rng.integers(0, q, size=(h, h, deg)).tolist()
     for i, row in enumerate(a):
-        row[i][0] = int(rng.integers(1, q, dtype=np.int64))
+        row[i][0] = int(rng.integers(1, q))
         for e in row[:i]:
             e[0] = 0
     return tuple(tuple(map(tuple, row)) for row in a)

@@ -236,7 +236,7 @@ def test_acceptance_7_random_filtrations_lift(capsys):
         failures = []
         for k in range(50):
             P = polys[k % len(polys)]
-            data = random_filtration_data(P, cfg, seed=910000 + k)
+            data = random_filtration_data(P, cfg, rng=np.random.default_rng(910000 + k))
             rep = verify_lift(data)
             for key in ('residue', 'block_triangular', 'polygon'):
                 if rep[key] is not True:

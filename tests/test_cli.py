@@ -37,6 +37,12 @@ def test_parse_element_rejects_garbage():
         parse_element('perm=[2,1]')           # lam missing
     with pytest.raises(ValueError):
         parse_element('perm=[2,1];foo=(0,1)')
+    for text in ('lam=(0,1);perm=[2,1];lam=(1,0)', 'perm=[2,1];perm=[1,2];lam=(0,1)'):
+        with pytest.raises(ValueError, match='given twice'):
+            parse_element(text)
+    for text in ('perm=[True,2];lam=(0,1)', 'perm=[2,1];lam=(False,True)', 'perm=[2,1];lam=True'):
+        with pytest.raises(ValueError, match='must be a list of integers'):
+            parse_element(text)
 
 
 def test_version_flag(capsys):
@@ -77,9 +83,12 @@ def test_check_bad_polygon_exits_2(capsys):
      '--out', '/nonexistent/dir/c.json'),
     ('oracle', 'verify', '--height', '2', '--dim', '1', '--count', '0'),
     ('oracle', 'sample', '--height', '2', '--dim', '1', '--count', '-2'),
+    ('check', '--height', '2', '--dim', '1', '--eo', '[True,2]', '--np', '1/2x2'),
+    ('adlv', '--x', 'perm=[True,2];lam=(False,True)', '--np', '1/2x2'),
 ], ids=['probe-one-number', 'eo-unclosed', 'eo-scalar', 'x-unclosed',
         'np-zero-denominator', 'calibrate-no-samples', 'calibrate-negative-count',
-        'out-unwritable', 'oracle-verify-no-samples', 'oracle-sample-negative-count'])
+        'out-unwritable', 'oracle-verify-no-samples', 'oracle-sample-negative-count',
+        'eo-boolean', 'x-boolean'])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -227,9 +227,13 @@ def test_array_validates_field_indices():
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=r'field indices must lie in \[0, 4\)'):
             square_rows([[0, bad], [0, 0]], cfg, poly=False)
-    # integer-valued floats are indices; a fraction is refused, not truncated
-    assert square_rows(np.array([[1.0, 3.0], [0.0, 2.0]]), cfg, poly=False) == ((1, 3), (0, 2))
-    for bad in ([[1.7, 2.2], [0, 0]], [[0.9]], [[3, -0.5], [0, 0]]):
+    # entries are integers: any numpy integer dtype is taken, and a float
+    # is refused, integral or not, never truncated
+    for dtype in (np.uint8, np.int32):
+        src = np.array([[1, 3], [0, 2]], dtype=dtype)
+        assert square_rows(src, cfg, poly=False) == ((1, 3), (0, 2))
+    for bad in ([[1.7, 2.2], [0, 0]], [[0.9]], [[3, -0.5], [0, 0]], [[1.0]],
+                np.array([[1.0, 3.0], [0.0, 2.0]])):
         with pytest.raises(ValueError, match='field indices must be integers'):
             square_rows(bad, cfg, poly=False)
     with pytest.raises(ValueError, match='field indices must be integers'):

@@ -2,11 +2,16 @@
 in that module or exported through its __all__.  No stale exports: every
 name in the __all__ of a module in src/ is defined there, since the
 benchmark's tracer looks each one up, and is used outside that module
-or public in pkernels.__all__."""
+or public in pkernels.__all__.  numpy stays where it is needed: the
+package and its CLI import without it, and only the modules in
+NUMPY_MODULES import it at all."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -160,3 +165,45 @@ def test_scan_sees_a_renamed_kernel():
     names = _tracer_names("KERNELS = ('gf_rref', 'gf_gone')\nCORE = ('core.bt1_of', 'bt1.gone')\n"
                           "LAYERS = {'core': 'pkernels.shtuka.core', 'bt1': 'pkernels.shtuka.bt1'}\n")
     assert _unresolved(names) == ['_kernels.gf_gone', 'bt1.gone']
+
+
+# the modules of src/pkernels that import numpy, at module level or in a
+# function; a module leaves the set when its last import goes
+NUMPY_MODULES = {'_kernels', 'cli', 'criterion', 'shtuka/core', 'shtuka/gf', 'shtuka/verify'}
+
+
+def _imports_numpy(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split('.')[0] == 'numpy' for name in names):
+            return True
+    return False
+
+
+def test_numpy_stays_in_its_modules():
+    pkg = ROOT / 'src' / 'pkernels'
+    found = {path.relative_to(pkg).with_suffix('').as_posix()
+             for path in pkg.rglob('*.py') if _imports_numpy(ast.parse(path.read_text()))}
+    assert found == NUMPY_MODULES
+
+
+def test_scan_sees_a_numpy_import():
+    for source in ('import numpy as np', 'import os, numpy.random',
+                   'from numpy.random import default_rng', 'def f():\n    import numpy\n'):
+        assert _imports_numpy(ast.parse(source)), source
+    for source in ('import numbers', 'from .numpy import x', 'np = None'):
+        assert not _imports_numpy(ast.parse(source)), source
+
+
+def test_package_and_cli_import_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / 'src'))
+    code = ('import sys, pkernels, pkernels.cli\n'
+            'print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))')
+    out = subprocess.run([sys.executable, '-c', code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == '[]'

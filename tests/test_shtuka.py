@@ -1,6 +1,7 @@
 """Local shtukas: residues, classification, Newton polygons, reduction."""
 
 from collections import Counter
+import inspect
 import itertools
 
 import numpy as np
@@ -128,7 +129,8 @@ def test_bt1_routes_agree():
         for h in range(1, 6):
             for d in range(h + 1):
                 for seed in range(3):
-                    sh = sample_shtuka(HodgeDatum(h, d), cfg, seed=[p, r, h, d, seed])
+                    sh = sample_shtuka(HodgeDatum(h, d), cfg,
+                                       rng=np.random.default_rng([p, r, h, d, seed]))
                     rng = np.random.default_rng([p, r, h, d, seed])
                     u1 = np.array(random_unimodular(h, cfg, 2, rng))
                     u2 = np.array(random_unimodular(h, cfg, 2, rng))
@@ -158,7 +160,7 @@ def test_bt1_of_rejects_non_minuscule_and_singular(cfg, amat):
 
 
 def test_bt1_of_rejects_dimension_mismatch(cfg, monkeypatch):
-    sh = sample_shtuka(HodgeDatum(3, 1), cfg, seed=1)
+    sh = sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(1))
     monkeypatch.setattr(Bt1Module, 'dimension', property(lambda self: 2))
     with pytest.raises(ConventionError, match='residue module has dimension 2'):
         bt1_of(sh)
@@ -180,14 +182,14 @@ def test_bt1_image_of_f_is_computed_once(cfg, monkeypatch):
     # whole space: im F comes from the one solve on fmat, and F of the
     # whole space is never formed; the sample's type is classified once
     # first, so the memo answers and no reference module is counted
-    eo_classify(bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3)), 1)
+    eo_classify(bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(3))), 1)
     calls = _count_preimages(monkeypatch)
     whole = []
     f_image = bt1.f_image
     monkeypatch.setattr(bt1, 'f_image', lambda Z, u: whole.append(
         np.array_equal(np.array(u, dtype=np.int64).reshape(len(u), Z.h),
                        np.eye(Z.h, dtype=np.int64))) or f_image(Z, u))
-    Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
+    Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(3)))
     assert Z.dimension == 1 and Z.check() is Z
     eo_classify(Z, 1)
     solves = [mat for mat, k in calls if k == 0]
@@ -199,9 +201,9 @@ def test_bt1_kernel_of_v_is_computed_once(cfg, monkeypatch):
     # check() compares im F with ker V, and the canonical filtration
     # starts from V^{-1}(0) = ker V: both read the one solve on vmat, and
     # every other preimage the filtration takes is of a nonzero subspace
-    eo_classify(bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3)), 1)
+    eo_classify(bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(3))), 1)
     calls = _count_preimages(monkeypatch)
-    Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, seed=3))
+    Z = bt1_of(sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(3)))
     eo_classify(Z, 1)
     solves = [mat for mat, k in calls if k == 0]
     assert not np.array_equal(Z.fmat, Z.vmat)
@@ -229,7 +231,7 @@ def test_bt1_dimension_zero(cfg):
 def test_bt1_semilinear_twist(cfg):
     # V is sigma^{-1}-semilinear: A·frb(vmat) = t·I mod t^2
     for hd in (HodgeDatum(3, 1), HodgeDatum(4, 2)):
-        sh = sample_shtuka(hd, cfg, seed=42)
+        sh = sample_shtuka(hd, cfg, rng=np.random.default_rng(42))
         Z = bt1_of(sh)
         a0 = np.array(PM.pm_coeff(sh.amat, 0))
         a1 = np.array(PM.pm_coeff(sh.amat, 1))
@@ -262,7 +264,7 @@ def test_graded_bt1_from_beginning(cfg):
 
 def test_canonical_filtration_is_flag(cfg):
     for seed in range(8):
-        sh = sample_shtuka(HodgeDatum(3, 1), cfg, seed=seed)
+        sh = sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(seed))
         Z = bt1_of(sh)
         flag, sig = canonical_filtration(Z)
         dims = [len(f) for f in flag]
@@ -349,7 +351,7 @@ def test_classification_is_conjugation_invariant(cfg):
     hd = HodgeDatum(3, 1)
     for seed in range(6):
         rng = np.random.default_rng([61, seed])
-        sh = sample_shtuka(hd, cfg, seed=seed)
+        sh = sample_shtuka(hd, cfg, rng=np.random.default_rng(seed))
         g = np.array(random_unimodular(3, cfg, 2, rng))
         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), 6, cfg)
         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, sh.amat, cfg), gsi, cfg), 6)
@@ -386,7 +388,7 @@ def test_minimal_shtuka(cfg):
 def test_newton_polygon_sigma_conjugation_invariant(cfg):
     for seed in range(6):
         rng = np.random.default_rng([62, seed])
-        sh = sample_shtuka(HodgeDatum(3, 2), cfg, seed=seed)
+        sh = sample_shtuka(HodgeDatum(3, 2), cfg, rng=np.random.default_rng(seed))
         g = np.array(random_unimodular(3, cfg, 2, rng))
         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), 8, cfg)
         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, sh.amat, cfg), gsi, cfg), 8)
@@ -476,7 +478,7 @@ def test_packed_norm_matches_product_norm(p, r):
 
 def test_newton_polygon_rejects_wrong_dimension(cfg):
     # a datum whose cached dimension is corrupted from 1 to 2
-    sh = sample_shtuka(HodgeDatum(3, 1), cfg, seed=3)
+    sh = sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(3))
     sh.__dict__['dimension'] = 2
     with pytest.raises(ConventionError, match='does not have height 3 and dimension 2'):
         newton_polygon_of(sh)
@@ -497,7 +499,7 @@ def test_oracle_packs_with_the_fields_packings():
 
     object.__setattr__(cfg, 'packing', counted)
     for seed in range(4):
-        sh = sample_shtuka(HodgeDatum(3, 1), cfg, seed=seed)
+        sh = sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(seed))
         newton_polygon_of(sh)
         iwahori_class_of(sh.amat, cfg)
         g = np.array(random_unimodular(3, cfg, 2, np.random.default_rng(seed)))
@@ -519,7 +521,7 @@ def test_oracle_computes_det_once(cfg, monkeypatch):
     monkeypatch.setattr(core.K, 'rref_rows', lambda m, c: solves.append(
         (len(m), len(m[0]) if m else 0)) or rref(m, c))
     for seed in range(3):
-        sh = sample_shtuka(HodgeDatum(4, 2), cfg, seed=seed)
+        sh = sample_shtuka(HodgeDatum(4, 2), cfg, rng=np.random.default_rng(seed))
         bare = LocalShtuka(cfg, np.array(sh.amat))
         for datum in (sh, bare):
             del solves[:], charpolys[:]
@@ -988,11 +990,21 @@ def test_orbit_size_rejects_start_without_t_n(cfg1, monkeypatch):
 # --------------------------------------------------------- sampling
 
 def test_sample_shtuka_deterministic(cfg):
-    a = sample_shtuka(HodgeDatum(3, 1), cfg, seed=5)
-    b = sample_shtuka(HodgeDatum(3, 1), cfg, seed=5)
-    c = sample_shtuka(HodgeDatum(3, 1), cfg, seed=6)
+    a = sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(5))
+    b = sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(5))
+    c = sample_shtuka(HodgeDatum(3, 1), cfg, rng=np.random.default_rng(6))
     assert a.amat == b.amat
     assert a.amat != c.amat
+
+
+def test_samplers_draw_from_the_callers_generator():
+    # one way in for randomness: a required rng, and no seed beside it
+    from pkernels.shtuka import random_filtration_data
+    for sampler in (sample_shtuka, random_filtration_data):
+        params = inspect.signature(sampler).parameters
+        assert 'seed' not in params and params['rng'].default is inspect.Parameter.empty
+    with pytest.raises(TypeError):
+        sample_shtuka(HodgeDatum(3, 1), field(2, 2))
 
 
 def _two_product_sample(hd, cfg, seed, deg=2):
@@ -1026,7 +1038,7 @@ def test_sample_shtuka_matches_two_product_reference():
             for d in range(h + 1):
                 for seed in range(3):
                     s = [91, p, r, h, d, seed]
-                    got = sample_shtuka(HodgeDatum(h, d), cfg, seed=s).amat
+                    got = sample_shtuka(HodgeDatum(h, d), cfg, rng=np.random.default_rng(s)).amat
                     want = _two_product_sample(HodgeDatum(h, d), cfg, s)
                     assert got == want, s
 
@@ -1038,7 +1050,7 @@ def test_degree_below_one_is_refused(cfg, deg):
     with pytest.raises(ValueError, match='degree must be at least 1'):
         random_unimodular(3, cfg, deg, rng)
     with pytest.raises(ValueError, match='degree must be at least 1'):
-        sample_shtuka(HodgeDatum(3, 1), cfg, deg=deg, seed=0)
+        sample_shtuka(HodgeDatum(3, 1), cfg, deg=deg, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match='degree must be at least 1'):
         random_iwahori(3, cfg, deg, rng)
     with pytest.raises(TypeError):
@@ -1051,7 +1063,7 @@ def test_degree_below_one_is_refused(cfg, deg):
 def test_sample_shtuka_lands_in_stratum(cfg):
     for seed in range(10):
         hd = HodgeDatum(3, 2)
-        sh = sample_shtuka(hd, cfg, seed=seed)
+        sh = sample_shtuka(hd, cfg, rng=np.random.default_rng(seed))
         assert sh.dimension == 2
         x = iwahori_class_of(sh.amat, cfg)
         assert affine.in_minuscule_double_coset(x, 3, 2)
@@ -1138,7 +1150,7 @@ def test_oracle_returns_and_stores_no_numpy_objects(cfg):
     # scalar, also where its input was drawn with numpy
     from pkernels.shtuka import lift_from_filtration, random_filtration_data
     hd = HodgeDatum(4, 2)
-    sh = sample_shtuka(hd, cfg, seed=1)
+    sh = sample_shtuka(hd, cfg, rng=np.random.default_rng(1))
     Z = bt1_of(sh)
     outputs = {'datum': sh, 'module': Z, 'class': eo_classify(Z, 2),
                'polygon': newton_polygon_of(sh)}
@@ -1150,6 +1162,6 @@ def test_oracle_returns_and_stores_no_numpy_objects(cfg):
                    monomial=PM.pm_from_element(Element((1, 0, -1), (2, 3, 1))),
                    key=reduction.lattice_key(m, cfg, 3),
                    lift=lift_from_filtration(random_filtration_data(
-                       parse_polygon('1/2x2,0'), cfg, seed=0)))
+                       parse_polygon('1/2x2,0'), cfg, rng=np.random.default_rng(0))))
     assert _numpy_objects(outputs) == []
     assert _numpy_objects({'a': [np.int64(1)]}) == ["out['a'][0]"]     # the walk sees them

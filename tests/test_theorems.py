@@ -171,6 +171,56 @@ def _p_alcove_excludes_basic(lam, u):
     return False
 
 
+def _word(w, d):
+    # the 0/1 word of a row: letter i is 1 when w(i) <= d
+    return ''.join('1' if v <= d else '0' for v in w)
+
+
+def _split_rows_match(heights):
+    # Demazure, Lectures on p-divisible groups (LNM 302): over an
+    # algebraically closed field X = X^et × X^ll × X^mult.  A row whose
+    # word is 0^e·c·1^f, with e + f > 0 and c local-local (empty, or from
+    # 1 to 0), is the row of c at (h-e-f, d-f) with e slopes 0 and f
+    # slopes 1 added; an empty c leaves the single polygon 0^e·1^f
+    tables = {}
+
+    def table(h, d):
+        if (h, d) not in tables:
+            tables[h, d] = incidence_table(HodgeDatum(h, d))
+        return tables[h, d]
+
+    rows = 0
+    for h in heights:
+        for d in range(h + 1):
+            t = table(h, d)
+            for w, row in zip(t.rows, t.values):
+                word = _word(w, d)
+                rest = word.lstrip('0')
+                core = rest.rstrip('1')
+                e, f = h - len(rest), len(rest) - len(core)
+                if not e + f:
+                    continue
+                met = [()]
+                if core:
+                    ct = table(len(core), d - f)
+                    crow = ct.values[[_word(v, d - f) for v in ct.rows].index(core)]
+                    met = [parse_polygon(c).slopes() for c, v in zip(ct.cols, crow) if v]
+                want = {str(polygon_from_slopes((0,) * e + s + (1,) * f)) for s in met}
+                assert {c for c, v in zip(t.cols, row) if v} == want, (h, d, w)
+                rows += 1
+    return rows
+
+
+def test_etale_and_multiplicative_parts_split_off():
+    # every row with h <= 9 that has a leading 0 or a trailing 1
+    assert _split_rows_match(range(1, 10)) == 767
+
+
+@pytest.mark.slow
+def test_etale_and_multiplicative_parts_split_off_at_height_10():
+    assert _split_rows_match([10]) == 768
+
+
 def _basic_columns_match(heights):
     # the basic column of the table is nonempty exactly when no P-alcove
     # rules it out
