@@ -173,16 +173,10 @@ NUMPY_MODULES = {'_kernels', 'cli', 'criterion', 'shtuka/core', 'shtuka/gf', 'sh
 
 
 def _imports_numpy(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        if any(name.split('.')[0] == 'numpy' for name in names):
-            return True
-    return False
+    nodes = list(ast.walk(tree))
+    names = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level]
+    return any(name.split('.')[0] == 'numpy' for name in names)
 
 
 def test_numpy_stays_in_its_modules():
