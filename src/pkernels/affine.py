@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import weyl
-from .errors import ConventionError, ResourceLimitError
+from .errors import ConventionError, ResourceLimitError, integers
 
 __all__ = [
     'Element', 'identity', 'from_perm', 'translation', 'simple_reflection',
@@ -60,9 +60,8 @@ class Element:
 
     def __post_init__(self):
         # stored as tuples of ints, so an element built from to_dict() hashes
-        # and a float entry raises here, not in the group law
-        lam = tuple(map(operator.index, self.lam))
-        perm = tuple(map(operator.index, self.perm))
+        # and a float or bool entry raises here, not in the group law
+        lam, perm = integers(*self.lam), integers(*self.perm)
         if len(lam) != len(perm) or not weyl.is_permutation(perm):
             raise ValueError('malformed element: lam=%r perm=%r' % (self.lam, self.perm))
         object.__setattr__(self, 'lam', lam)

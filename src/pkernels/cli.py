@@ -230,15 +230,11 @@ def _oracle_stratum(args):
 
 
 def _cmd_oracle_sample(args):
-    import numpy as np
-    from .shtuka import sample_cell
+    from .shtuka import sample_cells
     hd = _oracle_stratum(args)
-    cfg = _field_from_args(args)
-    lines = []
-    for k in range(args.count):
-        w, P = sample_cell(hd, cfg, np.random.default_rng([args.seed, k]))
-        lines.append(json.dumps({'eo': list(w), 'np': str(P)}, sort_keys=True) + '\n')
-    _emit(''.join(lines), args.out)
+    cells = sample_cells(hd, _field_from_args(args), args.seed, args.count)
+    _emit(''.join(json.dumps({'eo': list(w), 'np': str(P)}, sort_keys=True) + '\n'
+                  for w, P in cells), args.out)
     return 0
 
 

@@ -15,13 +15,12 @@ seed of the oracle check it was given, if any.
 """
 
 import json
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
 from . import affine, polygons, weyl
 from .affine import Element
-from .errors import ConventionError, ResourceLimitError
+from .errors import ConventionError, ResourceLimitError, integers
 from .polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons, mu_and_type,
                        parse_polygon)
 from .semimodules import enumerate_profiles, middle_element
@@ -143,7 +142,7 @@ class IncidenceTable:
         >>> t.cell((1, 2), '1/2 x2'), t.cell((1, 2), '0,1')
         (True, False)
         """
-        w = tuple(map(operator.index, w))
+        w = integers(*w)
         col = str(P if isinstance(P, NewtonPolygon) else parse_polygon(P))
         if w not in self.rows:
             raise ValueError('no row %s in the table of %s' % (list(w), self.hodge))
@@ -235,11 +234,8 @@ SIGMA_POLYGON = '1/2x2'
 
 def _observe(hd, cfg, n_samples, seed):
     """Sampled (w, polygon) pairs that actually occur, with counts."""
-    from .shtuka import sample_cell
-    import numpy as np
-    h, d = hd.height, hd.dimension
-    seen = Counter(sample_cell(hd, cfg, np.random.default_rng([seed, h, d, k]))
-                   for k in range(n_samples))
+    from .shtuka import sample_cells
+    seen = Counter(sample_cells(hd, cfg, seed, n_samples))
     return {(w, str(P)): c for (w, P), c in seen.items()}
 
 

@@ -1,4 +1,6 @@
-"""Package-wide exception types."""
+"""Package-wide exception types, and the one reader of integer inputs."""
+
+import operator
 
 
 class ConventionError(RuntimeError):
@@ -9,3 +11,11 @@ class ConventionError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A configured resource bound (height, support size, wall time) was hit."""
+
+
+def integers(*values) -> tuple:
+    """The values as a tuple of ints, each read by operator.index; TypeError
+    on a bool or on any value that is no integer."""
+    if bool in map(type, values):
+        raise TypeError('booleans are not integer inputs: %r' % (values,))
+    return tuple(map(operator.index, values))

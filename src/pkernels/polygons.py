@@ -8,7 +8,6 @@ mu = (1^d, 0^(h-d)).
 """
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +15,7 @@ from math import gcd
 
 from . import affine, weyl
 from .affine import Element
+from .errors import integers
 
 __all__ = [
     'NewtonPolygon', 'HodgeDatum', 'polygon_from_slopes', 'parse_polygon',
@@ -31,7 +31,7 @@ class NewtonPolygon:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple([(operator.index(n), operator.index(m)) for n, m in self.blocks])
+        blocks = tuple([integers(n, m) for n, m in self.blocks])
         if not blocks:
             raise ValueError('empty polygon')
         for n, m in blocks:
@@ -72,8 +72,9 @@ class HodgeDatum:
     dimension: int
 
     def __post_init__(self):
-        object.__setattr__(self, 'height', operator.index(self.height))
-        object.__setattr__(self, 'dimension', operator.index(self.dimension))
+        h, d = integers(self.height, self.dimension)
+        object.__setattr__(self, 'height', h)
+        object.__setattr__(self, 'dimension', d)
         if not (self.height >= 1 and 0 <= self.dimension <= self.height):
             raise ValueError('need 0 <= dimension <= height, height >= 1')
 
@@ -185,7 +186,7 @@ def _minimal_rep(hd: HodgeDatum, w) -> tuple:
     """w as a tuple of ints; raises unless it is a minimal coset
     representative of the parabolic of hd."""
     h, d = hd.height, hd.dimension
-    w = tuple(map(operator.index, w))
+    w = integers(*w)
     if not weyl.is_permutation(w) or len(w) != h:
         raise ValueError('w must be a permutation of size %d' % h)
     wi = weyl.inverse(w)

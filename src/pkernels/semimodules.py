@@ -10,11 +10,11 @@ monomial "middle" element of the affine group.
 """
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 from . import affine
 from .affine import Element
+from .errors import integers
 from .polygons import NewtonPolygon, x_block, x_of_polygon
 
 __all__ = [
@@ -26,8 +26,8 @@ __all__ = [
 
 def is_beginning(C, n: int, m: int) -> bool:
     """Whether C hits each class mod n+m once and is step-closed."""
-    h = operator.index(n) + operator.index(m)
-    C = frozenset(map(operator.index, C))
+    h = sum(integers(n, m))
+    C = frozenset(integers(*C))
     if len(C) != h or len({c % h for c in C}) != h:
         return False
     return all(i + n in C or i - m in C for i in C)
@@ -40,9 +40,10 @@ class SemimoduleBeginning:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, 'C', frozenset(map(operator.index, self.C)))
-        object.__setattr__(self, 'n', operator.index(self.n))
-        object.__setattr__(self, 'm', operator.index(self.m))
+        object.__setattr__(self, 'C', frozenset(integers(*self.C)))
+        n, m = integers(self.n, self.m)
+        object.__setattr__(self, 'n', n)
+        object.__setattr__(self, 'm', m)
         if not is_beginning(self.C, self.n, self.m):
             raise ValueError('not a beginning for block (%d, %d)' % (self.n, self.m))
 
@@ -80,7 +81,7 @@ def enumerate_cochar_block(n: int, m: int) -> list:
 def cochar_to_beginning(lam, n: int, m: int) -> SemimoduleBeginning:
     """C = {h+1-j + h*lambda_j : j}; validates the result."""
     h = n + m
-    lam = tuple(map(operator.index, lam))
+    lam = integers(*lam)
     if len(lam) != h:
         raise ValueError('cocharacter length %d != %d' % (len(lam), h))
     C = frozenset(h + 1 - j + h * lam[j - 1] for j in range(1, h + 1))
@@ -103,8 +104,8 @@ class CocharacterProfile:
     block_sizes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, 'lam', tuple(map(operator.index, self.lam)))
-        object.__setattr__(self, 'block_sizes', tuple(map(operator.index, self.block_sizes)))
+        object.__setattr__(self, 'lam', integers(*self.lam))
+        object.__setattr__(self, 'block_sizes', integers(*self.block_sizes))
         if sum(self.block_sizes) != len(self.lam):
             raise ValueError('block sizes do not tile the cocharacter')
 

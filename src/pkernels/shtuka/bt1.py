@@ -34,12 +34,11 @@ rises by one per step between members, letter i of a word is
 w is checked on its reference module, 0/1 monomial and so alike on all fields.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .. import _kernels as K
-from ..errors import ConventionError
+from ..errors import ConventionError, integers
 from ..polygons import _eo_coding
 from .gf import FieldConfig, field
 from .polymat import square_rows
@@ -204,8 +203,8 @@ def _reference_signatures(sig: tuple, d: int) -> tuple:
     w = tuple(next(ones) if a else next(zeros) for a in word)
     # w's reference module, bt1_of of x_w: lam is 1 at u(j) just for j < d
     u, r = _eo_coding(h, d, w)[h:], range(h)
-    fmat = [[u[j] == i + 1 and j >= d for j in r] for i in r]
-    vmat = [[u[i] == j + 1 and i < d for j in r] for i in r]
+    fmat = [[int(u[j] == i + 1 and j >= d) for j in r] for i in r]
+    vmat = [[int(u[i] == j + 1 and i < d) for j in r] for i in r]
     if canonical_filtration(Bt1Module(field(2, 1), fmat, vmat))[1] != sig:
         raise ConventionError('canonical type %s is not that of %s' % (sig, w))
     return w
@@ -214,7 +213,7 @@ def _reference_signatures(sig: tuple, d: int) -> tuple:
 def eo_classify(Z: Bt1Module, d: int):
     """The minimal coset representative w of the stratum (Z.h, d) that
     Z's canonical type reads (module docstring); else ConventionError."""
-    return _reference_signatures(canonical_filtration(Z)[1], operator.index(d))
+    return _reference_signatures(canonical_filtration(Z)[1], *integers(d))
 
 
 def graded_bt1_from_beginning(B, cfg: FieldConfig) -> Bt1Module:

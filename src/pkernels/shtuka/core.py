@@ -17,7 +17,6 @@ t^(r·d+1) drops exactly those coefficients and leaves every other
 valuation as it was, so the hull, and the polygon, do not change.
 """
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from ..affine import Element, in_minuscule_double_coset
-from ..errors import ConventionError
+from ..errors import ConventionError, integers
 from ..polygons import NewtonPolygon, x_of_polygon
 from .. import _kernels as K
 from .bt1 import Bt1Module, eo_classify
@@ -36,7 +35,7 @@ from . import polymat as PM
 __all__ = [
     'LocalShtuka', 'shtuka_from_element', 'minimal_shtuka', 'sample_shtuka',
     'random_unimodular', 'bt1_of', 'newton_polygon_of', 'sample_cell',
-    'sigma_conjugate_sample',
+    'sample_cells', 'sigma_conjugate_sample',
 ]
 
 
@@ -107,7 +106,7 @@ def random_unimodular(h: int, cfg: FieldConfig, deg: int, rng) -> tuple:
     """Random element of GL_h(O) mod t^deg, as a polynomial matrix
     (polymat): invertible constant term, uniform higher coefficients.
     Raises ValueError for deg < 1."""
-    deg = operator.index(deg)
+    deg, = integers(deg)
     if deg < 1:
         raise ValueError('coefficient degree must be at least 1, got %d' % deg)
     q = cfg.q
@@ -217,6 +216,15 @@ def sample_cell(hd, cfg: FieldConfig, rng) -> tuple:
     and its Newton polygon.  The oracle's unit of evidence."""
     sh = sample_shtuka(hd, cfg, rng=rng)
     return eo_classify(bt1_of(sh), hd.dimension), newton_polygon_of(sh)
+
+
+def sample_cells(hd, cfg: FieldConfig, seed: int, count: int):
+    """The cells of count data of hd, draw k from the Generator seeded
+    [seed, h, d, k]: the one seeded stream of calibrate, the CLI's oracle
+    sample and run_consistency_suite."""
+    h, d = hd.height, hd.dimension
+    for k in range(count):
+        yield sample_cell(hd, cfg, np.random.default_rng([seed, h, d, k]))
 
 
 def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0) -> Counter:

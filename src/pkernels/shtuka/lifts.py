@@ -24,11 +24,10 @@ exchange identities are two polynomial matrix products of one operator
 with the other's Frobenius twist (polymat.pm_mul, polymat.pm_frob).
 """
 
-import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from ..errors import ConventionError
+from ..errors import ConventionError, integers
 from ..polygons import NewtonPolygon
 from ..semimodules import SemimoduleBeginning, cochar_to_beginning, enumerate_cochar_block
 from .bt1 import Bt1Module
@@ -78,7 +77,7 @@ def _steps(P: NewtonPolygon, beginnings, dual=False):
 def _clean_family(fam, q):
     out = {}
     for p, row in (fam or {}).items():
-        row = {tuple(p2): operator.index(v) for p2, v in row.items()}
+        row = dict(zip(map(tuple, row), integers(*row.values())))
         for v in row.values():
             if not 0 <= v < q:
                 raise ValueError('coefficient %r is not an element of GF(%d)' % (v, q))

@@ -14,10 +14,10 @@ is (-1)^h·det) is _kernels.charpoly, and pm_inv_mod runs Newton's
 iteration on packed matrices.
 """
 
-import operator
 from itertools import chain
 
 from .. import _kernels as K
+from ..errors import integers
 from .gf import FieldConfig
 
 __all__ = [
@@ -41,8 +41,10 @@ def _shape(a) -> tuple:
 
 
 def _field_bytes(flat, q) -> bytes:
-    """The list flat as bytes; ValueError unless every entry is an integer
-    in [0, q), q <= 256 (gf.MAX_ORDER)."""
+    """The list flat as bytes; ValueError unless every entry is an integer,
+    and no bool, in [0, q), q <= 256 (gf.MAX_ORDER)."""
+    if bool in map(type, flat):
+        raise ValueError('field indices must be integers, not booleans')
     try:
         data = bytes(flat)
     except TypeError:
@@ -89,7 +91,7 @@ def pm_trim(a):
 
 def pm_truncate(a, n):
     """Reduce mod t^n.  Raises ValueError for n < 1."""
-    n = operator.index(n)
+    n, = integers(n)
     if n < 1:
         raise ValueError('truncation order must be >= 1')
     return tuple(tuple(tuple(e[:n]) for e in row) for row in a)

@@ -95,7 +95,7 @@ import operator
 
 from .. import _kernels as K
 from ..affine import Element
-from ..errors import ResourceLimitError
+from ..errors import ResourceLimitError, integers
 from .gf import FieldConfig
 from . import polymat as PM
 
@@ -151,7 +151,7 @@ def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> tuple:
     """Random Iwahori element mod t^deg, as a polynomial matrix (polymat):
     upper triangular invertible constant term, strictly sub-diagonal
     entries divisible by t.  Raises ValueError for deg < 1."""
-    deg = operator.index(deg)
+    deg, = integers(deg)
     if deg < 1:
         raise ValueError('coefficient degree must be at least 1, got %d' % deg)
     q = cfg.q
@@ -217,7 +217,7 @@ def lattice_key(m, cfg: FieldConfig, n: int) -> tuple:
     S_{h-1}), as the bytes of its rows, one byte per entry.  The parts
     j' >= j span S_j; exact when t^n O^h ⊂ m·Lambda_j.  ValueError for
     n < 1 and for an m that polymat.square_rows refuses."""
-    n = operator.index(n)
+    n, = integers(n)
     if n < 1:
         raise ValueError('key precision must be at least 1, got %d' % n)
     m = PM.square_rows(m, cfg, poly=True)
@@ -255,7 +255,7 @@ def iwahori_orbit_size(x: Element, cfg: FieldConfig, limit: int = 1 << 22) -> in
     counted mod t^N (module docstring).  ValueError if a key's rank shows
     a lattice that does not contain t^N O^h, or if limit is below one;
     ResourceLimitError once the orbit has more than limit cosets."""
-    limit = operator.index(limit)
+    limit, = integers(limit)
     if limit < 1:
         raise ValueError('orbit limit must be at least 1, got %d' % limit)
     h = x.h

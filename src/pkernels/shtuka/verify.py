@@ -12,7 +12,7 @@ import numpy as np
 from ..polygons import HodgeDatum, mu_and_type, eo_representative
 from .. import weyl
 from .bt1 import eo_classify
-from .core import bt1_of, sample_cell, sample_shtuka, shtuka_from_element
+from .core import bt1_of, sample_cells, sample_shtuka, shtuka_from_element
 from .gf import FieldConfig
 from .reduction import iwahori_class_of, random_iwahori
 from . import polymat as PM
@@ -44,7 +44,7 @@ def _check_monomial_roundtrip(hd, cfg, rng):
 
 def run_consistency_suite(hd: HodgeDatum, cfg: FieldConfig, samples: int = 50,
                           seed: int = 0) -> dict:
-    """Random-input agreement checks for one stratum, on sample_cell draws
+    """Random-input agreement checks for one stratum, on the sample_cells stream
     and Iwahori factors mod t^3, and eo_classify on the reference modules
     of at most ``samples`` seeded rows (every row when there are fewer);
     returns a report dict with per-check pass counts and an overall flag."""
@@ -56,8 +56,7 @@ def run_consistency_suite(hd: HodgeDatum, cfg: FieldConfig, samples: int = 50,
         'samples': samples,
         'checks': {},
     }
-    cells = [sample_cell(hd, cfg, np.random.default_rng([seed, k]))
-             for k in range(samples)]
+    cells = list(sample_cells(hd, cfg, seed, samples))
     # sample_cell raises ConventionError on a residue module or a polygon
     # off the stratum, so every sample that returns has passed
     report['checks']['residue_and_polygon'] = {'pass': samples, 'of': samples}

@@ -1,6 +1,7 @@
 """Command line interface, driven in process through main(argv)."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -246,6 +247,20 @@ def test_oracle_sample_at_the_field_bound(capsys, field_args):
     assert len(lines) == 2
     for line in lines:
         assert set(json.loads(line)) == {'eo', 'np'}
+
+
+def test_oracle_sample_prints_the_draws_calibrate_observes(capsys):
+    # one seeded stream of cells: draw k of the stratum (h, d) comes from
+    # the seed [S, h, d, k] in both, so --seed S prints what calibrate(seed=S)
+    # counted on (3, 1), whatever its other probes
+    code, out, _ = run(capsys, 'oracle', 'sample', '--height', '3', '--dim', '1',
+                       '--count', '300', '--seed', '11')
+    assert code == 0
+    printed = Counter(json.dumps(rec['eo']) + '|' + rec['np']
+                      for rec in map(json.loads, out.splitlines()))
+    report = calibrate(probes=((3, 1),), samples=300, seed=11, sigma_trials=1)
+    assert printed == report['observed']['[3, 1]']
+    assert len(printed) > 1
 
 
 def test_oracle_verify(capsys):

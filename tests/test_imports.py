@@ -4,7 +4,8 @@ name in the __all__ of a module in src/ is defined there, since the
 benchmark's tracer looks each one up, and is used outside that module
 or public in pkernels.__all__.  numpy stays where it is needed: the
 package and its CLI import without it, and only the modules in
-NUMPY_MODULES import it at all."""
+NUMPY_MODULES import it at all.  Integer inputs have one reader:
+errors.integers is the only module of src/ that uses operator.index."""
 
 import ast
 import importlib
@@ -169,7 +170,7 @@ def test_scan_sees_a_renamed_kernel():
 
 # the modules of src/pkernels that import numpy, at module level or in a
 # function; a module leaves the set when its last import goes
-NUMPY_MODULES = {'_kernels', 'cli', 'criterion', 'shtuka/core', 'shtuka/gf', 'shtuka/verify'}
+NUMPY_MODULES = {'_kernels', 'shtuka/core', 'shtuka/gf', 'shtuka/verify'}
 
 
 def _imports_numpy(tree):
@@ -201,3 +202,31 @@ def test_package_and_cli_import_without_numpy():
     out = subprocess.run([sys.executable, '-c', code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == '[]'
+
+
+def _reads_index(tree):
+    """Whether a module uses operator.index, as an attribute or by import."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == 'index'
+                and isinstance(node.value, ast.Name) and node.value.id == 'operator'):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.module == 'operator'
+                and any(alias.name == 'index' for alias in node.names)):
+            return True
+    return False
+
+
+def test_integers_have_one_reader():
+    # every integer input goes through errors.integers, which refuses bools
+    pkg = ROOT / 'src' / 'pkernels'
+    found = {path.relative_to(pkg).as_posix()
+             for path in pkg.rglob('*.py') if _reads_index(ast.parse(path.read_text()))}
+    assert found == {'errors.py'}
+
+
+def test_scan_sees_an_index_read():
+    for source in ('import operator\noperator.index(3)', 'f = map(operator.index, xs)',
+                   'from operator import index', 'from operator import add, index as ix'):
+        assert _reads_index(ast.parse(source)), source
+    for source in ('import operator\noperator.add(1, 2)', 'row.index(1)', 'index = 3'):
+        assert not _reads_index(ast.parse(source)), source

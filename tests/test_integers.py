@@ -1,0 +1,71 @@
+"""One integer contract: every integer input of the package is read by
+errors.integers, which takes Python and numpy ints and refuses bools, so
+True never stands for the row entry, block, dimension or count 1."""
+
+import numpy as np
+import pytest
+
+from pkernels.affine import Element
+from pkernels.criterion import incidence_table, lifts_to
+from pkernels.errors import integers
+from pkernels.polygons import HodgeDatum, NewtonPolygon, eo_representative, parse_polygon
+from pkernels.semimodules import (CocharacterProfile, SemimoduleBeginning,
+                                  cochar_to_beginning, is_beginning)
+from pkernels.shtuka import (FiltrationData, bt1_of, eo_classify, field, iwahori_orbit_size,
+                             minimal_shtuka, random_filtration_data)
+from pkernels.shtuka import polymat as PM
+from pkernels.shtuka.core import random_unimodular
+from pkernels.shtuka.reduction import lattice_key, random_iwahori
+
+CFG = field(2, 2)
+X = Element((1, 0), (2, 1))
+XM = PM.pm_from_element(X)[0]
+LIFT_P = parse_polygon('1/3x3,1')
+LIFT = random_filtration_data(LIFT_P, CFG, np.random.default_rng(0))
+(LIFT_ROW, LIFT_COLS), = LIFT.a.items()
+LIFT_COL = next(iter(LIFT_COLS))
+
+# each reader with the integers it reads passed through t: t = int gives
+# the answer, t = bool must be refused and t = np.int64 must give the answer
+READERS = {
+    'Element': lambda t: Element((t(1), t(0)), (2, 1)),
+    'Element.perm': lambda t: Element((1, 0), (t(2), t(1))),
+    'HodgeDatum': lambda t: HodgeDatum(2, t(1)),
+    'NewtonPolygon': lambda t: NewtonPolygon(((t(1), t(1)),)),
+    'lifts_to': lambda t: lifts_to(HodgeDatum(2, 1), (t(1), 2), parse_polygon('1/2x2')),
+    'eo_representative': lambda t: eo_representative(HodgeDatum(2, 1), (t(1), 2)),
+    'IncidenceTable.cell': lambda t: incidence_table(HodgeDatum(2, 1)).cell((t(1), 2), '1/2x2'),
+    'is_beginning': lambda t: is_beginning({t(1), 2}, 1, 1),
+    'SemimoduleBeginning': lambda t: SemimoduleBeginning({1, 2}, t(1), t(1)),
+    'cochar_to_beginning': lambda t: cochar_to_beginning((t(0), t(1)), 1, 1),
+    'CocharacterProfile': lambda t: CocharacterProfile((t(0), t(1)), (t(2),)),
+    'FiltrationData': lambda t: FiltrationData(LIFT_P, LIFT.beginnings,
+                                               {LIFT_ROW: {LIFT_COL: t(1)}}, {}, CFG).a,
+    'random_unimodular': lambda t: random_unimodular(2, CFG, t(1), np.random.default_rng(0)),
+    'random_iwahori': lambda t: random_iwahori(2, CFG, t(1), np.random.default_rng(0)),
+    'lattice_key': lambda t: lattice_key(XM, CFG, t(2)),
+    'iwahori_orbit_size': lambda t: iwahori_orbit_size(X, CFG, limit=t(100)),
+    'pm_truncate': lambda t: PM.pm_truncate(XM, t(1)),
+    'eo_classify': lambda t: eo_classify(bt1_of(minimal_shtuka(parse_polygon('0,1'), CFG)),
+                                         t(1)),
+    'square_rows': lambda t: PM.square_rows([[t(1), t(0)], [t(0), t(1)]], CFG, poly=False),
+}
+
+
+@pytest.mark.parametrize('name', sorted(READERS))
+def test_readers_refuse_bools_and_take_numpy_ints(name):
+    read = READERS[name]
+    # square_rows keeps the ValueError it documents for every entry that
+    # is no field index
+    with pytest.raises(ValueError if name == 'square_rows' else TypeError):
+        read(bool)
+    assert read(np.int64) == read(int)
+
+
+def test_integers_reads_each_value():
+    assert integers() == ()
+    assert integers(3, np.int8(-2), np.uint64(7)) == (3, -2, 7)
+    assert all(type(v) is int for v in integers(np.int32(1), 2))
+    for bad in ((True,), (1, False), (np.bool_(True),), (1.0,), ('1',), (None,)):
+        with pytest.raises(TypeError):
+            integers(*bad)

@@ -7,10 +7,12 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from pkernels import weyl
 from pkernels.affine import Element, length, newton_point, newton_strata, omega, simple_reflection
 from pkernels.criterion import Bounds, incidence_table
 from pkernels.polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
-                               eo_representative, parse_polygon, polygon_from_slopes)
+                               eo_representative, mu_and_type, parse_polygon,
+                               polygon_from_slopes)
 from pkernels.shtuka import bt1_of, eo_classify, minimal_shtuka
 from test_affine import reduced_decomposition
 
@@ -117,21 +119,38 @@ def _dual_row(w):
     return tuple(h + 1 - w[h - j] for j in range(1, h + 1))
 
 
+def _rows(hd):
+    return weyl.min_coset_reps(hd.height, mu_and_type(hd)[1])
+
+
+def _met(hd, w, memo):
+    # the columns of the row w, by the reduction of its representative
+    # x_w and not by a table, so no way of building tables gates itself
+    points = newton_strata(eo_representative(hd, w), memo)[0]
+    return {str(polygon_from_slopes(nu)) for nu in points}
+
+
+def _dual_polygon(name):
+    return str(NewtonPolygon(tuple(b[::-1] for b in parse_polygon(name).blocks)))
+
+
 def _dual_tables_match(heights):
     # Cartier duality sends the stratum (h, d) to (h, h - d), each block
     # (n, m) to (m, n), and the row w to w0·w·w0
     cells = 0
+    memo = {}
     for h in heights:
         for d in range(h + 1):
-            t, dual = (incidence_table(HodgeDatum(h, e)) for e in (d, h - d))
-            cols = [str(NewtonPolygon(tuple(b[::-1] for b in parse_polygon(c).blocks)))
-                    for c in t.cols]
-            assert sorted(cols) == sorted(dual.cols), (h, d)
-            assert sorted(map(_dual_row, t.rows)) == sorted(dual.rows), (h, d)
-            for w, row in zip(t.rows, t.values):
-                want = dict(zip(dual.cols, dual.values[dual.rows.index(_dual_row(w))]))
-                assert dict(zip(cols, row)) == want, (h, d, w)
-                cells += len(row)
+            hd, dual = HodgeDatum(h, d), HodgeDatum(h, h - d)
+            cols = [str(P) for P in enumerate_polygons(hd)]
+            assert (sorted(map(_dual_polygon, cols))
+                    == sorted(str(P) for P in enumerate_polygons(dual))), (h, d)
+            rows = _rows(hd)
+            assert sorted(map(_dual_row, rows)) == sorted(_rows(dual)), (h, d)
+            for w in rows:
+                want = _met(dual, _dual_row(w), memo)
+                assert set(map(_dual_polygon, _met(hd, w, memo))) == want, (h, d, w)
+                cells += len(cols)
     return cells
 
 
@@ -176,24 +195,25 @@ def _word(w, d):
     return ''.join('1' if v <= d else '0' for v in w)
 
 
+def _row_of_word(word, d):
+    # the row with this 0/1 word: its 1s take the values 1..d in order,
+    # its 0s d+1..h
+    ones, zeros = iter(range(1, d + 1)), iter(range(d + 1, len(word) + 1))
+    return tuple(next(ones) if c == '1' else next(zeros) for c in word)
+
+
 def _split_rows_match(heights):
     # Demazure, Lectures on p-divisible groups (LNM 302): over an
     # algebraically closed field X = X^et × X^ll × X^mult.  A row whose
     # word is 0^e·c·1^f, with e + f > 0 and c local-local (empty, or from
     # 1 to 0), is the row of c at (h-e-f, d-f) with e slopes 0 and f
     # slopes 1 added; an empty c leaves the single polygon 0^e·1^f
-    tables = {}
-
-    def table(h, d):
-        if (h, d) not in tables:
-            tables[h, d] = incidence_table(HodgeDatum(h, d))
-        return tables[h, d]
-
+    memo = {}
     rows = 0
     for h in heights:
         for d in range(h + 1):
-            t = table(h, d)
-            for w, row in zip(t.rows, t.values):
+            hd = HodgeDatum(h, d)
+            for w in _rows(hd):
                 word = _word(w, d)
                 rest = word.lstrip('0')
                 core = rest.rstrip('1')
@@ -202,11 +222,11 @@ def _split_rows_match(heights):
                     continue
                 met = [()]
                 if core:
-                    ct = table(len(core), d - f)
-                    crow = ct.values[[_word(v, d - f) for v in ct.rows].index(core)]
-                    met = [parse_polygon(c).slopes() for c, v in zip(ct.cols, crow) if v]
+                    chd = HodgeDatum(len(core), d - f)
+                    met = [parse_polygon(c).slopes()
+                           for c in _met(chd, _row_of_word(core, d - f), memo)]
                 want = {str(polygon_from_slopes((0,) * e + s + (1,) * f)) for s in met}
-                assert {c for c, v in zip(t.cols, row) if v} == want, (h, d, w)
+                assert _met(hd, w, memo) == want, (h, d, w)
                 rows += 1
     return rows
 
