@@ -260,13 +260,15 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     nonempty cell, and every Iwahori class reached by sigma-conjugating
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
     must meet that polygon's stratum.  Raises ResourceLimitError before
-    any sampling if a probe exceeds the height bound, ValueError if a
-    sample or trial count is below one, and ConventionError on any
-    disagreement; otherwise returns the report of the evidence, which
-    lifts_to, adlv_nonempty and incidence_table accept as ``check``.
+    any sampling if a probe exceeds the height bound, TypeError if the
+    seed or a count is no integer, ValueError if a sample or trial count
+    is below one, and ConventionError on any disagreement; otherwise
+    returns the report of the evidence, which lifts_to, adlv_nonempty and
+    incidence_table accept as ``check``.
     """
     from .shtuka import field
     cfg = cfg or field(2, 2)
+    seed, sigma_trials = integers(seed, sigma_trials)
     if probes is None:
         probes = ((2, 1), (3, 1), (3, 2))
     probes = tuple(tuple(p) for p in probes)
@@ -274,8 +276,9 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
         Bounds().check_height(h)
     if samples is None:
         samples = {p: (1000 if p == (2, 1) else 300) for p in probes}
-    elif isinstance(samples, int):
-        samples = {p: samples for p in probes}
+    elif not isinstance(samples, dict):
+        samples = dict.fromkeys(probes, samples)
+    samples = dict(zip(samples, integers(*samples.values())))
     for p in probes:
         if p not in samples:
             raise ValueError('calibrate has no sample count for probe %r' % (p,))

@@ -20,9 +20,8 @@ valuation as it was, so the hull, and the polygon, do not change.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
-
-import numpy as np
+from hashlib import blake2b
+from math import gcd, prod
 
 from ..affine import Element, in_minuscule_double_coset
 from ..errors import ConventionError, integers
@@ -35,7 +34,7 @@ from . import polymat as PM
 __all__ = [
     'LocalShtuka', 'shtuka_from_element', 'minimal_shtuka', 'sample_shtuka',
     'random_unimodular', 'bt1_of', 'newton_polygon_of', 'sample_cell',
-    'sample_cells', 'sigma_conjugate_sample',
+    'sample_cells', 'sigma_conjugate_sample', 'KeyedStream',
 ]
 
 
@@ -218,13 +217,58 @@ def sample_cell(hd, cfg: FieldConfig, rng) -> tuple:
     return eo_classify(bt1_of(sh), hd.dimension), newton_polygon_of(sh)
 
 
+class KeyedStream:
+    """The seeded stream of a key of ints, a counter-based generator
+    (Salmon et al., SC 2011): its bytes are the blake2b digests of (key, 0),
+    (key, 1), ... in turn, and a draw from span = hi - lo <= 256 values is
+    lo + b % span for the next byte b below 256 - 256 % span, so exactly
+    uniform.  integers(lo, hi, size).tolist() answers as a numpy
+    Generator's does, and the stream costs far less to set up."""
+
+    __slots__ = ('_key', '_buf', '_pos', '_block')
+
+    def __init__(self, *key):
+        self._key = b'%r' % (integers(*key),)
+        self._buf, self._pos, self._block = b'', 0, 0
+
+    def _bytes(self, n: int) -> bytes:
+        buf, pos = self._buf, self._pos
+        while len(buf) - pos < n:
+            buf, pos = buf[pos:] + blake2b(self._key + b'%d' % self._block).digest(), 0
+            self._block += 1
+        self._buf, self._pos = buf, pos + n
+        return buf[pos:pos + n]
+
+    def integers(self, lo: int, hi: int, size=None) -> '_Drawn':
+        span = hi - lo
+        if not 0 < span <= 256:
+            raise ValueError('a stream draws from 1 to 256 values, got [%d, %d)' % (lo, hi))
+        shape = () if size is None else (size,) if isinstance(size, int) else tuple(size)
+        n, limit, vals = prod(shape), 256 - 256 % span, []
+        while len(vals) < n:
+            vals += [lo + b % span for b in self._bytes(n - len(vals)) if b < limit]
+        for j in range(len(shape) - 1, 0, -1):
+            m = shape[j]
+            vals = [vals[i * m:i * m + m] for i in range(prod(shape[:j]))]
+        return _Drawn((vals if shape else vals[0],))
+
+
+class _Drawn(tuple):
+    """The draws of one integers() call, held as its one item, which
+    tolist() returns: nested lists of ints, or an int for no size."""
+
+    def tolist(self):
+        return self[0]
+
+
 def sample_cells(hd, cfg: FieldConfig, seed: int, count: int):
-    """The cells of count data of hd, draw k from the Generator seeded
-    [seed, h, d, k]: the one seeded stream of calibrate, the CLI's oracle
-    sample and run_consistency_suite."""
+    """The cells of count data of hd, draw k from KeyedStream(seed, h, d, k):
+    the one seeded stream of calibrate, the CLI's oracle sample and
+    run_consistency_suite.  Raises TypeError on a seed or count that is no
+    integer."""
+    seed, count = integers(seed, count)
     h, d = hd.height, hd.dimension
-    for k in range(count):
-        yield sample_cell(hd, cfg, np.random.default_rng([seed, h, d, k]))
+    return (sample_cell(hd, cfg, KeyedStream(seed, h, d, k)) for k in range(count))
 
 
 def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0) -> Counter:
@@ -234,17 +278,18 @@ def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0) ->
     One precision is exact: n = v(det) + 1 for the shifted matrix t^s·X.
     The reduction reads its input only mod t^n (reduction docstring), and
     g·t^s·X is polynomial, so an error in sigma(g)^{-1} mod t^n stays
-    divisible by t^n after multiplying by it.
+    divisible by t^n after multiplying by it.  Trial tr draws g from
+    KeyedStream(seed, tr).
     """
     from .reduction import iwahori_class_of
+    trials, seed = integers(trials, seed)
     h = x.h
     xm, s = PM.pm_from_element(x)
     vdet = x.v_det() + h * s
     n = vdet + 1
     out = Counter()
     for tr in range(trials):
-        rng = np.random.default_rng([seed, tr])
-        g = random_unimodular(h, cfg, 2, rng)
+        g = random_unimodular(h, cfg, 2, KeyedStream(seed, tr))
         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
         out[iwahori_class_of(m, cfg, shift=s, expected_vdet=vdet)] += 1

@@ -170,7 +170,7 @@ def test_scan_sees_a_renamed_kernel():
 
 # the modules of src/pkernels that import numpy, at module level or in a
 # function; a module leaves the set when its last import goes
-NUMPY_MODULES = {'_kernels', 'shtuka/core', 'shtuka/gf', 'shtuka/verify'}
+NUMPY_MODULES = {'_kernels', 'shtuka/gf', 'shtuka/verify'}
 
 
 def _imports_numpy(tree):

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from pkernels.affine import Element
-from pkernels.criterion import incidence_table, lifts_to
+from pkernels.criterion import calibrate, incidence_table, lifts_to
 from pkernels.errors import integers
 from pkernels.polygons import HodgeDatum, NewtonPolygon, eo_representative, parse_polygon
 from pkernels.semimodules import (CocharacterProfile, SemimoduleBeginning,
                                   cochar_to_beginning, is_beginning)
 from pkernels.shtuka import (FiltrationData, bt1_of, eo_classify, field, iwahori_orbit_size,
-                             minimal_shtuka, random_filtration_data)
+                             minimal_shtuka, random_filtration_data, sample_cells,
+                             sigma_conjugate_sample)
 from pkernels.shtuka import polymat as PM
-from pkernels.shtuka.core import random_unimodular
+from pkernels.shtuka.core import KeyedStream, random_unimodular
 from pkernels.shtuka.reduction import lattice_key, random_iwahori
 
 CFG = field(2, 2)
@@ -24,6 +25,11 @@ LIFT_P = parse_polygon('1/3x3,1')
 LIFT = random_filtration_data(LIFT_P, CFG, np.random.default_rng(0))
 (LIFT_ROW, LIFT_COLS), = LIFT.a.items()
 LIFT_COL = next(iter(LIFT_COLS))
+HD = HodgeDatum(2, 1)
+
+
+def _calibrate(seed=1, samples=1, sigma_trials=1):
+    return calibrate(probes=((2, 1),), samples=samples, seed=seed, sigma_trials=sigma_trials)
 
 # each reader with the integers it reads passed through t: t = int gives
 # the answer, t = bool must be refused and t = np.int64 must give the answer
@@ -49,6 +55,15 @@ READERS = {
     'eo_classify': lambda t: eo_classify(bt1_of(minimal_shtuka(parse_polygon('0,1'), CFG)),
                                          t(1)),
     'square_rows': lambda t: PM.square_rows([[t(1), t(0)], [t(0), t(1)]], CFG, poly=False),
+    'KeyedStream': lambda t: KeyedStream(t(1), 2).integers(0, 4, 3).tolist(),
+    'sample_cells.seed': lambda t: list(sample_cells(HD, CFG, t(1), 2)),
+    'sample_cells.count': lambda t: list(sample_cells(HD, CFG, 0, t(1))),
+    'sigma_conjugate_sample.trials': lambda t: sigma_conjugate_sample(X, CFG, t(1)),
+    'sigma_conjugate_sample.seed': lambda t: sigma_conjugate_sample(X, CFG, 2, seed=t(1)),
+    'calibrate.seed': lambda t: _calibrate(seed=t(1)),
+    'calibrate.samples': lambda t: _calibrate(samples=t(1)),
+    'calibrate.samples[probe]': lambda t: _calibrate(samples={(2, 1): t(1)}),
+    'calibrate.sigma_trials': lambda t: _calibrate(sigma_trials=t(1)),
 }
 
 

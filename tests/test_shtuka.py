@@ -18,12 +18,12 @@ from pkernels.semimodules import (cochar_to_beginning, enumerate_cochar_block,
 from pkernels.shtuka import (Bt1Module, bt1_of, canonical_filtration, eo_classify,
                              field, graded_bt1_from_beginning, iwahori_class_of,
                              iwahori_orbit_size, minimal_shtuka, newton_polygon_of,
-                             run_consistency_suite, sample_shtuka,
-                             shtuka_from_element, sigma_conjugate_sample)
+                             run_consistency_suite, sample_cell, sample_cells,
+                             sample_shtuka, shtuka_from_element, sigma_conjugate_sample)
 from pkernels.shtuka import polymat as PM
 from pkernels.shtuka import bt1
 from pkernels.shtuka.bt1 import space_rows, v_preimage
-from pkernels.shtuka.core import LocalShtuka, random_unimodular
+from pkernels.shtuka.core import KeyedStream, LocalShtuka, random_unimodular
 from pkernels.shtuka import reduction
 from pkernels.shtuka.reduction import random_iwahori
 from pkernels import weyl
@@ -1095,14 +1095,65 @@ def test_sigma_conjugate_precision_is_exact(cfg):
                     n = vdet + 8
                     want = Counter()
                     for tr in range(trials):
-                        rng = np.random.default_rng([seed, tr])
-                        g = np.array(random_unimodular(h, cfg, 2, rng))
+                        g = np.array(random_unimodular(h, cfg, 2, KeyedStream(seed, tr)))
                         gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
                         m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
                         m2 = np.pad(m, ((0, 0), (0, 0), (2, 0)))      # t^2·m
                         want[iwahori_class_of(m2, cfg, shift=s + 2,
                                               expected_vdet=vdet + 2 * h)] += 1
                     assert sigma_conjugate_sample(x, cfg, trials, seed=seed) == want, x
+
+
+def test_keyed_stream_is_a_function_of_its_key():
+    def draws(*key):
+        return tuple(KeyedStream(*key).integers(0, 256, 64).tolist())
+    assert draws(7, 2, 1, 0) == draws(7, 2, 1, 0) == draws(np.int64(7), 2, 1, 0)
+    # keys that one digit string would join alike stay apart
+    keys = [(7, 2, 1, 0), (7, 2, 1, 1), (7, 1, 2, 0), (8, 2, 1, 0), (7, 21, 0), (72, 1, 0),
+            (7,), ()]
+    assert len({draws(*key) for key in keys}) == len(keys)
+    for lo, hi in ((0, 0), (3, 2), (0, 257)):
+        with pytest.raises(ValueError, match='1 to 256 values'):
+            KeyedStream(7).integers(lo, hi)
+
+
+@pytest.mark.parametrize('span', [2, 3, 4, 5, 251, 256])
+def test_keyed_stream_draws_are_kept_bytes(span):
+    # a draw is lo + b % span for the next stream byte b below the largest
+    # multiple of span up to 256; span 256 reads the bytes themselves
+    raw = KeyedStream(11).integers(0, 256, 4000).tolist()
+    kept = [b for b in raw if b < 256 - 256 % span][:3000]
+    got = KeyedStream(11).integers(-3, span - 3, 3000).tolist()
+    assert got == [b % span - 3 for b in kept]
+    assert min(got) >= -3 and max(got) < span - 3
+    # bytes were skipped within the 3000 draws unless span divides 256
+    assert (kept == raw[:3000]) == (256 % span == 0)
+
+
+@pytest.mark.parametrize('size', [None, 0, 5, (2, 3), (3, 3, 1), (2, 2, 0)])
+def test_keyed_stream_answers_in_numpy_shapes(size):
+    ours = KeyedStream(4).integers(0, 4, size).tolist()
+    theirs = np.random.default_rng(4).integers(0, 4, size).tolist()
+    assert np.shape(ours) == np.shape(theirs) and type(ours) is type(theirs)
+    assert all(type(v) is int for v in np.ravel(np.array(ours, dtype=object)))
+
+
+@pytest.mark.parametrize('span', [2, 3, 5, 251])
+def test_keyed_stream_frequencies(span):
+    # 20 000 draws at one key: every value's count within 5 standard
+    # deviations of its mean
+    n, p = 20000, 1 / span
+    counts = Counter(KeyedStream(2024, span).integers(0, span, n).tolist())
+    assert len(counts) == span
+    assert all(abs(c - n * p) < 5 * (n * p * (1 - p)) ** 0.5 for c in counts.values())
+
+
+def test_sample_cells_draw_k_ignores_count(cfg):
+    hd = HodgeDatum(3, 1)
+    five = list(sample_cells(hd, cfg, 7, 5))
+    for count in range(5):
+        assert list(sample_cells(hd, cfg, 7, count)) == five[:count]
+    assert five[3] == sample_cell(hd, cfg, KeyedStream(7, 3, 1, 3))
 
 
 def test_consistency_suite(cfg):
