@@ -17,10 +17,11 @@ t^(r·d+1) drops exactly those coefficients and leaves every other
 valuation as it was, so the hull, and the polygon, do not change.
 """
 
+# hashlib.blake2b is this class, but importing hashlib loads OpenSSL (3.6 MB RSS)
+from _blake2 import blake2b
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from hashlib import blake2b
 from math import gcd, prod
 
 from ..affine import Element, in_minuscule_double_coset

@@ -204,6 +204,16 @@ def test_package_and_cli_import_without_numpy():
     assert out.strip() == '[]'
 
 
+def test_oracle_imports_without_openssl():
+    # core draws from _blake2's blake2b, the class hashlib hands out;
+    # importing hashlib would also load OpenSSL through _hashlib (3.6 MB)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / 'src'))
+    code = 'import sys, pkernels.shtuka\nprint(sorted({"hashlib", "_hashlib"} & set(sys.modules)))'
+    out = subprocess.run([sys.executable, '-c', code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == '[]'
+
+
 def _reads_index(tree):
     """Whether a module uses operator.index, as an attribute or by import."""
     for node in ast.walk(tree):
