@@ -195,23 +195,25 @@ def test_scan_sees_a_numpy_import():
         assert not _imports_numpy(ast.parse(source)), source
 
 
-def test_package_and_cli_import_without_numpy():
+def _loaded(imports, names):
+    """Which of the module names a fresh interpreter holds after
+    ``import sys, <imports>``, as a sorted list."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / 'src'))
-    code = ('import sys, pkernels, pkernels.cli\n'
-            'print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))')
+    code = ('import sys, %s\nprint(sorted({m.split(".")[0] for m in sys.modules} & %r))'
+            % (imports, set(names)))
     out = subprocess.run([sys.executable, '-c', code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == '[]'
+    return out.strip()
+
+
+def test_package_and_cli_import_without_numpy():
+    assert _loaded('pkernels, pkernels.cli', {'numpy'}) == '[]'
 
 
 def test_oracle_imports_without_openssl():
     # core draws from _blake2's blake2b, the class hashlib hands out;
     # importing hashlib would also load OpenSSL through _hashlib (3.6 MB)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / 'src'))
-    code = 'import sys, pkernels.shtuka\nprint(sorted({"hashlib", "_hashlib"} & set(sys.modules)))'
-    out = subprocess.run([sys.executable, '-c', code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == '[]'
+    assert _loaded('pkernels.shtuka', {'hashlib', '_hashlib'}) == '[]'
 
 
 def _reads_index(tree):

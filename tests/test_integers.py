@@ -31,6 +31,7 @@ HD = HodgeDatum(2, 1)
 def _calibrate(seed=1, samples=1, sigma_trials=1):
     return calibrate(probes=((2, 1),), samples=samples, seed=seed, sigma_trials=sigma_trials)
 
+
 # each reader with the integers it reads passed through t: t = int gives
 # the answer, t = bool must be refused and t = np.int64 must give the answer
 READERS = {
