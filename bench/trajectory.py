@@ -26,7 +26,9 @@ and ``orbits`` workloads follows them.
 End-to-end cases: the default ``calibrate()`` from empty caches; F_4
 oracle samples (sample, residue module, class, Newton polygon) per
 second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 4, 6, 8
-and 10, and of h = 11, the height bound of criterion.Bounds; the 50
+and 10, and of h = 11, the height bound of criterion.Bounds, which
+never load the oracle (``pkernels.shtuka``), so their peak RSS reads
+the engine alone; the 50
 Iwahori orbits of acceptance 6 over F_2, in cosets per second; four
 seeded shuffles of the 302 cells with 2 <= h <= 5 as single-cell
 ``lifts_to`` queries (``cell_queries_h5``), in queries per second, each
@@ -55,11 +57,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 def _clear_caches():
     from pkernels import affine
-    from pkernels.shtuka import bt1, gf
     affine._length_cache.clear()
     _clear_session_memo()
-    gf.field.cache_clear()
-    bt1._reference_signatures.cache_clear()
+    # the oracle's caches, only where a case has loaded it: importing it
+    # here would put its imports into the peak RSS of the engine's cases
+    if 'pkernels.shtuka' in sys.modules:
+        from pkernels.shtuka import bt1, gf
+        gf.field.cache_clear()
+        bt1._reference_signatures.cache_clear()
 
 
 def _clear_session_memo():

@@ -30,8 +30,6 @@ caller does not rebuild them.
 
 import operator
 
-import numpy as np
-
 # Recorded in the environment line of perfbench/run.py; always False.
 USE_NUMBA = HAVE_NUMBA = False
 
@@ -112,7 +110,9 @@ def polymat_rows(a, b, m, dc, cfg):
 # caller in src/; kept while perfbench/tracer.py (KERNELS) wraps them.
 
 def _array(rows, shape):
-    # reshape keeps the shape of inputs with a zero-length axis
+    # reshape keeps the shape of inputs with a zero-length axis; the callers
+    # hand in ndarrays, so numpy is loaded already
+    import numpy as np
     return np.array(rows, dtype=np.int64).reshape(shape)
 
 

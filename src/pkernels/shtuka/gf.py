@@ -5,24 +5,23 @@ vectors (little-endian) against the power basis of F_p[x]/(f), f the
 first monic irreducible of degree r in the order of (f_0, ..., f_{r-1})
 (f = x for r = 1).  All arithmetic is table lookup: ``tables`` holds
 add, mul, neg and inv as tuples of ints (``MUL[a][b]``), ``frobs`` the
-Frobenius a -> a^p and its inverse; numpy only builds them.  A field
+Frobenius a -> a^p and its inverse, all built in pure Python.  A field
 also keeps the Packings its callers ask for (FieldConfig.packing), so
 they go with it when field's cache is cleared.
 
-One rule multiplies, _mulmod: convolve two digit vectors and fold each
-x^k, k >= r, down by f, digits mod p.  It fills mul and selects f:
-F_p[x]/(f) is a field exactly when f is irreducible, and a reducible f
-has a factor g of degree 1..r//2 (Lidl-Niederreiter, Finite Fields, 2nd
-ed., 1997), an element of index 1..p^(r//2+1)-1 with g·(f/g) = 0.  So
-the first candidate (f_0 = 0 skipped) with no such zero divisor is the
-first irreducible, the f that trial division picks.
+Addition is digit-wise mod p.  One rule multiplies, _products: Horner on
+x, a·b = (b mod p)·a + x·(a·(b div p)), where x·a shifts the digits of a
+up and folds the top digit c down as -c·(f - x^r).  It fills mul and
+selects f: F_p[x]/(f) is a field exactly when f is irreducible, and a
+reducible f has a factor g of degree 1..r//2 (Lidl-Niederreiter, Finite
+Fields, 2nd ed., 1997), an element of index 1..p^(r//2+1)-1 with
+g·(f/g) = 0.  So the first candidate (f_0 = 0 skipped) with no such zero
+divisor is the first irreducible, the f that trial division picks.
 """
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from itertools import product
-
-import numpy as np
 
 from .._kernels import Packing
 from ..errors import ConventionError, ResourceLimitError
@@ -33,27 +32,27 @@ __all__ = ['FieldConfig', 'field']
 MAX_ORDER = 256
 # Packings one field keeps (FieldConfig.packing)
 PACKINGS = 64
-_ROWS = 4                           # rows per block: keeps the digit products small
 
 
-def _mulmod(a, b, modulus, p):
-    """Digits of a·b mod (f = modulus, p) for broadcasting digit arrays (..., r)."""
-    r = len(modulus) - 1
-    prod = np.zeros(np.broadcast(a, b).shape[:-1] + (2 * r - 1,), dtype=np.int64)
-    for i in range(r):
-        prod[..., i:i + r] += a[..., i:i + 1] * b
-    for k in range(2 * r - 2, r - 1, -1):
-        prod[..., k - r:k] -= prod[..., k:k + 1] % p * modulus[:r]
-    return prod[..., :r] % p
+def _products(add, times, mod, among):
+    """The rows [a·b for b in 0..q-1] of the a in among, mod f = mod, from
+    the add table and times[c][a] = c·a for c in F_p (module docstring)."""
+    p, q = len(times), len(add)
+    low = sum(c * p ** i for i, c in enumerate(mod[:-1]))              # f - x^r
+    xa = [add[a * p % q][times[-(a * p // q) % p][low]] for a in range(q)]  # x·a
+    for a in among:
+        row = [times[c][a] for c in range(p)]
+        for b in range(p, q):
+            row.append(add[row[b % p]][xa[row[b // p]]])
+        yield row
 
 
-def _modulus(digits, p, r):
+def _modulus(add, times, r):
     """f for r >= 2: the first candidate with no zero divisor (module docstring)."""
-    small, nonzero = digits[1:p ** (r // 2 + 1), None], digits[None, 1:]
-    for tail in product(range(p), repeat=r):
+    small = range(1, len(times) ** (r // 2 + 1))
+    for tail in product(range(len(times)), repeat=r):
         mod = tail + (1,)
-        if tail[0] and not any((_mulmod(small[s:s + _ROWS], nonzero, mod, p) == 0).all(-1).any()
-                               for s in range(0, len(small), _ROWS)):
+        if tail[0] and not any(0 in row[1:] for row in _products(add, times, mod, small)):
             return mod
 
 
@@ -79,27 +78,24 @@ class FieldConfig:
             raise ResourceLimitError('field order %d^%d exceeds bound %d' % (p, r, MAX_ORDER))
         if any(p % k == 0 for k in range(2, p)):
             raise ValueError('%d is not prime' % p)
-        place = p ** np.arange(r)
-        digits = np.arange(q)[:, None] // place % p
-        mod = (0, 1) if r == 1 else _modulus(digits, p, r)
-        add, mul = np.empty((q, q), dtype=np.int64), np.empty((q, q), dtype=np.int64)
-        for s in range(0, q, _ROWS):
-            add[s:s + _ROWS] = (digits[s:s + _ROWS, None] + digits) % p @ place
-            mul[s:s + _ROWS] = _mulmod(digits[s:s + _ROWS, None], digits, mod, p) @ place
-        idx = np.arange(q)
-        frb = idx                   # a^p
+        add = [list(range(q))]      # digit-wise mod p, by the digits above the lowest
+        for a in range(1, q):
+            add.append([(a + b) % p + p * add[a // p][b // p] for b in range(q)])
+        times = [[0] * q]           # times[c][a] = c·a for c in F_p
         for _ in range(p - 1):
-            frb = mul[frb, idx]
-        frbi = idx                  # frb^(r-1), the inverse when frb^r = 1
+            times.append([add[t][a] for a, t in enumerate(times[-1])])
+        mod = (0, 1) if r == 1 else _modulus(add, times, r)
+        mul = list(_products(add, times, mod, range(q)))
+        frb = frbi = add[0]         # a^p, and frb^(r-1), the inverse when frb^r = 1
+        for _ in range(p - 1):
+            frb = [mul[f][a] for a, f in enumerate(frb)]
         for _ in range(r - 1):
-            frbi = frb[frbi]
-        if (frb[frbi] != idx).any():
+            frbi = [frb[f] for f in frbi]
+        if [frb[f] for f in frbi] != add[0]:
             raise ConventionError('Frobenius of GF(%d^%d) is not of order %d' % (p, r, r))
-        neg, inv = -digits % p @ place, (mul == 1).argmax(1).astype(np.int64)
-        tables = tuple(tuple(map(tuple, t.tolist()) if t.ndim == 2 else t.tolist())
-                       for t in (add, mul, neg, inv))
-        frobs = tuple(frb.tolist()), tuple(frbi.tolist())
-        for name, value in dict(q=q, modulus=mod, tables=tables, frobs=frobs,
+        tables = (tuple(map(tuple, add)), tuple(map(tuple, mul)), tuple(times[-1]),
+                  tuple(row.index(1) if 1 in row else 0 for row in mul))
+        for name, value in dict(q=q, modulus=mod, tables=tables, frobs=(tuple(frb), tuple(frbi)),
                                 _packings={}).items():
             object.__setattr__(self, name, value)
 

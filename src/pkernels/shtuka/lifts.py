@@ -135,14 +135,14 @@ def random_filtration_data(P: NewtonPolygon, cfg: FieldConfig, rng,
         beginnings = []
         for (n, m) in P.blocks:
             lams = enumerate_cochar_block(n, m)
-            beginnings.append(cochar_to_beginning(lams[int(rng.integers(0, len(lams)))], n, m))
+            beginnings.append(cochar_to_beginning(lams[rng.integers(0, len(lams)).tolist()], n, m))
     beginnings = tuple(beginnings)
     pairs, steps = _steps(P, beginnings)
     a, b = {}, {}
     for p, _, forward, upto in steps:
         row = {}
         for p2 in pairs[:upto]:
-            v = int(rng.integers(0, cfg.q))
+            v = rng.integers(0, cfg.q).tolist()
             if v:
                 row[p2] = v
         if row:

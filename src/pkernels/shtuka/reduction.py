@@ -157,7 +157,7 @@ def random_iwahori(h: int, cfg: FieldConfig, deg: int, rng) -> tuple:
     q = cfg.q
     a = rng.integers(0, q, size=(h, h, deg)).tolist()
     for i, row in enumerate(a):
-        row[i][0] = int(rng.integers(1, q))
+        row[i][0] = rng.integers(1, q).tolist()
         for e in row[:i]:
             e[0] = 0
     return tuple(tuple(map(tuple, row)) for row in a)

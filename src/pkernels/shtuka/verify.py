@@ -7,12 +7,11 @@ pieces with fixed seeds.
 
 from collections import Counter
 
-import numpy as np
-
+from ..affine import Element
 from ..polygons import HodgeDatum, mu_and_type, eo_representative
 from .. import weyl
 from .bt1 import eo_classify
-from .core import bt1_of, sample_cells, sample_shtuka, shtuka_from_element
+from .core import KeyedStream, bt1_of, sample_cells, sample_shtuka, shtuka_from_element
 from .gf import FieldConfig
 from .reduction import iwahori_class_of, random_iwahori
 from . import polymat as PM
@@ -30,14 +29,19 @@ def _check_class_invariance(hd, cfg, rng):
     return iwahori_class_of(m, cfg) == cls0
 
 
+def _shuffled(h, rng):
+    # a uniform permutation of 1..h: Fisher-Yates inside out, i into one of i slots
+    out = []
+    for i in range(1, h + 1):
+        out.insert(rng.integers(0, i).tolist(), i)
+    return out
+
+
 def _check_monomial_roundtrip(hd, cfg, rng):
-    # a random monomial minuscule element must reduce to itself
-    h, d = hd.height, hd.dimension
-    perm = tuple(int(v) + 1 for v in rng.permutation(h))
-    pos = sorted(rng.permutation(h)[:d].tolist())
-    lam = tuple(1 if i in pos else 0 for i in range(h))
-    from ..affine import Element
-    x = Element(lam, perm)
+    # a random monomial minuscule element must reduce to itself; its d ones
+    # sit at the first d entries of a second, independent permutation
+    perm, pos = _shuffled(hd.height, rng), _shuffled(hd.height, rng)[:hd.dimension]
+    x = Element(tuple(int(i in pos) for i in range(1, hd.height + 1)), tuple(perm))
     xm, s = PM.pm_from_element(x)
     return iwahori_class_of(xm, cfg, shift=s) == x
 
@@ -67,12 +71,12 @@ def run_consistency_suite(hd: HodgeDatum, cfg: FieldConfig, samples: int = 50,
     half = max(1, samples // 2)
     for j, (name, check) in enumerate((('iwahori_invariance', _check_class_invariance),
                                        ('monomial_roundtrip', _check_monomial_roundtrip)), 1):
-        ok = sum(bool(check(hd, cfg, np.random.default_rng([seed + j, k]))) for k in range(half))
+        ok = sum(bool(check(hd, cfg, KeyedStream(seed + j, k))) for k in range(half))
         report['checks'][name] = {'pass': ok, 'of': half}
 
-    if len(reps) > samples:
-        picked = np.random.default_rng([seed + 3]).choice(len(reps), samples, replace=False)
-        reps = [reps[k] for k in sorted(picked.tolist())]
+    if len(reps) > samples:     # the first samples rows, ranked by eight seeded bytes each
+        keys = [KeyedStream(seed + 3, k).integers(0, 256, 8).tolist() for k in range(len(reps))]
+        reps = [w for _, w in sorted(zip(keys, reps))[:samples]]
     ref_ok = sum(eo_classify(bt1_of(shtuka_from_element(eo_representative(hd, w), cfg)),
                              hd.dimension) == w for w in reps)
     report['checks']['reference_fixed_points'] = {'pass': ref_ok, 'of': len(reps)}

@@ -209,7 +209,7 @@ def test_field_order_bound():
 def test_field_rejects_frobenius_of_wrong_order(monkeypatch):
     # with a reducible modulus (x^2 + 1 over F_2) the tables are no field
     # and x -> x^2 is not of order 2: a raise, which python -O keeps
-    monkeypatch.setattr(gf, '_modulus', lambda digits, p, r: (1, 0, 1))
+    monkeypatch.setattr(gf, '_modulus', lambda add, times, r: (1, 0, 1))
     with pytest.raises(ConventionError, match='not of order 2'):
         gf.FieldConfig(2, 2)
 

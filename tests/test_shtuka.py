@@ -1007,6 +1007,23 @@ def test_samplers_draw_from_the_callers_generator():
         sample_shtuka(HodgeDatum(3, 1), field(2, 2))
 
 
+def test_samplers_take_a_keyed_stream(cfg):
+    # any object with numpy's integers(lo, hi, size) fits, the package's
+    # own stream too: every draw is read through tolist()
+    from pkernels.shtuka import lift_from_filtration, random_filtration_data
+    g = random_iwahori(3, cfg, 2, KeyedStream(1, 2))
+    assert g == random_iwahori(3, cfg, 2, KeyedStream(1, 2))
+    assert all(g[i][i][0] for i in range(3))
+    assert not any(g[i][j][0] for i in range(3) for j in range(i))
+    P = parse_polygon('1/2x2,2/3x3')
+    data = random_filtration_data(P, cfg, KeyedStream(1, 3))
+    again = random_filtration_data(P, cfg, KeyedStream(1, 3))
+    assert (data.beginnings, data.a, data.b) == (again.beginnings, again.a, again.b)
+    assert all(type(v) is int for fam in (data.a, data.b) for row in fam.values()
+               for v in row.values())
+    assert newton_polygon_of(lift_from_filtration(data)) == P
+
+
 def _two_product_sample(hd, cfg, seed, deg=2):
     # the sampler as two products U1·diag(t^mu)·U2, each constant term
     # tested for invertibility by inverting it
