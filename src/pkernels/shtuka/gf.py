@@ -86,7 +86,7 @@ class FieldConfig:
             times.append([add[t][a] for a, t in enumerate(times[-1])])
         mod = (0, 1) if r == 1 else _modulus(add, times, r)
         mul = list(_products(add, times, mod, range(q)))
-        frb = frbi = add[0]         # a^p, and frb^(r-1), the inverse when frb^r = 1
+        frb = frbi = add[0]         # the identity; then a^p, frb^(r-1) (inverse if frb^r = 1)
         for _ in range(p - 1):
             frb = [mul[f][a] for a, f in enumerate(frb)]
         for _ in range(r - 1):

@@ -3,8 +3,8 @@ every stratum with h <= 10 (its values, witnesses and searched counts), of
 the conftest calibrate() report, and of 20 seeded oracle draws per
 stratum with h <= 5 over F_2, F_4, F_3 and F_8, and of the modulus,
 tables and Frobenius of every field of order at most gf.MAX_ORDER.  The
-test recomputes them all.  A pinned digest moves only with a reason recorded in
-CHANGES.md; rewrite the file with
+test recomputes them all.  A pinned digest moves only with a reason
+recorded in CHANGES.md; rewrite the file with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -18,6 +18,7 @@ import numpy as np
 from pkernels.criterion import calibrate, incidence_table
 from pkernels.polygons import HodgeDatum
 from pkernels.shtuka import field, gf, sample_cell
+from test_gf import ALL_FIELDS
 
 GOLDEN = pathlib.Path(__file__).with_name('golden.json')
 TABLE_HEIGHTS = range(1, 11)
@@ -65,12 +66,9 @@ def _draws() -> dict:
 def _fields() -> dict:
     # built past field's cache, which would keep all 70 fields
     out = {}
-    for p in range(2, gf.MAX_ORDER + 1):
-        if all(p % k for k in range(2, p)):
-            for r in range(1, 9):
-                if p ** r <= gf.MAX_ORDER:
-                    f = gf.FieldConfig(p, r)
-                    out['%d^%d' % (p, r)] = _digest([f.modulus, f.tables, f.frobs])
+    for p, r in ALL_FIELDS:
+        f = gf.FieldConfig(p, r)
+        out['%d^%d' % (p, r)] = _digest([f.modulus, f.tables, f.frobs])
     return out
 
 
