@@ -32,7 +32,10 @@ the engine alone; the 50
 Iwahori orbits of acceptance 6 over F_2, in cosets per second; four
 seeded shuffles of the 302 cells with 2 <= h <= 5 as single-cell
 ``lifts_to`` queries (``cell_queries_h5``), in queries per second, each
-repeat from an empty session memo; the Tier-1 test suite.  Layer cases:
+repeat from an empty session memo; 100 seeded minuscule x of height 7
+against their basic polygon through ``adlv_nonempty`` (``adlv_h7``), in
+queries per second, each repeat from an empty session memo; the Tier-1
+test suite.  Layer cases:
 the first ``eo_classify`` of a module at (11, 5) from an empty memo,
 the list kernels ``rref_rows`` and ``polymat_rows`` that the oracle
 runs, ``charpoly`` over F_4 at h = 8, n = 9 and at h = 4, n = 5
@@ -68,10 +71,11 @@ def _clear_caches():
 
 
 def _clear_session_memo():
-    # the reduction memo lifts_to and adlv_nonempty share; checkouts older
-    # than it have none
-    from pkernels import criterion
-    criterion.__dict__.get('_memo', {}).clear()
+    # the engine's reduction memo, wherever the checkout keeps it: affine
+    # since every query shares it, criterion before; older checkouts have none
+    from pkernels import affine, criterion
+    for mod in (affine, criterion):
+        mod.__dict__.get('_memo', {}).clear()
 
 
 def _calibrate(seed):
@@ -148,6 +152,35 @@ def _cell_queries(heights, shuffles):
                 lifts_to(*q)
         run()
         return run, _clear_session_memo, {'cells': len(cells), 'queries': len(queries),
+                                          'rate_unit': 'queries/s'}
+    return case
+
+
+def _adlv(h, count):
+    # count seeded minuscule x of height h, d uniform in 1..h-1, each
+    # against the basic polygon of its stratum through adlv_nonempty: whole
+    # reductions of arbitrary elements, whose trees repeat subtrees; each
+    # repeat starts from an empty session memo and a warm length cache
+    def case(seed):
+        import numpy as np
+        from fractions import Fraction
+        from pkernels.affine import Element
+        from pkernels.criterion import adlv_nonempty
+        from pkernels.polygons import polygon_from_slopes
+        rng = np.random.default_rng([seed, h])
+        queries = []
+        for _ in range(count):
+            d = int(rng.integers(1, h))
+            ones = set(rng.permutation(h)[:d].tolist())
+            x = Element(tuple(int(i in ones) for i in range(h)),
+                        tuple(int(v) + 1 for v in rng.permutation(h)))
+            queries.append((x, polygon_from_slopes([Fraction(d, h)] * h)))
+
+        def run():
+            for q in queries:
+                adlv_nonempty(*q)
+        run()
+        return run, _clear_session_memo, {'queries': count, 'h': h,
                                           'rate_unit': 'queries/s'}
     return case
 
@@ -329,6 +362,7 @@ CASES = {
     'strata_h10': ('end_to_end', 8, _strata(10)),
     'strata_h11': ('end_to_end', 1, _strata(11)),
     'cell_queries_h5': ('end_to_end', 50, _cell_queries((2, 3, 4, 5), 4)),
+    'adlv_h7': ('end_to_end', 10, _adlv(7, 100)),
     'acceptance6_orbits': ('end_to_end', 20, _acceptance6_orbits),
     'tier1': ('end_to_end', 1, _tier1),
     'classify_first_11_5': ('layer', 5, _classify_first(11, 5)),

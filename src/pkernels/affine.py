@@ -360,7 +360,7 @@ def _conj_delta(y: tuple, i: int, h: int) -> int:
     return delta + (1 if k >= 0 else -1)
 
 
-def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
+def newton_strata(x: Element, limit: int = None) -> tuple:
     """B(x), the Newton points whose stratum meets I·x·I, by the
     Deligne–Lusztig reduction (He, Ann. Math. 2014; He–Nie, Compositio
     2014).
@@ -382,34 +382,43 @@ def newton_strata(x: Element, memo: dict = None, limit: int = None) -> tuple:
     Returns (points, explored): points maps each Newton point to the
     minimal-length element at which the reduction reached it, and explored
     counts the reduction tree: one per leaf, and per inner node the
-    elements walked until its drop.  Calls that share a memo dict share
-    their subtrees; the answers do not depend on it.  Raises
+    elements walked until its drop.  Every call shares the module's
+    bounded memo of subtrees; the answers do not depend on it.  Raises
     ResourceLimitError when a tree exceeds ``limit`` elements, whether it
     is built or found in the memo.
 
     >>> sorted(newton_strata(Element((1, 0), (2, 1)))[0])
     [(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 2))]
     """
-    points, explored = _newton_blocks(x.lam + x.perm, {} if memo is None else memo, limit)
+    points, explored = _newton_blocks(x.lam + x.perm, limit)
     # each witness is a leaf keyed by its own Newton point
     return {newton_point(y): y for y in map(_element, points.values())}, explored
 
 
-def _newton_blocks(c: tuple, memo: dict, limit) -> tuple:
+# the reduction memo of every engine query: complete subtrees keyed by the
+# flat coding.  Only _reduce adds entries; _newton_blocks clears it when
+# full, so it holds at most _MEMO_MAX entries plus one reduction tree
+_MEMO_MAX = 1 << 12
+_memo = {}
+
+
+def _newton_blocks(c: tuple, limit) -> tuple:
     """newton_strata on the flat coding: (points, explored) with each
     Newton point a block tuple and each witness a flat coding."""
-    return _reduce(c, _length(c), memo, limit)
+    if len(_memo) >= _MEMO_MAX:
+        _memo.clear()
+    return _reduce(c, _length(c), limit)
 
 
-def _reduce(c, ell, memo, limit):
-    done = memo.get(c)
+def _reduce(c, ell, limit):
+    done = _memo.get(c)
     if done is None:
         cycles = _cycle_sums(c)
         if ell == _min_length(cycles):
             done = ({_blocks(cycles): c}, 1)
         else:
-            done = _drop(c, ell, memo, limit)
-        memo[c] = done
+            done = _drop(c, ell, limit)
+        _memo[c] = done
     # on hits too: a memo warmed under a larger limit must not let a tree through
     if limit is not None and done[1] > limit:
         raise ResourceLimitError('reduction of %r exceeds %d elements'
@@ -417,7 +426,7 @@ def _reduce(c, ell, memo, limit):
     return done
 
 
-def _drop(c, ell, memo, limit):
+def _drop(c, ell, limit):
     # walk the length-preserving class of c up to its first drop; there
     # s·y·s has length ell - 2 and s·y length ell - 1
     h = len(c) >> 1
@@ -427,8 +436,8 @@ def _drop(c, ell, memo, limit):
         for i in range(h if h > 1 else 0):
             delta = _conj_delta(y, i, h)
             if delta < 0:
-                points, n_sys = _reduce(_conj(y, i, h), ell - 2, memo, limit)
-                more, n_sy = _reduce(tuple(_left(y, i, h)), ell - 1, memo, limit)
+                points, n_sys = _reduce(_conj(y, i, h), ell - 2, limit)
+                more, n_sy = _reduce(tuple(_left(y, i, h)), ell - 1, limit)
                 return {**more, **points}, len(walked) + n_sys + n_sy
             if delta == 0:
                 z = _conj(y, i, h)

@@ -40,8 +40,8 @@ class Bounds:
     """Resource limits; exceeding either raises ResourceLimitError.
 
     max_height caps the height of a query, max_support the number of
-    elements one reduction explores, checked also on a tree that
-    lifts_to and adlv_nonempty find in their shared memo.
+    elements one reduction explores, checked also on a tree found in
+    the engine's shared memo.
     """
 
     max_height: int = 11
@@ -53,13 +53,6 @@ class Bounds:
 
 
 # ------------------------------------------------------------- engine
-
-def _strata(c: tuple, bounds: Bounds, memo: dict) -> tuple:
-    """(points, explored) of the reduction of the flat coding c within
-    bounds: each Newton point a block tuple, each witness a flat tuple."""
-    bounds.check_height(len(c) >> 1)
-    return affine._newton_blocks(c, memo, bounds.max_support)
-
 
 def _witness(points: dict, P: NewtonPolygon):
     """The minimal-length element the reduction reached P at, or None."""
@@ -74,17 +67,9 @@ def _provenance(check) -> dict:
             'seed': check['seed'] if check else None}
 
 
-# the reduction memo that lifts_to and adlv_nonempty share across calls;
-# each entry is a complete subtree, and it is cleared when full at the
-# start of a query, so it holds at most _MEMO_MAX entries plus one tree
-_MEMO_MAX = 1 << 12
-_memo = {}
-
-
 def _answer(c: tuple, P: NewtonPolygon, check, bounds: Bounds, return_info: bool):
-    if len(_memo) >= _MEMO_MAX:
-        _memo.clear()
-    points, explored = _strata(c, bounds or Bounds(), _memo)
+    bounds.check_height(len(c) >> 1)
+    points, explored = affine._newton_blocks(c, bounds.max_support)
     if not return_info:
         return P.blocks in points
     wit = _witness(points, P)
@@ -93,13 +78,13 @@ def _answer(c: tuple, P: NewtonPolygon, check, bounds: Bounds, return_info: bool
 
 
 def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
-             bounds: Bounds = None, return_info: bool = False):
+             bounds: Bounds = Bounds(), return_info: bool = False):
     """Whether the class of w meets the stratum of P, i.e. whether P is in
     B(x_w).  ``check`` is a report calibrate() returned, or None; it is
     recorded, never consulted.  With return_info, also the witness (None
     for an empty cell), the number of elements the reduction explored and
-    the provenance.  Calls share one bounded memo of reduction subtrees
-    with adlv_nonempty; no answer depends on it, and ``max_support`` is
+    the provenance.  Every query shares the engine's bounded memo of
+    reduction subtrees; no answer depends on it, and ``max_support`` is
     checked on its hits too."""
     if (P.height, P.dimension) != (hd.height, hd.dimension):
         raise ValueError('polygon %s does not lie in stratum (%d, %d)'
@@ -109,7 +94,7 @@ def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
 
 
 def adlv_nonempty(x: Element, P: NewtonPolygon, check: dict = None,
-                  bounds: Bounds = None, return_info: bool = False):
+                  bounds: Bounds = Bounds(), return_info: bool = False):
     """Whether I·x·I meets the Newton stratum of P, i.e. whether the affine
     Deligne-Lusztig variety X_x(b_P) is nonempty (x must be minuscule of
     the polygon's height and dimension).  ``check``, return_info and the
@@ -180,24 +165,22 @@ def _cell_key(w, P) -> str:
 
 
 def incidence_table(hd: HodgeDatum, check: dict = None,
-                    bounds: Bounds = None) -> IncidenceTable:
+                    bounds: Bounds = Bounds()) -> IncidenceTable:
     """The full table of a stratum, one reduction per row.  Nonempty cells
     carry their witness, empty ones the size of the exhausted reduction.
     ``check`` is a report calibrate() returned, or None; only its seed is
     recorded, in the provenance."""
-    bounds = bounds or Bounds()
     bounds.check_height(hd.height)
-    h, d = hd.height, hd.dimension
+    h, d, limit = hd.height, hd.dimension, bounds.max_support
     _, pairs = mu_and_type(hd)
     rows = tuple(weyl.min_coset_reps(h, pairs))
     cols = enumerate_polygons(hd)
     names = tuple(str(P) for P in cols)
-    memo = {}
     values = []
     witnesses = {}
     searched = {}
     for w in rows:
-        points, explored = _strata(polygons._eo_coding(h, d, w), bounds, memo)
+        points, explored = affine._newton_blocks(polygons._eo_coding(h, d, w), limit)
         row_key = _cell_key(w, '')
         row = []
         for P, name in zip(cols, names):
@@ -259,12 +242,12 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     polygon) pair the oracle samples on the probe strata must be a
     nonempty cell, and every Iwahori class reached by sigma-conjugating
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
-    must meet that polygon's stratum.  Raises ResourceLimitError before
-    any sampling if a probe exceeds the height bound, TypeError if the
-    seed or a count is no integer, ValueError if a sample or trial count
-    is below one, and ConventionError on any disagreement; otherwise
-    returns the report of the evidence, which lifts_to, adlv_nonempty and
-    incidence_table accept as ``check``.
+    must meet that polygon's stratum.  Before any sampling it raises
+    ResourceLimitError on a probe above the height bound, TypeError on a
+    seed, count or probe entry that is no integer and ValueError on a
+    probe that is no stratum or a count below one; ConventionError on any
+    disagreement.  Otherwise returns the report of the evidence, which
+    lifts_to, adlv_nonempty and incidence_table accept as ``check``.
     """
     from .shtuka import field
     cfg = cfg or field(2, 2)
@@ -272,8 +255,10 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     if probes is None:
         probes = ((2, 1), (3, 1), (3, 2))
     probes = tuple(tuple(p) for p in probes)
-    for h, _ in probes:
+    hds = []
+    for h, d in probes:
         Bounds().check_height(h)
+        hds.append(HodgeDatum(h, d))
     if samples is None:
         samples = {p: (1000 if p == (2, 1) else 300) for p in probes}
     elif not isinstance(samples, dict):
@@ -292,8 +277,7 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
             violations.append({'cell': [list(hdt), list(w), ps], 'expected': expect,
                                'why': 'ground truth'})
     observed = {}
-    for p in probes:
-        hd = HodgeDatum(*p)
+    for p, hd in zip(probes, hds):
         observed[p] = _observe(hd, cfg, samples[p], seed)
         table = incidence_table(hd)
         for (w, ps), cnt in sorted(observed[p].items()):

@@ -117,7 +117,7 @@ def format_polygon(P: NewtonPolygon) -> str:
     return ','.join(parts)
 
 
-_TOKEN = re.compile(r'^([0-9]+(?:/0*[1-9][0-9]*)?)(?:x([0-9]+))?$')   # no zero denominator
+_TOKEN = re.compile(r'^([0-9]+(?:/0*[1-9][0-9]*)?)(?:x(0*[1-9][0-9]*))?$')   # no zero denominator or count
 
 
 def parse_polygon(text: str) -> NewtonPolygon:

@@ -8,6 +8,7 @@ pieces with fixed seeds.
 from collections import Counter
 
 from ..affine import Element
+from ..errors import integers
 from ..polygons import HodgeDatum, mu_and_type, eo_representative
 from .. import weyl
 from .bt1 import eo_classify
@@ -51,7 +52,11 @@ def run_consistency_suite(hd: HodgeDatum, cfg: FieldConfig, samples: int = 50,
     """Random-input agreement checks for one stratum, on the sample_cells stream
     and Iwahori factors mod t^3, and eo_classify on the reference modules
     of at most ``samples`` seeded rows (every row when there are fewer);
-    returns a report dict with per-check pass counts and an overall flag."""
+    returns a report dict with per-check pass counts and an overall flag.
+    Raises ValueError before any sampling if ``samples`` is below one."""
+    samples, seed = integers(samples, seed)
+    if samples < 1:
+        raise ValueError('run_consistency_suite needs at least one sample, got %d' % samples)
     _, pairs = mu_and_type(hd)
     reps = weyl.min_coset_reps(hd.height, pairs)
     report = {

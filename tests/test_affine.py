@@ -358,10 +358,13 @@ def test_newton_strata_pinned():
 
 
 def test_newton_strata_memo_and_limit():
+    # the same answers from an empty memo as from one warmed by every x
     xs = [_random_element(np.random.default_rng([27, k]), 4, spread=1) for k in range(10)]
-    memo = {}
+    cold = []
     for x in xs:
-        assert affine.newton_strata(x, memo) == affine.newton_strata(x)
+        affine._memo.clear()
+        cold.append(affine.newton_strata(x))
+    assert [affine.newton_strata(x) for x in xs] == cold
     big = max(xs, key=lambda x: affine.newton_strata(x)[1])
     n = affine.newton_strata(big)[1]
     assert affine.newton_strata(big, limit=n)[1] == n
@@ -451,10 +454,10 @@ def test_min_length_decides_drops_on_every_reached_element():
     # every member of its class, is terminal by the closed form exactly
     # when the full walk finds no drop
     for hd, xs in _all_strata(7):
-        memo = {}
+        affine._memo.clear()
         for x in xs:
-            affine.newton_strata(x, memo)
-        for c in memo:
+            affine.newton_strata(x)
+        for c in affine._memo:
             walked, drops = _reference_class(affine._element(c))
             for y in walked:
                 assert (affine.length(y) == affine.min_length(y)) is not drops, (hd, y)
@@ -511,15 +514,16 @@ def _element_drop(x, ell, memo, refs):
 
 
 def test_newton_strata_match_the_element_walk():
-    # points, witnesses and explored, with one memo per table on each side
+    # points, witnesses and explored, from an empty memo per table on each side
     for hd, xs in _all_strata(7):
-        memo, ref_memo = {}, {}
+        affine._memo.clear()
+        ref_memo = {}
         refs = _cyclic_shifts(xs[0])
         for x in xs:
-            assert (affine.newton_strata(x, memo)
+            assert (affine.newton_strata(x)
                     == _element_reduce(x, ref_memo, refs)), (hd, x)
         # the block key of every element the reduction reached
-        for c in memo:
+        for c in affine._memo:
             nu = affine.newton_point(affine._element(c))
             assert affine._blocks(affine._cycle_sums(c)) == polygon_from_slopes(nu).blocks
 
@@ -531,5 +535,7 @@ def test_reduction_raises_when_min_length_is_too_low(monkeypatch):
     x = affine.translation((1, 0, 0))
     assert affine.length(x) == affine.min_length(x) == 2
     monkeypatch.setattr(affine, '_min_length', lambda cycles: real(cycles) - 2)
+    # an empty memo: a tree built with the real closed form must not answer
+    monkeypatch.setattr(affine, '_memo', {})
     with pytest.raises(ConventionError, match='no drop'):
         affine.newton_strata(x)

@@ -78,6 +78,7 @@ def test_check_bad_polygon_exits_2(capsys):
     ('check', '--height', '2', '--dim', '1', '--eo', '5', '--np', '0,1'),
     ('adlv', '--x', 'perm=[2,1;lam=(0,1)', '--np', '1/2x2'),
     ('check', '--height', '2', '--dim', '1', '--eo', '[2,1]', '--np', '1/0x2'),
+    ('check', '--height', '2', '--dim', '1', '--eo', '[1,2]', '--np', '1/2x2,0x0'),
     ('calibrate', '--probe', '2,1', '--count', '0', '--sigma-trials', '0'),
     ('calibrate', '--probe', '2,1', '--count', '-3', '--sigma-trials', '1'),
     ('check', '--height', '2', '--dim', '1', '--eo', '[2,1]', '--np', '0,1',
@@ -87,7 +88,7 @@ def test_check_bad_polygon_exits_2(capsys):
     ('check', '--height', '2', '--dim', '1', '--eo', '[True,2]', '--np', '1/2x2'),
     ('adlv', '--x', 'perm=[True,2];lam=(False,True)', '--np', '1/2x2'),
 ], ids=['probe-one-number', 'eo-unclosed', 'eo-scalar', 'x-unclosed',
-        'np-zero-denominator', 'calibrate-no-samples', 'calibrate-negative-count',
+        'np-zero-denominator', 'np-zero-count', 'calibrate-no-samples', 'calibrate-negative-count',
         'out-unwritable', 'oracle-verify-no-samples', 'oracle-sample-negative-count',
         'eo-boolean', 'x-boolean'])
 def test_malformed_input_exits_2(capsys, argv):

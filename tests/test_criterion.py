@@ -271,28 +271,30 @@ def _cell_answers(cells, ask, cold):
     out = []
     for cell in cells:
         if cold:
-            criterion._memo.clear()
+            affine._memo.clear()
         val, info = ask(*cell, return_info=True)
         out.append((val, info['witness'], info['searched']))
     return out
 
 
+def _table_answers(tables):
+    """(value, witness, searched) of every cell of the tables, in the
+    order of _cells; None where the table records no witness or count."""
+    return [(v, t.witnesses.get(key), t.searched.get(key)) for t in tables
+            for w, row in zip(t.rows, t.values) for col, v in zip(t.cols, row)
+            for key in [criterion._cell_key(w, col)]]
+
+
 def test_session_memo_never_changes_an_answer(monkeypatch, report):
     # every cell with h <= 5: the same value, witness and searched count
     # from an empty memo as after every cell has warmed it, and the table's
-    monkeypatch.setattr(criterion, '_memo', {})
+    monkeypatch.setattr(affine, '_memo', {})
     tables = [incidence_table(hd) for hd in _strata(5)]
     cells = _cells(tables)
     cold = _cell_answers(cells, lifts_to, cold=True)
     _cell_answers(cells, lifts_to, cold=False)
     assert _cell_answers(cells, lifts_to, cold=False) == cold
-    expect = []
-    for t in tables:
-        for w, row in zip(t.rows, t.values):
-            for col, v in zip(t.cols, row):
-                key = criterion._cell_key(w, col)
-                expect.append((v, t.witnesses.get(key), t.searched.get(key)))
-    assert [(v, wit, None if v else n) for v, wit, n in cold] == expect
+    assert [(v, wit, None if v else n) for v, wit, n in cold] == _table_answers(tables)
     # the sigma-classes of the oracle check, against both polygons of (2, 1)
     xs = [Element(**{k: tuple(v) for k, v in json.loads(text).items()})
           for text in report['sigma']['classes']]
@@ -308,7 +310,7 @@ def test_session_memo_never_changes_an_answer(monkeypatch, report):
 def test_session_memo_keeps_the_support_guard(monkeypatch):
     # the (5, 2) row (1, 3, 4, 2, 5) explores 5 elements; a tree the memo
     # already holds is refused by a smaller max_support all the same
-    monkeypatch.setattr(criterion, '_memo', {})
+    monkeypatch.setattr(affine, '_memo', {})
     hd, w, P = HodgeDatum(5, 2), (1, 3, 4, 2, 5), parse_polygon('2/5x5')
     x = eo_representative(hd, w)
     small, exact = Bounds(max_support=4), Bounds(max_support=5)
@@ -319,7 +321,7 @@ def test_session_memo_keeps_the_support_guard(monkeypatch):
     with pytest.raises(ResourceLimitError):
         adlv_nonempty(x, P, bounds=small)
     # refused first, then answered, then refused again
-    criterion._memo.clear()
+    affine._memo.clear()
     with pytest.raises(ResourceLimitError):
         adlv_nonempty(x, P, bounds=small)
     assert adlv_nonempty(x, P, return_info=True)[1]['searched'] == 5
@@ -329,23 +331,43 @@ def test_session_memo_keeps_the_support_guard(monkeypatch):
         adlv_nonempty(x, P, bounds=small)
 
 
+def test_tables_leave_every_cell_in_the_memo(monkeypatch):
+    # the tables of every stratum with h <= 5 fill the memo that lifts_to
+    # reads: no cell query adds an entry, and each returns the table's
+    # witness and searched count
+    monkeypatch.setattr(affine, '_memo', {})
+    tables = [incidence_table(hd) for hd in _strata(5)]
+    size = len(affine._memo)
+    assert 0 < size < affine._MEMO_MAX
+    answers = _cell_answers(_cells(tables), lifts_to, cold=False)
+    assert len(affine._memo) == size
+    assert [(v, wit, None if v else n) for v, wit, n in answers] == _table_answers(tables)
+
+
 def test_session_memo_is_bounded(monkeypatch):
-    # with a cap of 8 the memo is cleared at the start of any query that
-    # finds it full, so it never holds more than the cap plus the new
-    # entries of one tree (at most the elements that tree explored)
-    cells = _cells(incidence_table(hd) for hd in _strata(6))
-    monkeypatch.setattr(criterion, '_memo', {})
+    # with a cap of 8 the memo is cleared at the start of any reduction
+    # that finds it full, so it never holds more than the cap plus the new
+    # entries of one tree (at most the elements that tree explored), over
+    # table sweeps and cell queries alike
+    tables = [incidence_table(hd) for hd in _strata(6)]
+    cells = _cells(tables)
+    monkeypatch.setattr(affine, '_memo', {})
     want = _cell_answers(cells, lifts_to, cold=True)
-    monkeypatch.setattr(criterion, '_MEMO_MAX', 8)
-    got, clears, largest = [], 0, 0
-    for cell in cells:
-        before = len(criterion._memo)
-        got += _cell_answers([cell], lifts_to, cold=False)
-        clears += before >= 8
-        largest = max(largest, len(criterion._memo))
-        assert len(criterion._memo) <= (0 if before >= 8 else before) + got[-1][2]
-    assert got == want
-    assert largest > 8 and clears > 1
+    monkeypatch.setattr(affine, '_MEMO_MAX', 8)
+    real, sizes = affine._newton_blocks, []
+
+    def watched(c, limit):
+        before = len(affine._memo)
+        points, explored = real(c, limit)
+        assert len(affine._memo) <= (0 if before >= 8 else before) + explored
+        sizes.append((before, len(affine._memo)))
+        return points, explored
+
+    monkeypatch.setattr(affine, '_newton_blocks', watched)
+    assert [incidence_table(HodgeDatum(*t.hodge)) for t in tables] == tables
+    assert _cell_answers(cells, lifts_to, cold=False) == want
+    assert max(after for _, after in sizes) > 8
+    assert sum(before >= 8 for before, _ in sizes) > 1
 
 
 def test_calibrate_selection_and_report(report):
@@ -381,13 +403,19 @@ def test_calibrate_multi_probe():
     assert m['sigma']['trials'] == 8
 
 
-def test_calibrate_checks_height_before_sampling(monkeypatch):
+@pytest.mark.parametrize('probes, error', [
+    (((12, 6),), ResourceLimitError),
+    ([(2, 1), (3, 5)], ValueError),
+    ([(2, 1), (True, 1)], TypeError),
+], ids=['height-bound', 'dimension-above-height', 'boolean-height'])
+def test_calibrate_checks_height_before_sampling(monkeypatch, probes, error):
+    # every probe is a checked stratum before the first one is sampled
     def no_sampling(*args):
-        raise AssertionError('sampled a probe above the height bound')
+        raise AssertionError('sampled before checking every probe')
 
     monkeypatch.setattr(criterion, '_observe', no_sampling)
-    with pytest.raises(ResourceLimitError):
-        calibrate(probes=((12, 6),))
+    with pytest.raises(error):
+        calibrate(probes=probes)
 
 
 @pytest.mark.parametrize('samples, sigma_trials', [
@@ -416,8 +444,8 @@ def test_calibrate_raises_on_disagreement(monkeypatch):
     # an engine that loses the supersingular stratum contradicts the oracle
     real = affine._newton_blocks
 
-    def lossy(c, memo, limit):
-        points, explored = real(c, memo, limit)
+    def lossy(c, limit):
+        points, explored = real(c, limit)
         return {p: y for p, y in points.items() if p != SS.blocks}, explored
 
     monkeypatch.setattr(criterion.affine, '_newton_blocks', lossy)

@@ -124,6 +124,14 @@ def test_parse_errors():
             parse_polygon(s)
 
 
+def test_parse_refuses_a_zero_count():
+    # a token with count 0 would drop its slope; format_polygon never writes one
+    for s in ('1/2x0,0,1', '1/2x2,0x0', '0x00,1', '1x0,0x2'):
+        with pytest.raises(ValueError, match='bad slope token'):
+            parse_polygon(s)
+    assert parse_polygon('0x02,1/2x2') == parse_polygon('0x2,1/2x2')
+
+
 def test_polygon_from_slopes_multiplicity():
     # slope with denominator q needs multiplicity divisible by q, and
     # each q-wide run contributes one block

@@ -1191,6 +1191,20 @@ def test_consistency_suite_checks_at_most_samples_rows(cfg, monkeypatch):
     assert rep['checks']['reference_fixed_points'] == {'pass': 2, 'of': 2}
 
 
+@pytest.mark.parametrize('samples, seed, error', [
+    (0, 0, ValueError), (-3, 0, ValueError), (True, 0, TypeError), (4, 1.5, TypeError),
+])
+def test_consistency_suite_refuses_an_empty_check(cfg, monkeypatch, samples, seed, error):
+    # no samples is no evidence, not a pass: refused before any sampling
+    from pkernels.shtuka import verify
+
+    def no_sampling(*args):
+        raise AssertionError('sampled for an empty check')
+    monkeypatch.setattr(verify, 'sample_cells', no_sampling)
+    with pytest.raises(error):
+        run_consistency_suite(HodgeDatum(4, 2), cfg, samples=samples, seed=seed)
+
+
 # --------------------------------------------------------- one form
 
 def _numpy_objects(obj, path='out', seen=None):

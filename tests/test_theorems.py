@@ -7,7 +7,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from pkernels import weyl
+from pkernels import affine, weyl
 from pkernels.affine import Element, length, newton_point, newton_strata, omega, simple_reflection
 from pkernels.criterion import Bounds, incidence_table
 from pkernels.polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
@@ -17,6 +17,13 @@ from pkernels.shtuka import bt1_of, eo_classify, minimal_shtuka
 from test_affine import reduced_decomposition
 
 TO_7 = Bounds(max_height=7)
+
+
+@pytest.fixture(autouse=True)
+def _own_reductions():
+    # each gate starts from an empty engine memo, so it reads only the
+    # reductions it made itself
+    affine._memo.clear()
 
 
 def _minimal_rows_have_one_cell(heights, cfg):
@@ -123,10 +130,10 @@ def _rows(hd):
     return weyl.min_coset_reps(hd.height, mu_and_type(hd)[1])
 
 
-def _met(hd, w, memo):
+def _met(hd, w):
     # the columns of the row w, by the reduction of its representative
     # x_w and not by a table, so no way of building tables gates itself
-    points = newton_strata(eo_representative(hd, w), memo)[0]
+    points = newton_strata(eo_representative(hd, w))[0]
     return {str(polygon_from_slopes(nu)) for nu in points}
 
 
@@ -138,7 +145,6 @@ def _dual_tables_match(heights):
     # Cartier duality sends the stratum (h, d) to (h, h - d), each block
     # (n, m) to (m, n), and the row w to w0·w·w0
     cells = 0
-    memo = {}
     for h in heights:
         for d in range(h + 1):
             hd, dual = HodgeDatum(h, d), HodgeDatum(h, h - d)
@@ -148,8 +154,8 @@ def _dual_tables_match(heights):
             rows = _rows(hd)
             assert sorted(map(_dual_row, rows)) == sorted(_rows(dual)), (h, d)
             for w in rows:
-                want = _met(dual, _dual_row(w), memo)
-                assert set(map(_dual_polygon, _met(hd, w, memo))) == want, (h, d, w)
+                want = _met(dual, _dual_row(w))
+                assert set(map(_dual_polygon, _met(hd, w))) == want, (h, d, w)
                 cells += len(cols)
     return cells
 
@@ -208,7 +214,6 @@ def _split_rows_match(heights):
     # word is 0^e·c·1^f, with e + f > 0 and c local-local (empty, or from
     # 1 to 0), is the row of c at (h-e-f, d-f) with e slopes 0 and f
     # slopes 1 added; an empty c leaves the single polygon 0^e·1^f
-    memo = {}
     rows = 0
     for h in heights:
         for d in range(h + 1):
@@ -224,9 +229,9 @@ def _split_rows_match(heights):
                 if core:
                     chd = HodgeDatum(len(core), d - f)
                     met = [parse_polygon(c).slopes()
-                           for c in _met(chd, _row_of_word(core, d - f), memo)]
+                           for c in _met(chd, _row_of_word(core, d - f))]
                 want = {str(polygon_from_slopes((0,) * e + s + (1,) * f)) for s in met}
-                assert _met(hd, w, memo) == want, (h, d, w)
+                assert _met(hd, w) == want, (h, d, w)
                 rows += 1
     return rows
 
