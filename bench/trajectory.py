@@ -39,7 +39,9 @@ test suite.  Layer cases:
 the first ``eo_classify`` of a module at (11, 5) from an empty memo,
 the list kernels ``rref_rows`` and ``polymat_rows`` that the oracle
 runs, ``charpoly`` over F_4 at h = 8, n = 9 and at h = 4, n = 5
-(``charpoly_h4``), ``Packing.red``, ``lattice_key``, affine
+(``charpoly_h4``), the 400 inverses mod t^2 at h = 2 of calibrate's
+sigma-check (``inverse_h2``), 300 residue solves at (5, 2)
+(``residue_solve_h5``), ``Packing.red``, ``lattice_key``, affine
 multiplication and length, and one reduction step (``_conj_delta`` plus
 ``_conj`` on the flat coding).
 """
@@ -249,6 +251,37 @@ def _polymat_rows(seed):
     return run, None, {'calls': len(mats) - 1, 'shape': [4, 4, 2]}
 
 
+def _inverse_h2(seed):
+    # the inverses of calibrate's sigma-check: sigma(g)^{-1} mod t^2 of
+    # 400 seeded g in GL_2(O) mod t^2 over F_4, one per trial
+    from pkernels.shtuka import field, polymat as PM
+    from pkernels.shtuka.core import KeyedStream, random_unimodular
+    cfg = field(2, 2)
+    gs = [PM.pm_frob(random_unimodular(2, cfg, 2, KeyedStream(seed, k)), cfg, 1)
+          for k in range(400)]
+
+    def run():
+        for g in gs:
+            PM.pm_inv_mod(g, 2, cfg)
+    return run, None, {'calls': len(gs), 'h': 2, 'n': 2}
+
+
+def _residue_solve_h5(seed):
+    # a datum's mod-t^2 solve at (5, 2): 300 seeded sampled matrices, each
+    # built into a new LocalShtuka whose _solve runs once
+    import numpy as np
+    from pkernels.polygons import HodgeDatum
+    from pkernels.shtuka import LocalShtuka, field, sample_shtuka
+    cfg = field(2, 2)
+    mats = [sample_shtuka(HodgeDatum(5, 2), cfg, rng=np.random.default_rng([seed, k])).amat
+            for k in range(300)]
+
+    def run():
+        for a in mats:
+            LocalShtuka(cfg, a)._solve
+    return run, None, {'calls': len(mats), 'h': 5, 'd': 2}
+
+
 def _packed(seed, h, n, count):
     from pkernels import _kernels as K
     from pkernels.shtuka import field
@@ -370,6 +403,8 @@ CASES = {
     'polymat_rows': ('layer', 5, _polymat_rows),
     'charpoly': ('layer', 5, _charpoly(8, 9, 200)),
     'charpoly_h4': ('layer', 5, _charpoly(4, 5, 1000)),
+    'inverse_h2': ('layer', 5, _inverse_h2),
+    'residue_solve_h5': ('layer', 5, _residue_solve_h5),
     'packing_red': ('layer', 5, _packing_red),
     'lattice_key': ('layer', 5, _lattice_key),
     'affine_mul': ('layer', 5, _affine_mul),

@@ -390,6 +390,7 @@ def newton_strata(x: Element, limit: int = None) -> tuple:
     >>> sorted(newton_strata(Element((1, 0), (2, 1)))[0])
     [(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 2))]
     """
+    limit = None if limit is None else integers(limit)[0]
     points, explored = _newton_blocks(x.lam + x.perm, limit)
     # each witness is a leaf keyed by its own Newton point
     return {newton_point(y): y for y in map(_element, points.values())}, explored
@@ -433,7 +434,7 @@ def _drop(c, ell, limit):
     walked = [c]
     seen = {c}
     for y in walked:
-        for i in range(h if h > 1 else 0):
+        for i in range(h):
             delta = _conj_delta(y, i, h)
             if delta < 0:
                 points, n_sys = _reduce(_conj(y, i, h), ell - 2, limit)

@@ -47,6 +47,10 @@ class Bounds:
     max_height: int = 11
     max_support: int = 500_000
 
+    def __post_init__(self):
+        for name in ('max_height', 'max_support'):
+            object.__setattr__(self, name, *integers(getattr(self, name)))
+
     def check_height(self, h):
         if h > self.max_height:
             raise ResourceLimitError('height %d exceeds bound %d' % (h, self.max_height))

@@ -10,7 +10,7 @@ class ConventionError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource bound (height, support size, wall time) was hit."""
+    """A configured bound (height, support, field order, orbit size) was hit."""
 
 
 def integers(*values) -> tuple:

@@ -135,6 +135,7 @@ def x_block(n: int, m: int) -> Element:
     """Standard minuscule element of a coprime block: the h-cycle sending
     column j to row j-n (exponent 0) for j > n and to row j+m (exponent 1)
     for j <= n, h = n+m."""
+    n, m = integers(n, m)
     if n < 0 or m < 0 or n + m < 1 or gcd(n, m) != 1:
         raise ValueError('block (%d, %d) is not coprime' % (n, m))
     h = n + m

@@ -57,27 +57,19 @@ class LocalShtuka:
 
     @cached_property
     def _solve(self):
-        """(t·A^{-1} mod t as a tuple of rows, v(det A)) from one rref on
-        lists, computed once.
+        """(t·A^{-1} mod t as a tuple of rows, v(det A)) from
+        A·X = t·I mod t^2 (polymat.solve_mod), computed once.
 
-        With A = A0 + t·A1 mod t^2, A·(X0 + t·X1) = t·I mod t^2 reads
-        A0·X0 = 0 and A1·X0 + A0·X1 = I, the augmented matrix
-        [[A0, 0 | 0], [A1, A0 | I]].  Its coefficient block is A acting on
-        (O/t^2)^h, whose kernel has dimension sum(min(mu_i, 2)) for the
-        elementary divisors t^mu_i of A.  The system is solvable exactly
-        when every mu_i is 0 or 1, and then X0 = t·A^{-1} mod t is unique
-        (a second solution differs by t^2·A^{-1}·Y, divisible by t), so
-        the first h columns are pivots, X0 is read off with the free
-        unknowns at 0, and 2h - rank = sum(mu_i) = v(det A).
+        Its coefficient block is A acting on (O/t^2)^h, whose kernel has
+        dimension sum(min(mu_i, 2)) for the elementary divisors t^mu_i of
+        A.  The system is solvable exactly when every mu_i is 0 or 1, and
+        then X0 = t·A^{-1} mod t is unique (a second solution differs by
+        t^2·A^{-1}·Y, divisible by t), so the first h columns are pivots,
+        X0 is read off with the free unknowns at 0, and
+        2h - rank = sum(mu_i) = v(det A).
         """
-        rows = self.amat
-        h = len(rows)
-        zero = [0] * h
-        a0 = [[e[0] for e in row] for row in rows]
-        a1 = [[e[1] if len(e) > 1 else 0 for e in row] for row in rows]
-        stack = [r0 + zero + zero for r0 in a0]
-        stack += [r1 + r0 + zero[:i] + [1] + zero[i + 1:] for i, (r0, r1) in enumerate(zip(a0, a1))]
-        rank = K.rref_rows(stack, self.cfg)
+        h = self.h
+        stack, rank = PM.solve_mod(self.amat, 2, 1, self.cfg)
         if rank and not any(stack[rank - 1][:2 * h]):
             raise ValueError('A·X = t·I has no solution mod t^2: the datum is '
                              'singular or not minuscule')

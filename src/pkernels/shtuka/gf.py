@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import product
 
 from .._kernels import Packing
-from ..errors import ConventionError, ResourceLimitError
+from ..errors import ConventionError, ResourceLimitError, integers
 
 __all__ = ['FieldConfig', 'field']
 
@@ -70,7 +70,7 @@ class FieldConfig:
     _packings: dict = dfield(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, r = self.p, self.r
+        p, r = integers(self.p, self.r)
         if p < 2 or r < 1:
             raise ValueError('need a prime p >= 2 and r >= 1')
         q = p ** min(r, 9)          # p >= 2, so p^9 > MAX_ORDER
@@ -95,8 +95,8 @@ class FieldConfig:
             raise ConventionError('Frobenius of GF(%d^%d) is not of order %d' % (p, r, r))
         tables = (tuple(map(tuple, add)), tuple(map(tuple, mul)), tuple(times[-1]),
                   tuple(row.index(1) if 1 in row else 0 for row in mul))
-        for name, value in dict(q=q, modulus=mod, tables=tables, frobs=(tuple(frb), tuple(frbi)),
-                                _packings={}).items():
+        for name, value in dict(p=p, r=r, q=q, modulus=mod, tables=tables,
+                                frobs=(tuple(frb), tuple(frbi)), _packings={}).items():
             object.__setattr__(self, name, value)
 
     def packing(self, n: int, terms: int):
@@ -115,6 +115,6 @@ class FieldConfig:
         return tuple(self.p ** i for i in range(self.r))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # field(2, True) must not find field(2, 1)
 def field(p: int = 2, r: int = 2) -> FieldConfig:
     return FieldConfig(p, r)

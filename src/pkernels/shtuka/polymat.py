@@ -8,10 +8,9 @@ ndarrays included, to this form.  Laurent matrices are handled by
 callers via an explicit power of t shift.  Exact arithmetic throughout:
 products grow degree, truncation is explicit.
 
-Work over O/t^n runs on packed series (_kernels.Packing); pack_matrix
-packs a matrix at the boundary.  pm_char_poly (its coefficient of X^0
-is (-1)^h·det) is _kernels.charpoly, and pm_inv_mod runs Newton's
-iteration on packed matrices.
+Products over O/t^n run on packed series (_kernels.Packing, pack_matrix);
+pm_char_poly (its coefficient of X^0 is (-1)^h·det) is _kernels.charpoly.
+solve_mod is the one linear solve over O/t^n.
 """
 
 from itertools import chain
@@ -22,7 +21,7 @@ from .gf import FieldConfig
 
 __all__ = [
     'square_rows', 'pm_trim', 'pm_truncate', 'pm_mul', 'pm_frob', 'pm_coeff',
-    'pm_char_poly', 'gf_mat_inv', 'pm_inv_mod', 'pm_from_element',
+    'pm_char_poly', 'solve_mod', 'pm_inv_mod', 'pm_from_element',
 ]
 
 
@@ -105,6 +104,7 @@ def pm_mul(a, b, cfg: FieldConfig):
 
 def pm_frob(a, cfg: FieldConfig, k: int = 1):
     """Apply the p-power Frobenius k times entrywise (k may be negative)."""
+    k, = integers(k)
     table, f = cfg.frobs[0 if k >= 0 else 1], range(cfg.q)
     for _ in range(abs(k) % cfg.r):
         f = [table[x] for x in f]
@@ -121,38 +121,37 @@ def pack_matrix(a, lay: K.Packing) -> list:
     return [[lay.pack(e) for e in row] for row in a]
 
 
-def gf_mat_inv(mat, cfg: FieldConfig):
-    """Inverse of a constant matrix (raises on singular input)."""
-    mat = square_rows(mat, cfg, poly=False)
-    h = len(mat)
-    eye = _blocks([int(i == j) for i in range(h) for j in range(h)], h)
-    aug = [row + unit for row, unit in zip(mat, eye)]
-    K.rref_rows(aug, cfg)
-    if any(tuple(row[:h]) != unit for row, unit in zip(aug, eye)):
-        raise ValueError('singular matrix')
-    return tuple(tuple(row[h:]) for row in aug)
+def solve_mod(a, n, e, cfg: FieldConfig):
+    """A·X = t^e·I mod t^n as one block lower-triangular stack reduced by
+    one _kernels.rref_rows: (rows, rank).  Unknown l·h + j is row j of X_l
+    (X = sum t^l·X_l); row k·h + i reads sum_{l<=k} A_{k-l}[i]·X_l =
+    [k = e]·e_i; the h right-hand columns come last, so the system is
+    solvable iff no pivot lies among them.  ValueError unless 0 <= e < n."""
+    n, e = integers(n, e)
+    if not 0 <= e < n:
+        raise ValueError('need 0 <= e < n, got e = %d, n = %d' % (e, n))
+    h, nh, top = len(a), n * len(a), min(n, len(a[0][0]))
+    zero = [0] * (nh + h)
+    # row i of A_{n-1}, ..., A_0; row k·h + i starts at its block n-1-k
+    backs = [[x[k] for k in range(top - 1, -1, -1) for x in row] for row in a]
+    if top < n:
+        backs = [zero[:nh - top * h] + back for back in backs]
+    stack = [back[s:] + zero[:s + h] for s in range(nh - h, -1, -h) for back in backs]
+    for i in range(h):
+        stack[e * h + i][nh + i] = 1
+    return stack, K.rref_rows(stack, cfg)
 
 
 def pm_inv_mod(a, n, cfg: FieldConfig):
-    """Inverse of a matrix with unit constant term, mod t^n, with n
-    coefficients per entry: Newton's x <- x·(2 - a·x) on packed matrices
-    (terms = h), which doubles the precision of x each step.  Each entry
-    of a product is h products reduced once (_kernels.series_matmul);
-    2 - a·x is reduced as 2·u + (p-1)·v, u and v normalised, whose slots
-    are below those of one negated product plus two normalised ints."""
-    h = len(a)
-    lay = cfg.packing(n, h)
-    red, neg1 = lay.red, cfg.p - 1
-    am = pack_matrix(a, lay)
-    x = [[lay.pack((c,)) for c in row] for row in gf_mat_inv(pm_coeff(a, 0), cfg)]
-    prec = 1
-    while prec < n:
-        ax = K.series_matmul(am, x, lay)
-        two_ax = [[red(2 * (i == j) + neg1 * v) for j, v in enumerate(row)]
-                  for i, row in enumerate(ax)]
-        x = K.series_matmul(x, two_ax, lay)
-        prec *= 2
-    return tuple(tuple(tuple(lay.unpack(e)) for e in row) for row in x)
+    """Inverse mod t^n, n coefficients per entry, by solve_mod(a, n, 0):
+    the stack, A_0 on its diagonal, reduces to [I | X] exactly when A_0
+    is invertible; ValueError otherwise and for n < 1."""
+    a = square_rows(a, cfg, poly=True)
+    rows, _ = solve_mod(a, n, 0, cfg)
+    nh, h = len(rows), len(a)
+    if not any(rows[-1][:nh]):
+        raise ValueError('singular constant term')
+    return tuple(tuple(zip(*[row[nh:] for row in rows[i::h]])) for i in range(h))
 
 
 def pm_from_element(x):
@@ -171,7 +170,6 @@ def pm_char_poly(a, cfg: FieldConfig, n=None):
     """Coefficients of det(X*I - a) as h + 1 tuples cp[x_deg][t_deg];
     mod t^n when n is given, else exact."""
     h = len(a)
-    if n is None:
-        n = h * (len(a[0][0]) - 1) + 1
+    n, = integers(h * (len(a[0][0]) - 1) + 1 if n is None else n)
     lay = cfg.packing(n, h)
     return tuple(tuple(lay.unpack(c)) for c in K.charpoly(pack_matrix(a, lay), lay))

@@ -117,7 +117,8 @@ def iwahori_class_of(amat, cfg: FieldConfig, shift: int = 0,
     """
     a = PM.square_rows(amat, cfg, poly=True)
     h = len(a)
-    n = h * (len(a[0][0]) - 1) + 1 if expected_vdet is None else expected_vdet + 1
+    shift, = integers(shift)
+    n = h * (len(a[0][0]) - 1) + 1 if expected_vdet is None else integers(expected_vdet)[0] + 1
     lay = cfg.packing(n, 2)
     red, val, B, neg1 = lay.red, lay.val, lay.block, cfg.p - 1
     m = PM.pack_matrix(a, lay)

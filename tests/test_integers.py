@@ -5,15 +5,16 @@ True never stands for the row entry, block, dimension or count 1."""
 import numpy as np
 import pytest
 
-from pkernels.affine import Element
-from pkernels.criterion import calibrate, incidence_table, lifts_to
+from pkernels.affine import Element, newton_strata
+from pkernels.criterion import Bounds, calibrate, incidence_table, lifts_to
 from pkernels.errors import integers
-from pkernels.polygons import HodgeDatum, NewtonPolygon, eo_representative, parse_polygon
+from pkernels.polygons import (HodgeDatum, NewtonPolygon, eo_representative, parse_polygon,
+                               x_block)
 from pkernels.semimodules import (CocharacterProfile, SemimoduleBeginning,
-                                  cochar_to_beginning, is_beginning)
-from pkernels.shtuka import (FiltrationData, bt1_of, eo_classify, field, iwahori_orbit_size,
-                             minimal_shtuka, random_filtration_data, sample_cells,
-                             sigma_conjugate_sample)
+                                  cochar_to_beginning, enumerate_cochar_block, is_beginning)
+from pkernels.shtuka import (FiltrationData, bt1_of, eo_classify, field, iwahori_class_of,
+                             iwahori_orbit_size, minimal_shtuka, random_filtration_data,
+                             sample_cells, sigma_conjugate_sample)
 from pkernels.shtuka import polymat as PM
 from pkernels.shtuka.core import KeyedStream, random_unimodular
 from pkernels.shtuka.reduction import lattice_key, random_iwahori
@@ -26,6 +27,7 @@ LIFT = random_filtration_data(LIFT_P, CFG, np.random.default_rng(0))
 (LIFT_ROW, LIFT_COLS), = LIFT.a.items()
 LIFT_COL = next(iter(LIFT_COLS))
 HD = HodgeDatum(2, 1)
+UNIT = random_unimodular(2, CFG, 2, KeyedStream(0))
 
 
 def _calibrate(seed=1, samples=1, sigma_trials=1):
@@ -65,6 +67,19 @@ READERS = {
     'calibrate.samples': lambda t: _calibrate(samples=t(1)),
     'calibrate.samples[probe]': lambda t: _calibrate(samples={(2, 1): t(1)}),
     'calibrate.sigma_trials': lambda t: _calibrate(sigma_trials=t(1)),
+    'field': lambda t: field(t(3), t(1)),
+    'Bounds.max_height': lambda t: Bounds(max_height=t(2)),
+    'Bounds.max_support': lambda t: Bounds(max_support=t(5)),
+    'iwahori_class_of.shift': lambda t: iwahori_class_of(XM, CFG, shift=t(1)),
+    'iwahori_class_of.expected_vdet': lambda t: iwahori_class_of(XM, CFG, expected_vdet=t(1)),
+    'x_block': lambda t: x_block(t(1), 1),
+    'enumerate_cochar_block': lambda t: enumerate_cochar_block(1, t(1)),
+    'newton_strata': lambda t: newton_strata(X, limit=t(100)),
+    'pm_frob': lambda t: PM.pm_frob(UNIT, CFG, t(1)),
+    'pm_char_poly': lambda t: PM.pm_char_poly(UNIT, CFG, t(1)),
+    'solve_mod.n': lambda t: PM.solve_mod(UNIT, t(2), 1, CFG),
+    'solve_mod.e': lambda t: PM.solve_mod(UNIT, 2, t(1), CFG),
+    'pm_inv_mod': lambda t: PM.pm_inv_mod(UNIT, t(1), CFG),
 }
 
 
@@ -85,3 +100,21 @@ def test_integers_reads_each_value():
     for bad in ((True,), (1, False), (np.bool_(True),), (1.0,), ('1',), (None,)):
         with pytest.raises(TypeError):
             integers(*bad)
+
+
+def test_a_numpy_or_bool_key_leaves_the_field_cache_whole():
+    # field's cache once handed the F_4 built from field(np.int64(2), 2),
+    # whose p was a numpy int, to every later field(2, 2): Packing then
+    # failed on p.bit_length() in every oracle call over F_4.  And
+    # field(2, True) found the entry of field(2, 1)
+    field.cache_clear()
+    try:
+        cfg = field(np.int64(2), 2)
+        assert (type(cfg.p), type(cfg.r)) == (int, int)
+        cells = list(sample_cells(HD, field(2, 2), 1, 3))
+        assert cells and all(type(v) is int for w, P in cells for v in (*w, *sum(P.blocks, ())))
+        field(2, 1)
+        with pytest.raises(TypeError):
+            field(2, True)
+    finally:
+        field.cache_clear()

@@ -597,7 +597,7 @@ def test_series_matmul_matches_polymat_mul(p, r):
 
 def test_packing_refuses_empty_precision_or_terms():
     # n = 0 would pack every series to 0 and terms = 0 hold no product;
-    # pm_char_poly and pm_inv_mod reach Packing with their n as given
+    # pm_char_poly reaches Packing with its n as given
     c = field(2, 2)
     a = np.eye(3, dtype=np.int64)[:, :, None]
     for n, terms in ((0, 3), (3, 0), (-1, 3), (3, -2)):
@@ -605,8 +605,6 @@ def test_packing_refuses_empty_precision_or_terms():
             K.Packing(c, n, terms)
     with pytest.raises(ValueError, match='n >= 1 and terms >= 1'):
         PM.pm_char_poly(a, c, 0)
-    with pytest.raises(ValueError, match='n >= 1 and terms >= 1'):
-        PM.pm_inv_mod(a, 0, c)
     cp = PM.pm_char_poly(a, c, 1)
     assert len(cp) == 4 and all(len(x) == 1 for x in cp)
 

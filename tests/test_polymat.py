@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import arrays
+from pkernels import _kernels as K
 from pkernels.affine import Element
-from pkernels.shtuka import LocalShtuka, bt1_of, field
+from pkernels.polygons import HodgeDatum
+from pkernels.shtuka import LocalShtuka, bt1_of, field, sample_shtuka
 from pkernels.shtuka import polymat as PM
 from pkernels.shtuka.core import random_unimodular
 from pkernels.shtuka.reduction import lattice_key, random_iwahori
@@ -194,18 +196,84 @@ def test_series_inverse(p, r):
         a = _rand_pm(rng, cfg.q, h, 3)
         # force unit constant term
         c0 = a[:, :, 0]
-        while True:
-            try:
-                PM.gf_mat_inv(c0, cfg)
-                break
-            except ValueError:
-                c0[:] = rng.integers(0, cfg.q, size=(h, h))
+        while K.rref_rows(c0.tolist(), cfg) < h:
+            c0[:] = rng.integers(0, cfg.q, size=(h, h))
         inv = PM.pm_inv_mod(a, n, cfg)
         eye = _rows(np.eye(h, dtype=np.int64)[:, :, None])
         prod = PM.pm_truncate(PM.pm_mul(a, inv, cfg), n)
         assert PM.pm_trim(prod) == eye
         prod2 = PM.pm_truncate(PM.pm_mul(inv, a, cfg), n)
         assert PM.pm_trim(prod2) == eye
+
+
+def test_pm_inv_mod_refusals():
+    cfg = field(2, 2)
+    a = np.eye(3, dtype=np.int64)[:, :, None]
+    with pytest.raises(ValueError, match='need 0 <= e < n'):
+        PM.pm_inv_mod(a, 0, cfg)
+    with pytest.raises(TypeError):
+        PM.pm_inv_mod(a, 2.0, cfg)
+    a[1, :, :] = 0
+    with pytest.raises(ValueError, match='singular constant term'):
+        PM.pm_inv_mod(a, 3, cfg)
+    assert PM.pm_inv_mod(np.eye(2, dtype=np.int64)[:, :, None], 2, cfg) == (
+        ((1, 0), (0, 0)), ((0, 0), (1, 0)))
+
+
+def _read_solution(rows, rank, n, h):
+    # X = sum t^l·X_l from the reduced rows of solve_mod by its documented
+    # layout: the pivot row of unknown l·h + j holds row j of X_l, free
+    # unknowns are 0; None when a pivot lies among the right-hand columns
+    x = [[[0] * n for _ in range(h)] for _ in range(h)]
+    for row in rows[:rank]:
+        c = next(i for i, v in enumerate(row) if v)
+        if c >= n * h:
+            return None
+        l, j = divmod(c, h)
+        for col, v in enumerate(row[n * h:]):
+            x[j][col][l] = v
+    return tuple(tuple(map(tuple, xr)) for xr in x)
+
+
+@pytest.mark.parametrize('p,r', [(2, 1), (3, 1), (2, 2)])
+def test_solve_mod_solves_the_series_system(p, r):
+    # A·X = t^e·I mod t^n for e in {0, 1}, n <= 4, h <= 4: uniform A of
+    # 1 to n + 1 coefficients, uniform A with a zero row in A_0, and
+    # minuscule data (sample_shtuka, solvable at e = 1).  Every read-off
+    # X solves the system; an unsolvable one at e = 0 has a singular A_0
+    cfg = field(p, r)
+    seen = set()
+    for h, n, e, kind, trial in itertools.product(range(1, 5), range(1, 5), (0, 1),
+                                                  ('uniform', 'zero_row', 'minuscule'), range(2)):
+        if e >= n:
+            continue
+        rng = np.random.default_rng([61, p, r, h, n, e, trial, len(kind)])
+        if kind == 'minuscule':
+            a = sample_shtuka(HodgeDatum(h, int(rng.integers(0, h + 1))), cfg, rng).amat
+        else:
+            a = _rand_pm(rng, cfg.q, h, int(rng.integers(0, n + 1)))
+            if kind == 'zero_row':
+                a[int(rng.integers(0, h)), :, 0] = 0
+        rows, rank = PM.solve_mod(a, n, e, cfg)
+        x = _read_solution(rows, rank, n, h)
+        seen.add((e, x is not None))
+        if x is None:
+            assert kind != 'minuscule' or e == 0
+            if e == 0:
+                assert K.rref_rows([[c[0] for c in row] for row in _rows(a)], cfg) < h
+            continue
+        want = tuple(tuple(tuple(int(i == j and k == e) for k in range(n)) for j in range(h))
+                     for i in range(h))
+        assert PM.pm_truncate(PM.pm_mul(a, x, cfg), n) == want, (h, n, e, kind, trial)
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
+def test_solve_mod_refuses_an_exponent_outside_the_precision():
+    cfg = field(2, 2)
+    a = np.eye(2, dtype=np.int64)[:, :, None]
+    for n, e in ((2, 2), (2, -1), (0, 0), (1, 3)):
+        with pytest.raises(ValueError, match='need 0 <= e < n'):
+            PM.solve_mod(a, n, e, cfg)
 
 
 def test_frob_entrywise():
