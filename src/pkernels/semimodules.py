@@ -60,7 +60,7 @@ def enumerate_cochar_block(n: int, m: int) -> list:
     the permutation and the exponent row of x_block.  There are C(n+m, n)
     of them.
     """
-    h, x = n + m, x_block(n, m)     # x_block reads n and m: a coprime block
+    h, x = n + m, x_block(n, m)     # ValueError unless (n, m) is a coprime block
     out = set()
     for bits in itertools.combinations(range(h), n):
         delta = [0] * (h + 1)
