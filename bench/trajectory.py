@@ -42,8 +42,9 @@ runs, ``charpoly`` over F_4 at h = 8, n = 9 and at h = 4, n = 5
 (``charpoly_h4``), the 400 inverses mod t^2 at h = 2 of calibrate's
 sigma-check (``inverse_h2``), 300 residue solves at (5, 2)
 (``residue_solve_h5``), ``Packing.red``, ``lattice_key``, affine
-multiplication and length, and one reduction step (``_conj_delta`` plus
-``_conj`` on the flat coding).
+multiplication and length, one reduction step (``_conj_delta`` plus
+``_conj`` on the flat coding), and the row check ``polygons._minimal_rep``
+of the 1208 queries of ``cell_queries_h5`` (``row_check``).
 """
 
 import argparse
@@ -134,20 +135,25 @@ def _strata(h):
     return case
 
 
+def _cell_stream(heights, shuffles, seed):
+    # seeded shuffles of every cell (hd, w, P) of every stratum of the
+    # given heights, d = 0..h: (cells, queries)
+    import numpy as np
+    from pkernels import weyl
+    from pkernels.polygons import HodgeDatum, enumerate_polygons, mu_and_type
+    cells = [(hd, w, P) for h in heights for d in range(h + 1)
+             for hd in [HodgeDatum(h, d)] for P in enumerate_polygons(hd)
+             for w in weyl.min_coset_reps(h, mu_and_type(hd)[1])]
+    rng = np.random.default_rng([seed, 2])
+    return cells, [cells[i] for _ in range(shuffles) for i in rng.permutation(len(cells))]
+
+
 def _cell_queries(heights, shuffles):
-    # seeded shuffles of every cell of every stratum of the given heights,
-    # d = 0..h, as single-cell lifts_to queries in one session; each
+    # the cell stream as single-cell lifts_to queries in one session; each
     # repeat starts from an empty session memo and a warm length cache
     def case(seed):
-        import numpy as np
-        from pkernels import weyl
         from pkernels.criterion import lifts_to
-        from pkernels.polygons import HodgeDatum, enumerate_polygons, mu_and_type
-        cells = [(hd, w, P) for h in heights for d in range(h + 1)
-                 for hd in [HodgeDatum(h, d)] for P in enumerate_polygons(hd)
-                 for w in weyl.min_coset_reps(h, mu_and_type(hd)[1])]
-        rng = np.random.default_rng([seed, 2])
-        queries = [cells[i] for _ in range(shuffles) for i in rng.permutation(len(cells))]
+        cells, queries = _cell_stream(heights, shuffles, seed)
 
         def run():
             for q in queries:
@@ -155,6 +161,20 @@ def _cell_queries(heights, shuffles):
         run()
         return run, _clear_session_memo, {'cells': len(cells), 'queries': len(queries),
                                           'rate_unit': 'queries/s'}
+    return case
+
+
+def _row_check(heights, shuffles):
+    # the row check of every query of the cell stream: polygons._minimal_rep
+    # on its (hd, w), what lifts_to does before its memo lookup
+    def case(seed):
+        from pkernels import polygons
+        rows = [(hd, w) for hd, w, _ in _cell_stream(heights, shuffles, seed)[1]]
+
+        def run():
+            for q in rows:
+                polygons._minimal_rep(*q)
+        return run, None, {'calls': len(rows)}
     return case
 
 
@@ -383,8 +403,8 @@ def _reduction_step(seed):
 # to resolve a 20-30 % change (0.22-0.38 s for the orbits), calibrate 20
 # because at 5 and 10 its medians read 13 % and 8 % apart on an
 # unchanged path, strata_h10 8 because at 3 its medians read 8 % apart,
-# strata_h4, strata_h6 and cell_queries_h5 take 50 because one run
-# lasts a few milliseconds
+# strata_h4, strata_h6, cell_queries_h5 and row_check take 50 because
+# one run lasts a few milliseconds
 CASES = {
     'calibrate': ('end_to_end', 20, _calibrate),
     'oracle_f4_4_2': ('end_to_end', 20, _oracle(4, 2, 200)),
@@ -410,6 +430,7 @@ CASES = {
     'affine_mul': ('layer', 5, _affine_mul),
     'affine_length': ('layer', 5, _affine_length),
     'reduction_step': ('layer', 5, _reduction_step),
+    'row_check': ('layer', 50, _row_check((2, 3, 4, 5), 4)),
 }
 
 

@@ -397,8 +397,9 @@ def newton_strata(x: Element, limit: int = None) -> tuple:
 
 
 # the reduction memo of every engine query: complete subtrees keyed by the
-# flat coding.  Only _reduce adds entries; _newton_blocks clears it when
-# full, so it holds at most _MEMO_MAX entries plus one reduction tree
+# flat coding.  Only _reduce adds entries, and computes the length of an
+# element only on a miss; _newton_blocks clears it when full, so it holds
+# at most _MEMO_MAX entries plus one reduction tree
 _MEMO_MAX = 1 << 12
 _memo = {}
 
@@ -408,12 +409,15 @@ def _newton_blocks(c: tuple, limit) -> tuple:
     Newton point a block tuple and each witness a flat coding."""
     if len(_memo) >= _MEMO_MAX:
         _memo.clear()
-    return _reduce(c, _length(c), limit)
+    return _reduce(c, None, limit)
 
 
 def _reduce(c, ell, limit):
+    # ell is the length of c, or None where the caller does not know it
     done = _memo.get(c)
     if done is None:
+        if ell is None:
+            ell = _length(c)
         cycles = _cycle_sums(c)
         if ell == _min_length(cycles):
             done = ({_blocks(cycles): c}, 1)

@@ -37,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Bounds:
-    """Resource limits; exceeding either raises ResourceLimitError.
+    """Resource limits, each at least 1 (ValueError otherwise); exceeding
+    either raises ResourceLimitError.
 
     max_height caps the height of a query, max_support the number of
     elements one reduction explores, checked also on a tree found in
@@ -49,7 +50,10 @@ class Bounds:
 
     def __post_init__(self):
         for name in ('max_height', 'max_support'):
-            object.__setattr__(self, name, *integers(getattr(self, name)))
+            value, = integers(getattr(self, name))
+            if value < 1:
+                raise ValueError('%s must be at least 1, got %d' % (name, value))
+            object.__setattr__(self, name, value)
 
     def check_height(self, h):
         if h > self.max_height:
@@ -248,10 +252,11 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     the middle elements of the polygon 1/2x2 ``sigma_trials`` times each
     must meet that polygon's stratum.  Before any sampling it raises
     ResourceLimitError on a probe above the height bound, TypeError on a
-    seed, count or probe entry that is no integer and ValueError on a
-    probe that is no stratum or a count below one; ConventionError on any
-    disagreement.  Otherwise returns the report of the evidence, which
-    lifts_to, adlv_nonempty and incidence_table accept as ``check``.
+    seed, count or probe entry that is no integer and ValueError on an
+    empty probe list, a probe that is no stratum or a count below one;
+    ConventionError on any disagreement.  Otherwise returns the report of
+    the evidence, which lifts_to, adlv_nonempty and incidence_table
+    accept as ``check``.
     """
     from .shtuka import field
     cfg = cfg or field(2, 2)
@@ -271,9 +276,10 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
     for p in probes:
         if p not in samples:
             raise ValueError('calibrate has no sample count for probe %r' % (p,))
-    if sigma_trials < 1 or min(samples[p] for p in probes) < 1:
-        raise ValueError('calibrate needs at least one sample per probe and one sigma '
-                         'trial, got samples=%r, sigma_trials=%r' % (samples, sigma_trials))
+    if not probes or sigma_trials < 1 or min(samples[p] for p in probes) < 1:
+        raise ValueError('calibrate needs at least one probe, one sample per probe and one '
+                         'sigma trial, got probes=%r, samples=%r, sigma_trials=%r'
+                         % (probes, samples, sigma_trials))
 
     violations = []
     for hdt, w, ps, expect in KNOWN_CELLS:

@@ -185,17 +185,30 @@ def eo_representative(hd: HodgeDatum, w) -> Element:
 
 def _minimal_rep(hd: HodgeDatum, w) -> tuple:
     """w as a tuple of ints; raises unless it is a minimal coset
-    representative of the parabolic of hd."""
+    representative of the parabolic of hd.
+
+    I holds every simple pair but (d, d+1), so w is minimal in W_I·w
+    exactly when w^{-1} descends at no pair but (d, d+1) (Björner–Brenti,
+    *Combinatorics of Coxeter Groups*, §2.4): 1..d and d+1..h each occur
+    in w in increasing order.  One scan checks that each value is the
+    next of 1..d or the next of d+1..h.  Where it stops on v in a
+    permutation, v − 1 is still to come, so w^{-1} descends at (v−1, v)."""
     h, d = hd.height, hd.dimension
     w = integers(*w)
-    if not weyl.is_permutation(w) or len(w) != h:
-        raise ValueError('w must be a permutation of size %d' % h)
-    wi = weyl.inverse(w)
-    # I holds every simple pair but (d, d+1)
-    for i in range(1, h):
-        if i != d and wi[i - 1] > wi[i]:
-            raise ValueError('w is not minimal in its coset: descent at (%d, %d)' % (i, i + 1))
-    return w
+    lo, hi = 1, d + 1
+    for v in w:
+        if v == lo <= d:
+            lo += 1
+        elif v == hi <= h:
+            hi += 1
+        else:
+            break
+    else:
+        if len(w) == h:
+            return w
+    if len(w) == h and weyl.is_permutation(w):
+        raise ValueError('w is not minimal in its coset: descent at (%d, %d)' % (v - 1, v))
+    raise ValueError('w must be a permutation of size %d' % h)
 
 
 def _eo_coding(h: int, d: int, w: tuple) -> tuple:

@@ -418,17 +418,21 @@ def test_calibrate_checks_height_before_sampling(monkeypatch, probes, error):
         calibrate(probes=probes)
 
 
-@pytest.mark.parametrize('samples, sigma_trials', [
-    (0, 0), (0, 4), ({(2, 1): 20, (3, 1): 0}, 4), (20, 0), (-3, 1),
-])
-def test_calibrate_rejects_empty_checks(monkeypatch, samples, sigma_trials):
+TWO_PROBES = ((2, 1), (3, 1))
+
+
+@pytest.mark.parametrize('probes, samples, sigma_trials', [
+    (TWO_PROBES, 0, 0), (TWO_PROBES, 0, 4), (TWO_PROBES, {(2, 1): 20, (3, 1): 0}, 4),
+    (TWO_PROBES, 20, 0), (TWO_PROBES, -3, 1), ((), None, 4),
+], ids=['0-0', '0-4', 'samples2-4', '20-0', '-3-1', 'no-probes'])
+def test_calibrate_rejects_empty_checks(monkeypatch, probes, samples, sigma_trials):
     # a check with no oracle evidence is refused before any sampling
     def no_sampling(*args):
         raise AssertionError('sampled for an empty check')
 
     monkeypatch.setattr(criterion, '_observe', no_sampling)
     with pytest.raises(ValueError, match='at least one'):
-        calibrate(probes=((2, 1), (3, 1)), samples=samples, sigma_trials=sigma_trials)
+        calibrate(probes=probes, samples=samples, sigma_trials=sigma_trials)
 
 
 def test_calibrate_names_a_probe_without_samples(monkeypatch):

@@ -93,6 +93,16 @@ def test_readers_refuse_bools_and_take_numpy_ints(name):
     assert read(np.int64) == read(int)
 
 
+@pytest.mark.parametrize('limits', [{'max_height': -1}, {'max_height': 0},
+                                    {'max_support': 0}, {'max_support': -5}])
+def test_bounds_refuse_limits_below_one(limits):
+    # a bound below 1 would refuse every query; a bound of 1 answers the
+    # queries within it
+    with pytest.raises(ValueError, match='at least 1'):
+        Bounds(**limits)
+    assert lifts_to(HodgeDatum(1, 0), (1,), parse_polygon('0'), bounds=Bounds(1, 1))
+
+
 def test_integers_reads_each_value():
     assert integers() == ()
     assert integers(3, np.int8(-2), np.uint64(7)) == (3, -2, 7)

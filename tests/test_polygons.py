@@ -222,8 +222,10 @@ def test_eo_representative_requires_minimal_rep():
 
 def test_eo_representative_matches_the_coset_product():
     # x_w = from_perm(w∘w_0∘w_{0,I})·eps^mu for every minimal coset
-    # representative with h <= 7; a non-permutation and every non-minimal
-    # w of S_4 raise
+    # representative with h <= 7; a tuple of the wrong size raises.  For
+    # h <= 4, eo_representative and lifts_to accept a tuple of {0, ..., h+1}^h
+    # exactly when it is a representative, and name a non-permutation and a
+    # non-minimal permutation apart
     for h in range(1, 8):
         for d in range(h + 1):
             hd = HodgeDatum(h, d)
@@ -233,13 +235,21 @@ def test_eo_representative_matches_the_coset_product():
             for w in reps:
                 expect = affine.from_perm(weyl.compose(w, u0)) * affine.translation(mu)
                 assert eo_representative(hd, w) == expect, (hd, w)
-            for bad in (tuple(range(2, h + 2)), weyl.identity(h + 1)):
+            for bad in (tuple(range(2, h + 2)), weyl.identity(h + 1), weyl.identity(h - 1)):
                 with pytest.raises(ValueError, match='permutation'):
                     eo_representative(hd, bad)
-            if h == 4:
-                for w in set(weyl.all_permutations(h)) - set(reps):
-                    with pytest.raises(ValueError, match='not minimal'):
-                        eo_representative(hd, w)
+            if h > 4:
+                continue
+            P = enumerate_polygons(hd)[0]
+            for w in itertools.product(range(h + 2), repeat=h):
+                if w in reps:
+                    eo_representative(hd, w)
+                    lifts_to(hd, w, P)
+                    continue
+                why = 'not minimal' if weyl.is_permutation(w) else 'permutation'
+                for query in (lambda: eo_representative(hd, w), lambda: lifts_to(hd, w, P)):
+                    with pytest.raises(ValueError, match=why):
+                        query()
 
 
 @pytest.mark.parametrize('h', [2, 3, 4, 5])
