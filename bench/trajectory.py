@@ -15,27 +15,29 @@ quartiles of those times (``quartiles_s``), every time, and the largest
 peak RSS of its children (each child's own, with the peak of any
 process it waited for).  On a loaded host the best is
 one lucky child, so compare medians too.  Each side records its commit,
-whether its tree was dirty, ``os.cpu_count()``, the seed, whether numba
-is importable, and the lines and bytes of its ``src/pkernels/**/*.py``
-(``src_lines``, ``src_bytes``), and is stored under its NAME in
+whether its tree was dirty, ``os.cpu_count()``, the number of CPUs in
+its affinity (``affinity``, the CPUs calibrate splits its draws over),
+the seed, whether numba is importable, and the lines and bytes of its
+``src/pkernels/**/*.py`` (``src_lines``, ``src_bytes``), and is stored under its NAME in
 ``--out`` next to what the file already holds.  The source size is the
 measure of the aim of the least code, and perfbench compiles those bytes
 on every re-import of the package, so the ``setup_s`` of its ``oracle``
 and ``orbits`` workloads follows them.
 
-End-to-end cases: the default ``calibrate()`` from empty caches; F_4
-oracle samples (sample, residue module, class, Newton polygon) per
-second at (4, 2) and (8, 4); every table d = 1..h-1 of h = 4, 6, 8
-and 10, and of h = 11, the height bound of criterion.Bounds, which
-never load the oracle (``pkernels.shtuka``), so their peak RSS reads
-the engine alone; the 50
-Iwahori orbits of acceptance 6 over F_2, in cosets per second; four
-seeded shuffles of the 302 cells with 2 <= h <= 5 as single-cell
-``lifts_to`` queries (``cell_queries_h5``), in queries per second, each
-repeat from an empty session memo; 100 seeded minuscule x of height 7
-against their basic polygon through ``adlv_nonempty`` (``adlv_h7``), in
-queries per second, each repeat from an empty session memo; the Tier-1
-test suite.  Layer cases:
+End-to-end cases: the default ``calibrate()`` from empty caches, and the
+same pinned to one CPU (``calibrate_one_cpu``), so that serial and split
+times come from one commit; F_4 oracle samples (sample, residue module,
+class, Newton polygon) per second at (4, 2) and (8, 4); every table d =
+1..h-1 of h = 4, 6, 8 and 10, and of h = 11, the height bound of
+criterion.Bounds, which never load the oracle (``pkernels.shtuka``), so
+their peak RSS reads the engine alone; the 50 Iwahori orbits of
+acceptance 6 over F_2, in cosets per second; four seeded shuffles of the
+302 cells with 2 <= h <= 5 as single-cell ``lifts_to`` queries
+(``cell_queries_h5``), in queries per second, each repeat from an empty
+session memo; 100 seeded minuscule x of height 7 against their basic
+polygon through ``adlv_nonempty`` (``adlv_h7``), in queries per second,
+each repeat from an empty session memo; the Tier-1 test suite.
+Layer cases:
 the first ``eo_classify`` of a module at (11, 5) from an empty memo,
 the list kernels ``rref_rows`` and ``polymat_rows`` that the oracle
 runs, ``charpoly`` over F_4 at h = 8, n = 9 and at h = 4, n = 5
@@ -87,6 +89,13 @@ def _calibrate(seed):
     def run():
         calibrate()
     return run, _clear_caches, {'samples': 1600, 'sigma_trials': 400}
+
+
+def _calibrate_one_cpu(seed):
+    # calibrate pinned to one CPU of the affinity it was started with: the
+    # serial time, from the same commit as the split one of calibrate
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return _calibrate(seed)
 
 
 def _oracle(h, d, count):
@@ -400,13 +409,14 @@ def _reduction_step(seed):
 
 # name -> (kind, repeats, setup); acceptance6_orbits and oracle_f4_4_2
 # take 20 repeats because at 5 their 25 runs per side spread too widely
-# to resolve a 20-30 % change (0.22-0.38 s for the orbits), calibrate 20
-# because at 5 and 10 its medians read 13 % and 8 % apart on an
-# unchanged path, strata_h10 8 because at 3 its medians read 8 % apart,
-# strata_h4, strata_h6, cell_queries_h5 and row_check take 50 because
-# one run lasts a few milliseconds
+# to resolve a 20-30 % change (0.22-0.38 s for the orbits), calibrate
+# and calibrate_one_cpu 20 because at 5 and 10 calibrate's medians read
+# 13 % and 8 % apart on an unchanged path, strata_h10 8 because at 3
+# its medians read 8 % apart, strata_h4, strata_h6, cell_queries_h5 and
+# row_check take 50 because one run lasts a few milliseconds
 CASES = {
     'calibrate': ('end_to_end', 20, _calibrate),
+    'calibrate_one_cpu': ('end_to_end', 20, _calibrate_one_cpu),
     'oracle_f4_4_2': ('end_to_end', 20, _oracle(4, 2, 200)),
     'oracle_f4_8_4': ('end_to_end', 3, _oracle(8, 4, 20)),
     'strata_h4': ('end_to_end', 50, _strata(4)),
@@ -500,6 +510,7 @@ def measure(sides, seed, rounds):
             'commit': _git(root, 'rev-parse', 'HEAD'),
             'dirty': bool(_git(root, 'status', '--porcelain', '--untracked-files=no')),
             'cpu_count': os.cpu_count(),
+            'affinity': len(os.sched_getaffinity(0)),
             'seed': seed,
             'numba': importlib.util.find_spec('numba') is not None,
             'python': sys.version.split()[0],

@@ -165,8 +165,9 @@ class Packing:
     no slot reaches into the next t-block.
 
     red(x) normalises a sum x of at most ``terms`` such products, each
-    possibly times p - 1 (a negation), plus at most two normalised ints.
-    Every slot of x is then at most V0 = 2(p-1) + terms·n·r·(p-1)^3.  In
+    possibly times p - 1 (a negation), plus at most one normalised int
+    (charpoly's coefficient; series_matmul and iwahori_class_of add none).
+    Every slot of x is then at most V0 = (p-1) + terms·n·r·(p-1)^3.  In
     order, red
       - truncates: keeps the first n t-blocks (no slot has carried, so
         this is reduction mod t^n);
@@ -200,7 +201,7 @@ class Packing:
                              % (n, terms))
         p, r = cfg.p, cfg.r
         S = 2 * r - 1
-        v0 = 2 * (p - 1) + terms * n * r * (p - 1) ** 3
+        v0 = p - 1 + terms * n * r * (p - 1) ** 3
         N = (v0 * (1 + (r - 1) * (p - 1))).bit_length()
         K = N + p.bit_length()
         W = K + N

@@ -17,6 +17,7 @@ seed of the oracle check it was given, if any.
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from . import affine, polygons, weyl
 from .affine import Element
@@ -223,23 +224,29 @@ KNOWN_CELLS = (
 SIGMA_POLYGON = '1/2x2'
 
 
-def _observe(hd, cfg, n_samples, seed):
-    """Sampled (w, polygon) pairs that actually occur, with counts."""
-    from .shtuka import sample_cells
-    seen = Counter(sample_cells(hd, cfg, seed, n_samples))
-    return {(w, str(P)): c for (w, P), c in seen.items()}
+def _oracle_draws(hds, counts, P, cfg, seed, trials) -> list:
+    """calibrate's oracle evidence, from one _keyed_map: the cell (w, str(Q))
+    of draw k of sample_cells for every k < count of each stratum, then the
+    class lam + perm of trial tr of sigma_conjugate_sample for every
+    tr < trials of each middle element of P."""
+    from .shtuka.core import _cell_draw, _keyed_map, _sigma_trial
 
+    def cell(hd, k):
+        w, Q = _cell_draw(hd, cfg, seed, k)
+        return w, str(Q)
 
-def _sigma_classes(P, cfg, seed, trials):
-    """Iwahori classes of sigma-conjugates of the middle elements of P,
-    with counts; each lies in the stratum of P."""
-    from .shtuka import sigma_conjugate_sample
-    counts = {}
-    for prof in enumerate_profiles(P):
-        for x, c in sigma_conjugate_sample(middle_element(prof, P), cfg, trials,
-                                           seed=seed).items():
-            counts[x] = counts.get(x, 0) + c
-    return counts
+    def conjugate(trial, tr):
+        x = trial(tr)
+        return x.lam + x.perm
+
+    work = [(cell, hd, k) for hd, count in zip(hds, counts) for k in range(count)]
+    sigma = [_sigma_trial(middle_element(prof, P), cfg, seed) for prof in enumerate_profiles(P)]
+    work += [(conjugate, trial, tr) for trial in sigma for tr in range(trials)]
+
+    def draw(j):
+        f, a, k = work[j]
+        return f(a, k)
+    return _keyed_map(draw, len(work))
 
 
 def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
@@ -286,16 +293,17 @@ def calibrate(probes=None, samples=None, seed: int = 20240801, cfg=None,
         if lifts_to(HodgeDatum(*hdt), w, parse_polygon(ps)) != expect:
             violations.append({'cell': [list(hdt), list(w), ps], 'expected': expect,
                                'why': 'ground truth'})
+    P = parse_polygon(SIGMA_POLYGON)
+    got = iter(_oracle_draws(hds, [samples[p] for p in probes], P, cfg, seed, sigma_trials))
     observed = {}
     for p, hd in zip(probes, hds):
-        observed[p] = _observe(hd, cfg, samples[p], seed)
+        observed[p] = Counter(islice(got, samples[p]))
         table = incidence_table(hd)
         for (w, ps), cnt in sorted(observed[p].items()):
             if not table.cell(w, ps):
                 violations.append({'cell': [list(p), list(w), ps], 'expected': True,
                                    'why': 'observed x%d' % cnt})
-    P = parse_polygon(SIGMA_POLYGON)
-    classes = _sigma_classes(P, cfg, seed, sigma_trials)
+    classes = Counter(Element(c[:P.height], c[P.height:]) for c in got)
     for x, cnt in classes.items():
         if not adlv_nonempty(x, P):
             violations.append({'class': x.to_dict(), 'np': SIGMA_POLYGON, 'expected': True,

@@ -17,6 +17,9 @@ t^(r·d+1) drops exactly those coefficients and leaves every other
 valuation as it was, so the hull, and the polygon, do not change.
 """
 
+import marshal
+import os
+import threading
 # hashlib.blake2b is this class, but importing hashlib loads OpenSSL (3.6 MB RSS)
 from _blake2 import blake2b
 from collections import Counter
@@ -254,14 +257,125 @@ class _Drawn(tuple):
         return self[0]
 
 
+# the fewest draws worth a process of their own: a fork, the transfer of
+# its results and the reap take about as long as 200 oracle draws
+MIN_SHARE = 200
+
+
+def _fork_share(fn, i: int, count: int, n: int):
+    """(pid, read end) of a forked child that writes the marshal of
+    [fn(k) for k in range(i, count, n)] to a pipe and exits, 1 if that
+    raised; OSError if the pipe or the fork fails."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            data = marshal.dumps([fn(k) for k in range(i, count, n)])
+            with open(w, 'wb') as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, 'rb')
+
+
+def _keyed_map(fn, count: int) -> list:
+    """[fn(k) for k in range(count)], split over the CPUs this process may
+    run on.
+
+    With n processes, share i is the k = i mod n.  The parent runs share 0
+    and a forked child each other share, which sends its results back with
+    marshal, so fn must return what marshal writes.  Draw k of a keyed
+    stream is the same in any process and in any order (KeyedStream), so
+    the list is the serial one whatever n is.  n is the number of CPUs in
+    the process's affinity, at most count // MIN_SHARE, and 1 without
+    os.fork or os.sched_getaffinity or while a second thread runs.
+
+    The parent runs a share itself when its fork fails or its child exits
+    nonzero or returns short data, so a draw that raises raises here.  If
+    the parent raises, it kills and reaps its children first: no child
+    outlives the call.
+    """
+    n = 1
+    if hasattr(os, 'fork') and hasattr(os, 'sched_getaffinity') \
+            and threading.active_count() == 1:
+        n = max(1, min(len(os.sched_getaffinity(0)), count // MIN_SHARE))
+    out = [None] * count
+    children = {}
+    try:
+        for i in range(1, n):
+            try:
+                children[i] = _fork_share(fn, i, count, n)
+            except OSError:
+                pass
+        out[0::n] = [fn(k) for k in range(0, count, n)]
+        for i in range(1, n):
+            keys, share = range(i, count, n), None
+            if i in children:
+                pid, fh = children[i]
+                with fh:
+                    data = fh.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[i]
+                if status == 0:
+                    try:
+                        share = marshal.loads(data)
+                    except (EOFError, ValueError, TypeError):
+                        pass
+            if share is None or len(share) != len(keys):
+                share = [fn(k) for k in keys]
+            out[i::n] = share
+    finally:
+        if children:
+            import signal       # only on this failure path
+            for pid, fh in children.values():
+                fh.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass
+    return out
+
+
+def _cell_draw(hd, cfg: FieldConfig, seed: int, k: int) -> tuple:
+    """Draw k of the stream sample_cells reads: the cell of the datum of hd
+    drawn from KeyedStream(seed, h, d, k)."""
+    return sample_cell(hd, cfg, KeyedStream(seed, hd.height, hd.dimension, k))
+
+
 def sample_cells(hd, cfg: FieldConfig, seed: int, count: int):
-    """The cells of count data of hd, draw k from KeyedStream(seed, h, d, k):
-    the one seeded stream of calibrate, the CLI's oracle sample and
-    run_consistency_suite.  Raises TypeError on a seed or count that is no
-    integer."""
+    """The cells of count data of hd, draw k from KeyedStream(seed, h, d, k)
+    (_cell_draw): the one seeded stream of calibrate, the CLI's oracle
+    sample and run_consistency_suite.  Raises TypeError on a seed or count
+    that is no integer."""
     seed, count = integers(seed, count)
-    h, d = hd.height, hd.dimension
-    return (sample_cell(hd, cfg, KeyedStream(seed, h, d, k)) for k in range(count))
+    return (_cell_draw(hd, cfg, seed, k) for k in range(count))
+
+
+def _sigma_trial(x: Element, cfg: FieldConfig, seed: int):
+    """The trial of sigma_conjugate_sample: the function taking tr to the
+    Iwahori class of g·X·sigma(g)^{-1}, g from KeyedStream(seed, tr)."""
+    from .reduction import iwahori_class_of
+    h = x.h
+    xm, s = PM.pm_from_element(x)
+    vdet = x.v_det() + h * s
+    n = vdet + 1
+
+    def trial(tr):
+        g = random_unimodular(h, cfg, 2, KeyedStream(seed, tr))
+        gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
+        m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
+        return iwahori_class_of(m, cfg, shift=s, expected_vdet=vdet)
+    return trial
 
 
 def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0) -> Counter:
@@ -272,18 +386,7 @@ def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0) ->
     The reduction reads its input only mod t^n (reduction docstring), and
     g·t^s·X is polynomial, so an error in sigma(g)^{-1} mod t^n stays
     divisible by t^n after multiplying by it.  Trial tr draws g from
-    KeyedStream(seed, tr).
+    KeyedStream(seed, tr) (_sigma_trial).
     """
-    from .reduction import iwahori_class_of
     trials, seed = integers(trials, seed)
-    h = x.h
-    xm, s = PM.pm_from_element(x)
-    vdet = x.v_det() + h * s
-    n = vdet + 1
-    out = Counter()
-    for tr in range(trials):
-        g = random_unimodular(h, cfg, 2, KeyedStream(seed, tr))
-        gsi = PM.pm_inv_mod(PM.pm_frob(g, cfg, 1), n, cfg)
-        m = PM.pm_truncate(PM.pm_mul(PM.pm_mul(g, xm, cfg), gsi, cfg), n)
-        out[iwahori_class_of(m, cfg, shift=s, expected_vdet=vdet)] += 1
-    return out
+    return Counter(map(_sigma_trial(x, cfg, seed), range(trials)))

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from pkernels.criterion import (ENGINE, Bounds, adlv_nonempty, calibrate,
                                 incidence_table, lifts_to, __version__)
 from pkernels.errors import ConventionError, ResourceLimitError
 from pkernels.polygons import HodgeDatum, eo_representative, parse_polygon
-from pkernels.shtuka import bt1_of, eo_classify, minimal_shtuka, shtuka_from_element
+from pkernels.shtuka import bt1_of, core, eo_classify, minimal_shtuka, shtuka_from_element
 
 HD21 = HodgeDatum(2, 1)
 ORD = parse_polygon('0,1')
@@ -413,7 +415,7 @@ def test_calibrate_checks_height_before_sampling(monkeypatch, probes, error):
     def no_sampling(*args):
         raise AssertionError('sampled before checking every probe')
 
-    monkeypatch.setattr(criterion, '_observe', no_sampling)
+    monkeypatch.setattr(criterion, '_oracle_draws', no_sampling)
     with pytest.raises(error):
         calibrate(probes=probes)
 
@@ -430,7 +432,7 @@ def test_calibrate_rejects_empty_checks(monkeypatch, probes, samples, sigma_tria
     def no_sampling(*args):
         raise AssertionError('sampled for an empty check')
 
-    monkeypatch.setattr(criterion, '_observe', no_sampling)
+    monkeypatch.setattr(criterion, '_oracle_draws', no_sampling)
     with pytest.raises(ValueError, match='at least one'):
         calibrate(probes=probes, samples=samples, sigma_trials=sigma_trials)
 
@@ -439,7 +441,7 @@ def test_calibrate_names_a_probe_without_samples(monkeypatch):
     def no_sampling(*args):
         raise AssertionError('sampled before checking the sample counts')
 
-    monkeypatch.setattr(criterion, '_observe', no_sampling)
+    monkeypatch.setattr(criterion, '_oracle_draws', no_sampling)
     with pytest.raises(ValueError, match=r'no sample count for probe \(3, 1\)'):
         calibrate(probes=((2, 1), (3, 1)), samples={(2, 1): 5})
 
@@ -461,3 +463,91 @@ def test_calibrate_determinism():
     a = calibrate(probes=((2, 1),), samples={(2, 1): 30}, sigma_trials=8)
     b = calibrate(probes=((2, 1),), samples={(2, 1): 30}, sigma_trials=8)
     assert a == b
+
+
+# ------------------------------------------------ draws split over CPUs
+
+def _cpus(monkeypatch, n):
+    # the CPUs core._keyed_map may split over, whatever the host has
+    monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: set(range(n)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope='module')
+def serial_report():
+    # the default report of one process, spelled with its dict order
+    with pytest.MonkeyPatch.context() as mp:
+        _cpus(mp, 1)
+        return json.dumps(calibrate())
+
+
+def test_keyed_map_runs_each_share_in_its_own_process(monkeypatch):
+    _cpus(monkeypatch, 3)
+    got = core._keyed_map(lambda k: (k, os.getpid()), 3 * core.MIN_SHARE + 1)
+    _no_child_left()
+    assert [k for k, _ in got] == list(range(3 * core.MIN_SHARE + 1))
+    pids = [{pid for k, pid in got if k % 3 == i} for i in range(3)]
+    assert pids[0] == {os.getpid()} and len(set.union(*pids)) == 3
+    # too few draws for a second share, or a second thread: one process
+    assert {pid for _, pid in core._keyed_map(lambda k: (k, os.getpid()),
+                                               2 * core.MIN_SHARE - 1)} == {os.getpid()}
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        assert {pid for _, pid in core._keyed_map(lambda k: (k, os.getpid()),
+                                                   3 * core.MIN_SHARE)} == {os.getpid()}
+    finally:
+        done.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+
+
+@pytest.mark.parametrize('cpus', [None, 3], ids=['host', 'three'])
+def test_calibrate_report_is_the_same_for_every_cpu_count(monkeypatch, serial_report, cpus):
+    # draw k of each keyed stream is the same in every process, and the
+    # shares go back in k order: the serial report, dict order included
+    if cpus:
+        _cpus(monkeypatch, cpus)
+    assert json.dumps(calibrate()) == serial_report
+    _no_child_left()
+
+
+def test_calibrate_runs_a_share_whose_fork_fails(monkeypatch, serial_report):
+    # the first fork succeeds and the second raises: the parent runs that
+    # share itself
+    _cpus(monkeypatch, 3)
+    forks, fork = [], os.fork
+
+    def flaky_fork():
+        forks.append(None)
+        if len(forks) > 1:
+            raise OSError(11, 'Resource temporarily unavailable')
+        return fork()
+
+    monkeypatch.setattr(os, 'fork', flaky_fork)
+    assert json.dumps(calibrate()) == serial_report
+    assert len(forks) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize('k', [300, 301], ids=['parent-share', 'child-share'])
+def test_a_failing_draw_raises_in_the_caller(monkeypatch, k):
+    # 402 draws over two CPUs: the parent draws the even k, a child the odd
+    # ones; a child that fails leaves its share to the parent, which raises
+    _cpus(monkeypatch, 2)
+    real = core._cell_draw
+
+    def failing(hd, cfg, seed, j):
+        if j == k:
+            raise ConventionError('draw %d of (%d, %d) fails' % (j, hd.height, hd.dimension))
+        return real(hd, cfg, seed, j)
+
+    monkeypatch.setattr(core, '_cell_draw', failing)
+    with pytest.raises(ConventionError, match=r'^draw %d of \(2, 1\) fails$' % k):
+        calibrate(probes=((2, 1),), samples=400, sigma_trials=1)
+    _no_child_left()

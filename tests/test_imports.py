@@ -195,15 +195,15 @@ def test_scan_sees_a_numpy_import():
         assert not _imports_numpy(ast.parse(source)), source
 
 
-def _loaded(imports, names):
+def _loaded(imports, names, run=''):
     """Which of the module names a fresh interpreter holds after
-    ``import sys, <imports>``, as a sorted list."""
+    ``import sys, <imports>`` and the statements ``run``, as a sorted list."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / 'src'))
-    code = ('import sys, %s\nprint(sorted({m.split(".")[0] for m in sys.modules} & %r))'
-            % (imports, set(names)))
+    code = ('import sys, %s\n%s\nprint(sorted({m.split(".")[0] for m in sys.modules} & %r))'
+            % (imports, run, set(names)))
     out = subprocess.run([sys.executable, '-c', code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    return out.strip()
+    return out.strip().splitlines()[-1]
 
 
 def test_package_and_cli_import_without_numpy():
@@ -214,6 +214,19 @@ def test_oracle_imports_without_openssl():
     # core draws from _blake2's blake2b, the class hashlib hands out;
     # importing hashlib would also load OpenSSL through _hashlib (3.6 MB)
     assert _loaded('pkernels.shtuka', {'hashlib', '_hashlib'}) == '[]'
+
+
+def test_split_calibrate_loads_no_pickle_or_pool(tmp_path):
+    # calibrate's draws split over forked children on two CPUs
+    # (core._keyed_map), whose results come back with marshal: the parent
+    # loads no pickle, multiprocessing or concurrent.futures
+    run = ('forks, fork = [], os.fork\n'
+           'os.fork = lambda: forks.append(1) or fork()\n'
+           'os.sched_getaffinity = lambda pid: {0, 1}\n'
+           'pkernels.cli.main(["calibrate", "--probe", "2,1", "--count", "400",'
+           ' "--sigma-trials", "1", "--out", %r])\n'
+           'assert forks, "calibrate ran in one process"' % str(tmp_path / 'report.json'))
+    assert _loaded('os, pkernels.cli', {'pickle', 'multiprocessing', 'concurrent'}, run) == '[]'
 
 
 def _reads_index(tree):

@@ -561,23 +561,25 @@ def _series_product(f, g, c):
 def test_packed_reduction_worst_case(p, r):
     # red at the largest slot values it promises to take: `terms` products
     # of series whose every digit is p - 1, each negated by a factor p - 1,
-    # plus two normalised ints, at the largest terms and n the oracle uses
-    # (h = 10, n = 11 at (10, 5)) and beyond.  The second addend has every
-    # digit 1, so that for odd p the slot values are odd: a layout one bit
-    # too narrow then corrupts the quotient it takes mod p.
+    # plus one normalised int, at the largest terms and n the oracle uses
+    # (h = 10, n = 11 at (10, 5)) and beyond.  The int has every digit
+    # p - 1, the largest, or every digit 1, so that for odd p the slot
+    # values are odd: a layout one bit too narrow then corrupts the
+    # quotient it takes mod p.
     c = field(p, r)
     ones = sum(p ** j for j in range(r))
     for n, terms in ((1, 1), (6, 4), (12, 10)):
         lay = K.Packing(c, n, terms)
         full = [c.q - 1] * n              # index q - 1: every digit p - 1
         x = lay.pack(full)
-        got = lay.red(terms * (p - 1) * x * x + x + lay.pack([ones] * n))
         # terms·(p-1) is an element of the prime field: its index mod p
         sq = _series_product(full, full, c)
-        want = [int(arrays(c).add[arrays(c).add[arrays(c).mul[terms * (p - 1) % p, s], f], ones])
-                for s, f in zip(sq, full)]
-        assert lay.unpack(got) == want, (n, terms)
-        assert got == lay.pack(want)
+        for addend in (c.q - 1, ones):
+            got = lay.red(terms * (p - 1) * x * x + lay.pack([addend] * n))
+            want = [int(arrays(c).add[arrays(c).mul[terms * (p - 1) % p, s], addend])
+                    for s in sq]
+            assert lay.unpack(got) == want, (n, terms, addend)
+            assert got == lay.pack(want)
 
 
 @pytest.mark.parametrize('p,r', PACKED_FIELDS)
