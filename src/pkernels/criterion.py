@@ -225,10 +225,9 @@ SIGMA_POLYGON = '1/2x2'
 
 
 def _oracle_draws(hds, counts, P, cfg, seed, trials) -> list:
-    """calibrate's oracle evidence, from one _keyed_map: the cell (w, str(Q))
-    of draw k of sample_cells for every k < count of each stratum, then the
-    class lam + perm of trial tr of sigma_conjugate_sample for every
-    tr < trials of each middle element of P."""
+    """One _keyed_map over the cell (w, str(Q)) of each draw k < count of
+    sample_cells per stratum, then the class lam + perm of each trial
+    tr < trials of sigma_conjugate_sample per middle element of P."""
     from .shtuka.core import _cell_draw, _keyed_map, _sigma_trial
 
     def cell(hd, k):
@@ -242,10 +241,15 @@ def _oracle_draws(hds, counts, P, cfg, seed, trials) -> list:
     work = [(cell, hd, k) for hd, count in zip(hds, counts) for k in range(count)]
     sigma = [_sigma_trial(middle_element(prof, P), cfg, seed) for prof in enumerate_profiles(P)]
     work += [(conjugate, trial, tr) for trial in sigma for tr in range(trials)]
+    # equal results share one object, here and through a child's marshal,
+    # which writes a repeat as a reference: the 2000 default draws take
+    # only 10 distinct values
+    seen = {}
 
     def draw(j):
         f, a, k = work[j]
-        return f(a, k)
+        x = f(a, k)
+        return seen.setdefault(x, x)
     return _keyed_map(draw, len(work))
 
 

@@ -257,15 +257,14 @@ class _Drawn(tuple):
         return self[0]
 
 
-# the fewest draws worth a process of their own: a fork, the transfer of
-# its results and the reap take about as long as 200 oracle draws
+# the fewest draws worth a process: a fork, transfer and reap cost about
+# as much as 200 oracle draws
 MIN_SHARE = 200
 
 
 def _fork_share(fn, i: int, count: int, n: int):
-    """(pid, read end) of a forked child that writes the marshal of
-    [fn(k) for k in range(i, count, n)] to a pipe and exits, 1 if that
-    raised; OSError if the pipe or the fork fails."""
+    """(pid, pipe) of a child that sends marshal.dumps([fn(k) for k in
+    range(i, count, n)]) down the pipe and exits, 1 if that raised."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -288,22 +287,15 @@ def _fork_share(fn, i: int, count: int, n: int):
 
 
 def _keyed_map(fn, count: int) -> list:
-    """[fn(k) for k in range(count)], split over the CPUs this process may
-    run on.
-
-    With n processes, share i is the k = i mod n.  The parent runs share 0
-    and a forked child each other share, which sends its results back with
-    marshal, so fn must return what marshal writes.  Draw k of a keyed
-    stream is the same in any process and in any order (KeyedStream), so
-    the list is the serial one whatever n is.  n is the number of CPUs in
-    the process's affinity, at most count // MIN_SHARE, and 1 without
-    os.fork or os.sched_getaffinity or while a second thread runs.
-
-    The parent runs a share itself when its fork fails or its child exits
-    nonzero or returns short data, so a draw that raises raises here.  If
-    the parent raises, it kills and reaps its children first: no child
-    outlives the call.
-    """
+    """[fn(k) for k in range(count)] over n processes, one per CPU of the
+    affinity and at most count // MIN_SHARE (1 without os.fork or
+    os.sched_getaffinity, or while a second thread runs).  Share i is
+    the k = i mod n: the parent draws share 0, a forked child each other
+    one, and fn's results, which marshal must write, go back in k order.
+    Draw k of a KeyedStream does not depend on the process or the order,
+    so the list is the serial one.  The parent redraws a share whose fork
+    fails or whose child fails, so a failing draw raises here, and kills
+    and reaps every child before it raises itself."""
     n = 1
     if hasattr(os, 'fork') and hasattr(os, 'sched_getaffinity') \
             and threading.active_count() == 1:
@@ -347,23 +339,21 @@ def _keyed_map(fn, count: int) -> list:
 
 
 def _cell_draw(hd, cfg: FieldConfig, seed: int, k: int) -> tuple:
-    """Draw k of the stream sample_cells reads: the cell of the datum of hd
-    drawn from KeyedStream(seed, h, d, k)."""
+    """Draw k of sample_cells."""
     return sample_cell(hd, cfg, KeyedStream(seed, hd.height, hd.dimension, k))
 
 
 def sample_cells(hd, cfg: FieldConfig, seed: int, count: int):
-    """The cells of count data of hd, draw k from KeyedStream(seed, h, d, k)
-    (_cell_draw): the one seeded stream of calibrate, the CLI's oracle
-    sample and run_consistency_suite.  Raises TypeError on a seed or count
-    that is no integer."""
+    """The cells of count data of hd, draw k from KeyedStream(seed, h, d, k):
+    the one seeded stream of calibrate, the CLI's oracle sample and
+    run_consistency_suite.  Raises TypeError on a seed or count that is no
+    integer."""
     seed, count = integers(seed, count)
     return (_cell_draw(hd, cfg, seed, k) for k in range(count))
 
 
 def _sigma_trial(x: Element, cfg: FieldConfig, seed: int):
-    """The trial of sigma_conjugate_sample: the function taking tr to the
-    Iwahori class of g·X·sigma(g)^{-1}, g from KeyedStream(seed, tr)."""
+    """Trial tr of sigma_conjugate_sample, as a function of tr."""
     from .reduction import iwahori_class_of
     h = x.h
     xm, s = PM.pm_from_element(x)
@@ -386,7 +376,7 @@ def sigma_conjugate_sample(x: Element, cfg: FieldConfig, trials: int, seed=0) ->
     The reduction reads its input only mod t^n (reduction docstring), and
     g·t^s·X is polynomial, so an error in sigma(g)^{-1} mod t^n stays
     divisible by t^n after multiplying by it.  Trial tr draws g from
-    KeyedStream(seed, tr) (_sigma_trial).
+    KeyedStream(seed, tr).
     """
     trials, seed = integers(trials, seed)
     return Counter(map(_sigma_trial(x, cfg, seed), range(trials)))

@@ -517,15 +517,16 @@ def test_calibrate_report_is_the_same_for_every_cpu_count(monkeypatch, serial_re
     _no_child_left()
 
 
-def test_calibrate_runs_a_share_whose_fork_fails(monkeypatch, serial_report):
-    # the first fork succeeds and the second raises: the parent runs that
-    # share itself
+@pytest.mark.parametrize('good', [0, 1], ids=['every-fork-fails', 'second-fork-fails'])
+def test_calibrate_runs_a_share_whose_fork_fails(monkeypatch, serial_report, good):
+    # the first `good` forks succeed and the rest raise: the parent runs
+    # those shares itself
     _cpus(monkeypatch, 3)
     forks, fork = [], os.fork
 
     def flaky_fork():
         forks.append(None)
-        if len(forks) > 1:
+        if len(forks) > good:
             raise OSError(11, 'Resource temporarily unavailable')
         return fork()
 
