@@ -28,13 +28,15 @@ End-to-end cases: the default ``calibrate()`` from empty caches, and the
 same pinned to one CPU (``calibrate_one_cpu``), so that serial and split
 times come from one commit; F_4 oracle samples (sample, residue module,
 class, Newton polygon) per second at (4, 2) and (8, 4); every table d =
-1..h-1 of h = 4, 6, 8 and 10, and of h = 11, the height bound of
+1..h-1 of h = 4, 6, 8, 10 and 11, and of h = 12, the height bound of
 criterion.Bounds, which never load the oracle (``pkernels.shtuka``), so
-their peak RSS reads the engine alone; the 50 Iwahori orbits of
+their peak RSS reads the engine alone (each case passes
+``Bounds(max_height=h)``, so an older checkout with a lower bound runs
+them too); the 50 Iwahori orbits of
 acceptance 6 over F_2, in cosets per second; four seeded shuffles of the
 302 cells with 2 <= h <= 5 as single-cell ``lifts_to`` queries
 (``cell_queries_h5``), in queries per second, each repeat from an empty
-session memo; 100 seeded minuscule x of height 7 against their basic
+session memo and row store; 100 seeded minuscule x of height 7 against their basic
 polygon through ``adlv_nonempty`` (``adlv_h7``), in queries per second,
 each repeat from an empty session memo; the Tier-1 test suite.
 Layer cases:
@@ -77,10 +79,12 @@ def _clear_caches():
 
 def _clear_session_memo():
     # the engine's reduction memo, wherever the checkout keeps it: affine
-    # since every query shares it, criterion before; older checkouts have none
+    # since every query shares it, criterion before; older checkouts have
+    # none.  Also criterion's row store, where the checkout has one
     from pkernels import affine, criterion
     for mod in (affine, criterion):
         mod.__dict__.get('_memo', {}).clear()
+    criterion.__dict__.get('_rows', {}).clear()
 
 
 def _calibrate(seed):
@@ -159,7 +163,8 @@ def _cell_stream(heights, shuffles, seed):
 
 def _cell_queries(heights, shuffles):
     # the cell stream as single-cell lifts_to queries in one session; each
-    # repeat starts from an empty session memo and a warm length cache
+    # repeat starts from an empty session memo and row store and a warm
+    # length cache
     def case(seed):
         from pkernels.criterion import lifts_to
         cells, queries = _cell_stream(heights, shuffles, seed)
@@ -424,6 +429,7 @@ CASES = {
     'strata_h8': ('end_to_end', 5, _strata(8)),
     'strata_h10': ('end_to_end', 8, _strata(10)),
     'strata_h11': ('end_to_end', 1, _strata(11)),
+    'strata_h12': ('end_to_end', 1, _strata(12)),
     'cell_queries_h5': ('end_to_end', 50, _cell_queries((2, 3, 4, 5), 4)),
     'adlv_h7': ('end_to_end', 10, _adlv(7, 100)),
     'acceptance6_orbits': ('end_to_end', 20, _acceptance6_orbits),

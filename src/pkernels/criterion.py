@@ -8,6 +8,16 @@ loop group of a reductive group*, Ann. Math. 2014).  The reduction
 affine.newton_strata lists every stratum I·x·I meets, so one reduction
 decides a whole row.
 
+Only the local-local rows need it.  Read a row w of (h, d) as its 0/1
+word, letter i being 1 when w(i) <= d.  A word 0^e·c·1^f with e + f > 0
+is the row of c at (h - e - f, d - f) with e slopes 0 and f slopes 1
+added: the étale and multiplicative parts split off (Demazure, *Lectures
+on p-divisible groups*, LNM 302).  A word from 1 to 0 with 2d > h is the
+Cartier dual of the row of its reversed complement at (h, h - d): each
+block (n, m) becomes (m, n).  So the engine reduces the local-local rows
+with 2d <= h alone, C(h - 2, d - 1) of them at (h, d), and lifts_to and
+incidence_table read every row through one bounded store.
+
 calibrate checks these answers against the matrix oracle and raises on
 any disagreement, and returns the evidence as a report.  Every answer
 carries a provenance record: the library version, the engine and the
@@ -43,7 +53,7 @@ class Bounds:
 
     max_height caps the height of a query, max_support the number of
     elements one reduction explores, checked also on a tree found in
-    the engine's shared memo.
+    the engine's shared memo or on a row found in the row store.
     """
 
     max_height: int = 11
@@ -76,9 +86,8 @@ def _provenance(check) -> dict:
             'seed': check['seed'] if check else None}
 
 
-def _answer(c: tuple, P: NewtonPolygon, check, bounds: Bounds, return_info: bool):
-    bounds.check_height(len(c) >> 1)
-    points, explored = affine._newton_blocks(c, bounds.max_support)
+def _answer(done: tuple, P: NewtonPolygon, check, return_info: bool):
+    points, explored = done
     if not return_info:
         return P.blocks in points
     wit = _witness(points, P)
@@ -86,32 +95,107 @@ def _answer(c: tuple, P: NewtonPolygon, check, bounds: Bounds, return_info: bool
                              'provenance': _provenance(check)}
 
 
+# the row store of lifts_to and incidence_table: the (points, explored)
+# of each checked row (d, w), in the form affine._newton_blocks returns.
+# It has room for every row of every stratum with h <= 12 (8190) and is
+# cleared when full; only _row adds entries, and never to affine._memo
+_ROWS_MAX = 1 << 13
+_rows = {}
+
+
+def _within(done: tuple, limit: int) -> tuple:
+    # on store hits too: a row stored under a larger max_support must not pass
+    if done[1] > limit:
+        raise ResourceLimitError('the reduction of a row explored %d elements, above %d'
+                                 % (done[1], limit))
+    return done
+
+
+def _row(h: int, d: int, w: tuple, limit: int) -> tuple:
+    """(points, explored) of the row w of (h, d), a minimal coset
+    representative, through the row store."""
+    done = _rows.get((d, w))
+    if done is None:
+        done = _derive(h, d, w, limit)
+        if len(_rows) >= _ROWS_MAX:
+            _rows.clear()
+        _rows[d, w] = done
+    return _within(done, limit)
+
+
+def _derive(h: int, d: int, w: tuple, limit: int) -> tuple:
+    """A row's (points, explored), by the route its word 0^e·c·1^f picks.
+
+    Split (e + f > 0): the points of the core c at (h - e - f, d - f),
+    each with e blocks (0, 1) in front and f blocks (1, 0) behind, its
+    witness the block sum of e copies of ε^0, the core's witness and f
+    copies of ε^1; an empty core is the one point () of one element.
+    Dual (2d > h): the points of the reversed complement w0·w·w0 at
+    (h, h - d), each block (n, m) swapped to (m, n) and the order
+    reversed, which sorts it by slope again; the witness y becomes
+    w0·ε·y^(-T)·w0, lam'_i = 1 - lam_(h+1-i) and
+    perm'(j) = h + 1 - u(h + 1 - j), of the same length and minimal
+    length.  A derived row keeps its core's explored count.  Core
+    (2d <= h): the engine on the row's point x_w."""
+    e = f = 0
+    while e < h and w[e] > d:
+        e += 1
+    while f < h - e and w[h - 1 - f] <= d:
+        f += 1
+    if e or f:
+        n = h - e - f
+        points, explored = {(): ()}, 1
+        if n:
+            core = tuple(v if v <= d else v - e - f for v in w[e:h - f])
+            points, explored = _row(n, d - f, core, limit)
+        head, tail = ((0, 1),) * e, ((1, 0),) * f
+        lam0, lam1 = (0,) * e, (1,) * f
+        perm0, perm1 = tuple(range(1, e + 1)), tuple(range(h - f + 1, h + 1))
+        return {head + blocks + tail:
+                lam0 + y[:n] + lam1 + perm0 + tuple(e + u for u in y[n:]) + perm1
+                for blocks, y in points.items()}, explored
+    if 2 * d > h:
+        points, explored = _row(h, h - d, tuple(h + 1 - v for v in reversed(w)), limit)
+        return {tuple((m, n) for n, m in reversed(blocks)):
+                tuple(1 - v for v in reversed(y[:h])) + tuple(h + 1 - u for u in reversed(y[h:]))
+                for blocks, y in points.items()}, explored
+    return affine._newton_blocks(polygons._eo_coding(h, d, w), limit)
+
+
 def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
              bounds: Bounds = Bounds(), return_info: bool = False):
     """Whether the class of w meets the stratum of P, i.e. whether P is in
     B(x_w).  ``check`` is a report calibrate() returned, or None; it is
     recorded, never consulted.  With return_info, also the witness (None
-    for an empty cell), the number of elements the reduction explored and
-    the provenance.  Every query shares the engine's bounded memo of
-    reduction subtrees; no answer depends on it, and ``max_support`` is
-    checked on its hits too."""
-    if (P.height, P.dimension) != (hd.height, hd.dimension):
-        raise ValueError('polygon %s does not lie in stratum (%d, %d)'
-                         % (P, hd.height, hd.dimension))
-    c = polygons._eo_coding(hd.height, hd.dimension, polygons._minimal_rep(hd, w))
-    return _answer(c, P, check, bounds, return_info)
+    for an empty cell), the number of elements the reduction of the row
+    or of its core explored and the provenance.  Every query reads the
+    bounded row store; no answer depends on it, and ``max_support`` is
+    checked on its hits too.  A row is checked to be a minimal coset
+    representative only when the store does not hold it."""
+    h, d = hd.height, hd.dimension
+    if (P.height, P.dimension) != (h, d):
+        raise ValueError('polygon %s does not lie in stratum (%d, %d)' % (P, h, d))
+    bounds.check_height(h)
+    w = integers(*w)
+    done = _rows.get((d, w))
+    if done is None or len(w) != h:
+        done = _row(h, d, polygons._minimal_rep(hd, w), bounds.max_support)
+    return _answer(_within(done, bounds.max_support), P, check, return_info)
 
 
 def adlv_nonempty(x: Element, P: NewtonPolygon, check: dict = None,
                   bounds: Bounds = Bounds(), return_info: bool = False):
     """Whether I·x·I meets the Newton stratum of P, i.e. whether the affine
     Deligne-Lusztig variety X_x(b_P) is nonempty (x must be minuscule of
-    the polygon's height and dimension).  ``check``, return_info and the
-    shared memo as for lifts_to."""
+    the polygon's height and dimension).  ``check`` and return_info as
+    for lifts_to; x is reduced by the engine, through its bounded memo of
+    reduction subtrees, on which ``max_support`` is checked too."""
     h, d = P.height, P.dimension
     if x.h != h or not affine.in_minuscule_double_coset(x, h, d):
         raise ValueError('x is not in the minuscule stratum of (%d, %d)' % (h, d))
-    return _answer(x.lam + x.perm, P, check, bounds, return_info)
+    bounds.check_height(h)
+    return _answer(affine._newton_blocks(x.lam + x.perm, bounds.max_support), P, check,
+                   return_info)
 
 
 @dataclass(frozen=True)
@@ -175,8 +259,9 @@ def _cell_key(w, P) -> str:
 
 def incidence_table(hd: HodgeDatum, check: dict = None,
                     bounds: Bounds = Bounds()) -> IncidenceTable:
-    """The full table of a stratum, one reduction per row.  Nonempty cells
-    carry their witness, empty ones the size of the exhausted reduction.
+    """The full table of a stratum, every row read through the row store.
+    Nonempty cells carry their witness, empty ones the size of the
+    exhausted reduction of the row or of its core.
     ``check`` is a report calibrate() returned, or None; only its seed is
     recorded, in the provenance."""
     bounds.check_height(hd.height)
@@ -189,7 +274,7 @@ def incidence_table(hd: HodgeDatum, check: dict = None,
     witnesses = {}
     searched = {}
     for w in rows:
-        points, explored = affine._newton_blocks(polygons._eo_coding(h, d, w), limit)
+        points, explored = _row(h, d, w, limit)
         row_key = _cell_key(w, '')
         row = []
         for P, name in zip(cols, names):

@@ -81,6 +81,20 @@ def test_cell_witness_is_checkable():
     assert info['witness'] == {'y': {'lam': [0, 1], 'perm': [2, 1]}}
 
 
+def test_witnesses_are_certificates():
+    # every nonempty cell with h <= 8, on core, split and dual rows alike:
+    # the witness y has the cell's Newton point and the minimal length of
+    # its conjugacy class, each read off y alone
+    cells = 0
+    for hd in _strata(8):
+        for key, wit in incidence_table(hd).witnesses.items():
+            y = Element(**wit['y'])
+            assert affine.newton_point(y) == parse_polygon(key.split('|')[1]).slopes(), key
+            assert length(y) == affine.min_length(y), key
+            cells += 1
+    assert cells == 675
+
+
 def test_empty_cells_report_explored_elements():
     for hd in _strata(5):
         t = incidence_table(hd)
@@ -268,12 +282,14 @@ def _cells(tables):
 
 
 def _cell_answers(cells, ask, cold):
-    """ask(*cell) with return_info for every cell, from an empty memo per
-    cell when ``cold``, else from whatever the memo holds."""
+    """ask(*cell) with return_info for every cell, from an empty engine
+    memo and row store per cell when ``cold``, else from whatever they
+    hold."""
     out = []
     for cell in cells:
         if cold:
             affine._memo.clear()
+            criterion._rows.clear()
         val, info = ask(*cell, return_info=True)
         out.append((val, info['witness'], info['searched']))
     return out
@@ -289,8 +305,10 @@ def _table_answers(tables):
 
 def test_session_memo_never_changes_an_answer(monkeypatch, report):
     # every cell with h <= 5: the same value, witness and searched count
-    # from an empty memo as after every cell has warmed it, and the table's
+    # from an empty memo and store as after every cell has warmed them,
+    # and the table's
     monkeypatch.setattr(affine, '_memo', {})
+    monkeypatch.setattr(criterion, '_rows', {})
     tables = [incidence_table(hd) for hd in _strata(5)]
     cells = _cells(tables)
     cold = _cell_answers(cells, lifts_to, cold=True)
@@ -310,9 +328,11 @@ def test_session_memo_never_changes_an_answer(monkeypatch, report):
 
 
 def test_session_memo_keeps_the_support_guard(monkeypatch):
-    # the (5, 2) row (1, 3, 4, 2, 5) explores 5 elements; a tree the memo
-    # already holds is refused by a smaller max_support all the same
+    # the (5, 2) row (1, 3, 4, 2, 5) explores 5 elements; a row the store
+    # or a tree the memo already holds is refused by a smaller max_support
+    # all the same
     monkeypatch.setattr(affine, '_memo', {})
+    monkeypatch.setattr(criterion, '_rows', {})
     hd, w, P = HodgeDatum(5, 2), (1, 3, 4, 2, 5), parse_polygon('2/5x5')
     x = eo_representative(hd, w)
     small, exact = Bounds(max_support=4), Bounds(max_support=5)
@@ -322,40 +342,57 @@ def test_session_memo_keeps_the_support_guard(monkeypatch):
         lifts_to(hd, w, P, bounds=small)
     with pytest.raises(ResourceLimitError):
         adlv_nonempty(x, P, bounds=small)
-    # refused first, then answered, then refused again
+    # refused first, then answered, then refused again: the row is not
+    # stored, so lifts_to meets the tree in the memo
     affine._memo.clear()
+    criterion._rows.clear()
     with pytest.raises(ResourceLimitError):
         adlv_nonempty(x, P, bounds=small)
     assert adlv_nonempty(x, P, return_info=True)[1]['searched'] == 5
     with pytest.raises(ResourceLimitError):
         lifts_to(hd, w, P, bounds=small)
+    assert not criterion._rows
     with pytest.raises(ResourceLimitError):
         adlv_nonempty(x, P, bounds=small)
 
 
 def test_tables_leave_every_cell_in_the_memo(monkeypatch):
-    # the tables of every stratum with h <= 5 fill the memo that lifts_to
-    # reads: no cell query adds an entry, and each returns the table's
+    # the tables of every stratum with h <= 5 fill the row store that
+    # lifts_to reads with all their 62 rows: no cell query adds an entry
+    # to the store or to the engine memo, and each returns the table's
     # witness and searched count
     monkeypatch.setattr(affine, '_memo', {})
+    monkeypatch.setattr(criterion, '_rows', {})
     tables = [incidence_table(hd) for hd in _strata(5)]
-    size = len(affine._memo)
-    assert 0 < size < affine._MEMO_MAX
+    rows, size = dict(criterion._rows), len(affine._memo)
+    assert len(rows) == sum(len(t.rows) for t in tables) == 62 < criterion._ROWS_MAX
     answers = _cell_answers(_cells(tables), lifts_to, cold=False)
-    assert len(affine._memo) == size
+    assert criterion._rows == rows and len(affine._memo) == size
     assert [(v, wit, None if v else n) for v, wit, n in answers] == _table_answers(tables)
 
 
 def test_session_memo_is_bounded(monkeypatch):
-    # with a cap of 8 the memo is cleared at the start of any reduction
-    # that finds it full, so it never holds more than the cap plus the new
-    # entries of one tree (at most the elements that tree explored), over
-    # table sweeps and cell queries alike
+    # with caps of 8 the row store is cleared before any entry that finds
+    # it full, so it never holds more than 8 rows, and the engine memo at
+    # the start of any reduction that finds it full, so it never holds
+    # more than 8 plus the new entries of one tree (at most the elements
+    # that tree explored), over table sweeps and cell queries alike
     tables = [incidence_table(hd) for hd in _strata(6)]
     cells = _cells(tables)
     monkeypatch.setattr(affine, '_memo', {})
+    monkeypatch.setattr(criterion, '_rows', {})
     want = _cell_answers(cells, lifts_to, cold=True)
     monkeypatch.setattr(affine, '_MEMO_MAX', 8)
+    monkeypatch.setattr(criterion, '_ROWS_MAX', 8)
+    real_row, stored = criterion._row, []
+
+    def watched_row(h, d, w, limit):
+        done = real_row(h, d, w, limit)
+        assert 0 < len(criterion._rows) <= 8
+        stored.append(len(criterion._rows))
+        return done
+
+    monkeypatch.setattr(criterion, '_row', watched_row)
     real, sizes = affine._newton_blocks, []
 
     def watched(c, limit):
@@ -370,6 +407,7 @@ def test_session_memo_is_bounded(monkeypatch):
     assert _cell_answers(cells, lifts_to, cold=False) == want
     assert max(after for _, after in sizes) > 8
     assert sum(before >= 8 for before, _ in sizes) > 1
+    assert max(stored) == 8 and sum(b < a for a, b in zip(stored, stored[1:])) > 1
 
 
 def test_calibrate_selection_and_report(report):

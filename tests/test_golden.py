@@ -1,5 +1,5 @@
 """Pinned answers: tests/golden.json holds sha256 prefixes of the table of
-every stratum with h <= 10 (its values, witnesses and searched counts), of
+every stratum with h <= 11 (its values, witnesses and searched counts), of
 the conftest calibrate() report, and of 20 seeded oracle draws per
 stratum with h <= 5 over F_2, F_4, F_3 and F_8, and of the modulus,
 tables and Frobenius of every field of order at most gf.MAX_ORDER.  The
@@ -21,7 +21,7 @@ from pkernels.shtuka import field, gf, sample_cell
 from test_gf import ALL_FIELDS
 
 GOLDEN = pathlib.Path(__file__).with_name('golden.json')
-TABLE_HEIGHTS = range(1, 11)
+TABLE_HEIGHTS = range(1, 12)
 DRAW_HEIGHTS = range(1, 6)
 DRAW_FIELDS = ((2, 1), (2, 2), (3, 1), (2, 3))
 DRAWS = 20

@@ -7,7 +7,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from pkernels import affine, weyl
+from pkernels import affine, criterion, weyl
 from pkernels.affine import Element, length, newton_point, newton_strata, omega, simple_reflection
 from pkernels.criterion import Bounds, incidence_table
 from pkernels.polygons import (HodgeDatum, NewtonPolygon, enumerate_polygons,
@@ -21,9 +21,10 @@ TO_7 = Bounds(max_height=7)
 
 @pytest.fixture(autouse=True)
 def _own_reductions():
-    # each gate starts from an empty engine memo, so it reads only the
-    # reductions it made itself
+    # each gate starts from an empty engine memo and row store, so it
+    # reads only the reductions it made itself
     affine._memo.clear()
+    criterion._rows.clear()
 
 
 def _minimal_rows_have_one_cell(heights, cfg):
