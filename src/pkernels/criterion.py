@@ -56,7 +56,7 @@ class Bounds:
     the engine's shared memo or on a row found in the row store.
     """
 
-    max_height: int = 11
+    max_height: int = 12
     max_support: int = 500_000
 
     def __post_init__(self):
@@ -98,7 +98,8 @@ def _answer(done: tuple, P: NewtonPolygon, check, return_info: bool):
 # the row store of lifts_to and incidence_table: the (points, explored)
 # of each checked row (d, w), in the form affine._newton_blocks returns.
 # It has room for every row of every stratum with h <= 12 (8190) and is
-# cleared when full; only _row adds entries, and never to affine._memo
+# cleared when full; only _row adds entries, and it writes nothing into
+# affine._memo
 _ROWS_MAX = 1 << 13
 _rows = {}
 

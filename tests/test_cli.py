@@ -121,7 +121,7 @@ def test_incidence_json_format(capsys):
 
 
 def test_incidence_height_limit_exits_3(capsys):
-    code, out, err = run(capsys, 'incidence', '--height', '12', '--dim', '6')
+    code, out, err = run(capsys, 'incidence', '--height', '13', '--dim', '6')
     assert code == 3
     assert 'resource limit' in err
 
@@ -129,7 +129,7 @@ def test_incidence_height_limit_exits_3(capsys):
 @pytest.mark.parametrize('cmd', ['sample', 'verify'])
 def test_oracle_height_limit_exits_3(capsys, cmd):
     # checked before any sampling: no output at all
-    code, out, err = run(capsys, 'oracle', cmd, '--height', '12', '--dim', '6',
+    code, out, err = run(capsys, 'oracle', cmd, '--height', '13', '--dim', '6',
                          '--count', '1')
     assert code == 3 and out == ''
     assert 'resource limit' in err
@@ -142,14 +142,14 @@ def test_calibrate_height_limit_exits_3_before_any_field(capsys, monkeypatch):
     def no_field(*args):
         raise AssertionError('field built before the height check')
     monkeypatch.setattr(pkernels.shtuka, 'field', no_field)
-    code, out, err = run(capsys, 'calibrate', '--probe', '12,6', '--ext', '8')
+    code, out, err = run(capsys, 'calibrate', '--probe', '13,6', '--ext', '8')
     assert code == 3 and out == ''
     assert 'resource limit' in err
 
 
 @pytest.mark.parametrize('argv', [
     ('enumerate-cochars', '--block', '12,13'),
-    ('enumerate-cochars', '--np', '1/2x12'),
+    ('enumerate-cochars', '--np', '1/2x14'),
     ('enumerate-polygons', '--height', '60', '--dim', '30'),
     ('oracle', 'sample', '--height', '2', '--dim', '1', '--ext', '16'),
     ('oracle', 'verify', '--height', '2', '--dim', '1', '--prime', '257', '--ext', '1'),

@@ -262,7 +262,7 @@ def test_bounds_height_guard():
     with pytest.raises(ResourceLimitError):
         incidence_table(HodgeDatum(7, 3), bounds=Bounds(max_height=6))
     with pytest.raises(ResourceLimitError):
-        lifts_to(HodgeDatum(12, 5), tuple(range(1, 13)), parse_polygon('5/12x12'))
+        lifts_to(HodgeDatum(13, 5), tuple(range(1, 14)), parse_polygon('5/13x13'))
 
 
 def test_bounds_support_guard():
@@ -444,7 +444,7 @@ def test_calibrate_multi_probe():
 
 
 @pytest.mark.parametrize('probes, error', [
-    (((12, 6),), ResourceLimitError),
+    (((13, 6),), ResourceLimitError),
     ([(2, 1), (3, 5)], ValueError),
     ([(2, 1), (True, 1)], TypeError),
 ], ids=['height-bound', 'dimension-above-height', 'boolean-height'])
