@@ -78,12 +78,10 @@ def _clear_caches():
 
 
 def _clear_session_memo():
-    # the engine's reduction memo, wherever the checkout keeps it: affine
-    # since every query shares it, criterion before; older checkouts have
-    # none.  Also criterion's row store, where the checkout has one
+    # the engine's reduction memo, and criterion's row store where the
+    # checkout has one
     from pkernels import affine, criterion
-    for mod in (affine, criterion):
-        mod.__dict__.get('_memo', {}).clear()
+    affine._memo.clear()
     criterion.__dict__.get('_rows', {}).clear()
 
 
@@ -180,7 +178,7 @@ def _cell_queries(heights, shuffles):
 
 def _row_check(heights, shuffles):
     # the row check of every query of the cell stream: polygons._minimal_rep
-    # on its (hd, w), what lifts_to does before its memo lookup
+    # on its (hd, w), what lifts_to does on a row store miss
     def case(seed):
         from pkernels import polygons
         rows = [(hd, w) for hd, w, _ in _cell_stream(heights, shuffles, seed)[1]]

@@ -85,11 +85,14 @@ def _parse_perm(text):
     return _ints(_literal(text, 'permutation'), 'permutation')
 
 
-def _parse_probe(text):
-    parts = text.split(',')
-    if len(parts) != 2:
-        raise ValueError('probe must be "h,d", got %r' % text)
-    return tuple(int(v) for v in parts)
+def _pair(text, option, form):
+    """The two integers of an option value "a,b", or ValueError naming the
+    option and the form it takes."""
+    try:
+        a, b = map(int, text.split(','))
+    except ValueError:
+        raise ValueError('%s must be "%s", got %r' % (option, form, text)) from None
+    return a, b
 
 
 def _build_parser():
@@ -195,7 +198,7 @@ def _cmd_enumerate_cochars(args):
     if bool(args.block) == bool(args.np):
         raise ValueError('give exactly one of --block or --np')
     if args.block:
-        n, m = (int(v) for v in args.block.split(','))
+        n, m = _pair(args.block, '--block', 'n,m')
         criterion.Bounds().check_height(n + m)
         rows = [list(lam) for lam in enumerate_cochar_block(n, m)]
         out = {'block': [n, m], 'cochars': rows, 'count': len(rows)}
@@ -250,7 +253,7 @@ def _cmd_oracle_verify(args):
 def _cmd_calibrate(args):
     probes = None
     if args.probe:
-        probes = [_parse_probe(p) for p in args.probe]
+        probes = [_pair(p, '--probe', 'h,d') for p in args.probe]
         for h, _ in probes:
             criterion.Bounds().check_height(h)
     cfg = _field_from_args(args)

@@ -53,7 +53,8 @@ class Bounds:
 
     max_height caps the height of a query, max_support the number of
     elements one reduction explores, checked also on a tree found in
-    the engine's shared memo or on a row found in the row store.
+    the engine's shared memo; a row in the row store answers only the
+    max_support it was computed under.
     """
 
     max_height: int = 12
@@ -96,32 +97,27 @@ def _answer(done: tuple, P: NewtonPolygon, check, return_info: bool):
 
 
 # the row store of lifts_to and incidence_table: the (points, explored)
-# of each checked row (d, w), in the form affine._newton_blocks returns.
-# It has room for every row of every stratum with h <= 12 (8190) and is
-# cleared when full; only _row adds entries, and it writes nothing into
-# affine._memo
+# of each checked query (h, d, w, max_support), in the form
+# affine._newton_blocks returns.  explored is within the entry's bound, so
+# a hit is not checked again: the engine checks a core row, and a derived
+# row carries its core's count (1 for an empty core).  It has room for
+# every row of every stratum with h <= 12 (8190) and is cleared when full;
+# only _row adds entries, and it writes nothing into affine._memo
 _ROWS_MAX = 1 << 13
 _rows = {}
-
-
-def _within(done: tuple, limit: int) -> tuple:
-    # on store hits too: a row stored under a larger max_support must not pass
-    if done[1] > limit:
-        raise ResourceLimitError('the reduction of a row explored %d elements, above %d'
-                                 % (done[1], limit))
-    return done
 
 
 def _row(h: int, d: int, w: tuple, limit: int) -> tuple:
     """(points, explored) of the row w of (h, d), a minimal coset
     representative, through the row store."""
-    done = _rows.get((d, w))
+    key = h, d, w, limit
+    done = _rows.get(key)
     if done is None:
         done = _derive(h, d, w, limit)
         if len(_rows) >= _ROWS_MAX:
             _rows.clear()
-        _rows[d, w] = done
-    return _within(done, limit)
+        _rows[key] = done
+    return done
 
 
 def _derive(h: int, d: int, w: tuple, limit: int) -> tuple:
@@ -170,18 +166,19 @@ def lifts_to(hd: HodgeDatum, w, P: NewtonPolygon, check: dict = None,
     recorded, never consulted.  With return_info, also the witness (None
     for an empty cell), the number of elements the reduction of the row
     or of its core explored and the provenance.  Every query reads the
-    bounded row store; no answer depends on it, and ``max_support`` is
-    checked on its hits too.  A row is checked to be a minimal coset
-    representative only when the store does not hold it."""
+    bounded row store, keyed by (h, d, w, max_support), so a hit was
+    checked under the same bound; no answer depends on it.  A row is
+    checked to be a minimal coset representative only when the store
+    does not hold it."""
     h, d = hd.height, hd.dimension
     if (P.height, P.dimension) != (h, d):
         raise ValueError('polygon %s does not lie in stratum (%d, %d)' % (P, h, d))
     bounds.check_height(h)
     w = integers(*w)
-    done = _rows.get((d, w))
-    if done is None or len(w) != h:
+    done = _rows.get((h, d, w, bounds.max_support))
+    if done is None:
         done = _row(h, d, polygons._minimal_rep(hd, w), bounds.max_support)
-    return _answer(_within(done, bounds.max_support), P, check, return_info)
+    return _answer(done, P, check, return_info)
 
 
 def adlv_nonempty(x: Element, P: NewtonPolygon, check: dict = None,

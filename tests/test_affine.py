@@ -372,6 +372,17 @@ def test_newton_strata_memo_and_limit():
         affine.newton_strata(big, limit=n - 1)
 
 
+def test_newton_strata_limit_stops_the_walk(monkeypatch):
+    # x has no drop at its first element, so the walk of its class passes
+    # limit=1 before any subtree is reduced: the walk raises, not the
+    # check on the finished tree, and the memo stays empty
+    monkeypatch.setattr(affine, '_memo', {})
+    x = Element((-1, -1, 1, 0), (4, 3, 1, 2))
+    with pytest.raises(ResourceLimitError):
+        affine.newton_strata(x, limit=1)
+    assert affine._memo == {}
+
+
 # ------------------------------------------- minimal length, closed form
 
 def _reference_class(x):

@@ -97,6 +97,17 @@ def test_malformed_input_exits_2(capsys, argv):
     assert 'error:' in err
 
 
+@pytest.mark.parametrize('argv, message', [
+    (('enumerate-cochars', '--block', '1,2,3'), '--block must be "n,m", got \'1,2,3\''),
+    (('enumerate-cochars', '--block', 'a,b'), '--block must be "n,m", got \'a,b\''),
+    (('calibrate', '--probe', '2,1,3'), '--probe must be "h,d", got \'2,1,3\''),
+], ids=['block-three-numbers', 'block-not-numbers', 'probe-three-numbers'])
+def test_malformed_pair_names_its_option(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ''
+    assert err == 'error: %s\n' % message
+
+
 def test_check_writes_file(tmp_path, capsys):
     dest = tmp_path / 'cell.json'
     code, out, err = run(capsys, 'check', '--height', '2', '--dim', '1',

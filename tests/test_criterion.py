@@ -218,6 +218,16 @@ def test_package_version_matches_pyproject():
         assert tomllib.load(fh)['project']['version'] == __version__
 
 
+def test_numpy_is_no_runtime_dependency():
+    # no module of the package imports numpy at import time, so only the
+    # test extra names it
+    tomllib = pytest.importorskip('tomllib')        # Python >= 3.11
+    with open(Path(__file__).resolve().parents[1] / 'pyproject.toml', 'rb') as fh:
+        project = tomllib.load(fh)['project']
+    assert not any(dep.startswith('numpy') for dep in project['dependencies'])
+    assert any(dep.startswith('numpy') for dep in project['optional-dependencies']['test'])
+
+
 def test_check_never_changes_an_answer(report):
     for hd in _strata(5):
         a, b = incidence_table(hd, report), incidence_table(hd)
@@ -485,16 +495,22 @@ def test_calibrate_names_a_probe_without_samples(monkeypatch):
 
 
 def test_calibrate_raises_on_disagreement(monkeypatch):
-    # an engine that loses the supersingular stratum contradicts the oracle
+    # an engine that loses the supersingular stratum contradicts the ground
+    # truth, the observed cells and the sigma-conjugates; from an empty row
+    # store and memo, so that no row warmed by the real engine answers
     real = affine._newton_blocks
 
     def lossy(c, limit):
         points, explored = real(c, limit)
         return {p: y for p, y in points.items() if p != SS.blocks}, explored
 
+    monkeypatch.setattr(criterion, '_rows', {})
+    monkeypatch.setattr(affine, '_memo', {})
     monkeypatch.setattr(criterion.affine, '_newton_blocks', lossy)
-    with pytest.raises(ConventionError, match='disagrees'):
+    with pytest.raises(ConventionError, match='disagrees') as err:
         calibrate(probes=((2, 1),), samples={(2, 1): 20}, sigma_trials=4)
+    for why in ('ground truth', 'observed x', 'sigma-conjugate x'):
+        assert why in str(err.value), why
 
 
 def test_calibrate_determinism():
