@@ -385,12 +385,16 @@ def newton_strata(x: Element, limit: int = None) -> tuple:
     elements walked until its drop.  Every call shares the module's
     bounded memo of subtrees; the answers do not depend on it.  Raises
     ResourceLimitError when a tree exceeds ``limit`` elements, whether it
-    is built or found in the memo.
+    is built or found in the memo, and ValueError, before any work, when
+    ``limit`` is below one.
 
     >>> sorted(newton_strata(Element((1, 0), (2, 1)))[0])
     [(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 2))]
     """
-    limit = None if limit is None else integers(limit)[0]
+    if limit is not None:
+        limit, = integers(limit)
+        if limit < 1:
+            raise ValueError('limit must be at least 1, got %d' % limit)
     points, explored = _newton_blocks(x.lam + x.perm, limit)
     # each witness is a leaf keyed by its own Newton point
     return {newton_point(y): y for y in map(_element, points.values())}, explored

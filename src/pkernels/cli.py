@@ -14,7 +14,7 @@ import sys
 from . import criterion
 from .affine import Element
 from .criterion import __version__
-from .errors import ConventionError, ResourceLimitError
+from .errors import ConventionError, ResourceLimitError, integers
 from .polygons import HodgeDatum, enumerate_polygons, parse_polygon
 from .semimodules import enumerate_cochar_block, enumerate_profiles
 
@@ -22,27 +22,21 @@ __all__ = ['main', 'parse_element']
 
 
 def parse_element(text: str) -> Element:
-    """Parse "perm=[2,1];lam=(0,1)" (each field once, in either order,
-    spaces ignored)."""
-    perm = lam = None
-    seen = set()
+    """Parse "perm=[2,1];lam=(0,1)", or "perm=2,1;lam=0,1" (each field
+    once, in either order, spaces ignored)."""
+    fields = {}
     for part in text.replace(' ', '').split(';'):
         if not part:
             continue
         key, _, val = part.partition('=')
-        if key in seen:
-            raise ValueError('element field %r given twice' % key)
-        seen.add(key)
-        if key == 'perm':
-            perm = _parse_perm(val)
-        elif key == 'lam':
-            parsed = _literal(val, 'lam')
-            lam = _ints(parsed if isinstance(parsed, (tuple, list)) else (parsed,), 'lam')
-        else:
+        if key not in ('perm', 'lam'):
             raise ValueError('unknown element field %r' % key)
-    if perm is None or lam is None:
+        if key in fields:
+            raise ValueError('element field %r given twice' % key)
+        fields[key] = _int_list(val, key)
+    if len(fields) < 2:
         raise ValueError('element needs both perm=[...] and lam=(...)')
-    return Element(lam, perm)
+    return Element(fields['lam'], fields['perm'])
 
 
 def _field_from_args(args):
@@ -62,37 +56,20 @@ def _emit_json(obj, out):
     _emit(json.dumps(obj, sort_keys=True, indent=2) + '\n', out)
 
 
-def _add_field_args(p):
-    p.add_argument('--prime', type=int, default=2)
-    p.add_argument('--ext', type=int, default=2)
-
-
-def _literal(text, what):
-    """ast.literal_eval, reporting malformed input as ValueError (exit 2)."""
+def _int_list(text, option, pair=None):
+    """The integers of an option value: comma-separated, brackets optional,
+    one integer a list of one, each read by errors.integers; with ``pair``,
+    the form of the value (e.g. 'n,m'), exactly two.  ValueError naming
+    the option and its form on anything else."""
     try:
-        return ast.literal_eval(text)
-    except (SyntaxError, TypeError, ValueError) as exc:
-        raise ValueError('malformed %s: %r' % (what, text)) from exc
-
-
-def _ints(val, what):
-    if not isinstance(val, (tuple, list)) or not all(type(v) is int for v in val):
-        raise ValueError('%s must be a list of integers, got %r' % (what, val))
-    return tuple(val)
-
-
-def _parse_perm(text):
-    return _ints(_literal(text, 'permutation'), 'permutation')
-
-
-def _pair(text, option, form):
-    """The two integers of an option value "a,b", or ValueError naming the
-    option and the form it takes."""
-    try:
-        a, b = map(int, text.split(','))
-    except ValueError:
-        raise ValueError('%s must be "%s", got %r' % (option, form, text)) from None
-    return a, b
+        val = ast.literal_eval(text)
+        val = integers(*val) if isinstance(val, (tuple, list)) else integers(val)
+        if pair and len(val) != 2:
+            raise ValueError
+    except (SyntaxError, TypeError, ValueError):
+        form = '"%s"' % pair if pair else 'a list of integers'
+        raise ValueError('%s must be %s, got %r' % (option, form, text)) from None
+    return val
 
 
 def _build_parser():
@@ -102,38 +79,40 @@ def _build_parser():
                                              'classes and Newton strata')
     ap.add_argument('--version', action='version', version='pkernels %s' % __version__)
     sub = ap.add_subparsers(dest='cmd', required=True)
+    # the options several commands share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument('--out')
+    stratum = argparse.ArgumentParser(add_help=False)
+    stratum.add_argument('--height', type=int, required=True)
+    stratum.add_argument('--dim', type=int, required=True)
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument('--prime', type=int, default=2)
+    field.add_argument('--ext', type=int, default=2)
 
-    p = sub.add_parser('check', help='evaluate one cell of the incidence table')
-    p.add_argument('--height', type=int, required=True)
-    p.add_argument('--dim', type=int, required=True)
+    p = sub.add_parser('check', parents=[stratum, out],
+                       help='evaluate one cell of the incidence table')
     p.add_argument('--eo', required=True, help='row permutation, e.g. [2,1]')
     p.add_argument('--np', required=True, help='polygon string, e.g. 1/2x2')
-    p.add_argument('--out')
     p.set_defaults(run=_cmd_check)
 
-    p = sub.add_parser('incidence', help='full table for a stratum')
-    p.add_argument('--height', type=int, required=True)
-    p.add_argument('--dim', type=int, required=True)
+    p = sub.add_parser('incidence', parents=[stratum, out], help='full table for a stratum')
     p.add_argument('--format', choices=('csv', 'json'), default='csv')
-    p.add_argument('--out')
     p.set_defaults(run=_cmd_incidence)
 
-    p = sub.add_parser('adlv', help='whether I·x·I meets the stratum of a polygon')
+    p = sub.add_parser('adlv', parents=[out],
+                       help='whether I·x·I meets the stratum of a polygon')
     p.add_argument('--x', required=True, help='element, e.g. "perm=[2,1];lam=(0,1)"')
     p.add_argument('--np', required=True)
-    p.add_argument('--out')
     p.set_defaults(run=_cmd_adlv)
 
-    p = sub.add_parser('enumerate-cochars', help='cocharacters of a block or polygon')
+    p = sub.add_parser('enumerate-cochars', parents=[out],
+                       help='cocharacters of a block or polygon')
     p.add_argument('--block', help='coprime block "n,m"')
     p.add_argument('--np', help='polygon string (profiles over all blocks)')
-    p.add_argument('--out')
     p.set_defaults(run=_cmd_enumerate_cochars)
 
-    p = sub.add_parser('enumerate-polygons', help='all polygons of a stratum')
-    p.add_argument('--height', type=int, required=True)
-    p.add_argument('--dim', type=int, required=True)
-    p.add_argument('--out')
+    p = sub.add_parser('enumerate-polygons', parents=[stratum, out],
+                       help='all polygons of a stratum')
     p.set_defaults(run=_cmd_enumerate_polygons)
 
     p = sub.add_parser('oracle', help='matrix-level sampling and verification')
@@ -141,23 +120,19 @@ def _build_parser():
     for name, count, run, text in (
             ('sample', 10, _cmd_oracle_sample, 'sample matrices; JSONL of class and polygon'),
             ('verify', 50, _cmd_oracle_verify, 'random-input consistency suite')):
-        q = osub.add_parser(name, help=text)
-        q.add_argument('--height', type=int, required=True)
-        q.add_argument('--dim', type=int, required=True)
+        q = osub.add_parser(name, parents=[stratum, field, out], help=text)
         q.add_argument('--count', type=int, default=count)
         q.add_argument('--seed', type=int, default=0)
-        _add_field_args(q)
-        q.add_argument('--out')
         q.set_defaults(run=run)
 
-    p = sub.add_parser('calibrate', help='check the incidence engine against the oracle')
+    p = sub.add_parser('calibrate', parents=[field],
+                       help='check the incidence engine against the oracle')
     p.add_argument('--probe', action='append', default=None,
                    help='stratum "h,d" (repeatable; default 2,1 3,1 3,2)')
     p.add_argument('--count', type=int, default=None,
                    help='samples per probe (default 1000 for 2,1, else 300)')
     p.add_argument('--seed', type=int, default=20240801)
     p.add_argument('--sigma-trials', type=int, default=200)
-    _add_field_args(p)
     p.add_argument('--out', default='calibration.json')
     p.set_defaults(run=_cmd_calibrate)
     return ap
@@ -174,7 +149,7 @@ def _emit_answer(out, answer, **query):
 def _cmd_check(args):
     hd = HodgeDatum(args.height, args.dim)
     P = parse_polygon(args.np)
-    w = _parse_perm(args.eo)
+    w = _int_list(args.eo, '--eo')
     return _emit_answer(args.out, criterion.lifts_to(hd, w, P, return_info=True),
                         hodge=[hd.height, hd.dimension], eo=list(w), np=str(P))
 
@@ -198,7 +173,7 @@ def _cmd_enumerate_cochars(args):
     if bool(args.block) == bool(args.np):
         raise ValueError('give exactly one of --block or --np')
     if args.block:
-        n, m = _pair(args.block, '--block', 'n,m')
+        n, m = _int_list(args.block, '--block', 'n,m')
         criterion.Bounds().check_height(n + m)
         rows = [list(lam) for lam in enumerate_cochar_block(n, m)]
         out = {'block': [n, m], 'cochars': rows, 'count': len(rows)}
@@ -253,7 +228,7 @@ def _cmd_oracle_verify(args):
 def _cmd_calibrate(args):
     probes = None
     if args.probe:
-        probes = [_pair(p, '--probe', 'h,d') for p in args.probe]
+        probes = [_int_list(p, '--probe', 'h,d') for p in args.probe]
         for h, _ in probes:
             criterion.Bounds().check_height(h)
     cfg = _field_from_args(args)

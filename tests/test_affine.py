@@ -383,6 +383,17 @@ def test_newton_strata_limit_stops_the_walk(monkeypatch):
     assert affine._memo == {}
 
 
+@pytest.mark.parametrize('limit', [0, -5])
+def test_newton_strata_refuses_a_limit_below_one(monkeypatch, limit):
+    # refused like Bounds(max_support=0), before _newton_blocks runs: a
+    # full memo, which that would clear, keeps every entry
+    full = {(k,): ({}, 1) for k in range(affine._MEMO_MAX)}
+    monkeypatch.setattr(affine, '_memo', dict(full))
+    with pytest.raises(ValueError, match='at least 1'):
+        affine.newton_strata(Element((1, 0), (2, 1)), limit=limit)
+    assert affine._memo == full
+
+
 # ------------------------------------------- minimal length, closed form
 
 def _reference_class(x):

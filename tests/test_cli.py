@@ -299,3 +299,42 @@ def test_calibrate_writes_report(tmp_path, capsys):
     assert report == calibrate(probes=((2, 1),), samples=20, sigma_trials=4)
     # the written report is a check the library records
     assert incidence_table(HodgeDatum(2, 1), report).provenance['seed'] == 20240801
+
+
+@pytest.mark.parametrize('argv', [
+    ('incidence', '--height', '3', '--dim', '1'),
+    ('incidence', '--height', '3', '--dim', '1', '--format', 'json'),
+    ('adlv', '--x', 'perm=[1,2];lam=(1,0)', '--np', '0,1'),
+    ('enumerate-cochars', '--block', '2,3'),
+    ('enumerate-polygons', '--height', '4', '--dim', '2'),
+    ('oracle', 'verify', '--height', '2', '--dim', '1', '--count', '4', '--seed', '3'),
+], ids=['incidence-csv', 'incidence-json', 'adlv', 'enumerate-cochars',
+        'enumerate-polygons', 'oracle-verify'])
+def test_out_writes_what_stdout_shows(tmp_path, capsys, argv):
+    # the shared --out: the file holds the bytes printed without it
+    code, shown, err = run(capsys, *argv)
+    assert code == 0 and shown
+    dest = tmp_path / 'out.txt'
+    code, out, err = run(capsys, *argv, '--out', str(dest))
+    assert code == 0 and out == ''
+    assert dest.read_text() == shown
+
+
+def test_integer_lists_read_with_or_without_brackets(capsys):
+    # one spelling for every integer list: comma-separated, brackets optional
+    spellings = [
+        [('check', '--height', '2', '--dim', '1', '--np', '1/2x2', '--eo', eo)
+         for eo in ('2,1', '[2,1]')],
+        [('calibrate', '--probe', probe, '--count', '2', '--sigma-trials', '1',
+          '--out', '/dev/null') for probe in ('[2,1]', '2,1')],
+        [('adlv', '--np', '0,1', '--x', x) for x in ('perm=2,1;lam=0,1', 'perm=[2,1];lam=(0,1)')],
+        [('enumerate-cochars', '--block', block) for block in ('2,3', '(2,3)')],
+    ]
+    for argvs in spellings:
+        outs = [run(capsys, *argv) for argv in argvs]
+        assert outs[0][0] == 0 and outs[0][1]
+        assert outs[0] == outs[1]
+    assert parse_element('perm=2,1;lam=0,1') == parse_element('perm=[2,1];lam=(0,1)')
+    code, out, err = run(capsys, 'calibrate', '--probe', '2.0,1')
+    assert code == 2 and out == ''
+    assert err == 'error: --probe must be "h,d", got \'2.0,1\'\n'
